@@ -113,7 +113,7 @@ func main() {
 		stream  = flag.Bool("stream", false, "streaming chunked exchange overlapped with the merge")
 		workers = flag.Int("workers", 0, "per-rank compute worker pool size (0 = GOMAXPROCS split across hosted ranks, 1 = serial)")
 		chunk   = flag.Int("chunk", 0, "streaming-exchange chunk size in keys (implies -stream; default 64Ki)")
-		budget  = flag.Int64("mem-budget", 0, "per-rank memory budget in bytes: sort out of core, spilling compressed run files when the spill-managed working set would exceed it (0 = in-memory)")
+		budget  = flag.Int64("mem-budget", 0, "per-rank memory budget in bytes: bounds the engine's sort scratch and in-flight exchange/merge data, spilling exchange data that would exceed it to compressed run files; never bounds the resident input shard (0 = in-memory)")
 		spillSt = flag.String("spill-dir", "", "directory for out-of-core run files (requires -mem-budget; default: per-rank dirs under the system temp dir)")
 		repeat  = flag.Int("repeat", 1, "sorts to run through one engine (fresh shards each time; demonstrates Sorter reuse)")
 		plan    = flag.Bool("plan", false, "prepare a splitter plan once and sort with SortWithPlan (0 histogram rounds per sort)")

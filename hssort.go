@@ -277,20 +277,22 @@ type Config struct {
 	// 10 minutes.
 	Timeout time.Duration
 	// MemoryBudget, when > 0, puts the sort out of core: each rank
-	// bounds its spill-managed working set — oversized local-sort
-	// shards, admitted streaming-exchange chunks, materialized exchange
-	// receives and the frames read back during the merges — to this many
-	// bytes, writing the excess to compressed, checksummed run files
+	// bounds the memory the engine adds on top of the caller's data —
+	// local-sort scratch, admitted streaming-exchange chunks,
+	// materialized exchange receives and the frames read back during
+	// the merges — to this many bytes, writing exchange data that
+	// would exceed it to compressed, checksummed run files
 	// (docs/SPILL.md) that re-enter the k-way merge as additional
-	// sources. The budget governs what the spill plane admits, not
-	// caller-owned arrays: the input shards and the output partitions
-	// are the caller's memory and are never counted. Output is
-	// byte-identical to the in-memory sort; Stats.SpilledBytes reports
-	// the traffic. Supported by the HSS variants, the sample sorts,
-	// classic histogram sort and NodeHSS, for fixed-size key types
-	// without pointers (ints, floats, plain structs of them — not
-	// byte-string keys) and off the TagDuplicates path. 0 (the default)
-	// keeps everything in memory.
+	// sources. The budget never bounds caller-owned arrays: the input
+	// shards and the output partitions are the caller's memory, so the
+	// local sort orders a shard of any size in place (switching to a
+	// scratch-free radix kernel above half the budget) and writes
+	// nothing to disk. Output is byte-identical to the in-memory sort;
+	// Stats.SpilledBytes reports the traffic. Supported by the HSS
+	// variants, the sample sorts, classic histogram sort and NodeHSS,
+	// for fixed-size key types without pointers (ints, floats, plain
+	// structs of them — not byte-string keys) and off the
+	// TagDuplicates path. 0 (the default) keeps everything in memory.
 	MemoryBudget int64
 	// SpillDir is where an out-of-core sort puts its run files; each
 	// rank claims the subdirectory hssort-rank-<r> under it (recreating
@@ -361,8 +363,10 @@ type Stats struct {
 	// SpilledBytes, SpillFileBytes and SpillReads are out-of-core plane
 	// counters, summed over ranks: uncompressed key bytes written to
 	// spill runs, the (compressed) bytes those runs occupied on disk,
-	// and the frames read back during the merges. All zero when
-	// Config.MemoryBudget is 0 or the budget was never exceeded.
+	// and the frames read back during the merges. Only the exchange
+	// spills (diverted streams, over-budget materialized receives),
+	// never the local sort. All zero when Config.MemoryBudget is 0 or
+	// the exchange stayed within it.
 	SpilledBytes, SpillFileBytes, SpillReads int64
 	// PeakResidentBytes is the peak spill-managed working set of any
 	// rank (max over ranks): the high-water mark of bytes the spill

@@ -6,6 +6,9 @@ package codes
 // parallel strided counts, per-worker per-bucket offsets, a stable
 // scatter into scratch, copy-back — and the 256 byte buckets then
 // recurse through the serial in-place kernel, one bucket per task.
+// SortByCodeInPlace trades the parallel top level for a serial in-place
+// flagPass and keeps only the bucket fan-out, for callers that must not
+// allocate shard-sized scratch.
 //
 // Determinism: every scatter position is a pure function of the input
 // and the (n, workers)-deterministic par.Blocks boundaries, and bucket
@@ -62,6 +65,51 @@ func SortByCodePar[E any](elems []E, code func(E) uint64, p *par.Pool) []Code {
 	return cs
 }
 
+// SortByCodeInPlace is SortByCodePar without the shard-sized scratch:
+// the top radix level is one serial in-place flagPass instead of the
+// parallel count/scatter, and the byte buckets are then fanned over the
+// pool exactly as in parMSD. Beyond the returned code array (which is
+// elems itself on the pure code plane) its allocation is O(1), which is
+// what lets a memory-budgeted rank sort a resident shard of any size
+// (spill.LocalSort). The result carries the same guarantee as
+// SortByCodePar.
+func SortByCodeInPlace[E any](elems []E, code func(E) uint64, p *par.Pool) []Code {
+	if p.Workers() == 1 || len(elems) < parCutoff {
+		return SortByCode(elems, code)
+	}
+	cs := ExtractPar(elems, code, p)
+	pay := elems
+	if _, pure := any(elems).([]Code); pure {
+		pay = nil // cs aliases elems: there is no payload to drag
+	}
+	var end [256]int
+	if shift := flagPass(cs, pay, topShift, &end); shift > 0 {
+		sortBuckets(cs, pay, &end, shift-8, p)
+	}
+	return cs
+}
+
+// sortBuckets sorts each byte bucket of a partitioned level (bucket b is
+// cs[end[b-1]:end[b]]) from the given shift down through the serial
+// in-place kernel, one bucket per pool task; pay, when non-nil, rides
+// along.
+func sortBuckets[E any](cs []Code, pay []E, end *[256]int, shift int, p *par.Pool) {
+	p.Do(256, func(b int) {
+		lo, hi := 0, end[b]
+		if b > 0 {
+			lo = end[b-1]
+		}
+		if hi-lo <= 1 {
+			return
+		}
+		if pay == nil {
+			msd(cs[lo:hi], shift)
+		} else {
+			msdTandem(cs[lo:hi], pay[lo:hi], shift)
+		}
+	})
+}
+
 // parMSD runs the top radix level as a stable parallel count/scatter —
 // with pay (when non-nil) permuted in lockstep — then recurses serially
 // per byte bucket, buckets fanned over the pool. Degenerate levels
@@ -96,18 +144,18 @@ func parMSD[E any](cs []Code, pay []E, shift int, p *par.Pool) {
 		}
 		break
 	}
-	// start[b] is bucket b's offset in the rebuilt array; offsets[i][b]
-	// is where block i's bucket-b codes land inside it. Blocks write in
-	// index order, so the scatter is stable and — positions being pure
-	// functions of the counts — deterministic.
-	var start [256]int
+	// pos[b] starts at bucket b's offset in the rebuilt array;
+	// offsets[i][b] is where block i's bucket-b codes land inside it, and
+	// once every block is placed pos[b] has reached the bucket's end.
+	// Blocks write in index order, so the scatter is stable and —
+	// positions being pure functions of the counts — deterministic.
+	var pos [256]int
 	sum := 0
-	for b := range start {
-		start[b] = sum
+	for b := range pos {
+		pos[b] = sum
 		sum += total[b]
 	}
 	offsets := make([][256]int, nb)
-	pos := start
 	for i := 0; i < nb; i++ {
 		offsets[i] = pos
 		for b := range pos {
@@ -136,20 +184,9 @@ func parMSD[E any](cs []Code, pay []E, shift int, p *par.Pool) {
 			copy(pay[blocks[i].Lo:blocks[i].Hi], payScratch[blocks[i].Lo:blocks[i].Hi])
 		}
 	})
-	if shift == 0 {
-		return
+	if shift > 0 {
+		sortBuckets(cs, pay, &pos, shift-8, p)
 	}
-	p.Do(256, func(b int) {
-		lo, hi := start[b], start[b]+total[b]
-		if hi-lo <= 1 {
-			return
-		}
-		if pay == nil {
-			msd(cs[lo:hi], shift-8)
-		} else {
-			msdTandem(cs[lo:hi], pay[lo:hi], shift-8)
-		}
-	})
 }
 
 // EncodeIntoPar is EncodeInto with the coder map fanned over the pool in

@@ -1,10 +1,13 @@
 package codes
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
+	"hssort/internal/dist"
 	"hssort/internal/keycoder"
 	"hssort/internal/par"
 )
@@ -193,5 +196,62 @@ func TestExtractParMatchesSerial(t *testing.T) {
 	cs := []Code{3, 1, 2}
 	if got := ExtractPar(cs, ExtractCode, par.New(4)); &got[0] != &cs[0] {
 		t.Fatal("pure plane must alias")
+	}
+}
+
+// TestSortByCodeInPlaceProperty checks the scratch-free kernel against
+// slices.Sort over every input distribution — plus all-equal keys, a
+// narrow range (degenerate top radix levels) and zipfian's single hot
+// top-byte bucket — at sizes straddling both cutoffs and Workers 1–4:
+// the pure plane must equal the sorted codes, the tandem plane must
+// come out in code order with every payload still on its code.
+func TestSortByCodeInPlaceProperty(t *testing.T) {
+	type rec struct {
+		k   uint64
+		tag int
+	}
+	recCode := func(r rec) uint64 { return r.k }
+	specs := map[string]dist.Spec{
+		"allequal": {Kind: dist.DuplicateHeavy, Distinct: 1},
+		"narrow":   {Kind: dist.Uniform, Min: 0, Max: 1000},
+	}
+	for k := dist.Uniform; k <= dist.Staircase; k++ {
+		specs[k.String()] = dist.Spec{Kind: k}
+	}
+	sizes := []int{insertionCutoff - 1, insertionCutoff + 1, parCutoff - 1, parCutoff, parCutoff + 123, 3 * parCutoff}
+	for name, spec := range specs {
+		for _, n := range sizes {
+			input := EncodeSlice(keycoder.Int64{}, spec.Shard(n, 1, 4, uint64(n)))
+			want := slices.Clone(input)
+			slices.Sort(want)
+			recs := make([]rec, n)
+			for i, c := range input {
+				recs[i] = rec{k: uint64(c), tag: i}
+			}
+			for workers := 1; workers <= 4; workers++ {
+				id := fmt.Sprintf("%s n=%d workers=%d", name, n, workers)
+				pool := par.New(workers)
+
+				pure := slices.Clone(input)
+				if cs := SortByCodeInPlace(pure, ExtractCode, pool); &cs[0] != &pure[0] || !slices.Equal(pure, want) {
+					t.Fatalf("%s: pure plane differs from slices.Sort", id)
+				}
+
+				got := slices.Clone(recs)
+				cs := SortByCodeInPlace(got, recCode, pool)
+				if !slices.Equal(cs, want) {
+					t.Fatalf("%s: tandem codes differ from slices.Sort", id)
+				}
+				for i, r := range got {
+					if r.k != uint64(cs[i]) || input[r.tag] != cs[i] {
+						t.Fatalf("%s: payload detached from its code at %d", id, i)
+					}
+				}
+				slices.SortFunc(got, func(a, b rec) int { return cmp.Compare(a.tag, b.tag) })
+				if !slices.Equal(got, recs) {
+					t.Fatalf("%s: payload multiset changed", id)
+				}
+			}
+		}
 	}
 }

@@ -28,38 +28,60 @@ func Sort(cs []Code) {
 }
 
 // msd sorts cs by the byte at the given shift, then recurses into each
-// byte bucket. Levels on which every code shares the same byte — common
-// when the encoded key range is narrow — are skipped without permuting.
+// byte bucket.
 func msd(cs []Code, shift int) {
 	if len(cs) <= insertionCutoff {
 		insertion(cs)
 		return
 	}
+	var end [256]int
+	shift = flagPass[struct{}](cs, nil, shift, &end)
+	if shift == 0 {
+		return
+	}
+	lo := 0
+	for _, hi := range end {
+		if hi-lo > 1 {
+			msd(cs[lo:hi], shift-8)
+		}
+		lo = hi
+	}
+}
+
+// flagPass is one in-place American-flag level, shared by every kernel
+// in this package: it permutes cs — and pay, when non-nil, in lockstep —
+// so the codes are grouped by the byte at shift, fills end with the
+// exclusive end offset of each byte bucket, and returns the shift it
+// permuted on. Levels on which every code shares the same byte — common
+// when the encoded key range is narrow — are skipped without permuting,
+// so the returned shift can be lower than the one passed in. A return of
+// 0 means cs is fully sorted: callers recurse into the buckets of end
+// only on a positive shift. cs must be non-empty.
+func flagPass[E any](cs []Code, pay []E, shift int, end *[256]int) int {
 	var counts [256]int
 	for {
 		for _, c := range cs {
 			counts[uint8(c>>shift)]++
 		}
-		if counts[uint8(cs[0]>>shift)] == len(cs) {
-			// Degenerate level: one bucket holds everything.
-			if shift == 0 {
-				return
-			}
-			counts[uint8(cs[0]>>shift)] = 0
-			shift -= 8
-			continue
+		if counts[uint8(cs[0]>>shift)] < len(cs) {
+			break
 		}
-		break
+		// Degenerate level: one bucket holds everything.
+		if shift == 0 {
+			return 0
+		}
+		counts[uint8(cs[0]>>shift)] = 0
+		shift -= 8
 	}
-	var next, end [256]int
+	var next [256]int
 	sum := 0
 	for b := range next {
 		next[b] = sum
 		sum += counts[b]
 		end[b] = sum
 	}
-	// American-flag permutation: each swap moves one code into its final
-	// byte bucket, so the loop does at most n swaps overall.
+	// Each swap moves one code into its final byte bucket, so the loop
+	// does at most n swaps overall.
 	for b := 0; b < 256; b++ {
 		for next[b] < end[b] {
 			i := next[b]
@@ -67,19 +89,16 @@ func msd(cs []Code, shift int) {
 			if d == uint8(b) {
 				next[b]++
 			} else {
-				cs[i], cs[next[d]] = cs[next[d]], cs[i]
+				j := next[d]
+				cs[i], cs[j] = cs[j], cs[i]
+				if pay != nil {
+					pay[i], pay[j] = pay[j], pay[i]
+				}
 				next[d]++
 			}
 		}
 	}
-	if shift == 0 {
-		return
-	}
-	for b := 0; b < 256; b++ {
-		if seg := cs[end[b]-counts[b] : end[b]]; len(seg) > 1 {
-			msd(seg, shift-8)
-		}
-	}
+	return shift
 }
 
 // insertion is the small-segment base case.
@@ -126,49 +145,17 @@ func msdTandem[E any](cs []Code, pay []E, shift int) {
 		insertionTandem(cs, pay)
 		return
 	}
-	var counts [256]int
-	for {
-		for _, c := range cs {
-			counts[uint8(c>>shift)]++
-		}
-		if counts[uint8(cs[0]>>shift)] == len(cs) {
-			if shift == 0 {
-				return
-			}
-			counts[uint8(cs[0]>>shift)] = 0
-			shift -= 8
-			continue
-		}
-		break
-	}
-	var next, end [256]int
-	sum := 0
-	for b := range next {
-		next[b] = sum
-		sum += counts[b]
-		end[b] = sum
-	}
-	for b := 0; b < 256; b++ {
-		for next[b] < end[b] {
-			i := next[b]
-			d := uint8(cs[i] >> shift)
-			if d == uint8(b) {
-				next[b]++
-			} else {
-				j := next[d]
-				cs[i], cs[j] = cs[j], cs[i]
-				pay[i], pay[j] = pay[j], pay[i]
-				next[d]++
-			}
-		}
-	}
+	var end [256]int
+	shift = flagPass(cs, pay, shift, &end)
 	if shift == 0 {
 		return
 	}
-	for b := 0; b < 256; b++ {
-		if lo := end[b] - counts[b]; end[b]-lo > 1 {
-			msdTandem(cs[lo:end[b]], pay[lo:end[b]], shift-8)
+	lo := 0
+	for _, hi := range end {
+		if hi-lo > 1 {
+			msdTandem(cs[lo:hi], pay[lo:hi], shift-8)
 		}
+		lo = hi
 	}
 }
 

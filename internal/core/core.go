@@ -141,9 +141,10 @@ type Options[K any] struct {
 	// exchange.Scratch). Each rank needs its own.
 	Scratch *exchange.Scratch[K]
 	// Spill, when non-nil, is this rank's out-of-core manager: the local
-	// sort runs spill.LocalSort against its budget and the exchange's
-	// receive path diverts over-budget streams to compressed run files
-	// (see spill.Manager). nil keeps every phase fully in memory.
+	// sort (spill.LocalSort) keeps its scratch within the budget and the
+	// exchange's receive path diverts over-budget streams to compressed
+	// run files (see spill.Manager). nil keeps every phase fully in
+	// memory.
 	Spill *spill.Manager
 	// BaseTag is the start of the tag range (12 tags) this sort uses on
 	// the endpoint. Default 1000.

@@ -37,8 +37,8 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, Stats, error) {
 	// Phase 1: local sort (embarrassingly parallel, §6.1.2) — the
 	// comparator-free radix plane when a code extractor is available,
 	// fanned over this rank's worker pool; over a memory budget,
-	// spill.LocalSort runs the same kernel segment-at-a-time through
-	// disk runs with identical output.
+	// spill.LocalSort switches to the scratch-free in-place kernel
+	// with identical output. Never touches disk.
 	t0 := time.Now()
 	localCodes, err := spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
 	if err != nil {

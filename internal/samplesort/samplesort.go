@@ -178,8 +178,8 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	pool := par.New(opt.Workers)
 	stats.Workers = pool.Workers()
 	// Phase 1: local sort — radix on the code plane when available,
-	// fanned over this rank's worker pool; spill-aware under a memory
-	// budget (see spill.LocalSort).
+	// fanned over this rank's worker pool; in place with bounded
+	// scratch under a memory budget (see spill.LocalSort).
 	t0 := time.Now()
 	localCodes, err := spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package spill is the out-of-core plane: it writes sorted runs to
 // compressed, checksummed run files on disk and streams them back as
 // just another chunk source of the incremental k-way merges, so a sort
-// whose data exceeds Config.MemoryBudget completes with a bounded
-// resident working set instead of failing or thrashing.
+// whose exchange exceeds Config.MemoryBudget completes with a bounded
+// engine-managed working set instead of failing or thrashing.
 //
 // The package has three moving parts:
 //
@@ -24,13 +24,13 @@
 //     format). A RunReader feeds the frames back one at a time through
 //     merge.Source, so the merge holds one frame per run, not the runs.
 //
-//   - LocalSort: the spill-aware local-sort kernel shared by the sort
-//     pipelines. In budget it is exactly the in-memory kernel (parallel
-//     radix on the code plane, slices.SortFunc on the comparator
-//     plane); over budget it sorts budget-sized segments with the same
-//     kernel, spills each as a run, and merges the runs back into the
-//     input's storage through the loser tree — output identical either
-//     way.
+//   - LocalSort: the local-sort kernel shared by the sort pipelines.
+//     It never spills — the shard is the caller's array, already
+//     resident, and is sorted in place. The budget only picks the
+//     kernel: the parallel radix sort with its shard-sized scatter
+//     scratch while the shard fits half the budget, the scratch-free
+//     codes.SortByCodeInPlace above that (slices.SortFunc on the
+//     comparator plane either way) — output identical.
 //
 // Failure handling follows the repository's typed-error taxonomy: every
 // disk failure and every corrupt frame surfaces as a *spill.Error

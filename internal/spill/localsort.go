@@ -5,80 +5,28 @@ import (
 	"unsafe"
 
 	"hssort/internal/codes"
-	"hssort/internal/merge"
 	"hssort/internal/par"
 )
 
-// LocalSort is the spill-aware local-sort kernel shared by the sort
-// pipelines. When m is nil or the shard fits in half the budget it is
-// exactly the in-memory kernel the pipelines used before — parallel
-// radix sort on the code plane (returning the sorted codes), or
-// slices.SortFunc on the comparator plane (returning nil codes). Over
-// budget it sorts budget/2-sized segments with that same kernel, spills
-// each segment as a compressed run, and streams the runs back through
-// the loser tree into local's own storage, so the peak spill-managed
-// working set is one frame per run instead of the shard. The sorted
-// result is identical either way; on the code plane the codes are
-// re-extracted after the merge (zero-copy when K is codes.Code).
+// LocalSort is the budget-aware local-sort kernel shared by the sort
+// pipelines. The shard is the caller's array and already resident, so
+// it is always sorted in place and never spilled; the budget only picks
+// the kernel by the scratch it needs. On the comparator plane that is
+// slices.SortFunc (in place; nil codes returned). On the code plane,
+// when m is nil or the shard fits in half the budget, it is the parallel
+// radix sort with its shard-sized scatter scratch; over that, the
+// scratch-free codes.SortByCodeInPlace. Either way the sorted codes are
+// returned and the result is identical. Nothing here can fail, so the
+// error is always nil; it is part of the signature the pipelines and
+// the benchmark's probe call.
 func LocalSort[K any](m *Manager, local []K, code func(K) uint64, cmp func(K, K) int, pool *par.Pool) ([]codes.Code, error) {
-	sortSeg := func(seg []K) []codes.Code {
-		if code != nil {
-			return codes.SortByCodePar(seg, code, pool)
-		}
-		slices.SortFunc(seg, cmp)
-		return nil
+	if code == nil {
+		slices.SortFunc(local, cmp)
+		return nil, nil
 	}
 	var zero K
-	keySize := int64(unsafe.Sizeof(zero))
-	shardBytes := int64(len(local)) * keySize
-	if m == nil || shardBytes <= m.Budget()/2 {
-		return sortSeg(local), nil
+	if m != nil && int64(len(local))*int64(unsafe.Sizeof(zero)) > m.Budget()/2 {
+		return codes.SortByCodeInPlace(local, code, pool), nil
 	}
-
-	segKeys := int(max(1, m.Budget()/(2*keySize)))
-	nseg := (len(local) + segKeys - 1) / segKeys
-	frameKeys := m.FrameKeys(keySize, nseg)
-	srcs := make([]merge.Source[K], 0, nseg)
-	defer func() {
-		// No-op after a clean merge (readers close and remove their files
-		// at the final marker); on error paths this releases and deletes
-		// whatever is still open. Close is idempotent.
-		for _, s := range srcs {
-			s.(*RunReader[K]).Close()
-		}
-	}()
-	for off := 0; off < len(local); off += segKeys {
-		seg := local[off:min(off+segKeys, len(local))]
-		sortSeg(seg)
-		w, err := NewWriter[K](m, frameKeys)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.WriteKeys(seg); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		run, err := w.Finish()
-		if err != nil {
-			return nil, err
-		}
-		rd, err := run.Reader(true)
-		if err != nil {
-			run.Remove()
-			return nil, err
-		}
-		srcs = append(srcs, rd)
-	}
-	// Every key is on disk now, so the merge can overwrite local's
-	// storage in place.
-	st := merge.NewStreamer(cmp, code)
-	out, err := merge.FromSources(st, srcs, m, local[:0], keySize)
-	if err != nil {
-		return nil, err
-	}
-	_ = out // out aliases local's storage: len(out) == len(local)
-	if code != nil {
-		return codes.ExtractPar(local, code, pool), nil
-	}
-	return nil, nil
+	return codes.SortByCodePar(local, code, pool), nil
 }

@@ -2,14 +2,18 @@ package spill
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"hssort/internal/codes"
 	"hssort/internal/merge"
+	"hssort/internal/par"
 )
 
 func newTestManager(t *testing.T, budget int64) *Manager {
@@ -311,53 +315,67 @@ func TestSpillable(t *testing.T) {
 	}
 }
 
-func TestLocalSortSpillsAndMatches(t *testing.T) {
-	for _, plane := range []string{"code", "cmp"} {
-		t.Run(plane, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			local := make([]codes.Code, 50_000)
-			for i := range local {
-				local[i] = codes.Code(rng.Uint64())
-			}
-			want := slices.Clone(local)
-			slices.Sort(want)
-			budget := int64(len(local)) * 8 / 4 // shard is 4× budget
-			m := newTestManager(t, budget)
-			var code func(codes.Code) uint64
-			if plane == "code" {
-				code = codes.ExtractCode
-			}
-			cs, err := LocalSort(m, local, code, codes.Compare, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(local, want) {
-				t.Fatal("spilled local sort output differs from in-memory sort")
-			}
-			if plane == "code" {
-				if len(cs) != len(local) {
-					t.Fatalf("got %d codes for %d keys", len(cs), len(local))
-				}
-				for i := range cs {
-					if cs[i] != local[i] {
-						t.Fatalf("code %d mismatch", i)
-					}
-				}
-			} else if cs != nil {
-				t.Fatal("comparator plane returned codes")
-			}
-			st := m.TakeStats()
-			if st.SpilledBytes == 0 {
-				t.Fatal("budgeted local sort did not spill")
-			}
-			if st.PeakResident > budget {
-				t.Fatalf("PeakResident %d over budget %d", st.PeakResident, budget)
-			}
-			ents, err := os.ReadDir(m.Dir())
-			if err != nil || len(ents) != 0 {
-				t.Fatalf("run files leaked after merge: %v %d", err, len(ents))
-			}
+// TestLocalSortOverBudgetStaysInRAM pins what the budget means for the
+// local sort: a shard over budget is sorted where it lies — same output
+// as the in-memory kernel, no run file, no budget traffic, and no more
+// than budget/2 of scratch beyond the returned code array.
+func TestLocalSortOverBudgetStaysInRAM(t *testing.T) {
+	const n = 50_000 // above codes' parallel cutoff, so Workers > 1 fans out
+	rng := rand.New(rand.NewSource(42))
+	cs := make([]codes.Code, n)
+	recs := make([]record, n)
+	for i := range cs {
+		cs[i] = codes.Code(rng.Uint64())
+		recs[i] = record{A: rng.Uint64(), B: int32(i)} // distinct codes: one sorted order
+	}
+	recCode := func(r record) uint64 { return r.A }
+	recCmp := func(a, b record) int { return codes.Compare(codes.Code(a.A), codes.Code(b.A)) }
+	for _, workers := range []int{1, 3} {
+		pool := par.New(workers)
+		t.Run(fmt.Sprintf("code/w%d", workers), func(t *testing.T) {
+			checkLocalSortInRAM(t, cs, codes.ExtractCode, codes.Compare, pool)
 		})
+		t.Run(fmt.Sprintf("tandem/w%d", workers), func(t *testing.T) {
+			checkLocalSortInRAM(t, recs, recCode, recCmp, pool)
+		})
+		t.Run(fmt.Sprintf("cmp/w%d", workers), func(t *testing.T) {
+			checkLocalSortInRAM(t, cs, nil, codes.Compare, pool)
+		})
+	}
+}
+
+func checkLocalSortInRAM[K comparable](t *testing.T, input []K, code func(K) uint64, cmp func(K, K) int, pool *par.Pool) {
+	t.Helper()
+	want := slices.Clone(input)
+	wantCodes, _ := LocalSort(nil, want, code, cmp, pool)
+
+	var zero K
+	keySize := int64(unsafe.Sizeof(zero))
+	budget := int64(len(input)) * keySize / 4 // shard is 4× budget
+	m := newTestManager(t, budget)
+	local := slices.Clone(input)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gotCodes, err := LocalSort(m, local, code, cmp, pool)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(local, want) || !slices.Equal(gotCodes, wantCodes) {
+		t.Fatal("over-budget local sort differs from the in-memory kernel")
+	}
+	scratch := int64(after.TotalAlloc - before.TotalAlloc)
+	if _, pure := any(local).([]codes.Code); !pure {
+		scratch -= int64(len(gotCodes)) * 8 // the returned code array is the result, not scratch
+	}
+	if scratch > budget/2 {
+		t.Fatalf("allocated %d bytes of scratch, budget/2 is %d", scratch, budget/2)
+	}
+	if st := m.TakeStats(); st != (Stats{}) {
+		t.Fatalf("local sort touched the spill plane: %+v", st)
+	}
+	if ents, err := os.ReadDir(m.Dir()); err != nil || len(ents) != 0 {
+		t.Fatalf("local sort left files in the spill dir: %v %d", err, len(ents))
 	}
 }
 

@@ -744,7 +744,13 @@ func runPlan[K, E any](ctx context.Context, s *Sorter[K], shards [][]K, compare 
 	err := s.pool.Run(ctx, func(c *comm.Comm) error {
 		r := c.Rank()
 		local := localOf(r)
-		slices.SortFunc(local, compare)
+		if cs, ok := any(local).([]codes.Code); ok {
+			// The bijective and prefix planes: the same radix kernel Sort
+			// runs (a sorted code array is unique, so the plan is too).
+			codes.SortPar(cs, par.New(cfg.Workers))
+		} else {
+			slices.SortFunc(local, compare)
+		}
 
 		nVec, err := collective.AllReduce(c, planTagCount, []int64{int64(len(local))}, collective.SumInt64)
 		if err != nil {

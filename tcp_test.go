@@ -686,11 +686,10 @@ func launchKillRespawn(t *testing.T, exe string, p, perRank, runs, victim int) (
 // crash-survival gate: four OS processes sorting out of core (a
 // MemoryBudget of a quarter of each rank's data, small streamed
 // chunks, a shared SpillDir), one of which SIGKILLs itself
-// mid-exchange — while spill runs from its budget-squeezed local sort
-// sit on disk and the survivors hold open divert writers. The
+// mid-exchange, while the survivors hold open divert writers. The
 // survivors report the typed *PeerCrashError, the respawned victim
-// wipes its crashed predecessor's orphaned run files when it reclaims
-// the rank directory, every digest matches the in-memory sim oracle,
+// reclaims its predecessor's rank directory (wiping whatever run files
+// it held), every digest matches the in-memory sim oracle,
 // and after the fleet closes the shared SpillDir is empty — no
 // orphaned run files survive.
 func TestTCPMultiProcessSpillKillRespawn(t *testing.T) {
