@@ -8,8 +8,10 @@
 // The package defines the Code point type and the branch-predictable
 // kernels over code slices: an in-place MSD radix sort (with a tandem
 // variant that drags record payloads along, the decorate-sort-undecorate
-// plane for KV data), branch-free binary-search ranks, partition cut
-// computation, and the comparator tie-break pass for the prefix plane.
+// plane for KV data), histogram ranks and partition cuts (branch-lean
+// binary searches when probes are few, one forward sweep through keys
+// and sorted probes when they rival the keys — ForwardScanBetter is the
+// shared rule), and the comparator tie-break pass for the prefix plane.
 //
 // # The Code invariant
 //

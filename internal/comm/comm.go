@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -195,6 +196,11 @@ func (w *World) ResetCounters() { w.t.ResetCounters() }
 type Comm struct {
 	w    *World
 	rank int
+	// ctx is the run's context under Pool.Run and done its Done channel
+	// (both nil under World.Run, and done is nil for a context that can
+	// never end): every communication call probes done on entry.
+	ctx  context.Context
+	done <-chan struct{}
 }
 
 // Endpoint is the rank-addressed messaging surface collectives are built
@@ -244,12 +250,37 @@ func (c *Comm) World() *World { return c.w }
 // Counters returns this rank's own traffic counters.
 func (c *Comm) Counters() Counters { return c.w.t.Counters(c.rank) }
 
+// cancelled reports the run's cancellation synchronously: once cancel()
+// has returned (or the deadline passed), the next communication call of
+// any rank aborts the transport itself and fails with an error
+// satisfying errors.Is(err, ctx.Err()), whether or not Pool.Run's
+// asynchronous AfterFunc abort has been scheduled yet. The probe is one
+// non-blocking channel poll, lock-free while the context is live. The
+// rank calling it is part of the active run, so the abort cannot land
+// on a later run's Reset transport.
+func (c *Comm) cancelled() error {
+	if c.done == nil {
+		return nil
+	}
+	select {
+	case <-c.done:
+		err := cancelError(c.ctx)
+		c.w.t.Abort(err)
+		return err
+	default:
+		return nil
+	}
+}
+
 // Send delivers payload to rank dst on stream tag. bytes is the accounted
 // wire size of the payload (use the Slice/Value helpers to compute it).
 // Send never blocks; it fails only if dst is invalid or the World aborted.
 func (c *Comm) Send(dst int, tag Tag, payload any, bytes int64) error {
 	if dst < 0 || dst >= c.w.Size() {
 		return fmt.Errorf("comm: rank %d sent to invalid rank %d (world size %d)", c.rank, dst, c.w.Size())
+	}
+	if err := c.cancelled(); err != nil {
+		return err
 	}
 	return c.w.t.Send(c.rank, dst, tag, payload, bytes)
 }
@@ -261,6 +292,9 @@ func (c *Comm) Recv(src int, tag Tag) (Message, error) {
 	if src != AnySource && (src < 0 || src >= c.w.Size()) {
 		return Message{}, fmt.Errorf("comm: rank %d receiving from invalid rank %d", c.rank, src)
 	}
+	if err := c.cancelled(); err != nil {
+		return Message{}, err
+	}
 	return c.w.t.Recv(c.rank, src, tag)
 }
 
@@ -271,6 +305,9 @@ func (c *Comm) TryRecv(src int, tag Tag) (Message, bool, error) {
 	if src != AnySource && (src < 0 || src >= c.w.Size()) {
 		return Message{}, false, fmt.Errorf("comm: rank %d probing invalid rank %d", c.rank, src)
 	}
+	if err := c.cancelled(); err != nil {
+		return Message{}, false, err
+	}
 	return c.w.t.TryRecv(c.rank, src, tag)
 }
 
@@ -280,4 +317,9 @@ func (c *Comm) RecvAny(tag Tag) (Message, error) { return c.Recv(AnySource, tag)
 // Barrier blocks until every rank of the World has entered it. Unlike
 // collective.Barrier (which is built from Send/Recv and also works over
 // sub-groups), this is the transport's native whole-world barrier.
-func (c *Comm) Barrier() error { return c.w.t.Barrier(c.rank) }
+func (c *Comm) Barrier() error {
+	if err := c.cancelled(); err != nil {
+		return err
+	}
+	return c.w.t.Barrier(c.rank)
+}

@@ -30,14 +30,10 @@ type inprocBox struct {
 // Payloads move by reference between sender and receiver goroutines with
 // no serialization, no byte accounting, and no per-message envelope
 // bookkeeping: Counters always read zero and there is no Interceptor
-// hook. Three structural differences from SimTransport make it fast:
+// hook. Both in-memory backends keep one array-indexed FIFO per
+// (sender, receiver) pair, so a receive touches only the queue it names;
+// two structural differences from SimTransport make this one faster:
 //
-//   - Pair queues: each (sender, receiver) pair has its own
-//     array-indexed FIFO. SimTransport funnels a rank's entire inbound
-//     traffic through one arrival queue, so receiving from a specific
-//     rank scans (and, on removal, shifts) messages from every other
-//     rank — O(p) per receive during an all-to-all. Here a receive
-//     touches only the queue it names.
 //   - Targeted wakeups: a blocked Recv parks on its own recycled
 //     channel and the send that can satisfy it signals exactly that
 //     one receiver. SimTransport broadcasts its inbox condition
@@ -50,8 +46,7 @@ type inprocBox struct {
 // transport_test.go runs unchanged against both backends — except that
 // AnySource scans senders in rank order rather than arrival order,
 // which MPI wildcard semantics leave unspecified anyway (AnySource is
-// also O(p) here and O(queue) in SimTransport; no algorithm in this
-// repository uses it on a hot path).
+// O(p) in both; no algorithm in this repository uses it on a hot path).
 //
 // Memory: the pair queues cost O(p²) slice headers per transport
 // (~25 MB at p = 1024), which is the usual space/time trade of

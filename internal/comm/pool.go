@@ -20,7 +20,9 @@ import (
 // flows into the transport's abort machinery, so every rank blocked in
 // Send/Recv/Barrier unblocks with an error satisfying
 // errors.Is(err, ctx.Err()) — the cooperative cancellation path for
-// long-lived sorting services.
+// long-lived sorting services. Ranks that are not blocked see it too:
+// every Comm call probes the run's context on entry, so no rank enters
+// communication after cancel() has returned.
 //
 // A Pool serializes runs: Run holds an internal lock for its duration,
 // so concurrent Run calls execute one after another. Close stops the
@@ -32,7 +34,7 @@ type Pool struct {
 	mu      sync.Mutex // serializes Run; guards closed
 	closed  bool
 	ranks   []int // the ranks hosted in this process (all, unless RankHoster)
-	jobs    []chan func(c *Comm) error
+	jobs    []chan poolJob
 	results chan rankResult
 	wg      sync.WaitGroup
 
@@ -44,6 +46,13 @@ type Pool struct {
 	abortMu sync.Mutex
 	gen     uint64
 	active  uint64
+}
+
+// poolJob is one run's work for one rank: the SPMD function and the
+// context its Comm probes for cancellation.
+type poolJob struct {
+	ctx context.Context
+	fn  func(c *Comm) error
 }
 
 // rankResult is one worker's outcome for the current run.
@@ -65,17 +74,17 @@ func NewPool(p int, opts ...Option) *Pool {
 		t:       w.t,
 		timeout: w.timeout,
 		ranks:   ranks,
-		jobs:    make([]chan func(c *Comm) error, len(ranks)),
+		jobs:    make([]chan poolJob, len(ranks)),
 		results: make(chan rankResult, len(ranks)),
 	}
 	for i, r := range ranks {
-		pl.jobs[i] = make(chan func(c *Comm) error)
+		pl.jobs[i] = make(chan poolJob)
 		pl.wg.Add(1)
 		go func(i, rank int) {
 			defer pl.wg.Done()
-			c := &Comm{w: w, rank: rank}
-			for fn := range pl.jobs[i] {
-				pl.results <- rankResult{rank, runRank(c, fn)}
+			for job := range pl.jobs[i] {
+				c := &Comm{w: w, rank: rank, ctx: job.ctx, done: job.ctx.Done()}
+				pl.results <- rankResult{rank, runRank(c, job.fn)}
 			}
 		}(i, r)
 	}
@@ -120,9 +129,14 @@ var ErrPoolClosed = errors.New("comm: pool closed")
 //
 // ctx cancellation aborts the transport with an error wrapping both
 // ErrAborted and ctx's cause, unblocking every rank; ranks that were
-// inside communication calls return errors satisfying
-// errors.Is(err, context.Cause(ctx)). The Pool's timeout option (the
-// wedged-run watchdog) applies per run, independent of ctx.
+// inside communication calls, or enter one afterwards, return errors
+// satisfying errors.Is(err, context.Cause(ctx)). Two paths deliver it:
+// context.AfterFunc wakes ranks parked in the transport, and because
+// that callback runs on its own goroutine — a fast sort could finish
+// its remaining rounds before it is scheduled — every Comm call also
+// probes ctx synchronously on entry (Comm.cancelled). The Pool's
+// timeout option (the wedged-run watchdog) applies per run, independent
+// of ctx.
 func (pl *Pool) Run(ctx context.Context, fn func(c *Comm) error) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -154,17 +168,7 @@ func (pl *Pool) Run(ctx context.Context, fn func(c *Comm) error) error {
 			pl.t.Abort(err)
 		}
 	}
-	stop := context.AfterFunc(ctx, func() {
-		// Wrap both ctx.Err() and the cause: a context cancelled with a
-		// custom cause (context.WithCancelCause) must still satisfy
-		// errors.Is(err, ctx.Err()) on every rank — the engine contract
-		// — while keeping the caller's cause visible.
-		err := ctx.Err()
-		if cause := context.Cause(ctx); !errors.Is(err, cause) {
-			err = fmt.Errorf("%w: %w", err, cause)
-		}
-		abortRun(fmt.Errorf("%w: %w", ErrAborted, err))
-	})
+	stop := context.AfterFunc(ctx, func() { abortRun(cancelError(ctx)) })
 	defer stop()
 	if pl.timeout > 0 {
 		timer := time.AfterFunc(pl.timeout, func() {
@@ -173,7 +177,7 @@ func (pl *Pool) Run(ctx context.Context, fn func(c *Comm) error) error {
 		defer timer.Stop()
 	}
 	for _, ch := range pl.jobs {
-		ch <- fn
+		ch <- poolJob{ctx, fn}
 	}
 	errs := make([]error, 0, len(pl.jobs))
 	for range pl.jobs {
@@ -181,6 +185,19 @@ func (pl *Pool) Run(ctx context.Context, fn func(c *Comm) error) error {
 		errs = append(errs, res.err)
 	}
 	return errors.Join(errs...)
+}
+
+// cancelError is the abort error of a run whose (done) context ended.
+// It wraps both ctx.Err() and the cause: a context cancelled with a
+// custom cause (context.WithCancelCause) must still satisfy
+// errors.Is(err, ctx.Err()) on every rank — the engine contract — while
+// keeping the caller's cause visible.
+func cancelError(ctx context.Context) error {
+	err := ctx.Err()
+	if cause := context.Cause(ctx); !errors.Is(err, cause) {
+		err = fmt.Errorf("%w: %w", err, cause)
+	}
+	return fmt.Errorf("%w: %w", ErrAborted, err)
 }
 
 // Close stops the worker goroutines and waits for them to exit. It is

@@ -114,6 +114,55 @@ func TestPoolContextCancel(t *testing.T) {
 	})
 }
 
+// TestCancelSynchronous: cancellation does not depend on when the
+// context.AfterFunc goroutine behind Pool.Run gets scheduled. Once
+// cancel() has returned, the very next communication call of the rank
+// that cancelled — whichever entry point it is, blocking or not — fails
+// with context.Canceled and aborts the world, so a peer parked on a
+// message that now never comes unblocks with the same error. Before the
+// entry probe, ranks with little work left could finish and the run
+// return nil after cancel().
+func TestCancelSynchronous(t *testing.T) {
+	ops := []struct {
+		name string
+		call func(c *Comm) error
+	}{
+		{"Send", func(c *Comm) error { return c.Send(1, 11, 0, 8) }},
+		{"Recv", func(c *Comm) error { _, err := c.Recv(1, 11); return err }},
+		{"TryRecv", func(c *Comm) error { _, _, err := c.TryRecv(1, 11); return err }},
+		{"RecvAny", func(c *Comm) error { _, err := c.RecvAny(11); return err }},
+		{"Barrier", func(c *Comm) error { return c.Barrier() }},
+	}
+	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
+		pl := pool(t, mk, 2)
+		defer pl.Close()
+		for _, op := range ops {
+			ctx, cancel := context.WithCancel(context.Background())
+			rankErrs := make([]error, 2)
+			err := pl.Run(ctx, func(c *Comm) error {
+				if c.Rank() == 0 {
+					cancel()
+					rankErrs[0] = op.call(c)
+					return rankErrs[0]
+				}
+				_, rankErrs[1] = c.Recv(0, 12) // nothing is ever sent on this tag
+				return rankErrs[1]
+			})
+			if err == nil {
+				t.Fatalf("%s: cancelled run returned nil", op.name)
+			}
+			for r, re := range rankErrs {
+				if !errors.Is(re, context.Canceled) || !errors.Is(re, ErrAborted) {
+					t.Fatalf("%s: rank %d error = %v, want context.Canceled wrapped in ErrAborted", op.name, r, re)
+				}
+			}
+			if err := pl.Run(context.Background(), func(c *Comm) error { return c.Barrier() }); err != nil {
+				t.Fatalf("%s: run after cancel: %v", op.name, err)
+			}
+		}
+	})
+}
+
 // TestPoolPreCancelled: an already-cancelled context fails fast without
 // dispatching any rank work.
 func TestPoolPreCancelled(t *testing.T) {

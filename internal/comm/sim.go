@@ -1,22 +1,14 @@
 package comm
 
-import "sync"
-
-// mailbox is one rank's unbounded inbox: a single arrival-ordered queue
-// scanned for the first envelope match, mirroring MPI's unexpected
-// message queue.
-type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []Message
-}
-
 // SimTransport is the simulated, byte-accounted message-passing backend —
 // the substrate behind all of the paper's BSP measurements. Every Send
 // charges the accounted wire size to per-rank Counters, an optional
 // Interceptor can observe and veto messages for fault injection, and Recv
-// matches envelopes against a single arrival-ordered queue per rank (so
-// AnySource follows arrival order, like an MPI unexpected-message queue).
+// matches envelopes against a mailbox that lists every message twice, in
+// arrival order and in its sender's FIFO: AnySource follows arrival
+// order, like an MPI unexpected-message queue, and a receive that names
+// its source never scans or shifts another sender's backlog, which
+// during a p-rank all-to-all is ~p/2 messages deep.
 //
 // SimTransport is the default backend of NewWorld. Use InprocTransport
 // when throughput matters more than accounting fidelity.
@@ -43,9 +35,7 @@ func NewSimTransport(p int) *SimTransport {
 		counters: make([]Counters, p),
 	}
 	for i := range t.boxes {
-		mb := &mailbox{}
-		mb.cond = sync.NewCond(&mb.mu)
-		t.boxes[i] = mb
+		t.boxes[i] = newMailbox(p)
 	}
 	t.bar = newCyclicBarrier(p, t.Err)
 	return t
@@ -65,36 +55,34 @@ func (t *SimTransport) Send(src, dst int, tag Tag, payload any, bytes int64) err
 	}
 	m := Message{Src: src, Tag: tag, Payload: payload, Bytes: bytes}
 	if ic := t.interceptor; ic != nil {
-		if err := ic(src, dst, &m); err != nil {
+		// The interceptor takes a pointer, which moves its target to the
+		// heap: hand it a copy made on this branch only, so a send with
+		// no interceptor installed allocates nothing.
+		seen := m
+		if err := ic(src, dst, &seen); err != nil {
 			return err
 		}
+		m = seen
 	}
-	mb := t.boxes[dst]
-	mb.mu.Lock()
-	mb.queue = append(mb.queue, m)
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
+	t.boxes[dst].put(m)
 	cnt := &t.counters[src]
 	cnt.MsgsSent++
 	cnt.BytesSent += bytes
 	return nil
 }
 
-// Recv scans dst's mailbox in arrival order for the first (src, tag)
-// match, blocking until one arrives, and charges dst's counters.
+// Recv takes the oldest message matching (src, tag) from dst's mailbox,
+// blocking until one arrives, and charges dst's counters.
 func (t *SimTransport) Recv(dst, src int, tag Tag) (Message, error) {
 	mb := t.boxes[dst]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		for i, m := range mb.queue {
-			if (src == AnySource || m.Src == src) && m.Tag == tag {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				cnt := &t.counters[dst]
-				cnt.MsgsRecv++
-				cnt.BytesRecv += m.Bytes
-				return m, nil
-			}
+		if m, ok := mb.take(src, tag); ok {
+			cnt := &t.counters[dst]
+			cnt.MsgsRecv++
+			cnt.BytesRecv += m.Bytes
+			return m, nil
 		}
 		if err := t.abort.get(); err != nil {
 			return Message{}, err
@@ -103,9 +91,9 @@ func (t *SimTransport) Recv(dst, src int, tag Tag) (Message, error) {
 	}
 }
 
-// TryRecv scans dst's mailbox in arrival order for the first (src, tag)
-// match and returns it without blocking; ok is false when no match is
-// buffered. A successful probe charges dst's counters like Recv.
+// TryRecv takes the oldest message matching (src, tag) from dst's
+// mailbox without blocking; ok is false when no match is buffered. A
+// successful probe charges dst's counters like Recv.
 func (t *SimTransport) TryRecv(dst, src int, tag Tag) (Message, bool, error) {
 	mb := t.boxes[dst]
 	mb.mu.Lock()
@@ -113,16 +101,13 @@ func (t *SimTransport) TryRecv(dst, src int, tag Tag) (Message, bool, error) {
 	if err := t.abort.get(); err != nil {
 		return Message{}, false, err
 	}
-	for i, m := range mb.queue {
-		if (src == AnySource || m.Src == src) && m.Tag == tag {
-			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			cnt := &t.counters[dst]
-			cnt.MsgsRecv++
-			cnt.BytesRecv += m.Bytes
-			return m, true, nil
-		}
+	m, ok := mb.take(src, tag)
+	if ok {
+		cnt := &t.counters[dst]
+		cnt.MsgsRecv++
+		cnt.BytesRecv += m.Bytes
 	}
-	return Message{}, false, nil
+	return m, ok, nil
 }
 
 // Barrier blocks until all p ranks have entered.
@@ -143,13 +128,12 @@ func (t *SimTransport) Abort(err error) {
 func (t *SimTransport) Err() error { return t.abort.get() }
 
 // Reset returns the transport to its freshly constructed state: queued
-// messages are discarded, the abort latch clears, the barrier rearms and
-// counters zero. Only call while no ranks are running.
+// messages are discarded (the queues keep their storage for the next
+// run), the abort latch clears, the barrier rearms and counters zero.
+// Only call while no ranks are running.
 func (t *SimTransport) Reset() {
 	for _, mb := range t.boxes {
-		mb.mu.Lock()
-		mb.queue = nil
-		mb.mu.Unlock()
+		mb.reset()
 	}
 	t.abort.reset()
 	t.bar.reset()

@@ -196,7 +196,7 @@ type TCPTransport struct {
 	// atomic pointers because a rejoin replaces a dead peer's conn
 	// while Send and the monitor read concurrently.
 	conns []atomic.Pointer[tcpConn]
-	box   mailbox // the local rank's tag-matched inbox
+	box   *mailbox // the local rank's tag-matched inbox
 
 	// ln is the bootstrap listener, kept open for the life of the
 	// endpoint (acceptLoop serves rejoin handshakes on it). lnKeep
@@ -278,7 +278,7 @@ func DialTCP(opts TCPOptions) (*TCPTransport, error) {
 		return nil, &BootstrapError{Rank: opts.Rank, Err: errors.New("bootstrap needs a coordinator address")}
 	}
 	t := &TCPTransport{p: opts.Procs, me: opts.Rank, opts: opts}
-	t.box.cond = sync.NewCond(&t.box.mu)
+	t.box = newMailbox(opts.Procs)
 	t.bar.cond = sync.NewCond(&t.bar.mu)
 	t.bar.enters = make(map[uint32]int)
 	t.conns = make([]atomic.Pointer[tcpConn], opts.Procs)
@@ -985,10 +985,7 @@ func decodeParked(m *Message) error {
 
 // deliver appends a message to the local mailbox and wakes receivers.
 func (t *TCPTransport) deliver(m Message) {
-	t.box.mu.Lock()
-	t.box.queue = append(t.box.queue, m)
-	t.box.cond.Broadcast()
-	t.box.mu.Unlock()
+	t.box.put(m)
 }
 
 // Recv blocks until a message matching (src, tag) is in the local
@@ -997,19 +994,16 @@ func (t *TCPTransport) Recv(dst, src int, tag Tag) (Message, error) {
 	if dst != t.me {
 		return Message{}, fmt.Errorf("comm: tcp endpoint hosts rank %d, cannot receive as rank %d", t.me, dst)
 	}
-	b := &t.box
+	b := t.box
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		for i, m := range b.queue {
-			if (src == AnySource || m.Src == src) && m.Tag == tag {
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
-				if err := decodeParked(&m); err != nil {
-					return Message{}, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, tag, err)
-				}
-				t.chargeRecv(m)
-				return m, nil
+		if m, ok := b.take(src, tag); ok {
+			if err := decodeParked(&m); err != nil {
+				return Message{}, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, tag, err)
 			}
+			t.chargeRecv(m)
+			return m, nil
 		}
 		if err := t.abort.get(); err != nil {
 			return Message{}, err
@@ -1026,23 +1020,21 @@ func (t *TCPTransport) TryRecv(dst, src int, tag Tag) (Message, bool, error) {
 	if dst != t.me {
 		return Message{}, false, fmt.Errorf("comm: tcp endpoint hosts rank %d, cannot receive as rank %d", t.me, dst)
 	}
-	b := &t.box
+	b := t.box
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := t.abort.get(); err != nil {
 		return Message{}, false, err
 	}
-	for i, m := range b.queue {
-		if (src == AnySource || m.Src == src) && m.Tag == tag {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
-			if err := decodeParked(&m); err != nil {
-				return Message{}, false, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, tag, err)
-			}
-			t.chargeRecv(m)
-			return m, true, nil
-		}
+	m, ok := b.take(src, tag)
+	if !ok {
+		return Message{}, false, nil
 	}
-	return Message{}, false, nil
+	if err := decodeParked(&m); err != nil {
+		return Message{}, false, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, tag, err)
+	}
+	t.chargeRecv(m)
+	return m, true, nil
 }
 
 // chargeRecv accounts one consumed message. Callers hold box.mu.
@@ -1444,9 +1436,7 @@ func (t *TCPTransport) Reset() {
 	t.awaitRejoin()
 	t.genMu.Lock()
 	next := t.gen.Load() + 1
-	t.box.mu.Lock()
-	t.box.queue = nil
-	t.box.mu.Unlock()
+	t.box.reset()
 	t.bar.mu.Lock()
 	t.bar.seq = 0
 	t.bar.released = 0

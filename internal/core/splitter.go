@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/exchange"
@@ -88,25 +89,68 @@ func bcastPlan[K any](e comm.Endpoint, root int, tag comm.Tag, plan roundPlan[K]
 // in order.
 func sampleIntervals[K any](local []K, ivs []histogram.Interval[K], prob float64, cmp func(K, K) int, rng *rand.Rand) []K {
 	var out []K
-	for _, iv := range ivs {
-		lo := 0
-		if iv.HasLo {
-			// First index with key strictly greater than the exclusive
-			// lower bound.
-			lo = sort.Search(len(local), func(j int) bool { return cmp(local[j], iv.Lo) > 0 })
-		}
-		hi := len(local)
-		if iv.HasHi {
-			hi = lo + sort.Search(len(local)-lo, func(j int) bool { return cmp(local[lo+j], iv.Hi) >= 0 })
-		}
+	spans := intervalSpans(local, ivs, cmp)
+	for i := range ivs {
+		lo, hi := spans[2*i], spans[2*i+1]
 		if hi <= lo {
 			continue
 		}
-		sampling.BernoulliIndices(hi-lo, prob, rng, func(i int) {
-			out = append(out, local[lo+i])
+		sampling.BernoulliIndices(hi-lo, prob, rng, func(j int) {
+			out = append(out, local[lo+j])
 		})
 	}
 	return out
+}
+
+// intervalSpans locates every interval in the local sorted keys:
+// spans[2i] is the first index strictly above interval i's exclusive
+// lower bound and spans[2i+1] the first index at or above its exclusive
+// upper bound. On the code plane the present bounds become one
+// non-decreasing lower-bound probe list (the key above Lo is Lo+1)
+// answered by codes.Ranks — a single forward sweep when the up to
+// 2(B-1) bounds rival the local keys, raw binary searches otherwise.
+func intervalSpans[K any](local []K, ivs []histogram.Interval[K], cmp func(K, K) int) []int {
+	spans := make([]int, 2*len(ivs))
+	cs, ok := any(local).([]codes.Code)
+	if !ok {
+		for i, iv := range ivs {
+			lo, hi := 0, len(local)
+			if iv.HasLo {
+				lo = sort.Search(len(local), func(j int) bool { return cmp(local[j], iv.Lo) > 0 })
+			}
+			if iv.HasHi {
+				hi = lo + sort.Search(len(local)-lo, func(j int) bool { return cmp(local[lo+j], iv.Hi) >= 0 })
+			}
+			spans[2*i], spans[2*i+1] = lo, hi
+		}
+		return spans
+	}
+	const top = ^codes.Code(0) // nothing lies above it: Lo+1 would wrap
+	civs := any(ivs).([]histogram.Interval[codes.Code])
+	probes := make([]codes.Code, 0, len(spans))
+	for _, iv := range civs {
+		if iv.HasLo && iv.Lo != top {
+			probes = append(probes, iv.Lo+1)
+		}
+		if iv.HasHi {
+			probes = append(probes, iv.Hi)
+		}
+	}
+	ranks := codes.Ranks(cs, probes)
+	for i, iv := range civs {
+		lo, hi := 0, len(cs)
+		switch {
+		case iv.HasLo && iv.Lo == top:
+			lo = len(cs)
+		case iv.HasLo:
+			lo, ranks = int(ranks[0]), ranks[1:]
+		}
+		if iv.HasHi {
+			hi, ranks = int(ranks[0]), ranks[1:]
+		}
+		spans[2*i], spans[2*i+1] = lo, hi
+	}
+	return spans
 }
 
 // mergeSamples merges the per-rank sorted samples gathered at the root

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hssort/internal/codes"
@@ -136,35 +137,87 @@ type bucketRun[K any] struct {
 // (bucket, sender) pair with data, ordered by bucket then sender — ready
 // for a k-way merge. Every rank must pass the same number of buckets and
 // the same owner mapping.
+//
+// At large p every piece here is tiny (a handful of keys per
+// destination), so the bookkeeping is sized once and indexed directly:
+// the outgoing runs are counted, then carved per destination out of one
+// allocation, and each received run is written straight to its (bucket,
+// sender) slot — no per-destination append growth and no sort of the
+// received set.
 func Exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) int) ([][]K, error) {
 	comm.RegisterWire[[]bucketRun[K]]() // wire transports decode by registered type
 	p := e.Size()
 	me := e.Rank()
-	byDst := make([][]bucketRun[K], p)
+	// Counting pass: ends[d] becomes the end offset of destination d's
+	// non-empty runs in one shared array; mine lists the buckets this
+	// rank owns, ascending.
+	ends := make([]int, p)
+	var mine []int32
 	for b, run := range runs {
 		dst := owner(b)
 		if dst < 0 || dst >= p {
 			return nil, fmt.Errorf("exchange: owner(%d) = %d outside world size %d", b, dst, p)
 		}
-		if len(run) == 0 {
-			continue
+		if dst == me {
+			mine = append(mine, int32(b))
 		}
-		byDst[dst] = append(byDst[dst], bucketRun[K]{bucket: int32(b), sender: int32(me), keys: run})
+		if len(run) > 0 {
+			ends[dst]++
+		}
+	}
+	total := 0
+	for d, n := range ends {
+		ends[d], total = total, total+n // start offsets, advanced to ends by the fill
+	}
+	outgoing := make([]bucketRun[K], total)
+	for b, run := range runs {
+		if len(run) > 0 {
+			dst := owner(b)
+			outgoing[ends[dst]] = bucketRun[K]{bucket: int32(b), sender: int32(me), keys: run}
+			ends[dst]++
+		}
+	}
+	byDst := func(d int) []bucketRun[K] {
+		start := 0
+		if d > 0 {
+			start = ends[d-1]
+		}
+		if start == ends[d] {
+			return nil // boxes into the message payload without allocating
+		}
+		return outgoing[start:ends[d]:ends[d]]
 	}
 	// Staggered sends, as in collective.AllToAllv. Every rank sends to
 	// every other rank even when it has nothing for it, so receivers
 	// need no separate count protocol.
 	for i := 1; i < p; i++ {
 		dst := (me + i) % p
+		part := byDst(dst)
 		bytes := int64(MsgHeaderBytes)
-		for _, br := range byDst[dst] {
+		for _, br := range part {
 			bytes += RunHeaderBytes + comm.SliceBytes(br.keys)
 		}
-		if err := e.Send(dst, tag, byDst[dst], bytes); err != nil {
+		if err := e.Send(dst, tag, part, bytes); err != nil {
 			return nil, fmt.Errorf("exchange: send: %w", err)
 		}
 	}
-	received := append([]bucketRun[K]{}, byDst[me]...)
+	// Deterministic run order: bucket-major, sender-minor, so duplicate
+	// keys keep a stable cross-rank order after the k-way merge. Slot
+	// (i, s) holds the run of this rank's i-th bucket from sender s.
+	slots := make([][]K, len(mine)*p)
+	place := func(src int, part []bucketRun[K]) error {
+		for _, br := range part {
+			i, ok := slices.BinarySearch(mine, br.bucket)
+			if !ok {
+				return fmt.Errorf("exchange: rank %d sent bucket %d, which rank %d does not own", src, br.bucket, me)
+			}
+			slots[i*p+src] = br.keys
+		}
+		return nil
+	}
+	if err := place(me, byDst(me)); err != nil {
+		return nil, err
+	}
 	for i := 1; i < p; i++ {
 		src := (me - i + p) % p
 		m, err := e.Recv(src, tag)
@@ -175,19 +228,15 @@ func Exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) 
 		if !ok {
 			return nil, fmt.Errorf("exchange: payload type %T", m.Payload)
 		}
-		received = append(received, part...)
-	}
-	// Deterministic run order: bucket-major, sender-minor, so duplicate
-	// keys keep a stable cross-rank order after the k-way merge.
-	sort.Slice(received, func(a, b int) bool {
-		if received[a].bucket != received[b].bucket {
-			return received[a].bucket < received[b].bucket
+		if err := place(src, part); err != nil {
+			return nil, err
 		}
-		return received[a].sender < received[b].sender
-	})
-	out := make([][]K, len(received))
-	for i, br := range received {
-		out[i] = br.keys
+	}
+	out := slots[:0]
+	for _, run := range slots {
+		if len(run) > 0 {
+			out = append(out, run)
+		}
 	}
 	return out, nil
 }

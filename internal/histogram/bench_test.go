@@ -4,6 +4,9 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"hssort/internal/codes"
+	"hssort/internal/keycoder"
 )
 
 func benchSorted(n int) []int64 {
@@ -16,17 +19,41 @@ func benchSorted(n int) []int64 {
 	return out
 }
 
-// BenchmarkLocalRanks measures the per-round histogram step: S binary
-// searches over the local sorted input (§5.1.2's O(S log(N/p)) term).
+// BenchmarkLocalRanks measures the per-round histogram step in its two
+// regimes: few probes against a large shard (S binary searches, §5.1.2's
+// O(S log(N/p)) term) and — the many-ranks shape, 1300 probes against
+// 2000 local keys — the forward sweep, on the comparator plane and on
+// the code plane.
 func BenchmarkLocalRanks(b *testing.B) {
-	b.ReportAllocs()
-	sorted := benchSorted(1 << 20)
-	probes := benchSorted(1 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LocalRanks(sorted, probes, icmp)
+	for _, sh := range []struct {
+		name   string
+		n, m   int
+		onCode bool
+	}{
+		{"search/n=1Mi/m=1Ki", 1 << 20, 1 << 10, false},
+		{"sweep/n=2000/m=1300", 2000, 1300, false},
+		{"sweep/n=2000/m=1300/codes", 2000, 1300, true},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sorted, probes := benchSorted(sh.n), benchSorted(sh.m)
+			if sh.onCode {
+				toCodes := func(ks []int64) []codes.Code {
+					return codes.EncodeSlice[int64](keycoder.Int64{}, ks)
+				}
+				cs, cp := toCodes(sorted), toCodes(probes)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					LocalRanks(cs, cp, codes.Compare)
+				}
+				return
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				LocalRanks(sorted, probes, icmp)
+			}
+		})
 	}
-	b.ReportMetric(float64(len(probes)), "probes")
 }
 
 // BenchmarkTrackerUpdate measures the central processor's per-round

@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hssort/internal/codes"
@@ -9,19 +10,38 @@ import (
 
 // LocalRanks returns, for each probe, the number of keys in the local
 // sorted input that compare strictly less than the probe — the local
-// histogram of §2.3, computed with one binary search per probe
-// (O(M log(N/p)) as in §5.1.2). probes need not be sorted.
+// histogram of §2.3. probes need not be sorted; the cost depends on
+// whether they are:
+//
+//   - one binary search per probe, O(M log(N/p)) as priced in §5.1.2,
+//     whenever the probes are few relative to the local keys or arrive
+//     unsorted;
+//   - one forward sweep through both sequences, O(N/p + M), when the
+//     probe list is sorted (every histogramming round broadcasts a
+//     sorted, deduplicated list) and codes.ForwardScanBetter holds — the
+//     many-ranks regime where M rivals N/p and the log factor is pure
+//     overhead. Sortedness is checked in O(M) first.
 //
 // When a pipeline runs on the code plane, sorted and probes arrive as
-// code arrays and the searches specialize to branch-lean raw uint64
-// comparisons — no comparator call per probe level. The sniff is sound
-// by the codes.Code invariant: code slices exist only in natural order-
+// code arrays and both forms specialize to raw uint64 comparisons
+// (codes.Ranks) — no comparator call per step. The sniff is sound by
+// the codes.Code invariant: code slices exist only in natural order-
 // correspondence with their comparator.
 func LocalRanks[K any](sorted []K, probes []K, cmp func(K, K) int) []int64 {
 	if cs, ok := any(sorted).([]codes.Code); ok {
 		return codes.Ranks(cs, any(probes).([]codes.Code))
 	}
 	out := make([]int64, len(probes))
+	if codes.ForwardScanBetter(len(sorted), len(probes)) && slices.IsSortedFunc(probes, cmp) {
+		pos := 0
+		for i, q := range probes {
+			for pos < len(sorted) && cmp(sorted[pos], q) < 0 {
+				pos++
+			}
+			out[i] = int64(pos)
+		}
+		return out
+	}
 	for i, q := range probes {
 		out[i] = int64(sort.Search(len(sorted), func(j int) bool {
 			return cmp(sorted[j], q) >= 0

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"hssort/internal/codes"
 )
 
 func icmp(a, b int64) int { return cmp.Compare(a, b) }
@@ -63,6 +65,98 @@ func TestLocalRanksProperty(t *testing.T) {
 // tests can feed exact ranks.
 func exactRanks(global []int64, probes []int64) []int64 {
 	return LocalRanks(global, probes, icmp)
+}
+
+// TestRanksSweepMatchesSearch: whichever form LocalRanks picks — the
+// forward sweep or the per-probe search — the answer is the count of
+// keys strictly below each probe. Local sizes straddle the
+// codes.ForwardScanBetter flip for each probe count; probe lists are
+// sorted, sorted with duplicates, unsorted (which must fall back to the
+// search, not sweep to a wrong answer), entirely below or above the
+// local keys, and empty; both the code plane and the comparator plane
+// are held to a naive count.
+func TestRanksSweepMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(42, 1300))
+	draw := func(n int, span uint64, base uint64) []codes.Code {
+		out := make([]codes.Code, n)
+		for i := range out {
+			out[i] = codes.Code(base + rng.Uint64N(span))
+		}
+		return out
+	}
+	check := func(name string, sorted, probes []codes.Code) {
+		t.Helper()
+		want := make([]int64, len(probes))
+		for i, q := range probes {
+			for _, k := range sorted {
+				if k < q {
+					want[i]++
+				}
+			}
+		}
+		if got := LocalRanks(sorted, probes, codes.Compare); !slices.Equal(got, want) {
+			t.Errorf("%s: code plane (n=%d, m=%d) diverged from the naive count", name, len(sorted), len(probes))
+		}
+		// The comparator plane: same values under a type the code-plane
+		// sniff does not recognize.
+		toU := func(cs []codes.Code) []uint64 {
+			out := make([]uint64, len(cs))
+			for i, c := range cs {
+				out[i] = uint64(c)
+			}
+			return out
+		}
+		if got := LocalRanks(toU(sorted), toU(probes), cmp.Compare[uint64]); !slices.Equal(got, want) {
+			t.Errorf("%s: comparator plane (n=%d, m=%d) diverged from the naive count", name, len(sorted), len(probes))
+		}
+	}
+	swept, searched := 0, 0
+	for _, m := range []int{0, 1, 7, 100, 400} {
+		// The smallest n >= 2 at which m probes stop justifying a
+		// sweep, and its neighbours on both sides.
+		flip := 2
+		for codes.ForwardScanBetter(flip, m) {
+			flip++
+		}
+		for _, n := range []int{0, 1, max(0, flip-1), flip, flip + 1, 4 * (flip + 1)} {
+			if codes.ForwardScanBetter(n, m) {
+				swept++
+			} else {
+				searched++
+			}
+			sorted := draw(n, 1<<20, 1<<20)
+			slices.Sort(sorted)
+			inRange := draw(m, 1<<20, 1<<20)
+			unsorted := slices.Clone(inRange)
+			slices.Sort(inRange)
+			dups := draw(m, 5, 1<<20+1<<19)
+			slices.Sort(dups)
+			mixed := append(append(draw(m/3, 1<<20, 0), draw(m/3, 1<<20, 1<<20)...), draw(m-2*(m/3), 1<<20, 1<<21)...)
+			slices.Sort(mixed)
+			check("sorted", sorted, inRange)
+			check("unsorted", sorted, unsorted)
+			check("reversed", sorted, reversed(inRange))
+			check("duplicates", sorted, dups)
+			check("all below", sorted, sortedCopy(draw(m, 1<<20, 0)))
+			check("all above", sorted, sortedCopy(draw(m, 1<<20, 1<<21)))
+			check("below, inside and above", sorted, mixed)
+			check("local copy as probes", sorted, sorted)
+		}
+	}
+	if swept == 0 || searched == 0 {
+		t.Errorf("shapes covered: sweep=%d search=%d, want both", swept, searched)
+	}
+}
+
+func sortedCopy(cs []codes.Code) []codes.Code {
+	slices.Sort(cs)
+	return cs
+}
+
+func reversed(cs []codes.Code) []codes.Code {
+	out := slices.Clone(cs)
+	slices.Reverse(out)
+	return out
 }
 
 func TestTrackerFinalizesWithGoodProbes(t *testing.T) {

@@ -312,35 +312,53 @@ func KWayByCode[K any](runs [][]K, code func(K) uint64) []K {
 // tie-break. Each run must itself be tie-ordered (code-sorted,
 // comparator-sorted within equal-code spans).
 func KWayByCodeTie[K any](runs [][]K, code func(K) uint64, tie func(K, K) int) []K {
-	nonEmpty, total, last := 0, 0, -1
-	for i, r := range runs {
+	total := 0
+	for _, r := range runs {
 		total += len(r)
+	}
+	out := make([]K, total)
+	kwayCodedInto(out, runs, nil, code, tie)
+	return out
+}
+
+// kwayCodedInto is the one body behind every materialized code-keyed
+// merge (KWayByCode*, ParMerge*Code*): it merges element runs ordered by
+// their parallel code runs into out, which must have exactly the runs'
+// total length. codeRuns may be nil, in which case the codes are
+// extracted with code once the trivial shapes are out of the way. The
+// single-run short-circuit is tie-safe: each run is already fully
+// tie-ordered. Many tiny runs go to mergeShortRuns, everything else
+// through the tournament tree; both emit the same sequence.
+func kwayCodedInto[E any](out []E, elemRuns [][]E, codeRuns [][]codes.Code, code func(E) uint64, tie func(E, E) int) {
+	nonEmpty, last := 0, -1
+	for i, r := range elemRuns {
 		if len(r) > 0 {
-			nonEmpty++
-			last = i
+			nonEmpty, last = nonEmpty+1, i
 		}
 	}
 	switch nonEmpty {
 	case 0:
-		return []K{}
+		return
 	case 1:
-		out := make([]K, total)
-		copy(out, runs[last])
-		return out
+		copy(out, elemRuns[last])
+		return
 	}
-	t := NewCodeTree[K]()
-	t.tie = tie
-	for _, r := range runs {
-		i := t.AddRun(codes.Extract(r, code), r)
+	if codeRuns == nil {
+		codeRuns = make([][]codes.Code, len(elemRuns))
+		for i, r := range elemRuns {
+			codeRuns[i] = codes.Extract(r, code)
+		}
+	}
+	if shortRuns(nonEmpty, len(out)) {
+		mergeShortRuns(out, elemRuns, codeRuns, tie)
+		return
+	}
+	t := NewCodeTreeTie(tie)
+	for r := range codeRuns {
+		i := t.AddRun(codeRuns[r], elemRuns[r])
 		t.CloseRun(i)
 	}
-	out := make([]K, 0, total)
-	for {
-		k, ok := t.Next()
-		if !ok {
-			break
-		}
-		out = append(out, k)
+	for i := range out {
+		out[i], _ = t.Next()
 	}
-	return out
 }

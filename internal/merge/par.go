@@ -203,7 +203,7 @@ func ParMergeCodedTie[E any](dst []E, elemRuns [][]E, codeRuns [][]codes.Code, t
 	base := len(dst)
 	dst = slices.Grow(dst, total)[:base+total]
 	if parts == 1 {
-		kwayCodedInto(dst[base:], elemRuns, codeRuns, tie)
+		kwayCodedInto(dst[base:], elemRuns, codeRuns, nil, tie)
 		return dst
 	}
 	cuts := SplitRuns(codeRuns, parts)
@@ -215,7 +215,7 @@ func ParMergeCodedTie[E any](dst []E, elemRuns [][]E, codeRuns [][]codes.Code, t
 			subC[r] = codeRuns[r][cuts[r][pt]:cuts[r][pt+1]]
 			subE[r] = elemRuns[r][cuts[r][pt]:cuts[r][pt+1]]
 		}
-		kwayCodedInto(dst[base+offs[pt]:base+offs[pt+1]], subE, subC, tie)
+		kwayCodedInto(dst[base+offs[pt]:base+offs[pt+1]], subE, subC, nil, tie)
 	})
 	return dst
 }
@@ -270,34 +270,5 @@ func kwayInto[K any](out []K, runs [][]K, cmp func(K, K) int) {
 	lt := NewLoserTree(runs, cmp)
 	for i := range out {
 		out[i], _ = lt.Next()
-	}
-}
-
-// kwayCodedInto merges element runs ordered by their parallel code runs
-// into out, which must have exactly the runs' total length. The
-// single-run short-circuit is tie-safe: each run is already fully
-// tie-ordered.
-func kwayCodedInto[E any](out []E, elemRuns [][]E, codeRuns [][]codes.Code, tie func(E, E) int) {
-	nonEmpty, last := 0, -1
-	for i, r := range codeRuns {
-		if len(r) > 0 {
-			nonEmpty, last = nonEmpty+1, i
-		}
-	}
-	switch nonEmpty {
-	case 0:
-		return
-	case 1:
-		copy(out, elemRuns[last])
-		return
-	}
-	t := NewCodeTree[E]()
-	t.tie = tie
-	for r := range codeRuns {
-		i := t.AddRun(codeRuns[r], elemRuns[r])
-		t.CloseRun(i)
-	}
-	for i := range out {
-		out[i], _ = t.Next()
 	}
 }
