@@ -32,8 +32,10 @@ type ChaosConfig struct {
 	// triggers.
 	CrashRank int
 	// CrashPhase triggers the crash on CrashRank's first send of a named
-	// sort phase: "start" (any message), "splitter" (sample gathering
-	// and histogramming) or "exchange" (bucket data movement). Empty
+	// phase of the sort skeleton every splitter-based algorithm runs (the
+	// HSS variants, the sample sorts, HistogramSort, NodeHSS): "start"
+	// (any message), "splitter" (key count, the strategy's rounds, the
+	// staleness guard) or "exchange" (bucket data movement). Empty
 	// disables phase-triggered crashing.
 	CrashPhase string
 	// CrashAfterSends triggers the crash on CrashRank's nth send

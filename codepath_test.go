@@ -32,8 +32,8 @@ func TestMain(m *testing.M) {
 	// Every sort in this package's tests re-validates partition inputs:
 	// the hot path dropped the per-call O(B) splitter check, so the
 	// tests keep the debug assertion armed to catch any pipeline that
-	// broadcasts unsorted splitters. Benchmark runs leave it off — the
-	// checked-in BENCH_PR3 numbers must measure the shipped hot path.
+	// broadcasts unsorted splitters. Benchmark runs leave it off so
+	// they measure the shipped hot path.
 	flag.Parse()
 	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
 		exchange.Debug = true

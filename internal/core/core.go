@@ -7,7 +7,6 @@ import (
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/exchange"
-	"hssort/internal/keycoder"
 	"hssort/internal/sampling"
 	"hssort/internal/spill"
 )
@@ -41,37 +40,33 @@ func (s Schedule) String() string {
 	}
 }
 
-// Options configures an HSS sort. Cmp is required; every other field has
-// a documented default applied by Sort.
+// Options configures a sort on the skeleton (FrontHalf, BackHalf). Cmp is
+// required; every other field has a documented default. The first block
+// is shared by every splitter strategy; the second configures HSS's own
+// splitter determination and is ignored under any other strategy. Every
+// rank of the world must pass the same Options.
 type Options[K any] struct {
 	// Cmp is the three-way key comparator.
 	Cmp func(K, K) int
-	// Coder, when set, runs the entire pipeline on the code plane: keys
-	// are encoded once into order-preserving uint64 code points, every
-	// compute phase (radix local sort, partition cuts, histogram scans,
-	// code-keyed merges — on the streaming exchange the codes themselves
-	// travel in the chunks) runs on raw integer comparisons, and the
-	// output is decoded once at the end. The coder must agree with Cmp:
-	// Cmp(a,b) < 0 ⇔ Encode(a) < Encode(b) and Cmp(a,b) == 0 ⇔ codes
-	// equal. Takes precedence over Code.
-	Coder keycoder.Coder[K]
-	// Code, when set (and Coder is not), supplies a per-key sort code for
-	// the decorated compute plane — the payload-carrying case where keys
-	// cannot be reconstructed from codes alone (hssort.KV records). The
-	// local sort radix-sorts a code decoration with the records in tow,
-	// partition cuts run on the code array, and both merge paths compare
-	// codes (received runs are encoded once per hop). Must be
-	// order-preserving for Cmp like Coder.
+	// Code, when set, supplies a per-key order-preserving uint64 sort
+	// code: Cmp(a,b) < 0 ⇔ Code(a) < Code(b) and Cmp(a,b) == 0 ⇔ codes
+	// equal. The compute hot paths then leave the comparator: the local
+	// sort radix-sorts a code decoration with the keys in tow, partition
+	// cuts run on the code array, and both merge paths compare codes
+	// (received runs are encoded once per hop). Keys that are their own
+	// codes (the root engine's bijective plane sorts []codes.Code) and
+	// payload-carrying records (hssort.KV) both come through here.
 	Code func(K) uint64
 	// PrefixCode marks Code as a non-injective prefix extractor: it is
 	// order-preserving only in the weak sense cmp(a, b) < 0 ⟹ code(a) <=
 	// code(b), and distinct keys may share a code (variable-length byte
-	// keys truncated to an 8-byte prefix). The pipeline then runs the
+	// keys truncated to an 8-byte prefix). The skeleton then runs the
 	// prefix plane: code-keyed kernels everywhere, with a comparator
 	// tie-break after the radix local sort and inside the merges, and
-	// splitter determination in code space (prefix-equal splitter
-	// candidates saturate instead of looping rounds — see
-	// SplitterInfo.Finalized). Requires Code; ignored when Coder is set.
+	// splitter determination in code space (Strategies.Codes) — splitter
+	// traffic stays fixed-size code points regardless of key length, and
+	// prefix-equal splitter candidates saturate instead of looping
+	// rounds (see SplitterInfo.Finalized). Requires Code.
 	PrefixCode bool
 	// Epsilon is the load-imbalance threshold ε: every bucket receives
 	// at most N(1+ε)/B keys w.h.p. Default 0.05.
@@ -84,30 +79,9 @@ type Options[K any] struct {
 	// Owner maps a bucket to the rank that receives it. Default:
 	// exchange.ContiguousOwner(Buckets, p).
 	Owner func(bucket int) int
-	// Schedule selects the sampling discipline. Default
-	// FixedOversampling.
-	Schedule Schedule
-	// Rounds is the round count k for the Theoretical schedule.
-	// Default: sampling.AutoRounds(Buckets, Epsilon). Ignored by the
-	// other schedules.
-	Rounds int
-	// MaxRounds caps histogramming rounds before falling back to the
-	// best candidates seen (guarantees termination on adversarial
-	// inputs such as mass duplicates). Default: 4× the §6.2 bound + 8.
-	MaxRounds int
-	// OversampleFactor is f for FixedOversampling: the expected sample
-	// size per round in units of Buckets. Default 5 (the paper's
-	// setting).
-	OversampleFactor float64
-	// Seed derives each rank's sampling stream. Default 1.
+	// Seed derives each rank's sampling stream, for the strategies that
+	// sample. Default 1.
 	Seed uint64
-	// Approx enables §3.4 approximate histogramming: local ranks are
-	// answered from a per-rank representative sample instead of the
-	// full input. The effective imbalance guarantee loosens to ~2ε.
-	Approx bool
-	// ApproxSize is the representative sample size per rank; default
-	// sampling.RepresentativeSize(Buckets, Epsilon).
-	ApproxSize int
 	// ChunkKeys, when positive, selects the streaming chunked exchange:
 	// bucket payloads move in ChunkKeys-sized chunks interleaved across
 	// destinations and the k-way merge runs incrementally as chunks
@@ -122,19 +96,19 @@ type Options[K any] struct {
 	// (GOMAXPROCS/hosted-ranks) before threading the value down here.
 	Workers int
 	// Splitters, when non-nil, injects pre-determined splitters (a
-	// stored plan) and skips splitter determination entirely: the sort
-	// goes straight to partition → exchange → merge with Stats.Rounds =
-	// 0. The slice must hold Buckets-1 keys in non-decreasing cmp order
-	// — Sort validates once and panics otherwise, mirroring the
+	// stored plan) and skips the strategy entirely: the sort goes
+	// straight to partition → exchange → merge with Stats.Rounds = 0.
+	// The slice must hold Buckets-1 keys in non-decreasing cmp order —
+	// the front half validates once and panics otherwise, mirroring the
 	// validate-at-determination contract of exchange.Partition. Every
 	// rank must inject the same splitters.
 	Splitters []K
 	// StaleBound, with injected Splitters, arms the staleness guard:
 	// after partitioning, the ranks all-reduce the per-bucket loads and,
 	// if the observed bucket imbalance max·B/N exceeds StaleBound, throw
-	// the stale plan away and re-histogram (Stats.Replanned reports it).
-	// The guard costs one B-length reduction per sort. 0 disables it. A
-	// natural setting is (1+ε)·slack, e.g. 1.5·(1+ε).
+	// the stale plan away and run the strategy (Stats.Replanned reports
+	// it). The guard costs one B-length reduction per sort. 0 disables
+	// it. A natural setting is (1+ε)·slack, e.g. 1.5·(1+ε).
 	StaleBound float64
 	// Scratch, when non-nil, is this rank's reusable exchange state; a
 	// long-lived engine passes the same Scratch on every call (see
@@ -146,9 +120,32 @@ type Options[K any] struct {
 	// run files (see spill.Manager). nil keeps every phase fully in
 	// memory.
 	Spill *spill.Manager
-	// BaseTag is the start of the tag range (12 tags) this sort uses on
-	// the endpoint. Default 1000.
+	// BaseTag is the start of the tag range (TagSpan tags) the sort uses
+	// on the endpoint. Default 1000.
 	BaseTag comm.Tag
+
+	// Schedule selects HSS's sampling discipline. Default
+	// FixedOversampling.
+	Schedule Schedule
+	// Rounds is the round count k for the Theoretical schedule.
+	// Default: sampling.AutoRounds(Buckets, Epsilon). Ignored by the
+	// other schedules.
+	Rounds int
+	// MaxRounds caps histogramming rounds before falling back to the
+	// best candidates seen (guarantees termination on adversarial
+	// inputs such as mass duplicates). Default: 4× the §6.2 bound + 8.
+	MaxRounds int
+	// OversampleFactor is f for FixedOversampling: the expected sample
+	// size per round in units of Buckets. Default 5 (the paper's
+	// setting).
+	OversampleFactor float64
+	// Approx enables §3.4 approximate histogramming: local ranks are
+	// answered from a per-rank representative sample instead of the
+	// full input. The effective imbalance guarantee loosens to ~2ε.
+	Approx bool
+	// ApproxSize is the representative sample size per rank; default
+	// sampling.RepresentativeSize(Buckets, Epsilon).
+	ApproxSize int
 	// PipelineChunk is the chunk size (elements) for pipelined
 	// broadcast/reduction. Default 4096.
 	PipelineChunk int
@@ -178,7 +175,10 @@ type RoundTrace struct {
 	Coverage int64
 }
 
-// withDefaults validates opt and fills defaults for a world of p ranks.
+// withDefaults validates opt and fills defaults for a world of p ranks:
+// the shared fields first, then HSS's own. It needs nothing but p, so
+// the skeleton rejects a bad option before any rank has done work or
+// sent a message.
 func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Cmp == nil {
 		return o, fmt.Errorf("core: Options.Cmp is required")
@@ -201,6 +201,25 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Owner == nil {
 		o.Owner = exchange.ContiguousOwner(o.Buckets, p)
 	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.ChunkKeys < 0 {
+		return o, fmt.Errorf("core: ChunkKeys %d < 0", o.ChunkKeys)
+	}
+	if o.Workers < 1 {
+		o.Workers = 1
+	}
+	if o.StaleBound < 0 {
+		return o, fmt.Errorf("core: StaleBound %v < 0", o.StaleBound)
+	}
+	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
+		return o, fmt.Errorf("core: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
+	}
+	if o.BaseTag == 0 {
+		o.BaseTag = 1000
+	}
+
 	if o.OversampleFactor == 0 {
 		o.OversampleFactor = 5
 	}
@@ -217,26 +236,8 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 		}
 		o.MaxRounds = 4*bound + 8
 	}
-	if o.ChunkKeys < 0 {
-		return o, fmt.Errorf("core: ChunkKeys %d < 0", o.ChunkKeys)
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("core: StaleBound %v < 0", o.StaleBound)
-	}
-	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
-		return o, fmt.Errorf("core: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.ApproxSize == 0 {
 		o.ApproxSize = sampling.RepresentativeSize(o.Buckets, o.Epsilon)
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 1000
 	}
 	if o.PipelineChunk == 0 {
 		o.PipelineChunk = 4096
@@ -247,28 +248,37 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	return o, nil
 }
 
-// Tag offsets within the sort's BaseTag range.
+// The skeleton's tag layout, as offsets from Options.BaseTag, in protocol
+// order. Every splitter-based sort — flat or two-level, whatever its
+// strategy — uses this one layout, which is what lets PhaseTagRange name
+// a phase for all of them.
 const (
-	tagCount    = 0 // global N all-reduce (+1)
-	tagPlan     = 2 // round plan broadcast
-	tagSample   = 3 // sample gather
-	tagProbes   = 4 // probe broadcast
-	tagRanks    = 5 // histogram reduction
-	tagExchange = 6 // bucket exchange
-	tagStale    = 7 // staleness-guard bucket-load all-reduce
-	tagStats    = 9 // stats all-reduce (+1)
-	// TagSpan is the number of consecutive tags a Sort call occupies
-	// starting at BaseTag.
-	TagSpan = 11
+	tagCount = 0 // global N all-reduce (+1)
+	// TagStrategy starts the StrategyTags tags a splitter strategy lays
+	// out for its own protocol.
+	TagStrategy  = 2
+	StrategyTags = 4
+	tagStale     = TagStrategy + StrategyTags // staleness-guard bucket-load all-reduce (+1)
+	// TagExchange starts the data movement's ExchangeTags tags: the flat
+	// bucket exchange uses the first; the two-level sort's intra-node
+	// combine, node-to-node exchange and within-node scatter take one
+	// each.
+	TagExchange  = tagStale + 2
+	ExchangeTags = 3
+	// TagStats is the closing stats all-reduce (+1).
+	TagStats = TagExchange + ExchangeTags
+	// TagSpan is the number of consecutive tags a sort occupies starting
+	// at BaseTag.
+	TagSpan = TagStats + 2
 )
 
 // PhaseTagRange maps a named sort phase to the half-open tag interval
 // [lo, hi) it occupies within the BaseTag range, for chaos/fault tooling
 // that triggers on "the first message of phase X". base == 0 selects the
 // default BaseTag (1000). Recognised phases: "start" (the whole span),
-// "splitter" (count all-reduce through histogram reduction), "exchange"
-// (bucket exchange and the staleness guard, excluding the closing stats
-// all-reduce). ok is false for any other name.
+// "splitter" (count all-reduce through the strategy's rounds and the
+// staleness guard), "exchange" (all data movement, excluding the closing
+// stats all-reduce). ok is false for any other name.
 func PhaseTagRange(base comm.Tag, phase string) (lo, hi comm.Tag, ok bool) {
 	if base == 0 {
 		base = 1000
@@ -277,9 +287,9 @@ func PhaseTagRange(base comm.Tag, phase string) (lo, hi comm.Tag, ok bool) {
 	case "start":
 		return base, base + TagSpan, true
 	case "splitter":
-		return base, base + tagExchange, true
+		return base, base + TagExchange, true
 	case "exchange":
-		return base + tagExchange, base + tagStats, true
+		return base + TagExchange, base + TagStats, true
 	}
 	return 0, 0, false
 }
@@ -374,75 +384,94 @@ type PhaseTimes struct {
 	Spill spill.Stats
 }
 
+// statsRun is the working set of one FinishStats call: the rank's
+// measurements going in, the Stats coming out, and the values that
+// belong to neither.
+type statsRun struct {
+	m  PhaseTimes
+	st *Stats
+	// reconnects and respawns go in, read off the endpoint.
+	reconnects, respawns int64
+	// outTotal and outMax come out and yield Imbalance.
+	outTotal, outMax int64
+}
+
+// reduceOp is how a stats slot combines across ranks.
+type reduceOp int
+
+const (
+	opSum reduceOp = iota + 1 // global total
+	opMax                     // the BSP critical path / the worst rank
+)
+
+// statSlots declares the vector FinishStats all-reduces, one row per
+// slot: how a rank packs it, how two ranks' values combine, and where
+// the aggregate lands.
+var statSlots = []struct {
+	name string
+	op   reduceOp
+	get  func(*statsRun) int64
+	set  func(*statsRun, int64)
+}{
+	{"splitter_bytes", opSum, func(r *statsRun) int64 { return r.m.SplitterBytes }, func(r *statsRun, v int64) { r.st.SplitterBytes = v }},
+	{"exchange_bytes", opSum, func(r *statsRun) int64 { return r.m.ExchangeBytes }, func(r *statsRun, v int64) { r.st.ExchangeBytes = v }},
+	{"local_sort", opMax, func(r *statsRun) int64 { return int64(r.m.LocalSort) }, func(r *statsRun, v int64) { r.st.LocalSort = time.Duration(v) }},
+	{"splitter", opMax, func(r *statsRun) int64 { return int64(r.m.Splitter) }, func(r *statsRun, v int64) { r.st.Splitter = time.Duration(v) }},
+	{"exchange", opMax, func(r *statsRun) int64 { return int64(r.m.Exchange) }, func(r *statsRun, v int64) { r.st.Exchange = time.Duration(v) }},
+	{"merge", opMax, func(r *statsRun) int64 { return int64(r.m.Merge) }, func(r *statsRun, v int64) { r.st.Merge = time.Duration(v) }},
+	{"exchange_overlap", opMax, func(r *statsRun) int64 { return int64(r.m.Overlap) }, func(r *statsRun, v int64) { r.st.ExchangeOverlap = time.Duration(v) }},
+	{"peak_in_flight", opMax, func(r *statsRun) int64 { return r.m.PeakInFlight }, func(r *statsRun, v int64) { r.st.PeakInFlight = v }},
+	{"out_total", opSum, func(r *statsRun) int64 { return int64(r.m.OutCount) }, func(r *statsRun, v int64) { r.outTotal = v }},
+	{"out_max", opMax, func(r *statsRun) int64 { return int64(r.m.OutCount) }, func(r *statsRun, v int64) { r.outMax = v }},
+	{"par_spawned", opSum, func(r *statsRun) int64 { return r.m.ParSpawned }, func(r *statsRun, v int64) { r.st.ParSpawned = v }},
+	{"par_tasks", opSum, func(r *statsRun) int64 { return r.m.ParTasks }, func(r *statsRun, v int64) { r.st.ParTasks = v }},
+	{"prefix_collisions", opSum, func(r *statsRun) int64 { return r.m.PrefixCollisions }, func(r *statsRun, v int64) { r.st.PrefixCollisions = v }},
+	{"reconnects", opSum, func(r *statsRun) int64 { return r.reconnects }, func(r *statsRun, v int64) { r.st.Reconnects = v }},
+	{"respawns", opSum, func(r *statsRun) int64 { return r.respawns }, func(r *statsRun, v int64) { r.st.Respawns = v }},
+	{"spilled_bytes", opSum, func(r *statsRun) int64 { return r.m.Spill.SpilledBytes }, func(r *statsRun, v int64) { r.st.SpilledBytes = v }},
+	{"spill_file_bytes", opSum, func(r *statsRun) int64 { return r.m.Spill.FileBytes }, func(r *statsRun, v int64) { r.st.SpillFileBytes = v }},
+	{"spill_reads", opSum, func(r *statsRun) int64 { return r.m.Spill.Reads }, func(r *statsRun, v int64) { r.st.SpillReads = v }},
+	{"peak_resident", opMax, func(r *statsRun) int64 { return r.m.Spill.PeakResident }, func(r *statsRun, v int64) { r.st.PeakResident = v }},
+}
+
 // FinishStats all-reduces one rank's phase measurements into st, the
-// final collective step shared by every sort pipeline: byte counts and
-// output totals sum across ranks; phase times, overlap and peak
-// in-flight take the global max (the BSP critical path); the output
-// counts yield Imbalance. Transport lifecycle counters (reconnects,
-// respawns) are read off the endpoint itself and summed, so a single
-// rank's crash-recovery work is visible in every rank's Stats. Every
-// rank must call it with the same tag, and every rank receives the same
-// aggregates.
+// final collective step shared by every sort pipeline, in one vector
+// laid out by statSlots: byte counts and output totals sum across ranks;
+// phase times, overlap and peak in-flight take the global max (the BSP
+// critical path); the output counts yield Imbalance. Transport lifecycle
+// counters (reconnects, respawns) are read off the endpoint itself and
+// summed, so a single rank's crash-recovery work is visible in every
+// rank's Stats. Every rank must call it with the same tag, and every
+// rank receives the same aggregates.
 func FinishStats(e comm.Endpoint, tag comm.Tag, st *Stats, m PhaseTimes) error {
-	var reconnects, respawns int64
+	r := statsRun{m: m, st: st}
 	if cc, ok := e.(*comm.Comm); ok {
 		ctr := cc.Counters()
-		reconnects, respawns = ctr.Reconnects, ctr.Respawns
+		r.reconnects, r.respawns = ctr.Reconnects, ctr.Respawns
 	}
-	agg, err := collective.AllReduce(e, tag, []int64{
-		m.SplitterBytes, m.ExchangeBytes,
-		int64(m.LocalSort), int64(m.Splitter), int64(m.Exchange), int64(m.Merge),
-		int64(m.Overlap), m.PeakInFlight,
-		int64(m.OutCount), // sum -> N
-		int64(m.OutCount), // max -> hottest rank
-		m.ParSpawned, m.ParTasks,
-		m.PrefixCollisions,
-		reconnects, respawns,
-		m.Spill.SpilledBytes, m.Spill.FileBytes, m.Spill.Reads,
-		m.Spill.PeakResident,
-	}, func(dst, src []int64) {
-		dst[0] += src[0]
-		dst[1] += src[1]
-		for i := 2; i <= 7; i++ {
-			if src[i] > dst[i] {
+	vec := make([]int64, len(statSlots))
+	for i, s := range statSlots {
+		vec[i] = s.get(&r)
+	}
+	agg, err := collective.AllReduce(e, tag, vec, func(dst, src []int64) {
+		for i, s := range statSlots {
+			if s.op == opSum {
+				dst[i] += src[i]
+			} else if src[i] > dst[i] {
 				dst[i] = src[i]
 			}
-		}
-		dst[8] += src[8]
-		if src[9] > dst[9] {
-			dst[9] = src[9]
-		}
-		for i := 10; i <= 17; i++ {
-			dst[i] += src[i]
-		}
-		if src[18] > dst[18] {
-			dst[18] = src[18]
 		}
 	})
 	if err != nil {
 		return err
 	}
-	st.SplitterBytes = agg[0]
-	st.ExchangeBytes = agg[1]
-	st.LocalSort = time.Duration(agg[2])
-	st.Splitter = time.Duration(agg[3])
-	st.Exchange = time.Duration(agg[4])
-	st.Merge = time.Duration(agg[5])
-	st.ExchangeOverlap = time.Duration(agg[6])
-	st.PeakInFlight = agg[7]
-	if agg[8] > 0 {
-		st.Imbalance = float64(agg[9]) * float64(e.Size()) / float64(agg[8])
+	for i, s := range statSlots {
+		s.set(&r, agg[i])
+	}
+	if r.outTotal > 0 {
+		st.Imbalance = float64(r.outMax) * float64(e.Size()) / float64(r.outTotal)
 	} else {
 		st.Imbalance = 1
 	}
-	st.ParSpawned = agg[10]
-	st.ParTasks = agg[11]
-	st.PrefixCollisions = agg[12]
-	st.Reconnects = agg[13]
-	st.Respawns = agg[14]
-	st.SpilledBytes = agg[15]
-	st.SpillFileBytes = agg[16]
-	st.SpillReads = agg[17]
-	st.PeakResident = agg[18]
 	return nil
 }

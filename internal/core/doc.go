@@ -4,11 +4,42 @@
 // that runs the identical splitter-determination protocol at the paper's
 // true processor counts (up to hundreds of thousands of buckets).
 //
-// The distributed sort has the paper's three phases (§6.1.2): local sort;
-// splitter determination by rounds of sampling + histogramming; and the
-// all-to-all data exchange followed by a k-way merge. Splitter
-// determination supports the three sampling disciplines the paper
-// analyzes:
+// # The skeleton
+//
+// The paper's pipeline (§6.1.2) is the same for HSS, both sample sorts
+// and classic histogram sort; they differ only in how the splitters are
+// found (§2.2, §2.3, §4.1). The package therefore holds one body, in two
+// halves, that every splitter-based sort in the repository runs:
+//
+//   - FrontHalf: local sort → all-reduce of the key count N → splitters
+//     (an injected plan's, validated, or the strategy's) → partition into
+//     bucket runs → staleness guard (inert without an injected plan; a
+//     stale plan falls back to the strategy).
+//   - BackHalf: exchange.ExchangeMerge (all-to-all + k-way merge) →
+//     FinishStats.
+//
+// Sort and SortWith are the two halves back to back. internal/nodesort
+// calls FrontHalf and moves the runs itself; the root engine's Plan calls
+// FrontHalf and stops. Options is the one options struct — declared,
+// defaulted and validated once, before any rank works or sends — and one
+// tag layout under Options.BaseTag (count · strategy span · staleness
+// guard · data movement · stats) serves every caller, which is what lets
+// PhaseTagRange name a phase for all of them. The byte-string prefix
+// plane (Options.PrefixCode) is a branch inside the same body.
+//
+// # The strategy contract
+//
+// A Strategy is the only per-algorithm part. It is called on every rank
+// with that rank's sorted keys — on the prefix plane, the sorted code
+// decoration — the global count and the skeleton's defaulted Options, and
+// must return the same Buckets-1 non-decreasing splitters on every rank,
+// validated once there (exchange.ValidateSplitters) so that no partition
+// re-checks them, plus a SplitterInfo for Stats. Its messages stay inside
+// the StrategyTags tags from BaseTag+TagStrategy. Strategies pairs the
+// key-space and code-space instantiations of one generic function.
+//
+// HSS, the strategy defined here (DetermineSplitters), supports the
+// three sampling disciplines the paper analyzes:
 //
 //   - FixedOversampling (§6.1.2): every round gathers an expected f·B-key
 //     sample from the union of active splitter intervals (the production

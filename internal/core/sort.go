@@ -11,323 +11,250 @@ import (
 	"hssort/internal/spill"
 )
 
+// Strategy determines splitters: the only part of a sort that differs
+// between HSS, the sample sorts and classic histogram sort. Every rank
+// calls it with its locally sorted keys, the global key count n and the
+// skeleton's Options — defaults applied, validated once — and every rank
+// must return the same opt.Buckets-1 splitters in non-decreasing opt.Cmp
+// order (none when opt.Buckets == 1 or n == 0). Its messages use the
+// StrategyTags tags from opt.BaseTag+TagStrategy.
+type Strategy[E any] func(c *comm.Comm, sorted []E, n int64, opt Options[E]) ([]E, SplitterInfo, error)
+
+// Strategies is one algorithm's strategy on both planes it can be asked
+// to run on, instantiated from the same generic function.
+type Strategies[K any] struct {
+	// Keys runs over the sorted keys.
+	Keys Strategy[K]
+	// Codes runs the prefix plane (Options.PrefixCode) in code space: over
+	// the sorted code decoration, under raw integer comparison.
+	Codes Strategy[codes.Code]
+}
+
+// HSS is the paper's strategy: rounds of sampling and histogramming
+// (DetermineSplitters), configured by the Schedule…OnRound block of
+// Options.
+func HSS[K any]() Strategies[K] {
+	return Strategies[K]{Keys: DetermineSplitters[K], Codes: DetermineSplitters[codes.Code]}
+}
+
 // Sort runs the full HSS pipeline on this rank's local keys and returns
 // the rank's globally sorted partition: local sort → splitter
 // determination → all-to-all exchange → k-way merge (§6.1.2). Every rank
 // of the world must call Sort with the same Options. The input slice is
-// sorted in place and its storage re-used (the Coder plane instead
-// leaves the input untouched); callers must not reuse it.
+// sorted in place and its storage re-used; callers must not reuse it.
 func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, Stats, error) {
-	opt, err := opt.withDefaults(c.Size())
+	return SortWith(c, local, opt, HSS[K]())
+}
+
+// SortWith is Sort under any splitter strategy: the skeleton's two
+// halves back to back.
+func SortWith[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) ([]K, Stats, error) {
+	f, err := FrontHalf(c, local, opt, s)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if opt.Coder != nil {
-		return sortViaCodes(c, local, opt)
+	return f.BackHalf(c)
+}
+
+// Front is one rank's state between the skeleton's halves: its keys
+// locally sorted and cut into bucket runs by splitters every rank agrees
+// on. The flat sorts hand it straight to BackHalf; the two-level sort
+// moves the runs itself; a splitter plan stops here.
+type Front[K any] struct {
+	// Opt is the Options the front half ran with, defaults applied.
+	Opt Options[K]
+	// Pool is the rank's compute pool; the data movement keeps using it
+	// so its counters cover the whole sort.
+	Pool *par.Pool
+	// Runs[b] is this rank's share of bucket b. The runs alias the
+	// sorted input.
+	Runs [][]K
+	// Splitters are the Buckets-1 bucket boundaries — nil on the prefix
+	// plane, where they exist only as codes.
+	Splitters []K
+	// Finalized is the strategy's SplitterInfo.Finalized.
+	Finalized bool
+	// Stats holds what is known so far: N, Buckets, Workers, the
+	// protocol counts (Rounds, SamplePerRound, TotalSample) and
+	// Replanned.
+	Stats Stats
+	// Times holds this rank's LocalSort, Splitter, SplitterBytes and
+	// PrefixCollisions, and the partition's share of Exchange.
+	Times PhaseTimes
+}
+
+// FrontHalf is the skeleton up to the point where data moves: local sort
+// → global key count → splitters (injected, or determined by the
+// strategy) → partition → staleness guard. Options.PrefixCode switches
+// the local sort, the strategy's input and the partition cuts to the
+// prefix plane; the steps are the same.
+func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) (*Front[K], error) {
+	opt, err := opt.withDefaults(c.Size())
+	if err != nil {
+		return nil, err
 	}
-	if opt.PrefixCode {
-		return sortPrefix(c, local, opt)
-	}
-	base := opt.BaseTag
 	pool := par.New(opt.Workers)
-	var stats Stats
-	stats.Buckets = opt.Buckets
-	stats.Workers = pool.Workers()
+	f := &Front[K]{Opt: opt, Pool: pool, Finalized: true}
+	f.Stats.Buckets = opt.Buckets
+	f.Stats.Workers = pool.Workers()
 
-	// Phase 1: local sort (embarrassingly parallel, §6.1.2) — the
-	// comparator-free radix plane when a code extractor is available,
-	// fanned over this rank's worker pool; over a memory budget,
-	// spill.LocalSort switches to the scratch-free in-place kernel
-	// with identical output. Never touches disk.
+	// Phase 1: local sort (embarrassingly parallel, §6.1.2), fanned over
+	// this rank's worker pool and never touching disk. With a code
+	// extractor it is the comparator-free radix sort of the code
+	// decoration (over a memory budget, spill.LocalSort's scratch-free
+	// in-place kernel with identical output). A prefix code orders only
+	// up to collisions, so that plane then restores comparator order
+	// within equal-code spans; it is never budgeted.
 	t0 := time.Now()
-	localCodes, err := spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
-	if err != nil {
-		return nil, stats, err
+	var localCodes []codes.Code
+	if opt.PrefixCode {
+		localCodes = codes.SortByCodePar(local, opt.Code, pool)
+		f.Times.PrefixCollisions = codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
+	} else if localCodes, err = spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool); err != nil {
+		return nil, err
 	}
-	localSort := time.Since(t0)
+	f.Times.LocalSort = time.Since(t0)
 
-	// Global key count.
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
+	nVec, err := collective.AllReduce(c, opt.BaseTag+tagCount, []int64{int64(len(local))}, collective.SumInt64)
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
-	stats.N = nVec[0]
+	f.Stats.N = nVec[0]
 
-	// Phase 2: splitter determination — skipped entirely when a stored
-	// plan injects the splitters (the prepare-once/sort-many operation
-	// phase).
+	// Phase 2: splitters. The prefix plane determines them in code space
+	// and partitions by those codes directly; every other coded plane
+	// extracts the splitter keys' codes (exact: a splitter's code is a
+	// pure function of the key).
+	var spCodes []codes.Code
+	determine := func() error {
+		var info SplitterInfo
+		var err error
+		if opt.PrefixCode {
+			f.Splitters = nil
+			spCodes, info, err = s.Codes(c, localCodes, f.Stats.N, opt.inCodeSpace())
+		} else {
+			f.Splitters, info, err = s.Keys(c, local, f.Stats.N, opt)
+		}
+		f.Finalized = info.Finalized
+		f.Stats.Rounds = info.Rounds
+		f.Stats.SamplePerRound = info.SamplePerRound
+		f.Stats.TotalSample = info.TotalSample
+		return err
+	}
+	partition := func() {
+		if localCodes == nil {
+			f.Runs = exchange.PartitionPar(local, f.Splitters, opt.Cmp, pool)
+			return
+		}
+		if f.Splitters != nil {
+			spCodes = codes.Extract(f.Splitters, opt.Code)
+		}
+		f.Runs = exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
+	}
 	bytes0 := c.Counters().BytesSent
 	t1 := time.Now()
-	splitters := opt.Splitters
-	if splitters != nil {
-		// Injected splitters cross an API boundary: re-establish the
-		// sorted invariant exchange.Partition relies on, once per sort.
-		exchange.ValidateSplitters(splitters, opt.Cmp)
-	} else {
-		var info SplitterInfo
-		splitters, info, err = DetermineSplitters(c, local, stats.N, opt)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = info.Rounds
-		stats.SamplePerRound = info.SamplePerRound
-		stats.TotalSample = info.TotalSample
+	if opt.Splitters != nil {
+		// A stored plan skips the strategy (the prepare-once/sort-many
+		// operation phase). Its splitters cross an API boundary:
+		// re-establish the sorted invariant exchange.Partition relies
+		// on, once per sort.
+		exchange.ValidateSplitters(opt.Splitters, opt.Cmp)
+		f.Splitters = opt.Splitters
+	} else if err := determine(); err != nil {
+		return nil, err
 	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
+	f.Times.Splitter = time.Since(t1)
 
-	partition := func(sp []K) [][]K {
-		if localCodes != nil {
-			return exchange.PartitionByCodePar(local, localCodes, codes.Extract(sp, opt.Code), pool)
-		}
-		return exchange.PartitionPar(local, sp, opt.Cmp, pool)
-	}
 	t2 := time.Now()
-	runs := partition(splitters)
-	partitionTime := time.Since(t2)
+	partition()
+	f.Times.Exchange = time.Since(t2)
 
 	// Staleness guard: a stored plan is only as good as the distribution
 	// it was histogrammed on. When armed, measure the bucket imbalance
-	// the stale splitters would produce and re-histogram if it exceeds
-	// the bound — the self-improving sorter's fallback to its training
-	// phase. The guard (and any replan) is splitter-determination work.
+	// the stale splitters would produce and run the strategy after all
+	// if it exceeds the bound — the self-improving sorter's fallback to
+	// its training phase. The guard (and any replan) is
+	// splitter-determination work.
 	if opt.Splitters != nil && opt.StaleBound > 0 {
 		t3 := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
+		imb, err := f.BucketImbalance(c)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		if imb > opt.StaleBound {
-			stats.Replanned = true
-			splitters, info, err := DetermineSplitters(c, local, stats.N, opt)
-			if err != nil {
-				return nil, stats, err
+			f.Stats.Replanned = true
+			if err := determine(); err != nil {
+				return nil, err
 			}
-			stats.Rounds = info.Rounds
-			stats.SamplePerRound = info.SamplePerRound
-			stats.TotalSample = info.TotalSample
-			runs = partition(splitters)
+			partition()
 		}
-		splitterTime += time.Since(t3)
-		splitterBytes = c.Counters().BytesSent - bytes0
+		f.Times.Splitter += time.Since(t3)
 	}
-
-	// Phase 3+4: data exchange and k-way merge — fused by
-	// ExchangeMerge, which runs either the materializing path or (with
-	// Options.ChunkKeys > 0) the streaming pipeline that overlaps the
-	// merge with the exchange tail.
-	bytes1 := c.Counters().BytesSent
-	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, base+tagExchange, runs, opt.Owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Spill: opt.Spill}, opt.Scratch)
-	if err != nil {
-		return nil, stats, err
-	}
-	exchangeBytes := c.Counters().BytesSent - bytes1
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := FinishStats(c, base+tagStats, &stats, PhaseTimes{
-		SplitterBytes: splitterBytes,
-		ExchangeBytes: exchangeBytes,
-		LocalSort:     localSort,
-		Splitter:      splitterTime,
-		Exchange:      partitionTime + exchangeTime,
-		Merge:         mergeTime,
-		Overlap:       sst.Overlap,
-		PeakInFlight:  sst.PeakInFlight,
-		OutCount:      len(out),
-		ParSpawned:    pc.Spawned,
-		ParTasks:      pc.Tasks,
-		Spill:         opt.Spill.TakeStats(),
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+	f.Times.SplitterBytes = c.Counters().BytesSent - bytes0
+	return f, nil
 }
 
-// sortPrefix is the prefix plane (Options.PrefixCode): the code
-// decoration is a non-injective order-preserving prefix of the key, so
-// every code-keyed kernel runs as on the decorated plane, with a
-// comparator tie-break at exactly the points where distinct keys can
-// collide on a code — after the radix local sort (TieBreakPar) and
-// inside the merges (StreamOptions.Tie). Partition needs no repair:
-// lower-bound code cuts keep every occurrence of a code value in one
-// bucket, and tie-broken runs concatenate in comparator order. Splitter
-// determination runs entirely in code space — splitter traffic stays
-// fixed-size code points regardless of key length, and on adversarial
-// shared-prefix input the candidate pool saturates (every probe is the
-// same code) so the protocol stops after its stagnation window instead
-// of looping: SplitterInfo.Finalized reports false and the achieved
-// imbalance is whatever the code plane could express.
-func sortPrefix[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, Stats, error) {
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats Stats
-	stats.Buckets = opt.Buckets
-	stats.Workers = pool.Workers()
-
-	// Phase 1: radix local sort on the code decoration, then restore
-	// full comparator order within equal-code spans.
-	t0 := time.Now()
-	localCodes := codes.SortByCodePar(local, opt.Code, pool)
-	collisions := codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
-	localSort := time.Since(t0)
-
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.N = nVec[0]
-
-	// Phase 2: splitter determination in code space. Injected splitters
-	// are projected to their codes — re-extraction is exact because a
-	// splitter's code is a pure function of the key.
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	var spCodes []codes.Code
-	if opt.Splitters != nil {
-		spCodes = codes.Extract(opt.Splitters, opt.Code)
-		exchange.ValidateSplitters(spCodes, codes.Compare)
-	} else {
-		var info SplitterInfo
-		spCodes, info, err = DetermineSplitters(c, localCodes, stats.N, prefixDetOptions(opt))
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = info.Rounds
-		stats.SamplePerRound = info.SamplePerRound
-		stats.TotalSample = info.TotalSample
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
-
-	t2 := time.Now()
-	runs := exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
-	partitionTime := time.Since(t2)
-
-	// Staleness guard, as on the comparator plane: replanning runs the
-	// code-space determination again.
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t3 := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			var info SplitterInfo
-			spCodes, info, err = DetermineSplitters(c, localCodes, stats.N, prefixDetOptions(opt))
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Rounds = info.Rounds
-			stats.SamplePerRound = info.SamplePerRound
-			stats.TotalSample = info.TotalSample
-			runs = exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
-		}
-		splitterTime += time.Since(t3)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-
-	// Phase 3+4: exchange and tie-aware merge.
-	bytes1 := c.Counters().BytesSent
-	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, base+tagExchange, runs, opt.Owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Tie: true}, opt.Scratch)
-	if err != nil {
-		return nil, stats, err
-	}
-	exchangeBytes := c.Counters().BytesSent - bytes1
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := FinishStats(c, base+tagStats, &stats, PhaseTimes{
-		SplitterBytes:    splitterBytes,
-		ExchangeBytes:    exchangeBytes,
-		LocalSort:        localSort,
-		Splitter:         splitterTime,
-		Exchange:         partitionTime + exchangeTime,
-		Merge:            mergeTime,
-		Overlap:          sst.Overlap,
-		PeakInFlight:     sst.PeakInFlight,
-		OutCount:         len(out),
-		ParSpawned:       pc.Spawned,
-		ParTasks:         pc.Tasks,
-		PrefixCollisions: collisions,
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+// BucketImbalance all-reduces the bucket loads of f.Runs and returns the
+// bucket-level imbalance max·B/N the partition achieves before any data
+// moves — directly comparable to the paper's (1+ε) target. It is what
+// the staleness guard tests and, less one, the achieved ε a splitter plan
+// reports. Every rank must call it; it uses the guard's tag.
+func (f *Front[K]) BucketImbalance(c *comm.Comm) (float64, error) {
+	imb, _, err := exchange.RunsImbalance(c, f.Opt.BaseTag+tagStale, f.Runs)
+	return imb, err
 }
 
-// prefixDetOptions projects prefix-plane options onto code space for
-// splitter determination: the protocol — sampling draws, histogram
-// ranks, splitter choices — runs over this rank's sorted code
-// decoration under raw integer comparison, exactly as the bijective
-// plane's determination does.
-func prefixDetOptions[K any](opt Options[K]) Options[codes.Code] {
+// inCodeSpace projects the options onto the prefix plane's code space,
+// where Strategies.Codes runs: same geometry, seed, tags and HSS
+// configuration, with the keys replaced by their codes.
+func (o Options[K]) inCodeSpace() Options[codes.Code] {
 	return Options[codes.Code]{
 		Cmp:               codes.Compare,
 		Code:              codes.ExtractCode,
-		Epsilon:           opt.Epsilon,
-		Buckets:           opt.Buckets,
-		Owner:             opt.Owner,
-		Schedule:          opt.Schedule,
-		Rounds:            opt.Rounds,
-		MaxRounds:         opt.MaxRounds,
-		OversampleFactor:  opt.OversampleFactor,
-		Seed:              opt.Seed,
-		Approx:            opt.Approx,
-		ApproxSize:        opt.ApproxSize,
-		Workers:           opt.Workers,
-		BaseTag:           opt.BaseTag,
-		PipelineChunk:     opt.PipelineChunk,
-		PipelineThreshold: opt.PipelineThreshold,
-		OnRound:           opt.OnRound,
+		Epsilon:           o.Epsilon,
+		Buckets:           o.Buckets,
+		Seed:              o.Seed,
+		BaseTag:           o.BaseTag,
+		Schedule:          o.Schedule,
+		Rounds:            o.Rounds,
+		MaxRounds:         o.MaxRounds,
+		OversampleFactor:  o.OversampleFactor,
+		Approx:            o.Approx,
+		ApproxSize:        o.ApproxSize,
+		PipelineChunk:     o.PipelineChunk,
+		PipelineThreshold: o.PipelineThreshold,
+		OnRound:           o.OnRound,
 	}
 }
 
-// sortViaCodes is the Coder plane: encode this rank's keys once, run the
-// identical pipeline on raw code points (where the compute phases
-// specialize to radix sort, branch-free searches and code-keyed merges,
-// and the exchange moves codes, not keys), and decode the merged
-// partition once at the end. The protocol — sampling draws, histogram
-// updates, splitter choices, bucket cuts, merge tie-breaks — is a
-// function of key order only, and the coder preserves it exactly, so the
-// decoded output is rank-identical to the comparator plane's.
-func sortViaCodes[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, Stats, error) {
-	pool := par.New(opt.Workers)
-	enc := codes.EncodeIntoPar(opt.Coder, local, nil, pool)
-	var splitters []codes.Code
-	if opt.Splitters != nil {
-		splitters = codes.EncodeSlice(opt.Coder, opt.Splitters)
-	}
-	out, stats, err := Sort(c, enc, Options[codes.Code]{
-		Splitters:         splitters,
-		StaleBound:        opt.StaleBound,
-		Cmp:               codes.Compare,
-		Code:              codes.ExtractCode,
-		Epsilon:           opt.Epsilon,
-		Buckets:           opt.Buckets,
-		Owner:             opt.Owner,
-		Schedule:          opt.Schedule,
-		Rounds:            opt.Rounds,
-		MaxRounds:         opt.MaxRounds,
-		OversampleFactor:  opt.OversampleFactor,
-		Seed:              opt.Seed,
-		Approx:            opt.Approx,
-		ApproxSize:        opt.ApproxSize,
-		ChunkKeys:         opt.ChunkKeys,
-		Workers:           opt.Workers,
-		BaseTag:           opt.BaseTag,
-		PipelineChunk:     opt.PipelineChunk,
-		PipelineThreshold: opt.PipelineThreshold,
-		OnRound:           opt.OnRound,
-		Spill:             opt.Spill,
-	})
+// BackHalf is the rest of a flat sort: the all-to-all exchange and k-way
+// merge — fused by exchange.ExchangeMerge, which runs either the
+// materializing path or (with Options.ChunkKeys > 0) the streaming
+// pipeline that overlaps the merge with the exchange tail — then the
+// closing stats all-reduce. It returns the rank's globally sorted
+// partition.
+func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
+	opt := f.Opt
+	bytes0 := c.Counters().BytesSent
+	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
+		c, opt.BaseTag+TagExchange, f.Runs, opt.Owner, opt.Cmp, opt.Code,
+		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: f.Pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
 	if err != nil {
-		return nil, stats, err
+		return nil, f.Stats, err
 	}
-	return codes.DecodeSlicePar(opt.Coder, out, pool), stats, nil
+	m := f.Times
+	m.ExchangeBytes = c.Counters().BytesSent - bytes0
+	m.Exchange += exchangeTime
+	m.Merge = mergeTime
+	m.Overlap = sst.Overlap
+	m.PeakInFlight = sst.PeakInFlight
+	m.OutCount = len(out)
+	pc := f.Pool.Counters()
+	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
+	m.Spill = opt.Spill.TakeStats()
+	f.Stats.LocalCount = len(out)
+	if err := FinishStats(c, opt.BaseTag+TagStats, &f.Stats, m); err != nil {
+		return nil, f.Stats, err
+	}
+	return out, f.Stats, nil
 }

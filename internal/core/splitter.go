@@ -29,6 +29,14 @@ type SplitterInfo struct {
 	Finalized bool
 }
 
+// HSS's layout of the strategy's tags.
+const (
+	tagPlan   = TagStrategy + iota // round plan broadcast
+	tagSample                      // sample gather
+	tagProbes                      // probe broadcast
+	tagRanks                       // histogram reduction
+)
+
 // roundPlan is the per-round broadcast from the central processor: either
 // the sampling instructions for the next round or the final splitters.
 type roundPlan[K any] struct {

@@ -14,4 +14,7 @@
 // available for key types with an order-preserving integer code
 // (internal/keycoder); hssort.Sort rejects it for SortFunc-style opaque
 // comparators.
+//
+// The package holds only that refinement loop, as a core.Strategy;
+// everything around it is core's sort skeleton.
 package histsort

@@ -3,7 +3,6 @@ package histsort
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"hssort/internal/codes"
 	"hssort/internal/collective"
@@ -12,36 +11,18 @@ import (
 	"hssort/internal/exchange"
 	"hssort/internal/histogram"
 	"hssort/internal/keycoder"
-	"hssort/internal/par"
-	"hssort/internal/spill"
 )
 
-// Options configures a classic histogram sort. Cmp and Coder are
-// required: the coder supplies the key-space arithmetic that probe
-// synthesis needs.
+// Options configures probe refinement. Everything else a histogram sort
+// needs — comparator, ε, buckets, exchange — is the skeleton's
+// core.Options.
 type Options[K any] struct {
-	// Cmp is the three-way key comparator.
-	Cmp func(K, K) int
-	// Coder is the order-preserving key <-> uint64 code bijection.
+	// Coder is the order-preserving key <-> uint64 code bijection that
+	// supplies the key-space arithmetic probe synthesis needs. Required,
+	// except on the prefix plane (core.Options.PrefixCode), whose probes
+	// are the code points themselves. It feeds probe synthesis only: the
+	// compute phases leave the comparator when core.Options.Code is set.
 	Coder keycoder.Coder[K]
-	// Code, when set, must be an order-preserving uint64 extractor for
-	// Cmp; the compute hot paths (local sort, partition cuts, merges)
-	// then run on the comparator-free code plane (see core.Options.Code).
-	// Unset leaves every phase on the comparator, Coder notwithstanding —
-	// the Coder alone only feeds probe synthesis.
-	Code func(K) uint64
-	// PrefixCode marks Code as a non-injective prefix extractor (see
-	// core.Options.PrefixCode). Probe refinement then bisects the code
-	// space directly — probes are code points, no Coder is needed (and
-	// Coder is ignored) — while the compute phases run code-keyed with a
-	// comparator tie-break. Requires Code.
-	PrefixCode bool
-	// Epsilon is the target load-imbalance threshold. Default 0.05.
-	Epsilon float64
-	// Buckets is the number of output ranges. Default: world size.
-	Buckets int
-	// Owner maps buckets to ranks. Default contiguous.
-	Owner func(bucket int) int
 	// ProbesPerSplitter is how many evenly spaced probes each
 	// unfinalized splitter contributes per round (subdividing its code
 	// interval into ProbesPerSplitter+1 parts). Default 1 (pure
@@ -50,86 +31,24 @@ type Options[K any] struct {
 	// MaxRounds caps refinement rounds; the fallback then uses the
 	// closest candidates seen. Default 72 (64-bit bisection + slack).
 	MaxRounds int
-	// ChunkKeys, when positive, selects the streaming chunked exchange
-	// (see core.Options.ChunkKeys). 0 = materializing exchange.
-	ChunkKeys int
-	// Workers is the size of this rank's compute worker pool (see
-	// core.Options.Workers). <=1 keeps every kernel serial.
-	Workers int
-	// Splitters, when non-nil, injects pre-determined splitters and
-	// skips probe refinement entirely (see core.Options.Splitters):
-	// Buckets-1 keys in non-decreasing cmp order, identical on every
-	// rank.
-	Splitters []K
-	// StaleBound arms the staleness guard for injected Splitters (see
-	// core.Options.StaleBound). 0 disables it.
-	StaleBound float64
-	// Scratch, when non-nil, is this rank's reusable exchange state
-	// (see core.Options.Scratch).
-	Scratch *exchange.Scratch[K]
-	// Spill, when non-nil, is this rank's out-of-core manager (see
-	// core.Options.Spill). nil keeps every phase in memory.
-	Spill *spill.Manager
-	// BaseTag is the start of the tag range this sort uses. Default 3000.
-	BaseTag comm.Tag
 }
 
-func (o Options[K]) withDefaults(p int) (Options[K], error) {
-	if o.Cmp == nil {
-		return o, fmt.Errorf("histsort: Options.Cmp is required")
+func (h Options[K]) withDefaults() Options[K] {
+	if h.ProbesPerSplitter < 1 {
+		h.ProbesPerSplitter = 1
 	}
-	if o.PrefixCode && o.Code == nil {
-		return o, fmt.Errorf("histsort: PrefixCode requires Code")
+	if h.MaxRounds == 0 {
+		h.MaxRounds = 72
 	}
-	if o.Coder == nil && !o.PrefixCode {
-		return o, fmt.Errorf("histsort: Options.Coder is required")
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.05
-	}
-	if o.Epsilon < 0 {
-		return o, fmt.Errorf("histsort: Epsilon %v < 0", o.Epsilon)
-	}
-	if o.Buckets == 0 {
-		o.Buckets = p
-	}
-	if o.Buckets < 1 {
-		return o, fmt.Errorf("histsort: Buckets %d < 1", o.Buckets)
-	}
-	if o.Owner == nil {
-		o.Owner = exchange.ContiguousOwner(o.Buckets, p)
-	}
-	if o.ProbesPerSplitter < 1 {
-		o.ProbesPerSplitter = 1
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 72
-	}
-	if o.ChunkKeys < 0 {
-		return o, fmt.Errorf("histsort: ChunkKeys %d < 0", o.ChunkKeys)
-	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("histsort: StaleBound %v < 0", o.StaleBound)
-	}
-	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
-		return o, fmt.Errorf("histsort: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 3000
-	}
-	return o, nil
+	return h
 }
 
-// Tag offsets within BaseTag.
+// Probe refinement's layout of the strategy's tags.
 const (
-	tagCount    = 0 // N all-reduce (+1)
-	tagProbes   = 2 // probe broadcast
-	tagRanks    = 3 // histogram reduction
-	tagSplit    = 4 // final splitter broadcast
-	tagExchange = 5 // bucket exchange
-	tagStats    = 6 // stats all-reduce (+1)
-	tagInfo     = 8 // rounds broadcast
-	tagStale    = 9 // staleness-guard bucket-load all-reduce
+	tagProbes = core.TagStrategy + iota // probe broadcast
+	tagRanks                            // histogram reduction
+	tagSplit                            // final splitter broadcast
+	tagInfo                             // rounds broadcast
 )
 
 // splitterSearch is the root's bisection state for one splitter.
@@ -139,252 +58,53 @@ type splitterSearch struct {
 }
 
 // Sort runs classic histogram sort on this rank's keys and returns its
-// globally sorted partition. Every rank must call Sort with the same
-// Options. The input slice is consumed.
-func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, error) {
-	opt, err := opt.withDefaults(c.Size())
-	if err != nil {
-		return nil, core.Stats{}, err
+// globally sorted partition: the skeleton (core.SortWith) under the
+// probe-refinement strategy. Every rank must call Sort with the same
+// options. The input slice is consumed.
+func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], h Options[K]) ([]K, core.Stats, error) {
+	if h.Coder == nil && !opt.PrefixCode {
+		return nil, core.Stats{}, fmt.Errorf("histsort: Options.Coder is required")
 	}
-	if opt.PrefixCode {
-		return sortPrefix(c, local, opt)
-	}
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats core.Stats
-	stats.Buckets = opt.Buckets
-	stats.Workers = pool.Workers()
-
-	t0 := time.Now()
-	localCodes, err := spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
-	if err != nil {
-		return nil, stats, err
-	}
-	localSort := time.Since(t0)
-
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
-	}
-	n := nVec[0]
-	stats.N = n
-
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	splitters := opt.Splitters
-	if splitters != nil {
-		exchange.ValidateSplitters(splitters, opt.Cmp)
-	} else {
-		var rounds int
-		var totalProbes int64
-		splitters, rounds, totalProbes, err = DetermineSplitters(c, local, n, opt)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = rounds
-		stats.TotalSample = totalProbes
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
-
-	partition := func(sp []K) [][]K {
-		if localCodes != nil {
-			return exchange.PartitionByCodePar(local, localCodes, codes.Extract(sp, opt.Code), pool)
-		}
-		return exchange.PartitionPar(local, sp, opt.Cmp, pool)
-	}
-	t2 := time.Now()
-	runs := partition(splitters)
-	partitionTime := time.Since(t2)
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t3 := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			splitters, rounds, totalProbes, err := DetermineSplitters(c, local, n, opt)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Rounds = rounds
-			stats.TotalSample = totalProbes
-			runs = partition(splitters)
-		}
-		splitterTime += time.Since(t3)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-	bytes1 := c.Counters().BytesSent
-	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, base+tagExchange, runs, opt.Owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Spill: opt.Spill}, opt.Scratch)
-	if err != nil {
-		return nil, stats, err
-	}
-	exchangeBytes := c.Counters().BytesSent - bytes1
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := core.FinishStats(c, base+tagStats, &stats, core.PhaseTimes{
-		SplitterBytes: splitterBytes,
-		ExchangeBytes: exchangeBytes,
-		LocalSort:     localSort,
-		Splitter:      splitterTime,
-		Exchange:      partitionTime + exchangeTime,
-		Merge:         mergeTime,
-		Overlap:       sst.Overlap,
-		PeakInFlight:  sst.PeakInFlight,
-		OutCount:      len(out),
-		ParSpawned:    pc.Spawned,
-		ParTasks:      pc.Tasks,
-		Spill:         opt.Spill.TakeStats(),
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
+	return core.SortWith(c, local, opt, Strategies(h))
 }
 
-// sortPrefix is the prefix plane (Options.PrefixCode): the local sort
-// radix-sorts the code decoration and repairs equal-code spans with the
-// comparator, and probe refinement bisects the code space directly —
-// every probe is a code point, so the protocol needs no key-space
-// Decode and the probe traffic stays fixed-size regardless of key
-// length. codes.Identity is the degenerate Coder that makes the root's
-// bisection arithmetic run on the codes themselves. Partition cuts run
-// on codes and the merges tie-break equal codes with the comparator
-// (see core.Options.PrefixCode). opt must already have defaults
-// applied.
-func sortPrefix[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, error) {
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats core.Stats
-	stats.Buckets = opt.Buckets
-	stats.Workers = pool.Workers()
-
-	t0 := time.Now()
-	localCodes := codes.SortByCodePar(local, opt.Code, pool)
-	collisions := codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
-	localSort := time.Since(t0)
-
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
+// Strategies is probe refinement as a skeleton strategy. On the prefix
+// plane it bisects the code space directly — every probe is a code
+// point, so the protocol needs no key-space Decode and the probe traffic
+// stays fixed-size regardless of key length: codes.Identity is the
+// degenerate Coder that makes the root's bisection arithmetic run on the
+// codes themselves.
+func Strategies[K any](h Options[K]) core.Strategies[K] {
+	return core.Strategies[K]{
+		Keys:  strategy(h),
+		Codes: strategy(Options[codes.Code]{Coder: codes.Identity{}, ProbesPerSplitter: h.ProbesPerSplitter, MaxRounds: h.MaxRounds}),
 	}
-	n := nVec[0]
-	stats.N = n
-
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	var spCodes []codes.Code
-	if opt.Splitters != nil {
-		spCodes = codes.Extract(opt.Splitters, opt.Code)
-		exchange.ValidateSplitters(spCodes, codes.Compare)
-	} else {
-		var rounds int
-		var totalProbes int64
-		spCodes, rounds, totalProbes, err = DetermineSplitters(c, localCodes, n, prefixDetOptions(opt))
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = rounds
-		stats.TotalSample = totalProbes
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
-
-	t2 := time.Now()
-	runs := exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
-	partitionTime := time.Since(t2)
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t3 := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			var rounds int
-			var totalProbes int64
-			spCodes, rounds, totalProbes, err = DetermineSplitters(c, localCodes, n, prefixDetOptions(opt))
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Rounds = rounds
-			stats.TotalSample = totalProbes
-			runs = exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
-		}
-		splitterTime += time.Since(t3)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-	bytes1 := c.Counters().BytesSent
-	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, base+tagExchange, runs, opt.Owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Tie: true}, opt.Scratch)
-	if err != nil {
-		return nil, stats, err
-	}
-	exchangeBytes := c.Counters().BytesSent - bytes1
-	stats.LocalCount = len(out)
-
-	pc := pool.Counters()
-	if err := core.FinishStats(c, base+tagStats, &stats, core.PhaseTimes{
-		SplitterBytes:    splitterBytes,
-		ExchangeBytes:    exchangeBytes,
-		LocalSort:        localSort,
-		Splitter:         splitterTime,
-		Exchange:         partitionTime + exchangeTime,
-		Merge:            mergeTime,
-		Overlap:          sst.Overlap,
-		PeakInFlight:     sst.PeakInFlight,
-		OutCount:         len(out),
-		ParSpawned:       pc.Spawned,
-		ParTasks:         pc.Tasks,
-		PrefixCollisions: collisions,
-	}); err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
 }
 
-// prefixDetOptions projects prefix-plane options onto code space for
-// probe refinement: the root bisects code intervals whose probes ARE the
-// codes (codes.Identity), and every rank answers rank queries over its
-// sorted code decoration under raw integer comparison.
-func prefixDetOptions[K any](o Options[K]) Options[codes.Code] {
-	return Options[codes.Code]{
-		Cmp:               codes.Compare,
-		Coder:             codes.Identity{},
-		Code:              codes.ExtractCode,
-		Epsilon:           o.Epsilon,
-		Buckets:           o.Buckets,
-		ProbesPerSplitter: o.ProbesPerSplitter,
-		MaxRounds:         o.MaxRounds,
-		BaseTag:           o.BaseTag,
+func strategy[E any](h Options[E]) core.Strategy[E] {
+	return func(c *comm.Comm, sorted []E, n int64, opt core.Options[E]) ([]E, core.SplitterInfo, error) {
+		return DetermineSplitters(c, sorted, n, opt, h)
 	}
 }
 
 // DetermineSplitters runs the probe-refinement loop of §2.3 over
-// locally sorted keys. It returns the splitters on every rank plus the
-// round count and total probe volume. Exported so splitter plans
-// (hssort.Sorter.Plan) can run probe refinement alone; defaults are
-// applied internally (idempotent).
-func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K]) ([]K, int, int64, error) {
-	opt, err := opt.withDefaults(c.Size())
-	if err != nil {
-		return nil, 0, 0, err
-	}
+// locally sorted keys; opt is the skeleton's (defaults applied). It
+// returns the splitters on every rank, reporting the round count and
+// total probe volume.
+func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Options[E], h Options[E]) ([]E, core.SplitterInfo, error) {
+	h = h.withDefaults()
+	info := core.SplitterInfo{Finalized: true}
 	base := opt.BaseTag
 	root := 0
 	me := c.Rank()
 	if opt.Buckets == 1 || n == 0 {
-		return []K{}, 0, 0, nil
+		return []E{}, info, nil
 	}
 
-	var tracker *histogram.Tracker[K]
+	var tracker *histogram.Tracker[E]
 	var searches []splitterSearch
 	if me == root {
-		tracker = histogram.NewTracker[K](n, opt.Buckets, opt.Epsilon, opt.Cmp)
+		tracker = histogram.NewTracker[E](n, opt.Buckets, opt.Epsilon, opt.Cmp)
 		searches = make([]splitterSearch, opt.Buckets-1)
 		for i := range searches {
 			searches[i] = splitterSearch{lo: 0, hi: ^uint64(0)}
@@ -397,13 +117,13 @@ func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K])
 		// Root synthesizes this round's probes: ProbesPerSplitter
 		// evenly spaced codes inside each live interval. An empty probe
 		// set signals completion.
-		var probes []K
+		var probes []E
 		if me == root {
-			probes = synthesizeProbes(searches, tracker, opt)
+			probes = synthesizeProbes(searches, tracker, opt.Cmp, h)
 		}
 		probes, err := collective.Bcast(c, root, base+tagProbes, probes)
 		if err != nil {
-			return nil, rounds, totalProbes, err
+			return nil, info, err
 		}
 		if len(probes) == 0 {
 			break
@@ -413,12 +133,12 @@ func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K])
 		ranks, err := collective.Reduce(c, root, base+tagRanks,
 			histogram.LocalRanks(local, probes, opt.Cmp), collective.SumInt64)
 		if err != nil {
-			return nil, rounds, totalProbes, err
+			return nil, info, err
 		}
 		if me == root {
 			tracker.Update(probes, ranks)
-			narrow(searches, tracker, probes, ranks, opt)
-			if rounds >= opt.MaxRounds {
+			narrow(searches, tracker, probes, ranks, h.Coder)
+			if rounds >= h.MaxRounds {
 				for i := range searches {
 					searches[i].done = true
 				}
@@ -426,32 +146,33 @@ func DetermineSplitters[K any](c *comm.Comm, local []K, n int64, opt Options[K])
 		}
 	}
 
-	var splitters []K
+	var splitters []E
 	if me == root {
 		sp, ok := tracker.Splitters()
 		if !ok {
-			return nil, rounds, totalProbes, fmt.Errorf("histsort: no candidates after %d rounds", rounds)
+			return nil, info, fmt.Errorf("histsort: no candidates after %d rounds", rounds)
 		}
 		slices.SortFunc(sp, opt.Cmp)
 		splitters = sp
 	}
-	splitters, err = collective.Bcast(c, root, base+tagSplit, splitters)
+	splitters, err := collective.Bcast(c, root, base+tagSplit, splitters)
 	if err != nil {
-		return nil, rounds, totalProbes, err
+		return nil, info, err
 	}
 	rv, err := collective.Bcast(c, root, base+tagInfo, []int64{int64(rounds), totalProbes})
 	if err != nil {
-		return nil, rounds, totalProbes, err
+		return nil, info, err
 	}
 	// The one-time validation that lets exchange.Partition skip its
 	// per-call O(B) re-check.
 	exchange.ValidateSplitters(splitters, opt.Cmp)
-	return splitters, int(rv[0]), rv[1], nil
+	info.Rounds, info.TotalSample = int(rv[0]), rv[1]
+	return splitters, info, nil
 }
 
 // synthesizeProbes emits the next round's probe keys, or nil when every
 // splitter search has converged.
-func synthesizeProbes[K any](searches []splitterSearch, tracker *histogram.Tracker[K], opt Options[K]) []K {
+func synthesizeProbes[K any](searches []splitterSearch, tracker *histogram.Tracker[K], cmp func(K, K) int, opt Options[K]) []K {
 	var codes []uint64
 	for i := range searches {
 		s := &searches[i]
@@ -488,13 +209,13 @@ func synthesizeProbes[K any](searches []splitterSearch, tracker *histogram.Track
 		probes[i] = opt.Coder.Decode(cd)
 	}
 	// Decoding can introduce comparator-level duplicates; compact again.
-	probes = slices.CompactFunc(probes, func(a, b K) bool { return opt.Cmp(a, b) == 0 })
+	probes = slices.CompactFunc(probes, func(a, b K) bool { return cmp(a, b) == 0 })
 	return probes
 }
 
 // narrow shrinks each splitter's code interval using the round's global
 // ranks, the key-space analogue of the tracker's rank bounds.
-func narrow[K any](searches []splitterSearch, tracker *histogram.Tracker[K], probes []K, ranks []int64, opt Options[K]) {
+func narrow[K any](searches []splitterSearch, tracker *histogram.Tracker[K], probes []K, ranks []int64, coder keycoder.Coder[K]) {
 	for i := range searches {
 		s := &searches[i]
 		if s.done || tracker.Finalized(i) {
@@ -505,7 +226,7 @@ func narrow[K any](searches []splitterSearch, tracker *histogram.Tracker[K], pro
 		}
 		target := tracker.Target(i)
 		for j, q := range probes {
-			code := opt.Coder.Encode(q)
+			code := coder.Encode(q)
 			if code < s.lo || code > s.hi {
 				continue
 			}

@@ -15,17 +15,21 @@ import (
 
 func icmp(a, b int64) int { return cmp.Compare(a, b) }
 
-func baseOpt() Options[int64] {
-	return Options[int64]{Cmp: icmp, Coder: keycoder.Int64{}, Epsilon: 0.1}
+func baseOpt() core.Options[int64] {
+	return core.Options[int64]{Cmp: icmp, Epsilon: 0.1}
 }
 
-func trySort(shards [][]int64, opt Options[int64]) ([][]int64, core.Stats, error) {
+func baseProbe() Options[int64] {
+	return Options[int64]{Coder: keycoder.Int64{}}
+}
+
+func trySort(shards [][]int64, opt core.Options[int64], h Options[int64]) ([][]int64, core.Stats, error) {
 	p := len(shards)
 	outs := make([][]int64, p)
 	var stats core.Stats
 	w := comm.NewWorld(p, comm.WithTimeout(120*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := Sort(c, shards[c.Rank()], opt, h)
 		if err != nil {
 			return err
 		}
@@ -68,7 +72,7 @@ func TestHistSortUniform(t *testing.T) {
 	const p, perRank = 6, 1500
 	spec := dist.Spec{Kind: dist.Uniform, Min: 0, Max: 1 << 30}
 	shards := spec.Shards(perRank, p, 3)
-	outs, stats, err := trySort(clone(shards), baseOpt())
+	outs, stats, err := trySort(clone(shards), baseOpt(), baseProbe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +91,11 @@ func TestHistSortSkewNeedsMoreRoundsThanUniform(t *testing.T) {
 	const p, perRank = 6, 1500
 	uni := dist.Spec{Kind: dist.Uniform, Min: 0, Max: 1 << 50}
 	skew := dist.Spec{Kind: dist.PowerSkew, Min: 0, Max: 1 << 50, Param: 8}
-	_, uniStats, err := trySort(clone(uni.Shards(perRank, p, 5)), baseOpt())
+	_, uniStats, err := trySort(clone(uni.Shards(perRank, p, 5)), baseOpt(), baseProbe())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, skewStats, err := trySort(clone(skew.Shards(perRank, p, 5)), baseOpt())
+	_, skewStats, err := trySort(clone(skew.Shards(perRank, p, 5)), baseOpt(), baseProbe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +110,15 @@ func TestHistSortSkewNeedsMoreRoundsThanUniform(t *testing.T) {
 func TestHistSortMoreProbesFewerRounds(t *testing.T) {
 	const p, perRank = 4, 1000
 	spec := dist.Spec{Kind: dist.Gaussian, Min: 0, Max: 1 << 40}
-	one := baseOpt()
+	one := baseProbe()
 	one.ProbesPerSplitter = 1
-	many := baseOpt()
+	many := baseProbe()
 	many.ProbesPerSplitter = 8
-	_, oneStats, err := trySort(clone(spec.Shards(perRank, p, 7)), one)
+	_, oneStats, err := trySort(clone(spec.Shards(perRank, p, 7)), baseOpt(), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, manyStats, err := trySort(clone(spec.Shards(perRank, p, 7)), many)
+	_, manyStats, err := trySort(clone(spec.Shards(perRank, p, 7)), baseOpt(), many)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +137,9 @@ func TestHistSortDuplicatesTerminate(t *testing.T) {
 			shards[r][i] = int64(i % 3) // three distinct values
 		}
 	}
-	opt := baseOpt()
-	opt.MaxRounds = 70
-	outs, _, err := trySort(clone(shards), opt)
+	h := baseProbe()
+	h.MaxRounds = 70
+	outs, _, err := trySort(clone(shards), baseOpt(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +148,13 @@ func TestHistSortDuplicatesTerminate(t *testing.T) {
 
 func TestHistSortSingleRankAndEmpty(t *testing.T) {
 	shards := [][]int64{{9, 1, 5}}
-	outs, _, err := trySort(clone(shards), baseOpt())
+	outs, _, err := trySort(clone(shards), baseOpt(), baseProbe())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGloballySorted(t, shards, outs)
 
-	outs, _, err = trySort([][]int64{{}, {}}, baseOpt())
+	outs, _, err = trySort([][]int64{{}, {}}, baseOpt(), baseProbe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +166,10 @@ func TestHistSortSingleRankAndEmpty(t *testing.T) {
 }
 
 func TestHistSortRejectsMissingDeps(t *testing.T) {
-	if _, _, err := trySort([][]int64{{1}}, Options[int64]{Coder: keycoder.Int64{}}); err == nil {
+	if _, _, err := trySort([][]int64{{1}}, core.Options[int64]{}, baseProbe()); err == nil {
 		t.Error("missing Cmp accepted")
 	}
-	if _, _, err := trySort([][]int64{{1}}, Options[int64]{Cmp: icmp}); err == nil {
+	if _, _, err := trySort([][]int64{{1}}, core.Options[int64]{Cmp: icmp}, Options[int64]{}); err == nil {
 		t.Error("missing Coder accepted")
 	}
 }
@@ -180,8 +184,9 @@ func TestHistSortProperty(t *testing.T) {
 		}
 		opt := baseOpt()
 		opt.Epsilon = 0.2
-		opt.ProbesPerSplitter = 4
-		outs, _, err := trySort(clone(shards), opt)
+		h := baseProbe()
+		h.ProbesPerSplitter = 4
+		outs, _, err := trySort(clone(shards), opt, h)
 		if err != nil {
 			t.Log(err)
 			return false

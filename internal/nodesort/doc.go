@@ -5,10 +5,11 @@
 //
 // With c cores per node and n = p/c nodes, the optimization (a) shrinks
 // the histogramming problem from p-1 splitters to n-1 (the paper's
-// example: 250 MB → 12 MB of sample on BlueGene/L geometry), and (b)
-// reduces the all-to-all from p(p-1) messages to n(n-1). After the
-// node-level exchange, each node redistributes its bucket among its own
-// cores — the paper uses sample sort with regular sampling there; with
+// example: 250 MB → 12 MB of sample on BlueGene/L geometry) — that half
+// is core's front half run over n buckets — and (b) reduces the
+// all-to-all from p(p-1) messages to n(n-1), the data movement this
+// package adds. After the node-level exchange, each node redistributes
+// its bucket among its own cores — the paper uses sample sort with regular sampling there; with
 // the node's data assembled in one address space this degenerates to
 // exact quantile splitting, which is what we do.
 //

@@ -4,227 +4,62 @@ import (
 	"fmt"
 	"time"
 
-	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
 	"hssort/internal/merge"
-	"hssort/internal/par"
-	"hssort/internal/spill"
 )
 
-// Options configures a two-level node sort. Cmp and CoresPerNode are
-// required.
-type Options[K any] struct {
-	// Cmp is the three-way key comparator.
-	Cmp func(K, K) int
-	// Code, when set, must be an order-preserving uint64 extractor for
-	// Cmp; the compute hot paths (local sort, partition cuts, the
-	// leaders' combine and node-level merges) then run on the
-	// comparator-free code plane (see core.Options.Code).
-	Code func(K) uint64
-	// PrefixCode marks Code as a non-injective prefix extractor (see
-	// core.Options.PrefixCode): local sorts repair equal-code spans with
-	// the comparator, node-level splitter determination runs in code
-	// space, and the leaders' combine and node-level merges tie-break
-	// equal codes. Requires Code.
-	PrefixCode bool
-	// CoresPerNode is the node width c; the world size must be a
-	// multiple of c.
-	CoresPerNode int
-	// Epsilon is the node-level imbalance threshold (the paper uses
-	// 0.02 for node-level partitioning). Default 0.02.
-	Epsilon float64
-	// Schedule, Seed, OversampleFactor configure the node-level HSS
-	// splitter determination (see core.Options).
-	Schedule         core.Schedule
-	Seed             uint64
-	OversampleFactor float64
-	// ChunkKeys, when positive, streams the node-to-node exchange in
-	// chunks overlapped with the node-level merge (see
-	// core.Options.ChunkKeys). 0 = materializing exchange.
-	ChunkKeys int
-	// Workers is the size of this rank's compute worker pool (see
-	// core.Options.Workers). <=1 keeps every kernel serial. Leaders use
-	// the pool for the combine and node-level merges as well.
-	Workers int
-	// Splitters, when non-nil, injects pre-determined node-level
-	// splitters — n-1 keys for n nodes, non-decreasing, identical on
-	// every rank — and skips splitter determination (see
-	// core.Options.Splitters).
-	Splitters []K
-	// StaleBound arms the staleness guard for injected Splitters (see
-	// core.Options.StaleBound), measured over node buckets. 0 disables
-	// it.
-	StaleBound float64
-	// Scratch, when non-nil, is this rank's reusable exchange state for
-	// the node-to-node leader exchange (see core.Options.Scratch).
-	Scratch *exchange.Scratch[K]
-	// Spill, when non-nil, is this rank's out-of-core manager (see
-	// core.Options.Spill). nil keeps every phase in memory.
-	Spill *spill.Manager
-	// BaseTag is the start of the tag range (~40 tags). Default 7000.
-	BaseTag comm.Tag
-}
-
-func (o Options[K]) withDefaults(p int) (Options[K], error) {
-	if o.Cmp == nil {
-		return o, fmt.Errorf("nodesort: Options.Cmp is required")
-	}
-	if o.PrefixCode && o.Code == nil {
-		return o, fmt.Errorf("nodesort: PrefixCode requires Code")
-	}
-	if o.CoresPerNode < 1 {
-		return o, fmt.Errorf("nodesort: CoresPerNode %d < 1", o.CoresPerNode)
-	}
-	if p%o.CoresPerNode != 0 {
-		return o, fmt.Errorf("nodesort: world size %d not a multiple of CoresPerNode %d", p, o.CoresPerNode)
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.02
-	}
-	if o.Epsilon < 0 {
-		return o, fmt.Errorf("nodesort: Epsilon %v < 0", o.Epsilon)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.ChunkKeys < 0 {
-		return o, fmt.Errorf("nodesort: ChunkKeys %d < 0", o.ChunkKeys)
-	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("nodesort: StaleBound %v < 0", o.StaleBound)
-	}
-	if o.Splitters != nil && len(o.Splitters) != p/o.CoresPerNode-1 {
-		return o, fmt.Errorf("nodesort: %d injected splitters for %d nodes (want %d)", len(o.Splitters), p/o.CoresPerNode, p/o.CoresPerNode-1)
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 7000
-	}
-	return o, nil
-}
-
-// Tag offsets within BaseTag.
+// The two-level data movement's layout of the skeleton's exchange tags.
 const (
-	tagSplitter = 10 // node-level HSS (core.TagSpan tags)
-	tagCombine  = 25 // intra-node run gather
-	tagNodeEx   = 26 // node-to-node exchange
-	tagScatter  = 27 // within-node scatter
-	tagStats    = 28 // stats all-reduce (+1)
-	tagStale    = 30 // staleness-guard node-load all-reduce
+	tagCombine = core.TagExchange + iota // intra-node run gather
+	tagNodeEx                            // node-to-node exchange
+	tagScatter                           // within-node scatter
 )
 
 // Sort runs the two-level sort and returns this rank's globally sorted
-// partition (rank order = global order). Every rank must call Sort with
-// the same Options. The input is consumed.
-func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, error) {
-	opt, err := opt.withDefaults(c.Size())
+// partition (rank order = global order): the skeleton's front half
+// (core.FrontHalf) under the HSS strategy, retargeted at node-level
+// partitioning — all p ranks participate, but only n-1 splitters are
+// sought (§6.1: "data partitioning needs to be only across physical
+// nodes") — then its own data movement. coresPerNode is the node width
+// c; the world size must be a multiple of it. opt.Buckets is forced to
+// the node count n = p/c, so injected Splitters are n-1 node-level keys
+// and StaleBound is measured over node buckets; opt.Epsilon defaults to
+// 0.02, the paper's node-level threshold; opt.Owner is unused; on leaders
+// opt.Workers also serves the combine and node-level merges and
+// opt.Scratch the leader exchange. Every rank must call Sort with the
+// same arguments. The input is consumed.
+func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], coresPerNode int) ([]K, core.Stats, error) {
+	p := c.Size()
+	cores := coresPerNode
+	if cores < 1 {
+		return nil, core.Stats{}, fmt.Errorf("nodesort: coresPerNode %d < 1", cores)
+	}
+	if p%cores != 0 {
+		return nil, core.Stats{}, fmt.Errorf("nodesort: world size %d not a multiple of coresPerNode %d", p, cores)
+	}
+	nodes := p / cores
+	opt.Buckets = nodes
+	if opt.Epsilon == 0 {
+		opt.Epsilon = 0.02
+	}
+	f, err := core.FrontHalf(c, local, opt, core.HSS[K]())
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	p := c.Size()
-	me := c.Rank()
-	cores := opt.CoresPerNode
-	nodes := p / cores
-	node := me / cores
-	leaderRank := node * cores
-	isLeader := me == leaderRank
-	base := opt.BaseTag
-	pool := par.New(opt.Workers)
-	var stats core.Stats
-	stats.Buckets = nodes
-	stats.Workers = pool.Workers()
-
-	t0 := time.Now()
-	var localCodes []codes.Code
-	var collisions int64
-	if opt.PrefixCode {
-		// Prefix plane: radix-sort the code decoration, then restore
-		// comparator order within equal-code spans (see
-		// core.Options.PrefixCode). Never budgeted: the root validation
-		// rejects MemoryBudget for variable-length keys.
-		localCodes = codes.SortByCodePar(local, opt.Code, pool)
-		collisions = codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
-	} else {
-		localCodes, err = spill.LocalSort(opt.Spill, local, opt.Code, opt.Cmp, pool)
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	localSort := time.Since(t0)
-
-	// Node-level splitter determination: all p ranks participate, but
-	// only n-1 splitters are sought (§6.1: "data partitioning needs to
-	// be only across physical nodes").
-	nVec, err := collective.AllReduce(c, base, []int64{int64(len(local))}, collective.SumInt64)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.N = nVec[0]
+	opt, stats, pool := f.Opt, f.Stats, f.Pool
 	if stats.N == 0 {
 		// Nothing to move: every rank returns empty, consistently.
 		stats.Imbalance = 1
-		stats.LocalSort = localSort
+		stats.LocalSort = f.Times.LocalSort
 		return []K{}, stats, nil
 	}
-	determine := func() ([]K, core.SplitterInfo, error) {
-		return core.DetermineSplitters(c, local, stats.N, core.Options[K]{
-			Cmp:              opt.Cmp,
-			Epsilon:          opt.Epsilon,
-			Buckets:          nodes,
-			Schedule:         opt.Schedule,
-			Seed:             opt.Seed,
-			OversampleFactor: opt.OversampleFactor,
-			BaseTag:          base + tagSplitter,
-		})
-	}
-	// On the prefix plane determination runs in code space over the
-	// sorted code decoration — node-level splitter traffic stays
-	// fixed-size code points regardless of key length — and partition
-	// consumes the splitter codes directly.
-	determineCodes := func() ([]codes.Code, core.SplitterInfo, error) {
-		return core.DetermineSplitters(c, localCodes, stats.N, core.Options[codes.Code]{
-			Cmp:              codes.Compare,
-			Code:             codes.ExtractCode,
-			Epsilon:          opt.Epsilon,
-			Buckets:          nodes,
-			Schedule:         opt.Schedule,
-			Seed:             opt.Seed,
-			OversampleFactor: opt.OversampleFactor,
-			BaseTag:          base + tagSplitter,
-		})
-	}
-	bytes0 := c.Counters().BytesSent
-	t1 := time.Now()
-	splitters := opt.Splitters
-	var spCodes []codes.Code
-	var info core.SplitterInfo
-	switch {
-	case opt.PrefixCode && splitters != nil:
-		spCodes = codes.Extract(splitters, opt.Code)
-		exchange.ValidateSplitters(spCodes, codes.Compare)
-	case opt.PrefixCode:
-		spCodes, info, err = determineCodes()
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = info.Rounds
-		stats.SamplePerRound = info.SamplePerRound
-		stats.TotalSample = info.TotalSample
-	case splitters != nil:
-		exchange.ValidateSplitters(splitters, opt.Cmp)
-	default:
-		splitters, info, err = determine()
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds = info.Rounds
-		stats.SamplePerRound = info.SamplePerRound
-		stats.TotalSample = info.TotalSample
-	}
-	splitterTime := time.Since(t1)
-	splitterBytes := c.Counters().BytesSent - bytes0
+	me := c.Rank()
+	leaderRank := me / cores * cores
+	isLeader := me == leaderRank
+	base := opt.BaseTag
 
 	// Build this node's group; node g occupies ranks [g·c, (g+1)·c).
 	members := make([]int, cores)
@@ -239,49 +74,9 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	// Message combining (§6.1): every core hands its n partitioned runs
 	// to the node leader by reference (shared memory), so the network
 	// sees nothing yet.
-	partition := func(sp []K, spc []codes.Code) [][]K {
-		if opt.PrefixCode {
-			return exchange.PartitionByCodePar(local, localCodes, spc, pool)
-		}
-		if localCodes != nil {
-			return exchange.PartitionByCodePar(local, localCodes, codes.Extract(sp, opt.Code), pool)
-		}
-		return exchange.PartitionPar(local, sp, opt.Cmp, pool)
-	}
-	runs := partition(splitters, spCodes)
-
-	// Staleness guard for injected node-level splitters: all p ranks
-	// all-reduce the node-bucket loads; a stale plan re-histograms. The
-	// guard and any replan are splitter-determination work.
-	if opt.Splitters != nil && opt.StaleBound > 0 {
-		t1g := time.Now()
-		imb, _, err := exchange.RunsImbalance(c, base+tagStale, runs)
-		if err != nil {
-			return nil, stats, err
-		}
-		if imb > opt.StaleBound {
-			stats.Replanned = true
-			var info core.SplitterInfo
-			if opt.PrefixCode {
-				spCodes, info, err = determineCodes()
-			} else {
-				splitters, info, err = determine()
-			}
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.Rounds = info.Rounds
-			stats.SamplePerRound = info.SamplePerRound
-			stats.TotalSample = info.TotalSample
-			runs = partition(splitters, spCodes)
-		}
-		splitterTime += time.Since(t1g)
-		splitterBytes = c.Counters().BytesSent - bytes0
-	}
-
 	bytes1 := c.Counters().BytesSent
 	t2 := time.Now()
-	gathered, err := collective.Gatherv(group, 0, base+tagCombine, runs)
+	gathered, err := collective.Gatherv(group, 0, base+tagCombine, f.Runs)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -354,22 +149,17 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	mergeTime := nodeMergeTime + time.Since(t3)
 	stats.LocalCount = len(out)
 
+	m := f.Times
+	m.ExchangeBytes = exchangeBytes
+	m.Exchange += exchangeTime
+	m.Merge = mergeTime
+	m.Overlap = sst.Overlap
+	m.PeakInFlight = sst.PeakInFlight
+	m.OutCount = len(out)
 	pc := pool.Counters()
-	if err := core.FinishStats(c, base+tagStats, &stats, core.PhaseTimes{
-		SplitterBytes:    splitterBytes,
-		ExchangeBytes:    exchangeBytes,
-		LocalSort:        localSort,
-		Splitter:         splitterTime,
-		Exchange:         exchangeTime,
-		Merge:            mergeTime,
-		Overlap:          sst.Overlap,
-		PeakInFlight:     sst.PeakInFlight,
-		OutCount:         len(out),
-		ParSpawned:       pc.Spawned,
-		ParTasks:         pc.Tasks,
-		PrefixCollisions: collisions,
-		Spill:            opt.Spill.TakeStats(),
-	}); err != nil {
+	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
+	m.Spill = opt.Spill.TakeStats()
+	if err := core.FinishStats(c, base+core.TagStats, &stats, m); err != nil {
 		return nil, stats, err
 	}
 	return out, stats, nil

@@ -14,13 +14,13 @@ import (
 
 func icmp(a, b int64) int { return cmp.Compare(a, b) }
 
-func trySort(shards [][]int64, opt Options[int64]) ([][]int64, core.Stats, *comm.World, error) {
+func trySort(shards [][]int64, opt core.Options[int64], cores int) ([][]int64, core.Stats, *comm.World, error) {
 	p := len(shards)
 	outs := make([][]int64, p)
 	var stats core.Stats
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := Sort(c, shards[c.Rank()], opt, cores)
 		if err != nil {
 			return err
 		}
@@ -66,9 +66,7 @@ func TestNodeSortConfigurations(t *testing.T) {
 	} {
 		spec := dist.Spec{Kind: dist.Uniform}
 		shards := spec.Shards(perRank, cfg.p, 3)
-		outs, stats, _, err := trySort(clone(shards), Options[int64]{
-			Cmp: icmp, CoresPerNode: cfg.c, Epsilon: 0.05,
-		})
+		outs, stats, _, err := trySort(clone(shards), core.Options[int64]{Cmp: icmp, Epsilon: 0.05}, cfg.c)
 		if err != nil {
 			t.Fatalf("p=%d c=%d: %v", cfg.p, cfg.c, err)
 		}
@@ -88,7 +86,7 @@ func TestNodeSortSkewed(t *testing.T) {
 	for _, kind := range []dist.Kind{dist.Exponential, dist.Staircase, dist.PowerSkew} {
 		spec := dist.Spec{Kind: kind}
 		shards := spec.Shards(perRank, p, 7)
-		outs, _, _, err := trySort(clone(shards), Options[int64]{Cmp: icmp, CoresPerNode: c})
+		outs, _, _, err := trySort(clone(shards), core.Options[int64]{Cmp: icmp}, c)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -122,7 +120,7 @@ func TestNodeSortReducesMessages(t *testing.T) {
 	}
 
 	shards := spec.Shards(perRank, p, 5)
-	_, _, nodeWorld, err := trySort(shards, Options[int64]{Cmp: icmp, CoresPerNode: c, Epsilon: 0.05})
+	_, _, nodeWorld, err := trySort(shards, core.Options[int64]{Cmp: icmp, Epsilon: 0.05}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,19 +132,19 @@ func TestNodeSortReducesMessages(t *testing.T) {
 }
 
 func TestNodeSortValidation(t *testing.T) {
-	if _, _, _, err := trySort([][]int64{{1}, {2}}, Options[int64]{CoresPerNode: 2}); err == nil {
+	if _, _, _, err := trySort([][]int64{{1}, {2}}, core.Options[int64]{}, 2); err == nil {
 		t.Error("missing Cmp accepted")
 	}
-	if _, _, _, err := trySort([][]int64{{1}, {2}}, Options[int64]{Cmp: icmp}); err == nil {
+	if _, _, _, err := trySort([][]int64{{1}, {2}}, core.Options[int64]{Cmp: icmp}, 0); err == nil {
 		t.Error("CoresPerNode=0 accepted")
 	}
-	if _, _, _, err := trySort([][]int64{{1}, {2}, {3}}, Options[int64]{Cmp: icmp, CoresPerNode: 2}); err == nil {
+	if _, _, _, err := trySort([][]int64{{1}, {2}, {3}}, core.Options[int64]{Cmp: icmp}, 2); err == nil {
 		t.Error("p=3, c=2 accepted")
 	}
 }
 
 func TestNodeSortEmpty(t *testing.T) {
-	outs, _, _, err := trySort([][]int64{{}, {}, {}, {}}, Options[int64]{Cmp: icmp, CoresPerNode: 2})
+	outs, _, _, err := trySort([][]int64{{}, {}, {}, {}}, core.Options[int64]{Cmp: icmp}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +164,7 @@ func TestNodeSortProperty(t *testing.T) {
 		for r := range shards {
 			shards[r] = spec.Shard(int(seed%300)+30, r, cfg.p, uint64(seed))
 		}
-		outs, _, _, err := trySort(clone(shards), Options[int64]{
-			Cmp: icmp, CoresPerNode: cfg.c, Epsilon: 0.1, Seed: uint64(seed) + 1,
-		})
+		outs, _, _, err := trySort(clone(shards), core.Options[int64]{Cmp: icmp, Epsilon: 0.1, Seed: uint64(seed) + 1}, cfg.c)
 		if err != nil {
 			t.Log(err)
 			return false

@@ -7,7 +7,7 @@
 //   - Random sampling (Blelloch et al., §4.1.1): one random key per block,
 //     s = Θ(log N/ε²) per processor for the same guarantee w.h.p.
 //
-// The data-movement phase is identical to HSS (the paper's point of
-// comparison is purely the splitter-determination cost), so both reuse
-// internal/exchange and report core.Stats.
+// The paper's point of comparison is purely the splitter-determination
+// cost, so the package holds only that: the sampling phase as a
+// core.Strategy. Everything around it is core's sort skeleton.
 package samplesort

@@ -17,22 +17,22 @@ func icmp(a, b int64) int { return cmp.Compare(a, b) }
 // Stats aliases core.Stats for test brevity.
 type Stats = core.Stats
 
-func runSort(t *testing.T, shards [][]int64, opt Options[int64]) ([][]int64, Stats) {
+func runSort(t *testing.T, shards [][]int64, opt core.Options[int64], s Options) ([][]int64, Stats) {
 	t.Helper()
-	outs, stats, err := trySort(shards, opt)
+	outs, stats, err := trySort(shards, opt, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return outs, stats
 }
 
-func trySort(shards [][]int64, opt Options[int64]) ([][]int64, Stats, error) {
+func trySort(shards [][]int64, opt core.Options[int64], s Options) ([][]int64, Stats, error) {
 	p := len(shards)
 	outs := make([][]int64, p)
 	var stats Stats
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		out, st, err := Sort(c, shards[c.Rank()], opt)
+		out, st, err := Sort(c, shards[c.Rank()], opt, s)
 		if err != nil {
 			return err
 		}
@@ -69,7 +69,7 @@ func TestRegularSamplingBalanceGuarantee(t *testing.T) {
 	spec := dist.Spec{Kind: dist.PowerSkew}
 	shards := spec.Shards(perRank, p, 3)
 	in := clone(shards)
-	outs, stats := runSort(t, in, Options[int64]{Cmp: icmp, Epsilon: 0.1, Method: Regular})
+	outs, stats := runSort(t, in, core.Options[int64]{Cmp: icmp, Epsilon: 0.1}, Options{Method: Regular})
 	checkGloballySorted(t, shards, outs)
 	if stats.Imbalance > 1.1+1e-9 {
 		t.Errorf("regular sampling imbalance %.4f exceeds guarantee", stats.Imbalance)
@@ -85,7 +85,7 @@ func TestRandomSamplingBalance(t *testing.T) {
 	spec := dist.Spec{Kind: dist.Gaussian}
 	shards := spec.Shards(perRank, p, 5)
 	in := clone(shards)
-	outs, stats := runSort(t, in, Options[int64]{Cmp: icmp, Epsilon: 0.1, Method: Random, Seed: 2})
+	outs, stats := runSort(t, in, core.Options[int64]{Cmp: icmp, Epsilon: 0.1, Seed: 2}, Options{Method: Random})
 	checkGloballySorted(t, shards, outs)
 	if stats.Imbalance > 1.1+1e-9 {
 		t.Errorf("random sampling imbalance %.4f", stats.Imbalance)
@@ -98,9 +98,8 @@ func TestOversampleCapTradesBalance(t *testing.T) {
 	spec := dist.Spec{Kind: dist.Uniform}
 	shards := spec.Shards(perRank, p, 7)
 	in := clone(shards)
-	outs, stats := runSort(t, in, Options[int64]{
-		Cmp: icmp, Epsilon: 0.05, Method: Regular, MaxOversample: 8,
-	})
+	outs, stats := runSort(t, in, core.Options[int64]{Cmp: icmp, Epsilon: 0.05},
+		Options{Method: Regular, MaxOversample: 8})
 	checkGloballySorted(t, shards, outs)
 	if stats.TotalSample > int64(p*8) {
 		t.Errorf("cap ignored: sample %d", stats.TotalSample)
@@ -112,8 +111,8 @@ func TestSampleSizeScalesWithMethod(t *testing.T) {
 	// random sampling at the same ε for moderate N.
 	const p, perRank = 8, 1000
 	spec := dist.Spec{Kind: dist.Uniform}
-	_, regStats := runSort(t, spec.Shards(perRank, p, 9), Options[int64]{Cmp: icmp, Epsilon: 0.02, Method: Regular})
-	_, rndStats := runSort(t, spec.Shards(perRank, p, 9), Options[int64]{Cmp: icmp, Epsilon: 0.02, Method: Random})
+	_, regStats := runSort(t, spec.Shards(perRank, p, 9), core.Options[int64]{Cmp: icmp, Epsilon: 0.02}, Options{Method: Regular})
+	_, rndStats := runSort(t, spec.Shards(perRank, p, 9), core.Options[int64]{Cmp: icmp, Epsilon: 0.02}, Options{Method: Random})
 	if regStats.TotalSample <= rndStats.TotalSample {
 		t.Skipf("regular %d vs random %d: N too small for the asymptotic gap", regStats.TotalSample, rndStats.TotalSample)
 	}
@@ -121,11 +120,11 @@ func TestSampleSizeScalesWithMethod(t *testing.T) {
 
 func TestSingleRankAndEmpty(t *testing.T) {
 	shards := [][]int64{{3, 1, 2}}
-	outs, _ := runSort(t, clone(shards), Options[int64]{Cmp: icmp})
+	outs, _ := runSort(t, clone(shards), core.Options[int64]{Cmp: icmp}, Options{})
 	checkGloballySorted(t, shards, outs)
 
 	empty := [][]int64{{}, {}}
-	outs, _ = runSort(t, empty, Options[int64]{Cmp: icmp})
+	outs, _ = runSort(t, empty, core.Options[int64]{Cmp: icmp}, Options{})
 	for _, o := range outs {
 		if len(o) != 0 {
 			t.Errorf("empty input gave %v", o)
@@ -134,7 +133,7 @@ func TestSingleRankAndEmpty(t *testing.T) {
 }
 
 func TestMissingCmpRejected(t *testing.T) {
-	_, _, err := trySort([][]int64{{1}, {2}}, Options[int64]{})
+	_, _, err := trySort([][]int64{{1}, {2}}, core.Options[int64]{}, Options{})
 	if err == nil {
 		t.Fatal("missing Cmp accepted")
 	}
@@ -158,9 +157,8 @@ func TestSampleSortProperty(t *testing.T) {
 		for r := range shards {
 			shards[r] = spec.Shard(int(seed%500)+20, r, p, uint64(seed))
 		}
-		outs, _, err := trySort(clone(shards), Options[int64]{
-			Cmp: icmp, Epsilon: 0.2, Method: method, Seed: uint64(seed) + 1, MaxOversample: 200,
-		})
+		outs, _, err := trySort(clone(shards), core.Options[int64]{Cmp: icmp, Epsilon: 0.2, Seed: uint64(seed) + 1},
+			Options{Method: method, MaxOversample: 200})
 		if err != nil {
 			t.Log(err)
 			return false

@@ -252,6 +252,49 @@ func TestPeerCrashMidExchange(t *testing.T) {
 	}
 }
 
+// TestPeerCrashPhaseMatrix: Config.Chaos.CrashPhase names a phase of
+// the one sort skeleton, so it fires under every splitter strategy and
+// under NodeHSS's two-level data movement alike — each cell fails fast
+// with a *PeerCrashError naming the victim, and every engine closes
+// without leaking goroutines. (With per-algorithm tag ranges the phase
+// silently never matched outside HSS and the sort finished with a nil
+// error.)
+func TestPeerCrashPhaseMatrix(t *testing.T) {
+	const p, perRank, victim = 4, 800, 2
+	before := runtime.NumGoroutine()
+	for _, alg := range []Algorithm{HSS, SampleSortRegular, HistogramSort, NodeHSS} {
+		for _, phase := range []string{"splitter", "exchange"} {
+			t.Run(fmt.Sprintf("%v/%s", alg, phase), func(t *testing.T) {
+				engine, err := New[int64](Config{
+					Procs: p, Algorithm: alg, CoresPerNode: 2, Epsilon: 0.05, Seed: 3,
+					Transport: TransportSim,
+					Chaos:     &ChaosConfig{Seed: 7, CrashRank: victim, CrashPhase: phase},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer engine.Close()
+				_, _, err = engine.Sort(context.Background(), chaosShards(p, perRank))
+				var crash *PeerCrashError
+				if !errors.As(err, &crash) {
+					t.Fatalf("crashed sort returned %v, want a *PeerCrashError", err)
+				}
+				if crash.Rank != victim {
+					t.Errorf("PeerCrashError names rank %d, want %d", crash.Rank, victim)
+				}
+			})
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after crash + Close: %d > baseline %d",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestRejoinThenSort: after a mid-sort crash, respawning the victim
 // rank heals the same engine — the next Sort completes and is
 // rank-identical to the sim oracle (the lost rank's shard re-executes

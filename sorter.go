@@ -11,11 +11,9 @@ import (
 
 	"hssort/internal/bitonic"
 	"hssort/internal/codes"
-	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
-	"hssort/internal/histogram"
 	"hssort/internal/histsort"
 	"hssort/internal/keycoder"
 	"hssort/internal/nodesort"
@@ -170,9 +168,7 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 		return nil, fmt.Errorf("hssort: SpillDir is set but MemoryBudget is 0 (the out-of-core plane is off)")
 	}
 	if cfg.MemoryBudget > 0 {
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		default:
+		if !splitterBased(cfg.Algorithm) {
 			return nil, fmt.Errorf("hssort: MemoryBudget is not supported by %v", cfg.Algorithm)
 		}
 		if cfg.TagDuplicates {
@@ -350,7 +346,7 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if s.cfg.TagDuplicates {
 		return fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
 	}
-	if !planCapable(s.cfg.Algorithm) {
+	if !splitterBased(s.cfg.Algorithm) {
 		return fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
 	}
 	if plan.procs == 0 {
@@ -359,7 +355,7 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if plan.procs != s.cfg.Procs {
 		return fmt.Errorf("hssort: plan prepared for %d procs, engine has %d", plan.procs, s.cfg.Procs)
 	}
-	if want := s.effectiveBuckets(); plan.Buckets != want {
+	if want := effectiveBuckets(s.cfg); plan.Buckets != want {
 		return fmt.Errorf("hssort: plan prepared for %d buckets, engine partitions into %d", plan.Buckets, want)
 	}
 	if len(plan.Splitters) != plan.Buckets-1 {
@@ -373,22 +369,35 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	return nil
 }
 
-// effectiveBuckets is the number of output ranges the engine's
-// configuration partitions into: Buckets (default Procs), or the node
-// count for NodeHSS.
-func (s *Sorter[K]) effectiveBuckets() int {
-	if s.cfg.Algorithm == NodeHSS {
-		return s.cfg.Procs / s.cfg.CoresPerNode
+// effectiveBuckets is the number of output ranges cfg partitions into:
+// Buckets (default Procs), or the node count for NodeHSS.
+func effectiveBuckets(cfg Config) int {
+	if cfg.Algorithm == NodeHSS {
+		return cfg.Procs / cfg.CoresPerNode
 	}
-	if s.cfg.Buckets != 0 {
-		return s.cfg.Buckets
+	if cfg.Buckets != 0 {
+		return cfg.Buckets
 	}
-	return s.cfg.Procs
+	return cfg.Procs
 }
 
-// planCapable reports whether the algorithm determines splitters — the
-// precondition for Plan and SortWithPlan.
-func planCapable(a Algorithm) bool {
+// effectiveEpsilon is the load-imbalance target ε cfg aims for: Epsilon,
+// defaulting to the paper's 0.05, or its tighter node-level 0.02 for
+// NodeHSS.
+func effectiveEpsilon(cfg Config) float64 {
+	switch {
+	case cfg.Epsilon != 0:
+		return cfg.Epsilon
+	case cfg.Algorithm == NodeHSS:
+		return 0.02
+	}
+	return 0.05
+}
+
+// splitterBased reports whether the algorithm determines splitters and
+// so runs on the sort skeleton — the precondition for Plan and
+// SortWithPlan, the streaming exchange and the out-of-core plane.
+func splitterBased(a Algorithm) bool {
 	switch a {
 	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
 		return true
@@ -588,7 +597,7 @@ func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
 	if s.cfg.TagDuplicates {
 		return nil, fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
 	}
-	if !planCapable(s.cfg.Algorithm) {
+	if !splitterBased(s.cfg.Algorithm) {
 		return nil, fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
 	}
 	empty := true
@@ -604,41 +613,47 @@ func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
 		// training time, not in the operation phase.
 		return nil, fmt.Errorf("hssort: cannot plan on empty input")
 	}
-	useBijective, _, usePrefix, err := s.resolvePlanes(shards, nil)
+	useBijective, useRecord, usePrefix, err := s.resolvePlanes(shards, nil)
 	if err != nil {
 		return nil, err
 	}
-	if useBijective {
-		res, err := runPlan(ctx, s, shards, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}),
-			func(r int) []codes.Code { return codes.EncodeSlice(s.coder, shards[r]) })
+	if useBijective || usePrefix {
+		// Both code planes plan over a sorted code array — each key's
+		// code on the bijective plane, its prefix code on the prefix
+		// plane, where (as in the prefix sorts) determination runs
+		// entirely in code space. The splitter codes decode back to keys,
+		// or materialize as their canonical 8-byte big-endian
+		// representatives: re-extraction at injection time (SortWithPlan)
+		// recovers exactly these codes.
+		res, err := runPlan(ctx, s, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}), codes.ExtractCode,
+			func(r int) []codes.Code {
+				if usePrefix {
+					return codes.Extract(shards[r], s.code)
+				}
+				return codes.EncodeSlice(s.coder, shards[r])
+			})
 		if err != nil {
 			return nil, err
 		}
 		plan := assemblePlan[K](s, res)
-		plan.Splitters = codes.DecodeSlice(s.coder, res.splitters)
-		return plan, nil
-	}
-	if usePrefix {
-		// Prefix plane: determination runs entirely in code space (as the
-		// prefix sorts do), and the splitter codes materialize as their
-		// canonical 8-byte big-endian representatives — re-extraction at
-		// injection time (SortWithPlan) recovers exactly these codes.
-		res, err := runPlan(ctx, s, shards, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}),
-			func(r int) []codes.Code { return codes.Extract(shards[r], s.code) })
-		if err != nil {
-			return nil, err
+		if usePrefix {
+			plan.Splitters = prefixSplitters[K](res.front.Splitters)
+		} else {
+			plan.Splitters = codes.DecodeSlice(s.coder, res.front.Splitters)
 		}
-		plan := assemblePlan[K](s, res)
-		plan.Splitters = prefixSplitters[K](res.splitters)
 		return plan, nil
 	}
-	res, err := runPlan(ctx, s, shards, s.compare, s.coder,
+	code := s.code
+	if !useRecord {
+		code = nil
+	}
+	res, err := runPlan(ctx, s, s.compare, s.coder, code,
 		func(r int) []K { return slices.Clone(shards[r]) })
 	if err != nil {
 		return nil, err
 	}
 	plan := assemblePlan[K](s, res)
-	plan.Splitters = res.splitters
+	plan.Splitters = res.front.Splitters
 	return plan, nil
 }
 
@@ -691,141 +706,58 @@ func prefixSplitters[K any](sp []codes.Code) []K {
 	return out
 }
 
-// planResult carries one plan run's outcome out of the worker world.
+// planResult carries one plan run's outcome out of the worker world:
+// rank 0's front half and the achieved ε measured on it (zero in a
+// process that does not host rank 0).
 type planResult[E any] struct {
-	splitters      []E
-	n              int64
-	rounds         int
-	samplePerRound []int64
-	totalSample    int64
-	finalized      bool
-	achieved       float64
+	front    core.Front[E]
+	achieved float64
 }
-
-// Plan-run tags, outside every algorithm's default BaseTag range (each
-// pool run starts from a clean transport, but keeping them disjoint
-// from the determination tags keeps the protocol readable).
-const (
-	planTagCount = 900 // global N all-reduce (+1)
-	planTagRanks = 910 // achieved-ε histogram all-reduce (+1)
-)
 
 // assemblePlan copies the run outcome into the public Plan shape
 // (Splitters are filled by the caller, which knows the plane).
 func assemblePlan[K any, E any](s *Sorter[K], res planResult[E]) *Plan[K] {
-	eps := s.cfg.Epsilon
-	if eps == 0 {
-		if s.cfg.Algorithm == NodeHSS {
-			eps = 0.02
-		} else {
-			eps = 0.05
-		}
-	}
+	st := res.front.Stats
 	return &Plan[K]{
-		Buckets:         s.effectiveBuckets(),
-		N:               res.n,
-		Rounds:          res.rounds,
-		SamplePerRound:  res.samplePerRound,
-		TotalSample:     res.totalSample,
-		Finalized:       res.finalized,
-		Epsilon:         eps,
+		Buckets:         effectiveBuckets(s.cfg),
+		N:               st.N,
+		Rounds:          st.Rounds,
+		SamplePerRound:  st.SamplePerRound,
+		TotalSample:     st.TotalSample,
+		Finalized:       res.front.Finalized,
+		Epsilon:         effectiveEpsilon(s.cfg),
 		AchievedEpsilon: res.achieved,
 		procs:           s.cfg.Procs,
 		alg:             s.cfg.Algorithm,
 	}
 }
 
-// runPlan executes the splitter-determination-only pipeline over the
-// engine's worker pool. localOf materializes rank r's working copy
+// runPlan executes a sort stopped early over the engine's worker pool:
+// the skeleton's front half — the very function every splitter-based
+// Sort runs, under the options and strategy splitterSort builds for
+// both — so a plan's splitters are exactly the ones the equivalent Sort
+// would have determined. localOf materializes rank r's working copy
 // (cloned or encoded — Plan never consumes the caller's shards).
-func runPlan[K, E any](ctx context.Context, s *Sorter[K], shards [][]K, compare func(E, E) int, coder keycoder.Coder[E], localOf func(r int) []E) (planResult[E], error) {
-	cfg := s.cfg
+func runPlan[K, E any](ctx context.Context, s *Sorter[K], compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, localOf func(r int) []E) (planResult[E], error) {
 	var res planResult[E]
 	err := s.pool.Run(ctx, func(c *comm.Comm) error {
-		r := c.Rank()
-		local := localOf(r)
-		if cs, ok := any(local).([]codes.Code); ok {
-			// The bijective and prefix planes: the same radix kernel Sort
-			// runs (a sorted code array is unique, so the plan is too).
-			codes.SortPar(cs, par.New(cfg.Workers))
-		} else {
-			slices.SortFunc(local, compare)
-		}
-
-		nVec, err := collective.AllReduce(c, planTagCount, []int64{int64(len(local))}, collective.SumInt64)
+		o, strat, err := splitterSort(s.cfg, compare, coder, code, false, injection[E]{})
 		if err != nil {
 			return err
 		}
-		n := nVec[0]
-
-		var sp []E
-		rounds, finalized := 0, true
-		var samplePerRound []int64
-		var totalSample int64
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, NodeHSS:
-			opts := hssDetOptions(cfg, compare)
-			if cfg.Algorithm == NodeHSS {
-				opts = nodeDetOptions(cfg, compare)
-			}
-			var info core.SplitterInfo
-			sp, info, err = core.DetermineSplitters(c, local, n, opts)
-			if err != nil {
-				return err
-			}
-			rounds = info.Rounds
-			samplePerRound = info.SamplePerRound
-			totalSample = info.TotalSample
-			finalized = info.Finalized
-		case SampleSortRegular, SampleSortRandom:
-			var size int64
-			sp, size, err = samplesort.DetermineSplitters(c, local, n, samplesortDetOptions(cfg, compare))
-			if err != nil {
-				return err
-			}
-			rounds = 1
-			samplePerRound = []int64{size}
-			totalSample = size
-		case HistogramSort:
-			var probes int64
-			sp, rounds, probes, err = histsort.DetermineSplitters(c, local, n, histsortDetOptions(cfg, compare, coder))
-			if err != nil {
-				return err
-			}
-			totalSample = probes
-		default:
-			return fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", cfg.Algorithm)
-		}
-
-		// Measure the plan's exact quality on the planning data: one
-		// more histogram round over the final splitters yields the
-		// global bucket loads, hence the achieved ε.
-		ranks := histogram.LocalRanks(local, sp, compare)
-		global, err := collective.AllReduce(c, planTagRanks, ranks, collective.SumInt64)
+		f, err := core.FrontHalf(c, localOf(c.Rank()), o, strat)
 		if err != nil {
 			return err
 		}
-		if r == 0 {
-			buckets := len(sp) + 1
-			var maxLoad, prev int64
-			for _, rk := range global {
-				maxLoad = max(maxLoad, rk-prev)
-				prev = rk
-			}
-			maxLoad = max(maxLoad, n-prev)
-			achieved := 0.0
-			if n > 0 {
-				achieved = float64(maxLoad)*float64(buckets)/float64(n) - 1
-			}
-			res = planResult[E]{
-				splitters:      sp,
-				n:              n,
-				rounds:         rounds,
-				samplePerRound: samplePerRound,
-				totalSample:    totalSample,
-				finalized:      finalized,
-				achieved:       achieved,
-			}
+		// Measure the plan's exact quality on the planning data: the
+		// front half has already cut this rank's runs, so one reduction
+		// of the bucket loads yields max·B/N = 1 + the achieved ε.
+		imb, err := f.BucketImbalance(c)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			res = planResult[E]{front: *f, achieved: imb - 1}
 		}
 		return nil
 	})
@@ -835,81 +767,66 @@ func runPlan[K, E any](ctx context.Context, s *Sorter[K], shards [][]K, compare 
 	return res, nil
 }
 
-// The *DetOptions builders are the single source of the
-// determination-relevant option wiring, shared by dispatch (full sorts)
-// and runPlan (plan-only runs): the Plan API's core invariant — the
-// splitters a Plan determines are exactly the ones the equivalent Sort
-// would have determined — holds because both paths build these options
-// through the same functions.
-
-// hssDetOptions wires Config into the HSS-variant splitter
-// determination options.
-func hssDetOptions[E any](cfg Config, compare func(E, E) int) core.Options[E] {
-	sched := core.FixedOversampling
+// splitterSort wires Config into the skeleton for the seven
+// splitter-based algorithms: core.Options, its shared part filled once
+// for all of them, and the algorithm's splitter strategy — the only
+// place they are told apart. dispatch (full sorts) and runPlan (the front
+// half alone) both build through it.
+func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool, inj injection[E]) (core.Options[E], core.Strategies[E], error) {
+	o := core.Options[E]{
+		Cmp:        compare,
+		Code:       code,
+		PrefixCode: prefix,
+		Epsilon:    effectiveEpsilon(cfg),
+		Buckets:    effectiveBuckets(cfg),
+		Seed:       cfg.Seed,
+		ChunkKeys:  cfg.ChunkKeys,
+		Workers:    cfg.Workers,
+		Splitters:  inj.splitters,
+		StaleBound: inj.stale,
+		Scratch:    inj.scratch,
+		Spill:      inj.spill,
+	}
+	if cfg.RoundRobinBuckets {
+		o.Owner = exchange.RoundRobinOwner(cfg.Procs)
+	}
+	if o.ChunkKeys == 0 && cfg.StreamExchange {
+		o.ChunkKeys = exchange.DefaultChunkKeys
+	}
 	switch cfg.Algorithm {
-	case HSSOneRound:
-		sched = core.OneRoundScanning
-	case HSSTheoretical:
-		sched = core.Theoretical
+	case HSS, HSSOneRound, HSSTheoretical:
+		switch cfg.Algorithm {
+		case HSSOneRound:
+			o.Schedule = core.OneRoundScanning
+		case HSSTheoretical:
+			o.Schedule = core.Theoretical
+		}
+		o.Rounds = cfg.Rounds
+		o.OversampleFactor = cfg.OversampleFactor
+		o.Approx = cfg.Approx
+		return o, core.HSS[E](), nil
+	case NodeHSS:
+		// Node-level HSS is always fixed oversampling on exact
+		// histograms: no Rounds/Approx threading.
+		o.OversampleFactor = cfg.OversampleFactor
+		return o, core.HSS[E](), nil
+	case SampleSortRegular, SampleSortRandom:
+		method := samplesort.Regular
+		if cfg.Algorithm == SampleSortRandom {
+			method = samplesort.Random
+		}
+		return o, samplesort.Strategies[E](samplesort.Options{
+			Method:        method,
+			Oversample:    int(cfg.OversampleFactor),
+			MaxOversample: cfg.MaxOversample,
+		}), nil
+	case HistogramSort:
+		if coder == nil && !prefix {
+			return o, core.Strategies[E]{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
+		}
+		return o, histsort.Strategies(histsort.Options[E]{Coder: coder}), nil
 	}
-	return core.Options[E]{
-		Cmp:              compare,
-		Epsilon:          cfg.Epsilon,
-		Buckets:          cfg.Buckets,
-		Schedule:         sched,
-		Rounds:           cfg.Rounds,
-		OversampleFactor: cfg.OversampleFactor,
-		Seed:             cfg.Seed,
-		Approx:           cfg.Approx,
-	}
-}
-
-// nodeDetOptions wires Config into NodeHSS's node-level splitter
-// determination, mirroring nodesort.Sort's internal determine() exactly
-// — FixedOversampling over node-count buckets, nodesort's 0.02 default
-// ε, no Rounds/Approx threading — so plans match what its sorts do.
-func nodeDetOptions[E any](cfg Config, compare func(E, E) int) core.Options[E] {
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 0.02
-	}
-	return core.Options[E]{
-		Cmp:              compare,
-		Epsilon:          eps,
-		Buckets:          cfg.Procs / cfg.CoresPerNode,
-		Schedule:         core.FixedOversampling,
-		Seed:             cfg.Seed,
-		OversampleFactor: cfg.OversampleFactor,
-	}
-}
-
-// samplesortDetOptions wires Config into the sample-sort sampling
-// phase options.
-func samplesortDetOptions[E any](cfg Config, compare func(E, E) int) samplesort.Options[E] {
-	method := samplesort.Regular
-	if cfg.Algorithm == SampleSortRandom {
-		method = samplesort.Random
-	}
-	return samplesort.Options[E]{
-		Cmp:           compare,
-		Epsilon:       cfg.Epsilon,
-		Buckets:       cfg.Buckets,
-		Method:        method,
-		Oversample:    int(cfg.OversampleFactor),
-		MaxOversample: cfg.MaxOversample,
-		Seed:          cfg.Seed,
-	}
-}
-
-// histsortDetOptions wires Config into classic histogram sort's probe
-// refinement options.
-func histsortDetOptions[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E]) histsort.Options[E] {
-	return histsort.Options[E]{
-		Cmp:     compare,
-		Coder:   coder,
-		Epsilon: cfg.Epsilon,
-		Buckets: cfg.Buckets,
-	}
+	return o, core.Strategies[E]{}, fmt.Errorf("hssort: %v is not splitter-based", cfg.Algorithm)
 }
 
 // injection carries a sort call's plan-reuse state into dispatch.
@@ -955,65 +872,25 @@ func guardNaN[E any](cp CodePath, shards [][]E, isNaN func(E) bool) (CodePath, e
 // non-nil, is the order-preserving extractor that puts the algorithm's
 // compute hot paths on the code plane (on the bijective plane K is
 // already the code-point type and code is the identity); prefix marks
-// it non-injective, selecting the tie-breaking prefix pipelines. inj
-// carries plan injection and per-rank scratch for the splitter-based
-// algorithms.
+// it non-injective, selecting the skeleton's prefix plane. inj carries
+// plan injection and per-rank scratch for the splitter-based
+// algorithms, which all run the one skeleton; only NodeHSS swaps in its
+// own two-level data movement behind the shared front half.
 func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64, prefix bool, inj injection[K]) ([]K, core.Stats, error) {
-	var owner func(int) int
-	if cfg.RoundRobinBuckets {
-		owner = exchange.RoundRobinOwner(cfg.Procs)
-	}
-	chunkKeys := cfg.ChunkKeys
-	if chunkKeys == 0 && cfg.StreamExchange {
-		chunkKeys = exchange.DefaultChunkKeys
-	}
-	if chunkKeys != 0 {
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		default:
-			return nil, core.Stats{}, fmt.Errorf("hssort: StreamExchange is not supported by %v", cfg.Algorithm)
+	if splitterBased(cfg.Algorithm) {
+		o, strat, err := splitterSort(cfg, compare, coder, code, prefix, inj)
+		if err != nil {
+			return nil, core.Stats{}, err
 		}
+		if cfg.Algorithm == NodeHSS {
+			return nodesort.Sort(c, local, o, cfg.CoresPerNode)
+		}
+		return core.SortWith(c, local, o, strat)
+	}
+	if cfg.ChunkKeys != 0 || cfg.StreamExchange {
+		return nil, core.Stats{}, fmt.Errorf("hssort: StreamExchange is not supported by %v", cfg.Algorithm)
 	}
 	switch cfg.Algorithm {
-	case HSS, HSSOneRound, HSSTheoretical:
-		o := hssDetOptions(cfg, compare)
-		o.Code = code
-		o.PrefixCode = prefix
-		o.Owner = owner
-		o.ChunkKeys = chunkKeys
-		o.Workers = cfg.Workers
-		o.Splitters = inj.splitters
-		o.StaleBound = inj.stale
-		o.Scratch = inj.scratch
-		o.Spill = inj.spill
-		return core.Sort(c, local, o)
-	case SampleSortRegular, SampleSortRandom:
-		o := samplesortDetOptions(cfg, compare)
-		o.Code = code
-		o.PrefixCode = prefix
-		o.Owner = owner
-		o.ChunkKeys = chunkKeys
-		o.Workers = cfg.Workers
-		o.Splitters = inj.splitters
-		o.StaleBound = inj.stale
-		o.Scratch = inj.scratch
-		o.Spill = inj.spill
-		return samplesort.Sort(c, local, o)
-	case HistogramSort:
-		if coder == nil && !prefix {
-			return nil, core.Stats{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
-		}
-		o := histsortDetOptions(cfg, compare, coder)
-		o.Code = code
-		o.PrefixCode = prefix
-		o.Owner = owner
-		o.ChunkKeys = chunkKeys
-		o.Workers = cfg.Workers
-		o.Splitters = inj.splitters
-		o.StaleBound = inj.stale
-		o.Scratch = inj.scratch
-		o.Spill = inj.spill
-		return histsort.Sort(c, local, o)
 	case Bitonic:
 		return bitonic.Sort(c, local, bitonic.Options[K]{Cmp: compare})
 	case Radix:
@@ -1021,23 +898,6 @@ func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int
 			return nil, core.Stats{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
 		}
 		return radix.Sort(c, local, radix.Options[K]{Cmp: compare, Coder: coder, Code: code})
-	case NodeHSS:
-		return nodesort.Sort(c, local, nodesort.Options[K]{
-			Cmp:              compare,
-			Code:             code,
-			PrefixCode:       prefix,
-			CoresPerNode:     cfg.CoresPerNode,
-			Epsilon:          cfg.Epsilon,
-			Schedule:         core.FixedOversampling,
-			Seed:             cfg.Seed,
-			OversampleFactor: cfg.OversampleFactor,
-			ChunkKeys:        chunkKeys,
-			Workers:          cfg.Workers,
-			Splitters:        inj.splitters,
-			StaleBound:       inj.stale,
-			Scratch:          inj.scratch,
-			Spill:            inj.spill,
-		})
 	case OverPartition:
 		return overpartition.Sort(c, local, overpartition.Options[K]{
 			Cmp:       compare,
