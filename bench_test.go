@@ -774,7 +774,7 @@ func BenchmarkWorkers(b *testing.B) {
 			b.ReportAllocs()
 			dst := make([]codes.Code, 0, n)
 			for i := 0; i < b.N; i++ {
-				dst = merge.ParMerge(dst[:0], mergeRuns, codes.Compare, pool)
+				dst = merge.Runs(dst[:0], mergeRuns, codes.Compare, nil, false, pool, nil)
 			}
 			b.SetBytes(8 * n)
 		})

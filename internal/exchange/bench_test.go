@@ -41,7 +41,7 @@ func BenchmarkPartition(b *testing.B) {
 //   - comm-bound over-partitioned (B = 4p, the §6.3 ChaNGa regime):
 //     streaming's structural advantage — it merges p per-sender streams
 //     instead of sorting and merging B·p (bucket, sender) runs, so the
-//     tournament tree is shallower and the post-receive sort disappears.
+//     merge takes fewer passes and the post-receive sort disappears.
 //
 // Caveat for reading results: on hosts with fewer cores than ranks the
 // simulated "communication" time is CPU time in disguise, so

@@ -13,10 +13,11 @@
 //
 // Exchange is the bandwidth-dominant phase of the sort (the 2N/p BSP
 // term of §5.1). Two data planes implement it: the materializing
-// all-to-all (Exchange, merged afterwards with merge.KWay) and the
+// all-to-all (Exchange, merged afterwards with merge.Runs) and the
 // streaming pipeline (ExchangeStream), which sends each destination's
 // payload in ChunkKeys-sized chunks interleaved across destinations and
-// merges received chunks incrementally, overlapping the exchange tail
+// merges received chunks incrementally (merge.Streamer's batch drain —
+// the same kernel), overlapping the exchange tail
 // (§6.2) under a credit window that bounds peak in-flight data.
 // ExchangeMerge dispatches between them; both produce rank-identical
 // output. Everything is built on comm.Endpoint Send/Recv (plus the

@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"hssort/internal/comm"
@@ -38,7 +37,7 @@ type StreamOptions struct {
 	// Pool, when it has more than one worker, parallelizes the merge
 	// work that is off the overlap path: the materializing path's k-way
 	// merge and the streaming drain's tail both split at sub-splitters
-	// and merge one range per core (merge.ParMerge). Output is identical
+	// and merge one range per core (merge.Runs). Output is identical
 	// for any worker budget. nil runs everything serially.
 	Pool *par.Pool
 	// Tie marks the code extractor as a non-injective prefix (the byte-key
@@ -50,7 +49,9 @@ type StreamOptions struct {
 	// the manager's memory budget: a streaming exchange diverts incoming
 	// streams to compressed run files once admitting more chunks would
 	// exceed the budget, and the materializing path spills every received
-	// run when their sum does. Spilled data re-enters the merge through
+	// run when their sum plus the merge's scratch does. The incremental
+	// merge charges each batch's scratch to the same budget and clips a
+	// batch that would not fit. Spilled data re-enters the merge through
 	// spill.RunReader frames, so output is identical with or without a
 	// budget. Requires K to be plain data (spill.Spillable).
 	Spill *spill.Manager
@@ -106,18 +107,20 @@ type chunk[K any] struct {
 }
 
 // Scratch holds one rank's reusable exchange state across sorts: the
-// incremental merge tree (tournament arrays, rebuild scratch) and the
-// chunk-routing queues the streaming path rebuilds every call. A
-// long-lived engine (hssort.Sorter) keeps one Scratch per rank and
-// passes it to every ExchangeMerge, turning the per-sort allocation
-// churn of the streaming plane into steady-state reuse. The zero value
-// is ready; nil is accepted everywhere and means "allocate per call".
+// incremental merge (run queue, batch scratch), the materializing
+// merge's scratch and the chunk-routing queues the streaming path
+// rebuilds every call. A long-lived engine (hssort.Sorter) keeps one
+// Scratch per rank and passes it to every ExchangeMerge, turning the
+// per-sort allocation churn of either plane into steady-state reuse. The
+// zero value is ready; nil is accepted everywhere and means "allocate
+// per call".
 //
 // A Scratch belongs to one rank: it must not be shared between
 // concurrently running ranks, and the caller must not start a second
 // exchange with the same Scratch before the first returns.
 type Scratch[K any] struct {
-	streamer      merge.Streamer[K]
+	merge         merge.Scratch[K] // the materializing path's merge
+	streamer      *merge.Streamer[K]
 	streamerCoded bool // streamer was built with a code extractor
 	streamerTie   bool // streamer resolves code ties with the comparator
 	chunksTo      [][]chunk[K]
@@ -126,9 +129,23 @@ type Scratch[K any] struct {
 	ins           []inStream[K]
 }
 
-// streamerFor returns the cached merge tree matching the requested
-// plane, reset and emptied of any references to a previous sort's data.
-func (sc *Scratch[K]) streamerFor(cmp func(K, K) int, code func(K) uint64, tie bool) merge.Streamer[K] {
+// MergeScratch returns the kernel scratch for materialized merges made
+// on this rank between exchanges (ExchangeMerge's own, nodesort's
+// combine); nil-safe (a nil Scratch allocates per call).
+func (sc *Scratch[K]) MergeScratch() *merge.Scratch[K] {
+	if sc == nil {
+		return nil
+	}
+	return &sc.merge
+}
+
+// streamerFor returns the incremental merge matching the requested
+// plane — the cached one, reset and emptied of any references to a
+// previous sort's data, or with a nil Scratch a fresh one.
+func (sc *Scratch[K]) streamerFor(cmp func(K, K) int, code func(K) uint64, tie bool) *merge.Streamer[K] {
+	if sc == nil {
+		return merge.NewStreamerTie(cmp, code, tie)
+	}
 	coded := code != nil
 	tie = tie && coded
 	if sc.streamer == nil || sc.streamerCoded != coded || sc.streamerTie != tie {
@@ -184,6 +201,7 @@ func (sc *Scratch[K]) Release() {
 	if sc.streamer != nil {
 		sc.streamer.Reset()
 	}
+	sc.merge.Clear()
 	for d := range sc.chunksTo {
 		q := sc.chunksTo[d]
 		for i := range q {
@@ -209,7 +227,7 @@ type inStream[K any] struct {
 	seen     bool                // first data/closure message observed (expect accounted)
 	closed   bool                // sender sent its last chunk
 	diverted bool                // remainder of the stream goes to disk
-	admitted int64               // cumulative keys appended to the merge tree
+	admitted int64               // cumulative keys appended to the merge
 	released int64               // keys whose budget charge has been returned
 	charged  int64               // bytes currently charged against the budget
 	bounds   []int64             // admitted counts at un-acked chunk ends
@@ -221,7 +239,7 @@ type inStream[K any] struct {
 // owner(b) like Exchange, but pipelines the data plane: each
 // destination's payload is split into ChunkKeys-sized chunks sent
 // interleaved across destinations, and received chunks feed an
-// incremental k-way merge (merge.LoserTree) that emits this rank's
+// incremental k-way merge (merge.Streamer) that emits this rank's
 // sorted partition while the tail of the exchange is still in flight.
 // It returns the merged partition directly.
 //
@@ -245,10 +263,10 @@ type inStream[K any] struct {
 // pipelines' per-phase tag layout already does.
 //
 // code, when non-nil, must be an order-preserving uint64 extractor for
-// cmp; the incremental merge then runs on a code-keyed tree (raw integer
-// compares) instead of comparator calls. When K is the code-point type
-// itself the chunks alias straight into the code tree — codes travel
-// through the exchange and are never re-encoded.
+// cmp; the incremental merge then runs on raw integer compares instead
+// of comparator calls. When K is the code-point type itself the chunks
+// alias straight into the merge — codes travel through the exchange and
+// are never re-encoded.
 func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner func(int) int, cmp func(K, K) int, code func(K) uint64, opt StreamOptions, sc *Scratch[K]) (out []K, st StreamStats, err error) {
 	comm.RegisterWire[streamMsg[K]]() // wire transports decode by registered type
 	opt = opt.withDefaults()
@@ -262,7 +280,7 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 	// runs share one chunk up to ChunkKeys keys (so over-partitioned
 	// configurations keep the materializing path's message count), and
 	// a run larger than ChunkKeys spans several chunks. With a Scratch
-	// the queues, flow-control state and merge tree are reused.
+	// the queues, flow-control state and run queue are reused.
 	var (
 		chunksTo [][]chunk[K]
 		totalTo  []int64
@@ -280,7 +298,8 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 	// On any error, release the spill state an interrupted exchange left
 	// open: in-progress divert writers (aborted, file deleted) and tail
 	// readers (closed, file deleted). A clean exit has already nil'd all
-	// of these.
+	// of these. (A merge batch's scratch charge needs no cleanup: it is
+	// taken and returned inside DrainReady.)
 	defer func() {
 		if err == nil {
 			return
@@ -329,11 +348,9 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 	// One merge stream per sender, admitted in rank order so run indices
 	// — and with them duplicate-key tie-breaks — are deterministic. Own
 	// data feeds its stream directly and closes it.
-	var lt merge.Streamer[K]
-	if sc != nil {
-		lt = sc.streamerFor(cmp, code, opt.Tie)
-	} else {
-		lt = merge.NewStreamerTie(cmp, code, opt.Tie)
+	lt := sc.streamerFor(cmp, code, opt.Tie)
+	if sp != nil {
+		lt.SetBudget(sp)
 	}
 	for r := 0; r < p; r++ {
 		lt.AddRun(nil)
@@ -345,16 +362,9 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 	}
 	lt.CloseRun(me)
 
-	out = make([]K, 0, totalTo[me])
 	if p == 1 {
 		t0 := time.Now()
-		for {
-			k, ok := lt.NextReady()
-			if !ok {
-				break
-			}
-			out = append(out, k)
-		}
+		out = lt.DrainReady(make([]K, 0, totalTo[me]))
 		st.MergeTail = time.Since(t0)
 		return out, st, nil
 	}
@@ -365,7 +375,8 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 	sendsPending := p - 1
 	openStreams := p - 1
 	openTails := 0        // diverted streams still replaying from disk
-	expect := totalTo[me] // known final output size so far (capacity hint)
+	expect := totalTo[me] // final output size, once every stream has been seen
+	unseen := p - 1       // streams whose first message is still to come
 	admitted := int64(0)  // keys admitted across remote streams
 
 	// handle folds one incoming protocol message into local state.
@@ -382,12 +393,17 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 		if in.closed {
 			return fmt.Errorf("exchange: chunk from rank %d after its last chunk", m.Src)
 		}
-		if !in.seen && sm.total > 0 {
-			// First message of the stream: note the sender's whole
-			// contribution so drain can size the output ahead of need.
+		if !in.seen {
+			// First message of the stream: it carries the sender's whole
+			// contribution. Once every sender's is known the output is
+			// sized, once — nothing has been emitted yet, because a
+			// stream not yet seen starves the merge.
+			in.seen = true
 			expect += sm.total
+			if unseen--; unseen == 0 {
+				out = make([]K, 0, expect)
+			}
 		}
-		in.seen = true
 		if sm.keys > 0 {
 			chunkBytes := int64(sm.keys) * keySize
 			if sp != nil && !in.diverted && sp.WouldExceed(chunkBytes) {
@@ -407,7 +423,7 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 						return werr
 					}
 				}
-				// The chunk never occupies the merge tree, so its credit
+				// The chunk never occupies the merge, so its credit
 				// comes back as soon as it is on disk — the run file is
 				// the window. A last chunk needs no credit at all.
 				if !sm.last {
@@ -441,7 +457,7 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 			if in.diverted {
 				// The stream's merge run stays open: its remainder now
 				// replays from the run file, refilled frame-at-a-time by
-				// drain as the tree consumes it.
+				// drain as the merge consumes it.
 				run, ferr := in.w.Finish()
 				in.w = nil
 				if ferr != nil {
@@ -499,7 +515,7 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 		return progress, nil
 	}
 
-	// refillTails feeds every starved disk tail its next frame (the tree
+	// refillTails feeds every starved disk tail its next frame (the merge
 	// has consumed everything the tail's stream appended), closing the
 	// stream's merge run at the final marker — which also deletes the
 	// run file, the steady-state cleanup.
@@ -543,49 +559,23 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 				return false, rerr
 			}
 		}
-		k, ok := lt.NextReady()
-		if !ok {
+		t0 := time.Now()
+		emitted := len(out)
+		overlapped := openStreams > 0 || openTails > 0
+		if !overlapped && opt.Pool.Workers() > 1 {
+			// Every stream is closed and a worker pool is available:
+			// merge the unconsumed tail one sub-range per core.
+			// Byte-identical to the serial drain.
+			out = lt.DrainClosed(out, opt.Pool)
+		} else {
+			out = lt.DrainReady(out)
+		}
+		if len(out) == emitted {
 			return refilled, nil
 		}
-		t0 := time.Now()
-		if int64(cap(out)) < expect {
-			out = slices.Grow(out, int(expect)-len(out))
-		}
-		out = append(out, k)
-		if openStreams > 0 || openTails > 0 {
-			for {
-				k, ok = lt.NextReady()
-				if !ok {
-					break
-				}
-				out = append(out, k)
-			}
+		if overlapped {
 			st.Overlap += time.Since(t0)
-		} else if opt.Pool.Workers() > 1 {
-			// Every stream is closed and a worker pool is available:
-			// take the unconsumed tail out of the tree in bulk and merge
-			// it one sub-range per core. Byte-identical to the bare
-			// merge loop below (see merge.ParMerge).
-			elems, cs := lt.Rest()
-			switch {
-			case cs != nil && opt.Tie:
-				out = merge.ParMergeCodedTie(out, elems, cs, cmp, opt.Pool)
-			case cs != nil:
-				out = merge.ParMergeCoded(out, elems, cs, opt.Pool)
-			default:
-				out = merge.ParMerge(out, elems, cmp, opt.Pool)
-			}
-			st.MergeTail += time.Since(t0)
 		} else {
-			// Every stream is closed: starvation is impossible and the
-			// guarded NextReady is equivalent to the bare merge loop.
-			for {
-				k, ok = lt.Next()
-				if !ok {
-					break
-				}
-				out = append(out, k)
-			}
 			st.MergeTail += time.Since(t0)
 		}
 		if sp != nil {
@@ -667,8 +657,9 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 // opt.ChunkKeys == 0 (the conformance oracle) or the streaming pipeline
 // otherwise. code, when non-nil, selects the code-keyed merge on either
 // path (see ExchangeStream). sc, when non-nil, reuses that rank-private
-// Scratch across calls (engine reuse; currently exercised by the
-// streaming path). exchangeTime and mergeTime keep phase stats
+// Scratch across calls (engine reuse: the streaming path's queues and
+// run queue, either path's merge scratch). exchangeTime and mergeTime
+// keep phase stats
 // comparable across paths: under streaming, merge work hidden inside the
 // exchange is charged to the exchange phase and only the unhidable tail
 // (StreamStats.MergeTail) to the merge phase.
@@ -682,11 +673,13 @@ func ExchangeMerge[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner
 		exchangeTime = time.Since(t0)
 		t1 := time.Now()
 		if sp := opt.Spill; sp != nil {
-			var total int64
+			// What the in-memory merge would hold: the received runs plus
+			// the scratch it is about to take.
+			total := 0
 			for _, r := range recv {
-				total += int64(len(r)) * comm.SizeOf[K]()
+				total += len(r)
 			}
-			if total > sp.Budget() {
+			if int64(total)*comm.SizeOf[K]()+merge.ScratchBytes[K](total, len(recv), code != nil, opt.Tie) > sp.Budget() {
 				out, err := spillMergeRecv(recv, cmp, code, opt)
 				if err != nil {
 					return nil, 0, 0, StreamStats{}, err
@@ -694,20 +687,7 @@ func ExchangeMerge[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner
 				return out, exchangeTime, time.Since(t1), StreamStats{}, nil
 			}
 		}
-		var tie func(K, K) int
-		if opt.Tie && code != nil {
-			tie = cmp
-		}
-		switch {
-		case opt.Pool.Workers() > 1 && code != nil:
-			out = merge.ParMergeByCodeTie(nil, recv, code, tie, opt.Pool)
-		case opt.Pool.Workers() > 1:
-			out = merge.ParMerge(nil, recv, cmp, opt.Pool)
-		case code != nil:
-			out = merge.KWayByCodeTie(recv, code, tie)
-		default:
-			out = merge.KWay(recv, cmp)
-		}
+		out = merge.Runs([]K{}, recv, cmp, code, opt.Tie, opt.Pool, sc.MergeScratch())
 		return out, exchangeTime, time.Since(t1), StreamStats{}, nil
 	}
 	out, st, err = ExchangeStream(e, tag, runs, owner, cmp, code, opt, sc)

@@ -230,3 +230,43 @@ func TestExchangeStreamBadOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamAllEqualKeysLiveness: when every key is equal — and then
+// when there are just two values — the batch drain's safe bound sits on
+// a duplicate span in every stream at once, so liveness rests on the
+// run-index half of the bound (equal keys of runs up to the bounding one
+// are ready). With one-chunk windows of four keys every sender stalls
+// until the receiver's merge consumes a whole chunk; a drain that held
+// the duplicates back would deadlock the exchange. Each case must finish
+// well inside the deadline, rank-identical to the materializing path.
+func TestStreamAllEqualKeysLiveness(t *testing.T) {
+	backends := []struct {
+		name string
+		mk   func(p int) comm.Transport
+	}{
+		{"sim", func(p int) comm.Transport { return comm.NewSimTransport(p) }},
+		{"inproc", func(p int) comm.Transport { return comm.NewInprocTransport(p) }},
+	}
+	for _, be := range backends {
+		for _, p := range []int{8, 64} {
+			for _, values := range []int64{1, 2} {
+				t.Run(fmt.Sprintf("%s/p%d/values=%d", be.name, p, values), func(t *testing.T) {
+					shards := make([][]pair, p)
+					id := int64(0)
+					for r := range shards {
+						shards[r] = make([]pair, 40+r%7)
+						for i := range shards[r] {
+							shards[r][i] = pair{k: 5 + int64(i)*values/int64(len(shards[r])), id: id}
+							id++
+						}
+					}
+					start := time.Now()
+					streamCase(t, be.mk, shards, p, ContiguousOwner(p, p), StreamOptions{ChunkKeys: 4, Window: 1})
+					if d := time.Since(start); d > 10*time.Second {
+						t.Fatalf("took %v, deadline 10s", d)
+					}
+				})
+			}
+		}
+	}
+}

@@ -25,7 +25,7 @@
 // — order is preserved but not reflected, and equal codes do NOT imply
 // equal keys. A prefix code is a sorting accelerator, not an identity:
 // every consumer must re-resolve equal-code runs with the comparator
-// (codes.TieBreak after the radix sort, the tie-aware merge trees, and
+// (codes.TieBreak after the radix sort, the tie-aware merges, and
 // splitter saturation in histogramming). There is no Decode;
 // PrefixBytes produces the canonical 8-byte representative of a code
 // when a concrete key is needed.

@@ -12,7 +12,7 @@ package keycoder
 // eight bytes (short keys padded). Code equality therefore does NOT
 // imply key equality — every consumer of a Prefix code must resolve
 // equal-code runs with the comparator (codes.TieBreak, the tie-aware
-// merge trees). There is no Decode: distinct keys share codes, so the
+// merges). There is no Decode: distinct keys share codes, so the
 // extraction is not invertible.
 type Prefix struct{}
 

@@ -70,8 +70,8 @@ func TestCodeTreeStreamingMatchesLoserTree(t *testing.T) {
 		k := 1 + rng.IntN(7)
 		ct := NewStreamer[codes.Code](codes.Compare, nil) // pure plane
 		lt := NewStreaming(codes.Compare)
-		if _, ok := ct.(*pureCodeStreamer); !ok {
-			t.Fatal("NewStreamer did not pick the code tree for codes.Code")
+		if !ct.pl.pure {
+			t.Fatal("NewStreamer did not pick the pure code plane for codes.Code")
 		}
 
 		// Per-run remaining chunk queues.
@@ -208,29 +208,4 @@ func TestCodeMergeInnerLoopZeroAlloc(t *testing.T) {
 	if len(out) != total || !slices.IsSorted(out) {
 		t.Fatalf("drain produced %d keys (want %d), sorted=%v", len(out), total, slices.IsSorted(out))
 	}
-}
-
-// BenchmarkCodeMerge races the comparator loser tree against the
-// code-keyed tree on an identical 64-way merge.
-func BenchmarkCodeMerge(b *testing.B) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	runs := randomRuns(rng, 64, 1<<14)
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	b.Run("loser-tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			KWay(runs, codes.Compare)
-		}
-		b.SetBytes(int64(total) * 8)
-	})
-	b.Run("code-tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			KWayByCode(runs, codes.ExtractCode)
-		}
-		b.SetBytes(int64(total) * 8)
-	})
 }

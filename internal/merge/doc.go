@@ -1,36 +1,44 @@
-// Package merge provides sequential multiway merging of sorted runs.
+// Package merge provides the multiway merging of sorted runs.
 //
 // After the all-to-all data exchange, every processor holds up to p sorted
 // runs (one from each sender) that must be merged into its final output
-// (§2.2 step 3) at the paper's O((N/p) log p) merge cost (§6.1.2). Two
-// kernels pay it, chosen by the shape of the runs a rank holds:
+// (§2.2 step 3) at the paper's O((N/p) log p) merge cost (§6.1.2). One
+// kernel pays it everywhere: a run-seeded bottom-up pairwise merge
+// (kernel.go) — the log k compares per key of a tournament tree, but over
+// flat arrays walked sequentially, which is what makes it run at memory
+// speed from two 512 Ki-key runs (the data-bound regime, Fig 6.1) to a
+// thousand eight-key ones (large p, N/p² of a few dozen). There are no
+// trees, no second merge form, no threshold and no knob; which keys a
+// merge orders by — raw uint64 codes, codes with record payloads and an
+// optional comparator tie-break, or a comparator alone — is the only
+// thing its callers choose.
 //
-//   - The tournament trees (LoserTree under a comparator, CodeTree on
-//     raw uint64 codes) do one tree traversal — log k matches — per
-//     output key with O(k) scratch. They serve every merge of long runs
-//     and every streaming merge.
-//   - The short-run kernel (short.go) serves the materialized code-keyed
-//     merges when a rank holds many tiny runs: non-empty runs averaging
-//     at most shortRunMaxMean (64) keys, the shape large p produces once
-//     N/p² drops to a few dozen. It is a run-seeded bottom-up pairwise
-//     merge: the same log k compares per key, but over two flat arrays
-//     walked sequentially instead of k leaves hopped between, measured
-//     4–5x the tree at k = 256 (BenchmarkShortRunMerge; the constant and
-//     its measurement are documented on shortRunMaxMean). The bound
-//     keeps its O(n) scratch to 64 entries per run. Its output is
-//     element-for-element the tree's on every plane — ties go to the
-//     lower run index, after the prefix plane's comparator tie-break —
-//     so which kernel ran is invisible.
+// Two forms sit on the kernel:
 //
-// The selection reads only slice lengths every rank already holds; there
-// is no knob. KWayByCode*, ParMergeByCode* and ParMergeCoded* all reach
-// both kernels through one body, kwayCodedInto.
+//   - Materialized: Runs (and RunsCoded, when the codes are already
+//     extracted) merges runs that are all in memory, serially or split at
+//     sub-splitters into one key range per core (par.go). KWay and
+//     ParMergeByCode are fixed-argument spellings of it.
+//     The kernel's working memory is one n-element Scratch (none for
+//     k ≤ 2) that the caller may keep across merges.
+//   - Incremental: a RunQueue (Streamer, when fed keys rather than
+//     (code, element) pairs) admits runs that arrive chunk by chunk —
+//     AddRun, Append, CloseRun — and DrainReady emits, batch by batch
+//     through the same kernel, every key no future arrival can precede.
+//     The safe bound of a batch is the smallest (last buffered key, run
+//     index) over the runs that may still grow; see RunQueue. That is
+//     what lets exchange.ExchangeStream overlap the merge with the
+//     exchange itself, and what FromSources reads spilled runs back
+//     through a frame at a time. Under a memory budget the queue charges
+//     each batch's scratch to the Budget and clips a batch that would not
+//     fit. NextReady and Next serve single keys from a staged batch.
+//
+// Every form emits the same sequence — the stable sort of the
+// concatenated runs: ties go to the lower run index, after the prefix
+// plane's comparator tie-break — so which one ran is invisible in the
+// output; the equivalence suites at the repository root pin that.
 //
 // This is the final, purely local phase of every splitter-based sort in
-// the repository: internal/exchange delivers the runs, merge.KWay turns
-// them into the rank's sorted partition. The underlying LoserTree also
-// works incrementally — runs can be admitted (AddRun), refilled
-// (Append) and sealed (CloseRun) while merging, with NextReady emitting
-// only keys no future arrival can precede — which is what lets
-// exchange.ExchangeStream overlap the merge with the exchange itself.
+// the repository: internal/exchange delivers the runs, this package turns
+// them into the rank's sorted partition.
 package merge

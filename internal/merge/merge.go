@@ -1,357 +1,66 @@
 package merge
 
-import "hssort/internal/codes"
+import (
+	"hssort/internal/codes"
+	"hssort/internal/par"
+)
 
 // Two merges two sorted runs into a new slice using the three-way
 // comparator cmp. The merge is stable: on ties, elements of a precede
 // elements of b.
 func Two[K any](a, b []K, cmp func(K, K) int) []K {
-	out := make([]K, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if cmp(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
+	out := make([]K, len(a)+len(b))
+	mergeCmp(out, a, b, cmp)
 	return out
 }
 
-// KWay merges k sorted runs into a single sorted slice. Empty runs are
-// permitted. The merge is stable across runs: ties resolve in favor of the
-// lower run index. For k <= 2 it degrades to the trivial cases; otherwise
-// it uses a loser tree (tournament tree), performing ceil(log2 k)
-// comparisons per emitted key.
-func KWay[K any](runs [][]K, cmp func(K, K) int) []K {
+// Runs appends the k-way merge of the sorted runs to dst — the one
+// entry point of every materialized merge. Empty runs are permitted and
+// the merge is stable across runs: ties resolve in favor of the lower
+// run index.
+//
+// code, when non-nil, must be an order-preserving extractor for cmp:
+// each run's codes are extracted once (zero-copy when the elements
+// already are codes) and the merge itself is raw uint64 compares. tie
+// marks the extractor as a non-injective prefix (the byte-key plane):
+// equal-code matches are then resolved with cmp before the run-index
+// tie-break, and each run must itself be tie-ordered (code-sorted,
+// cmp-sorted within equal-code spans). With a nil code cmp alone
+// carries the order.
+//
+// A pool with more than one worker splits the runs at sub-splitters and
+// merges one key range per core (see RunsCoded); the output is
+// byte-identical for any worker count. sc, when non-nil, supplies the
+// kernel's scratch, so a caller that keeps one allocates nothing per
+// merge beyond dst.
+func Runs[K any](dst []K, runs [][]K, cmp func(K, K) int, code func(K) uint64, tie bool, p *par.Pool, sc *Scratch[K]) []K {
 	nonEmpty := 0
-	total := 0
-	last := -1
-	for i, r := range runs {
-		total += len(r)
+	for _, r := range runs {
 		if len(r) > 0 {
 			nonEmpty++
-			last = i
 		}
 	}
-	switch nonEmpty {
-	case 0:
-		return []K{}
-	case 1:
-		out := make([]K, total)
-		copy(out, runs[last])
-		return out
+	if code == nil || nonEmpty < 2 { // a lone run is copied: no codes needed
+		return RunsCoded(dst, runs, nil, cmp, p, sc)
 	}
-	lt := NewLoserTree(runs, cmp)
-	out := make([]K, 0, total)
-	for {
-		k, ok := lt.Next()
-		if !ok {
-			break
-		}
-		out = append(out, k)
+	codeRuns := make([][]codes.Code, len(runs))
+	p.Do(len(runs), func(r int) {
+		codeRuns[r] = codes.Extract(runs[r], code)
+	})
+	if !tie {
+		cmp = nil
 	}
-	return out
+	return RunsCoded(dst, runs, codeRuns, cmp, p, sc)
 }
 
-// LoserTree is a tournament tree over k sorted runs that yields their
-// merged order one key at a time. It is the streaming core of KWay,
-// exported so the final assembly phase can merge incrementally without
-// materializing inputs twice.
-//
-// Beyond the fixed-run form built by NewLoserTree, a tree started with
-// NewStreaming admits runs as they arrive: AddRun registers a run that
-// may still grow, Append feeds it more keys, CloseRun seals it, and
-// NextReady emits merged keys only while emission is provably safe —
-// the incremental k-way merge behind exchange.ExchangeStream.
-type LoserTree[K any] struct {
-	runs [][]K
-	pos  []int // next unread index per run (current-chunk-relative)
-	// pending queues refill chunks per run, consumed front to back.
-	// Invariant: a run whose current buffer is drained has no pending
-	// chunks (Next advances eagerly), so the head key is always
-	// runs[i][pos[i]] when one exists.
-	pending [][][]K
-	// consumed counts keys ever emitted per run; unlike pos it is not
-	// reset when a streaming run advances to its next chunk.
-	consumed []int64
-	// open marks runs that may still receive Append; an open run with an
-	// empty buffer blocks NextReady (a future arrival could precede the
-	// current minimum). starved counts such runs.
-	open    []bool
-	starved int
-	// tree[1:] holds internal nodes: tree[i] is the run index that LOST
-	// the match at node i. tree[0] holds the overall winner.
-	tree    []int
-	winners []int // rebuild scratch, cached to keep build allocation-free
-	k       int   // number of leaves (power-of-two padded)
-	n       int   // real number of runs
-	cmp     func(K, K) int
-	dirty   bool // a head changed outside Next: rebuild before next emit
+// KWay merges k sorted runs into a new sorted slice under cmp.
+func KWay[K any](runs [][]K, cmp func(K, K) int) []K {
+	return Runs([]K{}, runs, cmp, nil, false, nil, nil)
 }
 
-// NewLoserTree builds a loser tree over the given fixed (fully
-// materialized) sorted runs.
-func NewLoserTree[K any](runs [][]K, cmp func(K, K) int) *LoserTree[K] {
-	n := len(runs)
-	k := 1
-	for k < n {
-		k *= 2
-	}
-	if k < 2 {
-		k = 2
-	}
-	lt := &LoserTree[K]{
-		runs:     runs,
-		pos:      make([]int, n),
-		pending:  make([][][]K, n),
-		consumed: make([]int64, n),
-		open:     make([]bool, n),
-		tree:     make([]int, k),
-		k:        k,
-		n:        n,
-		cmp:      cmp,
-	}
-	lt.build()
-	return lt
-}
-
-// NewStreaming creates an empty loser tree that admits runs
-// incrementally via AddRun.
-func NewStreaming[K any](cmp func(K, K) int) *LoserTree[K] {
-	return &LoserTree[K]{k: 2, tree: make([]int, 2), cmp: cmp, dirty: true}
-}
-
-// Reset empties the tree for reuse, dropping all references to run data
-// but keeping the tournament arrays allocated — the engine-reuse hook
-// that lets one tree serve many sorts without re-allocating per call.
-func (lt *LoserTree[K]) Reset() {
-	clear(lt.runs)
-	clear(lt.pending)
-	lt.runs = lt.runs[:0]
-	lt.pos = lt.pos[:0]
-	lt.pending = lt.pending[:0]
-	lt.consumed = lt.consumed[:0]
-	lt.open = lt.open[:0]
-	lt.n = 0
-	lt.starved = 0
-	lt.dirty = true
-}
-
-// AddRun registers a new, initially open run holding the given sorted
-// keys (nil for an empty stream) and returns its index. Ties between
-// runs resolve in favor of the lower index, so callers wanting a
-// deterministic merge must add runs in a deterministic order.
-func (lt *LoserTree[K]) AddRun(keys []K) int {
-	i := lt.n
-	lt.runs = append(lt.runs, keys)
-	lt.pos = append(lt.pos, 0)
-	lt.pending = append(lt.pending, nil)
-	lt.consumed = append(lt.consumed, 0)
-	lt.open = append(lt.open, true)
-	lt.n++
-	if len(keys) == 0 {
-		lt.starved++
-	}
-	for lt.k < lt.n {
-		lt.k *= 2
-	}
-	if len(lt.tree) != lt.k {
-		lt.tree = make([]int, lt.k)
-	}
-	lt.dirty = true
-	return i
-}
-
-// Append feeds more keys to open run i as a new chunk. Keys must compare
-// >= everything previously appended to that run. The tree takes
-// ownership of the slice (no copy); fully drained chunks drop out of the
-// tree's reach, so a streaming run's live memory stays proportional to
-// its unmerged window, not its total volume.
-func (lt *LoserTree[K]) Append(i int, keys []K) {
-	if !lt.open[i] {
-		panic("merge: Append to closed run")
-	}
-	if len(keys) == 0 {
-		return
-	}
-	if lt.pos[i] >= len(lt.runs[i]) {
-		// The run was drained (pending empty by invariant): the new
-		// chunk becomes current, the head changes, and the tournament
-		// must be replayed before the next emission.
-		lt.starved--
-		lt.dirty = true
-		lt.runs[i] = keys
-		lt.pos[i] = 0
-	} else {
-		lt.pending[i] = append(lt.pending[i], keys)
-	}
-}
-
-// CloseRun seals run i: no further Append may follow, and once its
-// buffer drains the run is exhausted rather than starved.
-func (lt *LoserTree[K]) CloseRun(i int) {
-	if !lt.open[i] {
-		return
-	}
-	lt.open[i] = false
-	if lt.pos[i] >= len(lt.runs[i]) {
-		lt.starved--
-	}
-}
-
-// Consumed returns the number of keys emitted from run i so far.
-func (lt *LoserTree[K]) Consumed(i int) int64 { return lt.consumed[i] }
-
-// Exhausted reports whether every run is closed and fully emitted.
-func (lt *LoserTree[K]) Exhausted() bool {
-	for i := 0; i < lt.n; i++ {
-		if lt.open[i] || lt.pos[i] < len(lt.runs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Rest removes and returns every run's unconsumed keys, one slice per
-// run in run-index order — the hand-off that lets the streaming drain
-// finish with a parallel merge instead of pulling the tail through the
-// tournament one key at a time. Every run must be closed. Single-chunk
-// tails alias the tree's buffers; multi-chunk tails are concatenated.
-// The keys count as consumed and the tree is left exhausted. The nil
-// second result marks the comparator plane (no code slices to reuse);
-// see Streamer.Rest.
-func (lt *LoserTree[K]) Rest() ([][]K, [][]codes.Code) {
-	out := make([][]K, lt.n)
-	for i := 0; i < lt.n; i++ {
-		if lt.open[i] {
-			panic("merge: Rest with open run")
-		}
-		tail := lt.runs[i][lt.pos[i]:]
-		if len(lt.pending[i]) == 0 {
-			out[i] = tail
-		} else {
-			total := len(tail)
-			for _, c := range lt.pending[i] {
-				total += len(c)
-			}
-			buf := make([]K, 0, total)
-			buf = append(buf, tail...)
-			for _, c := range lt.pending[i] {
-				buf = append(buf, c...)
-			}
-			out[i] = buf
-		}
-		lt.consumed[i] += int64(len(out[i]))
-		lt.runs[i] = nil
-		lt.pending[i] = nil
-		lt.pos[i] = 0
-	}
-	lt.dirty = true
-	return out, nil
-}
-
-// NextReady returns the next merged key if emission is safe: no open run
-// is empty. ok=false means blocked (some open run awaits data) or
-// exhausted; distinguish with Exhausted.
-func (lt *LoserTree[K]) NextReady() (key K, ok bool) {
-	if lt.starved > 0 {
-		var zero K
-		return zero, false
-	}
-	return lt.Next()
-}
-
-// exhausted reports whether run i has no keys left (virtual runs beyond n
-// are always exhausted).
-func (lt *LoserTree[K]) exhausted(i int) bool {
-	return i >= lt.n || lt.pos[i] >= len(lt.runs[i])
-}
-
-// less reports whether run a's head should be emitted before run b's head.
-// Exhausted runs compare greater than everything; ties resolve by run
-// index for stability.
-func (lt *LoserTree[K]) less(a, b int) bool {
-	ea, eb := lt.exhausted(a), lt.exhausted(b)
-	switch {
-	case ea && eb:
-		return a < b
-	case ea:
-		return false
-	case eb:
-		return true
-	}
-	c := lt.cmp(lt.runs[a][lt.pos[a]], lt.runs[b][lt.pos[b]])
-	if c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-// build plays the initial tournament bottom-up.
-func (lt *LoserTree[K]) build() {
-	// winners[i] is the winner of the subtree rooted at node i.
-	if len(lt.winners) != 2*lt.k {
-		lt.winners = make([]int, 2*lt.k)
-	}
-	winners := lt.winners
-	for i := 0; i < lt.k; i++ {
-		winners[lt.k+i] = i
-	}
-	for i := lt.k - 1; i >= 1; i-- {
-		a, b := winners[2*i], winners[2*i+1]
-		if lt.less(a, b) {
-			winners[i] = a
-			lt.tree[i] = b
-		} else {
-			winners[i] = b
-			lt.tree[i] = a
-		}
-	}
-	lt.tree[0] = winners[1]
-}
-
-// Next returns the smallest remaining key across all runs, or ok=false
-// when every run's buffer is drained. On a streaming tree prefer
-// NextReady, which additionally refuses to emit while an open run could
-// still receive a smaller key.
-func (lt *LoserTree[K]) Next() (key K, ok bool) {
-	if lt.dirty {
-		lt.build()
-		lt.dirty = false
-	}
-	w := lt.tree[0]
-	if lt.exhausted(w) {
-		var zero K
-		return zero, false
-	}
-	key = lt.runs[w][lt.pos[w]]
-	lt.pos[w]++
-	lt.consumed[w]++
-	if lt.pos[w] >= len(lt.runs[w]) {
-		if q := lt.pending[w]; len(q) > 0 {
-			// Advance to the next queued chunk: the old buffer drops out
-			// of reach and the replay below repositions the new head.
-			lt.runs[w] = q[0]
-			lt.pending[w] = q[1:]
-			lt.pos[w] = 0
-		} else if lt.open[w] {
-			lt.starved++
-		}
-	}
-	// Replay matches from leaf w up to the root.
-	node := (lt.k + w) / 2
-	winner := w
-	for node >= 1 {
-		if lt.less(lt.tree[node], winner) {
-			lt.tree[node], winner = winner, lt.tree[node]
-		}
-		node /= 2
-	}
-	lt.tree[0] = winner
-	return key, true
+// ParMergeByCode appends the merge of the runs ordered by the code
+// extractor to dst, fanned over the pool — the spelling of Runs the
+// benchmark module's merge probe is pinned to.
+func ParMergeByCode[K any](dst []K, runs [][]K, code func(K) uint64, p *par.Pool) []K {
+	return Runs(dst, runs, nil, code, false, p, nil)
 }

@@ -364,28 +364,3 @@ func TestLoserTreeInterleavedExhaustion(t *testing.T) {
 		t.Error("drained fixed tree not Exhausted")
 	}
 }
-
-func BenchmarkKWay16(b *testing.B) {
-	benchmarkKWay(b, 16)
-}
-
-func BenchmarkKWay256(b *testing.B) {
-	benchmarkKWay(b, 256)
-}
-
-func benchmarkKWay(b *testing.B, k int) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	runs := make([][]int64, k)
-	per := 1 << 14 / k
-	for i := range runs {
-		runs[i] = make([]int64, per)
-		for j := range runs[i] {
-			runs[i][j] = rng.Int64()
-		}
-		slices.Sort(runs[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KWay(runs, func(a, c int64) int { return cmp.Compare(a, c) })
-	}
-}

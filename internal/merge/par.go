@@ -1,13 +1,13 @@
 package merge
 
-// The merge-tree-per-core plane: split k sorted runs at sub-splitters
-// into worker-count contiguous key ranges, merge each range with the
-// serial tournament trees on its own core, and concatenate. Sub-splitter
+// The merge-per-core plane: split k sorted runs at sub-splitters into
+// worker-count contiguous key ranges, merge each range with the serial
+// kernel on its own core, and concatenate. Sub-splitter
 // cuts are lower bounds, so every occurrence of a code value lands in
 // exactly one range; within a range every run keeps its index, so the
 // run-index tie-break plays out exactly as in the global merge — the
-// concatenated output is byte-identical to serial KWay / KWayByCode,
-// payload order on the decorated plane included. That identity is what
+// concatenated output is byte-identical to the serial merge, payload
+// order on the decorated plane included. That identity is what
 // the worker-sweep equivalence tests at the repository root pin.
 //
 // Sub-splitters are picked with the strided-sample histogram refinement
@@ -24,8 +24,8 @@ import (
 	"hssort/internal/par"
 )
 
-// parMergeCutoff is the total key count below which the parallel merges
-// hand straight to the serial trees: splitting and forking cost more
+// parMergeCutoff is the total key count below which the parallel merge
+// hands straight to the serial kernel: splitting and forking cost more
 // than they save on small inputs.
 const parMergeCutoff = 1 << 14
 
@@ -148,94 +148,63 @@ func lowerBound[K any](run []K, q K, cmp func(K, K) int) int {
 	return pos
 }
 
-// ParMerge appends the k-way merge of the sorted runs to dst, fanning
-// worker-count sub-ranges over the pool. Output is byte-identical to
-// append(dst, KWay(runs, cmp)...) for any worker count.
-func ParMerge[K any](dst []K, runs [][]K, cmp func(K, K) int, p *par.Pool) []K {
-	total := 0
-	for _, r := range runs {
+// RunsCoded appends the k-way merge of element runs ordered by their
+// parallel code runs to dst — Runs with the codes already extracted,
+// which is how the streaming drain hands over its tail (RunQueue.Rest).
+// With nil codeRuns the order is tie's alone; otherwise tie, when
+// non-nil, resolves equal-code matches first.
+//
+// A pool with more than one worker splits the runs at sub-splitters and
+// merges each key range on its own core into its own window of dst and
+// of the scratch. The cuts are lower bounds, so an equal-code group
+// never splits across parts and the output is byte-identical to the
+// serial merge for any worker count.
+func RunsCoded[E any](dst []E, elemRuns [][]E, codeRuns [][]codes.Code, tie func(E, E) int, p *par.Pool, sc *Scratch[E]) []E {
+	total, nonEmpty := 0, 0
+	for _, r := range elemRuns {
 		total += len(r)
-	}
-	parts := p.Workers()
-	if total < parMergeCutoff {
-		parts = 1
-	}
-	base := len(dst)
-	dst = slices.Grow(dst, total)[:base+total]
-	if parts == 1 {
-		kwayInto(dst[base:], runs, cmp)
-		return dst
-	}
-	cuts := splitRunsFunc(runs, parts, cmp)
-	offs := partOffsets(cuts, parts)
-	p.Do(parts, func(pt int) {
-		sub := make([][]K, len(runs))
-		for r, run := range runs {
-			sub[r] = run[cuts[r][pt]:cuts[r][pt+1]]
+		if len(r) > 0 {
+			nonEmpty++
 		}
-		kwayInto(dst[base+offs[pt]:base+offs[pt+1]], sub, cmp)
-	})
-	return dst
-}
-
-// ParMergeCoded appends the k-way merge of element runs ordered by their
-// parallel code runs to dst — the pre-extracted code-plane ParMerge the
-// streaming drain feeds from Rest. Output is byte-identical to the
-// serial CodeTree merge for any worker count.
-func ParMergeCoded[E any](dst []E, elemRuns [][]E, codeRuns [][]codes.Code, p *par.Pool) []E {
-	return ParMergeCodedTie(dst, elemRuns, codeRuns, nil, p)
-}
-
-// ParMergeCodedTie is ParMergeCoded for the prefix plane: tie, when
-// non-nil, resolves equal-code matches with the comparator. The
-// sub-splitter cuts are lower bounds on codes, so an equal-code group
-// never splits across parts and the per-part tie merges concatenate
-// into the serial tie-merge order.
-func ParMergeCodedTie[E any](dst []E, elemRuns [][]E, codeRuns [][]codes.Code, tie func(E, E) int, p *par.Pool) []E {
-	total := 0
-	for _, r := range codeRuns {
-		total += len(r)
-	}
-	parts := p.Workers()
-	if total < parMergeCutoff {
-		parts = 1
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, total)[:base+total]
+	out := dst[base:]
+	parts := p.Workers()
+	if total < parMergeCutoff || nonEmpty < 2 {
+		parts = 1
+	}
 	if parts == 1 {
-		kwayCodedInto(dst[base:], elemRuns, codeRuns, nil, tie)
+		mergeInto(out, nil, elemRuns, codeRuns, tie, sc)
 		return dst
 	}
-	cuts := SplitRuns(codeRuns, parts)
+	var cuts [][]int
+	if codeRuns != nil {
+		cuts = SplitRuns(codeRuns, parts)
+	} else {
+		cuts = splitRunsFunc(elemRuns, parts, tie)
+	}
 	offs := partOffsets(cuts, parts)
+	if sc == nil {
+		sc = new(Scratch[E])
+	}
+	sc.reserve(planeOf(codeRuns != nil, tie), total, nonEmpty)
 	p.Do(parts, func(pt int) {
 		subE := make([][]E, len(elemRuns))
-		subC := make([][]codes.Code, len(codeRuns))
-		for r := range codeRuns {
-			subC[r] = codeRuns[r][cuts[r][pt]:cuts[r][pt+1]]
-			subE[r] = elemRuns[r][cuts[r][pt]:cuts[r][pt+1]]
+		var subC [][]codes.Code
+		if codeRuns != nil {
+			subC = make([][]codes.Code, len(codeRuns))
 		}
-		kwayCodedInto(dst[base+offs[pt]:base+offs[pt+1]], subE, subC, nil, tie)
+		for r := range elemRuns {
+			subE[r] = elemRuns[r][cuts[r][pt]:cuts[r][pt+1]]
+			if subC != nil {
+				subC[r] = codeRuns[r][cuts[r][pt]:cuts[r][pt+1]]
+			}
+		}
+		part := sc.carve(offs[pt], offs[pt+1])
+		mergeInto(out[offs[pt]:offs[pt+1]], nil, subE, subC, tie, &part)
 	})
 	return dst
-}
-
-// ParMergeByCode appends the k-way merge of the runs ordered by the code
-// extractor to dst — KWayByCode fanned over the pool, extraction
-// included. Output is byte-identical to the serial merge for any worker
-// count.
-func ParMergeByCode[K any](dst []K, runs [][]K, code func(K) uint64, p *par.Pool) []K {
-	return ParMergeByCodeTie(dst, runs, code, nil, p)
-}
-
-// ParMergeByCodeTie is ParMergeByCode for the prefix plane (see
-// ParMergeCodedTie).
-func ParMergeByCodeTie[K any](dst []K, runs [][]K, code func(K) uint64, tie func(K, K) int, p *par.Pool) []K {
-	codeRuns := make([][]codes.Code, len(runs))
-	p.Do(len(runs), func(r int) {
-		codeRuns[r] = codes.Extract(runs[r], code)
-	})
-	return ParMergeCodedTie(dst, runs, codeRuns, tie, p)
 }
 
 // partOffsets sums per-part sizes across runs into part start offsets.
@@ -249,26 +218,4 @@ func partOffsets(cuts [][]int, parts int) []int {
 		offs[pt+1] = offs[pt] + size
 	}
 	return offs
-}
-
-// kwayInto merges the sorted runs into out, which must have exactly the
-// runs' total length — KWay writing into caller storage.
-func kwayInto[K any](out []K, runs [][]K, cmp func(K, K) int) {
-	nonEmpty, last := 0, -1
-	for i, r := range runs {
-		if len(r) > 0 {
-			nonEmpty, last = nonEmpty+1, i
-		}
-	}
-	switch nonEmpty {
-	case 0:
-		return
-	case 1:
-		copy(out, runs[last])
-		return
-	}
-	lt := NewLoserTree(runs, cmp)
-	for i := range out {
-		out[i], _ = lt.Next()
-	}
 }

@@ -113,14 +113,14 @@ func TestParMergeMatchesKWay(t *testing.T) {
 			runs := randomSpanRuns(rng, 5, total, span)
 			want := KWay(runs, cmp)
 			for _, w := range []int{1, 2, 3, 8} {
-				got := ParMerge(nil, runs, cmp, par.New(w))
+				got := Runs(nil, runs, cmp, nil, false, par.New(w), nil)
 				if !slices.Equal(got, want) {
 					t.Fatalf("workers=%d total=%d span=%d: ParMerge diverged from KWay", w, total, span)
 				}
 			}
 			// Appending to a non-empty dst preserves the prefix.
 			prefix := []codes.Code{7, 7, 7}
-			got := ParMerge(slices.Clone(prefix), runs, cmp, par.New(4))
+			got := Runs(slices.Clone(prefix), runs, cmp, nil, false, par.New(4), nil)
 			if !slices.Equal(got[:3], prefix) || !slices.Equal(got[3:], want) {
 				t.Fatalf("total=%d span=%d: ParMerge clobbered dst prefix", total, span)
 			}
@@ -152,7 +152,7 @@ func TestParMergeCodedMatchesSerial(t *testing.T) {
 	}
 	want := KWayByCode(elemRuns, func(e rec) uint64 { return e.k })
 	for _, w := range []int{1, 2, 3, 8} {
-		got := ParMergeCoded(nil, elemRuns, codeRuns, par.New(w))
+		got := RunsCoded(nil, elemRuns, codeRuns, nil, par.New(w), nil)
 		if !slices.Equal(got, want) {
 			t.Fatalf("workers=%d: ParMergeCoded diverged from KWayByCode", w)
 		}
@@ -167,9 +167,9 @@ func TestParMergeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 38))
 	runs := randomSpanRuns(rng, 6, parMergeCutoff*3, 128)
 	p := par.New(4)
-	first := ParMerge(nil, runs, codes.Compare, p)
+	first := Runs(nil, runs, codes.Compare, nil, false, p, nil)
 	for run := 0; run < 3; run++ {
-		if again := ParMerge(nil, runs, codes.Compare, p); !slices.Equal(again, first) {
+		if again := Runs(nil, runs, codes.Compare, nil, false, p, nil); !slices.Equal(again, first) {
 			t.Fatalf("run %d: ParMerge output differs from first run", run)
 		}
 	}
@@ -239,7 +239,7 @@ func TestCodeTreeRest(t *testing.T) {
 // and compares against its serial drain, for one key type.
 func restDrain[K comparable](t *testing.T, name string, cmp func(K, K) int, code func(K) uint64, r0, r1 []K) {
 	t.Helper()
-	feed := func(s Streamer[K]) {
+	feed := func(s *Streamer[K]) {
 		a := s.AddRun(r0)
 		b := s.AddRun(r1)
 		s.CloseRun(a)
@@ -260,9 +260,9 @@ func restDrain[K comparable](t *testing.T, name string, cmp func(K, K) int, code
 	elems, cs := s.Rest()
 	var got []K
 	if cs != nil {
-		got = ParMergeCoded(nil, elems, cs, par.New(3))
+		got = RunsCoded(nil, elems, cs, nil, par.New(3), nil)
 	} else {
-		got = ParMerge(nil, elems, cmp, par.New(3))
+		got = RunsCoded(nil, elems, nil, cmp, par.New(3), nil)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s plane: Rest+ParMerge %v, serial drain %v", name, got, want)

@@ -9,7 +9,7 @@ import (
 )
 
 // drainStreamer closes every open run and pulls the full merged order.
-func drainStreamer(s Streamer[int64], open []int) []int64 {
+func drainStreamer(s *Streamer[int64], open []int) []int64 {
 	for _, i := range open {
 		s.CloseRun(i)
 	}
@@ -31,10 +31,10 @@ func TestStreamerReset(t *testing.T) {
 	icmp := cmp.Compare[int64]
 	variants := []struct {
 		name string
-		mk   func() Streamer[int64]
+		mk   func() *Streamer[int64]
 	}{
-		{"loser-tree", func() Streamer[int64] { return NewStreaming(icmp) }},
-		{"code-tree", func() Streamer[int64] {
+		{"loser-tree", func() *Streamer[int64] { return NewStreaming(icmp) }},
+		{"code-tree", func() *Streamer[int64] {
 			return NewStreamer(icmp, func(k int64) uint64 { return uint64(k) ^ 1<<63 })
 		}},
 	}

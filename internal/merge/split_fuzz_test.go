@@ -47,7 +47,7 @@ func FuzzSplitRuns(f *testing.F) {
 		cuts := SplitRuns(runs, parts)
 		checkCuts(t, runs, cuts, parts)
 		want := KWay(runs, codes.Compare)
-		got := ParMerge(nil, runs, codes.Compare, par.New(parts))
+		got := Runs(nil, runs, codes.Compare, nil, false, par.New(parts), nil)
 		if !slices.Equal(got, want) {
 			t.Fatalf("parts=%d k=%d: ParMerge diverged from KWay", parts, k)
 		}

@@ -2,106 +2,59 @@ package merge
 
 import "hssort/internal/codes"
 
-// Streamer is the incremental k-way merge surface the streaming exchange
-// drives: the growable AddRun/Append/CloseRun plane plus guarded and
-// bare emission. *LoserTree implements it directly; the code-plane
-// adapters below implement it over CodeTree.
-type Streamer[K any] interface {
-	// AddRun registers a new open run of sorted keys and returns its
-	// index.
-	AddRun(keys []K) int
-	// Append feeds more keys to open run i.
-	Append(i int, keys []K)
-	// CloseRun seals run i.
-	CloseRun(i int)
-	// Consumed returns the number of keys emitted from run i.
-	Consumed(i int) int64
-	// Exhausted reports whether every run is closed and fully emitted.
-	Exhausted() bool
-	// NextReady emits the next key only while emission is provably safe.
-	NextReady() (K, bool)
-	// Next emits the next key unconditionally (all runs closed).
-	Next() (K, bool)
-	// Rest removes and returns every run's unconsumed keys in run-index
-	// order, leaving the streamer exhausted — the bulk hand-off that
-	// lets the drain finish with ParMerge/ParMergeCoded instead of
-	// pulling the tail one key at a time. All runs must be closed. On
-	// the code planes the second result carries each run's parallel
-	// codes (so the parallel merge re-extracts nothing); on the
-	// comparator plane it is nil.
-	Rest() ([][]K, [][]codes.Code)
-	// Reset empties the streamer for reuse, keeping internal scratch
-	// allocated.
-	Reset()
+// Streamer is a RunQueue fed with keys instead of (codes, elements)
+// pairs — the incremental k-way merge the streaming exchange and
+// FromSources drive. It embeds the queue, so CloseRun, Consumed,
+// Exhausted, DrainReady, NextReady, Next, Rest (whose second result is
+// nil on the comparator plane), SetBudget and Reset are the queue's;
+// only admission differs: every appended chunk is encoded once (one
+// extractor call per key per hop; nothing at all when the keys already
+// are codes — chunks then alias straight into the queue).
+type Streamer[K any] struct {
+	*RunQueue[K]
+	code func(K) uint64
 }
 
-// NewStreamer returns the best incremental merge for the key type: the
-// raw-compare CodeTree when the keys are code points (the pure code
-// plane — chunks alias straight into the tree, nothing is re-encoded),
-// a CodeTree fed through the extractor when one is supplied (the
-// record/KV plane — each appended chunk is encoded once), and the
-// comparator LoserTree otherwise. The extractor, when non-nil, must be
-// order-preserving for cmp.
-func NewStreamer[K any](cmp func(K, K) int, code func(K) uint64) Streamer[K] {
-	var zero K
-	if _, ok := any(zero).(codes.Code); ok {
-		return any(&pureCodeStreamer{t: NewCodeTree[codes.Code]()}).(Streamer[K])
-	}
-	if code != nil {
-		return &codedStreamer[K]{t: NewCodeTree[K](), code: code}
+// NewStreamer returns the incremental merge for the key type: ordered
+// by raw code compares when the keys are code points (the pure code
+// plane) or an extractor is supplied (the record/KV plane; it must be
+// order-preserving for cmp), and by cmp otherwise.
+func NewStreamer[K any](cmp func(K, K) int, code func(K) uint64) *Streamer[K] {
+	return NewStreamerTie(cmp, code, false)
+}
+
+// NewStreamerTie is NewStreamer for the prefix plane: when tie is set
+// (and a code extractor is in play) equal-code matches are resolved
+// with cmp before the run-index tie-break, so prefix collisions across
+// runs merge in comparator order. Appended chunks must be tie-ordered
+// themselves (code-sorted, cmp-sorted within equal-code spans).
+func NewStreamerTie[K any](cmp func(K, K) int, code func(K) uint64, tie bool) *Streamer[K] {
+	switch {
+	case tie && code != nil:
+		return &Streamer[K]{NewCodeTreeTie(cmp), code}
+	case code != nil || planeOf[K](true, nil).pure:
+		return &Streamer[K]{NewCodeTree[K](), code}
 	}
 	return NewStreaming(cmp)
 }
 
-// NewStreamerTie is NewStreamer for the prefix plane: when tie is set
-// (and a code extractor is in play) the CodeTree resolves equal-code
-// matches with cmp before the run-index tie-break, so prefix collisions
-// across runs merge in comparator order. Appended chunks must be
-// tie-ordered themselves (code-sorted, cmp-sorted within equal-code
-// spans).
-func NewStreamerTie[K any](cmp func(K, K) int, code func(K) uint64, tie bool) Streamer[K] {
-	if !tie || code == nil {
-		return NewStreamer(cmp, code)
+// NewStreaming creates an empty comparator-plane streamer: no codes,
+// cmp alone carries the order.
+func NewStreaming[K any](cmp func(K, K) int) *Streamer[K] {
+	return &Streamer[K]{RunQueue: &RunQueue[K]{pl: planeOf(false, cmp)}}
+}
+
+// extract returns the chunk's codes on the code planes, nil on the
+// comparator plane.
+func (s *Streamer[K]) extract(keys []K) []codes.Code {
+	if !s.pl.coded {
+		return nil
 	}
-	return &codedStreamer[K]{t: NewCodeTreeTie[K](cmp), code: code}
+	return codes.Extract(keys, s.code)
 }
 
-// pureCodeStreamer adapts CodeTree to Streamer[codes.Code]: the key
-// slices are their own code slices.
-type pureCodeStreamer struct {
-	t *CodeTree[codes.Code]
-}
+// AddRun registers a new open run of sorted keys and returns its index.
+func (s *Streamer[K]) AddRun(keys []K) int { return s.RunQueue.AddRun(s.extract(keys), keys) }
 
-func (s *pureCodeStreamer) AddRun(keys []codes.Code) int    { return s.t.AddRun(keys, keys) }
-func (s *pureCodeStreamer) Append(i int, keys []codes.Code) { s.t.Append(i, keys, keys) }
-func (s *pureCodeStreamer) CloseRun(i int)                  { s.t.CloseRun(i) }
-func (s *pureCodeStreamer) Consumed(i int) int64            { return s.t.Consumed(i) }
-func (s *pureCodeStreamer) Exhausted() bool                 { return s.t.Exhausted() }
-func (s *pureCodeStreamer) NextReady() (codes.Code, bool)   { return s.t.NextReady() }
-func (s *pureCodeStreamer) Next() (codes.Code, bool)        { return s.t.Next() }
-func (s *pureCodeStreamer) Rest() ([][]codes.Code, [][]codes.Code) {
-	return s.t.Rest()
-}
-func (s *pureCodeStreamer) Reset() { s.t.Reset() }
-
-// codedStreamer adapts CodeTree to Streamer[K] via a code extractor:
-// every appended chunk is encoded once (one extractor call per key per
-// hop) and all merge comparisons are raw uint64s.
-type codedStreamer[K any] struct {
-	t    *CodeTree[K]
-	code func(K) uint64
-}
-
-func (s *codedStreamer[K]) AddRun(keys []K) int {
-	return s.t.AddRun(codes.Extract(keys, s.code), keys)
-}
-func (s *codedStreamer[K]) Append(i int, keys []K) {
-	s.t.Append(i, codes.Extract(keys, s.code), keys)
-}
-func (s *codedStreamer[K]) CloseRun(i int)                { s.t.CloseRun(i) }
-func (s *codedStreamer[K]) Consumed(i int) int64          { return s.t.Consumed(i) }
-func (s *codedStreamer[K]) Exhausted() bool               { return s.t.Exhausted() }
-func (s *codedStreamer[K]) NextReady() (K, bool)          { return s.t.NextReady() }
-func (s *codedStreamer[K]) Next() (K, bool)               { return s.t.Next() }
-func (s *codedStreamer[K]) Rest() ([][]K, [][]codes.Code) { return s.t.Rest() }
-func (s *codedStreamer[K]) Reset()                        { s.t.Reset() }
+// Append feeds more keys to open run i.
+func (s *Streamer[K]) Append(i int, keys []K) { s.RunQueue.Append(i, s.extract(keys), keys) }

@@ -91,25 +91,13 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], coresPerNode int)
 	if isLeader {
 		// Prefix plane: the combine and node-level merges resolve
 		// equal-code matches with the comparator.
-		var tie func(K, K) int
-		if opt.PrefixCode {
-			tie = opt.Cmp
-		}
 		combined := make([][]K, nodes)
 		for dst := 0; dst < nodes; dst++ {
 			perCore := make([][]K, 0, cores)
 			for _, coreRuns := range gathered {
 				perCore = append(perCore, coreRuns[dst])
 			}
-			if opt.Code != nil && pool.Workers() > 1 {
-				combined[dst] = merge.ParMergeByCodeTie(nil, perCore, opt.Code, tie, pool)
-			} else if opt.Code != nil {
-				combined[dst] = merge.KWayByCodeTie(perCore, opt.Code, tie)
-			} else if pool.Workers() > 1 {
-				combined[dst] = merge.ParMerge(nil, perCore, opt.Cmp, pool)
-			} else {
-				combined[dst] = merge.KWay(perCore, opt.Cmp)
-			}
+			combined[dst] = merge.Runs([]K{}, perCore, opt.Cmp, opt.Code, opt.PrefixCode, pool, opt.Scratch.MergeScratch())
 		}
 		var leaders []int
 		for g := 0; g < nodes; g++ {

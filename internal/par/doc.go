@@ -1,6 +1,6 @@
 // Package par is the intra-rank parallel compute plane: a bounded
 // fork-join worker pool the hot kernels (radix local sort, partition
-// scans, encode/decode, per-core merge trees) fan their work over.
+// scans, encode/decode, per-core merges) fan their work over.
 //
 // A Pool is a budget, not a set of goroutines: Do spawns up to Workers
 // goroutines for one fork-join region and joins them all before

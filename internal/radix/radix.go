@@ -150,12 +150,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	exchangeBytes := c.Counters().BytesSent - bytes1
 
 	t3 := time.Now()
-	var out []K
-	if opt.Code != nil {
-		out = merge.KWayByCode(recv, opt.Code)
-	} else {
-		out = merge.KWay(recv, opt.Cmp)
-	}
+	out := merge.Runs([]K{}, recv, opt.Cmp, opt.Code, false, nil, nil)
 	mergeTime := time.Since(t3)
 	stats.LocalCount = len(out)
 

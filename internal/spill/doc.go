@@ -8,10 +8,11 @@
 //
 //   - Manager: one per rank. It owns the rank's spill directory
 //     (created under Config.SpillDir, or a private temp directory),
-//     meters resident bytes against the budget (Acquire/Release — it
-//     implements merge.Budget), answers the admission question
-//     (WouldExceed) the budget-aware paths key their spill decisions
-//     on, and aggregates the per-sort counters behind
+//     meters resident bytes against the budget (Acquire/Release/Room —
+//     it implements merge.Budget, which the merge's batch drain charges
+//     its scratch to), answers the admission question (WouldExceed) the
+//     budget-aware paths key their spill decisions on, and aggregates
+//     the per-sort counters behind
 //     Stats.SpilledBytes / SpillFileBytes / SpillReads /
 //     PeakResidentBytes.
 //

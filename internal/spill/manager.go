@@ -19,7 +19,8 @@ type Stats struct {
 	// Reads is the number of frames read back from run files.
 	Reads int64
 	// PeakResident is the high-water mark of budget-metered resident
-	// bytes (admitted exchange chunks plus read-back frames).
+	// bytes (admitted exchange chunks, read-back frames and the merge
+	// scratch of the batch in progress).
 	PeakResident int64
 }
 
@@ -30,8 +31,9 @@ type Stats struct {
 // goroutine, but diagnostics may sample concurrently).
 //
 // The budget meters the spill-managed working set — chunks admitted to
-// merge trees and frames read back from disk — not caller-owned arrays
-// (the input shard, the output). Acquire/Release implement merge.Budget.
+// the merge, frames read back from disk and the merge's batch scratch —
+// not caller-owned arrays (the input shard, the output).
+// Acquire/Release/Room implement merge.Budget.
 type Manager struct {
 	budget int64
 	dir    string
@@ -105,11 +107,15 @@ func (m *Manager) Release(b int64) {
 
 // WouldExceed reports whether admitting b more resident bytes would
 // push the working set over budget — the spill decision point.
-func (m *Manager) WouldExceed(b int64) bool {
+func (m *Manager) WouldExceed(b int64) bool { return b > m.Room() }
+
+// Room returns how many more resident bytes fit under the budget —
+// negative when the working set is already over it.
+func (m *Manager) Room() int64 {
 	m.mu.Lock()
-	over := m.resident+b > m.budget
+	room := m.budget - m.resident
 	m.mu.Unlock()
-	return over
+	return room
 }
 
 // TakeStats drains the per-sort counters, returning the activity since

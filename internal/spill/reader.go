@@ -17,7 +17,7 @@ import (
 // (nil, nil) at the final marker. The returned slice reuses the
 // reader's decode buffers and is valid only until the next NextChunk —
 // exactly the ownership discipline merge.FromSources and the exchange
-// tail refill follow (a run is refilled only once the tree has consumed
+// tail refill follow (a run is refilled only once the merge has consumed
 // its previous chunk).
 //
 // Every frame is validated before any key is surfaced: header sanity

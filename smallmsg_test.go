@@ -13,9 +13,9 @@ import (
 // local keys, exchanges 255 messages of a couple of keys and merges
 // ~256 runs of ~2 — to the comparator oracle. At this shape the code
 // plane answers probe lists by forward sweep, places received runs by
-// direct indexing and merges them pairwise instead of through the
-// tournament tree; CodePathOff does none of that (per-probe comparator
-// searches, merge.KWay's loser tree). Output must be rank-identical to
+// direct indexing and merges them on raw codes; CodePathOff does none of
+// that (per-probe comparator searches, the merge kernel under the
+// comparator). Output must be rank-identical to
 // the oracle on both in-memory transports, and identical again through
 // the streaming exchange, with the protocol (rounds, sample size,
 // imbalance) untouched. The all-equal input never finalizes its

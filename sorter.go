@@ -29,8 +29,8 @@ import (
 // constructs the transport and the per-rank worker world once, and the
 // resulting Sorter is then called repeatedly — Sort for full sorts,
 // Plan/SortWithPlan for the prepare-once/sort-many split — with the
-// goroutine pool, exchange chunk buffers, merge trees and code-plane
-// scratch reused across calls. One-shot helpers (the package-level Sort,
+// goroutine pool, exchange chunk buffers, merge queues and scratch, and
+// code-plane scratch reused across calls. One-shot helpers (the package-level Sort,
 // SortFunc, SortKV) are thin wrappers over a throwaway engine.
 //
 // A Sorter serializes its calls (concurrent Sort calls run one after
@@ -443,8 +443,8 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], plan *Plan[E], shard
 		return nil
 	})
 	s.releaseScratch()
-	s.resetSpills()
 	if err != nil {
+		s.resetSpills()
 		return nil, Stats{}, ctxErr(ctx, err)
 	}
 	total := s.pool.Transport().TotalCounters()
@@ -474,9 +474,13 @@ func (s *Sorter[K]) spillFor(r int) *spill.Manager {
 }
 
 // resetSpills zeroes every hosted rank's spill accounting and removes
-// run files a failed or aborted sort left behind, so each sort starts
-// from a clean directory and fresh counters. Runs after the worker
-// world has joined, like releaseScratch.
+// the run files a failed or aborted sort left behind, so the next sort
+// starts from a clean directory, fresh counters and a meter at zero.
+// Runs after the worker world has joined, like releaseScratch. A sort
+// that succeeded needs none of it — it deleted its run files as it
+// consumed them, drained its counters into its Stats and released every
+// byte it charged — and is not given it, so an accounting leak shows up
+// in the next sort's budget instead of being wiped.
 func (s *Sorter[K]) resetSpills() {
 	for _, m := range s.spills {
 		m.Reset() // nil-safe
@@ -534,8 +538,8 @@ func (s *Sorter[K]) sortCoded(ctx context.Context, plan *Plan[K], shards [][]K) 
 		return nil
 	})
 	s.releaseScratch()
-	s.resetSpills()
 	if err != nil {
+		s.resetSpills()
 		return nil, Stats{}, ctxErr(ctx, err)
 	}
 	// The code plane's O(n) encode and decode are work the comparator

@@ -32,8 +32,9 @@ func spillBudgets(rankBytes int64) []int64 {
 // all three transports, with both exchange planes, both compute planes
 // and serial + full-width worker pools, a sort with MemoryBudget set
 // must produce rank-identical output to the unbudgeted in-memory sort,
-// report SpilledBytes > 0 (the budget genuinely engaged) and keep
-// PeakResidentBytes within the budget.
+// report SpilledBytes > 0 (the budget genuinely engaged), keep
+// PeakResidentBytes within the budget and leave every rank's budget
+// meter back at zero.
 func TestSpillEquivalence(t *testing.T) {
 	const p = 4
 	rankBytes := int64(spillPerRank) * 8
@@ -71,9 +72,21 @@ func TestSpillEquivalence(t *testing.T) {
 							t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 								bcfg := cfg
 								bcfg.MemoryBudget = budget
-								outs, stats, err := Sort(bcfg, cloneShards(shards))
+								s, err := New[int64](bcfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								defer s.Close()
+								outs, stats, err := s.Sort(t.Context(), cloneShards(shards))
 								if err != nil {
 									t.Fatalf("budgeted sort: %v", err)
+								}
+								// Everything the sort charged — admitted chunks,
+								// read-back frames, merge scratch — it released.
+								for r, m := range s.spills {
+									if m.Room() != m.Budget() {
+										t.Errorf("rank %d: %d bytes still charged to the budget after the sort", r, m.Budget()-m.Room())
+									}
 								}
 								for r := range outs {
 									if !slices.Equal(outs[r], wantOuts[r]) {
