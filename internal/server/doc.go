@@ -28,6 +28,14 @@
 // Config.PlanStaleness guard, which re-histograms when the stored
 // splitters would skew bucket loads, and the cache entry is dropped.
 //
+// The key path stays off encoding/json in both directions: a submission
+// is read once into a pooled buffer and walked once, its key array
+// scanned by the key type's own scanner straight into the slice the
+// engine shards (request.go), and a finished job's result streams from
+// the sorted shards through a pooled chunk buffer (reply.go), byte for
+// byte what encoding/json would write. Finished jobs keep their output,
+// never their input.
+//
 // GET /metrics exposes the aggregated per-sort hssort.Stats (rounds,
 // achieved epsilon, exchange bytes, plan cache hits/misses/replans,
 // queue depth, per-tenant job counts) in Prometheus text format;

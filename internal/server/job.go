@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,11 +28,15 @@ const (
 
 // job is one submitted sort riding through the scheduler. The identity
 // fields are immutable after submission; the outcome fields are guarded
-// by mu and final once done is closed.
+// by mu and final once done is closed. data is the worker's alone: it
+// holds the input shards until the job finishes and is dropped then, so
+// the finished jobs kept for GET retain outputs only.
 type job struct {
 	id      string
 	tenant  string
 	dataset string
+	keyType string
+	n       int
 	data    payload
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -42,7 +45,7 @@ type job struct {
 	mu        sync.Mutex
 	status    jobStatus
 	err       error
-	result    *jobResult
+	result    jobResult
 	stats     hssort.Stats
 	outcome   planOutcome
 	submitted time.Time
@@ -50,13 +53,11 @@ type job struct {
 	finished  time.Time
 }
 
-// jobResult is the JSON-ready sorted output: Shards is the typed
-// per-shard partition slice ([][]int64, [][]uint64, [][]float64 or
-// [][][]byte — byte keys marshal as base64 strings), Values the record
-// payloads reordered in tandem for record jobs.
-type jobResult struct {
-	Shards any        `json:"shards"`
-	Values [][]string `json:"values,omitempty"`
+// jobResult is a finished job's sorted output: the typed per-shard
+// partition slices, plus the record payloads reordered in tandem for
+// record jobs. writeTo streams it as the job document's result member.
+type jobResult interface {
+	writeTo(c *chunkWriter)
 }
 
 // storedDataset is the rank-query view of a dataset's last sorted
@@ -68,95 +69,34 @@ type storedDataset struct {
 	rank    func(raw string) (int64, error)
 }
 
+// rankIn returns how many keys of the globally sorted shards sit below
+// the first key that atOrAbove accepts (atOrAbove is monotone over the
+// sorted order). It finds the shard by its last key, then searches
+// inside it; empty shards hold nothing to compare and are stepped over.
+func rankIn[K any](shards [][]K, atOrAbove func(K) bool) int64 {
+	var below int64
+	for _, sh := range shards {
+		if n := len(sh); n > 0 && atOrAbove(sh[n-1]) {
+			return below + int64(sort.Search(n, func(i int) bool { return atOrAbove(sh[i]) }))
+		}
+		below += int64(len(sh))
+	}
+	return below
+}
+
 // payload is one decoded job body: the typed keys (and optional record
 // payloads) plus the typed run logic. Decoding picks the concrete type;
 // the scheduler's workers only see this interface.
 type payload interface {
 	keyType() string
 	n() int
+	// attach pairs one record payload with each key, turning the job
+	// into a record job.
+	attach(values []string) error
 	// run sorts the payload on srv's engine pool, consulting and
 	// updating the plan cache under the tenant's key, and returns the
-	// JSON-ready result plus the rank-query view of the sorted output.
-	run(ctx context.Context, srv *Server, tenant string) (*jobResult, *storedDataset, hssort.Stats, planOutcome, error)
-}
-
-// keyTypes lists the accepted keyType values, in flag-help order.
-var keyTypes = []string{"bytes", "float64", "int64", "uint64"}
-
-// jobRequest is the POST /v1/jobs body.
-type jobRequest struct {
-	// Tenant is the submitting tenant; quotas, the plan cache and rank
-	// queries are all scoped to it. Required.
-	Tenant string `json:"tenant"`
-	// Dataset names the dataset for rank queries. Default "default".
-	Dataset string `json:"dataset"`
-	// KeyType selects the key decoding: int64, uint64, float64 or bytes.
-	KeyType string `json:"keyType"`
-	// Keys is the flat key array, decoded per KeyType (bytes keys are
-	// base64 strings, the encoding/json convention for []byte).
-	Keys json.RawMessage `json:"keys"`
-	// Values optionally carries one opaque payload string per key; the
-	// response returns them reordered with their keys. Numeric key
-	// types only.
-	Values []string `json:"values,omitempty"`
-	// TimeoutMs arms a job deadline: past it the sort aborts mid-phase
-	// on every rank and the job fails with the deadline error.
-	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-	// Wait makes the submission block until the job finishes and return
-	// the full job document instead of a 202 ticket.
-	Wait bool `json:"wait,omitempty"`
-}
-
-// decodePayload decodes the request's keys into the typed payload.
-func decodePayload(req *jobRequest, shards int) (payload, error) {
-	switch req.KeyType {
-	case "int64":
-		return decodeOrdered[int64](req, shards, keycoder.Int64{}.Encode, func(raw string) (int64, error) {
-			return strconv.ParseInt(raw, 10, 64)
-		})
-	case "uint64":
-		return decodeOrdered[uint64](req, shards, keycoder.Uint64{}.Encode, func(raw string) (uint64, error) {
-			return strconv.ParseUint(raw, 10, 64)
-		})
-	case "float64":
-		return decodeOrdered[float64](req, shards, keycoder.Float64{}.Encode, func(raw string) (float64, error) {
-			return strconv.ParseFloat(raw, 64)
-		})
-	case "bytes":
-		if req.Values != nil {
-			return nil, fmt.Errorf("values require an ordered key type (valid values: float64, int64, uint64)")
-		}
-		var keys [][]byte
-		if err := json.Unmarshal(req.Keys, &keys); err != nil {
-			return nil, fmt.Errorf("keys: %v (bytes keys are base64 strings)", err)
-		}
-		return &bytesPayload{shards: shardSlice(keys, shards)}, nil
-	case "":
-		return nil, fmt.Errorf("keyType is required (valid values: %s)", strings.Join(keyTypes, ", "))
-	default:
-		return nil, fmt.Errorf("unknown key type %q (valid values: %s)", req.KeyType, strings.Join(keyTypes, ", "))
-	}
-}
-
-func decodeOrdered[K cmp.Ordered](req *jobRequest, shards int, code func(K) uint64, parse func(string) (K, error)) (payload, error) {
-	var keys []K
-	if err := json.Unmarshal(req.Keys, &keys); err != nil {
-		return nil, fmt.Errorf("keys: %v", err)
-	}
-	var values [][]string
-	if req.Values != nil {
-		if len(req.Values) != len(keys) {
-			return nil, fmt.Errorf("%d values for %d keys (they pair one-to-one)", len(req.Values), len(keys))
-		}
-		values = shardSlice(req.Values, shards)
-	}
-	return &orderedPayload[K]{
-		kt:     req.KeyType,
-		shards: shardSlice(keys, shards),
-		values: values,
-		code:   code,
-		parse:  parse,
-	}, nil
+	// sorted result plus the rank-query view of it.
+	run(ctx context.Context, srv *Server, tenant string) (jobResult, *storedDataset, hssort.Stats, planOutcome, error)
 }
 
 // shardSlice splits a flat slice into n contiguous shards (the engine's
@@ -172,33 +112,93 @@ func shardSlice[E any](flat []E, n int) [][]E {
 	return shards
 }
 
-// orderedPayload is the numeric-key payload (int64, uint64, float64),
-// optionally carrying record values.
-type orderedPayload[K cmp.Ordered] struct {
-	kt     string
-	shards [][]K
-	values [][]string // non-nil → record job, aligned with shards
-	code   func(K) uint64
-	parse  func(string) (K, error)
-}
-
-func (d *orderedPayload[K]) keyType() string { return d.kt }
-
-func (d *orderedPayload[K]) n() int {
+func shardsLen[E any](shards [][]E) int {
 	var n int
-	for _, sh := range d.shards {
+	for _, sh := range shards {
 		n += len(sh)
 	}
 	return n
 }
 
-func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string) (*jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
-	fp := srv.fingerprint(d.kt, len(d.shards), d.n(), sampleCodes(d.shards, d.code))
+// orderedType is what the daemon knows about one numeric key type.
+type orderedType[K cmp.Ordered] struct {
+	name string
+	// scan reads one key array element at b[i:] and returns the offset
+	// just past it.
+	scan func(b []byte, i int) (K, int, error)
+	// appendJSON appends the key as encoding/json would marshal it.
+	appendJSON func(dst []byte, k K) []byte
+	// parse reads a rank-query key.
+	parse func(raw string) (K, error)
+	// code is the order-preserving code the fingerprint samples.
+	code func(K) uint64
+}
+
+var (
+	int64Keys = &orderedType[int64]{
+		name:       "int64",
+		scan:       scanInt64,
+		appendJSON: func(dst []byte, k int64) []byte { return strconv.AppendInt(dst, k, 10) },
+		parse:      func(raw string) (int64, error) { return strconv.ParseInt(raw, 10, 64) },
+		code:       keycoder.Int64{}.Encode,
+	}
+	uint64Keys = &orderedType[uint64]{
+		name:       "uint64",
+		scan:       scanUint64,
+		appendJSON: func(dst []byte, k uint64) []byte { return strconv.AppendUint(dst, k, 10) },
+		parse:      func(raw string) (uint64, error) { return strconv.ParseUint(raw, 10, 64) },
+		code:       keycoder.Uint64{}.Encode,
+	}
+	float64Keys = &orderedType[float64]{
+		name:       "float64",
+		scan:       scanFloat64,
+		appendJSON: appendJSONFloat,
+		parse:      func(raw string) (float64, error) { return strconv.ParseFloat(raw, 64) },
+		code:       keycoder.Float64{}.Encode,
+	}
+)
+
+// orderedPayload is the numeric-key payload (int64, uint64, float64),
+// optionally carrying record values.
+type orderedPayload[K cmp.Ordered] struct {
+	t      *orderedType[K]
+	shards [][]K
+	values [][]string // non-nil → record job, aligned with shards
+}
+
+func (d *orderedPayload[K]) keyType() string { return d.t.name }
+
+func (d *orderedPayload[K]) n() int { return shardsLen(d.shards) }
+
+func (d *orderedPayload[K]) attach(values []string) error {
+	if n := d.n(); len(values) != n {
+		return fmt.Errorf("%d values for %d keys (they pair one-to-one)", len(values), n)
+	}
+	d.values = shardSlice(values, len(d.shards))
+	return nil
+}
+
+// result wraps sorted key (and value) shards as the job's result and
+// its rank-query view. It hangs off the key type, not the payload: what
+// a finished job retains must not reach its inputs.
+func (t *orderedType[K]) result(keys [][]K, values [][]string) (jobResult, *storedDataset) {
+	sd := &storedDataset{keyType: t.name, n: int64(shardsLen(keys)), rank: func(raw string) (int64, error) {
+		k, err := t.parse(raw)
+		if err != nil {
+			return 0, fmt.Errorf("key %q: %v", raw, err)
+		}
+		return rankIn(keys, func(x K) bool { return x >= k }), nil
+	}}
+	return &shardsResult[K]{shards: keys, values: values, appendKey: t.appendJSON}, sd
+}
+
+func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string) (jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
+	fp := srv.fingerprint(d.t.name, len(d.shards), d.n(), sampleCodes(d.shards, d.t.code))
 	pk := planKey{tenant: tenant, fp: fp}
 	if d.values != nil {
 		return d.runKV(ctx, srv, pk)
 	}
-	key := engineKey{keyType: d.kt}
+	key := engineKey{keyType: d.t.name}
 	pe, err := srv.engines.acquire(key, func() (*pooledEngine, error) {
 		s, err := hssort.New[K](srv.engineConfig())
 		if err != nil {
@@ -216,21 +216,14 @@ func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
-	flat := flatten(outs)
-	sd := &storedDataset{keyType: d.kt, n: int64(len(flat)), rank: func(raw string) (int64, error) {
-		k, err := d.parse(raw)
-		if err != nil {
-			return 0, fmt.Errorf("key %q: %v", raw, err)
-		}
-		return int64(sort.Search(len(flat), func(i int) bool { return flat[i] >= k })), nil
-	}}
-	return &jobResult{Shards: outs}, sd, stats, outcome, nil
+	res, sd := d.t.result(outs, nil)
+	return res, sd, stats, outcome, nil
 }
 
 // runKV is the record-job path: zip keys and values into KV records,
 // sort on the record engine, unzip for the response.
-func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) (*jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
-	key := engineKey{keyType: d.kt, kv: true}
+func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) (jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
+	key := engineKey{keyType: d.t.name, kv: true}
 	pe, err := srv.engines.acquire(key, func() (*pooledEngine, error) {
 		s, err := hssort.NewKV[K, string](srv.engineConfig())
 		if err != nil {
@@ -257,7 +250,6 @@ func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) 
 	}
 	keyShards := make([][]K, len(outs))
 	valShards := make([][]string, len(outs))
-	var flat []K
 	for r, o := range outs {
 		keyShards[r] = make([]K, len(o))
 		valShards[r] = make([]string, len(o))
@@ -265,16 +257,9 @@ func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) 
 			keyShards[r][i] = kv.Key
 			valShards[r][i] = kv.Val
 		}
-		flat = append(flat, keyShards[r]...)
 	}
-	sd := &storedDataset{keyType: d.kt, n: int64(len(flat)), rank: func(raw string) (int64, error) {
-		k, err := d.parse(raw)
-		if err != nil {
-			return 0, fmt.Errorf("key %q: %v", raw, err)
-		}
-		return int64(sort.Search(len(flat), func(i int) bool { return flat[i] >= k })), nil
-	}}
-	return &jobResult{Shards: keyShards, Values: valShards}, sd, stats, outcome, nil
+	res, sd := d.t.result(keyShards, valShards)
+	return res, sd, stats, outcome, nil
 }
 
 // bytesPayload is the variable-length byte-string payload, sorted on
@@ -285,15 +270,13 @@ type bytesPayload struct {
 
 func (d *bytesPayload) keyType() string { return "bytes" }
 
-func (d *bytesPayload) n() int {
-	var n int
-	for _, sh := range d.shards {
-		n += len(sh)
-	}
-	return n
+func (d *bytesPayload) n() int { return shardsLen(d.shards) }
+
+func (d *bytesPayload) attach([]string) error {
+	return errors.New("values require an ordered key type (valid values: float64, int64, uint64)")
 }
 
-func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (*jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
+func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
 	code := keycoder.Prefix{}.Code
 	fp := srv.fingerprint("bytes", len(d.shards), d.n(), sampleCodes(d.shards, code))
 	pk := planKey{tenant: tenant, fp: fp}
@@ -315,24 +298,11 @@ func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (*jo
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
-	flat := flatten(outs)
-	sd := &storedDataset{keyType: "bytes", n: int64(len(flat)), rank: func(raw string) (int64, error) {
+	sd := &storedDataset{keyType: "bytes", n: int64(shardsLen(outs)), rank: func(raw string) (int64, error) {
 		k := []byte(raw)
-		return int64(sort.Search(len(flat), func(i int) bool { return bytes.Compare(flat[i], k) >= 0 })), nil
+		return rankIn(outs, func(x []byte) bool { return bytes.Compare(x, k) >= 0 }), nil
 	}}
-	return &jobResult{Shards: outs}, sd, stats, outcome, nil
-}
-
-func flatten[E any](shards [][]E) []E {
-	var n int
-	for _, sh := range shards {
-		n += len(sh)
-	}
-	flat := make([]E, 0, n)
-	for _, sh := range shards {
-		flat = append(flat, sh...)
-	}
-	return flat
+	return &shardsResult[[]byte]{shards: outs, appendKey: appendJSONBytes}, sd, stats, outcome, nil
 }
 
 // planEngine is the slice of the Sorter/KVSorter surface the plan-cache

@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"time"
 
 	"hssort"
 )
@@ -27,11 +28,26 @@ type metrics struct {
 	sortSeconds   float64 // sum of per-job critical-path Stats.Total()
 	exchangeBytes int64
 	splitterBytes int64
+	phaseSeconds  [len(phaseNames)]float64 // wall time per job phase, summed over requests
 
 	jobs       map[string]map[string]int64 // tenant -> status -> count
 	lastRounds map[string]int64            // tenant -> rounds of its most recent sort
 	lastEps    map[string]float64          // tenant -> achieved epsilon of its most recent sort
 }
+
+// jobPhase is one leg of a job's path through the daemon, for the
+// hssortd_job_phase_seconds_total attribution counters.
+type jobPhase int
+
+const (
+	phaseRead   jobPhase = iota // request body off the socket
+	phaseDecode                 // body parsed into typed shards
+	phaseQueue                  // admitted, waiting for a worker
+	phaseSort                   // on a worker: fingerprint, engine checkout, the sort itself
+	phaseEncode                 // job document marshalled and written (submit, get and cancel replies)
+)
+
+var phaseNames = [...]string{phaseRead: "read", phaseDecode: "decode", phaseQueue: "queue", phaseSort: "sort", phaseEncode: "encode"}
 
 func newMetrics() *metrics {
 	return &metrics{
@@ -74,6 +90,13 @@ func (m *metrics) jobFinished(tenant, status string, stats hssort.Stats, outcome
 	if stats.Imbalance > 0 {
 		m.lastEps[tenant] = stats.Imbalance - 1
 	}
+}
+
+// phase adds d to a job phase's wall-time counter.
+func (m *metrics) phase(p jobPhase, d time.Duration) {
+	m.mu.Lock()
+	m.phaseSeconds[p] += d.Seconds()
+	m.mu.Unlock()
 }
 
 // rejected429 counts one admission refusal.
@@ -147,6 +170,11 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	counter("hssortd_histogram_rounds_total", "Histogramming rounds run, summed over jobs.", m.rounds)
 	counter("hssortd_keys_sorted_total", "Keys sorted, summed over jobs.", m.keysSorted)
 	counter("hssortd_sort_seconds_total", "Critical-path sort time (Stats.Total), summed over jobs.", m.sortSeconds)
+	var phaseRows []string
+	for p, name := range phaseNames {
+		phaseRows = append(phaseRows, fmt.Sprintf("hssortd_job_phase_seconds_total{phase=%q} %g", name, m.phaseSeconds[p]))
+	}
+	labeled("hssortd_job_phase_seconds_total", "Wall time by job phase (read, decode, queue, sort, encode), summed over requests.", "counter", phaseRows)
 	counter("hssortd_exchange_bytes_total", "Exchange-phase bytes (Stats.ExchangeBytes), summed over jobs.", m.exchangeBytes)
 	counter("hssortd_splitter_bytes_total", "Splitter-phase bytes (Stats.SplitterBytes), summed over jobs.", m.splitterBytes)
 

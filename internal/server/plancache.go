@@ -154,23 +154,25 @@ func fingerprint(keyType string, shards, n int, sample []uint64) uint64 {
 // fingerprintSampleMax codes drawn evenly across the concatenated
 // shards, in submission order (fingerprint sorts them).
 func sampleCodes[K any](shards [][]K, code func(K) uint64) []uint64 {
-	var n int
-	for _, sh := range shards {
-		n += len(sh)
-	}
-	if n == 0 {
-		return nil
-	}
-	stride := max(1, n/fingerprintSampleMax)
 	sample := make([]uint64, 0, fingerprintSampleMax)
-	i := 0
-	for _, sh := range shards {
-		for _, k := range sh {
-			if i%stride == 0 && len(sample) < fingerprintSampleMax {
-				sample = append(sample, code(k))
-			}
-			i++
-		}
-	}
+	samplePositions(shards, func(r, i int) {
+		sample = append(sample, code(shards[r][i]))
+	})
 	return sample
+}
+
+// samplePositions visits the fingerprint's sample positions in order:
+// every stride-th key of the concatenated shards from the first, up to
+// fingerprintSampleMax of them, each as (shard, index within it).
+func samplePositions[K any](shards [][]K, visit func(r, i int)) {
+	n := shardsLen(shards)
+	stride := max(1, n/fingerprintSampleMax)
+	r, base := 0, 0 // shards[r] starts at concatenated position base
+	for g, count := 0, 0; g < n && count < fingerprintSampleMax; g, count = g+stride, count+1 {
+		for g >= base+len(shards[r]) {
+			base += len(shards[r])
+			r++
+		}
+		visit(r, g-base)
+	}
 }

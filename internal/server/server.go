@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -173,73 +174,16 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close drains with no deadline.
 func (s *Server) Close() { _ = s.Drain(context.Background()) }
 
-// jobDoc is the job document returned by the jobs endpoints.
-type jobDoc struct {
-	ID      string `json:"id"`
-	Tenant  string `json:"tenant"`
-	Dataset string `json:"dataset"`
-	KeyType string `json:"keyType"`
-	N       int    `json:"n"`
-	Status  string `json:"status"`
-	// Error is the failure (or cancellation) cause, set for failed and
-	// canceled jobs.
-	Error string `json:"error,omitempty"`
-	// PlanCache is the run's plan-cache verdict: "hit", "miss" or
-	// "replanned". Empty until the job finishes (or when it never
-	// reached a sort).
-	PlanCache string `json:"planCache,omitempty"`
-	// Stats is the sort's per-run statistics, set for done jobs.
-	Stats *hssort.StatsSnapshot `json:"stats,omitempty"`
-	// Result is the sorted output, set for done jobs.
-	Result *jobResult `json:"result,omitempty"`
-}
-
-func (j *job) doc() jobDoc {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	d := jobDoc{
-		ID:      j.id,
-		Tenant:  j.tenant,
-		Dataset: j.dataset,
-		KeyType: j.data.keyType(),
-		N:       j.data.n(),
-		Status:  string(j.status),
-	}
-	if j.err != nil {
-		d.Error = j.err.Error()
-	}
-	d.PlanCache = j.outcome.String()
-	if j.status == statusDone {
-		snap := j.stats.Snapshot()
-		d.Stats = &snap
-		d.Result = j.result
-	}
-	return d
-}
-
 // handleSubmit is POST /v1/jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("body: %v", err))
-		return
-	}
-	if req.Tenant == "" {
-		writeError(w, http.StatusBadRequest, errors.New("tenant is required"))
-		return
-	}
-	if req.Dataset == "" {
-		req.Dataset = "default"
-	}
-	data, err := decodePayload(&req, s.cfg.Shards)
+	req, data, err := s.decodeSubmission(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.cfg.MaxKeys > 0 && data.n() > s.cfg.MaxKeys {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d keys exceeds the %d-key job limit", data.n(), s.cfg.MaxKeys))
+		code := http.StatusBadRequest
+		var tooMany *tooManyKeysError
+		if errors.As(err, &tooMany) {
+			code, err = http.StatusRequestEntityTooLarge, tooMany
+		}
+		writeError(w, code, err)
 		return
 	}
 
@@ -255,6 +199,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		tenant:    req.Tenant,
 		dataset:   req.Dataset,
+		keyType:   data.keyType(),
+		n:         data.n(),
 		data:      data,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -294,7 +240,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// where it stands.
 		}
 	}
-	writeJSON(w, status, j.doc())
+	s.writeJobDoc(w, status, j)
+}
+
+// decodeSubmission reads the request body once into a pooled buffer and
+// parses it. The keys are decoded out of the buffer, so it goes back to
+// the pool before the job is even queued.
+func (s *Server) decodeSubmission(r *http.Request) (jobRequest, payload, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	t0 := time.Now()
+	err := readBody(buf, r)
+	t1 := time.Now()
+	s.metrics.phase(phaseRead, t1.Sub(t0))
+	if err != nil {
+		return jobRequest{}, nil, fmt.Errorf("body: %w", err)
+	}
+	req, data, err := parseJobRequest(buf.Bytes(), s.cfg.Shards, s.cfg.MaxKeys)
+	s.metrics.phase(phaseDecode, time.Since(t1))
+	return req, data, err
 }
 
 // handleGetJob is GET /v1/jobs/{id}. The tenant query parameter must
@@ -306,7 +275,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.doc())
+	s.writeJobDoc(w, http.StatusOK, j)
 }
 
 // handleCancelJob is DELETE /v1/jobs/{id}: cancels the job's context.
@@ -319,7 +288,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.cancel()
-	writeJSON(w, http.StatusOK, j.doc())
+	s.writeJobDoc(w, http.StatusOK, j)
 }
 
 func (s *Server) lookupJob(id, tenant string) (*job, error) {
@@ -414,7 +383,7 @@ func (s *Server) runJob(j *job) {
 	s.finishJob(j, res, sd, stats, outcome, err)
 }
 
-func (s *Server) finishJob(j *job, res *jobResult, sd *storedDataset, stats hssort.Stats, outcome planOutcome, err error) {
+func (s *Server) finishJob(j *job, res jobResult, sd *storedDataset, stats hssort.Stats, outcome planOutcome, err error) {
 	status := statusDone
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -425,11 +394,18 @@ func (s *Server) finishJob(j *job, res *jobResult, sd *storedDataset, stats hsso
 	j.mu.Lock()
 	j.status = status
 	j.err = err
+	j.data = nil // the input shards: nothing reads them again
 	j.result = res
 	j.stats = stats
 	j.outcome = outcome
 	j.finished = time.Now()
+	queued, ran := j.finished.Sub(j.submitted), time.Duration(0)
+	if !j.started.IsZero() {
+		queued, ran = j.started.Sub(j.submitted), j.finished.Sub(j.started)
+	}
 	j.mu.Unlock()
+	s.metrics.phase(phaseQueue, queued)
+	s.metrics.phase(phaseSort, ran)
 
 	s.mu.Lock()
 	if status == statusDone && sd != nil {

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -33,11 +35,17 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
+// rawBody is a request body sent as written, for submissions no
+// marshaller would produce.
+type rawBody string
+
 // call drives one request through the server and decodes the JSON body.
 func call(t *testing.T, srv *Server, method, path string, body any) (int, map[string]any) {
 	t.Helper()
 	var rd *bytes.Reader
-	if body != nil {
+	if raw, ok := body.(rawBody); ok {
+		rd = bytes.NewReader([]byte(raw))
+	} else if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -446,7 +454,7 @@ func TestServerBadRequests(t *testing.T) {
 	srv := newTestServer(t, Config{Shards: 2, MaxKeys: 10})
 	cases := []struct {
 		name string
-		body submitBody
+		body any
 		code int
 		want string
 	}{
@@ -457,6 +465,18 @@ func TestServerBadRequests(t *testing.T) {
 		{"values mismatch", submitBody{Tenant: "t", KeyType: "int64", Keys: []any{1.0, 2.0}, Values: []string{"v"}}, 400, "1 values for 2 keys"},
 		{"keys not an array", submitBody{Tenant: "t", KeyType: "int64", Keys: "nope"}, 400, "keys:"},
 		{"too many keys", submitBody{Tenant: "t", KeyType: "int64", Keys: []any{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0}}, 413, "exceeds the 10-key job limit"},
+		{"too many keys, found before keyType", rawBody(`{"tenant":"t","keys":[1,2,3,4,5,6,7,8,9,10,11],"keyType":"int64"}`), 413, "exceeds the 10-key job limit"},
+		{"trailing bytes", rawBody(`{"tenant":"t","keyType":"int64","keys":[1]} {}`), 400, "trailing bytes after the object"},
+		{"null element", rawBody(`{"tenant":"t","keyType":"int64","keys":[1,null,3]}`), 400, "element 1 at offset 42: null is not a key"},
+		{"null bytes element", rawBody(`{"tenant":"t","keyType":"bytes","keys":["YQ==",null]}`), 400, "null is not a key (bytes keys are base64 strings)"},
+		{"fraction in int64 keys", rawBody(`{"tenant":"t","keyType":"int64","keys":[1,2.0]}`), 400, "integer keys take no fraction or exponent"},
+		{"exponent in uint64 keys", rawBody(`{"tenant":"t","keyType":"uint64","keys":[1e3]}`), 400, "integer keys take no fraction or exponent"},
+		{"missing keys", rawBody(`{"tenant":"t","keyType":"int64"}`), 400, "keys is required"},
+		{"field name in the wrong case", rawBody(`{"tenant":"t","KeyType":"int64","keys":[1]}`), 400, "keyType is required"},
+		{"malformed unknown member", rawBody(`{"tenant":"t","keyType":"int64","keys":[1],"extra":[1,}`), 400, "extra: malformed value"},
+		{"truncated body", rawBody(`{"tenant":"t","keyType":"int64","keys":[1,2`), 400, "unexpected end of body"},
+		{"not an object", rawBody(`[1,2,3]`), 400, "expected a JSON object"},
+		{"keys before keyType", rawBody(`{"keys":[3,1,2],"tenant":"t","keyType":"int64"}`), 202, ""},
 	}
 	for _, tc := range cases {
 		code, doc := call(t, srv, "POST", "/v1/jobs", tc.body)
@@ -572,6 +592,79 @@ func TestServerMetricsShape(t *testing.T) {
 	} {
 		if !strings.Contains(text, row) {
 			t.Errorf("/metrics missing row %q", row)
+		}
+	}
+	// Every phase of the one job took some time and is attributed.
+	for _, phase := range phaseNames {
+		row := regexp.MustCompile(`(?m)^hssortd_job_phase_seconds_total\{phase="` + phase + `"\} ([0-9.e-]+)$`).FindStringSubmatch(text)
+		if row == nil {
+			t.Errorf("/metrics has no %s phase row", phase)
+		} else if secs, err := strconv.ParseFloat(row[1], 64); err != nil || secs <= 0 {
+			t.Errorf("%s phase counter reads %q after a finished job", phase, row[1])
+		}
+	}
+}
+
+// TestServerFinishedJobDropsInputs checks that a finished job keeps its
+// output and the two scalars its document needs, not its input shards:
+// the daemon retains hundreds of finished jobs.
+func TestServerFinishedJobDropsInputs(t *testing.T) {
+	srv := newTestServer(t, Config{Shards: 2})
+	for _, body := range []submitBody{
+		{Tenant: "acme", KeyType: "int64", Keys: []any{3.0, 1.0, 2.0}},
+		{Tenant: "acme", KeyType: "float64", Keys: []any{3.5, 1.5}, Values: []string{"x", "y"}},
+		{Tenant: "acme", KeyType: "bytes", Keys: [][]byte{[]byte("b"), []byte("a")}},
+	} {
+		doc := submitWait(t, srv, body)
+		j, err := srv.lookupJob(doc["id"].(string), "acme")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.data != nil {
+			t.Errorf("finished %s job still holds its payload: %#v", body.KeyType, j.data)
+		}
+		// The document is still whole without it.
+		_, again := call(t, srv, "GET", "/v1/jobs/"+j.id+"?tenant=acme", nil)
+		if again["keyType"] != body.KeyType || again["n"] != doc["n"] || again["n"].(float64) < 2 || again["result"] == nil {
+			t.Errorf("GET after finish lost part of the document: %v", again)
+		}
+	}
+	// A job canceled before it ran drops its inputs too.
+	srv.sched.testGate = func(j *job) { j.cancel() }
+	doc := submitWait(t, srv, submitBody{Tenant: "acme", KeyType: "int64", Keys: []any{2.0, 1.0}})
+	if j, _ := srv.lookupJob(doc["id"].(string), "acme"); doc["status"] != "canceled" || j.data != nil {
+		t.Errorf("canceled job: status %v, payload %#v", doc["status"], j.data)
+	}
+}
+
+// TestServerRankAcrossShards checks rank queries over HTTP where the
+// sorted output leaves a shard empty and the probes sit on the shard
+// boundaries.
+func TestServerRankAcrossShards(t *testing.T) {
+	srv := newTestServer(t, Config{Shards: 4})
+	doc := submitWait(t, srv, submitBody{Tenant: "acme", Dataset: "few", KeyType: "int64", Keys: []any{50.0, 10.0, 40.0, 20.0, 30.0}})
+	var sorted []float64
+	empties := 0
+	for _, sh := range doc["result"].(map[string]any)["shards"].([]any) {
+		if sh == nil || len(sh.([]any)) == 0 {
+			empties++
+			continue
+		}
+		for _, k := range sh.([]any) {
+			sorted = append(sorted, k.(float64))
+		}
+	}
+	if empties == 0 {
+		t.Log("no shard came back empty; the empty-shard case rests on TestRankInShards")
+	}
+	for _, probe := range []float64{5, 10, 15, 20, 30, 40, 45, 50, 55} {
+		want, _ := slices.BinarySearch(sorted, probe)
+		code, rankDoc := call(t, srv, "GET", fmt.Sprintf("/v1/datasets/few/rank?tenant=acme&key=%v", probe), nil)
+		if code != http.StatusOK || rankDoc["rank"] != float64(want) || rankDoc["n"] != 5.0 {
+			t.Errorf("rank of %v: status %d, %v; want rank %d of 5", probe, code, rankDoc, want)
+		}
+		if got := rankDoc["percentile"]; got != float64(want)/5 {
+			t.Errorf("percentile of %v = %v, want %v", probe, got, float64(want)/5)
 		}
 	}
 }

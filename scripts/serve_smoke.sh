@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Daemon smoke: boot hssortd on a free port, drive it with the HTTP
-# client example (concurrent jobs from two tenants, int64 and bytes
-# keys, every output diffed against a locally sorted copy), assert the
-# plan cache shows up in /metrics, probe admission control on a daemon
-# with a tiny queue (429s under flood), and check the SIGTERM drain:
-# admitted jobs finish and the process exits 0. This is the CI gate for
-# the sort-as-a-service surface (internal/server + cmd/hssortd).
+# Daemon smoke: boot hssortd on a free port, post one job whose keys
+# precede its keyType, drive it with the HTTP client example (concurrent
+# jobs from two tenants, int64 and bytes keys, every output diffed
+# against a locally sorted copy), assert the plan cache shows up in
+# /metrics, probe admission control on a daemon with a tiny queue (429s
+# under flood), and check the SIGTERM drain: admitted jobs finish and
+# the process exits 0. This is the CI gate for the sort-as-a-service
+# surface (internal/server + cmd/hssortd).
 #
 # Usage: scripts/serve_smoke.sh
 set -euo pipefail
@@ -58,6 +59,17 @@ d1=$DPID
 echo "== daemon up on $addr"
 
 [ "$(curl -sf "http://$addr/healthz")" = ok ] || { echo "healthz not ok"; exit 1; }
+
+# The body is parsed in one pass whatever its member order: a job whose
+# keys arrive ahead of its keyType must sort like any other.
+reply="$(curl -sf -X POST "http://$addr/v1/jobs" \
+	-d '{"keys":[30,-10,20],"wait":true,"tenant":"smoke","keyType":"int64"}')"
+sorted="$(echo "$reply" | sed -n 's/.*"shards":\(.*\)}}$/\1/p' | tr -d '[]' | tr -s ',' | sed 's/^,//; s/,$//')"
+if [ "$sorted" != "-10,20,30" ] || ! echo "$reply" | grep -q '"status":"done"'; then
+	echo "keys-before-keyType job came back wrong: $reply" >&2
+	exit 1
+fi
+echo "== keys ahead of keyType: sorted $sorted"
 
 # Concurrent two-tenant jobs, digest-diffed against the library path,
 # plus the plan-cache repeat (asserts planCache=hit, rounds=0).
