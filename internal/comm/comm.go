@@ -149,9 +149,9 @@ func (w *World) HostedRanks() int { return len(hostedRanks(w.t)) }
 // runs Size() times; a multi-process transport (comm.RankHoster, e.g.
 // TCPTransport) hosts a subset and the peer processes run the rest of
 // the same SPMD program. Run returns the joined errors of the hosted
-// ranks. A panic in any rank aborts the World — across processes, for a
-// wire transport — and is reported as that rank's error; other ranks
-// then fail with ErrAborted instead of hanging.
+// ranks. A rank that returns an error or panics (reported as its error)
+// aborts the World — across processes, for a wire transport — and the
+// other ranks then fail with ErrAborted instead of hanging (runRank).
 func (w *World) Run(fn func(c *Comm) error) error {
 	var timer *time.Timer
 	if w.timeout > 0 {
@@ -162,19 +162,13 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	}
 	ranks := hostedRanks(w.t)
 	var wg sync.WaitGroup
+	var failed sync.Once
 	errs := make([]error, len(ranks))
 	for i, r := range ranks {
 		wg.Add(1)
 		go func(i, rank int) {
 			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					err := fmt.Errorf("comm: rank %d panicked: %v", rank, rec)
-					errs[i] = err
-					w.Abort(err)
-				}
-			}()
-			errs[i] = fn(&Comm{w: w, rank: rank})
+			errs[i] = runRank(&Comm{w: w, rank: rank}, fn, &failed)
 		}(i, r)
 	}
 	wg.Wait()

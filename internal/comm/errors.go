@@ -6,9 +6,13 @@ package comm
 // wanted to react (retry a bootstrap, trigger a respawn, refuse a
 // mixed-version fleet) had to match message text. Each condition now has
 // a structured error with errors.Is/As support, and the TCP wire
-// protocol carries enough of that structure (wireAbort.Crash/CrashRank)
-// that every surviving process of a crashed world reconstructs the same
-// typed value.
+// protocol carries enough of that structure (wireAbort.Crash/CrashRank/
+// CrashInc) that every surviving process of a crashed world reconstructs
+// the same typed value.
+//
+// A *PeerCrashError is also the TCP transport's liveness record: the
+// conn a crash retired keeps it, and a rank is lost exactly while its
+// slot holds a retired conn (tcp.go).
 
 import (
 	"fmt"
@@ -26,6 +30,12 @@ import (
 type PeerCrashError struct {
 	// Rank is the rank that crashed.
 	Rank int
+	// Incarnation says which life of Rank died: 0 for the process that
+	// bootstrapped the world, +1 for each rejoin since. Like Rank it is
+	// the same on every survivor, and it is what stops a late report of
+	// one death from being charged to the rank's successor. Always 0
+	// outside the TCP transport.
+	Incarnation uint32
 	// Err is the local evidence (EOF, timeout, injected fault); it may
 	// differ between survivors, unlike Rank. May be nil for an error
 	// reconstructed off the wire.

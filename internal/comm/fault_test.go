@@ -14,9 +14,10 @@ import (
 )
 
 // fault_test.go: the failure-survival machinery — deterministic fault
-// injection, typed crash errors, heartbeat liveness, kill/respawn/rejoin
-// and mesh resize. Companion to the chaos sweeps in the root package's
-// robustness tests, which drive whole sorts through the same layers.
+// injection, typed crash errors, heartbeat liveness and
+// kill/respawn/rejoin. Companion to the chaos sweeps in the root
+// package's robustness tests, which drive whole sorts through the same
+// layers.
 
 // TestFaultLinkFaultsDeliverExactlyOnce: drop/delay/dup model a lossy
 // link under its repair layer, so every message still arrives exactly
@@ -115,6 +116,24 @@ func TestFaultCrashEveryRankSeesSameTypedError(t *testing.T) {
 	}
 }
 
+// ring is the one-round SPMD body of the kill/respawn tests: every rank
+// passes its rank to its successor, checks what its predecessor sent,
+// and enters the barrier.
+func ring(c *Comm) error {
+	p := c.Size()
+	if err := SendValue(c, (c.Rank()+1)%p, 3, int64(c.Rank())); err != nil {
+		return err
+	}
+	got, err := RecvValue[int64](c, (c.Rank()+p-1)%p, 3)
+	if err != nil {
+		return err
+	}
+	if want := int64((c.Rank() + p - 1) % p); got != want {
+		return fmt.Errorf("rank %d: got %d, want %d", c.Rank(), got, want)
+	}
+	return c.Barrier()
+}
+
 // TestTCPLoopbackKillRespawnRejoin is the full recovery cycle at the
 // transport level: a clean run, kill -9 of one rank (every survivor
 // fails with the same typed error), respawn + rejoin, and a clean run
@@ -129,19 +148,6 @@ func TestTCPLoopbackKillRespawnRejoin(t *testing.T) {
 	}
 	pool := NewPool(p, WithTransport(mesh), WithTimeout(20*time.Second))
 
-	ring := func(c *Comm) error {
-		if err := SendValue(c, (c.Rank()+1)%p, 3, int64(c.Rank())); err != nil {
-			return err
-		}
-		got, err := RecvValue[int64](c, (c.Rank()+p-1)%p, 3)
-		if err != nil {
-			return err
-		}
-		if want := int64((c.Rank() + p - 1) % p); got != want {
-			return fmt.Errorf("rank %d: got %d, want %d", c.Rank(), got, want)
-		}
-		return c.Barrier()
-	}
 	ctx := t.Context()
 	if err := pool.Run(ctx, ring); err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -185,6 +191,43 @@ func TestTCPLoopbackKillRespawnRejoin(t *testing.T) {
 	pool.Close()
 	mesh.Close()
 	waitGoroutines(t, base)
+}
+
+// TestKillRespawnCycles drives one mesh through 50 kill → failed run →
+// respawn → clean run cycles, alternating the victim so both ranks pass
+// incarnation 1 many times over. Every cycle is a chance for a late
+// event of the dead incarnation (its EOF, a survivor's crash report) to
+// be charged to the healed slot or to the next generation; any of them
+// fails the clean run, and the 2 s pool timeout turns a parked rank into
+// a failure instead of a hang.
+func TestKillRespawnCycles(t *testing.T) {
+	const p, cycles = 3, 50
+	mesh, err := NewTCPLoopback(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	pool := NewPool(p, WithTransport(mesh), WithTimeout(2*time.Second))
+	defer pool.Close()
+	ctx := t.Context()
+	for cycle := 0; cycle < cycles; cycle++ {
+		victim := 1 + cycle%2
+		mesh.Kill(victim)
+		err := pool.Run(ctx, ring)
+		var crash *PeerCrashError
+		if !errors.As(err, &crash) || crash.Rank != victim {
+			t.Fatalf("cycle %d: run without rank %d returned %v, want its PeerCrashError", cycle, victim, err)
+		}
+		if want := uint32(cycle / 2); crash.Incarnation != want {
+			t.Fatalf("cycle %d: crash names incarnation %d of rank %d, want %d", cycle, crash.Incarnation, victim, want)
+		}
+		if err := mesh.Respawn(victim); err != nil {
+			t.Fatalf("cycle %d: respawn: %v", cycle, err)
+		}
+		if err := pool.Run(ctx, ring); err != nil {
+			t.Fatalf("cycle %d: healed run: %v", cycle, err)
+		}
+	}
 }
 
 // TestTCPRespawnRefusesLiveRank: Respawn of a rank that was never
@@ -289,51 +332,6 @@ func TestHeartbeatKeepsIdleWorldAlive(t *testing.T) {
 	}
 	if _, err := nodes[1].Recv(1, 0, 4); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMeshResize: a world resized down and back up re-rendezvouses at
-// the same coordinator address, and each new mesh carries traffic.
-func TestMeshResize(t *testing.T) {
-	mesh, err := NewTCPLoopback(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	coord := mesh.CoordinatorAddr()
-
-	ring := func(p int) error {
-		w := NewWorld(p, WithTransport(mesh), WithTimeout(20*time.Second))
-		return w.Run(func(c *Comm) error {
-			if err := SendValue(c, (c.Rank()+1)%p, 3, int64(c.Rank())); err != nil {
-				return err
-			}
-			got, err := RecvValue[int64](c, (c.Rank()+p-1)%p, 3)
-			if err != nil {
-				return err
-			}
-			if want := int64((c.Rank() + p - 1) % p); got != want {
-				return fmt.Errorf("rank %d: got %d, want %d", c.Rank(), got, want)
-			}
-			return c.Barrier()
-		})
-	}
-	if err := ring(4); err != nil {
-		t.Fatalf("initial world: %v", err)
-	}
-	for _, newP := range []int{2, 3} {
-		if err := mesh.Resize(newP); err != nil {
-			t.Fatalf("resize to %d: %v", newP, err)
-		}
-		if mesh.Size() != newP {
-			t.Fatalf("Size() = %d after resize to %d", mesh.Size(), newP)
-		}
-		if got := mesh.CoordinatorAddr(); got != coord {
-			t.Errorf("coordinator moved from %s to %s across resize", coord, got)
-		}
-		if err := ring(newP); err != nil {
-			t.Fatalf("world of %d after resize: %v", newP, err)
-		}
 	}
 }
 

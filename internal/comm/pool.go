@@ -48,11 +48,13 @@ type Pool struct {
 	active  uint64
 }
 
-// poolJob is one run's work for one rank: the SPMD function and the
-// context its Comm probes for cancellation.
+// poolJob is one run's work for one rank: the SPMD function, the
+// context its Comm probes for cancellation, and the run's first-failure
+// gate (runRank).
 type poolJob struct {
-	ctx context.Context
-	fn  func(c *Comm) error
+	ctx    context.Context
+	fn     func(c *Comm) error
+	failed *sync.Once
 }
 
 // rankResult is one worker's outcome for the current run.
@@ -84,22 +86,33 @@ func NewPool(p int, opts ...Option) *Pool {
 			defer pl.wg.Done()
 			for job := range pl.jobs[i] {
 				c := &Comm{w: w, rank: rank, ctx: job.ctx, done: job.ctx.Done()}
-				pl.results <- rankResult{rank, runRank(c, job.fn)}
+				pl.results <- rankResult{rank, runRank(c, job.fn, job.failed)}
 			}
 		}(i, r)
 	}
 	return pl
 }
 
-// runRank executes fn with the same panic containment as World.Run: a
-// panicking rank aborts the whole transport (unblocking its peers) and
-// reports the panic as its error, leaving the worker goroutine alive
-// for the next run.
-func runRank(c *Comm, fn func(c *Comm) error) (err error) {
+// runRank executes fn as one rank of a run, under the rule World.Run
+// and Pool.Run share: a failed rank fails the world. The SPMD protocols
+// are bulk-synchronous, so a rank that returns an error (or panics,
+// which is reported as its error and leaves the worker goroutine alive)
+// will never reach the collectives its peers are parked in; the first
+// such rank of a run (failed) aborts the transport with its error,
+// unblocking them. Errors that came out of the abort latch re-abort
+// harmlessly (first abort wins) — which is also how a latch only this
+// endpoint holds, Reset's lost-peer poison, reaches the other
+// processes. A rank failing with ErrTransportClosed is exempt: its own
+// endpoint was killed, and the survivors' *PeerCrashError naming it
+// must win first-abort. The caller is part of the active run, so the
+// abort cannot land on a later run's Reset transport.
+func runRank(c *Comm, fn func(c *Comm) error, failed *sync.Once) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("comm: rank %d panicked: %v", c.rank, rec)
-			c.w.Abort(err)
+		}
+		if err != nil && !errors.Is(err, ErrTransportClosed) {
+			failed.Do(func() { c.w.Abort(fmt.Errorf("%w: rank %d failed: %w", ErrAborted, c.rank, err)) })
 		}
 	}()
 	return fn(c)
@@ -126,6 +139,10 @@ var ErrPoolClosed = errors.New("comm: pool closed")
 // The transport is Reset before the ranks start, so each run begins
 // with empty queues, a clean abort latch and zeroed counters — counters
 // read between runs therefore describe exactly the last run.
+//
+// A rank that returns an error or panics fails the world: its peers
+// unblock with an error wrapping ErrAborted and the rank's error instead
+// of waiting for it in a collective it will never reach (runRank).
 //
 // ctx cancellation aborts the transport with an error wrapping both
 // ErrAborted and ctx's cause, unblocking every rank; ranks that were
@@ -176,8 +193,9 @@ func (pl *Pool) Run(ctx context.Context, fn func(c *Comm) error) error {
 		})
 		defer timer.Stop()
 	}
+	failed := new(sync.Once)
 	for _, ch := range pl.jobs {
-		ch <- poolJob{ctx, fn}
+		ch <- poolJob{ctx, fn, failed}
 	}
 	errs := make([]error, 0, len(pl.jobs))
 	for range pl.jobs {

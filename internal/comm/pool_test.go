@@ -78,6 +78,47 @@ func TestPoolRecoversAfterPanic(t *testing.T) {
 	})
 }
 
+// TestPoolRankErrorAbortsWorld: a failed rank fails the world. One rank
+// returns an error before its first Send; the ranks parked in Recv on
+// it must come back with ErrAborted naming that error (its text is what
+// survives a wire abort) well inside the watchdog, under Pool.Run and
+// World.Run alike, and the Pool must serve the next run.
+func TestPoolRankErrorAbortsWorld(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
+		const p = 3
+		errBoom := errors.New("rank 1 gives up")
+		fn := func(c *Comm) error {
+			if c.Rank() == 1 {
+				return errBoom
+			}
+			_, err := c.Recv(1, 9) // never sent: unblocked by the abort
+			if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), errBoom.Error()) {
+				return fmt.Errorf("rank %d woke with %v, want ErrAborted naming the rank-1 error", c.Rank(), err)
+			}
+			return nil
+		}
+		pl := pool(t, mk, p)
+		defer pl.Close()
+		runs := map[string]func() error{
+			"pool":  func() error { return pl.Run(context.Background(), fn) },
+			"world": func() error { return world(t, mk, p).Run(fn) },
+		}
+		for name, run := range runs {
+			start := time.Now()
+			err := run()
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("%s: peers of the failed rank were parked for %v", name, took)
+			}
+			if !errors.Is(err, errBoom) || strings.Contains(err.Error(), "woke with") {
+				t.Errorf("%s: run error = %v, want just the rank-1 error", name, err)
+			}
+		}
+		if err := pl.Run(context.Background(), func(c *Comm) error { return c.Barrier() }); err != nil {
+			t.Fatalf("run after a failed rank: %v", err)
+		}
+	})
+}
+
 // TestPoolContextCancel: cancelling the context mid-run unblocks every
 // rank with an error satisfying errors.Is(err, context.Canceled), and
 // the Pool remains usable.

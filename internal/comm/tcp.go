@@ -34,12 +34,19 @@ package comm
 // Failure survival. A peer's death surfaces as a typed *PeerCrashError
 // on every survivor — detected by raw EOF, or by heartbeat silence when
 // PeerTimeout is set (a hung process, not just a dead socket). The
-// bootstrap listener stays open for the life of the endpoint: a
-// respawned worker rejoins the running world through a coordinator
-// re-registration and per-peer rejoin handshakes, adopting the world's
-// current generation, and Reset (with RejoinWait) waits for the mesh to
-// heal so the next run recovers instead of failing. Resize re-forms the
-// world at a new size over the same coordinator address.
+// slot conns[r] is the only liveness state: a tcpConn carries its peer's
+// incarnation (0 at bootstrap, +1 per rejoin, handed out by rank 0) and,
+// once retired, its *PeerCrashError, so "rank r is lost" is "slot r holds
+// a retired conn". Every connection-level event (EOF, write error,
+// heartbeat miss, a peer's crash report, rejoin adoption) takes the one
+// retire step under genMu: bound to a conn and so to an incarnation, it
+// cannot reach a healed slot or be charged to the next generation. The
+// listener stays open for the life of the endpoint: a respawned worker
+// rejoins the running world through a coordinator re-registration and
+// per-peer rejoin handshakes, adopting the world's current generation,
+// and Reset (with RejoinWait) waits for the mesh to heal so the next run
+// recovers instead of failing. An endpoint's lifecycle is {bootstrap,
+// reset, crash, rejoin, close}.
 
 import (
 	"bufio"
@@ -133,13 +140,14 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // tcpConn is one established rank-pair connection.
 type tcpConn struct {
 	peer int
+	inc  uint32 // the peer's incarnation this socket reaches
 	c    net.Conn
 	bw   *bufio.Writer
 
-	// dead marks a conn whose peer crashed: its pumps are being torn
-	// down and the slot may be replaced by a rejoin. CAS on dead is the
-	// per-conn gate that makes crash handling run exactly once.
-	dead atomic.Bool
+	// retired is the conn's crash record: nil while the peer is
+	// reachable through this socket, afterwards the *PeerCrashError it
+	// was retired with. TCPTransport.retire is its only writer.
+	retired atomic.Pointer[PeerCrashError]
 	// lastRecv is the UnixNano timestamp of the last inbound frame
 	// (data, control or heartbeat) — the liveness monitor's evidence.
 	lastRecv atomic.Int64
@@ -192,45 +200,39 @@ type TCPTransport struct {
 	me   int
 	opts TCPOptions
 
-	// conns holds the connection per peer rank (nil at me). Slots are
-	// atomic pointers because a rejoin replaces a dead peer's conn
-	// while Send and the monitor read concurrently.
+	// conns holds the connection per peer rank (nil at me); a slot
+	// holding a retired conn is a lost rank. Unlike the abort latch —
+	// which Reset clears so an engine can reuse the mesh after a
+	// cancellation — a retired conn stays until a rejoin replaces it
+	// (Reset waits for that, or re-poisons the next run). Slots are
+	// atomic pointers: the rejoin swap races Send and the monitor.
 	conns []atomic.Pointer[tcpConn]
 	box   *mailbox // the local rank's tag-matched inbox
 
 	// ln is the bootstrap listener, kept open for the life of the
-	// endpoint (acceptLoop serves rejoin handshakes on it). lnKeep
-	// marks a listener detached for reuse (Resize): teardown then
-	// leaves it open for the successor endpoint.
-	ln     net.Listener
-	lnKeep atomic.Bool
+	// endpoint (acceptLoop serves rejoin handshakes on it).
+	ln net.Listener
 
-	// table is the live rank → data-address map (rank 0 only):
-	// rendezvous fills it, rejoins update it, so a respawned worker can
-	// always learn the current mesh.
+	// table is the live rank → data-address map and incs the rank →
+	// incarnation vector (rank 0 only): rendezvous fills them, each
+	// rejoin registration updates the one and bumps the other, so a
+	// respawned worker can always learn the current mesh.
 	tableMu sync.Mutex
 	table   []string
+	incs    []uint32
 
 	counters struct {
 		mu sync.Mutex
 		c  Counters
 	}
 
-	gen    atomic.Uint32 // current generation (epoch)
-	genMu  sync.Mutex    // serializes Reset vs reader delivery decisions
+	gen atomic.Uint32 // current generation (epoch)
+	// genMu serializes what depends on the current generation: Reset,
+	// frame dispatch, Abort and the retire step.
+	genMu  sync.Mutex
 	abort  abortState
 	bar    tcpBarrier
 	closed atomic.Bool
-
-	// lostRanks records crashed peers (by rank) that have not rejoined,
-	// each mapped to its *PeerCrashError. Unlike the abort latch —
-	// which Reset clears so an engine can reuse the mesh after a
-	// cancellation — a dead peer stays recorded: Reset either waits for
-	// a rejoin to clear the entry (RejoinWait > 0) or re-poisons the
-	// next run so it fails fast instead of wedging against a dead
-	// socket until the watchdog.
-	lostMu    sync.Mutex
-	lostRanks map[int]error
 
 	// hbSuspend pauses outgoing heartbeats (test hook: a suspended
 	// endpoint looks hung to its peers without closing any socket).
@@ -282,7 +284,6 @@ func DialTCP(opts TCPOptions) (*TCPTransport, error) {
 	t.bar.cond = sync.NewCond(&t.bar.mu)
 	t.bar.enters = make(map[uint32]int)
 	t.conns = make([]atomic.Pointer[tcpConn], opts.Procs)
-	t.lostRanks = make(map[int]error)
 	t.stop = make(chan struct{})
 	t.gen.Store(1) // generation 0 is never used: frames always carry ≥ 1
 	var err error
@@ -356,6 +357,11 @@ type bootMsg struct {
 	// Gen is the world's current generation, carried on the table reply
 	// of a rejoin so the joiner re-enters the epoch lockstep.
 	Gen uint32 `json:"gen,omitempty"`
+	// Incs is the rank → incarnation vector, carried beside Gen on the
+	// table reply of a rejoin; Inc is the joiner's own entry of it,
+	// presented to each peer on "rejoin-data".
+	Incs []uint32 `json:"incs,omitempty"`
+	Inc  uint32   `json:"inc,omitempty"`
 	// Err carries a bootstrap failure ("error" messages).
 	Err string `json:"err,omitempty"`
 }
@@ -512,6 +518,7 @@ func (t *TCPTransport) rendezvous(ln net.Listener, deadline time.Time) (table []
 		// current mesh here long after rendezvous is over.
 		t.tableMu.Lock()
 		t.table = table
+		t.incs = make([]uint32, t.p)
 		t.tableMu.Unlock()
 		return table, pre, nil
 	}
@@ -553,15 +560,15 @@ func (t *TCPTransport) acceptData(c net.Conn, m bootMsg) (*tcpConn, error) {
 		c.Close()
 		return nil, fmt.Errorf("comm: tcp rank %d: acking data conn from %d: %w", t.me, m.Src, err)
 	}
-	return newTCPConn(m.Src, c), nil
+	return newTCPConn(m.Src, 0, c), nil
 }
 
-// newTCPConn wraps an established socket.
-func newTCPConn(peer int, c net.Conn) *tcpConn {
+// newTCPConn wraps an established socket to incarnation inc of peer.
+func newTCPConn(peer int, inc uint32, c net.Conn) *tcpConn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	pc := &tcpConn{peer: peer, c: c, bw: bufio.NewWriterSize(c, 1<<16)}
+	pc := &tcpConn{peer: peer, inc: inc, c: c, bw: bufio.NewWriterSize(c, 1<<16)}
 	pc.cond = sync.NewCond(&pc.mu)
 	return pc
 }
@@ -599,7 +606,7 @@ func (t *TCPTransport) buildMesh(ln net.Listener, table []string, pre []*tcpConn
 				return
 			}
 			c.SetDeadline(time.Time{}) // the mesh conn lives unbounded
-			t.conns[j].Store(newTCPConn(j, c))
+			t.conns[j].Store(newTCPConn(j, 0, c))
 		}(j)
 	}
 
@@ -667,9 +674,10 @@ func (t *TCPTransport) buildMesh(ln net.Listener, table []string, pre []*tcpConn
 // rejoin re-attaches this endpoint to a running world in place of a
 // crashed rank: bind a fresh data listener, re-register at the
 // coordinator ("rejoin"), adopt the world's current address table and
-// generation, then dial every peer with a "rejoin-data" handshake.
-// Peers swap the dead conn for the new one and clear the rank's crash
-// record, healing the mesh without restarting the world.
+// generation and incarnation vector, then dial every peer with a
+// "rejoin-data" handshake. Each peer swaps the retired conn for the new
+// one before it acks, so when rejoin returns no survivor still counts
+// this rank as lost: the mesh is healed without restarting the world.
 func (t *TCPTransport) rejoin() error {
 	if t.me == 0 {
 		return errors.New("rank 0 hosts the coordinator and cannot rejoin; restart the world")
@@ -697,8 +705,8 @@ func (t *TCPTransport) rejoin() error {
 	if err != nil {
 		return fmt.Errorf("comm: tcp rank %d awaiting rejoin table: %w", t.me, err)
 	}
-	if m.Type != "table" || len(m.Addrs) != t.p || m.Gen == 0 {
-		return fmt.Errorf("comm: tcp rank %d: malformed rejoin table (%q, %d addrs, gen %d)", t.me, m.Type, len(m.Addrs), m.Gen)
+	if m.Type != "table" || len(m.Addrs) != t.p || len(m.Incs) != t.p || m.Gen == 0 {
+		return fmt.Errorf("comm: tcp rank %d: malformed rejoin table (%q, %d addrs, %d incs, gen %d)", t.me, m.Type, len(m.Addrs), len(m.Incs), m.Gen)
 	}
 	// Adopt the world's epoch: survivors are parked at m.Gen (their
 	// Reset waits for this rejoin before bumping), so the lockstep
@@ -724,7 +732,7 @@ func (t *TCPTransport) rejoin() error {
 				return
 			}
 			c.SetDeadline(deadline)
-			if err := writeBootMsg(c, bootMsg{Type: "rejoin-data", Src: t.me, Dst: j}); err != nil {
+			if err := writeBootMsg(c, bootMsg{Type: "rejoin-data", Src: t.me, Dst: j, Inc: m.Incs[t.me]}); err != nil {
 				c.Close()
 				dialErr[j] = fmt.Errorf("comm: tcp rank %d rejoin handshake to rank %d: %w", t.me, j, err)
 				return
@@ -735,7 +743,7 @@ func (t *TCPTransport) rejoin() error {
 				return
 			}
 			c.SetDeadline(time.Time{})
-			t.conns[j].Store(newTCPConn(j, c))
+			t.conns[j].Store(newTCPConn(j, m.Incs[j], c))
 		}(j)
 	}
 	wg.Wait()
@@ -752,15 +760,13 @@ func (t *TCPTransport) rejoin() error {
 
 // acceptLoop serves the endpoint's listener after bootstrap: rejoin
 // registrations (rank 0) and rejoin data handshakes (every rank). It
-// exits when the listener closes (Close/Kill) or is detached (Resize).
+// exits when the listener closes (Close/Kill).
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
 		c, err := t.ln.Accept()
 		if err != nil {
-			// Closed, detached for reuse, or broken — in every case the
-			// endpoint stops accepting.
-			return
+			return // closed or broken: the endpoint stops accepting
 		}
 		t.handleLateConn(c)
 	}
@@ -790,9 +796,11 @@ func (t *TCPTransport) handleLateConn(c net.Conn) {
 		}
 		t.tableMu.Lock()
 		t.table[m.Rank] = m.Addr
+		t.incs[m.Rank]++
 		tbl := append([]string(nil), t.table...)
+		incs := append([]uint32(nil), t.incs...)
 		t.tableMu.Unlock()
-		writeBootMsg(c, bootMsg{Type: "table", Procs: t.p, Addrs: tbl, Gen: t.gen.Load()})
+		writeBootMsg(c, bootMsg{Type: "table", Procs: t.p, Addrs: tbl, Incs: incs, Gen: t.gen.Load()})
 		c.Close()
 	case "rejoin-data":
 		if m.Dst != t.me || m.Src == t.me || m.Src < 0 || m.Src >= t.p {
@@ -800,43 +808,51 @@ func (t *TCPTransport) handleLateConn(c net.Conn) {
 			c.Close()
 			return
 		}
-		if err := writeBootMsg(c, bootMsg{Type: "ok"}); err != nil {
+		// Adopt, then ack, then pump. The ack lets the joiner's DialTCP
+		// return, and a Reset right behind that must find no lost rank;
+		// until the ack is written the socket speaks JSON, not frames.
+		pc, err := t.adoptRejoin(m.Src, m.Inc, c)
+		if err != nil {
+			writeBootMsg(c, bootMsg{Type: "error", Err: err.Error()})
 			c.Close()
 			return
 		}
+		// A failed ack is a joiner that died again: pc's reader finds out.
+		writeBootMsg(c, bootMsg{Type: "ok"})
 		c.SetDeadline(time.Time{})
-		t.adoptRejoin(m.Src, c)
+		t.wg.Add(2)
+		go t.readLoop(pc)
+		go t.writeLoop(pc)
 	default:
 		writeBootMsg(c, bootMsg{Type: "error", Err: "world already bootstrapped"})
 		c.Close()
 	}
 }
 
-// adoptRejoin swaps a respawned peer's fresh connection into the mesh
-// and clears the rank's crash record, so the next Reset can proceed
-// instead of poisoning the run.
-func (t *TCPTransport) adoptRejoin(peer int, c net.Conn) {
+// adoptRejoin swaps incarnation inc of a respawned peer into its slot:
+// replacing the retired conn is what clears the rank's crash record, so
+// the next Reset can proceed instead of poisoning the run. Only a
+// strictly newer incarnation is adopted.
+func (t *TCPTransport) adoptRejoin(peer int, inc uint32, c net.Conn) (*tcpConn, error) {
 	if t.closed.Load() {
-		c.Close()
-		return
+		return nil, ErrTransportClosed
 	}
-	pc := newTCPConn(peer, c)
+	t.genMu.Lock()
+	defer t.genMu.Unlock()
+	old := t.conns[peer].Load()
+	if inc <= old.inc {
+		return nil, fmt.Errorf("rank %d already holds incarnation %d of rank %d, refusing %d", t.me, old.inc, peer, inc)
+	}
+	// Usually already retired (that is why the peer respawned); if the
+	// crash went unnoticed here, the new incarnation is the evidence.
+	t.retire(old, fmt.Errorf("replaced by incarnation %d", inc))
+	pc := newTCPConn(peer, inc, c)
 	pc.lastRecv.Store(time.Now().UnixNano())
-	if old := t.conns[peer].Load(); old != nil {
-		// Usually already dead (that is why the peer respawned); if the
-		// crash went unnoticed here, retire the old conn now.
-		t.killConn(old)
-	}
 	t.conns[peer].Store(pc)
-	t.wg.Add(2)
-	go t.readLoop(pc)
-	go t.writeLoop(pc)
-	t.lostMu.Lock()
-	delete(t.lostRanks, peer)
-	t.lostMu.Unlock()
 	t.counters.mu.Lock()
 	t.counters.c.Respawns++
 	t.counters.mu.Unlock()
+	return pc, nil
 }
 
 // ---------------------------------------------------------------------
@@ -866,7 +882,7 @@ func (t *TCPTransport) monitor() {
 		gen := t.gen.Load()
 		for r := range t.conns {
 			pc := t.conns[r].Load()
-			if pc == nil || pc.dead.Load() {
+			if pc == nil || pc.retired.Load() != nil {
 				continue
 			}
 			pc.mu.Lock()
@@ -946,18 +962,26 @@ func (t *TCPTransport) Send(src, dst int, tag Tag, payload any, bytes int64) err
 		t.deliver(Message{Src: src, Tag: tag, Payload: raw, Bytes: int64(len(frame))})
 		return nil
 	}
-	pc := t.conns[dst].Load()
-	if pc == nil || pc.dead.Load() {
-		// The peer crashed between the abort check above and here (or
-		// has not rejoined yet); surface the crash rather than queueing
-		// into the void.
-		if err := t.abort.get(); err != nil {
-			return err
-		}
-		return &PeerCrashError{Rank: dst}
+	pc, err := t.live(dst)
+	if err != nil {
+		return err
 	}
 	pc.enqueue(frame)
 	return nil
+}
+
+// live returns dst's connection, or the crash it was retired with (the
+// peer crashed between the caller's abort check and here, or has not
+// rejoined yet) rather than letting the caller queue into the void.
+func (t *TCPTransport) live(dst int) (*tcpConn, error) {
+	pc := t.conns[dst].Load()
+	if crash := pc.retired.Load(); crash != nil {
+		if err := t.abort.get(); err != nil {
+			return nil, err
+		}
+		return nil, crash
+	}
+	return pc, nil
 }
 
 // rawWire is an undecoded data payload parked in the mailbox. Frames
@@ -1062,12 +1086,12 @@ func (t *TCPTransport) writeLoop(pc *tcpConn) {
 		pc.mu.Unlock()
 		for _, frame := range batch {
 			if _, err := pc.bw.Write(frame); err != nil {
-				t.writeFailed(pc, err)
+				t.peerLost(pc, err)
 				return
 			}
 		}
 		if err := pc.bw.Flush(); err != nil {
-			t.writeFailed(pc, err)
+			t.peerLost(pc, err)
 			return
 		}
 		if closing {
@@ -1084,45 +1108,49 @@ func (t *TCPTransport) writeLoop(pc *tcpConn) {
 	}
 }
 
-// writeFailed handles a broken outbound socket: during teardown it is
-// expected; otherwise the peer is gone and the world must not hang.
-func (t *TCPTransport) writeFailed(pc *tcpConn, err error) {
+// peerLost is the retire step of an event this endpoint observed itself
+// on pc (EOF, write error, heartbeat miss). During teardown broken
+// sockets are expected; otherwise the world must not hang on the peer.
+func (t *TCPTransport) peerLost(pc *tcpConn, err error) {
 	if t.closed.Load() {
 		return
 	}
-	t.peerLost(pc, err)
+	t.genMu.Lock()
+	t.retire(pc, fmt.Errorf("rank %d lost contact: %w", t.me, err))
+	t.genMu.Unlock()
 }
 
-// peerLost handles a crashed peer, exactly once per conn: retire the
-// connection (so its pumps exit and the slot can be replaced by a
-// rejoin), record the crash in lostRanks, and abort the world with a
-// *PeerCrashError every rank can act on.
-func (t *TCPTransport) peerLost(pc *tcpConn, err error) {
-	if !t.killConn(pc) {
+// retire is the one step every connection-level event takes, exactly
+// once per conn: record the crash on the conn (marking its rank lost
+// until a rejoin replaces the slot), close the socket (kicking the
+// reader out of its blocking read) and wake the writer so both pumps
+// exit, and abort the world with a *PeerCrashError every rank can act
+// on. Callers hold genMu: record, latch and the broadcast's generation
+// stamp are one decision, so an event that loses the race against a
+// rejoin or a Reset finds pc retired and does nothing.
+func (t *TCPTransport) retire(pc *tcpConn, evidence error) {
+	if pc.retired.Load() != nil {
 		return
 	}
-	crash := &PeerCrashError{Rank: pc.peer, Err: fmt.Errorf("rank %d lost contact: %w", t.me, err)}
-	t.lostMu.Lock()
-	if _, seen := t.lostRanks[pc.peer]; !seen {
-		t.lostRanks[pc.peer] = crash
-	}
-	t.lostMu.Unlock()
-	t.Abort(crash)
-}
-
-// killConn retires a connection: closes the socket (kicking the reader
-// out of its blocking read) and wakes the writer so both pumps exit.
-// Returns false if the conn was already retired.
-func (t *TCPTransport) killConn(pc *tcpConn) bool {
-	if !pc.dead.CompareAndSwap(false, true) {
-		return false
-	}
+	crash := &PeerCrashError{Rank: pc.peer, Incarnation: pc.inc, Err: evidence}
+	pc.retired.Store(crash)
 	pc.c.Close()
 	pc.mu.Lock()
 	pc.closing = true
 	pc.cond.Broadcast()
 	pc.mu.Unlock()
-	return true
+	t.abortLocked(crash)
+}
+
+// lost returns the crash record of a peer that has not rejoined (the
+// lowest such rank's), or nil when the mesh is whole.
+func (t *TCPTransport) lost() *PeerCrashError {
+	for r := range t.conns {
+		if pc := t.conns[r].Load(); pc != nil && pc.retired.Load() != nil {
+			return pc.retired.Load()
+		}
+	}
+	return nil
 }
 
 // readLoop decodes frames from one peer and dispatches them under the
@@ -1172,10 +1200,9 @@ func (t *TCPTransport) readEnded(pc *tcpConn, err error) {
 	pc.mu.Lock()
 	peerDone := pc.peerDone
 	pc.mu.Unlock()
-	if peerDone || t.closed.Load() {
-		return
+	if !peerDone {
+		t.peerLost(pc, err)
 	}
-	t.peerLost(pc, err)
 }
 
 // dispatchFrame routes one inbound frame under the generation fence:
@@ -1222,16 +1249,16 @@ func (t *TCPTransport) applyFrame(h frameHeader, m Message, payload []byte) {
 			wa.Msg = fmt.Sprintf("undecodable abort frame: %v", err)
 		}
 		aerr := remoteAbortError(int(h.src), wa)
-		if wa.Crash && wa.CrashRank != t.me {
+		if crash, ok := aerr.(*PeerCrashError); ok && crash.Rank != t.me && uint(crash.Rank) < uint(t.p) {
 			// A remotely reported crash counts as a lost peer here too,
 			// even if the local socket to it still looks healthy (hung
 			// peer detected by someone else's timeout): Reset must not
-			// clear the world's poison before the rank rejoins.
-			t.lostMu.Lock()
-			if _, seen := t.lostRanks[wa.CrashRank]; !seen {
-				t.lostRanks[wa.CrashRank] = aerr
+			// clear the world's poison before the rank rejoins. But only
+			// the incarnation the reporter lost: this slot may already
+			// hold the successor.
+			if pc := t.conns[crash.Rank].Load(); pc.inc == crash.Incarnation {
+				t.retire(pc, crash.Err)
 			}
-			t.lostMu.Unlock()
 		}
 		t.abort.set(aerr)
 		t.wakeAll()
@@ -1250,7 +1277,7 @@ func (t *TCPTransport) applyFrame(h frameHeader, m Message, payload []byte) {
 func remoteAbortError(src int, wa wireAbort) error {
 	switch {
 	case wa.Crash:
-		return &PeerCrashError{Rank: wa.CrashRank, Err: fmt.Errorf("reported by rank %d: %s", src, wa.Msg)}
+		return &PeerCrashError{Rank: wa.CrashRank, Incarnation: wa.CrashInc, Err: fmt.Errorf("reported by rank %d: %s", src, wa.Msg)}
 	case wa.Canceled:
 		return fmt.Errorf("%w: %w: remote abort from rank %d: %s", ErrAborted, context.Canceled, src, wa.Msg)
 	case wa.Deadline:
@@ -1317,12 +1344,9 @@ func (t *TCPTransport) sendCtrl(dst int, kind byte, seq uint32) error {
 		tag:  seq,
 		gen:  t.gen.Load(),
 	})
-	pc := t.conns[dst].Load()
-	if pc == nil || pc.dead.Load() {
-		if err := t.abort.get(); err != nil {
-			return err
-		}
-		return &PeerCrashError{Rank: dst}
+	pc, err := t.live(dst)
+	if err != nil {
+		return err
 	}
 	pc.enqueue(frame)
 	return nil
@@ -1369,6 +1393,14 @@ func (t *TCPTransport) barrierRelease(seq uint32) {
 // the world observe the failure instead of hanging. Cancellation
 // structure (context.Canceled / DeadlineExceeded) survives the wire.
 func (t *TCPTransport) Abort(err error) {
+	t.genMu.Lock()
+	t.abortLocked(err)
+	t.genMu.Unlock()
+}
+
+// abortLocked is Abort for callers holding genMu: the latch and the
+// frames' generation stamp cannot straddle a Reset.
+func (t *TCPTransport) abortLocked(err error) {
 	t.abort.set(err)
 	latched := t.abort.get()
 	wa := wireAbort{
@@ -1376,12 +1408,14 @@ func (t *TCPTransport) Abort(err error) {
 		Canceled: errors.Is(latched, context.Canceled),
 		Deadline: errors.Is(latched, context.DeadlineExceeded),
 	}
-	// A crash abort carries the crashed rank, so every survivor
-	// reconstructs the same typed error whoever detected the death.
+	// A crash abort carries the crashed rank and incarnation, so every
+	// survivor reconstructs the same typed error whoever detected the
+	// death, and retires exactly the conn the reporter lost.
 	var crash *PeerCrashError
 	if errors.As(latched, &crash) {
 		wa.Crash = true
 		wa.CrashRank = crash.Rank
+		wa.CrashInc = crash.Incarnation
 	}
 	payload, jerr := json.Marshal(wa)
 	if jerr != nil {
@@ -1390,7 +1424,7 @@ func (t *TCPTransport) Abort(err error) {
 	gen := t.gen.Load()
 	for r := range t.conns {
 		pc := t.conns[r].Load()
-		if pc == nil || pc.dead.Load() {
+		if pc == nil || pc.retired.Load() != nil {
 			continue
 		}
 		frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
@@ -1443,22 +1477,11 @@ func (t *TCPTransport) Reset() {
 	t.bar.enters = make(map[uint32]int)
 	t.bar.mu.Unlock()
 	t.abort.reset()
-	t.lostMu.Lock()
-	for _, lerr := range t.lostRanks {
-		// A still-dead peer poisons the next run up front: it fails
-		// with the crash error immediately instead of hanging.
-		t.abort.set(lerr)
-		break
+	if crash := t.lost(); crash != nil {
+		// Local only: the rank that trips over it fails the world (runRank).
+		t.abort.set(crash)
 	}
-	t.lostMu.Unlock()
-	t.counters.mu.Lock()
-	t.counters.c = Counters{
-		// Lifecycle counters describe the mesh, not one run; they
-		// survive the epoch bump.
-		Reconnects: t.counters.c.Reconnects,
-		Respawns:   t.counters.c.Respawns,
-	}
-	t.counters.mu.Unlock()
+	t.ResetCounters()
 	t.gen.Store(next)
 	// Deliver frames peers raced ahead with; drop ones that somehow
 	// still precede the new generation.
@@ -1491,13 +1514,7 @@ func (t *TCPTransport) awaitRejoin() {
 		return
 	}
 	deadline := time.Now().Add(t.opts.RejoinWait)
-	for !t.closed.Load() {
-		t.lostMu.Lock()
-		lost := len(t.lostRanks)
-		t.lostMu.Unlock()
-		if lost == 0 || !time.Now().Before(deadline) {
-			return
-		}
+	for !t.closed.Load() && t.lost() != nil && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
@@ -1520,8 +1537,9 @@ func (t *TCPTransport) Counters(r int) Counters {
 // loopback mesh does this summation for in-process worlds).
 func (t *TCPTransport) TotalCounters() Counters { return t.Counters(t.me) }
 
-// ResetCounters zeroes the local rank's traffic counters (lifecycle
-// counters — Reconnects, Respawns — survive).
+// ResetCounters zeroes the local rank's traffic counters. The lifecycle
+// counters (Reconnects, Respawns) describe the mesh, not one run, and
+// survive.
 func (t *TCPTransport) ResetCounters() {
 	t.counters.mu.Lock()
 	t.counters.c = Counters{
@@ -1541,13 +1559,11 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	close(t.stop)
-	if t.ln != nil && !t.lnKeep.Load() {
-		t.ln.Close()
-	}
+	t.ln.Close()
 	gen := t.gen.Load()
 	for r := range t.conns {
 		pc := t.conns[r].Load()
-		if pc == nil || pc.dead.Load() {
+		if pc == nil || pc.retired.Load() != nil {
 			continue
 		}
 		frame := make([]byte, frameHeaderLen)
@@ -1593,7 +1609,7 @@ func (t *TCPTransport) Kill() {
 // forceClose closes every socket and the listener outright (bootstrap
 // failure, Kill and the shutdown-timeout path).
 func (t *TCPTransport) forceClose() {
-	if t.ln != nil && !t.lnKeep.Load() {
+	if t.ln != nil {
 		t.ln.Close()
 	}
 	for r := range t.conns {
@@ -1610,56 +1626,6 @@ func (t *TCPTransport) forceClose() {
 }
 
 // ---------------------------------------------------------------------
-// Resize (graceful re-rendezvous)
-// ---------------------------------------------------------------------
-
-// Resize moves this endpoint into a world of newProcs ranks: it closes
-// the current mesh and performs a fresh rendezvous at the same
-// coordinator address, reusing rank 0's well-known listener so workers
-// never see the address change. Every surviving rank must call Resize
-// with the same newProcs between runs (SPMD, like Reset); ranks with
-// me >= newProcs leave the world — their Resize closes the endpoint and
-// returns (nil, nil) — and brand-new ranks join with a plain DialTCP
-// against the same coordinator. The returned transport is a fresh
-// endpoint (generation restarts at 1); the caller rebuilds its engine
-// around it.
-func (t *TCPTransport) Resize(newProcs int) (*TCPTransport, error) {
-	if newProcs < 1 {
-		panicSize(newProcs)
-	}
-	opts := t.opts
-	opts.Procs = newProcs
-	opts.Rejoin = false
-	opts.CoordinatorListener = nil
-	if t.me >= newProcs {
-		t.Close()
-		return nil, nil
-	}
-	if t.me == 0 {
-		// Detach the coordinator listener before Close so its backlog
-		// keeps catching the new world's registrations while the old
-		// world drains.
-		opts.CoordinatorListener = t.detachListener()
-	}
-	t.Close()
-	return DialTCP(opts)
-}
-
-// detachListener hands the endpoint's listener to a successor: teardown
-// stops closing it, and the blocked acceptLoop is kicked loose with an
-// immediate deadline (the successor's bootstrap sets a fresh one).
-func (t *TCPTransport) detachListener() net.Listener {
-	if t.ln == nil {
-		return nil
-	}
-	t.lnKeep.Store(true)
-	if tl, ok := t.ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Now())
-	}
-	return t.ln
-}
-
-// ---------------------------------------------------------------------
 // Loopback mesh
 // ---------------------------------------------------------------------
 
@@ -1668,9 +1634,8 @@ func (t *TCPTransport) detachListener() net.Listener {
 // standard World/Pool drive and the conformance suite run every byte
 // through the full wire path (codec, framing, generation fence) without
 // multiple processes. It doubles as the fault-injection substrate: Kill
-// simulates kill -9 of one rank, Respawn rejoins a replacement, Resize
-// re-rendezvouses the whole world at a new size — all with the same
-// wire traffic a multi-process deployment would see.
+// simulates kill -9 of one rank and Respawn rejoins a replacement, with
+// the same wire traffic a multi-process deployment would see.
 type TCPLoopback struct {
 	coord string
 	tmpl  TCPOptions // per-endpoint template: timeouts, liveness, rejoin policy
@@ -1712,7 +1677,7 @@ func NewTCPLoopback(p int, opt ...TCPOptions) (*TCPLoopback, error) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			opts := m.nodeOpts(r, p)
+			opts := m.nodeOpts(r)
 			if r == 0 {
 				opts.CoordinatorListener = ln
 			}
@@ -1727,22 +1692,17 @@ func NewTCPLoopback(p int, opt ...TCPOptions) (*TCPLoopback, error) {
 	return m, nil
 }
 
-// nodeOpts instantiates the template for one rank of a procs-sized
-// world.
-func (m *TCPLoopback) nodeOpts(rank, procs int) TCPOptions {
+// nodeOpts instantiates the template for one rank.
+func (m *TCPLoopback) nodeOpts(rank int) TCPOptions {
 	opts := m.tmpl
 	opts.Coordinator = m.coord
 	opts.Rank = rank
-	opts.Procs = procs
+	opts.Procs = len(m.nodes)
 	opts.ListenAddr = ""
 	opts.CoordinatorListener = nil
 	opts.Rejoin = false
 	return opts
 }
-
-// CoordinatorAddr returns the world's rendezvous address — where
-// respawned or newly added ranks register.
-func (m *TCPLoopback) CoordinatorAddr() string { return m.coord }
 
 // Node returns rank r's endpoint (fault-injection and inspection hook).
 func (m *TCPLoopback) Node(r int) *TCPTransport { return m.nodes[r] }
@@ -1763,56 +1723,13 @@ func (m *TCPLoopback) Respawn(r int) error {
 	if old != nil && !old.closed.Load() {
 		return fmt.Errorf("comm: rank %d is still alive; Kill it before Respawn", r)
 	}
-	opts := m.nodeOpts(r, len(m.nodes))
+	opts := m.nodeOpts(r)
 	opts.Rejoin = true
 	nt, err := DialTCP(opts)
 	if err != nil {
 		return err
 	}
 	m.nodes[r] = nt
-	return nil
-}
-
-// Resize moves the world to newProcs ranks with a clean re-rendezvous
-// at the same coordinator address: surviving ranks Resize their
-// endpoints, dropped ranks close, added ranks dial in fresh. Call it
-// between runs; every endpoint afterwards is new (generation restarts),
-// so rebuild any World/Pool around the mesh.
-func (m *TCPLoopback) Resize(newProcs int) error {
-	if newProcs < 1 {
-		panicSize(newProcs)
-	}
-	old := m.nodes
-	nodes := make([]*TCPTransport, newProcs)
-	n := max(len(old), newProcs)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if r < len(old) {
-				nt, err := old[r].Resize(newProcs)
-				if r < newProcs {
-					nodes[r], errs[r] = nt, err
-				} else {
-					errs[r] = err // leaving rank: nt is nil
-				}
-				return
-			}
-			nodes[r], errs[r] = DialTCP(m.nodeOpts(r, newProcs))
-		}(r)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		for _, nt := range nodes {
-			if nt != nil {
-				nt.Close()
-			}
-		}
-		return err
-	}
-	m.nodes = nodes
 	return nil
 }
 

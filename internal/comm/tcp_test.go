@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -422,4 +423,125 @@ func TestTCPResetKeepsLostPeerPoison(t *testing.T) {
 	if err := fresh[0].Err(); err != nil && errors.As(err, &crash) {
 		t.Fatalf("cancellation mislabeled as a peer crash: %v", err)
 	}
+}
+
+// waitLatched polls until n's abort latch is set.
+func waitLatched(t *testing.T, n *TCPTransport, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d: %s", n.Rank(), what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// killedMesh builds a p-rank loopback mesh, kills victim and waits until
+// every survivor has retired its connection to it: the state one step
+// before Respawn that the three ordering-race cases below start from.
+// old is rank 0's conn to the dead incarnation.
+func killedMesh(t *testing.T, p, victim int) (mesh *TCPLoopback, old *tcpConn) {
+	t.Helper()
+	mesh, err := NewTCPLoopback(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mesh.Close() })
+	old = mesh.Node(0).conns[victim].Load()
+	mesh.Kill(victim)
+	for r := 0; r < p; r++ {
+		if r != victim {
+			waitLatched(t, mesh.Node(r), "never noticed the victim's death")
+		}
+	}
+	return mesh, old
+}
+
+// wantCleanReset Resets the mesh and fails if any endpoint comes out of
+// it poisoned: the world is whole, so nothing may be charged to the new
+// generation.
+func wantCleanReset(t *testing.T, mesh *TCPLoopback) {
+	t.Helper()
+	mesh.Reset()
+	for r := 0; r < mesh.Size(); r++ {
+		if err := mesh.Node(r).Err(); err != nil {
+			t.Errorf("rank %d enters the generation after the rejoin poisoned: %v", r, err)
+		}
+	}
+}
+
+// TestTCPRespawnReturnsHealed (ack before adopt): a survivor acks a
+// rejoin handshake only after it swapped the joiner into the slot, so
+// Respawn returning means no survivor still holds a retired conn. With
+// rank 0's generation lock held — a Reset in progress — the adoption
+// and therefore the ack must wait; the Reset right behind Respawn is
+// then clean even with RejoinWait 0.
+func TestTCPRespawnReturnsHealed(t *testing.T) {
+	const p, victim = 3, 2
+	mesh, _ := killedMesh(t, p, victim)
+	n0 := mesh.Node(0)
+	n0.genMu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- mesh.Respawn(victim) }()
+	select {
+	case err := <-done:
+		n0.genMu.Unlock()
+		t.Fatalf("Respawn returned (%v) before rank 0 adopted the joiner", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	n0.genMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("respawn: %v", err)
+	}
+	wantCleanReset(t, mesh)
+}
+
+// TestTCPStaleCrashReportAfterRejoin (stale remote report): a
+// survivor's crash report for the dead incarnation that arrives after
+// this endpoint adopted the successor, still inside the crashed
+// generation, must not mark the healed rank lost again.
+func TestTCPStaleCrashReportAfterRejoin(t *testing.T) {
+	const p, victim = 3, 2
+	mesh, _ := killedMesh(t, p, victim)
+	if err := mesh.Respawn(victim); err != nil {
+		t.Fatalf("respawn: %v", err)
+	}
+	// Rank 1 left its latch behind and is parked at the next run's
+	// Reset, as a worker process retrying would be; rank 0's report of
+	// incarnation 0 reaches it only now.
+	n1 := mesh.Node(1)
+	n1.abort.reset()
+	mesh.Node(0).Abort(&PeerCrashError{Rank: victim, Err: errors.New("late report of the first death")})
+	waitLatched(t, n1, "rank 0's report never arrived")
+	wantCleanReset(t, mesh)
+}
+
+// TestTCPStaleEOFAfterReset (EOF charged to the next generation): the
+// dead socket's EOF is handled as one step under the generation lock,
+// so it lands wholly before a Reset or finds the conn already retired.
+// A reader that got as far as peerLost while a Reset holds the lock
+// must wait, and one that wakes after the rejoin and the Reset latches
+// nothing in the new generation.
+func TestTCPStaleEOFAfterReset(t *testing.T) {
+	const p, victim = 3, 2
+	mesh, old := killedMesh(t, p, victim)
+	if err := mesh.Respawn(victim); err != nil {
+		t.Fatalf("respawn: %v", err)
+	}
+	n0 := mesh.Node(0)
+	n0.genMu.Lock()
+	done := make(chan struct{})
+	go func() { n0.peerLost(old, io.EOF); close(done) }()
+	select {
+	case <-done:
+		n0.genMu.Unlock()
+		t.Fatal("the EOF was handled while a Reset held the generation lock")
+	case <-time.After(100 * time.Millisecond):
+	}
+	n0.genMu.Unlock()
+	<-done
+	mesh.Reset()
+	n0.peerLost(old, io.EOF)
+	wantCleanReset(t, mesh)
 }

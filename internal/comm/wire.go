@@ -55,7 +55,13 @@ import (
 // crash fields of the abort payload, the rejoin bootstrap messages and
 // the generation field of the table reply. An hsswire/2 peer would
 // treat a heartbeat as a protocol error, so the versions must not mix.
-const wireProtoVersion = 3
+//
+// Version 4 added incarnations: the incarnation vector of the rejoin
+// table reply, the joiner's incarnation on rejoin-data and the crashInc
+// field of the abort payload; a rejoin-data is now acked after the peer
+// adopted the connection, not before. An hsswire/3 joiner would present
+// incarnation 0 and be refused, so the versions must not mix.
+const wireProtoVersion = 4
 
 // Frame kinds. A frame is the unit of the TCP transport's framing layer:
 // a fixed 25-byte header followed by length payload bytes (see
@@ -130,11 +136,14 @@ type wireAbort struct {
 	// errors.Is(err, context.DeadlineExceeded) on the originating side.
 	Canceled bool `json:"canceled,omitempty"`
 	Deadline bool `json:"deadline,omitempty"`
-	// Crash and CrashRank report that the abort was a *PeerCrashError
-	// for CrashRank, so every survivor reconstructs the same typed error
-	// (same crashed rank) regardless of which rank detected the death.
-	Crash     bool `json:"crash,omitempty"`
-	CrashRank int  `json:"crashRank,omitempty"`
+	// Crash, CrashRank and CrashInc report that the abort was a
+	// *PeerCrashError for incarnation CrashInc of CrashRank, so every
+	// survivor reconstructs the same typed error (same crashed rank)
+	// regardless of which rank detected the death, and a survivor that
+	// already adopted the rank's successor can tell the report is old.
+	Crash     bool   `json:"crash,omitempty"`
+	CrashRank int    `json:"crashRank,omitempty"`
+	CrashInc  uint32 `json:"crashInc,omitempty"`
 }
 
 // ---------------------------------------------------------------------

@@ -328,7 +328,11 @@ func TestRejoinThenSort(t *testing.T) {
 		t.Fatalf("respawn: %v", err)
 	}
 
-	outs, stats, err := engine.Sort(context.Background(), chaosShards(p, perRank))
+	// The healed sorts run bounded: a rejoin regression parks ranks, and
+	// the default Config.Timeout would hold the package for ten minutes.
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	defer cancel()
+	outs, stats, err := engine.Sort(ctx, chaosShards(p, perRank))
 	if err != nil {
 		t.Fatalf("sort after rejoin: %v", err)
 	}
@@ -343,7 +347,7 @@ func TestRejoinThenSort(t *testing.T) {
 	}
 
 	// The healed engine keeps working: one more sort, same oracle.
-	outs, _, err = engine.Sort(context.Background(), chaosShards(p, perRank))
+	outs, _, err = engine.Sort(ctx, chaosShards(p, perRank))
 	if err != nil {
 		t.Fatalf("second sort after rejoin: %v", err)
 	}
