@@ -280,7 +280,10 @@ func TestSortBytesCrossPlane(t *testing.T) {
 // TestBytesPlanRoundTrip exercises prepare-once/sort-many on the prefix
 // plane: a plan's code-space splitters materialize as 8-byte
 // representative keys, re-extract to the identical codes inside
-// SortWithPlan, and reproduce the direct sort exactly.
+// SortWithPlan, and reproduce the direct sort exactly — at zero rounds
+// where the plan met its target (hash-like keys), and through the same
+// stagnating rounds again where no code-space plan can (url-like keys all
+// share one prefix code, so round 0 rejects the plan every time).
 func TestBytesPlanRoundTrip(t *testing.T) {
 	const p, perRank = 4, 1500
 	for _, kind := range []dist.ByteKind{dist.HashLike, dist.URLLike} {
@@ -309,8 +312,10 @@ func TestBytesPlanRoundTrip(t *testing.T) {
 			if !sameByteOutputs(planned, direct) {
 				t.Fatal("SortWithPlan output differs from the direct sort")
 			}
-			if stats.Rounds != 0 {
-				t.Errorf("planned sort ran %d histogram rounds, want 0", stats.Rounds)
+			if met := plan.AchievedEpsilon <= plan.Epsilon; met != (kind == dist.HashLike) {
+				t.Fatalf("plan achieved ε %v against a target of %v", plan.AchievedEpsilon, plan.Epsilon)
+			} else if met != (stats.Rounds == 0) {
+				t.Errorf("planned sort ran %d histogram rounds on a plan with achieved ε %v", stats.Rounds, plan.AchievedEpsilon)
 			}
 		})
 	}

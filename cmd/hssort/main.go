@@ -116,8 +116,7 @@ func main() {
 		budget  = flag.Int64("mem-budget", 0, "per-rank memory budget in bytes: bounds the engine's sort scratch and in-flight exchange/merge data, spilling exchange data that would exceed it to compressed run files; never bounds the resident input shard (0 = in-memory)")
 		spillSt = flag.String("spill-dir", "", "directory for out-of-core run files (requires -mem-budget; default: per-rank dirs under the system temp dir)")
 		repeat  = flag.Int("repeat", 1, "sorts to run through one engine (fresh shards each time; demonstrates Sorter reuse)")
-		plan    = flag.Bool("plan", false, "prepare a splitter plan once and sort with SortWithPlan (0 histogram rounds per sort)")
-		stale   = flag.Float64("staleness", 0, "with -plan: bucket-imbalance bound above which a sort re-histograms (0 = trust the plan)")
+		plan    = flag.Bool("plan", false, "prepare a splitter plan once and seed every sort with it (0 histogram rounds per sort while it meets 1+eps)")
 		verbose = flag.Bool("v", false, "verify the output is globally sorted")
 
 		coordinator = flag.String("coordinator", "", "tcp worker mode: host:port of the rank-0 rendezvous listener (requires -transport tcp and -rank)")
@@ -233,7 +232,6 @@ func main() {
 		StreamExchange: *stream,
 		ChunkKeys:      *chunk,
 		Workers:        *workers,
-		PlanStaleness:  *stale,
 		Chaos:          chaos,
 		MemoryBudget:   *budget,
 		SpillDir:       *spillSt,
@@ -282,50 +280,12 @@ func main() {
 	}
 	defer engine.Close()
 
-	var splitterPlan *hssort.Plan[int64]
-	if *plan {
-		planStart := time.Now()
-		splitterPlan, err = engine.Plan(ctx, shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("plan: %d splitters in %d rounds (%d sample keys, achieved eps %.4f vs target %.4f) in %v\n\n",
-			len(splitterPlan.Splitters), splitterPlan.Rounds, splitterPlan.TotalSample,
-			splitterPlan.AchievedEpsilon, splitterPlan.Epsilon,
-			time.Since(planStart).Round(time.Millisecond))
-	}
-
-	start := time.Now()
-	var outs [][]int64
-	var stats hssort.Stats
-	runs := max(*repeat, 1)
-	var retries retryBudget
-	for i := 0; i < runs; {
-		work := shards
-		if i < runs-1 {
-			// Warm-up sorts on fresh shards; the last run sorts (and,
-			// with -v, verifies) the original input.
-			work = dist.Spec{Kind: kind}.Shards(*n, *p, *seed+uint64(i)+1)
-		}
-		if splitterPlan != nil {
-			outs, stats, err = engine.SortWithPlan(ctx, splitterPlan, work)
-		} else {
-			outs, stats, err = engine.Sort(ctx, work)
-		}
-		if err != nil {
-			if retries.retry(err, *rejoinWait) {
-				continue // the respawned rank rejoins; re-run this sort
-			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		i++
-	}
-	wall := time.Since(start)
-	if runs > 1 {
-		fmt.Printf("ran %d sorts through one engine (%v/sort); metrics below describe the last\n\n",
-			runs, (wall / time.Duration(runs)).Round(time.Microsecond))
+	outs, stats, wall, err := sortRuns(ctx, engine, *plan, *repeat, *rejoinWait, shards, func(i int) [][]int64 {
+		return dist.Spec{Kind: kind}.Shards(*n, *p, *seed+uint64(i)+1)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	if workerMode && *rank != 0 {
@@ -337,8 +297,7 @@ func main() {
 		}
 		return
 	}
-	report{cfg: cfg, distName: *dsName, wall: wall, stats: stats,
-		planned: splitterPlan != nil, workerMode: workerMode}.print()
+	report{cfg: cfg, distName: *dsName, wall: wall, stats: stats, workerMode: workerMode}.print()
 	if *digest {
 		printDigests(outs, *rank, workerMode)
 		printStatsJSON(stats)
@@ -386,7 +345,6 @@ type report struct {
 	distName   string
 	wall       time.Duration
 	stats      hssort.Stats
-	planned    bool
 	workerMode bool
 }
 
@@ -429,9 +387,6 @@ func (r report) print() {
 		t.AddRow("peak spill-managed resident", tablefmt.Bytes(float64(stats.PeakResidentBytes)))
 	}
 	t.AddRow("histogramming rounds", fmt.Sprintf("%d", stats.Rounds))
-	if r.planned {
-		t.AddRow("plan replanned (stale)", fmt.Sprintf("%v", stats.Replanned))
-	}
 	t.AddRow("total sample (probe keys)", fmt.Sprintf("%d", stats.TotalSample))
 	t.AddRow("splitter-phase bytes", tablefmt.Bytes(float64(stats.SplitterBytes)))
 	t.AddRow("exchange-phase bytes", tablefmt.Bytes(float64(stats.ExchangeBytes)))
@@ -441,6 +396,52 @@ func (r report) print() {
 	}
 	t.AddRow("load imbalance (max/avg)", fmt.Sprintf("%.4f (target <= %.4f)", stats.Imbalance, 1+r.cfg.Epsilon))
 	fmt.Print(t.String())
+}
+
+// sortRuns is the engine lifecycle both key types share: with plan, one
+// Plan on the input that then seeds every sort; repeat sorts through the
+// one engine (at least one), the warm-ups on fresh(i) shards and the last
+// on shards itself, which -v then verifies. It returns the last sort's
+// output and stats and the wall time of all of them.
+func sortRuns[K any](ctx context.Context, engine *hssort.Sorter[K], plan bool, repeat int, rejoinWait time.Duration, shards [][]K, fresh func(i int) [][]K) (outs [][]K, stats hssort.Stats, wall time.Duration, err error) {
+	var splitterPlan *hssort.Plan[K]
+	if plan {
+		planStart := time.Now()
+		if splitterPlan, err = engine.Plan(ctx, shards); err != nil {
+			return nil, stats, 0, err
+		}
+		fmt.Printf("plan: %d splitters in %d rounds (%d sample keys, achieved eps %.4f vs target %.4f) in %v\n\n",
+			len(splitterPlan.Splitters), splitterPlan.Rounds, splitterPlan.TotalSample,
+			splitterPlan.AchievedEpsilon, splitterPlan.Epsilon,
+			time.Since(planStart).Round(time.Millisecond))
+	}
+	start := time.Now()
+	runs := max(repeat, 1)
+	var retries retryBudget
+	for i := 0; i < runs; {
+		work := shards
+		if i < runs-1 {
+			work = fresh(i)
+		}
+		if splitterPlan != nil {
+			outs, stats, err = engine.SortWithPlan(ctx, splitterPlan, work)
+		} else {
+			outs, stats, err = engine.Sort(ctx, work)
+		}
+		if err != nil {
+			if retries.retry(err, rejoinWait) {
+				continue // the respawned rank rejoins; re-run this sort
+			}
+			return nil, stats, 0, err
+		}
+		i++
+	}
+	wall = time.Since(start)
+	if runs > 1 {
+		fmt.Printf("ran %d sorts through one engine (%v/sort); metrics below describe the last\n\n",
+			runs, (wall / time.Duration(runs)).Round(time.Microsecond))
+	}
+	return outs, stats, wall, nil
 }
 
 // retryBudget retries a sort that failed on a peer crash while the
@@ -505,48 +506,12 @@ func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byte
 	}
 	defer engine.Close()
 
-	var splitterPlan *hssort.Plan[[]byte]
-	if o.plan {
-		planStart := time.Now()
-		splitterPlan, err = engine.Plan(ctx, shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("plan: %d splitters in %d rounds (%d sample keys, achieved eps %.4f vs target %.4f) in %v\n\n",
-			len(splitterPlan.Splitters), splitterPlan.Rounds, splitterPlan.TotalSample,
-			splitterPlan.AchievedEpsilon, splitterPlan.Epsilon,
-			time.Since(planStart).Round(time.Millisecond))
-	}
-
-	start := time.Now()
-	var outs [][][]byte
-	var stats hssort.Stats
-	runs := max(o.repeat, 1)
-	var retries retryBudget
-	for i := 0; i < runs; {
-		work := shards
-		if i < runs-1 {
-			work = spec.Shards(o.n, cfg.Procs, o.seed+uint64(i)+1)
-		}
-		if splitterPlan != nil {
-			outs, stats, err = engine.SortWithPlan(ctx, splitterPlan, work)
-		} else {
-			outs, stats, err = engine.Sort(ctx, work)
-		}
-		if err != nil {
-			if retries.retry(err, o.rejoinWait) {
-				continue
-			}
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		i++
-	}
-	wall := time.Since(start)
-	if runs > 1 {
-		fmt.Printf("ran %d sorts through one engine (%v/sort); metrics below describe the last\n\n",
-			runs, (wall / time.Duration(runs)).Round(time.Microsecond))
+	outs, stats, wall, err := sortRuns(ctx, engine, o.plan, o.repeat, o.rejoinWait, shards, func(i int) [][][]byte {
+		return spec.Shards(o.n, cfg.Procs, o.seed+uint64(i)+1)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 
 	if o.workerMode && o.rank != 0 {
@@ -557,8 +522,7 @@ func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byte
 		}
 		return 0
 	}
-	report{cfg: cfg, distName: o.distName, wall: wall, stats: stats,
-		planned: splitterPlan != nil, workerMode: o.workerMode}.print()
+	report{cfg: cfg, distName: o.distName, wall: wall, stats: stats, workerMode: o.workerMode}.print()
 	if o.digest {
 		printByteDigests(outs, o.rank, o.workerMode)
 		printStatsJSON(stats)

@@ -40,7 +40,6 @@ func main() {
 		tenantJobs    = flag.Int("tenant-jobs", 2, "max simultaneously running jobs per tenant")
 		concurrency   = flag.Int("concurrency", 4, "max simultaneously running jobs daemon-wide")
 		planCache     = flag.Int("plan-cache", 128, "splitter-plan cache capacity (entries)")
-		staleness     = flag.Float64("staleness", 1.5, "plan staleness guard threshold (imbalance ratio that forces a replan)")
 		maxKeys       = flag.Int("max-keys", 0, "per-job key limit (0 = unlimited; above it refuses with 413)")
 	)
 	flag.Parse()
@@ -58,9 +57,6 @@ func main() {
 	if *eps <= 0 || *eps >= 1 {
 		log.Fatalf("-eps %g out of range (valid values: above 0 and below 1)", *eps)
 	}
-	if *staleness <= 1 {
-		log.Fatalf("-staleness %g out of range (valid values: above 1)", *staleness)
-	}
 
 	srv := server.New(server.Config{
 		Shards:            *shards,
@@ -71,7 +67,6 @@ func main() {
 		TenantConcurrency: *tenantJobs,
 		Concurrency:       *concurrency,
 		PlanCacheSize:     *planCache,
-		PlanStaleness:     *staleness,
 		MaxKeys:           *maxKeys,
 	})
 

@@ -9,10 +9,13 @@
 // sorts them with both algorithms across 16 simulated processors with 64
 // virtual-processor buckets, and compares the splitter-determination
 // work. It then simulates the per-timestep loop the way a production
-// code would run it: one long-lived Sorter engine, one splitter Plan,
-// and a plan-reuse sort per step — particles move only slightly between
-// steps, so the same splitters keep the decomposition balanced with
-// zero histogramming rounds.
+// code would run it: one long-lived Sorter engine whose every step is
+// seeded with the splitters the previous step ended with — particles
+// move only slightly between steps, so each step either keeps the
+// decomposition as it is (zero histogramming rounds) or nudges the few
+// splitters that fell out of balance. It exits 1 if a step misses the
+// balance target or costs more rounds than the cold start — CI runs it
+// for that.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"log"
 	"math"
 	"math/rand/v2"
+	"os"
 	"slices"
 
 	"hssort"
@@ -116,16 +120,15 @@ func main() {
 	fmt.Println("round per bit of skew; HSS samples the data instead and converges in a")
 	fmt.Println("handful of rounds regardless of how clustered the galaxy is.")
 
-	// Timestep loop: between steps the galaxy barely moves, so the
-	// decomposition learned once keeps paying off (Stats.Rounds == 0),
-	// guarded against the day the cluster drifts too far.
+	// Timestep loop: between steps the galaxy barely moves, so each
+	// step's decomposition starts from the last one's (plan = next).
+	const epsilon = 0.05
 	ctx := context.Background()
 	engine, err := hssort.New[uint64](hssort.Config{
-		Procs:         procs,
-		Buckets:       buckets,
-		Epsilon:       0.05,
-		Seed:          3,
-		PlanStaleness: 1.5,
+		Procs:   procs,
+		Buckets: buckets,
+		Epsilon: epsilon,
+		Seed:    3,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -135,18 +138,29 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ntimestep loop with one reusable plan (%d rounds to prepare):\n", plan.Rounds)
-	for step := 1; step <= 3; step++ {
+	coldRounds := plan.Rounds
+	fmt.Printf("\ntimestep loop, each step seeded by the one before (cold start: %d rounds, %d probe keys):\n",
+		coldRounds, plan.TotalSample)
+	ok := true
+	for step := 1; step <= 5; step++ {
 		in := plummerKeys(particles, 7+uint64(step)) // jittered galaxy
 		stepShards := make([][]uint64, procs)
 		for i, k := range in {
 			stepShards[i%procs] = append(stepShards[i%procs], k)
 		}
-		_, stats, err := engine.SortWithPlan(ctx, plan, stepShards)
+		_, next, stats, err := engine.SortSeeded(ctx, plan, stepShards)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  step %d: %d histogram rounds, imbalance %.4f (replanned: %v)\n",
-			step, stats.Rounds, stats.Imbalance, stats.Replanned)
+		fmt.Printf("  step %d: %d histogram rounds, %d probe keys, imbalance %.4f\n",
+			step, stats.Rounds, stats.TotalSample, stats.Imbalance)
+		if stats.Rounds > coldRounds || step > 1 && stats.Imbalance > 1+epsilon {
+			ok = false
+		}
+		plan = next
+	}
+	if !ok {
+		fmt.Println("FAIL: a seeded step missed the balance target or cost more rounds than the cold start")
+		os.Exit(1)
 	}
 }

@@ -23,9 +23,10 @@
 // NewFunc, NewKV, NewBytes) instead of calling Sort in a loop: the
 // engine builds the simulated machine once and reuses it every call,
 // threads a context.Context through every phase, and exposes splitter
-// Plans — Plan runs only sampling+histogramming, SortWithPlan applies
-// the stored splitters with zero histogramming rounds (guarded,
-// optionally, by Config.PlanStaleness).
+// Plans — SortSeeded starts a sort from the splitters of an earlier one
+// (zero histogramming rounds while they still meet 1+ε, a refinement of
+// them when they do not) and returns the splitters it ended with; Plan
+// and SortWithPlan are its two halves.
 //
 // Variable-length byte-string keys ([][]byte shards) sort through
 // NewBytes/SortBytes on a prefix-code plane: an 8-byte prefix code
@@ -262,15 +263,6 @@ type Config struct {
 	// Supported by the HSS variants, the sample sorts, classic histogram
 	// sort and NodeHSS; other algorithms ignore it.
 	Workers int
-	// PlanStaleness arms the staleness guard of plan-reuse sorts
-	// (Sorter.SortWithPlan): after partitioning by a stored plan's
-	// splitters, the ranks measure the bucket imbalance max·B/N those
-	// splitters would produce (one B-length reduction) and re-histogram
-	// when it exceeds this bound — Stats.Replanned reports it. The
-	// value is directly comparable to the (1+ε) balance target: a
-	// natural setting is a slack multiple such as 1.5·(1+ε). 0 (the
-	// default) disables the guard and trusts the plan unconditionally.
-	PlanStaleness float64
 	// Seed makes randomized phases reproducible. Default 1.
 	Seed uint64
 	// Timeout aborts a wedged run (protocol-bug safety net). Default
@@ -310,7 +302,8 @@ type Stats struct {
 	Buckets int
 	// Rounds is the number of histogramming rounds (Table 6.1);
 	// SamplePerRound and TotalSample the per-round and overall sample
-	// sizes (Fig 4.1).
+	// sizes (Fig 4.1). A seeded sort (Sorter.SortSeeded) whose seed
+	// still met the 1+ε target reads 0 in all three.
 	Rounds         int
 	SamplePerRound []int64
 	TotalSample    int64
@@ -332,10 +325,6 @@ type Stats struct {
 	// TotalMsgs and TotalBytes are whole-run message and byte counts
 	// (§6.1's message-combining metric).
 	TotalMsgs, TotalBytes int64
-	// Replanned reports that a plan-reuse sort (Sorter.SortWithPlan)
-	// found its stored splitters stale under Config.PlanStaleness and
-	// re-histogrammed; Rounds then counts the replan's rounds.
-	Replanned bool
 	// Workers is the resolved per-rank worker pool size the compute
 	// phases ran with (Config.Workers after defaulting). 1 = serial.
 	Workers int
@@ -398,7 +387,6 @@ func fromCore(st core.Stats) Stats {
 		PeakInFlightBytes: st.PeakInFlight,
 		SplitterBytes:     st.SplitterBytes,
 		ExchangeBytes:     st.ExchangeBytes,
-		Replanned:         st.Replanned,
 		Workers:           st.Workers,
 		ParSpawned:        st.ParSpawned,
 		ParTasks:          st.ParTasks,

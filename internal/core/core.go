@@ -95,21 +95,19 @@ type Options[K any] struct {
 	// root engine resolves its Config.Workers = 0 default
 	// (GOMAXPROCS/hosted-ranks) before threading the value down here.
 	Workers int
-	// Splitters, when non-nil, injects pre-determined splitters (a
-	// stored plan) and skips the strategy entirely: the sort goes
-	// straight to partition → exchange → merge with Stats.Rounds = 0.
-	// The slice must hold Buckets-1 keys in non-decreasing cmp order —
-	// the front half validates once and panics otherwise, mirroring the
+	// Splitters, when non-nil, seeds the sort with pre-determined
+	// splitters (a stored plan). The front half partitions by them and
+	// all-reduces the bucket loads — round 0, one B-length reduction —
+	// and when the observed imbalance max·B/N is within 1+Epsilon the
+	// strategy is skipped: straight to exchange → merge with
+	// Stats.Rounds = 0. Otherwise the strategy runs with that histogram
+	// in hand: HSS takes the seed as its first probes (see
+	// DetermineSplitters), the other strategies run cold. The slice must
+	// hold Buckets-1 keys in non-decreasing cmp order — the front half
+	// validates once and panics otherwise, mirroring the
 	// validate-at-determination contract of exchange.Partition. Every
 	// rank must inject the same splitters.
 	Splitters []K
-	// StaleBound, with injected Splitters, arms the staleness guard:
-	// after partitioning, the ranks all-reduce the per-bucket loads and,
-	// if the observed bucket imbalance max·B/N exceeds StaleBound, throw
-	// the stale plan away and run the strategy (Stats.Replanned reports
-	// it). The guard costs one B-length reduction per sort. 0 disables
-	// it. A natural setting is (1+ε)·slack, e.g. 1.5·(1+ε).
-	StaleBound float64
 	// Scratch, when non-nil, is this rank's reusable exchange state; a
 	// long-lived engine passes the same Scratch on every call (see
 	// exchange.Scratch). Each rank needs its own.
@@ -159,6 +157,11 @@ type Options[K any] struct {
 	// observability hook behind Table 6.1-style analyses. It must not
 	// block; it runs inside the splitter-determination critical path.
 	OnRound func(RoundTrace)
+
+	// round0 is a rejected seed's histogram, set by FrontHalf for the
+	// strategy: the injected Splitters and, per splitter, the global
+	// count of keys strictly below it (nil without a rejected seed).
+	round0 []int64
 }
 
 // RoundTrace reports one histogramming round to Options.OnRound.
@@ -210,9 +213,6 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.StaleBound < 0 {
-		return o, fmt.Errorf("core: StaleBound %v < 0", o.StaleBound)
-	}
 	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
 		return o, fmt.Errorf("core: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
 	}
@@ -258,12 +258,12 @@ const (
 	// out for its own protocol.
 	TagStrategy  = 2
 	StrategyTags = 4
-	tagStale     = TagStrategy + StrategyTags // staleness-guard bucket-load all-reduce (+1)
+	tagSeed      = TagStrategy + StrategyTags // round-0 bucket-load all-reduce (+1)
 	// TagExchange starts the data movement's ExchangeTags tags: the flat
 	// bucket exchange uses the first; the two-level sort's intra-node
 	// combine, node-to-node exchange and within-node scatter take one
 	// each.
-	TagExchange  = tagStale + 2
+	TagExchange  = tagSeed + 2
 	ExchangeTags = 3
 	// TagStats is the closing stats all-reduce (+1).
 	TagStats = TagExchange + ExchangeTags
@@ -276,8 +276,8 @@ const (
 // [lo, hi) it occupies within the BaseTag range, for chaos/fault tooling
 // that triggers on "the first message of phase X". base == 0 selects the
 // default BaseTag (1000). Recognised phases: "start" (the whole span),
-// "splitter" (count all-reduce through the strategy's rounds and the
-// staleness guard), "exchange" (all data movement, excluding the closing
+// "splitter" (count all-reduce through the strategy's rounds and a
+// seed's round 0), "exchange" (all data movement, excluding the closing
 // stats all-reduce). ok is false for any other name.
 func PhaseTagRange(base comm.Tag, phase string) (lo, hi comm.Tag, ok bool) {
 	if base == 0 {
@@ -322,10 +322,6 @@ type Stats struct {
 	// SplitterBytes and ExchangeBytes are total bytes sent by all ranks
 	// during splitter determination and data movement.
 	SplitterBytes, ExchangeBytes int64
-	// Replanned reports that injected splitters (Options.Splitters)
-	// failed the staleness guard and the sort re-histogrammed; Rounds
-	// then counts the replan's rounds.
-	Replanned bool
 	// Workers is the per-rank compute worker budget the sort ran with
 	// (identical on every rank by the same-Options contract).
 	Workers int

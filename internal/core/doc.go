@@ -12,18 +12,19 @@
 // halves, that every splitter-based sort in the repository runs:
 //
 //   - FrontHalf: local sort → all-reduce of the key count N → splitters
-//     (an injected plan's, validated, or the strategy's) → partition into
-//     bucket runs → staleness guard (inert without an injected plan; a
-//     stale plan falls back to the strategy).
+//     (the strategy's, or a seed's) → partition into bucket runs. A seed
+//     is then histogrammed on the data (round 0: one all-reduce of the
+//     bucket loads) and stands if it meets 1+ε; otherwise the strategy
+//     runs with that histogram as its first and the runs are re-cut.
 //   - BackHalf: exchange.ExchangeMerge (all-to-all + k-way merge) →
 //     FinishStats.
 //
 // Sort and SortWith are the two halves back to back. internal/nodesort
-// calls FrontHalf and moves the runs itself; the root engine's Plan calls
-// FrontHalf and stops. Options is the one options struct — declared,
-// defaulted and validated once, before any rank works or sends — and one
-// tag layout under Options.BaseTag (count · strategy span · staleness
-// guard · data movement · stats) serves every caller, which is what lets
+// puts its own two-level BackHalf behind FrontHalf; the root engine's
+// Plan calls FrontHalf and stops. Options is the one options struct —
+// declared, defaulted and validated once, before any rank works or sends
+// — and one tag layout under Options.BaseTag (count · strategy span · round 0 ·
+// data movement · stats) serves every caller, which is what lets
 // PhaseTagRange name a phase for all of them. The byte-string prefix
 // plane (Options.PrefixCode) is a branch inside the same body.
 //

@@ -38,6 +38,10 @@ type SimResult struct {
 // distributed implementation and the simulator share the Tracker, the
 // sampling ratios, and the scanning algorithm, so round counts and sample
 // sizes transfer.
+//
+// Options.Splitters seeds the run the way it seeds a sort (FrontHalf):
+// a seed within 1+ε stands at zero rounds, any other is absorbed as
+// round 0. In the identity key space a seed splitter's rank is its value.
 func SimulateSplitters(n int64, opt Options[int64]) (SimResult, error) {
 	if opt.Cmp == nil {
 		opt.Cmp = func(a, b int64) int {
@@ -64,6 +68,14 @@ func SimulateSplitters(n int64, opt Options[int64]) (SimResult, error) {
 	}
 	rng := rand.New(rand.NewPCG(opt.Seed, 0x6a09e667f3bcc909))
 	rc := newRootController(n, opt)
+	if opt.Splitters != nil {
+		if imb := simImbalance(opt.Splitters, n, opt.Buckets); imb <= 1+opt.Epsilon {
+			res.Finalized = true
+			res.Imbalance = imb
+			return res, nil
+		}
+		rc.seed(opt.Splitters, opt.Splitters)
+	}
 
 	for round := 1; ; round++ {
 		plan := rc.plan(round)

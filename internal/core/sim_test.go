@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -172,5 +174,72 @@ func TestSimulateProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// driftedSeed builds a seed for n keys in buckets buckets whose every
+// splitter sits off its ideal rank n·i/B by a uniform draw from
+// ±1.5·delta·n/B: the splitters of an earlier sort whose distribution has
+// since moved by about delta of a bucket. In the simulator's identity key
+// space a splitter's value is its rank.
+func driftedSeed(n int64, buckets int, delta float64, rng *rand.Rand) []int64 {
+	seed := make([]int64, buckets-1)
+	spread := 1.5 * delta * float64(n) / float64(buckets)
+	for i := range seed {
+		off := int64((2*rng.Float64() - 1) * spread)
+		seed[i] = min(max(n*int64(i+1)/int64(buckets)+off, 0), n)
+	}
+	slices.Sort(seed)
+	return seed
+}
+
+// TestSimulateDriftMatrix is ROADMAP item 3's measurement: what a seed
+// that is off by δ of a bucket costs against a cold start, per bucket
+// count. A perfect seed costs nothing; a near one strictly less than cold
+// in rounds and in sample; a useless one never more than half a round or
+// a tenth of the sample above cold; and every cell meets 1+ε.
+func TestSimulateDriftMatrix(t *testing.T) {
+	const eps, perBucket, seeds = 0.05, 2000, 20
+	for _, buckets := range []int{4, 256, 4096} {
+		n := int64(buckets) * perBucket
+		type cell struct{ rounds, sample, worst float64 }
+		run := func(delta float64) cell {
+			var c cell
+			for s := uint64(1); s <= seeds; s++ {
+				opt := simOpt(buckets, eps, FixedOversampling)
+				opt.Seed = s
+				if delta >= 0 {
+					opt.Splitters = driftedSeed(n, buckets, delta, rand.New(rand.NewPCG(s, uint64(buckets))))
+				}
+				res, err := SimulateSplitters(n, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.rounds += float64(res.Rounds) / seeds
+				c.sample += float64(res.TotalSample) / seeds
+				c.worst = max(c.worst, res.Imbalance)
+			}
+			return c
+		}
+		cold := run(-1)
+		t.Logf("B=%-5d cold      rounds %.2f sample %8.0f worst %.4f", buckets, cold.rounds, cold.sample, cold.worst)
+		for _, delta := range []float64{0, 0.02, 0.05, 0.2, 1, 5} {
+			got := run(delta)
+			t.Logf("B=%-5d δ=%-6v rounds %.2f sample %8.0f worst %.4f", buckets, delta, got.rounds, got.sample, got.worst)
+			if delta == 0 && (got.rounds != 0 || got.sample != 0) {
+				t.Errorf("B=%d: a perfect seed cost %.2f rounds, %.0f sample", buckets, got.rounds, got.sample)
+			}
+			if delta <= 0.05 && (got.rounds >= cold.rounds || got.sample >= cold.sample) {
+				t.Errorf("B=%d δ=%v: %.2f rounds / %.0f sample, not below cold's %.2f / %.0f",
+					buckets, delta, got.rounds, got.sample, cold.rounds, cold.sample)
+			}
+			if got.rounds > cold.rounds+0.5 || got.sample > 1.1*cold.sample {
+				t.Errorf("B=%d δ=%v: %.2f rounds / %.0f sample against cold's %.2f / %.0f",
+					buckets, delta, got.rounds, got.sample, cold.rounds, cold.sample)
+			}
+			if got.worst > 1+eps+1e-9 {
+				t.Errorf("B=%d δ=%v: worst imbalance %.4f", buckets, delta, got.worst)
+			}
+		}
 	}
 }

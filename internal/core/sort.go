@@ -70,24 +70,28 @@ type Front[K any] struct {
 	// sorted input.
 	Runs [][]K
 	// Splitters are the Buckets-1 bucket boundaries — nil on the prefix
-	// plane, where they exist only as codes.
+	// plane, where they exist only as SplitterCodes.
 	Splitters []K
+	// SplitterCodes are the boundaries' codes, on every coded plane.
+	SplitterCodes []codes.Code
 	// Finalized is the strategy's SplitterInfo.Finalized.
 	Finalized bool
-	// Stats holds what is known so far: N, Buckets, Workers, the
-	// protocol counts (Rounds, SamplePerRound, TotalSample) and
-	// Replanned.
+	// Stats holds what is known so far: N, Buckets, Workers and the
+	// protocol counts (Rounds, SamplePerRound, TotalSample).
 	Stats Stats
 	// Times holds this rank's LocalSort, Splitter, SplitterBytes and
 	// PrefixCollisions, and the partition's share of Exchange.
 	Times PhaseTimes
+
+	// imbalance is the bucket imbalance of Runs once measured, 0 before.
+	imbalance float64
 }
 
 // FrontHalf is the skeleton up to the point where data moves: local sort
-// → global key count → splitters (injected, or determined by the
-// strategy) → partition → staleness guard. Options.PrefixCode switches
-// the local sort, the strategy's input and the partition cuts to the
-// prefix plane; the steps are the same.
+// → global key count → splitters (determined by the strategy, or
+// injected and checked by round 0) → partition. Options.PrefixCode
+// switches the local sort, the strategy's input and the partition cuts
+// to the prefix plane; the steps are the same.
 func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) (*Front[K], error) {
 	opt, err := opt.withDefaults(c.Size())
 	if err != nil {
@@ -125,13 +129,12 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	// and partitions by those codes directly; every other coded plane
 	// extracts the splitter keys' codes (exact: a splitter's code is a
 	// pure function of the key).
-	var spCodes []codes.Code
 	determine := func() error {
 		var info SplitterInfo
 		var err error
 		if opt.PrefixCode {
 			f.Splitters = nil
-			spCodes, info, err = s.Codes(c, localCodes, f.Stats.N, opt.inCodeSpace())
+			f.SplitterCodes, info, err = s.Codes(c, localCodes, f.Stats.N, opt.inCodeSpace())
 		} else {
 			f.Splitters, info, err = s.Keys(c, local, f.Stats.N, opt)
 		}
@@ -142,22 +145,21 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 		return err
 	}
 	partition := func() {
+		f.imbalance = 0
 		if localCodes == nil {
 			f.Runs = exchange.PartitionPar(local, f.Splitters, opt.Cmp, pool)
 			return
 		}
 		if f.Splitters != nil {
-			spCodes = codes.Extract(f.Splitters, opt.Code)
+			f.SplitterCodes = codes.Extract(f.Splitters, opt.Code)
 		}
-		f.Runs = exchange.PartitionByCodePar(local, localCodes, spCodes, pool)
+		f.Runs = exchange.PartitionByCodePar(local, localCodes, f.SplitterCodes, pool)
 	}
 	bytes0 := c.Counters().BytesSent
 	t1 := time.Now()
 	if opt.Splitters != nil {
-		// A stored plan skips the strategy (the prepare-once/sort-many
-		// operation phase). Its splitters cross an API boundary:
-		// re-establish the sorted invariant exchange.Partition relies
-		// on, once per sort.
+		// A seed crosses an API boundary: re-establish the sorted
+		// invariant exchange.Partition relies on, once per sort.
 		exchange.ValidateSplitters(opt.Splitters, opt.Cmp)
 		f.Splitters = opt.Splitters
 	} else if err := determine(); err != nil {
@@ -169,20 +171,29 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	partition()
 	f.Times.Exchange = time.Since(t2)
 
-	// Staleness guard: a stored plan is only as good as the distribution
-	// it was histogrammed on. When armed, measure the bucket imbalance
-	// the stale splitters would produce and run the strategy after all
-	// if it exceeds the bound — the self-improving sorter's fallback to
-	// its training phase. The guard (and any replan) is
-	// splitter-determination work.
-	if opt.Splitters != nil && opt.StaleBound > 0 {
+	// Round 0: a seed is only as good as the distribution it was
+	// histogrammed on, so histogram it on this one. Within the sort's own
+	// target it stands (Rounds stays 0). Otherwise the strategy runs after
+	// all, and the loads just reduced are not thrown away: Partition puts
+	// [S_{i-1}, S_i) in bucket i, so their prefix sums are the global
+	// counts of keys strictly below each seed splitter — a histogramming
+	// round with the seed as probes. All of it is splitter-determination
+	// work.
+	if opt.Splitters != nil {
 		t3 := time.Now()
-		imb, err := f.BucketImbalance(c)
+		imb, loads, err := f.measure(c)
 		if err != nil {
 			return nil, err
 		}
-		if imb > opt.StaleBound {
-			f.Stats.Replanned = true
+		if imb > 1+opt.Epsilon {
+			// (A fresh slice: a zero-copy transport hands every rank the
+			// same reduced loads.)
+			opt.round0 = make([]int64, len(opt.Splitters))
+			var below int64
+			for i := range opt.round0 {
+				below += loads[i]
+				opt.round0[i] = below
+			}
 			if err := determine(); err != nil {
 				return nil, err
 			}
@@ -194,21 +205,32 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	return f, nil
 }
 
-// BucketImbalance all-reduces the bucket loads of f.Runs and returns the
-// bucket-level imbalance max·B/N the partition achieves before any data
-// moves — directly comparable to the paper's (1+ε) target. It is what
-// the staleness guard tests and, less one, the achieved ε a splitter plan
-// reports. Every rank must call it; it uses the guard's tag.
+// measure all-reduces the bucket loads of f.Runs (the round-0 tag) and
+// records the imbalance they amount to.
+func (f *Front[K]) measure(c *comm.Comm) (float64, []int64, error) {
+	imb, loads, err := exchange.RunsImbalance(c, f.Opt.BaseTag+tagSeed, f.Runs)
+	f.imbalance = imb
+	return imb, loads, err
+}
+
+// BucketImbalance returns the bucket-level imbalance max·B/N the
+// partition achieves before any data moves — directly comparable to the
+// paper's (1+ε) target and, less one, the achieved ε a splitter plan
+// reports. An accepted seed's round 0 already measured it; otherwise
+// this is one all-reduce of the bucket loads, which every rank must join.
 func (f *Front[K]) BucketImbalance(c *comm.Comm) (float64, error) {
-	imb, _, err := exchange.RunsImbalance(c, f.Opt.BaseTag+tagStale, f.Runs)
+	if f.imbalance != 0 {
+		return f.imbalance, nil
+	}
+	imb, _, err := f.measure(c)
 	return imb, err
 }
 
 // inCodeSpace projects the options onto the prefix plane's code space,
-// where Strategies.Codes runs: same geometry, seed, tags and HSS
-// configuration, with the keys replaced by their codes.
+// where Strategies.Codes runs: same geometry, seed, tags, HSS
+// configuration and round 0, with the keys replaced by their codes.
 func (o Options[K]) inCodeSpace() Options[codes.Code] {
-	return Options[codes.Code]{
+	oc := Options[codes.Code]{
 		Cmp:               codes.Compare,
 		Code:              codes.ExtractCode,
 		Epsilon:           o.Epsilon,
@@ -224,7 +246,12 @@ func (o Options[K]) inCodeSpace() Options[codes.Code] {
 		PipelineChunk:     o.PipelineChunk,
 		PipelineThreshold: o.PipelineThreshold,
 		OnRound:           o.OnRound,
+		round0:            o.round0,
 	}
+	if o.round0 != nil {
+		oc.Splitters = codes.Extract(o.Splitters, o.Code)
+	}
+	return oc
 }
 
 // BackHalf is the rest of a flat sort: the all-to-all exchange and k-way

@@ -310,6 +310,27 @@ func (rc *rootController[K]) absorb(probes []K, ranks []int64) {
 	rc.prevCoverage = cov
 }
 
+// seed folds a rejected seed's histogram in as round 0, before round 1 is
+// planned: splitters a seed probe already pins inside its window are
+// finalized and sampling starts from the intervals the rest leave open,
+// instead of from the whole key range. Plans from duplicate-heavy inputs
+// carry equal adjacent splitters (with equal ranks: the bucket between
+// them is empty), which Tracker.Update rejects, so they are compacted
+// first. The scanning schedule picks its splitters from one sample of the
+// whole range and so cannot resume from a seed; it runs cold.
+func (rc *rootController[K]) seed(probes []K, ranks []int64) {
+	if rc.opt.Schedule == OneRoundScanning {
+		return
+	}
+	ps, rs := make([]K, 0, len(probes)), make([]int64, 0, len(ranks))
+	for i, p := range probes {
+		if i == 0 || rc.opt.Cmp(probes[i-1], p) != 0 {
+			ps, rs = append(ps, p), append(rs, ranks[i])
+		}
+	}
+	rc.absorb(ps, rs)
+}
+
 // bcastKeys broadcasts the probe keys, using the pipelined chain for
 // large messages and the binomial tree for small ones. The length is
 // broadcast first so every rank picks the same algorithm.
@@ -336,7 +357,9 @@ func reduceRanks[K any](c *comm.Comm, root int, tag comm.Tag, ranks []int64, opt
 // DetermineSplitters runs the splitter-determination protocol over the
 // world, each rank holding sortedLocal (already locally sorted), with n
 // total keys. It returns the Buckets-1 splitters on every rank. Defaults
-// are applied to opt internally.
+// are applied to opt internally. When FrontHalf hands over a rejected
+// seed's round 0, the root absorbs it before planning round 1 — no
+// message is added, and Rounds counts the sampling rounds only.
 func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Options[K]) ([]K, SplitterInfo, error) {
 	opt, err := opt.withDefaults(c.Size())
 	if err != nil {
@@ -370,6 +393,9 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 	var rc *rootController[K]
 	if me == root {
 		rc = newRootController(n, opt)
+		if opt.round0 != nil {
+			rc.seed(opt.Splitters, opt.round0)
+		}
 	}
 
 	info := SplitterInfo{}

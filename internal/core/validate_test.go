@@ -30,7 +30,6 @@ func TestSharedOptionsRejectedBeforeAnyWork(t *testing.T) {
 		{"PrefixCode without Code", func(o *core.Options[int64]) { o.PrefixCode = true }},
 		{"negative Epsilon", func(o *core.Options[int64]) { o.Epsilon = -0.1 }},
 		{"negative ChunkKeys", func(o *core.Options[int64]) { o.ChunkKeys = -1 }},
-		{"negative StaleBound", func(o *core.Options[int64]) { o.StaleBound = -1 }},
 		{"wrong splitter count", func(o *core.Options[int64]) { o.Splitters = []int64{1, 2} }},
 	}
 	families := []struct {

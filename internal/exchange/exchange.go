@@ -245,29 +245,28 @@ func Exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) 
 // before any data moves: it all-reduces the global per-bucket loads of
 // runs (every rank's slice lengths, bucket by bucket) and returns the
 // observed bucket-level imbalance max·B/N — directly comparable to the
-// paper's (1+ε) target — along with the global key count. Every rank
-// receives the same answer; empty input reports 1. It is the staleness
-// probe behind plan-reuse sorts (hssort.Sorter.SortWithPlan): one
-// B-length reduction decides whether a stored splitter plan still fits
-// the data.
-func RunsImbalance[K any](e comm.Endpoint, tag comm.Tag, runs [][]K) (imb float64, total int64, err error) {
-	loads := make([]int64, len(runs))
+// paper's (1+ε) target — along with the loads themselves. Every rank
+// receives the same answer; empty input reports 1. It is round 0 of a
+// seeded sort (hssort.Sorter.SortSeeded): one B-length reduction
+// histograms the seed splitters against the data, deciding whether they
+// still fit it and, when they do not, where the strategy resumes.
+func RunsImbalance[K any](e comm.Endpoint, tag comm.Tag, runs [][]K) (imb float64, loads []int64, err error) {
+	loads = make([]int64, len(runs))
 	for b, run := range runs {
 		loads[b] = int64(len(run))
 	}
-	global, err := collective.AllReduce(e, tag, loads, collective.SumInt64)
+	loads, err = collective.AllReduce(e, tag, loads, collective.SumInt64)
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
-	var maxLoad int64
-	for _, l := range global {
+	var total int64
+	for _, l := range loads {
 		total += l
-		maxLoad = max(maxLoad, l)
 	}
 	if total == 0 {
-		return 1, 0, nil
+		return 1, loads, nil
 	}
-	return float64(maxLoad) * float64(len(runs)) / float64(total), total, nil
+	return float64(slices.Max(loads)) * float64(len(runs)) / float64(total), loads, nil
 }
 
 // Imbalance measures the achieved load balance after the exchange: it

@@ -78,8 +78,8 @@ func TestScratchReuseEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunsImbalance: the pre-exchange staleness probe reports the exact
-// bucket-level imbalance on every rank.
+// TestRunsImbalance: the pre-exchange round-0 histogram reports the exact
+// bucket loads and bucket-level imbalance on every rank.
 func TestRunsImbalance(t *testing.T) {
 	const p = 3
 	// Global bucket loads: 3+0+1=4, 1+2+0=3, 0+1+1=2 → max 4, N 9,
@@ -92,12 +92,12 @@ func TestRunsImbalance(t *testing.T) {
 	want := 4.0 * 3 / 9
 	w := comm.NewWorld(p, comm.WithTimeout(10*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		imb, total, err := RunsImbalance(c, 5, runsByRank[c.Rank()])
+		imb, loads, err := RunsImbalance(c, 5, runsByRank[c.Rank()])
 		if err != nil {
 			return err
 		}
-		if total != 9 {
-			t.Errorf("rank %d: total = %d, want 9", c.Rank(), total)
+		if !slices.Equal(loads, []int64{4, 3, 2}) {
+			t.Errorf("rank %d: loads = %v, want [4 3 2]", c.Rank(), loads)
 		}
 		if imb != want {
 			t.Errorf("rank %d: imbalance = %v, want %v", c.Rank(), imb, want)

@@ -23,25 +23,21 @@ const (
 // (core.FrontHalf) under the HSS strategy, retargeted at node-level
 // partitioning — all p ranks participate, but only n-1 splitters are
 // sought (§6.1: "data partitioning needs to be only across physical
-// nodes") — then its own data movement. coresPerNode is the node width
-// c; the world size must be a multiple of it. opt.Buckets is forced to
-// the node count n = p/c, so injected Splitters are n-1 node-level keys
-// and StaleBound is measured over node buckets; opt.Epsilon defaults to
-// 0.02, the paper's node-level threshold; opt.Owner is unused; on leaders
-// opt.Workers also serves the combine and node-level merges and
-// opt.Scratch the leader exchange. Every rank must call Sort with the
-// same arguments. The input is consumed.
+// nodes") — then BackHalf. coresPerNode is the node width c; the world
+// size must be a multiple of it. opt.Buckets is forced to the node count
+// n = p/c, so injected Splitters are n-1 node-level keys and their round 0
+// is measured over node buckets; opt.Epsilon defaults to 0.02, the
+// paper's node-level threshold; opt.Owner is unused. Every rank must call
+// Sort with the same arguments. The input is consumed.
 func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], coresPerNode int) ([]K, core.Stats, error) {
 	p := c.Size()
-	cores := coresPerNode
-	if cores < 1 {
-		return nil, core.Stats{}, fmt.Errorf("nodesort: coresPerNode %d < 1", cores)
+	if coresPerNode < 1 {
+		return nil, core.Stats{}, fmt.Errorf("nodesort: coresPerNode %d < 1", coresPerNode)
 	}
-	if p%cores != 0 {
-		return nil, core.Stats{}, fmt.Errorf("nodesort: world size %d not a multiple of coresPerNode %d", p, cores)
+	if p%coresPerNode != 0 {
+		return nil, core.Stats{}, fmt.Errorf("nodesort: world size %d not a multiple of coresPerNode %d", p, coresPerNode)
 	}
-	nodes := p / cores
-	opt.Buckets = nodes
+	opt.Buckets = p / coresPerNode
 	if opt.Epsilon == 0 {
 		opt.Epsilon = 0.02
 	}
@@ -49,6 +45,20 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], coresPerNode int)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
+	return BackHalf(c, f)
+}
+
+// BackHalf is the two-level data movement behind a front half cut into
+// one bucket per node (f.Opt.Buckets nodes of equal width): intra-node
+// combine, node-to-node exchange, within-node scatter, then the closing
+// stats all-reduce. On leaders f.Opt.Workers also serves the combine and
+// node-level merges and f.Opt.Scratch the leader exchange.
+func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
+	nodes := f.Opt.Buckets
+	if c.Size()%nodes != 0 {
+		return nil, core.Stats{}, fmt.Errorf("nodesort: world size %d not a multiple of the %d node buckets", c.Size(), nodes)
+	}
+	cores := c.Size() / nodes
 	opt, stats, pool := f.Opt, f.Stats, f.Pool
 	if stats.N == 0 {
 		// Nothing to move: every rank returns empty, consistently.

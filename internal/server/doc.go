@@ -21,12 +21,14 @@
 // Recurring tenants hit the plan cache: each dataset is fingerprinted
 // by a cheap distribution sketch (sorted-sample quantiles, after
 // "Adaptive Sampling for Rapidly Matching Histograms"), and a cached
-// splitter Plan for (tenant, fingerprint) lets the sort skip histogram
-// determination entirely — zero rounds, the regime Yang/Harsh/Solomonik
-// 2022 shows amortizes splitter determination across repeated sorts.
-// Fingerprint collisions are safe: cached plans run under the
-// Config.PlanStaleness guard, which re-histograms when the stored
-// splitters would skew bucket loads, and the cache entry is dropped.
+// splitter Plan for (tenant, fingerprint) seeds the job's one engine
+// call (Sorter.SortSeeded): while the plan still meets 1+ε on the new
+// data the sort skips histogram determination entirely — zero rounds,
+// the regime Yang/Harsh/Solomonik 2022 shows amortizes splitter
+// determination across repeated sorts. Fingerprint collisions are safe
+// and self-healing: a seed that does not fit is refined by the sort
+// itself, starting from the histogram that rejected it, and the refined
+// plan replaces it in the cache, so the next such job hits.
 //
 // The key path stays off encoding/json in both directions: a submission
 // is read once into a pooled buffer and walked once, its key array

@@ -6,7 +6,7 @@ import (
 
 // engineKey identifies one engine shape: the key type plus whether the
 // engine sorts keyed records. Every other shape dimension (shard count,
-// epsilon, transport, workers, staleness bound) is fixed by the daemon
+// epsilon, transport, workers) is fixed by the daemon
 // Config, so engines of one key are interchangeable.
 type engineKey struct {
 	keyType string

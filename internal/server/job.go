@@ -194,8 +194,8 @@ func (t *orderedType[K]) result(keys [][]K, values [][]string) (jobResult, *stor
 
 func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string) (jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
 	fp := srv.fingerprint(d.t.name, len(d.shards), d.n(), sampleCodes(d.shards, d.t.code))
-	pk := planKey{tenant: tenant, fp: fp}
-	if d.values != nil {
+	pk := planKey{tenant: tenant, fp: fp, kv: d.values != nil}
+	if pk.kv {
 		return d.runKV(ctx, srv, pk)
 	}
 	key := engineKey{keyType: d.t.name}
@@ -212,7 +212,7 @@ func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string)
 	defer srv.engines.release(key, pe)
 	eng := pe.impl.(*hssort.Sorter[K])
 
-	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, sorterAdapter[K]{eng}, d.shards)
+	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, eng.SortSeeded, d.shards)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
@@ -244,7 +244,7 @@ func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) 
 			recs[r][i] = hssort.KV[K, string]{Key: k, Val: d.values[r][i]}
 		}
 	}
-	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, kvAdapter[K]{eng}, recs)
+	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, eng.SortSeeded, recs)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
@@ -294,7 +294,7 @@ func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (job
 	defer srv.engines.release(key, pe)
 	eng := pe.impl.(*hssort.Sorter[[]byte])
 
-	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, sorterAdapter[[]byte]{eng}, d.shards)
+	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, eng.SortSeeded, d.shards)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
@@ -305,90 +305,28 @@ func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (job
 	return &shardsResult[[]byte]{shards: outs, appendKey: appendJSONBytes}, sd, stats, outcome, nil
 }
 
-// planEngine is the slice of the Sorter/KVSorter surface the plan-cache
-// path needs, over element type E.
-type planEngine[E any] interface {
-	plan(ctx context.Context, shards [][]E) (*hssort.Plan[E], error)
-	sortWithPlan(ctx context.Context, plan *hssort.Plan[E], shards [][]E) ([][]E, hssort.Stats, error)
-	sort(ctx context.Context, shards [][]E) ([][]E, hssort.Stats, error)
-}
-
-type sorterAdapter[K any] struct{ s *hssort.Sorter[K] }
-
-func (a sorterAdapter[K]) plan(ctx context.Context, shards [][]K) (*hssort.Plan[K], error) {
-	return a.s.Plan(ctx, shards)
-}
-func (a sorterAdapter[K]) sortWithPlan(ctx context.Context, plan *hssort.Plan[K], shards [][]K) ([][]K, hssort.Stats, error) {
-	return a.s.SortWithPlan(ctx, plan, shards)
-}
-func (a sorterAdapter[K]) sort(ctx context.Context, shards [][]K) ([][]K, hssort.Stats, error) {
-	return a.s.Sort(ctx, shards)
-}
-
-type kvAdapter[K cmp.Ordered] struct{ s *hssort.KVSorter[K, string] }
-
-func (a kvAdapter[K]) plan(ctx context.Context, shards [][]hssort.KV[K, string]) (*hssort.Plan[hssort.KV[K, string]], error) {
-	return a.s.Plan(ctx, shards)
-}
-func (a kvAdapter[K]) sortWithPlan(ctx context.Context, plan *hssort.Plan[hssort.KV[K, string]], shards [][]hssort.KV[K, string]) ([][]hssort.KV[K, string], hssort.Stats, error) {
-	return a.s.SortWithPlan(ctx, plan, shards)
-}
-func (a kvAdapter[K]) sort(ctx context.Context, shards [][]hssort.KV[K, string]) ([][]hssort.KV[K, string], hssort.Stats, error) {
-	return a.s.SortKV(ctx, shards)
-}
-
-// sortWithPlanCache is the recurring-tenant fast path: apply the cached
-// splitter plan for (tenant, fingerprint) when one exists — zero
-// histogramming rounds — otherwise determine fresh splitters once via
-// Plan, cache them, and sort with the new plan. Cached plans run under
-// the engine's staleness guard (Config.PlanStaleness): when a
-// fingerprint collision hands drifted data a stale plan, the guard
-// re-histograms (Stats.Replanned) and the poisoned cache entry is
-// dropped. On a miss, the determination work Plan performed is folded
-// back into the returned Stats (Rounds, sample sizes), so a first-sight
-// job honestly reports its histogramming while a cache-hit job reports
-// Rounds = 0.
-func sortWithPlanCache[E any](ctx context.Context, srv *Server, pk planKey, eng planEngine[E], shards [][]E) ([][]E, hssort.Stats, planOutcome, error) {
-	if cached, ok := srv.plans.get(pk); ok {
-		if plan, ok := cached.(*hssort.Plan[E]); ok {
-			outs, stats, err := eng.sortWithPlan(ctx, plan, shards)
-			if err != nil {
-				return nil, stats, planHit, err
-			}
-			if stats.Replanned {
-				srv.plans.remove(pk)
-				return outs, stats, planReplanned, nil
-			}
-			return outs, stats, planHit, nil
-		}
-		// Same fingerprint, different element type (kv vs plain under
-		// one tenant): evict and fall through to a fresh plan.
-		srv.plans.remove(pk)
+// sortWithPlanCache is every job's sort: one engine call, seeded with
+// the cached plan for the job's key when there is one. A seed that still
+// fits the data is a hit — zero histogramming rounds. One that does not
+// (a fingerprint collision handed drifted data another distribution's
+// plan) is refined by the sort itself ("replanned"), and the plan the
+// sort ended with replaces it, so the next job of the drifted
+// distribution hits. A miss is a plain sort whose splitters are kept.
+// Only finalized plans are cached: splitters the protocol could not
+// settle (byte keys sharing one prefix code) seed nothing.
+func sortWithPlanCache[E any](ctx context.Context, srv *Server, pk planKey, sortSeeded func(context.Context, *hssort.Plan[E], [][]E) ([][]E, *hssort.Plan[E], hssort.Stats, error), shards [][]E) ([][]E, hssort.Stats, planOutcome, error) {
+	cached, _ := srv.plans.get(pk)
+	seed, _ := cached.(*hssort.Plan[E])
+	outs, next, stats, err := sortSeeded(ctx, seed, shards)
+	outcome := planMiss
+	switch {
+	case seed != nil && stats.Rounds == 0:
+		outcome = planHit
+	case seed != nil:
+		outcome = planRefined
 	}
-	plan, err := eng.plan(ctx, shards)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, hssort.Stats{}, planMiss, err
-		}
-		// Planning can legitimately refuse (e.g. an empty dataset);
-		// sort without a plan and leave the cache alone.
-		outs, stats, serr := eng.sort(ctx, shards)
-		return outs, stats, planMiss, serr
+	if err == nil && outcome != planHit && next != nil && next.Finalized {
+		srv.plans.put(pk, next)
 	}
-	srv.plans.put(pk, plan)
-	outs, stats, err := eng.sortWithPlan(ctx, plan, shards)
-	if err == nil {
-		if stats.Replanned {
-			// The guard rejected the plan we just determined (tiny or
-			// degenerate datasets can't meet the balance bound): keep
-			// the replan's own round accounting and don't cache a plan
-			// already known to be bad.
-			srv.plans.remove(pk)
-		} else {
-			stats.Rounds = plan.Rounds
-			stats.SamplePerRound = plan.SamplePerRound
-			stats.TotalSample = plan.TotalSample
-		}
-	}
-	return outs, stats, planMiss, err
+	return outs, stats, outcome, err
 }

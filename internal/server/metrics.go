@@ -74,8 +74,8 @@ func (m *metrics) jobFinished(tenant, status string, stats hssort.Stats, outcome
 		m.planHits++
 	case planMiss:
 		m.planMisses++
-	case planReplanned:
-		m.planHits++ // a replanned run was a cache hit whose staleness guard fired
+	case planRefined:
+		m.planHits++ // a replanned run found a cached plan, and had to refine it
 		m.planReplans++
 	}
 	if status != "done" {
@@ -166,7 +166,7 @@ func (m *metrics) writeTo(w io.Writer, g gauges) {
 	counter("hssortd_rejected_total", "Submissions refused by admission control (HTTP 429).", m.rejected)
 	counter("hssortd_plan_cache_hits_total", "Jobs that reused a cached splitter plan.", m.planHits)
 	counter("hssortd_plan_cache_misses_total", "Jobs that had to determine fresh splitters.", m.planMisses)
-	counter("hssortd_plan_replans_total", "Cached plans the staleness guard re-histogrammed (Stats.Replanned).", m.planReplans)
+	counter("hssortd_plan_replans_total", "Cached plans a sort had to refine (seeded, Rounds > 0) and re-cached.", m.planReplans)
 	counter("hssortd_histogram_rounds_total", "Histogramming rounds run, summed over jobs.", m.rounds)
 	counter("hssortd_keys_sorted_total", "Keys sorted, summed over jobs.", m.keysSorted)
 	counter("hssortd_sort_seconds_total", "Critical-path sort time (Stats.Total), summed over jobs.", m.sortSeconds)

@@ -12,10 +12,10 @@ import (
 type planOutcome int
 
 const (
-	planNone      planOutcome = iota // the job never reached a sort (canceled while queued, decode-time failure)
-	planHit                          // a cached plan was applied: zero histogramming rounds
-	planMiss                         // fresh splitters were determined (and cached for next time)
-	planReplanned                    // a cached plan was applied but the staleness guard re-histogrammed
+	planNone    planOutcome = iota // the job never reached a sort (canceled while queued, decode-time failure)
+	planHit                        // a cached plan seeded the sort and stood: zero histogramming rounds
+	planMiss                       // no seed: fresh splitters were determined (and cached for next time)
+	planRefined                    // a cached plan seeded the sort, was refined (Rounds > 0) and re-cached
 )
 
 func (o planOutcome) String() string {
@@ -24,25 +24,27 @@ func (o planOutcome) String() string {
 		return "hit"
 	case planMiss:
 		return "miss"
-	case planReplanned:
+	case planRefined:
 		return "replanned"
 	default:
 		return ""
 	}
 }
 
-// planKey addresses one cached splitter plan: the tenant plus the
-// submitted dataset's distribution fingerprint. Keying by fingerprint
-// rather than dataset name means a tenant's recurring distribution hits
-// the cache whatever the job is called, and a renamed-but-drifted
-// dataset cannot silently reuse stale splitters.
+// planKey addresses one cached splitter plan: the tenant, the
+// submitted dataset's distribution fingerprint, and whether the job
+// carries record values (a record plan's splitters are records, so the
+// two kinds of job cannot share an entry). Keying by fingerprint rather
+// than dataset name means a tenant's recurring distribution hits the
+// cache whatever the job is called.
 type planKey struct {
 	tenant string
 	fp     uint64
+	kv     bool
 }
 
 // planCache is a bounded LRU of finalized splitter plans, keyed by
-// (tenant, fingerprint). Values are *hssort.Plan[E] for the element
+// planKey. Values are *hssort.Plan[E] for the element
 // type the owning engine sorts; they are stored untyped and asserted
 // back at the point of use. Safe for concurrent use.
 type planCache struct {
@@ -92,15 +94,6 @@ func (c *planCache) put(key planKey, plan any) {
 	}
 }
 
-func (c *planCache) remove(key planKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		delete(c.entries, key)
-	}
-}
-
 func (c *planCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,13 +114,14 @@ const fingerprintQuantiles = 16
 // hashes the key type, the shard count, the order of magnitude of n,
 // and 16 coarsely quantized quantiles of a sorted key-code sample
 // (sample is the caller's strided sample of up to fingerprintSampleMax
-// order-preserving codes; it is sorted in place here). Quantizing each
-// quantile to its top 16 bits makes the sketch insensitive to
-// per-submission noise — two draws from one distribution usually agree
-// — while a drifted distribution moves a quantile bucket and misses the
-// cache. A colliding fingerprint over genuinely drifted data is safe:
-// cached plans run under the engine's staleness guard, which
-// re-histograms when the stored splitters skew bucket loads.
+// order-preserving codes; it is sorted in place here). Each quantile is
+// quantized to its top 16 bits, which is still fine enough that two
+// fresh draws of one distribution almost never agree (README finding 5):
+// in practice a hit is a byte-identical resubmission, and anything else —
+// a fresh draw as much as a drifted distribution — moves a quantile
+// bucket and misses. A colliding fingerprint over genuinely different
+// data is safe: a cached plan only seeds the sort, which histograms it
+// against the data before trusting it.
 func fingerprint(keyType string, shards, n int, sample []uint64) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(keyType))

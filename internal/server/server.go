@@ -39,8 +39,6 @@ type Config struct {
 	Concurrency int
 	// PlanCacheSize bounds the splitter-plan LRU. Default 128.
 	PlanCacheSize int
-	// PlanStaleness is the engines' replan guard threshold. Default 1.5.
-	PlanStaleness float64
 	// MaxKeys, when positive, refuses jobs above it with 413. Default 0
 	// (unlimited).
 	MaxKeys int
@@ -74,9 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 128
 	}
-	if c.PlanStaleness <= 0 {
-		c.PlanStaleness = 1.5
-	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 256
 	}
@@ -102,7 +97,7 @@ type Server struct {
 	metrics *metrics
 
 	// fingerprint computes the plan-cache dataset sketch; a field so
-	// tests can force collisions to exercise the staleness guard.
+	// tests can force collisions and hand a sort a drifted seed.
 	fingerprint func(keyType string, shards, n int, sample []uint64) uint64
 
 	mu        sync.Mutex
@@ -147,7 +142,6 @@ func (s *Server) engineConfig() hssort.Config {
 		Transport:      s.cfg.Transport,
 		Workers:        s.cfg.Workers,
 		StreamExchange: true,
-		PlanStaleness:  s.cfg.PlanStaleness,
 	}
 }
 

@@ -25,8 +25,9 @@ func CompareKV[K cmp.Ordered, V any](a, b KV[K, V]) int {
 
 // KVSorter is the record-sorting engine: NewKV's counterpart of Sorter
 // for keyed payloads. It exposes the same lifecycle — SortKV
-// repeatedly over one long-lived machine, Plan/SortWithPlan for
-// prepare-once/sort-many, Close to release the workers.
+// repeatedly over one long-lived machine, SortSeeded and its halves
+// Plan/SortWithPlan for sorts that start from an earlier one's
+// splitters, Close to release the workers.
 type KVSorter[K cmp.Ordered, V any] struct {
 	s *Sorter[KV[K, V]]
 }
@@ -82,8 +83,14 @@ func (s *KVSorter[K, V]) Plan(ctx context.Context, shards [][]KV[K, V]) (*Plan[K
 	return s.s.Plan(ctx, shards)
 }
 
-// SortWithPlan sorts records with a previously prepared plan, skipping
-// splitter determination; see Sorter.SortWithPlan.
+// SortSeeded sorts records starting from seed's splitters and returns
+// the plan the sort ended with; see Sorter.SortSeeded.
+func (s *KVSorter[K, V]) SortSeeded(ctx context.Context, seed *Plan[KV[K, V]], shards [][]KV[K, V]) ([][]KV[K, V], *Plan[KV[K, V]], Stats, error) {
+	return s.s.SortSeeded(ctx, seed, shards)
+}
+
+// SortWithPlan sorts records seeded with a previously prepared plan;
+// see Sorter.SortWithPlan.
 func (s *KVSorter[K, V]) SortWithPlan(ctx context.Context, plan *Plan[KV[K, V]], shards [][]KV[K, V]) ([][]KV[K, V], Stats, error) {
 	return s.s.SortWithPlan(ctx, plan, shards)
 }

@@ -28,9 +28,10 @@ import (
 // Sorter is a long-lived sorting engine: New validates the Config once,
 // constructs the transport and the per-rank worker world once, and the
 // resulting Sorter is then called repeatedly — Sort for full sorts,
-// Plan/SortWithPlan for the prepare-once/sort-many split — with the
-// goroutine pool, exchange chunk buffers, merge queues and scratch, and
-// code-plane scratch reused across calls. One-shot helpers (the package-level Sort,
+// SortSeeded (and its halves Plan/SortWithPlan) for sorts that start
+// from the splitters of an earlier one — with the goroutine pool,
+// exchange chunk buffers, merge queues and scratch, and code-plane
+// scratch reused across calls. One-shot helpers (the package-level Sort,
 // SortFunc, SortKV) are thin wrappers over a throwaway engine.
 //
 // A Sorter serializes its calls (concurrent Sort calls run one after
@@ -52,6 +53,7 @@ type Sorter[K any] struct {
 	pool    *comm.Pool
 	scratch []*rankScratch[K]
 	spills  []*spill.Manager // per-rank spill managers; nil when MemoryBudget is 0, nil entries for ranks other processes host
+	first   int              // lowest rank this process hosts
 
 	mu     sync.Mutex
 	closed bool
@@ -106,9 +108,6 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Minute
-	}
-	if cfg.PlanStaleness < 0 {
-		return nil, fmt.Errorf("hssort: PlanStaleness %v < 0", cfg.PlanStaleness)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("hssort: Workers %d < 0", cfg.Workers)
@@ -186,16 +185,15 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 	if err != nil {
 		return nil, err
 	}
+	// The ranks this process hosts: a multi-process TCP worker carries
+	// exactly its own rank, everything else co-hosts the whole world.
+	lo, hi := 0, cfg.Procs
+	if cfg.Transport == TransportTCP && cfg.TCP.Coordinator != "" {
+		lo, hi = cfg.TCP.Rank, cfg.TCP.Rank+1
+	}
 	var spills []*spill.Manager
 	if cfg.MemoryBudget > 0 {
 		spills = make([]*spill.Manager, cfg.Procs)
-		// Only the ranks this process hosts get a manager: a multi-process
-		// TCP worker carries exactly its own rank, everything else
-		// co-hosts the whole world.
-		lo, hi := 0, cfg.Procs
-		if cfg.Transport == TransportTCP && cfg.TCP.Coordinator != "" {
-			lo, hi = cfg.TCP.Rank, cfg.TCP.Rank+1
-		}
 		for r := lo; r < hi; r++ {
 			m, err := spill.NewManager(cfg.MemoryBudget, cfg.SpillDir, r)
 			if err != nil {
@@ -221,6 +219,7 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 		pool:    comm.NewPool(cfg.Procs, comm.WithTimeout(cfg.Timeout), comm.WithTransport(tr)),
 		scratch: make([]*rankScratch[K], cfg.Procs),
 		spills:  spills,
+		first:   lo,
 	}
 	if s.cfg.Workers == 0 {
 		// Resolve the default once, against this transport's hosting
@@ -259,60 +258,187 @@ func (s *Sorter[K]) Close() {
 // machine. The input shards are consumed (locally sorted in place,
 // except on the bijective code plane).
 func (s *Sorter[K]) Sort(ctx context.Context, shards [][]K) ([][]K, Stats, error) {
-	return s.sort(ctx, nil, shards)
+	outs, _, stats, err := s.run(ctx, nil, shards, true, false)
+	return outs, stats, err
 }
 
-// SortWithPlan sorts with the splitters of a previously prepared Plan,
-// skipping splitter determination entirely: the sort goes straight to
-// partition → exchange → merge and Stats.Rounds reads 0. If
-// Config.PlanStaleness > 0, the ranks first measure the bucket
-// imbalance the stored splitters would produce (one B-length reduction)
-// and re-histogram when it exceeds the bound — Stats.Replanned then
-// reports that the plan was stale. The plan must come from this
-// engine's Plan (or one with identical Procs and bucket geometry).
+// SortWithPlan is SortSeeded for callers that keep the plan they came
+// with: the plan seeds the sort and the one it ended with is dropped.
+// The plan must come from this engine (or one with identical Procs and
+// bucket geometry).
 func (s *Sorter[K]) SortWithPlan(ctx context.Context, plan *Plan[K], shards [][]K) ([][]K, Stats, error) {
 	if plan == nil {
 		return nil, Stats{}, fmt.Errorf("hssort: nil plan (prepare one with Sorter.Plan)")
 	}
-	return s.sort(ctx, plan, shards)
+	outs, _, stats, err := s.run(ctx, plan, shards, true, false)
+	return outs, stats, err
 }
 
-// sort is the shared engine run: resolve the per-call compute plane
-// (the NaN guard may demote it), pick the pipeline, run the worker
-// world.
-func (s *Sorter[K]) sort(ctx context.Context, plan *Plan[K], shards [][]K) ([][]K, Stats, error) {
+// SortSeeded is Sort started from the splitters of an earlier sort, and
+// it returns the splitters this one ended with. The ranks partition by
+// the seed and all-reduce the bucket loads (round 0: one B-length
+// reduction, no sample). A seed that still meets the 1+ε target stands:
+// the sort goes straight to exchange → merge, Stats.Rounds reads 0 and
+// next holds the seed's splitters. Otherwise splitter determination runs
+// after all, with round 0 as its first histogram — the HSS variants and
+// NodeHSS finalize the splitters the seed already pins and sample only
+// the intervals still open; the sample sorts, HSSOneRound and classic
+// histogram sort start cold — and next holds the refined splitters:
+// feeding it to the following sort is how a loop tracks a drifting
+// distribution (ChaNGa's per-timestep re-sort, §6.3). A nil seed is a
+// plain Sort whose splitters are kept; next is then exactly what Plan
+// would have returned on the same shards. next is nil when the input
+// holds no keys (zero keys determine no splitters).
+//
+// Splitter-based algorithms only, and not with TagDuplicates.
+func (s *Sorter[K]) SortSeeded(ctx context.Context, seed *Plan[K], shards [][]K) (out [][]K, next *Plan[K], stats Stats, err error) {
+	return s.run(ctx, seed, shards, true, true)
+}
+
+// Plan is SortSeeded stopped before any data moves — local sort plus
+// splitter determination (sampling and histogramming for the HSS
+// variants, the sampling phase for the sample sorts, probe refinement
+// for classic histogram sort, node-level histogramming for NodeHSS) —
+// returning the splitters with the protocol's achieved statistics. The
+// input shards are read, not consumed.
+//
+// Plan is deterministic given Config.Seed and the input, and uses the
+// same per-rank sampling streams as Sort — the splitters are exactly
+// the ones the equivalent Sort would have determined.
+func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
+	_, plan, _, err := s.run(ctx, nil, shards, false, true)
+	if err == nil && plan == nil {
+		// A plan every seeded sort would have to reject. Fail here, at
+		// training time, not in the operation phase.
+		err = fmt.Errorf("hssort: cannot plan on empty input")
+	}
+	return plan, err
+}
+
+// run is every engine call: resolve the per-call compute plane (the NaN
+// guard may demote it), describe the plane to runEngine — what each rank
+// sorts, where its output goes, how splitters turn back into keys — and
+// run the worker world once. full is false for Plan, which stops after
+// the front half; wantNext asks for the plan the run ends with.
+func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, wantNext bool) ([][]K, *Plan[K], Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, Stats{}, ErrSorterClosed
+		return nil, nil, Stats{}, ErrSorterClosed
 	}
 	if len(shards) != s.cfg.Procs {
-		return nil, Stats{}, fmt.Errorf("hssort: Config.Procs = %d but %d shards supplied", s.cfg.Procs, len(shards))
+		return nil, nil, Stats{}, fmt.Errorf("hssort: Config.Procs = %d but %d shards supplied", s.cfg.Procs, len(shards))
 	}
-	if plan != nil {
-		if err := s.checkPlan(plan); err != nil {
-			return nil, Stats{}, err
+	var seedKeys []K
+	if seed != nil || wantNext {
+		if err := s.checkPlan(seed); err != nil {
+			return nil, nil, Stats{}, err
+		}
+		if seed != nil {
+			seedKeys = seed.Splitters
 		}
 	}
-	var planSplitters []K
-	if plan != nil {
-		planSplitters = plan.Splitters
-	}
-	useBijective, useRecord, usePrefix, err := s.resolvePlanes(shards, planSplitters)
+	useBijective, useRecord, usePrefix, err := s.resolvePlanes(shards, seedKeys)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, nil, Stats{}, err
 	}
-	if s.cfg.TagDuplicates {
-		return s.sortTagged(ctx, shards)
+	var outs [][]K
+	if full {
+		outs = make([][]K, s.cfg.Procs)
 	}
-	if useBijective {
-		return s.sortCoded(ctx, plan, shards)
+	var next *Plan[K]
+	var stats Stats
+	switch {
+	case s.cfg.TagDuplicates:
+		// §4.3: wrap, sort tagged, unwrap. Tagged records order by (key,
+		// origin), which no 64-bit code can carry, so this plane always
+		// runs on the comparator (and unseeded — plans hold plain keys).
+		_, stats, err = runEngine(ctx, s, engineRun[K, tagging.Tagged[K]]{
+			compare: tagging.Cmp(s.compare),
+			input:   func(r int) []tagging.Tagged[K] { return tagging.Wrap(shards[r], r) },
+			output:  func(r int, out []tagging.Tagged[K]) { outs[r] = tagging.Unwrap(out) },
+		})
+	case useBijective:
+		// Each rank encodes its shard once into its reusable code buffer,
+		// the whole pipeline runs on raw uint64s, and each rank decodes
+		// its merged partition once at the end (see the package-level
+		// documentation of the code plane). Seed splitters are encoded
+		// likewise and the splitters decode back to keys.
+		encTime := make([]time.Duration, s.cfg.Procs)
+		decTime := make([]time.Duration, s.cfg.Procs)
+		job := engineRun[K, codes.Code]{
+			compare: codes.Compare,
+			coder:   codes.Identity{},
+			code:    codes.ExtractCode,
+			input: func(r int) []codes.Code {
+				t0 := time.Now()
+				sc := s.scratch[r]
+				sc.enc = codes.EncodeIntoPar(s.coder, shards[r], sc.enc, par.New(s.cfg.Workers))
+				encTime[r] = time.Since(t0)
+				return sc.enc
+			},
+			plan: wantNext,
+			keys: func(f *core.Front[codes.Code]) []K { return codes.DecodeSlice(s.coder, f.Splitters) },
+		}
+		if seed != nil {
+			job.seed = codes.EncodeSlice(s.coder, seedKeys)
+		}
+		if full {
+			job.output = func(r int, out []codes.Code) {
+				t0 := time.Now()
+				outs[r] = codes.DecodeSlicePar(s.coder, out, par.New(s.cfg.Workers))
+				decTime[r] = time.Since(t0)
+			}
+		}
+		next, stats, err = runEngine(ctx, s, job)
+		// The code plane's O(n) encode and decode are work the comparator
+		// plane does not do; charge them to the phases they bracket —
+		// encode to the local sort, decode to the merge — so cross-plane
+		// phase breakdowns stay honest. (Adding per-phase maxima is a
+		// slight upper bound on the true combined critical path.)
+		stats.LocalSort += slices.Max(encTime)
+		stats.Merge += slices.Max(decTime)
+	case usePrefix && !full:
+		// A prefix-plane sort determines its splitters entirely in code
+		// space, so a plan needs only each key's sorted prefix code: no
+		// key is cloned or tie-broken. The splitter codes materialize as
+		// their canonical 8-byte big-endian representatives, whose
+		// re-extracted codes are these codes again.
+		next, _, err = runEngine(ctx, s, engineRun[K, codes.Code]{
+			compare: codes.Compare,
+			coder:   codes.Identity{},
+			code:    codes.ExtractCode,
+			input:   func(r int) []codes.Code { return codes.Extract(shards[r], s.code) },
+			plan:    true,
+			keys:    func(f *core.Front[codes.Code]) []K { return prefixSplitters[K](f.Splitters) },
+		})
+	default:
+		job := engineRun[K, K]{
+			compare: s.compare,
+			coder:   s.coder,
+			prefix:  usePrefix,
+			seed:    seedKeys,
+			input:   func(r int) []K { return shards[r] },
+			plan:    wantNext,
+			keys:    func(f *core.Front[K]) []K { return f.Splitters },
+		}
+		if useRecord || usePrefix {
+			job.code = s.code
+		}
+		if usePrefix {
+			job.keys = func(f *core.Front[K]) []K { return prefixSplitters[K](f.SplitterCodes) }
+		}
+		if full {
+			job.output = func(r int, out []K) { outs[r] = out }
+		} else {
+			job.input = func(r int) []K { return slices.Clone(shards[r]) }
+		}
+		next, stats, err = runEngine(ctx, s, job)
 	}
-	code := s.code
-	if !useRecord && !usePrefix {
-		code = nil
+	if err != nil {
+		return nil, nil, Stats{}, err
 	}
-	return runEngine(ctx, s, plan, shards, s.compare, s.coder, code, usePrefix, scratchPlain)
+	return outs, next, stats, nil
 }
 
 // resolvePlanes picks the per-call compute plane, demoting CodePathAuto
@@ -341,13 +467,17 @@ func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective
 	return useBijective, useRecord, usePrefix, nil
 }
 
-// checkPlan verifies a plan fits this engine's geometry.
+// checkPlan verifies that this engine deals in plans at all and, when a
+// seed is given, that it fits the engine's geometry.
 func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if s.cfg.TagDuplicates {
 		return fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
 	}
 	if !splitterBased(s.cfg.Algorithm) {
 		return fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
+	}
+	if plan == nil {
+		return nil
 	}
 	if plan.procs == 0 {
 		return fmt.Errorf("hssort: plan was not prepared by Sorter.Plan")
@@ -395,8 +525,8 @@ func effectiveEpsilon(cfg Config) float64 {
 }
 
 // splitterBased reports whether the algorithm determines splitters and
-// so runs on the sort skeleton — the precondition for Plan and
-// SortWithPlan, the streaming exchange and the out-of-core plane.
+// so runs on the sort skeleton — the precondition for seeded sorts and
+// plans, the streaming exchange and the out-of-core plane.
 func splitterBased(a Algorithm) bool {
 	switch a {
 	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
@@ -405,39 +535,91 @@ func splitterBased(a Algorithm) bool {
 	return false
 }
 
-// scratchMode selects which per-rank scratch slot an engine run uses.
-type scratchMode int
+// engineRun describes one run of the worker world to runEngine: the
+// plane it runs on, as the element type E the skeleton actually sorts
+// and the hooks that carry K in and out of it.
+type engineRun[K, E any] struct {
+	// compare, coder, code and prefix are the plane: E's comparator, its
+	// bijective coder (nil if none), the order-preserving extractor that
+	// puts the hot paths on the code plane (nil for the comparator plane)
+	// and whether that extractor is only a prefix.
+	compare func(E, E) int
+	coder   keycoder.Coder[E]
+	code    func(E) uint64
+	prefix  bool
+	// seed, when non-nil, holds the splitters the sort starts from.
+	seed []E
+	// input materializes rank r's working keys, which the run consumes.
+	input func(r int) []E
+	// output receives rank r's sorted partition. nil stops the run after
+	// the front half.
+	output func(r int, out []E)
+	// plan asks for the plan the run ends with; keys turns the front
+	// half's splitters back into K.
+	plan bool
+	keys func(*core.Front[E]) []K
+}
 
-const (
-	scratchNone  scratchMode = iota // tagged plane: element type differs per call
-	scratchPlain                    // comparator/decorated plane (element type K)
-)
-
-// runEngine executes one sort over the engine's worker pool: the
-// generic core shared by the comparator, decorated and (via sortCoded)
-// bijective planes. E is the element type actually sorted.
-func runEngine[K, E any](ctx context.Context, s *Sorter[K], plan *Plan[E], shards [][]E, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool, mode scratchMode) ([][]E, Stats, error) {
-	p := s.cfg.Procs
-	outs := make([][]E, p)
+// runEngine executes one run over the engine's worker pool — the only
+// place the pool is run. A splitter-based algorithm runs the skeleton:
+// the front half under the options and strategy splitterSort builds,
+// then (unless the run stops there) the flat back half or NodeHSS's
+// two-level one. Everything else goes through dispatch.
+func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E]) (*Plan[K], Stats, error) {
 	var stats Stats
+	var front *core.Front[E]
+	var achieved float64
 	err := s.pool.Run(ctx, func(c *comm.Comm) error {
-		inj := injection[E]{}
-		if plan != nil {
-			inj.splitters = plan.Splitters
-			inj.stale = s.cfg.PlanStaleness
-		}
-		if mode == scratchPlain {
-			if sc, ok := any(&s.scratch[c.Rank()].exch).(*exchange.Scratch[E]); ok {
-				inj.scratch = sc
+		r := c.Rank()
+		local := job.input(r)
+		var out []E
+		var st core.Stats
+		if !splitterBased(s.cfg.Algorithm) {
+			var err error
+			if out, st, err = dispatch(c, local, s.cfg, job.compare, job.coder, job.code); err != nil {
+				return err
+			}
+		} else {
+			o, strat, err := splitterSort(s.cfg, job.compare, job.coder, job.code, job.prefix)
+			if err != nil {
+				return err
+			}
+			o.Splitters = job.seed
+			if job.output != nil {
+				o.Scratch = scratchOf[E](s.scratch[r])
+				o.Spill = s.spillFor(r)
+			}
+			f, err := core.FrontHalf(c, local, o, strat)
+			if err != nil {
+				return err
+			}
+			if job.plan {
+				// The plan's exact quality on this data: the front half
+				// has cut this rank's runs, so one reduction of the bucket
+				// loads yields max·B/N = 1 + the achieved ε — the very one
+				// an accepted seed's round 0 already made.
+				imb, err := f.BucketImbalance(c)
+				if err != nil {
+					return err
+				}
+				if r == s.first { // every rank holds the same splitters
+					front, achieved = f, imb-1
+				}
+			}
+			if job.output == nil {
+				return nil
+			}
+			if s.cfg.Algorithm == NodeHSS {
+				out, st, err = nodesort.BackHalf(c, f)
+			} else {
+				out, st, err = f.BackHalf(c)
+			}
+			if err != nil {
+				return err
 			}
 		}
-		inj.spill = s.spillFor(c.Rank())
-		out, st, err := dispatch(c, shards[c.Rank()], s.cfg, compare, coder, code, prefix, inj)
-		if err != nil {
-			return err
-		}
-		outs[c.Rank()] = out
-		if c.Rank() == 0 {
+		job.output(r, out)
+		if r == 0 {
 			stats = fromCore(st)
 		}
 		return nil
@@ -450,7 +632,36 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], plan *Plan[E], shard
 	total := s.pool.Transport().TotalCounters()
 	stats.TotalMsgs = total.MsgsSent
 	stats.TotalBytes = total.BytesSent
-	return outs, stats, nil
+	if front == nil {
+		return nil, stats, nil
+	}
+	splitters := job.keys(front)
+	if len(splitters) != effectiveBuckets(s.cfg)-1 {
+		return nil, stats, nil // no keys, no splitters
+	}
+	return &Plan[K]{
+		Splitters:       splitters,
+		Buckets:         effectiveBuckets(s.cfg),
+		N:               front.Stats.N,
+		Rounds:          front.Stats.Rounds,
+		SamplePerRound:  front.Stats.SamplePerRound,
+		TotalSample:     front.Stats.TotalSample,
+		Finalized:       front.Finalized,
+		Epsilon:         effectiveEpsilon(s.cfg),
+		AchievedEpsilon: achieved,
+		procs:           s.cfg.Procs,
+	}, stats, nil
+}
+
+// scratchOf returns the rank's reusable exchange state for element type
+// E: the key slot, the code slot, or nil for an element type that lives
+// for one call only (tagged records).
+func scratchOf[E, K any](sc *rankScratch[K]) *exchange.Scratch[E] {
+	if x, ok := any(&sc.exch).(*exchange.Scratch[E]); ok {
+		return x
+	}
+	x, _ := any(&sc.exchCode).(*exchange.Scratch[E])
+	return x
 }
 
 // releaseScratch drops every rank's scratch references to the last
@@ -497,174 +708,9 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// sortCoded runs the bijective code plane over the engine: each rank
-// encodes its shard once into the rank's reusable code buffer, the full
-// pipeline runs on raw uint64s, and each rank decodes its merged
-// partition once at the end (see the package-level documentation of the
-// code plane). Plan splitters are encoded likewise, so plan injection
-// composes with the code plane.
-func (s *Sorter[K]) sortCoded(ctx context.Context, plan *Plan[K], shards [][]K) ([][]K, Stats, error) {
-	p := s.cfg.Procs
-	outs := make([][]K, p)
-	var stats Stats
-	var codePlan *Plan[codes.Code]
-	if plan != nil {
-		codePlan = &Plan[codes.Code]{Splitters: codes.EncodeSlice(s.coder, plan.Splitters)}
-	}
-	encTime := make([]time.Duration, p)
-	decTime := make([]time.Duration, p)
-	err := s.pool.Run(ctx, func(c *comm.Comm) error {
-		r := c.Rank()
-		sc := s.scratch[r]
-		cp := par.New(s.cfg.Workers)
-		t0 := time.Now()
-		sc.enc = codes.EncodeIntoPar(s.coder, shards[r], sc.enc, cp)
-		encTime[r] = time.Since(t0)
-		inj := injection[codes.Code]{scratch: &sc.exchCode, spill: s.spillFor(r)}
-		if codePlan != nil {
-			inj.splitters = codePlan.Splitters
-			inj.stale = s.cfg.PlanStaleness
-		}
-		out, st, err := dispatch(c, sc.enc, s.cfg, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}), codes.ExtractCode, false, inj)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		outs[r] = codes.DecodeSlicePar(s.coder, out, cp)
-		decTime[r] = time.Since(t1)
-		if r == 0 {
-			stats = fromCore(st)
-		}
-		return nil
-	})
-	s.releaseScratch()
-	if err != nil {
-		s.resetSpills()
-		return nil, Stats{}, ctxErr(ctx, err)
-	}
-	// The code plane's O(n) encode and decode are work the comparator
-	// plane does not do; charge them to the phases they bracket —
-	// encode to the local sort, decode to the merge — so cross-plane
-	// phase breakdowns stay honest. (Adding per-phase maxima is a
-	// slight upper bound on the true combined critical path.)
-	stats.LocalSort += slices.Max(encTime)
-	stats.Merge += slices.Max(decTime)
-	total := s.pool.Transport().TotalCounters()
-	stats.TotalMsgs = total.MsgsSent
-	stats.TotalBytes = total.BytesSent
-	return outs, stats, nil
-}
-
-// sortTagged runs the §4.3 duplicate-handling path over the engine:
-// wrap, sort tagged, unwrap. Tagged records order by (key, origin),
-// which no 64-bit code can carry, so this path always runs on the
-// comparator plane (and without plan injection — plans hold plain keys).
-func (s *Sorter[K]) sortTagged(ctx context.Context, shards [][]K) ([][]K, Stats, error) {
-	tagged := make([][]tagging.Tagged[K], len(shards))
-	for r, sh := range shards {
-		tagged[r] = tagging.Wrap(sh, r)
-	}
-	outs, stats, err := runEngine(ctx, s, nil, tagged, tagging.Cmp(s.compare), nil, nil, false, scratchNone)
-	if err != nil {
-		return nil, stats, err
-	}
-	plain := make([][]K, len(outs))
-	for r, o := range outs {
-		plain[r] = tagging.Unwrap(o)
-	}
-	return plain, stats, nil
-}
-
-// Plan runs only the front half of a sort — local sort plus splitter
-// determination (sampling and histogramming for the HSS variants, the
-// sampling phase for the sample sorts, probe refinement for classic
-// histogram sort, node-level histogramming for NodeHSS) — and returns
-// the finalized splitters with the protocol's achieved statistics. The
-// input shards are read, not consumed.
-//
-// The returned Plan is the reusable artifact of the
-// prepare-once/sort-many regime: SortWithPlan skips splitter
-// determination entirely, which on a stationary distribution produces
-// output rank-identical to Sort at a fraction of the protocol cost.
-// Plan is deterministic given Config.Seed and the input, and uses the
-// same per-rank sampling streams as Sort — the splitters are exactly
-// the ones the equivalent Sort would have determined.
-func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSorterClosed
-	}
-	if len(shards) != s.cfg.Procs {
-		return nil, fmt.Errorf("hssort: Config.Procs = %d but %d shards supplied", s.cfg.Procs, len(shards))
-	}
-	if s.cfg.TagDuplicates {
-		return nil, fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
-	}
-	if !splitterBased(s.cfg.Algorithm) {
-		return nil, fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
-	}
-	empty := true
-	for _, sh := range shards {
-		if len(sh) > 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		// Splitter determination on zero keys yields zero splitters — a
-		// plan every SortWithPlan would have to reject. Fail here, at
-		// training time, not in the operation phase.
-		return nil, fmt.Errorf("hssort: cannot plan on empty input")
-	}
-	useBijective, useRecord, usePrefix, err := s.resolvePlanes(shards, nil)
-	if err != nil {
-		return nil, err
-	}
-	if useBijective || usePrefix {
-		// Both code planes plan over a sorted code array — each key's
-		// code on the bijective plane, its prefix code on the prefix
-		// plane, where (as in the prefix sorts) determination runs
-		// entirely in code space. The splitter codes decode back to keys,
-		// or materialize as their canonical 8-byte big-endian
-		// representatives: re-extraction at injection time (SortWithPlan)
-		// recovers exactly these codes.
-		res, err := runPlan(ctx, s, codes.Compare, keycoder.Coder[codes.Code](codes.Identity{}), codes.ExtractCode,
-			func(r int) []codes.Code {
-				if usePrefix {
-					return codes.Extract(shards[r], s.code)
-				}
-				return codes.EncodeSlice(s.coder, shards[r])
-			})
-		if err != nil {
-			return nil, err
-		}
-		plan := assemblePlan[K](s, res)
-		if usePrefix {
-			plan.Splitters = prefixSplitters[K](res.front.Splitters)
-		} else {
-			plan.Splitters = codes.DecodeSlice(s.coder, res.front.Splitters)
-		}
-		return plan, nil
-	}
-	code := s.code
-	if !useRecord {
-		code = nil
-	}
-	res, err := runPlan(ctx, s, s.compare, s.coder, code,
-		func(r int) []K { return slices.Clone(shards[r]) })
-	if err != nil {
-		return nil, err
-	}
-	plan := assemblePlan[K](s, res)
-	plan.Splitters = res.front.Splitters
-	return plan, nil
-}
-
-// Plan is a finalized splitter plan: the output of splitter
-// determination, detached from the sort that would normally follow, so
-// it can be applied to any number of later sorts (SortWithPlan). See
-// Sorter.Plan.
+// Plan is a splitter plan: the output of splitter determination,
+// detached from the sort it came from, so it can seed any number of
+// later sorts (SortSeeded, SortWithPlan). See Sorter.Plan.
 type Plan[K any] struct {
 	// Splitters are the finalized bucket boundaries: Buckets-1 keys in
 	// non-decreasing order. Bucket i receives keys in [S_{i-1}, S_i).
@@ -689,12 +735,11 @@ type Plan[K any] struct {
 	// AchievedEpsilon is the measured quality of the plan on the
 	// planning input: the largest bucket's load relative to the even
 	// share N/Buckets, minus 1. It is computed exactly (one extra
-	// histogram round over the final splitters) and is what a
-	// SortWithPlan on the same data would observe.
+	// histogram round over the final splitters) and is what round 0 of
+	// a sort seeded with the plan would observe on the same data.
 	AchievedEpsilon float64
 
 	procs int
-	alg   Algorithm
 }
 
 // prefixSplitters materializes code-space splitters as byte-string
@@ -710,73 +755,12 @@ func prefixSplitters[K any](sp []codes.Code) []K {
 	return out
 }
 
-// planResult carries one plan run's outcome out of the worker world:
-// rank 0's front half and the achieved ε measured on it (zero in a
-// process that does not host rank 0).
-type planResult[E any] struct {
-	front    core.Front[E]
-	achieved float64
-}
-
-// assemblePlan copies the run outcome into the public Plan shape
-// (Splitters are filled by the caller, which knows the plane).
-func assemblePlan[K any, E any](s *Sorter[K], res planResult[E]) *Plan[K] {
-	st := res.front.Stats
-	return &Plan[K]{
-		Buckets:         effectiveBuckets(s.cfg),
-		N:               st.N,
-		Rounds:          st.Rounds,
-		SamplePerRound:  st.SamplePerRound,
-		TotalSample:     st.TotalSample,
-		Finalized:       res.front.Finalized,
-		Epsilon:         effectiveEpsilon(s.cfg),
-		AchievedEpsilon: res.achieved,
-		procs:           s.cfg.Procs,
-		alg:             s.cfg.Algorithm,
-	}
-}
-
-// runPlan executes a sort stopped early over the engine's worker pool:
-// the skeleton's front half — the very function every splitter-based
-// Sort runs, under the options and strategy splitterSort builds for
-// both — so a plan's splitters are exactly the ones the equivalent Sort
-// would have determined. localOf materializes rank r's working copy
-// (cloned or encoded — Plan never consumes the caller's shards).
-func runPlan[K, E any](ctx context.Context, s *Sorter[K], compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, localOf func(r int) []E) (planResult[E], error) {
-	var res planResult[E]
-	err := s.pool.Run(ctx, func(c *comm.Comm) error {
-		o, strat, err := splitterSort(s.cfg, compare, coder, code, false, injection[E]{})
-		if err != nil {
-			return err
-		}
-		f, err := core.FrontHalf(c, localOf(c.Rank()), o, strat)
-		if err != nil {
-			return err
-		}
-		// Measure the plan's exact quality on the planning data: the
-		// front half has already cut this rank's runs, so one reduction
-		// of the bucket loads yields max·B/N = 1 + the achieved ε.
-		imb, err := f.BucketImbalance(c)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			res = planResult[E]{front: *f, achieved: imb - 1}
-		}
-		return nil
-	})
-	if err != nil {
-		return planResult[E]{}, ctxErr(ctx, err)
-	}
-	return res, nil
-}
-
 // splitterSort wires Config into the skeleton for the seven
 // splitter-based algorithms: core.Options, its shared part filled once
 // for all of them, and the algorithm's splitter strategy — the only
-// place they are told apart. dispatch (full sorts) and runPlan (the front
-// half alone) both build through it.
-func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool, inj injection[E]) (core.Options[E], core.Strategies[E], error) {
+// place they are told apart. The per-call fields (seed splitters,
+// scratch, spill manager) are runEngine's to set.
+func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool) (core.Options[E], core.Strategies[E], error) {
 	o := core.Options[E]{
 		Cmp:        compare,
 		Code:       code,
@@ -786,10 +770,6 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 		Seed:       cfg.Seed,
 		ChunkKeys:  cfg.ChunkKeys,
 		Workers:    cfg.Workers,
-		Splitters:  inj.splitters,
-		StaleBound: inj.stale,
-		Scratch:    inj.scratch,
-		Spill:      inj.spill,
 	}
 	if cfg.RoundRobinBuckets {
 		o.Owner = exchange.RoundRobinOwner(cfg.Procs)
@@ -833,19 +813,6 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 	return o, core.Strategies[E]{}, fmt.Errorf("hssort: %v is not splitter-based", cfg.Algorithm)
 }
 
-// injection carries a sort call's plan-reuse state into dispatch.
-type injection[K any] struct {
-	// splitters, when non-nil, skip splitter determination.
-	splitters []K
-	// stale is the staleness bound guarding injected splitters (0 off).
-	stale float64
-	// scratch is this rank's reusable exchange state (may be nil).
-	scratch *exchange.Scratch[K]
-	// spill is this rank's out-of-core manager (nil when MemoryBudget
-	// is 0 or another process hosts the rank).
-	spill *spill.Manager
-}
-
 // guardNaN resolves the per-call code path for inputs that may contain
 // NaN keys — the one ordered value no order-preserving code can carry:
 // the comparator sorts NaN below everything while the IEEE encoding
@@ -872,25 +839,12 @@ func guardNaN[E any](cp CodePath, shards [][]E, isNaN func(E) bool) (CodePath, e
 	return cp, nil
 }
 
-// dispatch routes one rank's work to the selected algorithm. code, when
-// non-nil, is the order-preserving extractor that puts the algorithm's
-// compute hot paths on the code plane (on the bijective plane K is
-// already the code-point type and code is the identity); prefix marks
-// it non-injective, selecting the skeleton's prefix plane. inj carries
-// plan injection and per-rank scratch for the splitter-based
-// algorithms, which all run the one skeleton; only NodeHSS swaps in its
-// own two-level data movement behind the shared front half.
-func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64, prefix bool, inj injection[K]) ([]K, core.Stats, error) {
-	if splitterBased(cfg.Algorithm) {
-		o, strat, err := splitterSort(cfg, compare, coder, code, prefix, inj)
-		if err != nil {
-			return nil, core.Stats{}, err
-		}
-		if cfg.Algorithm == NodeHSS {
-			return nodesort.Sort(c, local, o, cfg.CoresPerNode)
-		}
-		return core.SortWith(c, local, o, strat)
-	}
+// dispatch routes one rank's work to the algorithms that do not run the
+// splitter skeleton. code, when non-nil, is the order-preserving
+// extractor that puts Radix's compute hot paths on the code plane (on
+// the bijective plane K is already the code-point type and code is the
+// identity).
+func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64) ([]K, core.Stats, error) {
 	if cfg.ChunkKeys != 0 || cfg.StreamExchange {
 		return nil, core.Stats{}, fmt.Errorf("hssort: StreamExchange is not supported by %v", cfg.Algorithm)
 	}

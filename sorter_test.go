@@ -1,9 +1,12 @@
 package hssort
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -112,9 +115,6 @@ func TestPlanSortWithPlanEquivalence(t *testing.T) {
 							t.Errorf("plan-reuse sort histogrammed: rounds %d, sample %d",
 								gotStats.Rounds, gotStats.TotalSample)
 						}
-						if gotStats.Replanned {
-							t.Error("plan-reuse sort replanned without a staleness guard")
-						}
 						for r := range want {
 							if !slicesEqual(want[r], got[r]) {
 								t.Fatalf("rank %d: SortWithPlan output differs from Sort (%d vs %d keys)",
@@ -213,20 +213,20 @@ func TestPlanReports(t *testing.T) {
 	checkSorted(t, shards, outs)
 }
 
-// TestPlanStalenessGuard: on a drifted distribution a stale plan
-// produces lopsided buckets; with Config.PlanStaleness armed the sort
-// detects it, re-histograms (Stats.Replanned) and restores the balance
-// target. Without the guard the stale splitters are trusted and the
-// imbalance blows through the target.
-func TestPlanStalenessGuard(t *testing.T) {
+// TestSeededSortDrift: a seed is histogrammed against the data it is
+// asked to sort (round 0). On a drifted distribution the sort refines it
+// — at least one sampling round, balance target met — and returns the
+// refined plan, which the very next sort of the drifted data accepts at
+// zero rounds.
+func TestSeededSortDrift(t *testing.T) {
 	const p, perRank = 8, 4000
-	base := Config{Procs: p, Epsilon: 0.05, Seed: 9}
-	// Plan on keys in [0, 1<<40); sort keys shifted far above: every
-	// key lands in the last bucket.
+	cfg := Config{Procs: p, Epsilon: 0.05, Seed: 9}
+	// Plan on keys in [0, 1<<40); sort keys shifted far above: under the
+	// seed every key lands in the last bucket.
 	planShards := dist.Spec{Kind: dist.Uniform, Min: 0, Max: 1 << 40}.Shards(perRank, p, 31)
 	drifted := dist.Spec{Kind: dist.Uniform, Min: 1 << 41, Max: 1 << 42}.Shards(perRank, p, 32)
 
-	s, err := New[int64](base)
+	s, err := New[int64](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,59 +235,244 @@ func TestPlanStalenessGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Unguarded: the stale plan funnels everything into one bucket.
-	outs, stats, err := s.SortWithPlan(bg, plan, cloneShards(drifted))
+	outs, next, stats, err := s.SortSeeded(bg, plan, cloneShards(drifted))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSorted(t, drifted, outs)
-	if stats.Replanned || stats.Rounds != 0 {
-		t.Fatalf("unguarded sort replanned: %+v", stats)
-	}
-	if stats.Imbalance < float64(p)-0.01 {
-		t.Fatalf("drift did not produce the expected lopsided load (imbalance %v)", stats.Imbalance)
-	}
-
-	// Guarded: the staleness probe fires, the sort re-histograms and
-	// meets the balance target again.
-	guarded := base
-	guarded.PlanStaleness = 1.5
-	g, err := New[int64](guarded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	gplan, err := g.Plan(bg, planShards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, stats, err = g.SortWithPlan(bg, gplan, cloneShards(drifted))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSorted(t, drifted, outs)
-	if !stats.Replanned {
-		t.Fatal("staleness guard did not fire")
-	}
 	if stats.Rounds < 1 {
-		t.Error("replan reported no histogramming rounds")
+		t.Fatal("drifted seed accepted: no histogramming rounds")
 	}
-	if stats.Imbalance > 1+base.Epsilon+1e-9 {
-		t.Errorf("replanned sort missed the balance target: imbalance %v", stats.Imbalance)
+	if stats.Imbalance > 1+cfg.Epsilon+1e-9 {
+		t.Errorf("refined sort missed the balance target: imbalance %v", stats.Imbalance)
+	}
+	if next == nil || next.Rounds != stats.Rounds || !next.Finalized {
+		t.Fatalf("refined plan: %+v (sort ran %d rounds)", next, stats.Rounds)
 	}
 
-	// A fresh plan on the drifted data passes the same guard silently.
-	fresh, err := g.Plan(bg, cloneShards(drifted))
+	// The refined plan fits the drifted data: round 0 accepts it.
+	outs, again, stats, err := s.SortSeeded(bg, next, cloneShards(drifted))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err = g.SortWithPlan(bg, fresh, cloneShards(drifted))
+	checkSorted(t, drifted, outs)
+	if stats.Rounds != 0 || stats.TotalSample != 0 {
+		t.Errorf("refined plan refined again: rounds %d, sample %d", stats.Rounds, stats.TotalSample)
+	}
+	if stats.Imbalance > 1+cfg.Epsilon+1e-9 {
+		t.Errorf("accepted seed missed the balance target: imbalance %v", stats.Imbalance)
+	}
+	if again == nil || !slicesEqual(again.Splitters, next.Splitters) || again.AchievedEpsilon > cfg.Epsilon {
+		t.Errorf("accepted seed's plan: %+v", again)
+	}
+
+	// SortWithPlan is the same sort with the plan dropped.
+	outs, stats, err = s.SortWithPlan(bg, plan, cloneShards(drifted))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Replanned {
-		t.Error("fresh plan flagged stale")
+	checkSorted(t, drifted, outs)
+	if stats.Rounds < 1 || stats.Imbalance > 1+cfg.Epsilon+1e-9 {
+		t.Errorf("SortWithPlan on drifted data: rounds %d, imbalance %v", stats.Rounds, stats.Imbalance)
+	}
+}
+
+// TestSeededSortDuplicateSeed: a plan from a duplicate-heavy input
+// carries equal adjacent splitters; a seeded sort that has to refine it
+// compacts them before they reach the tracker (which panics on
+// non-distinct probes) — on every plane.
+func TestSeededSortDuplicateSeed(t *testing.T) {
+	const p, perRank = 8, 3000
+	dup := make([][]int64, p)
+	for r := range dup {
+		for i := 0; i < perRank; i++ {
+			dup[r] = append(dup[r], int64(i%3)) // three distinct keys, eight buckets
+		}
+	}
+	fresh := shardsFor(t, dist.Uniform, p, perRank, 41)
+	for _, cp := range []CodePath{CodePathOff, CodePathAuto} {
+		t.Run(cp.String(), func(t *testing.T) {
+			s, err := New[int64](Config{Procs: p, Epsilon: 0.05, Seed: 5, CodePath: cp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			plan, err := s.Plan(bg, dup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equal := 0
+			for i := 1; i < len(plan.Splitters); i++ {
+				if plan.Splitters[i] == plan.Splitters[i-1] {
+					equal++
+				}
+			}
+			if equal == 0 {
+				t.Fatalf("plan on 3 distinct keys has no equal adjacent splitters: %v", plan.Splitters)
+			}
+			outs, next, stats, err := s.SortSeeded(bg, plan, cloneShards(fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSorted(t, fresh, outs)
+			if stats.Rounds < 1 || stats.Imbalance > 1.05+1e-9 || next == nil || !next.Finalized {
+				t.Errorf("refining a duplicate seed: rounds %d, imbalance %v, next %+v", stats.Rounds, stats.Imbalance, next)
+			}
+			// The same seed on the data it came from, which no splitters
+			// can balance: refined (nothing to gain), still sorted.
+			outs, _, _, err = s.SortSeeded(bg, plan, cloneShards(dup))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSorted(t, dup, outs)
+		})
+	}
+	b, err := NewBytes(Config{Procs: p, Epsilon: 0.05, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	shared := make([][][]byte, p) // one 8-byte prefix: every splitter code is equal
+	for r := range shared {
+		for i := 0; i < 400; i++ {
+			shared[r] = append(shared[r], fmt.Appendf(nil, "https://example.com/%d/%d", r, i))
+		}
+	}
+	plan, err := b.Plan(bg, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, _, _, err := b.SortSeeded(bg, plan, cloneAny(shared))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []byte
+	for _, o := range outs {
+		for _, k := range o {
+			if bytes.Compare(prev, k) > 0 {
+				t.Fatal("bytes output not sorted")
+			}
+			prev = k
+		}
+	}
+}
+
+// samePlan compares the fields of an unseeded SortSeeded's plan that
+// must match Plan's on the same shards.
+func samePlan[E any](t *testing.T, next, plan *Plan[E]) {
+	t.Helper()
+	if next == nil {
+		t.Fatal("SortSeeded(nil, …) returned no plan")
+	}
+	if !reflect.DeepEqual(next.Splitters, plan.Splitters) || next.Rounds != plan.Rounds || next.TotalSample != plan.TotalSample ||
+		next.Finalized != plan.Finalized || next.Buckets != plan.Buckets || next.N != plan.N {
+		t.Errorf("SortSeeded(nil, …) plan differs from Plan:\n got %+v\nwant %+v", next, plan)
+	}
+}
+
+// TestSortSeededReturnsPlansPlan: an unseeded SortSeeded ends with
+// exactly the plan Plan would have prepared on the same shards under the
+// same Seed — on every plane and every algorithm the plane admits — so a
+// caller with no seed yet needs no separate Plan call (and no second
+// local sort).
+func TestSortSeededReturnsPlansPlan(t *testing.T) {
+	const p, perRank = 6, 1500
+	algs := []Config{
+		{Algorithm: HSS},
+		{Algorithm: HSSOneRound},
+		{Algorithm: SampleSortRegular},
+		{Algorithm: HistogramSort},
+		{Algorithm: NodeHSS, CoresPerNode: 2},
+	}
+	raw := shardsFor(t, dist.Gaussian, p, perRank, 29)
+	for _, a := range algs {
+		cfg := Config{Procs: p, Algorithm: a.Algorithm, CoresPerNode: a.CoresPerNode, Epsilon: 0.1, Seed: 11}
+		t.Run("comparator/"+a.Algorithm.String(), func(t *testing.T) {
+			if a.Algorithm == HistogramSort {
+				t.Skip("classic histogram sort needs key-space arithmetic")
+			}
+			c := cfg
+			c.CodePath = CodePathOff
+			s, err := New[int64](c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			plan, err := s.Plan(bg, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, next, _, err := s.SortSeeded(bg, nil, cloneShards(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSorted(t, raw, outs)
+			samePlan(t, next, plan)
+		})
+		t.Run("bijective/"+a.Algorithm.String(), func(t *testing.T) {
+			s, err := New[int64](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			plan, err := s.Plan(bg, raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, next, _, err := s.SortSeeded(bg, nil, cloneShards(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSorted(t, raw, outs)
+			samePlan(t, next, plan)
+		})
+		t.Run("record/"+a.Algorithm.String(), func(t *testing.T) {
+			if a.Algorithm == HistogramSort {
+				t.Skip("records admit no key-space arithmetic")
+			}
+			recs := make([][]KV[int64, int32], p)
+			for r := range recs {
+				for i, k := range raw[r] {
+					recs[r] = append(recs[r], KV[int64, int32]{Key: k, Val: int32(i)})
+				}
+			}
+			s, err := NewKV[int64, int32](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			plan, err := s.Plan(bg, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, next, _, err := s.SortSeeded(bg, nil, cloneAny(recs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePlan(t, next, plan)
+		})
+		t.Run("prefix/"+a.Algorithm.String(), func(t *testing.T) {
+			keys := make([][][]byte, p)
+			for r := range keys {
+				for _, k := range raw[r] {
+					keys[r] = append(keys[r], fmt.Appendf(nil, "%016x/tail", uint64(k)))
+				}
+			}
+			s, err := NewBytes(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			plan, err := s.Plan(bg, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, next, _, err := s.SortSeeded(bg, nil, cloneAny(keys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePlan(t, next, plan)
+		})
 	}
 }
 
@@ -478,9 +663,6 @@ func TestSorterConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewFunc[int64](Config{Procs: 2}, nil); err == nil {
 		t.Error("nil comparator accepted")
-	}
-	if _, err := New[int64](Config{Procs: 2, PlanStaleness: -1}); err == nil {
-		t.Error("negative PlanStaleness accepted")
 	}
 	type opaque struct{ v int }
 	if _, err := NewFunc(Config{Procs: 2, Algorithm: HistogramSort},

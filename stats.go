@@ -26,7 +26,6 @@ type StatsSnapshot struct {
 	ExchangeBytes     int64   `json:"exchangeBytes"`
 	TotalMsgs         int64   `json:"totalMsgs"`
 	TotalBytes        int64   `json:"totalBytes"`
-	Replanned         bool    `json:"replanned,omitempty"`
 	Workers           int     `json:"workers"`
 	ParSpawned        int64   `json:"parSpawned,omitempty"`
 	ParTasks          int64   `json:"parTasks,omitempty"`
@@ -59,7 +58,6 @@ func (s Stats) Snapshot() StatsSnapshot {
 		ExchangeBytes:     s.ExchangeBytes,
 		TotalMsgs:         s.TotalMsgs,
 		TotalBytes:        s.TotalBytes,
-		Replanned:         s.Replanned,
 		Workers:           s.Workers,
 		ParSpawned:        s.ParSpawned,
 		ParTasks:          s.ParTasks,

@@ -27,7 +27,6 @@ func TestStatsSnapshotRoundTrip(t *testing.T) {
 		ExchangeBytes:  8192,
 		TotalMsgs:      64,
 		TotalBytes:     8704,
-		Replanned:      true,
 		Workers:        2,
 		Imbalance:      1.03,
 	}
@@ -62,9 +61,6 @@ func TestStatsSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("field %q = %v, want %v", k, m[k], v)
 		}
 	}
-	if m["replanned"] != true {
-		t.Errorf("replanned = %v, want true", m["replanned"])
-	}
 	var snap StatsSnapshot
 	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatal(err)
@@ -85,7 +81,7 @@ func TestStatsSnapshotOmitsEmpty(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"samplePerRound", "exchangeOverlapNs", "replanned", "parSpawned", "prefixCollisions", "reconnects", "respawns"} {
+	for _, k := range []string{"samplePerRound", "exchangeOverlapNs", "parSpawned", "prefixCollisions", "reconnects", "respawns"} {
 		if _, ok := m[k]; ok {
 			t.Errorf("optional field %q serialized for a zero value", k)
 		}
