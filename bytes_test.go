@@ -84,17 +84,11 @@ func dupHeavyByteShards(p, perRank int) [][][]byte {
 	return shards
 }
 
-// TestSortBytesAllAlgorithms runs every byte-capable algorithm over
-// hash-like keys: the prefix-plane algorithms plus Bitonic, which has no
-// code plane and exercises the pure-comparator fallback.
+// TestSortBytesAllAlgorithms runs every algorithm over hash-like keys on
+// the prefix plane.
 func TestSortBytesAllAlgorithms(t *testing.T) {
 	const p, perRank = 4, 1000
-	algs := []Algorithm{
-		HSS, HSSOneRound, HSSTheoretical,
-		SampleSortRegular, SampleSortRandom,
-		HistogramSort, NodeHSS, Bitonic,
-	}
-	for _, alg := range algs {
+	for _, alg := range sortableAlgorithms {
 		shards := dist.ByteSpec{Kind: dist.HashLike}.Shards(perRank, p, 3)
 		oracle := byteOracle(shards)
 		cfg := Config{Procs: p, Algorithm: alg, Epsilon: 0.1, Seed: 5}
@@ -113,12 +107,9 @@ func TestSortBytesAllAlgorithms(t *testing.T) {
 }
 
 // TestNewBytesRejections pins the constructor's contract: no bijective
-// coder exists for byte strings, so Radix and explicit coders are out,
-// and HistogramSort's probe bisection needs the code plane.
+// coder exists for byte strings, so explicit coders are out, and
+// HistogramSort's probe bisection needs the code plane.
 func TestNewBytesRejections(t *testing.T) {
-	if _, err := NewBytes(Config{Procs: 4, Algorithm: Radix}); err == nil {
-		t.Error("Radix accepted byte keys; it needs a bijective coder")
-	}
 	if _, err := NewBytes(Config{Procs: 4, Algorithm: HistogramSort, CodePath: CodePathOff}); err == nil {
 		t.Error("HistogramSort with CodePathOff accepted; probe bisection needs the prefix code plane")
 	}

@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records the paper-vs-measured comparison.
+// reports; the README section "Reproducing the paper's evaluation" is the
+// guide to them.
 //
 // Usage:
 //
@@ -8,8 +9,8 @@
 //	experiments -exp table6.1           # one experiment
 //	experiments -exp fig6.1 -scale 2    # scale simulated sizes up/down
 //
-// Experiments: fig3.1, fig4.1, table5.1, fig6.1, table6.1, fig6.2,
-// approx (§3.4 validation).
+// Experiments: fig3.1, fig4.1, sec4.2 (HSS vs the §4.2 comparison
+// sorts), table5.1, fig6.1, table6.1, fig6.2, approx (§3.4 validation).
 package main
 
 import (
@@ -32,6 +33,7 @@ type experiment struct {
 var experiments = []experiment{
 	{"fig3.1", "splitter intervals shrink across rounds (illustration)", runFig31},
 	{"fig4.1", "sample size vs p: sample sort vs HSS (analytic + measured)", runFig41},
+	{"sec4.2", "HSS vs sample sort, histogram sort, radix, bitonic and over-partitioning on one workload", runSec42},
 	{"table5.1", "complexity table with concrete sample sizes (p=1e5, eps=5%)", runTable51},
 	{"fig6.1", "weak scaling: execution-time breakdown per phase", runFig61},
 	{"table6.1", "histogramming rounds observed at the paper's processor counts", runTable61},

@@ -3,8 +3,8 @@ package main
 import "testing"
 
 // TestExperimentsRunAtTinyScale smoke-tests every experiment at a scale
-// small enough for CI; the full-scale outputs are recorded in
-// EXPERIMENTS.md.
+// small enough for CI (sec4.2 included, which is what keeps the three
+// §4.2 baseline packages exercised end to end).
 func TestExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests")

@@ -62,10 +62,7 @@ var algorithms = map[string]hssort.Algorithm{
 	"samplesort-regular": hssort.SampleSortRegular,
 	"samplesort-random":  hssort.SampleSortRandom,
 	"histogramsort":      hssort.HistogramSort,
-	"bitonic":            hssort.Bitonic,
-	"radix":              hssort.Radix,
 	"node-hss":           hssort.NodeHSS,
-	"overpartition":      hssort.OverPartition,
 }
 
 var distributions = map[string]dist.Kind{
@@ -318,7 +315,7 @@ func main() {
 		}
 		// Non-contiguous bucket placements produce per-rank sorted
 		// output whose rank order does not follow key order.
-		if cfg.RoundRobinBuckets || alg == hssort.OverPartition {
+		if cfg.RoundRobinBuckets {
 			slices.Sort(got)
 		}
 		if !slices.Equal(got, want) {
@@ -540,9 +537,6 @@ func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byte
 				return 1
 			}
 			got = append(got, part...)
-		}
-		if cfg.Algorithm == hssort.OverPartition {
-			slices.SortFunc(got, bytes.Compare)
 		}
 		if !slices.EqualFunc(got, want, bytes.Equal) {
 			fmt.Fprintln(os.Stderr, "FAIL: output is not the sorted permutation of the input")

@@ -42,11 +42,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestCodePathEquivalence is the code plane's acceptance gate: for every
-// algorithm with code-plane support, on both transports, with both the
-// materializing and the streaming exchange, a sort on the code plane
-// (CodePathOn) must produce rank-identical output to the comparator
-// oracle (CodePathOff). One matrix cell = one (algorithm, transport,
-// exchange plane) triple.
+// algorithm, on both transports, with both the materializing and the
+// streaming exchange, a sort on the code plane (CodePathOn) must produce
+// rank-identical output to the comparator oracle (CodePathOff). One
+// matrix cell = one (algorithm, transport, exchange plane) triple.
 func TestCodePathEquivalence(t *testing.T) {
 	const p, perRank = 6, 3000
 	algs := []struct {
@@ -64,7 +63,6 @@ func TestCodePathEquivalence(t *testing.T) {
 		{"samplesort-regular", Config{Procs: p, Algorithm: SampleSortRegular, Epsilon: 0.1, Seed: 13}, dist.Uniform},
 		{"samplesort-random", Config{Procs: p, Algorithm: SampleSortRandom, Epsilon: 0.1, Seed: 15}, dist.DuplicateHeavy},
 		{"node-hss", Config{Procs: p, Algorithm: NodeHSS, CoresPerNode: 2, Epsilon: 0.1, Seed: 17}, dist.Uniform},
-		{"radix", Config{Procs: p, Algorithm: Radix, Epsilon: 0.1, Seed: 19}, dist.Gaussian},
 	}
 	for _, tc := range algs {
 		for _, tr := range []Transport{TransportSim, TransportInproc} {
@@ -72,12 +70,6 @@ func TestCodePathEquivalence(t *testing.T) {
 				plane := "materializing"
 				if streaming {
 					plane = "streaming"
-				}
-				if streaming {
-					switch tc.cfg.Algorithm {
-					case Radix:
-						continue // no streaming data plane
-					}
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", tc.name, tr, plane), func(t *testing.T) {
 					shards := dist.Spec{Kind: tc.kind, Min: 0, Max: 1 << 40, Distinct: 64}.Shards(perRank, p, 41)
@@ -373,11 +365,6 @@ func TestCodePathConfigErrors(t *testing.T) {
 	if _, _, err := SortFunc(Config{Procs: 2, CodePath: CodePathOn}, oShards,
 		func(a, b opaque) int { return int(a.v - b.v) }); err == nil {
 		t.Error("CodePathOn without a coder did not fail")
-	}
-
-	// CodePathOn with an algorithm outside the code plane.
-	if _, _, err := Sort(Config{Procs: 2, Algorithm: Bitonic, CodePath: CodePathOn}, cloneShards(shards)); err == nil {
-		t.Error("CodePathOn with bitonic did not fail")
 	}
 
 	// CodePathOn with TagDuplicates.

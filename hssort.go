@@ -57,7 +57,12 @@ import (
 // phases on the comparator-free code plane (see Config.CodePath).
 type Coder[K any] = keycoder.Coder[K]
 
-// Algorithm selects the sorting algorithm.
+// Algorithm selects the sorting algorithm: which splitter strategy runs
+// on the one sort skeleton (local sort → splitters → exchange → merge),
+// so the engine's capabilities — compute planes, streaming exchange,
+// Workers, MemoryBudget, plans, chaos phases — hold for every Algorithm.
+// The §4.2 comparison sorts that determine no splitters (bitonic, radix,
+// over-partitioning) are experiment code: cmd/experiments -exp sec4.2.
 type Algorithm int
 
 const (
@@ -79,20 +84,9 @@ const (
 	// HistogramSort is classic histogram sort (§2.3) — key-space probe
 	// bisection, no sampling. Requires an integer or float key type.
 	HistogramSort
-	// Bitonic is Batcher's bitonic sort on a hypercube (§4.2): requires
-	// power-of-two Procs and equal shard sizes.
-	Bitonic
-	// Radix is a parallel MSD radix partition sort (§4.2). Requires an
-	// integer or float key type.
-	Radix
 	// NodeHSS is HSS with the two-level node partitioning and message
 	// combining of §6.1 (set Config.CoresPerNode).
 	NodeHSS
-	// OverPartition is parallel sorting by over-partitioning (Li &
-	// Sevcik, §4.2): k·p sampled buckets assigned to ranks largest
-	// first. Output is sorted per rank but rank order does not follow
-	// key order.
-	OverPartition
 )
 
 // String returns the algorithm name used in experiment output.
@@ -110,14 +104,8 @@ func (a Algorithm) String() string {
 		return "samplesort-random"
 	case HistogramSort:
 		return "histogramsort"
-	case Bitonic:
-		return "bitonic"
-	case Radix:
-		return "radix"
 	case NodeHSS:
 		return "node-hss"
-	case OverPartition:
-		return "overpartition"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -132,8 +120,8 @@ const (
 	// CodePathAuto — the default — engages the code plane whenever an
 	// order-preserving coder for the key type is available (built-in for
 	// the integer and float key types, or supplied via Config.Coder; key
-	// coders also cover KV records) and the algorithm supports it, and
-	// falls back to the comparator plane otherwise. Note that code
+	// coders also cover KV records), and falls back to the comparator
+	// plane otherwise. Note that code
 	// points are always 8 bytes, so for narrower key types (int32,
 	// uint32) the bijective plane doubles the modeled communication
 	// volume the sim transport accounts — use CodePathOff when studying
@@ -143,9 +131,8 @@ const (
 	// conformance oracle the code plane's equivalence tests run against.
 	CodePathOff
 	// CodePathOn requires the code plane and fails the sort if no coder
-	// is available, the algorithm lacks code-plane support, or
-	// TagDuplicates is set (tagged records carry no order-preserving
-	// 64-bit code).
+	// is available or TagDuplicates is set (tagged records carry no
+	// order-preserving 64-bit code).
 	CodePathOn
 )
 
@@ -207,7 +194,8 @@ type Config struct {
 	CoresPerNode int
 	// TagDuplicates wraps every key with its (processor, index) origin
 	// (§4.3), restoring the balance guarantee on duplicate-heavy
-	// inputs. Supported by the HSS and sample-sort algorithms.
+	// inputs. Every algorithm but HistogramSort, whose probe bisection
+	// needs the key bijection tagged records lack.
 	TagDuplicates bool
 	// Approx enables §3.4 approximate histogramming (HSS variants).
 	Approx bool
@@ -246,9 +234,7 @@ type Config struct {
 	// chunks interleaved across destinations and the k-way merge runs
 	// incrementally as chunks arrive, overlapping the exchange tail
 	// (§6.2) with peak in-flight memory bounded by the flow-control
-	// window. Supported by the HSS variants, the sample sorts, classic
-	// histogram sort and NodeHSS. Output is rank-identical to the
-	// materializing path.
+	// window. Output is rank-identical to the materializing path.
 	StreamExchange bool
 	// ChunkKeys is the streaming-exchange chunk size in keys; setting it
 	// implies StreamExchange. Default 64Ki when streaming.
@@ -260,8 +246,6 @@ type Config struct {
 	// for in-memory transports, one for a multi-process TCP rank), so
 	// co-hosted ranks never oversubscribe the machine. 1 forces every
 	// kernel serial. Output is rank-identical for every Workers value.
-	// Supported by the HSS variants, the sample sorts, classic histogram
-	// sort and NodeHSS; other algorithms ignore it.
 	Workers int
 	// Seed makes randomized phases reproducible. Default 1.
 	Seed uint64
@@ -280,11 +264,10 @@ type Config struct {
 	// local sort orders a shard of any size in place (switching to a
 	// scratch-free radix kernel above half the budget) and writes
 	// nothing to disk. Output is byte-identical to the in-memory sort;
-	// Stats.SpilledBytes reports the traffic. Supported by the HSS
-	// variants, the sample sorts, classic histogram sort and NodeHSS,
-	// for fixed-size key types without pointers (ints, floats, plain
-	// structs of them — not byte-string keys) and off the
-	// TagDuplicates path. 0 (the default) keeps everything in memory.
+	// Stats.SpilledBytes reports the traffic. For fixed-size key types
+	// without pointers (ints, floats, plain structs of them — not
+	// byte-string keys) and off the TagDuplicates path. 0 (the default)
+	// keeps everything in memory.
 	MemoryBudget int64
 	// SpillDir is where an out-of-core sort puts its run files; each
 	// rank claims the subdirectory hssort-rank-<r> under it (recreating
@@ -424,10 +407,10 @@ func Sort[K cmp.Ordered](cfg Config, shards [][]K) ([][]K, Stats, error) {
 }
 
 // SortFunc is Sort with an explicit comparator, for key types without a
-// built-in order. The HistogramSort and Radix algorithms additionally
-// need key-space arithmetic and are unavailable through SortFunc unless
-// Config.Coder supplies it. Like Sort, it is a one-shot wrapper over a
-// throwaway engine; see NewFunc for the reusable form.
+// built-in order. HistogramSort additionally needs key-space arithmetic
+// and is unavailable through SortFunc unless Config.Coder supplies it.
+// Like Sort, it is a one-shot wrapper over a throwaway engine; see
+// NewFunc for the reusable form.
 func SortFunc[K any](cfg Config, shards [][]K, compare func(K, K) int) ([][]K, Stats, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = len(shards)
@@ -470,12 +453,11 @@ func SortBytes(cfg Config, shards [][][]byte) ([][][]byte, Stats, error) {
 // looping, and Plan.AchievedEpsilon reports the honest (possibly
 // large) imbalance the code plane could express.
 //
-// Supported algorithms: the HSS variants, the sample sorts, classic
-// HistogramSort (probe bisection over code space), NodeHSS, Bitonic
-// and OverPartition (pure comparator). Radix is unavailable — it needs
-// the full bijection. CodePathOff forces the pure comparator plane
-// (the conformance oracle); output is rank-identical either way.
-// Stats.PrefixCollisions reports how often the tie-break fired.
+// Every algorithm runs on it; HistogramSort bisects probes over code
+// space and therefore needs the plane on. CodePathOff forces the pure
+// comparator plane (the conformance oracle); output is rank-identical
+// either way. Stats.PrefixCollisions reports how often the tie-break
+// fired.
 func NewBytes(cfg Config) (*Sorter[[]byte], error) {
 	if cfg.Coder != nil {
 		return nil, fmt.Errorf("hssort: byte-string keys admit no bijective coder; NewBytes uses the built-in prefix code (unset Config.Coder)")
@@ -496,43 +478,6 @@ func resolveCoder[K any](cfg Config, builtin keycoder.Coder[K]) (keycoder.Coder[
 		return nil, fmt.Errorf("hssort: Config.Coder is %T, want hssort.Coder[%T]", cfg.Coder, zero)
 	}
 	return c, nil
-}
-
-// bijectiveCodePlane reports whether the algorithm's whole pipeline can
-// run in code space (keys encoded once, codes travel the exchange,
-// output decoded once). Bitonic and OverPartition keep their
-// comparator-structured data movement.
-func bijectiveCodePlane(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, Radix, NodeHSS:
-		return true
-	}
-	return false
-}
-
-// recordCodePlane reports whether the algorithm accepts the decorated
-// record plane (payload-carrying keys sorted and merged by extracted
-// codes). HistogramSort and Radix are excluded: they need the full
-// bijection for key-space arithmetic, which records do not admit.
-func recordCodePlane(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, NodeHSS:
-		return true
-	}
-	return false
-}
-
-// prefixCodePlane reports whether the algorithm accepts the prefix
-// plane (non-injective order-preserving codes with comparator
-// tie-breaks — byte-string keys). HistogramSort qualifies: its probe
-// bisection runs over code space directly. Radix does not — it needs
-// the full bijection to reconstruct keys from codes.
-func prefixCodePlane(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		return true
-	}
-	return false
 }
 
 // coderFor returns the keycoder for supported ordered key types, or nil.

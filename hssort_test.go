@@ -8,12 +8,11 @@ import (
 	"hssort/internal/dist"
 )
 
-// sortableAlgorithms lists every algorithm with its constraints satisfied
-// by (p=4 or 8, equal shards).
+// sortableAlgorithms lists every algorithm.
 var sortableAlgorithms = []Algorithm{
 	HSS, HSSOneRound, HSSTheoretical,
 	SampleSortRegular, SampleSortRandom,
-	HistogramSort, Bitonic, Radix, NodeHSS,
+	HistogramSort, NodeHSS,
 }
 
 func shardsFor(t *testing.T, kind dist.Kind, p, perRank int, seed uint64) [][]int64 {
@@ -73,7 +72,7 @@ func TestSortFloatKeys(t *testing.T) {
 			shards[r] = append(shards[r], float64((r*7919+i*104729)%100000)/3.0-1e4)
 		}
 	}
-	for _, alg := range []Algorithm{HSS, HistogramSort, Radix} {
+	for _, alg := range []Algorithm{HSS, HistogramSort} {
 		in := make([][]float64, p)
 		for i := range shards {
 			in[i] = slices.Clone(shards[i])
@@ -130,10 +129,8 @@ func TestSortFuncRejectsCoderAlgorithms(t *testing.T) {
 	type opaque struct{ v int }
 	shards := [][]opaque{{{1}}, {{2}}}
 	cmpO := func(a, b opaque) int { return a.v - b.v }
-	for _, alg := range []Algorithm{HistogramSort, Radix} {
-		if _, _, err := SortFunc(Config{Procs: 2, Algorithm: alg}, shards, cmpO); err == nil {
-			t.Errorf("%v accepted a coder-less key type", alg)
-		}
+	if _, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort}, shards, cmpO); err == nil {
+		t.Error("HistogramSort accepted a coder-less key type")
 	}
 }
 
@@ -159,11 +156,9 @@ func TestTagDuplicatesRestoresBalance(t *testing.T) {
 
 func TestTagDuplicatesUnsupportedAlgorithms(t *testing.T) {
 	shards := [][]int64{{1}, {2}}
-	for _, alg := range []Algorithm{Bitonic, Radix, HistogramSort} {
-		cfg := Config{Procs: 2, Algorithm: alg, TagDuplicates: true}
-		if _, _, err := Sort(cfg, cloneShards(shards)); err == nil {
-			t.Errorf("%v accepted TagDuplicates", alg)
-		}
+	cfg := Config{Procs: 2, Algorithm: HistogramSort, TagDuplicates: true}
+	if _, _, err := Sort(cfg, cloneShards(shards)); err == nil {
+		t.Error("HistogramSort accepted TagDuplicates")
 	}
 }
 
@@ -230,7 +225,7 @@ func TestSimulateSplittersFacade(t *testing.T) {
 	if !res.Finalized || res.Imbalance > 1.05+1e-9 {
 		t.Errorf("sim result %+v", res)
 	}
-	if _, err := SimulateSplitters(100, 4, 0.05, Bitonic, 0, 1); err == nil {
+	if _, err := SimulateSplitters(100, 4, 0.05, SampleSortRegular, 0, 1); err == nil {
 		t.Error("sim accepted a non-HSS algorithm")
 	}
 }

@@ -171,24 +171,6 @@ func Gatherv[T any](e comm.Endpoint, root int, tag comm.Tag, data []T) ([][]T, e
 	return out, nil
 }
 
-// GatherFlat gathers and concatenates all contributions at root in rank
-// order. Non-root ranks return nil.
-func GatherFlat[T any](e comm.Endpoint, root int, tag comm.Tag, data []T) ([]T, error) {
-	parts, err := Gatherv(e, root, tag, data)
-	if err != nil || parts == nil {
-		return nil, err
-	}
-	total := 0
-	for _, pt := range parts {
-		total += len(pt)
-	}
-	out := make([]T, 0, total)
-	for _, pt := range parts {
-		out = append(out, pt...)
-	}
-	return out, nil
-}
-
 // Scatterv sends parts[i] from root to rank i (direct sends). Every rank
 // returns its own part; root's own part is returned without copying.
 // Non-root callers pass nil parts.
@@ -212,45 +194,6 @@ func Scatterv[T any](e comm.Endpoint, root int, tag comm.Tag, parts [][]T) ([]T,
 	out, err := comm.RecvSlice[T](e, root, tag)
 	if err != nil {
 		return nil, fmt.Errorf("collective: scatterv recv: %w", err)
-	}
-	return out, nil
-}
-
-// Allgatherv gathers every rank's slice and distributes the full set to
-// all ranks (gather at rank 0, then broadcast of the concatenation plus
-// offsets).
-func Allgatherv[T any](e comm.Endpoint, tag comm.Tag, data []T) ([][]T, error) {
-	parts, err := Gatherv(e, 0, tag, data)
-	if err != nil {
-		return nil, err
-	}
-	p := e.Size()
-	var flat []T
-	lens := make([]int64, p)
-	if e.Rank() == 0 {
-		total := 0
-		for _, pt := range parts {
-			total += len(pt)
-		}
-		flat = make([]T, 0, total)
-		for i, pt := range parts {
-			lens[i] = int64(len(pt))
-			flat = append(flat, pt...)
-		}
-	}
-	lensOut, err := Bcast(e, 0, tag+1, lens)
-	if err != nil {
-		return nil, err
-	}
-	flatOut, err := Bcast(e, 0, tag+2, flat)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, p)
-	off := int64(0)
-	for i, n := range lensOut {
-		out[i] = flatOut[off : off+n]
-		off += n
 	}
 	return out, nil
 }

@@ -54,12 +54,6 @@ func (g *Group) Rank() int { return g.myIdx }
 // Size returns the number of group members.
 func (g *Group) Size() int { return len(g.members) }
 
-// Members returns the parent ranks of the group in group-rank order.
-func (g *Group) Members() []int { return slices.Clone(g.members) }
-
-// ParentRank translates a group rank to the parent rank.
-func (g *Group) ParentRank(groupRank int) int { return g.members[groupRank] }
-
 // Send delivers payload to the group rank dst via the parent endpoint.
 func (g *Group) Send(dst int, tag comm.Tag, payload any, bytes int64) error {
 	if dst < 0 || dst >= len(g.members) {

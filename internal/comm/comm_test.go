@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -379,34 +378,6 @@ func TestSizeOf(t *testing.T) {
 	}
 	if SliceBytes([]uint64{1, 2, 3}) != 24 {
 		t.Error("SliceBytes wrong")
-	}
-}
-
-func TestRecvSliceFrom(t *testing.T) {
-	w := NewWorld(3, WithTimeout(time.Second))
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			got := make([]int, 0, 2)
-			for i := 0; i < 2; i++ {
-				s, src, err := RecvSliceFrom[int](c, AnySource, 1)
-				if err != nil {
-					return err
-				}
-				if len(s) != 1 || s[0] != src {
-					return fmt.Errorf("from %d got %v", src, s)
-				}
-				got = append(got, src)
-			}
-			slices.Sort(got)
-			if !slices.Equal(got, []int{1, 2}) {
-				return fmt.Errorf("senders %v", got)
-			}
-			return nil
-		}
-		return SendSlice(c, 0, 1, []int{c.Rank()})
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -67,21 +67,3 @@ func RecvSlice[T any](e Endpoint, src int, tag Tag) ([]T, error) {
 	}
 	return s, nil
 }
-
-// RecvSliceFrom is RecvSlice but also reports the sender, for AnySource
-// gather patterns.
-func RecvSliceFrom[T any](e Endpoint, src int, tag Tag) ([]T, int, error) {
-	RegisterWire[[]T]()
-	m, err := e.Recv(src, tag)
-	if err != nil {
-		return nil, 0, err
-	}
-	if m.Payload == nil {
-		return nil, m.Src, nil
-	}
-	s, ok := m.Payload.([]T)
-	if !ok {
-		return nil, m.Src, fmt.Errorf("comm: rank %d tag %d: payload type %T, want []%T", e.Rank(), tag, m.Payload, *new(T))
-	}
-	return s, m.Src, nil
-}

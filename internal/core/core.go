@@ -248,6 +248,14 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	return o, nil
 }
 
+// Validate reports the error FrontHalf would return for these options on
+// a world of p ranks, so an engine can reject a configuration before it
+// builds the world.
+func (o Options[K]) Validate(p int) error {
+	_, err := o.withDefaults(p)
+	return err
+}
+
 // The skeleton's tag layout, as offsets from Options.BaseTag, in protocol
 // order. Every splitter-based sort — flat or two-level, whatever its
 // strategy — uses this one layout, which is what lets PhaseTagRange name

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand/v2"
 
-	"hssort/internal/histogram"
 	"hssort/internal/sampling"
 )
 
@@ -133,14 +132,4 @@ func simImbalance(splitters []int64, n int64, buckets int) float64 {
 		maxLoad = n - prev
 	}
 	return float64(maxLoad) * float64(buckets) / float64(n)
-}
-
-// SimTracker exposes the tracker of a fresh controller for tests that
-// need to inspect interval evolution (Fig 3.1).
-func SimTracker(n int64, opt Options[int64]) (*histogram.Tracker[int64], error) {
-	opt, err := opt.withDefaults(max(opt.Buckets, 1))
-	if err != nil {
-		return nil, err
-	}
-	return histogram.NewTracker[int64](n, opt.Buckets, opt.Epsilon, opt.Cmp), nil
 }

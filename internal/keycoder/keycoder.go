@@ -102,13 +102,3 @@ func (Float32) Decode(c uint64) float32 {
 	}
 	return math.Float32frombits(^bits)
 }
-
-// Mid returns the midpoint of the inclusive code interval [lo, hi] without
-// overflow. When hi <= lo it returns lo, so repeated bisection always
-// terminates.
-func Mid(lo, hi uint64) uint64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + (hi-lo)/2
-}

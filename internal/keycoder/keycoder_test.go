@@ -165,48 +165,3 @@ func TestFloat32Extremes(t *testing.T) {
 		}
 	}
 }
-
-func TestMid(t *testing.T) {
-	tests := []struct{ lo, hi, want uint64 }{
-		{0, 0, 0},
-		{0, 1, 0},
-		{0, 2, 1},
-		{5, 5, 5},
-		{7, 3, 7}, // inverted interval degrades to lo
-		{0, math.MaxUint64, math.MaxUint64 / 2},
-		{math.MaxUint64 - 2, math.MaxUint64, math.MaxUint64 - 1},
-	}
-	for _, tc := range tests {
-		if got := Mid(tc.lo, tc.hi); got != tc.want {
-			t.Errorf("Mid(%d,%d) = %d, want %d", tc.lo, tc.hi, got, tc.want)
-		}
-	}
-}
-
-func TestMidAlwaysInRange(t *testing.T) {
-	f := func(lo, hi uint64) bool {
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		m := Mid(lo, hi)
-		return lo <= m && m <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMidBisectionTerminates(t *testing.T) {
-	// Repeated bisection of any interval must converge: Mid(lo,hi) < hi
-	// whenever hi > lo, so the interval strictly shrinks.
-	f := func(lo, hi uint64) bool {
-		if lo >= hi {
-			return true
-		}
-		m := Mid(lo, hi)
-		return m < hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

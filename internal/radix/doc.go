@@ -4,7 +4,7 @@
 // histogram; digit buckets are then assigned to ranks in contiguous,
 // load-balanced blocks and exchanged. Because a digit bucket cannot be
 // split, a single hot digit (heavy skew or duplicates) breaks the load
-// balance — the §4.2 weakness the benchmarks surface. Non-integer keys
-// work through the keycoder bijections, but the partition quality depends
-// on the code distribution, not the comparator, unlike HSS.
+// balance — the §4.2 weakness TestRadixSkewBreaksBalance pins. Non-integer
+// keys work through the keycoder bijections, but the partition quality
+// depends on the code distribution, not the comparator, unlike HSS.
 package radix

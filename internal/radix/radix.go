@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
@@ -22,11 +21,6 @@ type Options[K any] struct {
 	// Coder maps keys to the uint64 code space whose top bits are the
 	// partitioning digits.
 	Coder keycoder.Coder[K]
-	// Code, when set, must be an order-preserving uint64 extractor
-	// agreeing with Coder.Encode; the local sort, digit counting,
-	// partition cuts and final merge then run on the comparator-free
-	// code plane (see core.Options.Code).
-	Code func(K) uint64
 	// Bits is the digit width: 2^Bits buckets. Default 12 (4096
 	// buckets). Must be in [1, 24].
 	Bits int
@@ -68,27 +62,15 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	stats.Buckets = digits
 
 	t0 := time.Now()
-	var localCodes []codes.Code
-	if opt.Code != nil {
-		localCodes = codes.SortByCode(local, opt.Code)
-	} else {
-		slices.SortFunc(local, opt.Cmp)
-	}
+	slices.SortFunc(local, opt.Cmp)
 	localSort := time.Since(t0)
 
-	// Global digit histogram — read off the code array when the code
-	// plane already paid for the encode.
+	// Global digit histogram.
 	bytes0 := c.Counters().BytesSent
 	t1 := time.Now()
 	counts := make([]int64, digits)
-	if localCodes != nil {
-		for _, cd := range localCodes {
-			counts[uint64(cd)>>shift]++
-		}
-	} else {
-		for _, k := range local {
-			counts[opt.Coder.Encode(k)>>shift]++
-		}
+	for _, k := range local {
+		counts[opt.Coder.Encode(k)>>shift]++
 	}
 	global, err := collective.AllReduce(c, base, counts, collective.SumInt64)
 	if err != nil {
@@ -120,28 +102,18 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	stats.Rounds = 1
 
 	// Digit boundaries as splitter keys let the generic partition +
-	// exchange machinery do the data movement. On the code plane the
-	// boundaries are the digit codes themselves — no decode round trip.
+	// exchange machinery do the data movement.
 	bytes1 := c.Counters().BytesSent
 	t2 := time.Now()
-	var runs [][]K
-	if localCodes != nil {
-		splitterCodes := make([]codes.Code, digits-1)
-		for d := 1; d < digits; d++ {
-			splitterCodes[d-1] = codes.Code(uint64(d) << shift)
-		}
-		runs = exchange.PartitionByCode(local, localCodes, splitterCodes)
-	} else {
-		splitters := make([]K, digits-1)
-		for d := 1; d < digits; d++ {
-			splitters[d-1] = opt.Coder.Decode(uint64(d) << shift)
-		}
-		// Decoded digit boundaries are monotone only for coders that
-		// invert on the full code space; validate once (the check
-		// Partition no longer repeats per call).
-		exchange.ValidateSplitters(splitters, opt.Cmp)
-		runs = exchange.Partition(local, splitters, opt.Cmp)
+	splitters := make([]K, digits-1)
+	for d := 1; d < digits; d++ {
+		splitters[d-1] = opt.Coder.Decode(uint64(d) << shift)
 	}
+	// Decoded digit boundaries are monotone only for coders that
+	// invert on the full code space; validate once (the check
+	// Partition no longer repeats per call).
+	exchange.ValidateSplitters(splitters, opt.Cmp)
+	runs := exchange.Partition(local, splitters, opt.Cmp)
 	recv, err := exchange.Exchange(c, base+2, runs, func(b int) int { return owner[b] })
 	if err != nil {
 		return nil, stats, err
@@ -150,7 +122,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	exchangeBytes := c.Counters().BytesSent - bytes1
 
 	t3 := time.Now()
-	out := merge.Runs([]K{}, recv, opt.Cmp, opt.Code, false, nil, nil)
+	out := merge.Runs([]K{}, recv, opt.Cmp, nil, false, nil, nil)
 	mergeTime := time.Since(t3)
 	stats.LocalCount = len(out)
 

@@ -32,9 +32,8 @@ type KVSorter[K cmp.Ordered, V any] struct {
 	s *Sorter[KV[K, V]]
 }
 
-// NewKV creates a KVSorter. The HistogramSort and Radix algorithms are
-// unavailable for records (they need key-space arithmetic); use the
-// HSS variants or the sample sorts.
+// NewKV creates a KVSorter. HistogramSort is unavailable for records (it
+// needs key-space arithmetic); use the HSS variants or the sample sorts.
 //
 // When the key type admits an order-preserving code (built-in for the
 // integer and float key types, or a key Coder supplied via

@@ -58,36 +58,6 @@ func TestSortTimeoutSurfacesCleanly(t *testing.T) {
 	}
 }
 
-// TestOverPartitionFacade: per-rank sorted output, union is a
-// permutation (rank order intentionally does not follow key order).
-func TestOverPartitionFacade(t *testing.T) {
-	const p, perRank = 8, 1500
-	shards := dist.Spec{Kind: dist.Exponential}.Shards(perRank, p, 11)
-	var want []int64
-	for _, s := range shards {
-		want = append(want, s...)
-	}
-	slices.Sort(want)
-	outs, stats, err := Sort(Config{Procs: p, Algorithm: OverPartition, Seed: 3}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int64
-	for _, o := range outs {
-		if !slices.IsSorted(o) {
-			t.Fatal("rank output not sorted")
-		}
-		got = append(got, o...)
-	}
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Fatal("not a permutation")
-	}
-	if stats.Imbalance > 2 {
-		t.Errorf("LPT imbalance %.3f", stats.Imbalance)
-	}
-}
-
 // TestRepeatedSortsSameWorldSeedsDiffer: same configuration with
 // different seeds must still sort correctly (no hidden seed coupling),
 // and identical seeds must reproduce identical stats.
@@ -362,9 +332,7 @@ func TestRejoinThenSort(t *testing.T) {
 // to be exercised with -race in CI: one sort per algorithm, small data.
 func TestAllAlgorithmsUnderRace(t *testing.T) {
 	const p, perRank = 4, 300
-	algs := []Algorithm{HSS, HSSOneRound, HSSTheoretical, SampleSortRegular,
-		SampleSortRandom, HistogramSort, Bitonic, Radix, NodeHSS, OverPartition}
-	for _, alg := range algs {
+	for _, alg := range sortableAlgorithms {
 		shards := dist.Spec{Kind: dist.Uniform}.Shards(perRank, p, 13)
 		cfg := Config{Procs: p, Algorithm: alg, Epsilon: 0.2, Seed: 3}
 		if alg == NodeHSS {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"hssort/internal/bitonic"
 	"hssort/internal/codes"
 	"hssort/internal/comm"
 	"hssort/internal/core"
@@ -17,9 +16,7 @@ import (
 	"hssort/internal/histsort"
 	"hssort/internal/keycoder"
 	"hssort/internal/nodesort"
-	"hssort/internal/overpartition"
 	"hssort/internal/par"
-	"hssort/internal/radix"
 	"hssort/internal/samplesort"
 	"hssort/internal/spill"
 	"hssort/internal/tagging"
@@ -83,9 +80,8 @@ func New[K cmp.Ordered](cfg Config) (*Sorter[K], error) {
 }
 
 // NewFunc creates a Sorter with an explicit comparator, for key types
-// without a built-in order. The HistogramSort and Radix algorithms
-// additionally need key-space arithmetic and are unavailable unless
-// Config.Coder supplies it.
+// without a built-in order. HistogramSort additionally needs key-space
+// arithmetic and is unavailable unless Config.Coder supplies it.
 func NewFunc[K any](cfg Config, compare func(K, K) int) (*Sorter[K], error) {
 	if compare == nil {
 		return nil, fmt.Errorf("hssort: comparator is required")
@@ -94,10 +90,11 @@ func NewFunc[K any](cfg Config, compare func(K, K) int) (*Sorter[K], error) {
 }
 
 // newSorter is the shared constructor: resolve the coder, validate the
-// configuration once, build the transport and the worker pool. prefix
-// marks code as a non-injective prefix extractor (the NewBytes plane);
-// it changes which algorithms are admissible and puts the prefix
-// tie-break pipelines in play.
+// configuration once — its own rules, then the skeleton's, by building
+// the options every Sort will run under — and only then build the
+// transport and the worker pool. prefix marks code as a non-injective
+// prefix extractor (the NewBytes plane); it puts the prefix tie-break
+// pipelines in play.
 func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder[K], code func(K) uint64, isNaN func(K) bool, prefix bool) (*Sorter[K], error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("hssort: at least one shard is required")
@@ -112,12 +109,6 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("hssort: Workers %d < 0", cfg.Workers)
 	}
-	switch cfg.Algorithm {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom,
-		HistogramSort, Bitonic, Radix, NodeHSS, OverPartition:
-	default:
-		return nil, fmt.Errorf("hssort: unknown algorithm %v", cfg.Algorithm)
-	}
 	if cfg.Algorithm == NodeHSS {
 		if cfg.CoresPerNode < 1 {
 			return nil, fmt.Errorf("hssort: NodeHSS requires CoresPerNode >= 1")
@@ -126,38 +117,34 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 			return nil, fmt.Errorf("hssort: Procs %d not a multiple of CoresPerNode %d", cfg.Procs, cfg.CoresPerNode)
 		}
 	}
-	if prefix {
-		if cfg.Algorithm == Radix {
-			return nil, fmt.Errorf("hssort: Radix needs a bijective key coder; byte-string keys carry only a prefix code")
+	// The skeleton's own checks (algorithm, ε, buckets, chunking,
+	// oversampling; HistogramSort's need for the key bijection), run on
+	// the options every Sort builds — the per-call plane changes only
+	// their element type.
+	o, _, err := splitterSort(cfg, compare, coder, code, prefix)
+	if err == nil {
+		err = o.Validate(cfg.Procs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("hssort: invalid Config: %w", err)
+	}
+	// HistogramSort bisects probes in key space, so it runs only where
+	// the bijection (or, for byte strings, the prefix code) is in play:
+	// not on tagged records, not with the prefix plane switched off.
+	if cfg.Algorithm == HistogramSort {
+		if cfg.TagDuplicates {
+			return nil, fmt.Errorf("hssort: TagDuplicates is not supported by %v", cfg.Algorithm)
 		}
-		if cfg.Algorithm == HistogramSort && cfg.CodePath == CodePathOff {
+		if prefix && cfg.CodePath == CodePathOff {
 			return nil, fmt.Errorf("hssort: HistogramSort on byte-string keys runs probe bisection over the prefix code plane, which CodePathOff disables")
 		}
 	}
-	switch cfg.Algorithm {
-	case HistogramSort, Radix:
-		if coder == nil && !prefix {
-			return nil, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
-		}
-	}
-	if cfg.TagDuplicates {
-		switch cfg.Algorithm {
-		case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, NodeHSS:
-		default:
-			return nil, fmt.Errorf("hssort: TagDuplicates is not supported by %v", cfg.Algorithm)
-		}
-		if cfg.CodePath == CodePathOn {
+	if cfg.CodePath == CodePathOn {
+		if cfg.TagDuplicates {
 			return nil, fmt.Errorf("hssort: CodePathOn is incompatible with TagDuplicates (tagged records carry no order-preserving 64-bit code)")
 		}
-	} else if cfg.CodePath == CodePathOn {
-		useBijective := coder != nil && bijectiveCodePlane(cfg.Algorithm)
-		useRecord := !useBijective && !prefix && code != nil && recordCodePlane(cfg.Algorithm)
-		usePrefix := prefix && code != nil && prefixCodePlane(cfg.Algorithm)
-		if !useBijective && !useRecord && !usePrefix {
-			if coder == nil && code == nil {
-				return nil, fmt.Errorf("hssort: CodePathOn, but no order-preserving coder is known for the key type (set Config.Coder)")
-			}
-			return nil, fmt.Errorf("hssort: CodePathOn, but %v has no code-plane support", cfg.Algorithm)
+		if coder == nil && code == nil {
+			return nil, fmt.Errorf("hssort: CodePathOn, but no order-preserving coder is known for the key type (set Config.Coder)")
 		}
 	}
 	if cfg.MemoryBudget < 0 {
@@ -167,9 +154,6 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 		return nil, fmt.Errorf("hssort: SpillDir is set but MemoryBudget is 0 (the out-of-core plane is off)")
 	}
 	if cfg.MemoryBudget > 0 {
-		if !splitterBased(cfg.Algorithm) {
-			return nil, fmt.Errorf("hssort: MemoryBudget is not supported by %v", cfg.Algorithm)
-		}
 		if cfg.TagDuplicates {
 			return nil, fmt.Errorf("hssort: MemoryBudget is incompatible with TagDuplicates (tagged records are per-call transient types the spill plane cannot persist)")
 		}
@@ -290,7 +274,7 @@ func (s *Sorter[K]) SortWithPlan(ctx context.Context, plan *Plan[K], shards [][]
 // would have returned on the same shards. next is nil when the input
 // holds no keys (zero keys determine no splitters).
 //
-// Splitter-based algorithms only, and not with TagDuplicates.
+// Not with TagDuplicates: plans hold plain keys.
 func (s *Sorter[K]) SortSeeded(ctx context.Context, seed *Plan[K], shards [][]K) (out [][]K, next *Plan[K], stats Stats, err error) {
 	return s.run(ctx, seed, shards, true, true)
 }
@@ -461,9 +445,9 @@ func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective
 	if s.cfg.TagDuplicates {
 		return false, false, false, nil
 	}
-	useBijective = cp != CodePathOff && s.coder != nil && bijectiveCodePlane(s.cfg.Algorithm)
-	useRecord = cp != CodePathOff && !useBijective && !s.prefix && s.code != nil && recordCodePlane(s.cfg.Algorithm)
-	usePrefix = cp != CodePathOff && s.prefix && s.code != nil && prefixCodePlane(s.cfg.Algorithm)
+	useBijective = cp != CodePathOff && s.coder != nil
+	useRecord = cp != CodePathOff && !useBijective && !s.prefix && s.code != nil
+	usePrefix = cp != CodePathOff && s.prefix && s.code != nil
 	return useBijective, useRecord, usePrefix, nil
 }
 
@@ -472,9 +456,6 @@ func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective
 func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if s.cfg.TagDuplicates {
 		return fmt.Errorf("hssort: splitter plans are not supported with TagDuplicates")
-	}
-	if !splitterBased(s.cfg.Algorithm) {
-		return fmt.Errorf("hssort: %v is not splitter-based; plans do not apply", s.cfg.Algorithm)
 	}
 	if plan == nil {
 		return nil
@@ -524,17 +505,6 @@ func effectiveEpsilon(cfg Config) float64 {
 	return 0.05
 }
 
-// splitterBased reports whether the algorithm determines splitters and
-// so runs on the sort skeleton — the precondition for seeded sorts and
-// plans, the streaming exchange and the out-of-core plane.
-func splitterBased(a Algorithm) bool {
-	switch a {
-	case HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom, HistogramSort, NodeHSS:
-		return true
-	}
-	return false
-}
-
 // engineRun describes one run of the worker world to runEngine: the
 // plane it runs on, as the element type E the skeleton actually sorts
 // and the hooks that carry K in and out of it.
@@ -561,62 +531,53 @@ type engineRun[K, E any] struct {
 }
 
 // runEngine executes one run over the engine's worker pool — the only
-// place the pool is run. A splitter-based algorithm runs the skeleton:
-// the front half under the options and strategy splitterSort builds,
-// then (unless the run stops there) the flat back half or NodeHSS's
-// two-level one. Everything else goes through dispatch.
+// place the pool is run — and every run is the skeleton: the front half
+// under the options and strategy splitterSort builds, then (unless the
+// run stops there) the flat back half or NodeHSS's two-level one.
 func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E]) (*Plan[K], Stats, error) {
 	var stats Stats
 	var front *core.Front[E]
 	var achieved float64
 	err := s.pool.Run(ctx, func(c *comm.Comm) error {
 		r := c.Rank()
-		local := job.input(r)
+		o, strat, err := splitterSort(s.cfg, job.compare, job.coder, job.code, job.prefix)
+		if err != nil {
+			return err
+		}
+		o.Splitters = job.seed
+		if job.output != nil {
+			o.Scratch = scratchOf[E](s.scratch[r])
+			o.Spill = s.spillFor(r)
+		}
+		f, err := core.FrontHalf(c, job.input(r), o, strat)
+		if err != nil {
+			return err
+		}
+		if job.plan {
+			// The plan's exact quality on this data: the front half has
+			// cut this rank's runs, so one reduction of the bucket loads
+			// yields max·B/N = 1 + the achieved ε — the very one an
+			// accepted seed's round 0 already made.
+			imb, err := f.BucketImbalance(c)
+			if err != nil {
+				return err
+			}
+			if r == s.first { // every rank holds the same splitters
+				front, achieved = f, imb-1
+			}
+		}
+		if job.output == nil {
+			return nil
+		}
 		var out []E
 		var st core.Stats
-		if !splitterBased(s.cfg.Algorithm) {
-			var err error
-			if out, st, err = dispatch(c, local, s.cfg, job.compare, job.coder, job.code); err != nil {
-				return err
-			}
+		if s.cfg.Algorithm == NodeHSS {
+			out, st, err = nodesort.BackHalf(c, f)
 		} else {
-			o, strat, err := splitterSort(s.cfg, job.compare, job.coder, job.code, job.prefix)
-			if err != nil {
-				return err
-			}
-			o.Splitters = job.seed
-			if job.output != nil {
-				o.Scratch = scratchOf[E](s.scratch[r])
-				o.Spill = s.spillFor(r)
-			}
-			f, err := core.FrontHalf(c, local, o, strat)
-			if err != nil {
-				return err
-			}
-			if job.plan {
-				// The plan's exact quality on this data: the front half
-				// has cut this rank's runs, so one reduction of the bucket
-				// loads yields max·B/N = 1 + the achieved ε — the very one
-				// an accepted seed's round 0 already made.
-				imb, err := f.BucketImbalance(c)
-				if err != nil {
-					return err
-				}
-				if r == s.first { // every rank holds the same splitters
-					front, achieved = f, imb-1
-				}
-			}
-			if job.output == nil {
-				return nil
-			}
-			if s.cfg.Algorithm == NodeHSS {
-				out, st, err = nodesort.BackHalf(c, f)
-			} else {
-				out, st, err = f.BackHalf(c)
-			}
-			if err != nil {
-				return err
-			}
+			out, st, err = f.BackHalf(c)
+		}
+		if err != nil {
+			return err
 		}
 		job.output(r, out)
 		if r == 0 {
@@ -755,11 +716,11 @@ func prefixSplitters[K any](sp []codes.Code) []K {
 	return out
 }
 
-// splitterSort wires Config into the skeleton for the seven
-// splitter-based algorithms: core.Options, its shared part filled once
-// for all of them, and the algorithm's splitter strategy — the only
-// place they are told apart. The per-call fields (seed splitters,
-// scratch, spill manager) are runEngine's to set.
+// splitterSort wires Config into the skeleton: core.Options, its shared
+// part filled once for every algorithm, and the algorithm's splitter
+// strategy — the only place the algorithms are told apart. The per-call
+// fields (seed splitters, scratch, spill manager) are runEngine's to
+// set.
 func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool) (core.Options[E], core.Strategies[E], error) {
 	o := core.Options[E]{
 		Cmp:        compare,
@@ -806,11 +767,11 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 		}), nil
 	case HistogramSort:
 		if coder == nil && !prefix {
-			return o, core.Strategies[E]{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
+			return o, core.Strategies[E]{}, fmt.Errorf("%v requires an integer or float key type", cfg.Algorithm)
 		}
 		return o, histsort.Strategies(histsort.Options[E]{Coder: coder}), nil
 	}
-	return o, core.Strategies[E]{}, fmt.Errorf("hssort: %v is not splitter-based", cfg.Algorithm)
+	return o, core.Strategies[E]{}, fmt.Errorf("unknown algorithm %v", cfg.Algorithm)
 }
 
 // guardNaN resolves the per-call code path for inputs that may contain
@@ -837,32 +798,4 @@ func guardNaN[E any](cp CodePath, shards [][]E, isNaN func(E) bool) (CodePath, e
 		}
 	}
 	return cp, nil
-}
-
-// dispatch routes one rank's work to the algorithms that do not run the
-// splitter skeleton. code, when non-nil, is the order-preserving
-// extractor that puts Radix's compute hot paths on the code plane (on
-// the bijective plane K is already the code-point type and code is the
-// identity).
-func dispatch[K any](c *comm.Comm, local []K, cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64) ([]K, core.Stats, error) {
-	if cfg.ChunkKeys != 0 || cfg.StreamExchange {
-		return nil, core.Stats{}, fmt.Errorf("hssort: StreamExchange is not supported by %v", cfg.Algorithm)
-	}
-	switch cfg.Algorithm {
-	case Bitonic:
-		return bitonic.Sort(c, local, bitonic.Options[K]{Cmp: compare})
-	case Radix:
-		if coder == nil {
-			return nil, core.Stats{}, fmt.Errorf("hssort: %v requires an integer or float key type", cfg.Algorithm)
-		}
-		return radix.Sort(c, local, radix.Options[K]{Cmp: compare, Coder: coder, Code: code})
-	case OverPartition:
-		return overpartition.Sort(c, local, overpartition.Options[K]{
-			Cmp:       compare,
-			OverRatio: cfg.Rounds, // reuse Rounds as k; 0 → log p
-			Seed:      cfg.Seed,
-		})
-	default:
-		return nil, core.Stats{}, fmt.Errorf("hssort: unknown algorithm %v", cfg.Algorithm)
-	}
 }

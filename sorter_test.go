@@ -510,19 +510,6 @@ func TestPlanMisuse(t *testing.T) {
 		t.Error("plan with mismatched bucket count accepted")
 	}
 
-	// Non-splitter algorithms have no plans.
-	bit, err := New[int64](Config{Procs: p, Algorithm: Bitonic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bit.Close()
-	if _, err := bit.Plan(bg, shards); err == nil {
-		t.Error("bitonic produced a plan")
-	}
-	if _, _, err := bit.SortWithPlan(bg, plan, cloneShards(shards)); err == nil {
-		t.Error("bitonic accepted a plan")
-	}
-
 	// Tagged sorts cannot use plans (tagged records, plain-key plans).
 	tagged, err := New[int64](Config{Procs: p, TagDuplicates: true})
 	if err != nil {
@@ -668,6 +655,30 @@ func TestSorterConstructorValidation(t *testing.T) {
 	if _, err := NewFunc(Config{Procs: 2, Algorithm: HistogramSort},
 		func(a, b opaque) int { return a.v - b.v }); err == nil {
 		t.Error("HistogramSort without coder accepted")
+	}
+}
+
+// TestNewRejectsWhatSortWould: a Config the skeleton rejects fails at
+// New — once, before any transport or worker goroutine exists — not on
+// the first Sort, once per rank.
+func TestNewRejectsWhatSortWould(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"Epsilon -1":          {Procs: 4, Epsilon: -1},
+		"Buckets -3":          {Procs: 4, Buckets: -3},
+		"ChunkKeys -5":        {Procs: 4, ChunkKeys: -5},
+		"OversampleFactor -2": {Procs: 4, OversampleFactor: -2},
+		"Algorithm(99)":       {Procs: 4, Algorithm: Algorithm(99)},
+	} {
+		before := runtime.NumGoroutine()
+		s, err := New[int64](cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: New succeeded", name)
+			continue
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: New failed with %d goroutines running, %d before", name, got, before)
+		}
 	}
 }
 

@@ -317,8 +317,6 @@ func TestSpillConfigValidation(t *testing.T) {
 		{"negative-budget", Config{Procs: 2, MemoryBudget: -1}, "MemoryBudget -1 < 0"},
 		{"dir-without-budget", Config{Procs: 2, SpillDir: "/tmp/x"}, "SpillDir is set but MemoryBudget is 0"},
 		{"tagged", Config{Procs: 2, MemoryBudget: 1 << 20, TagDuplicates: true}, "incompatible with TagDuplicates"},
-		{"bitonic", Config{Procs: 2, Algorithm: Bitonic, MemoryBudget: 1 << 20}, "not supported by bitonic"},
-		{"radix", Config{Procs: 2, Algorithm: Radix, MemoryBudget: 1 << 20}, "not supported by radix"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

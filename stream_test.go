@@ -75,18 +75,6 @@ func TestStreamExchangeEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamExchangeUnsupported: algorithms without a streaming data
-// plane reject the option instead of silently ignoring it.
-func TestStreamExchangeUnsupported(t *testing.T) {
-	shards := dist.Spec{Kind: dist.Uniform}.Shards(64, 4, 1)
-	for _, alg := range []Algorithm{Bitonic, Radix, OverPartition} {
-		cfg := Config{Procs: 4, Algorithm: alg, StreamExchange: true, Seed: 1}
-		if _, _, err := Sort(cfg, cloneShards(shards)); err == nil {
-			t.Errorf("%v accepted StreamExchange", alg)
-		}
-	}
-}
-
 // TestStreamExchangeStats: the streaming path populates the overlap and
 // in-flight fields and the materializing path leaves them zero.
 func TestStreamExchangeStats(t *testing.T) {
