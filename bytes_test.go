@@ -3,8 +3,6 @@ package hssort
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -61,49 +59,6 @@ func sameByteOutputs(a, b [][][]byte) bool {
 		}
 	}
 	return true
-}
-
-// dupHeavyByteShards draws every key from a small pool of distinct byte
-// strings — some sharing the 8-byte code prefix, some not — the §4.3
-// adversarial duplicate regime transplanted to the prefix plane.
-func dupHeavyByteShards(p, perRank int) [][][]byte {
-	pool := [][]byte{
-		[]byte("aardvark"), []byte("aardwolf"), // distinct codes (differ inside the prefix)
-		[]byte("prefix:alpha"), []byte("prefix:beta"), []byte("prefix:beta"), // code-equal group
-		[]byte(""), []byte("z"), // short keys: zero-padded codes
-		[]byte("prefix:alpha\x00"),               // code-equal to prefix:alpha, tie-broken past the prefix
-		[]byte("mmmmmmmmmm"), []byte("mmmmmmmm"), // code-equal: one key is the other's prefix
-	}
-	shards := make([][][]byte, p)
-	for r := range shards {
-		shards[r] = make([][]byte, perRank)
-		for i := range shards[r] {
-			shards[r][i] = pool[(r*7919+i*104729)%len(pool)]
-		}
-	}
-	return shards
-}
-
-// TestSortBytesAllAlgorithms runs every algorithm over hash-like keys on
-// the prefix plane.
-func TestSortBytesAllAlgorithms(t *testing.T) {
-	const p, perRank = 4, 1000
-	for _, alg := range sortableAlgorithms {
-		shards := dist.ByteSpec{Kind: dist.HashLike}.Shards(perRank, p, 3)
-		oracle := byteOracle(shards)
-		cfg := Config{Procs: p, Algorithm: alg, Epsilon: 0.1, Seed: 5}
-		if alg == NodeHSS {
-			cfg.CoresPerNode = 2
-		}
-		outs, stats, err := SortBytes(cfg, cloneByteShards(shards))
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		checkBytesAgainstOracle(t, oracle, outs)
-		if stats.N != p*perRank {
-			t.Errorf("%v: N = %d", alg, stats.N)
-		}
-	}
 }
 
 // TestNewBytesRejections pins the constructor's contract: no bijective
@@ -172,99 +127,6 @@ func TestBytePrefixSaturation(t *testing.T) {
 	}
 	if got, want := stats.Imbalance, float64(p); got != want {
 		t.Errorf("Imbalance = %.4f, want %.4f (honest single-bucket report)", got, want)
-	}
-}
-
-// TestSortBytesMatrixEquivalence is the byte-key conformance sweep:
-// across sim/inproc/tcp transports, materializing and streaming
-// exchanges, and serial through GOMAXPROCS worker pools, the sort must
-// produce rank-identical output matching the stable comparator oracle —
-// including the duplicate-heavy and all-shared-prefix worst cases.
-func TestSortBytesMatrixEquivalence(t *testing.T) {
-	const p, perRank = 4, 1200
-	inputs := []struct {
-		name   string
-		shards [][][]byte
-	}{
-		{"hashlike", dist.ByteSpec{Kind: dist.HashLike}.Shards(perRank, p, 13)},
-		{"urllike-shared-prefix", dist.ByteSpec{Kind: dist.URLLike}.Shards(perRank, p, 13)},
-		{"loglines", dist.ByteSpec{Kind: dist.LogLines}.Shards(perRank, p, 13)},
-		{"dupheavy", dupHeavyByteShards(p, perRank)},
-	}
-	workerVals := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, in := range inputs {
-		t.Run(in.name, func(t *testing.T) {
-			oracle := byteOracle(in.shards)
-			base := Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 17, Workers: 1}
-			baseline, _, err := SortBytes(base, cloneByteShards(in.shards))
-			if err != nil {
-				t.Fatalf("baseline: %v", err)
-			}
-			checkBytesAgainstOracle(t, oracle, baseline)
-
-			for _, tr := range []Transport{TransportSim, TransportInproc, TransportTCP} {
-				for _, stream := range []bool{false, true} {
-					for _, w := range workerVals {
-						name := fmt.Sprintf("%v/stream=%v/workers=%d", tr, stream, w)
-						t.Run(name, func(t *testing.T) {
-							cfg := base
-							cfg.Transport = tr
-							cfg.StreamExchange = stream
-							cfg.Workers = w
-							outs, stats, err := SortBytes(cfg, cloneByteShards(in.shards))
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !sameByteOutputs(outs, baseline) {
-								t.Fatal("output differs from the sim/materializing/serial baseline")
-							}
-							if in.name == "urllike-shared-prefix" && stats.PrefixCollisions != int64(p*perRank) {
-								t.Errorf("PrefixCollisions = %d, want %d", stats.PrefixCollisions, p*perRank)
-							}
-						})
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSortBytesCrossPlane pins the planes against each other where the
-// prefix plane is exact: with zero prefix collisions, code-space
-// splitter determination is isomorphic to key-space determination, so
-// the prefix plane and the pure-comparator plane (CodePathOff) must be
-// rank-identical, not merely both sorted.
-func TestSortBytesCrossPlane(t *testing.T) {
-	const p, perRank = 4, 2000
-	shards := dist.ByteSpec{Kind: dist.HashLike}.Shards(perRank, p, 19)
-
-	prefixCfg := Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 23}
-	prefixOuts, prefixStats, err := SortBytes(prefixCfg, cloneByteShards(shards))
-	if err != nil {
-		t.Fatalf("prefix plane: %v", err)
-	}
-	// The cross-plane identity only holds collision-free; this seed's
-	// hash-like draw has distinct 8-byte prefixes throughout.
-	if prefixStats.PrefixCollisions != 0 {
-		t.Fatalf("PrefixCollisions = %d; pick a collision-free seed for this test", prefixStats.PrefixCollisions)
-	}
-
-	oracleCfg := prefixCfg
-	oracleCfg.CodePath = CodePathOff
-	oracleOuts, oracleStats, err := SortBytes(oracleCfg, cloneByteShards(shards))
-	if err != nil {
-		t.Fatalf("comparator plane: %v", err)
-	}
-	if oracleStats.PrefixCollisions != 0 {
-		t.Errorf("comparator plane reported PrefixCollisions = %d, want 0 (counter is prefix-plane only)",
-			oracleStats.PrefixCollisions)
-	}
-	if !sameByteOutputs(prefixOuts, oracleOuts) {
-		t.Fatal("prefix plane output differs from the comparator oracle on collision-free keys")
-	}
-	if prefixStats.Rounds != oracleStats.Rounds || prefixStats.TotalSample != oracleStats.TotalSample {
-		t.Errorf("protocol diverged across planes: prefix %d rounds/%d sample, comparator %d rounds/%d sample",
-			prefixStats.Rounds, prefixStats.TotalSample, oracleStats.Rounds, oracleStats.TotalSample)
 	}
 }
 

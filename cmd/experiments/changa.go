@@ -1,4 +1,24 @@
-package changa
+package main
+
+// The ChaNGa sorting workload of §6.3 (Fig 6.2).
+//
+// ChaNGa (an N-body cosmology code) sorts particle keys — positions
+// mapped onto a space-filling curve — at the start of every simulation
+// step, with the output buckets being *virtual processors* (TreePieces)
+// that outnumber physical cores and may be placed non-contiguously. The
+// paper evaluates on two proprietary datasets:
+//
+//   - Dwarf: a dwarf-galaxy zoom-in — one dense Plummer-profile cluster,
+//     extreme central concentration.
+//   - Lambb: a cosmological volume — many halos of varying mass over a
+//     near-uniform background.
+//
+// Those datasets cannot be redistributed, so this file generates
+// synthetic analogues with the same key-distribution shape (heavily
+// clustered space-filling-curve keys): Dwarf as a single Plummer sphere,
+// Lambb as a halo mass-function-ish Gaussian-mixture plus background.
+// The sorter sees only the key distribution, so the substitution
+// preserves the behaviour Fig 6.2 measures.
 
 import (
 	"math"

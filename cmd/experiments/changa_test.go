@@ -1,4 +1,4 @@
-package changa
+package main
 
 import (
 	"math"

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hssort"
-	"hssort/internal/changa"
 	"hssort/internal/tablefmt"
 )
 
@@ -21,12 +20,12 @@ func runFig62(scale float64) error {
 		totalParticles = 20000
 	}
 	t := tablefmt.New("dataset", "p", "buckets", "HSS time", "HSS split", "HSS rounds", "Old time", "Old split", "Old rounds")
-	for _, ds := range changa.Datasets {
+	for _, ds := range Datasets {
 		for _, p := range []int{4, 8, 16, 32} {
 			buckets := 4 * p // virtual processors outnumber cores (§6.3)
 			shards := make([][]uint64, p)
 			for r := 0; r < p; r++ {
-				shards[r] = changa.ShardKeys(ds, totalParticles, r, p, 77)
+				shards[r] = ShardKeys(ds, totalParticles, r, p, 77)
 			}
 			cfg := hssort.Config{
 				Procs: p, Buckets: buckets, RoundRobinBuckets: true,

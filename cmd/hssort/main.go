@@ -13,7 +13,7 @@
 //	hssort -p 16 -keys bytes -dist urllike          # []byte keys, prefix-code plane
 //
 // Multi-process deployment (the tcp transport; see docs/WIRE.md and the
-// README's "Distributed deployment" section):
+// "Distributed deployment" in docs/TRANSPORTS.md):
 //
 //	hssort -transport tcp -launch local:4 -n 100000   # fork 4 workers on localhost
 //

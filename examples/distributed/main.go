@@ -8,7 +8,7 @@
 //
 //	go run ./examples/distributed
 //
-// See the README's "Distributed deployment" section and docs/WIRE.md
+// See docs/TRANSPORTS.md ("Distributed deployment") and docs/WIRE.md
 // for the protocol underneath.
 package main
 

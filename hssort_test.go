@@ -38,63 +38,6 @@ func checkSorted(t *testing.T, shards, outs [][]int64) {
 	}
 }
 
-func TestSortAllAlgorithms(t *testing.T) {
-	const p, perRank = 4, 1000
-	for _, alg := range sortableAlgorithms {
-		shards := shardsFor(t, dist.Uniform, p, perRank, 3)
-		in := cloneShards(shards)
-		cfg := Config{Procs: p, Algorithm: alg, Epsilon: 0.1, Seed: 5}
-		if alg == NodeHSS {
-			cfg.CoresPerNode = 2
-		}
-		outs, stats, err := Sort(cfg, in)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		checkSorted(t, shards, outs)
-		if stats.N != p*perRank {
-			t.Errorf("%v: N = %d", alg, stats.N)
-		}
-		if stats.TotalMsgs <= 0 || stats.TotalBytes <= 0 {
-			t.Errorf("%v: no traffic counted", alg)
-		}
-		if stats.Total() <= 0 {
-			t.Errorf("%v: no time recorded", alg)
-		}
-	}
-}
-
-func TestSortFloatKeys(t *testing.T) {
-	const p = 4
-	shards := make([][]float64, p)
-	for r := range shards {
-		for i := 0; i < 500; i++ {
-			shards[r] = append(shards[r], float64((r*7919+i*104729)%100000)/3.0-1e4)
-		}
-	}
-	for _, alg := range []Algorithm{HSS, HistogramSort} {
-		in := make([][]float64, p)
-		for i := range shards {
-			in[i] = slices.Clone(shards[i])
-		}
-		outs, _, err := Sort(Config{Procs: p, Algorithm: alg, Epsilon: 0.1}, in)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		var want, got []float64
-		for _, s := range shards {
-			want = append(want, s...)
-		}
-		slices.Sort(want)
-		for _, o := range outs {
-			got = append(got, o...)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%v: float keys mis-sorted", alg)
-		}
-	}
-}
-
 func TestSortFuncCustomKeyType(t *testing.T) {
 	type pair struct{ a, b int32 }
 	const p = 3
@@ -134,68 +77,11 @@ func TestSortFuncRejectsCoderAlgorithms(t *testing.T) {
 	}
 }
 
-func TestTagDuplicatesRestoresBalance(t *testing.T) {
-	const p, perRank = 4, 800
-	shards := make([][]int64, p)
-	for r := range shards {
-		shards[r] = make([]int64, perRank)
-		// Two distinct values: untagged HSS cannot balance this.
-		for i := range shards[r] {
-			shards[r][i] = int64(i % 2)
-		}
-	}
-	outs, stats, err := Sort(Config{Procs: p, Epsilon: 0.1, TagDuplicates: true, Seed: 7}, cloneShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSorted(t, shards, outs)
-	if stats.Imbalance > 1.1+1e-9 {
-		t.Errorf("tagged imbalance %.4f", stats.Imbalance)
-	}
-}
-
 func TestTagDuplicatesUnsupportedAlgorithms(t *testing.T) {
 	shards := [][]int64{{1}, {2}}
 	cfg := Config{Procs: 2, Algorithm: HistogramSort, TagDuplicates: true}
 	if _, _, err := Sort(cfg, cloneShards(shards)); err == nil {
 		t.Error("HistogramSort accepted TagDuplicates")
-	}
-}
-
-func TestVirtualProcessorBuckets(t *testing.T) {
-	const p, perRank = 4, 1000
-	shards := shardsFor(t, dist.Gaussian, p, perRank, 9)
-	outs, stats, err := Sort(Config{Procs: p, Buckets: 16, Epsilon: 0.1}, cloneShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSorted(t, shards, outs)
-	if stats.Buckets != 16 {
-		t.Errorf("Buckets = %d", stats.Buckets)
-	}
-}
-
-func TestRoundRobinBucketsPermutation(t *testing.T) {
-	const p, perRank = 4, 600
-	shards := shardsFor(t, dist.Uniform, p, perRank, 11)
-	outs, _, err := Sort(Config{Procs: p, Buckets: 8, RoundRobinBuckets: true, Epsilon: 0.1}, cloneShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, got []int64
-	for _, s := range shards {
-		want = append(want, s...)
-	}
-	for _, o := range outs {
-		if !slices.IsSorted(o) {
-			t.Fatal("per-rank output not sorted")
-		}
-		got = append(got, o...)
-	}
-	slices.Sort(want)
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Fatal("round-robin output not a permutation")
 	}
 }
 

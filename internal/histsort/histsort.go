@@ -46,7 +46,7 @@ func (h Options[K]) withDefaults() Options[K] {
 // Probe refinement's layout of the strategy's tags.
 const (
 	tagProbes = core.TagStrategy + iota // probe broadcast
-	tagRanks                            // histogram reduction
+	tagRanks                            // bracket and histogram reductions
 	tagSplit                            // final splitter broadcast
 	tagInfo                             // rounds broadcast
 )
@@ -101,13 +101,27 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 		return []E{}, info, nil
 	}
 
+	// Every search starts from the data's global [min, max] code, not the
+	// whole code space: a widening coder (Int32, Uint32, Float32) decodes
+	// a code outside its image by truncation, so a probe synthesized there
+	// is an unrelated key and the bisection never converges. One reduction
+	// of (min, ^max) under min finds the bracket; an empty rank sends the
+	// identity.
+	bounds := []uint64{^uint64(0), ^uint64(0)}
+	if len(local) > 0 {
+		bounds = []uint64{h.Coder.Encode(local[0]), ^h.Coder.Encode(local[len(local)-1])}
+	}
+	bounds, err := collective.Reduce(c, root, base+tagRanks, bounds, minUint64)
+	if err != nil {
+		return nil, info, err
+	}
 	var tracker *histogram.Tracker[E]
 	var searches []splitterSearch
 	if me == root {
 		tracker = histogram.NewTracker[E](n, opt.Buckets, opt.Epsilon, opt.Cmp)
 		searches = make([]splitterSearch, opt.Buckets-1)
 		for i := range searches {
-			searches[i] = splitterSearch{lo: 0, hi: ^uint64(0)}
+			searches[i] = splitterSearch{lo: bounds[0], hi: ^bounds[1]}
 		}
 	}
 
@@ -155,7 +169,7 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 		slices.SortFunc(sp, opt.Cmp)
 		splitters = sp
 	}
-	splitters, err := collective.Bcast(c, root, base+tagSplit, splitters)
+	splitters, err = collective.Bcast(c, root, base+tagSplit, splitters)
 	if err != nil {
 		return nil, info, err
 	}
@@ -168,6 +182,13 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 	exchange.ValidateSplitters(splitters, opt.Cmp)
 	info.Rounds, info.TotalSample = int(rv[0]), rv[1]
 	return splitters, info, nil
+}
+
+// minUint64 is the elementwise minimum, the bracket reduction's operator.
+func minUint64(dst, src []uint64) {
+	for i := range dst {
+		dst[i] = min(dst[i], src[i])
+	}
 }
 
 // synthesizeProbes emits the next round's probe keys, or nil when every

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -19,7 +20,6 @@ import (
 	"hssort/internal/par"
 	"hssort/internal/samplesort"
 	"hssort/internal/spill"
-	"hssort/internal/tagging"
 )
 
 // Sorter is a long-lived sorting engine: New validates the Config once,
@@ -337,10 +337,15 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 		// §4.3: wrap, sort tagged, unwrap. Tagged records order by (key,
 		// origin), which no 64-bit code can carry, so this plane always
 		// runs on the comparator (and unseeded — plans hold plain keys).
-		_, stats, err = runEngine(ctx, s, engineRun[K, tagging.Tagged[K]]{
-			compare: tagging.Cmp(s.compare),
-			input:   func(r int) []tagging.Tagged[K] { return tagging.Wrap(shards[r], r) },
-			output:  func(r int, out []tagging.Tagged[K]) { outs[r] = tagging.Unwrap(out) },
+		for r, sh := range shards {
+			if len(sh) > math.MaxInt32 {
+				return nil, nil, Stats{}, fmt.Errorf("hssort: shard %d holds %d keys, beyond TagDuplicates' int32 tag index", r, len(sh))
+			}
+		}
+		_, stats, err = runEngine(ctx, s, engineRun[K, tagged[K]]{
+			compare: tagCmp(s.compare),
+			input:   func(r int) []tagged[K] { return tagWrap(shards[r], r) },
+			output:  func(r int, out []tagged[K]) { outs[r] = tagUnwrap(out) },
 		})
 	case useBijective:
 		// Each rank encodes its shard once into its reusable code buffer,
@@ -798,4 +803,49 @@ func guardNaN[E any](cp CodePath, shards [][]E, isNaN func(E) bool) (CodePath, e
 		}
 	}
 	return cp, nil
+}
+
+// tagged is a key with its origin — the duplicate handling of §4.3
+// (Config.TagDuplicates). Tagging every key with the rank it resides on
+// and its local index imposes a strict total order on an input with
+// arbitrary duplication, so the splitter strategies behave exactly as on
+// distinct keys and the balance guarantee no longer degrades with
+// duplicate counts.
+type tagged[K any] struct {
+	key K
+	pe  int32 // rank the key resides on before sorting
+	idx int32 // index in that rank's shard
+}
+
+// tagCmp lifts a key comparator to tagged keys: ties on the key break by
+// (pe, idx), a strict total order.
+func tagCmp[K any](compare func(K, K) int) func(tagged[K], tagged[K]) int {
+	return func(a, b tagged[K]) int {
+		if c := compare(a.key, b.key); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.pe, b.pe); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	}
+}
+
+// tagWrap tags each of rank's keys with the rank and its index; run has
+// checked that the index fits.
+func tagWrap[K any](local []K, rank int) []tagged[K] {
+	out := make([]tagged[K], len(local))
+	for i, k := range local {
+		out[i] = tagged[K]{key: k, pe: int32(rank), idx: int32(i)}
+	}
+	return out
+}
+
+// tagUnwrap strips the tags, preserving order.
+func tagUnwrap[K any](ts []tagged[K]) []K {
+	out := make([]K, len(ts))
+	for i, t := range ts {
+		out[i] = t.key
+	}
+	return out
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -39,135 +38,13 @@ func TestSorterReuse(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for r := range want {
-			if !slicesEqual(want[r], got[r]) {
+			if !slices.Equal(want[r], got[r]) {
 				t.Fatalf("round %d rank %d: engine output differs from one-shot Sort", round, r)
 			}
 		}
 		if gotStats.Rounds != wantStats.Rounds || gotStats.TotalSample != wantStats.TotalSample {
 			t.Fatalf("round %d: protocol stats diverged: %+v vs %+v", round, gotStats, wantStats)
 		}
-	}
-}
-
-func slicesEqual[K comparable](a, b []K) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestPlanSortWithPlanEquivalence is the plan API's acceptance gate:
-// for a stationary distribution (here: the very same input), a plan
-// prepared by Sorter.Plan and applied by SortWithPlan must produce
-// output rank-identical to a plain Sort — across the HSS variants, both
-// transports, both exchange planes and both code paths — while skipping
-// histogramming entirely (Stats.Rounds == 0).
-func TestPlanSortWithPlanEquivalence(t *testing.T) {
-	const p, perRank = 6, 2500
-	algorithms := []Algorithm{HSS, HSSOneRound, HSSTheoretical}
-	for _, alg := range algorithms {
-		for _, tr := range []Transport{TransportSim, TransportInproc} {
-			for _, stream := range []bool{false, true} {
-				for _, cp := range []CodePath{CodePathOff, CodePathAuto} {
-					name := alg.String() + "/" + tr.String()
-					if stream {
-						name += "/stream"
-					} else {
-						name += "/materializing"
-					}
-					name += "/" + cp.String()
-					t.Run(name, func(t *testing.T) {
-						shards := shardsFor(t, dist.PowerSkew, p, perRank, 17)
-						cfg := Config{
-							Procs: p, Algorithm: alg, Epsilon: 0.1, Seed: 7,
-							Transport: tr, CodePath: cp, StreamExchange: stream,
-						}
-						if stream {
-							cfg.ChunkKeys = 512
-						}
-						want, wantStats, err := Sort(cfg, cloneShards(shards))
-						if err != nil {
-							t.Fatal(err)
-						}
-
-						s, err := New[int64](cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer s.Close()
-						plan, err := s.Plan(bg, shards)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if plan.Rounds != wantStats.Rounds {
-							t.Errorf("plan rounds %d != sort rounds %d", plan.Rounds, wantStats.Rounds)
-						}
-						got, gotStats, err := s.SortWithPlan(bg, plan, cloneShards(shards))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if gotStats.Rounds != 0 || gotStats.TotalSample != 0 {
-							t.Errorf("plan-reuse sort histogrammed: rounds %d, sample %d",
-								gotStats.Rounds, gotStats.TotalSample)
-						}
-						for r := range want {
-							if !slicesEqual(want[r], got[r]) {
-								t.Fatalf("rank %d: SortWithPlan output differs from Sort (%d vs %d keys)",
-									r, len(got[r]), len(want[r]))
-							}
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestPlanOtherAlgorithms: the plan path also covers the sample sorts,
-// classic histogram sort and NodeHSS (node-level splitters).
-func TestPlanOtherAlgorithms(t *testing.T) {
-	const p, perRank = 6, 2000
-	cases := []Config{
-		{Procs: p, Algorithm: SampleSortRegular, Epsilon: 0.1, Seed: 3},
-		{Procs: p, Algorithm: SampleSortRandom, Epsilon: 0.1, Seed: 3, StreamExchange: true, ChunkKeys: 512},
-		{Procs: p, Algorithm: HistogramSort, Epsilon: 0.1, Seed: 3},
-		{Procs: p, Algorithm: NodeHSS, CoresPerNode: 2, Epsilon: 0.1, Seed: 3, Transport: TransportInproc},
-		{Procs: p, Algorithm: HSS, Buckets: 4 * p, Epsilon: 0.2, Seed: 3}, // over-partitioned
-	}
-	for _, cfg := range cases {
-		t.Run(cfg.Algorithm.String(), func(t *testing.T) {
-			shards := shardsFor(t, dist.Exponential, p, perRank, 23)
-			want, _, err := Sort(cfg, cloneShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New[int64](cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			plan, err := s.Plan(bg, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, stats, err := s.SortWithPlan(bg, plan, cloneShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Rounds != 0 {
-				t.Errorf("plan-reuse sort ran %d histogram rounds", stats.Rounds)
-			}
-			for r := range want {
-				if !slicesEqual(want[r], got[r]) {
-					t.Fatalf("rank %d: SortWithPlan output differs from Sort", r)
-				}
-			}
-		})
 	}
 }
 
@@ -262,7 +139,7 @@ func TestSeededSortDrift(t *testing.T) {
 	if stats.Imbalance > 1+cfg.Epsilon+1e-9 {
 		t.Errorf("accepted seed missed the balance target: imbalance %v", stats.Imbalance)
 	}
-	if again == nil || !slicesEqual(again.Splitters, next.Splitters) || again.AchievedEpsilon > cfg.Epsilon {
+	if again == nil || !slices.Equal(again.Splitters, next.Splitters) || again.AchievedEpsilon > cfg.Epsilon {
 		t.Errorf("accepted seed's plan: %+v", again)
 	}
 
@@ -357,125 +234,6 @@ func TestSeededSortDuplicateSeed(t *testing.T) {
 	}
 }
 
-// samePlan compares the fields of an unseeded SortSeeded's plan that
-// must match Plan's on the same shards.
-func samePlan[E any](t *testing.T, next, plan *Plan[E]) {
-	t.Helper()
-	if next == nil {
-		t.Fatal("SortSeeded(nil, …) returned no plan")
-	}
-	if !reflect.DeepEqual(next.Splitters, plan.Splitters) || next.Rounds != plan.Rounds || next.TotalSample != plan.TotalSample ||
-		next.Finalized != plan.Finalized || next.Buckets != plan.Buckets || next.N != plan.N {
-		t.Errorf("SortSeeded(nil, …) plan differs from Plan:\n got %+v\nwant %+v", next, plan)
-	}
-}
-
-// TestSortSeededReturnsPlansPlan: an unseeded SortSeeded ends with
-// exactly the plan Plan would have prepared on the same shards under the
-// same Seed — on every plane and every algorithm the plane admits — so a
-// caller with no seed yet needs no separate Plan call (and no second
-// local sort).
-func TestSortSeededReturnsPlansPlan(t *testing.T) {
-	const p, perRank = 6, 1500
-	algs := []Config{
-		{Algorithm: HSS},
-		{Algorithm: HSSOneRound},
-		{Algorithm: SampleSortRegular},
-		{Algorithm: HistogramSort},
-		{Algorithm: NodeHSS, CoresPerNode: 2},
-	}
-	raw := shardsFor(t, dist.Gaussian, p, perRank, 29)
-	for _, a := range algs {
-		cfg := Config{Procs: p, Algorithm: a.Algorithm, CoresPerNode: a.CoresPerNode, Epsilon: 0.1, Seed: 11}
-		t.Run("comparator/"+a.Algorithm.String(), func(t *testing.T) {
-			if a.Algorithm == HistogramSort {
-				t.Skip("classic histogram sort needs key-space arithmetic")
-			}
-			c := cfg
-			c.CodePath = CodePathOff
-			s, err := New[int64](c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			plan, err := s.Plan(bg, raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs, next, _, err := s.SortSeeded(bg, nil, cloneShards(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSorted(t, raw, outs)
-			samePlan(t, next, plan)
-		})
-		t.Run("bijective/"+a.Algorithm.String(), func(t *testing.T) {
-			s, err := New[int64](cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			plan, err := s.Plan(bg, raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs, next, _, err := s.SortSeeded(bg, nil, cloneShards(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSorted(t, raw, outs)
-			samePlan(t, next, plan)
-		})
-		t.Run("record/"+a.Algorithm.String(), func(t *testing.T) {
-			if a.Algorithm == HistogramSort {
-				t.Skip("records admit no key-space arithmetic")
-			}
-			recs := make([][]KV[int64, int32], p)
-			for r := range recs {
-				for i, k := range raw[r] {
-					recs[r] = append(recs[r], KV[int64, int32]{Key: k, Val: int32(i)})
-				}
-			}
-			s, err := NewKV[int64, int32](cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			plan, err := s.Plan(bg, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, next, _, err := s.SortSeeded(bg, nil, cloneAny(recs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePlan(t, next, plan)
-		})
-		t.Run("prefix/"+a.Algorithm.String(), func(t *testing.T) {
-			keys := make([][][]byte, p)
-			for r := range keys {
-				for _, k := range raw[r] {
-					keys[r] = append(keys[r], fmt.Appendf(nil, "%016x/tail", uint64(k)))
-				}
-			}
-			s, err := NewBytes(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			plan, err := s.Plan(bg, keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, next, _, err := s.SortSeeded(bg, nil, cloneAny(keys))
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePlan(t, next, plan)
-		})
-	}
-}
-
 // TestPlanMisuse: plans are rejected when they do not fit the engine.
 func TestPlanMisuse(t *testing.T) {
 	const p = 4
@@ -518,53 +276,6 @@ func TestPlanMisuse(t *testing.T) {
 	defer tagged.Close()
 	if _, err := tagged.Plan(bg, shards); err == nil {
 		t.Error("tagged engine produced a plan")
-	}
-}
-
-// TestKVSorterPlan: the record engine supports the full plan lifecycle,
-// payloads riding along.
-func TestKVSorterPlan(t *testing.T) {
-	const p, perRank = 4, 1200
-	shards := make([][]KV[int64, int32], p)
-	raw := shardsFor(t, dist.Zipfian, p, perRank, 13)
-	for r := range shards {
-		for i, k := range raw[r] {
-			shards[r] = append(shards[r], KV[int64, int32]{Key: k, Val: int32(r*perRank + i)})
-		}
-	}
-	s, err := NewKV[int64, int32](Config{Procs: p, Epsilon: 0.1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	plan, err := s.Plan(bg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, stats, err := s.SortWithPlan(bg, plan, cloneAny(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 0 {
-		t.Errorf("KV plan-reuse sort ran %d rounds", stats.Rounds)
-	}
-	// Keys globally sorted, payload multiset preserved.
-	seen := make(map[int32]bool)
-	var prev *KV[int64, int32]
-	for _, o := range outs {
-		for i := range o {
-			if prev != nil && prev.Key > o[i].Key {
-				t.Fatal("KV output not sorted")
-			}
-			prev = &o[i]
-			if seen[o[i].Val] {
-				t.Fatalf("payload %d duplicated", o[i].Val)
-			}
-			seen[o[i].Val] = true
-		}
-	}
-	if len(seen) != p*perRank {
-		t.Fatalf("lost payloads: %d of %d", len(seen), p*perRank)
 	}
 }
 
@@ -680,49 +391,6 @@ func TestNewRejectsWhatSortWould(t *testing.T) {
 			t.Errorf("%s: New failed with %d goroutines running, %d before", name, got, before)
 		}
 	}
-}
-
-// TestSortFloat32Keys: the float32 coder entry engages the code plane
-// for float32 keys, NaN guard included.
-func TestSortFloat32Keys(t *testing.T) {
-	const p = 3
-	shards := [][]float32{
-		{3.5, -1.25, 0, 7e8},
-		{-2.5e-7, 99.5, -0.5, 1.5},
-		{42, -42, 0.25, -7e-3},
-	}
-	outs, _, err := Sort(Config{Procs: p, Epsilon: 0.2, CodePath: CodePathOn}, cloneAny(shards))
-	if err != nil {
-		t.Fatalf("float32 CodePathOn failed: %v", err)
-	}
-	var prev float32
-	first := true
-	n := 0
-	for _, o := range outs {
-		for _, k := range o {
-			if !first && k < prev {
-				t.Fatal("float32 output not sorted")
-			}
-			prev, first = k, false
-			n++
-		}
-	}
-	if n != 12 {
-		t.Fatalf("lost keys: %d", n)
-	}
-	// NaN falls back to the comparator plane under auto, fails under on.
-	nan := [][]float32{{1, float32nan()}, {2, 3}}
-	if _, _, err := Sort(Config{Procs: 2, CodePath: CodePathOn}, cloneAny(nan)); err == nil {
-		t.Error("float32 NaN under CodePathOn did not fail")
-	}
-	if _, _, err := Sort(Config{Procs: 2}, cloneAny(nan)); err != nil {
-		t.Errorf("float32 NaN under auto failed: %v", err)
-	}
-}
-
-func float32nan() float32 {
-	var z float32
-	return z / z
 }
 
 // TestPlanNaNSplitterGuard: a plan prepared on NaN-bearing float data

@@ -1,4 +1,4 @@
-package tagging
+package hssort
 
 import (
 	"cmp"
@@ -14,13 +14,13 @@ import (
 func icmp(a, b int64) int { return cmp.Compare(a, b) }
 
 func TestCmpTotalOrder(t *testing.T) {
-	c := Cmp(icmp)
-	a := Tagged[int64]{Key: 5, PE: 0, Idx: 0}
-	b := Tagged[int64]{Key: 5, PE: 0, Idx: 1}
-	d := Tagged[int64]{Key: 5, PE: 1, Idx: 0}
-	e := Tagged[int64]{Key: 6, PE: 0, Idx: 0}
+	c := tagCmp(icmp)
+	a := tagged[int64]{key: 5, pe: 0, idx: 0}
+	b := tagged[int64]{key: 5, pe: 0, idx: 1}
+	d := tagged[int64]{key: 5, pe: 1, idx: 0}
+	e := tagged[int64]{key: 6, pe: 0, idx: 0}
 	if c(a, b) >= 0 || c(b, d) >= 0 || c(d, e) >= 0 {
-		t.Error("order (key, PE, Idx) violated")
+		t.Error("order (key, pe, idx) violated")
 	}
 	if c(a, a) != 0 {
 		t.Error("reflexivity violated")
@@ -31,10 +31,10 @@ func TestCmpTotalOrder(t *testing.T) {
 }
 
 func TestCmpProperty(t *testing.T) {
-	c := Cmp(icmp)
+	c := tagCmp(icmp)
 	f := func(k1, k2 int64, pe1, pe2 int16, i1, i2 int16) bool {
-		a := Tagged[int64]{Key: k1, PE: int32(pe1), Idx: int32(i1)}
-		b := Tagged[int64]{Key: k2, PE: int32(pe2), Idx: int32(i2)}
+		a := tagged[int64]{key: k1, pe: int32(pe1), idx: int32(i1)}
+		b := tagged[int64]{key: k2, pe: int32(pe2), idx: int32(i2)}
 		// Antisymmetry and distinctness: equal only when identical.
 		if c(a, b) == 0 {
 			return a == b
@@ -48,13 +48,13 @@ func TestCmpProperty(t *testing.T) {
 
 func TestWrapUnwrapRoundTrip(t *testing.T) {
 	keys := []int64{5, 5, 3, 5}
-	tagged := Wrap(keys, 7)
-	for i, tg := range tagged {
-		if tg.Key != keys[i] || tg.PE != 7 || tg.Idx != int32(i) {
+	ts := tagWrap(keys, 7)
+	for i, tg := range ts {
+		if tg.key != keys[i] || tg.pe != 7 || tg.idx != int32(i) {
 			t.Fatalf("tag %d = %+v", i, tg)
 		}
 	}
-	if !slices.Equal(Unwrap(tagged), keys) {
+	if !slices.Equal(tagUnwrap(ts), keys) {
 		t.Error("unwrap mismatch")
 	}
 }
@@ -75,14 +75,13 @@ func TestDuplicatesWithTaggingBalances(t *testing.T) {
 	var imb float64
 	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
-		tagged := Wrap(shards[c.Rank()], c.Rank())
-		out, st, err := core.Sort(c, tagged, core.Options[Tagged[int64]]{
-			Cmp: Cmp(icmp), Epsilon: 0.1, Seed: 3,
+		out, st, err := core.Sort(c, tagWrap(shards[c.Rank()], c.Rank()), core.Options[tagged[int64]]{
+			Cmp: tagCmp(icmp), Epsilon: 0.1, Seed: 3,
 		})
 		if err != nil {
 			return err
 		}
-		outs[c.Rank()] = Unwrap(out)
+		outs[c.Rank()] = tagUnwrap(out)
 		if c.Rank() == 0 {
 			imb = st.Imbalance
 		}
@@ -91,20 +90,7 @@ func TestDuplicatesWithTaggingBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got, want []int64
-	for _, s := range shards {
-		want = append(want, s...)
-	}
-	slices.Sort(want)
-	for r, o := range outs {
-		if !slices.IsSorted(o) {
-			t.Fatalf("rank %d output not sorted", r)
-		}
-		got = append(got, o...)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("not the sorted permutation")
-	}
+	checkSorted(t, shards, outs)
 	if imb > 1.1+1e-9 {
 		t.Errorf("tagged duplicate sort imbalance %.4f, want <= 1+ε", imb)
 	}
@@ -128,10 +114,10 @@ func TestTaggedSortPreservesPerKeyCounts(t *testing.T) {
 		w := comm.NewWorld(p, comm.WithTimeout(30*time.Second))
 		var outs [p][]int64
 		err := w.Run(func(c *comm.Comm) error {
-			out, _, err := core.Sort(c, Wrap(shards[c.Rank()], c.Rank()), core.Options[Tagged[int64]]{
-				Cmp: Cmp(icmp), Epsilon: 0.2, Seed: uint64(seed) + 1,
+			out, _, err := core.Sort(c, tagWrap(shards[c.Rank()], c.Rank()), core.Options[tagged[int64]]{
+				Cmp: tagCmp(icmp), Epsilon: 0.2, Seed: uint64(seed) + 1,
 			})
-			outs[c.Rank()] = Unwrap(out)
+			outs[c.Rank()] = tagUnwrap(out)
 			return err
 		})
 		if err != nil {

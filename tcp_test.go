@@ -20,11 +20,10 @@ import (
 	"hssort/internal/dist"
 )
 
-// tcp_test.go is the tcp backend's acceptance gate at the library
-// level: rank-identical output vs the sim oracle across algorithms,
-// exchange planes and code paths; engine cancellation over sockets
-// returning ctx.Err(); the worker-mode engine (one process per rank);
-// and a true multi-process run via re-exec of this test binary.
+// tcp_test.go holds what the cells of cells_test.go cannot express over
+// the tcp backend: engine cancellation over sockets returning
+// ctx.Err(); the worker-mode engine (one process per rank); and a true
+// multi-process run via re-exec of this test binary.
 
 // keyDigest is a deterministic fingerprint of one rank's output.
 func keyDigest(keys []int64) string {
@@ -35,113 +34,6 @@ func keyDigest(keys []int64) string {
 		h.Write(b[:])
 	}
 	return fmt.Sprintf("%d:%016x", len(keys), h.Sum64())
-}
-
-// TestTCPSortEquivalence: HSS, sample sort, classic histogram sort and
-// NodeHSS produce rank-identical output over tcp (loopback mesh: real
-// sockets, real serialization) and sim, across both exchange planes and
-// both code paths, with identical protocol-level stats.
-func TestTCPSortEquivalence(t *testing.T) {
-	const p, perRank = 4, 2000
-	algs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"hss", Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3}},
-		{"samplesort", Config{Procs: p, Algorithm: SampleSortRegular, Epsilon: 0.1, Seed: 5}},
-		{"histogramsort", Config{Procs: p, Algorithm: HistogramSort, Epsilon: 0.1, Seed: 7}},
-		{"node-hss", Config{Procs: p, Algorithm: NodeHSS, CoresPerNode: 2, Epsilon: 0.1, Seed: 9}},
-	}
-	for _, alg := range algs {
-		for _, stream := range []bool{false, true} {
-			for _, cp := range []CodePath{CodePathOff, CodePathOn} {
-				name := fmt.Sprintf("%s/stream=%v/codepath=%v", alg.name, stream, cp)
-				t.Run(name, func(t *testing.T) {
-					shards := dist.Spec{Kind: dist.PowerSkew, Min: 0, Max: 1 << 40}.Shards(perRank, p, 17)
-					cfg := alg.cfg
-					cfg.StreamExchange = stream
-					cfg.CodePath = cp
-
-					simCfg := cfg
-					simCfg.Transport = TransportSim
-					simOuts, simStats, err := Sort(simCfg, cloneShards(shards))
-					if err != nil {
-						t.Fatalf("sim: %v", err)
-					}
-
-					tcpCfg := cfg
-					tcpCfg.Transport = TransportTCP // zero TCPConfig: loopback mesh
-					tcpOuts, tcpStats, err := Sort(tcpCfg, cloneShards(shards))
-					if err != nil {
-						t.Fatalf("tcp: %v", err)
-					}
-
-					for r := range simOuts {
-						if !slices.Equal(simOuts[r], tcpOuts[r]) {
-							t.Fatalf("rank %d output differs between sim and tcp (%d vs %d keys)",
-								r, len(simOuts[r]), len(tcpOuts[r]))
-						}
-					}
-					if simStats.Rounds != tcpStats.Rounds || simStats.TotalSample != tcpStats.TotalSample {
-						t.Errorf("protocol stats differ: sim %d rounds/%d sample, tcp %d rounds/%d sample",
-							simStats.Rounds, simStats.TotalSample, tcpStats.Rounds, tcpStats.TotalSample)
-					}
-					// tcp accounting is measured, not modeled — it will
-					// not equal sim's numbers, but it must exist.
-					if tcpStats.TotalBytes == 0 || tcpStats.TotalMsgs == 0 {
-						t.Error("tcp transport reported no measured traffic")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestTCPSortKVEquivalence: record payloads ride the wire codec
-// (fixed-width KV structs move as bulk copies) rank-identically to sim.
-func TestTCPSortKVEquivalence(t *testing.T) {
-	const p, perRank = 4, 1500
-	keys := dist.Spec{Kind: dist.Gaussian, Min: 0, Max: 1 << 30}.Shards(perRank, p, 23)
-	mkShards := func() [][]KV[int64, int32] {
-		shards := make([][]KV[int64, int32], p)
-		for r := range shards {
-			for i, k := range keys[r] {
-				shards[r] = append(shards[r], KV[int64, int32]{Key: k, Val: int32(r*perRank + i)})
-			}
-		}
-		return shards
-	}
-	sortWith := func(tr Transport) [][]KV[int64, int32] {
-		t.Helper()
-		cfg := Config{Procs: p, Epsilon: 0.05, Seed: 11, Transport: tr, StreamExchange: true}
-		outs, _, err := SortKV(cfg, mkShards())
-		if err != nil {
-			t.Fatalf("%v: %v", tr, err)
-		}
-		return outs
-	}
-	simOuts := sortWith(TransportSim)
-	tcpOuts := sortWith(TransportTCP)
-	for r := range simOuts {
-		// Key sequences must match exactly; payload multisets per rank
-		// must match (equal keys may legally swap payload order).
-		if len(simOuts[r]) != len(tcpOuts[r]) {
-			t.Fatalf("rank %d sizes differ: %d vs %d", r, len(simOuts[r]), len(tcpOuts[r]))
-		}
-		var simVals, tcpVals []int32
-		for i := range simOuts[r] {
-			if simOuts[r][i].Key != tcpOuts[r][i].Key {
-				t.Fatalf("rank %d key %d differs", r, i)
-			}
-			simVals = append(simVals, simOuts[r][i].Val)
-			tcpVals = append(tcpVals, tcpOuts[r][i].Val)
-		}
-		slices.Sort(simVals)
-		slices.Sort(tcpVals)
-		if !slices.Equal(simVals, tcpVals) {
-			t.Fatalf("rank %d payload multiset differs", r)
-		}
-	}
 }
 
 // TestTCPEngineCancellation: cancelling a sort running over sockets

@@ -34,8 +34,8 @@ const (
 	// Stats measured wire traffic rather than model output. With
 	// Config.TCP left zero it runs as an in-process loopback mesh (p
 	// ranks, real localhost sockets); with Config.TCP set it joins a
-	// multi-process world — see the README's "Distributed deployment"
-	// section.
+	// multi-process world — see "Distributed deployment" in
+	// docs/TRANSPORTS.md.
 	TransportTCP
 )
 

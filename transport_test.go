@@ -71,67 +71,3 @@ func TestUnknownTransportRejected(t *testing.T) {
 		t.Fatal("Sort accepted an unknown transport")
 	}
 }
-
-// TestSortEquivalentAcrossTransports: the sorted output is identical —
-// rank by rank — whether a sort runs over the byte-accounted simulated
-// backend or the in-process fast path. This is the guarantee that lets
-// the accounting numbers and the throughput numbers describe the same
-// algorithm execution.
-func TestSortEquivalentAcrossTransports(t *testing.T) {
-	const p, perRank = 8, 5000
-	cases := []struct {
-		name string
-		cfg  Config
-		kind dist.Kind
-	}{
-		{"hss-uniform", Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3}, dist.Uniform},
-		{"hss-skewed", Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3}, dist.PowerSkew},
-		{"hss-theory", Config{Procs: p, Algorithm: HSSTheoretical, Epsilon: 0.1, Seed: 5}, dist.Gaussian},
-		{"samplesort", Config{Procs: p, Algorithm: SampleSortRegular, Epsilon: 0.1, Seed: 7}, dist.Uniform},
-		{"histogramsort", Config{Procs: p, Algorithm: HistogramSort, Epsilon: 0.1, Seed: 9}, dist.Exponential},
-		{"node-hss", Config{Procs: p, Algorithm: NodeHSS, CoresPerNode: 2, Epsilon: 0.1, Seed: 11}, dist.Uniform},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			shards := dist.Spec{Kind: tc.kind, Min: 0, Max: 1 << 40}.Shards(perRank, p, 21)
-
-			simCfg := tc.cfg
-			simCfg.Transport = TransportSim
-			simOuts, simStats, err := Sort(simCfg, cloneShards(shards))
-			if err != nil {
-				t.Fatalf("sim: %v", err)
-			}
-
-			inCfg := tc.cfg
-			inCfg.Transport = TransportInproc
-			inOuts, inStats, err := Sort(inCfg, cloneShards(shards))
-			if err != nil {
-				t.Fatalf("inproc: %v", err)
-			}
-
-			if len(simOuts) != len(inOuts) {
-				t.Fatalf("rank counts differ: %d vs %d", len(simOuts), len(inOuts))
-			}
-			for r := range simOuts {
-				if !slices.Equal(simOuts[r], inOuts[r]) {
-					t.Fatalf("rank %d output differs between transports (%d vs %d keys)",
-						r, len(simOuts[r]), len(inOuts[r]))
-				}
-			}
-			// Protocol-level stats describe the algorithm, not the
-			// backend: they must agree too.
-			if simStats.Rounds != inStats.Rounds || simStats.TotalSample != inStats.TotalSample {
-				t.Errorf("protocol stats differ: sim %d rounds/%d sample, inproc %d rounds/%d sample",
-					simStats.Rounds, simStats.TotalSample, inStats.Rounds, inStats.TotalSample)
-			}
-			// Accounting is a sim-only feature.
-			if simStats.TotalBytes == 0 {
-				t.Error("sim transport reported zero bytes")
-			}
-			if inStats.TotalBytes != 0 || inStats.TotalMsgs != 0 {
-				t.Errorf("inproc transport reported accounting: %d msgs / %d bytes",
-					inStats.TotalMsgs, inStats.TotalBytes)
-			}
-		})
-	}
-}

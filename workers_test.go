@@ -2,319 +2,12 @@ package hssort
 
 import (
 	"context"
-	"fmt"
-	"math/rand/v2"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
 	"hssort/internal/dist"
 )
-
-// workersPerRank sits above every parallel kernel's serial cutoff
-// (1<<14 keys), so the sweep exercises the actual fan-out paths — radix
-// scatter, strided partition, chunked codec, per-core merge — not their
-// serial fallbacks.
-const workersPerRank = 20000
-
-// workerSweep is the Workers values tested against the Workers=1
-// baseline: fixed small pools plus the machine's own GOMAXPROCS,
-// deduplicated (on a single-core runner GOMAXPROCS collapses into the
-// baseline).
-func workerSweep() []int {
-	sweep := []int{2, 3, runtime.GOMAXPROCS(0)}
-	slices.Sort(sweep)
-	sweep = slices.Compact(sweep)
-	return slices.DeleteFunc(sweep, func(w int) bool { return w <= 1 })
-}
-
-// TestWorkersEquivalence is the multicore plane's acceptance gate: for
-// every algorithm with worker-pool support, on all three transports,
-// with both exchange planes and both compute planes, a sort with
-// Workers > 1 must produce rank-identical output and run the identical
-// protocol (rounds, sample volume, imbalance — and, where the transport
-// byte-accounts deterministically, identical phase byte counts) as the
-// serial Workers = 1 sort. One matrix cell = one (algorithm, transport,
-// exchange plane, code path) tuple swept over worker counts.
-func TestWorkersEquivalence(t *testing.T) {
-	const p = 4
-	algs := []struct {
-		name string
-		cfg  Config
-		kind dist.Kind
-	}{
-		{"hss", Config{Procs: p, Algorithm: HSS, Epsilon: 0.1, Seed: 3}, dist.PowerSkew},
-		{"samplesort", Config{Procs: p, Algorithm: SampleSortRegular, Epsilon: 0.1, Seed: 5}, dist.DuplicateHeavy},
-		{"histogramsort", Config{Procs: p, Algorithm: HistogramSort, Epsilon: 0.1, Seed: 7}, dist.Exponential},
-		{"node-hss", Config{Procs: p, Algorithm: NodeHSS, CoresPerNode: 2, Epsilon: 0.1, Seed: 9}, dist.Uniform},
-	}
-	for _, tc := range algs {
-		for _, tr := range []Transport{TransportSim, TransportInproc, TransportTCP} {
-			for _, streaming := range []bool{false, true} {
-				for _, cp := range []CodePath{CodePathOff, CodePathOn} {
-					plane := "materializing"
-					if streaming {
-						plane = "streaming"
-					}
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", tc.name, tr, plane, cp), func(t *testing.T) {
-						shards := dist.Spec{Kind: tc.kind, Min: 0, Max: 1 << 40, Distinct: 64}.Shards(workersPerRank, p, 61)
-
-						cfg := tc.cfg
-						cfg.Transport = tr
-						cfg.CodePath = cp
-						if streaming {
-							cfg.StreamExchange = true
-							cfg.ChunkKeys = 1024
-						}
-
-						serial := cfg
-						serial.Workers = 1
-						wantOuts, wantStats, err := Sort(serial, cloneShards(shards))
-						if err != nil {
-							t.Fatalf("Workers=1 baseline: %v", err)
-						}
-						if wantStats.Workers != 1 {
-							t.Fatalf("baseline Stats.Workers = %d, want 1", wantStats.Workers)
-						}
-
-						for _, w := range workerSweep() {
-							par := cfg
-							par.Workers = w
-							gotOuts, gotStats, err := Sort(par, cloneShards(shards))
-							if err != nil {
-								t.Fatalf("Workers=%d: %v", w, err)
-							}
-							for r := range wantOuts {
-								if !slices.Equal(gotOuts[r], wantOuts[r]) {
-									t.Fatalf("Workers=%d: rank %d output differs from the serial sort (%d vs %d keys)",
-										w, r, len(gotOuts[r]), len(wantOuts[r]))
-								}
-							}
-							// The protocol is a function of key order and
-							// seeds only; the pool must not have changed a
-							// single decision.
-							if gotStats.Rounds != wantStats.Rounds || gotStats.TotalSample != wantStats.TotalSample {
-								t.Errorf("Workers=%d: protocol diverged: %d rounds/%d sample, serial %d rounds/%d sample",
-									w, gotStats.Rounds, gotStats.TotalSample, wantStats.Rounds, wantStats.TotalSample)
-							}
-							if gotStats.Imbalance != wantStats.Imbalance {
-								t.Errorf("Workers=%d: imbalance diverged: %v vs %v", w, gotStats.Imbalance, wantStats.Imbalance)
-							}
-							if tr != TransportTCP {
-								// Sim and inproc byte accounting is a pure
-								// function of the protocol (inproc reads
-								// zero); tcp measures wire timing-dependent
-								// framing and is excluded.
-								if gotStats.SplitterBytes != wantStats.SplitterBytes {
-									t.Errorf("Workers=%d: splitter bytes diverged: %d vs serial %d",
-										w, gotStats.SplitterBytes, wantStats.SplitterBytes)
-								}
-								// Exchange bytes are compared on the
-								// materializing path only: the streaming
-								// plane's credit grants batch by consumption
-								// timing, so a parallel merge tail may
-								// legitimately send a different number of
-								// flow-control messages (data volume is
-								// unchanged; output equality above pins it).
-								if !streaming && gotStats.ExchangeBytes != wantStats.ExchangeBytes {
-									t.Errorf("Workers=%d: exchange bytes diverged: %d vs serial %d",
-										w, gotStats.ExchangeBytes, wantStats.ExchangeBytes)
-								}
-							}
-							if gotStats.Workers != w {
-								t.Errorf("Stats.Workers = %d, want %d", gotStats.Workers, w)
-							}
-							if gotStats.ParTasks == 0 {
-								t.Errorf("Workers=%d: Stats.ParTasks = 0 — no kernel ran through the pool", w)
-							}
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestWorkersEquivalenceKV extends the sweep to payload-carrying
-// records on the decorated plane: the key sequence must be identical
-// rank by rank, and for each key the payload multiset must match the
-// serial sort (like the planes, the pool may only permute equal-key
-// records).
-func TestWorkersEquivalenceKV(t *testing.T) {
-	const p = 4
-	for _, alg := range []Algorithm{HSS, SampleSortRegular} {
-		for _, streaming := range []bool{false, true} {
-			plane := "materializing"
-			if streaming {
-				plane = "streaming"
-			}
-			t.Run(fmt.Sprintf("%v/%s", alg, plane), func(t *testing.T) {
-				shards := make([][]KV[int64, int32], p)
-				rng := rand.New(rand.NewPCG(6, 53))
-				id := int32(0)
-				for r := range shards {
-					shards[r] = make([]KV[int64, int32], workersPerRank)
-					for i := range shards[r] {
-						shards[r][i] = KV[int64, int32]{Key: rng.Int64N(512), Val: id} // heavy duplicates
-						id++
-					}
-				}
-				cfg := Config{Procs: p, Algorithm: alg, Epsilon: 0.1, Seed: 13}
-				if streaming {
-					cfg.StreamExchange = true
-					cfg.ChunkKeys = 1024
-				}
-				serial := cfg
-				serial.Workers = 1
-				want, _, err := SortKV(serial, cloneAny(shards))
-				if err != nil {
-					t.Fatalf("Workers=1 baseline: %v", err)
-				}
-				for _, w := range workerSweep() {
-					par := cfg
-					par.Workers = w
-					got, _, err := SortKV(par, cloneAny(shards))
-					if err != nil {
-						t.Fatalf("Workers=%d: %v", w, err)
-					}
-					checkKVEquivalent(t, want, got, w)
-				}
-			})
-		}
-	}
-}
-
-// checkKVEquivalent asserts got matches want rank by rank: identical
-// key sequences, per-key payload multisets equal.
-func checkKVEquivalent(t *testing.T, want, got [][]KV[int64, int32], workers int) {
-	t.Helper()
-	for r := range want {
-		if len(got[r]) != len(want[r]) {
-			t.Fatalf("Workers=%d: rank %d: %d vs %d records", workers, r, len(got[r]), len(want[r]))
-		}
-		wantVals := map[int64][]int32{}
-		for i := range want[r] {
-			if got[r][i].Key != want[r][i].Key {
-				t.Fatalf("Workers=%d: rank %d: key sequence diverged at %d", workers, r, i)
-			}
-			wantVals[want[r][i].Key] = append(wantVals[want[r][i].Key], want[r][i].Val)
-		}
-		gotVals := map[int64][]int32{}
-		for _, rec := range got[r] {
-			gotVals[rec.Key] = append(gotVals[rec.Key], rec.Val)
-		}
-		for k, wv := range wantVals {
-			gv := gotVals[k]
-			slices.Sort(wv)
-			slices.Sort(gv)
-			if !slices.Equal(gv, wv) {
-				t.Fatalf("Workers=%d: rank %d: payload multiset for key %d diverged", workers, r, k)
-			}
-		}
-	}
-}
-
-// TestWorkersDeterminism pins run-to-run determinism of the parallel
-// kernels: two sorts of the same input through the same engine with the
-// same Workers must be byte-identical — including payload order for
-// records, where the tandem radix scatter and per-core merges are
-// deterministic for a fixed worker count.
-func TestWorkersDeterminism(t *testing.T) {
-	const p = 4
-	t.Run("keys", func(t *testing.T) {
-		shards := dist.Spec{Kind: dist.DuplicateHeavy, Distinct: 64}.Shards(workersPerRank, p, 67)
-		s, err := New[int64](Config{Procs: p, Epsilon: 0.1, Seed: 17, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		first, _, err := s.Sort(context.Background(), cloneShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, _, err := s.Sort(context.Background(), cloneShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range first {
-			if !slices.Equal(first[r], second[r]) {
-				t.Fatalf("rank %d: repeated parallel sort diverged", r)
-			}
-		}
-	})
-	t.Run("records", func(t *testing.T) {
-		shards := make([][]KV[int64, int32], p)
-		rng := rand.New(rand.NewPCG(7, 59))
-		id := int32(0)
-		for r := range shards {
-			shards[r] = make([]KV[int64, int32], workersPerRank)
-			for i := range shards[r] {
-				shards[r][i] = KV[int64, int32]{Key: rng.Int64N(256), Val: id}
-				id++
-			}
-		}
-		s, err := NewKV[int64, int32](Config{Procs: p, Epsilon: 0.1, Seed: 19, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		first, _, err := s.SortKV(context.Background(), cloneAny(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, _, err := s.SortKV(context.Background(), cloneAny(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range first {
-			if !slices.Equal(first[r], second[r]) {
-				t.Fatalf("rank %d: repeated parallel record sort diverged (payload order included)", r)
-			}
-		}
-	})
-}
-
-// TestWorkersTagDuplicates covers the pool × §4.3 tagging interaction:
-// tagged records order totally (key, origin), so the parallel
-// comparator-plane kernels must reproduce the serial output
-// byte-identically even on mass-duplicate input.
-func TestWorkersTagDuplicates(t *testing.T) {
-	const p = 4
-	shards := make([][]int64, p)
-	for r := range shards {
-		shards[r] = make([]int64, workersPerRank)
-		for i := range shards[r] {
-			shards[r][i] = int64(i % 3) // three distinct values: worst-case duplicates
-		}
-	}
-	cfg := Config{Procs: p, Epsilon: 0.1, Seed: 23, TagDuplicates: true}
-	serial := cfg
-	serial.Workers = 1
-	want, wantStats, err := Sort(serial, cloneShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantStats.Imbalance > 1.1 {
-		t.Fatalf("tagging failed to balance the serial baseline: %v", wantStats.Imbalance)
-	}
-	for _, w := range workerSweep() {
-		par := cfg
-		par.Workers = w
-		got, gotStats, err := Sort(par, cloneShards(shards))
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", w, err)
-		}
-		for r := range want {
-			if !slices.Equal(got[r], want[r]) {
-				t.Fatalf("Workers=%d: rank %d diverged on tagged duplicates", w, r)
-			}
-		}
-		if gotStats.Imbalance != wantStats.Imbalance {
-			t.Errorf("Workers=%d: imbalance diverged: %v vs %v", w, gotStats.Imbalance, wantStats.Imbalance)
-		}
-	}
-}
 
 // TestWorkersCloseNoLeak asserts that an engine whose sorts fanned out
 // over a worker pool leaves no goroutines behind after Close — the pool
@@ -322,7 +15,7 @@ func TestWorkersTagDuplicates(t *testing.T) {
 // contract is unchanged by Workers > 1.
 func TestWorkersCloseNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	shards := dist.Spec{Kind: dist.Uniform}.Shards(workersPerRank, 4, 71)
+	shards := dist.Spec{Kind: dist.Uniform}.Shards(bigN, 4, 71)
 	s, err := New[int64](Config{Procs: 4, Epsilon: 0.1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
