@@ -732,10 +732,24 @@ func TestPlanSortWithPlanEquivalence(t *testing.T) {
 
 func TestSpillEquivalence(t *testing.T) {
 	quarter := int64(bigN) * 8 / 4
-	runAll(t, product(cell{cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "powerskew", p: 4, n: bigN, seed: 83}},
+	runAll(t, append(product(cell{cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "powerskew", p: 4, n: bigN, seed: 83}},
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		dim("%v", plane, CodePathOff, CodePathOn), dim("workers=%d", workers, slices.Compact([]int{1, runtime.GOMAXPROCS(0)})...),
-		dim("budget=%d", budget, quarter, quarter/2)))
+		dim("budget=%d", budget, quarter, quarter/2)),
+		smallShardStreams(cell{cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "powerskew", seed: 83}}, 8,
+			dim("%v", transport, TransportSim, TransportInproc, TransportTCP))...))
+}
+
+// smallShardStreams streams 8000 keys of keySize bytes per rank under a
+// half and a quarter of a shard: admitted chunks fill either budget
+// before a stream diverts, so the diverted streams' read-back frames
+// must find room beside them.
+func smallShardStreams(base cell, keySize int64, dims ...[]val) []cell {
+	const n = 8000
+	shard := n * keySize
+	dims = slices.Concat([][]val{{{"keys=8000", func(c *cell) { c.in.p, c.in.n = 4, n }}}}, dims,
+		[][]val{exchanges("", "streaming")[1:], dim("budget=%d", budget, shard/2, shard/4)})
+	return product(base, dims...)
 }
 
 // TestSpillEquivalenceAlgorithms runs every other algorithm at a quarter
@@ -754,8 +768,9 @@ func TestSpillEquivalenceAlgorithms(t *testing.T) {
 }
 
 func TestSpillEquivalenceKV(t *testing.T) {
-	runAll(t, product(cell{key: "kv", cfg: Config{Epsilon: 0.1, Seed: 21, MemoryBudget: bigN * 16 / 4}, in: input{dist: "dupheavy", p: 4, n: bigN, seed: 41}},
-		exchanges("materializing", "streaming")))
+	runAll(t, append(product(cell{key: "kv", cfg: Config{Epsilon: 0.1, Seed: 21, MemoryBudget: bigN * 16 / 4}, in: input{dist: "dupheavy", p: 4, n: bigN, seed: 41}},
+		exchanges("materializing", "streaming")),
+		smallShardStreams(cell{key: "kv", cfg: Config{Epsilon: 0.1, Seed: 21}, in: input{dist: "dupheavy", seed: 41}}, 16)...))
 }
 
 func TestStreamExchangeEquivalence(t *testing.T) {

@@ -200,8 +200,8 @@ type Config struct {
 	// Approx enables §3.4 approximate histogramming (HSS variants).
 	Approx bool
 	// Transport selects the communication backend: TransportSim (the
-	// default, fully byte-accounted), TransportInproc (zero-copy
-	// shared-memory fast path; communication-volume Stats read zero) or
+	// default, fully byte-accounted), TransportInproc (the same
+	// in-memory runtime unaccounted; communication-volume Stats read zero) or
 	// TransportTCP (multi-process sockets with measured wire traffic;
 	// see TCP below and docs/WIRE.md).
 	Transport Transport

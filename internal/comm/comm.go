@@ -61,11 +61,6 @@ func (c *Counters) Add(other Counters) {
 	c.Respawns += other.Respawns
 }
 
-// Interceptor observes (and may veto) every message at send time. Used by
-// tests for fault injection: returning a non-nil error makes the Send fail
-// with that error. Interception is a SimTransport feature.
-type Interceptor func(src, dst int, m *Message) error
-
 // panicSize reports an invalid world size.
 func panicSize(p int) {
 	panic(fmt.Sprintf("comm: world size %d < 1", p))
@@ -74,9 +69,8 @@ func panicSize(p int) {
 // World hosts p ranks over a Transport and orchestrates their lifecycle:
 // SPMD launch, panic containment, and the watchdog timeout.
 type World struct {
-	t           Transport
-	timeout     time.Duration
-	interceptor Interceptor
+	t       Transport
+	timeout time.Duration
 }
 
 // Option configures a World.
@@ -88,13 +82,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(w *World) { w.timeout = d }
 }
 
-// WithInterceptor installs a message interceptor for fault injection.
-// Interception requires the (default) SimTransport backend; NewWorld
-// panics if it is combined with a transport that cannot intercept.
-func WithInterceptor(ic Interceptor) Option {
-	return func(w *World) { w.interceptor = ic }
-}
-
 // WithTransport runs the World over t instead of the default simulated
 // backend. The transport's size must match the world size.
 func WithTransport(t Transport) Option {
@@ -102,7 +89,7 @@ func WithTransport(t Transport) Option {
 }
 
 // NewWorld creates a World with p ranks. Without WithTransport it runs
-// over a fresh SimTransport. It panics if p < 1 or if a supplied
+// over a fresh NewSimTransport(p). It panics if p < 1 or if a supplied
 // transport connects a different number of ranks.
 func NewWorld(p int, opts ...Option) *World {
 	if p < 1 {
@@ -117,13 +104,6 @@ func NewWorld(p int, opts ...Option) *World {
 	}
 	if w.t.Size() != p {
 		panic(fmt.Sprintf("comm: transport size %d != world size %d", w.t.Size(), p))
-	}
-	if w.interceptor != nil {
-		st, ok := w.t.(*SimTransport)
-		if !ok {
-			panic(fmt.Sprintf("comm: WithInterceptor requires SimTransport, not %T", w.t))
-		}
-		st.SetInterceptor(w.interceptor)
 	}
 	return w
 }

@@ -217,29 +217,6 @@ func TestTimeoutUnblocksDeadlock(t *testing.T) {
 	}
 }
 
-func TestInterceptorVeto(t *testing.T) {
-	veto := errors.New("link down")
-	w := NewWorld(2,
-		WithTimeout(time.Second),
-		WithInterceptor(func(src, dst int, m *Message) error {
-			if dst == 1 {
-				return veto
-			}
-			return nil
-		}))
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := SendValue(c, 1, 1, 1); !errors.Is(err, veto) {
-				return fmt.Errorf("send err = %v, want veto", err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCounters(t *testing.T) {
 	w := NewWorld(2, WithTimeout(5*time.Second))
 	payload := []int64{1, 2, 3, 4}

@@ -6,14 +6,17 @@
 // how the paper's algorithm runs one process per core. Ranks share no
 // mutable state; all interaction flows through Send/Recv.
 //
-// Three transports ship with the repository (see Transport):
+// Two transports ship with the repository (see Transport), and every
+// rank of both receives through one inbox type (mailbox.go): per-sender
+// queues, a parked receiver woken only by the send it matches, and
+// wakeups on abort and close.
 //
-//   - SimTransport (default): the simulated "accounting" backend. Bytes
-//     are counted as if every payload were serialized, so communication
-//     volume and message counts — the quantities in the paper's BSP
-//     analysis (§5.1) — are measured, not estimated.
-//   - InprocTransport: the zero-copy shared-memory fast path for
-//     throughput runs, with no accounting overhead.
+//   - MemTransport: the in-memory backend in two modes. NewSimTransport
+//     (the default) counts bytes as if every payload were serialized, so
+//     communication volume and message counts — the quantities in the
+//     paper's BSP analysis (§5.1) — are measured, not estimated.
+//     NewInprocTransport is the same zero-copy transport without the
+//     accounting.
 //   - TCPTransport: the multi-process backend. Each rank is its own OS
 //     process; messages cross real sockets through the length-prefixed
 //     binary protocol of wire.go (spec: docs/WIRE.md), and counters
@@ -26,7 +29,7 @@
 // Semantics common to all backends (pinned by the conformance suite in
 // transport_test.go):
 //
-//   - Send is asynchronous and never blocks (mailboxes and outbound
+//   - Send is asynchronous and never blocks (inboxes and outbound
 //     queues are unbounded), so no protocol can deadlock on buffer
 //     exhaustion — matching MPI's buffered-send model that the paper's
 //     collectives assume.

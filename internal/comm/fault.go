@@ -375,16 +375,7 @@ func (ft *FaultTransport) TotalCounters() Counters { return ft.inner.TotalCounte
 func (ft *FaultTransport) ResetCounters() { ft.inner.ResetCounters() }
 
 // LocalRanks reports the ranks hosted by the inner transport.
-func (ft *FaultTransport) LocalRanks() []int {
-	if rh, ok := ft.inner.(RankHoster); ok {
-		return rh.LocalRanks()
-	}
-	ranks := make([]int, ft.inner.Size())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranks
-}
+func (ft *FaultTransport) LocalRanks() []int { return hostedRanks(ft.inner) }
 
 // Close drains the link workers and closes the inner transport.
 func (ft *FaultTransport) Close() error {

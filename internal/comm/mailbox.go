@@ -2,129 +2,164 @@ package comm
 
 import "sync"
 
-// none terminates the mailbox's index-linked lists.
-const none = -1
-
-// boxNode is one queued message, linked into two lists at once: the
-// arrival order across all senders and its own sender's FIFO. Links are
-// indexes into mailbox.nodes.
-type boxNode struct {
-	Message
-	prev, next       int32 // arrival order; next also chains the free list
-	srcPrev, srcNext int32 // the sender's FIFO
-}
-
-// boxList is the two ends of one index-linked list.
-type boxList struct{ head, tail int32 }
-
-// mailbox is one rank's unbounded inbox, mirroring MPI's unexpected
-// message queue. Every message sits in the arrival-ordered list and in
-// its sender's FIFO. A receive naming its source walks that sender's
-// FIFO only — during a p-rank all-to-all it never touches the ~p/2
-// messages other senders have queued — while AnySource walks arrival
-// order; either way the match is unlinked from both lists in O(1).
-// Nodes are recycled through a free list, so a steady-state exchange
-// enqueues without allocating.
-type mailbox struct {
+// inbox is one rank's unbounded receive queue, mirroring MPI's
+// unexpected-message queue, and the whole receive path of every built-in
+// transport: the in-memory backend keeps one per rank, a tcp endpoint one
+// for its hosted rank.
+//
+// Messages queue in one FIFO per sender, indexed by rank — no maps
+// anywhere on the send/receive path. A receive naming its source walks
+// that sender's queue only, so during a p-rank all-to-all it never
+// touches the ~p/2 messages other senders have queued. AnySource scans
+// the senders in rank order and takes the lowest-ranked sender's oldest
+// match; the Transport contract leaves the order across senders
+// unspecified, and no protocol in this repository depends on it.
+//
+// A receive with no match parks on its own channel, recycled across
+// receives, and only a send it can match signals it — or wake, on an
+// abort or close. A send therefore wakes at most one receiver, and never
+// one waiting for another stream.
+type inbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	nodes   []boxNode
-	free    int32     // recycled nodes, chained through next
-	arrived boxList   // every queued message, oldest first
-	bySrc   []boxList // per sender, oldest first
+	bySrc   [][]Message     // [src] queued messages from that rank, all tags, oldest first
+	waiters []waiter        // parked receivers, usually 0 or 1 (one goroutine per rank)
+	free    []chan struct{} // recycled park channels
+	// stopped reports why receives must stop — the owning transport's
+	// abort latch, or its close — or nil while they may block.
+	stopped func() error
 }
 
-// newMailbox creates the inbox of one rank in a p-rank world.
-func newMailbox(p int) *mailbox {
-	mb := &mailbox{bySrc: make([]boxList, p)}
-	mb.cond = sync.NewCond(&mb.mu)
-	mb.reset()
-	return mb
+// waiter is one parked receive: the stream it waits for and the channel
+// the send that matches it signals. A linear scan of the usually 0 or 1
+// waiters beats any index.
+type waiter struct {
+	src int // AnySource for a wildcard receive
+	tag Tag
+	ch  chan struct{}
 }
 
-// reset discards every queued message; the node storage is kept for the
-// next run.
-func (mb *mailbox) reset() {
-	mb.mu.Lock()
-	clear(mb.nodes) // drop the payload references
-	mb.nodes = mb.nodes[:0]
-	mb.free = none
-	mb.arrived = boxList{none, none}
-	for s := range mb.bySrc {
-		mb.bySrc[s] = boxList{none, none}
-	}
-	mb.mu.Unlock()
+// newInbox creates the inbox of one rank in a p-rank world.
+func newInbox(p int, stopped func() error) *inbox {
+	return &inbox{bySrc: make([][]Message, p), stopped: stopped}
 }
 
-// put enqueues m behind every earlier arrival and behind its sender's
-// earlier messages, and wakes the receivers.
-func (mb *mailbox) put(m Message) {
-	mb.mu.Lock()
-	i := mb.free
-	if i != none {
-		mb.free = mb.nodes[i].next
-	} else {
-		i = int32(len(mb.nodes))
-		mb.nodes = append(mb.nodes, boxNode{})
+// put enqueues m behind its sender's earlier messages and signals the
+// one parked receiver it matches, if any.
+func (b *inbox) put(m Message) {
+	b.mu.Lock()
+	b.bySrc[m.Src] = append(b.bySrc[m.Src], m)
+	var wake chan struct{}
+	for i, w := range b.waiters {
+		if (w.src == m.Src || w.src == AnySource) && w.tag == m.Tag {
+			// Swap-remove: waiter order carries no semantics.
+			last := len(b.waiters) - 1
+			b.waiters[i] = b.waiters[last]
+			b.waiters = b.waiters[:last]
+			wake = w.ch
+			break
+		}
 	}
-	from := &mb.bySrc[m.Src]
-	mb.nodes[i] = boxNode{Message: m, prev: mb.arrived.tail, next: none, srcPrev: from.tail, srcNext: none}
-	if mb.arrived.tail != none {
-		mb.nodes[mb.arrived.tail].next = i
-	} else {
-		mb.arrived.head = i
+	b.mu.Unlock()
+	if wake != nil {
+		// Signal outside the lock so the woken receiver never blocks
+		// right back on mu. Cap 1, one token per registration: never
+		// blocks the sender.
+		wake <- struct{}{}
 	}
-	mb.arrived.tail = i
-	if from.tail != none {
-		mb.nodes[from.tail].srcNext = i
-	} else {
-		from.head = i
-	}
-	from.tail = i
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
 }
 
 // take removes and returns the oldest message matching (src, tag).
 // Callers hold mu.
-func (mb *mailbox) take(src int, tag Tag) (Message, bool) {
-	i := mb.arrived.head
+func (b *inbox) take(src int, tag Tag) (Message, bool) {
 	if src != AnySource {
-		i = mb.bySrc[src].head
+		return b.takeFrom(src, tag)
 	}
-	for i != none && mb.nodes[i].Tag != tag {
-		if src != AnySource {
-			i = mb.nodes[i].srcNext
-		} else {
-			i = mb.nodes[i].next
+	for s := range b.bySrc {
+		if m, ok := b.takeFrom(s, tag); ok {
+			return m, true
 		}
 	}
-	if i == none {
-		return Message{}, false
+	return Message{}, false
+}
+
+// takeFrom removes and returns src's oldest message on tag, keeping the
+// order of the rest (pairwise FIFO per tag). The queue keeps its
+// storage, so a steady-state stream enqueues without allocating.
+func (b *inbox) takeFrom(src int, tag Tag) (Message, bool) {
+	q := b.bySrc[src]
+	for i := range q {
+		if q[i].Tag == tag {
+			m := q[i]
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = Message{} // drop the payload reference
+			b.bySrc[src] = q[:len(q)-1]
+			return m, true
+		}
 	}
-	n := mb.nodes[i]
-	if n.prev != none {
-		mb.nodes[n.prev].next = n.next
-	} else {
-		mb.arrived.head = n.next
+	return Message{}, false
+}
+
+// recv takes the oldest message matching (src, tag), blocking until one
+// is queued or stopped reports an error.
+func (b *inbox) recv(src int, tag Tag) (Message, error) {
+	b.mu.Lock()
+	for {
+		if m, ok := b.take(src, tag); ok {
+			b.mu.Unlock()
+			return m, nil
+		}
+		if err := b.stopped(); err != nil {
+			b.mu.Unlock()
+			return Message{}, err
+		}
+		// Registering under the lock closes the lost-wakeup window: a
+		// send or wake that follows the checks above finds the waiter.
+		var ch chan struct{}
+		if n := len(b.free); n > 0 {
+			ch = b.free[n-1]
+			b.free = b.free[:n-1]
+		} else {
+			ch = make(chan struct{}, 1)
+		}
+		b.waiters = append(b.waiters, waiter{src: src, tag: tag, ch: ch})
+		b.mu.Unlock()
+		<-ch
+		b.mu.Lock()
+		b.free = append(b.free, ch)
 	}
-	if n.next != none {
-		mb.nodes[n.next].prev = n.prev
-	} else {
-		mb.arrived.tail = n.prev
+}
+
+// tryRecv takes the oldest message matching (src, tag) if one is queued,
+// without blocking.
+func (b *inbox) tryRecv(src int, tag Tag) (Message, bool, error) {
+	if err := b.stopped(); err != nil {
+		return Message{}, false, err
 	}
-	from := &mb.bySrc[n.Src]
-	if n.srcPrev != none {
-		mb.nodes[n.srcPrev].srcNext = n.srcNext
-	} else {
-		from.head = n.srcNext
+	b.mu.Lock()
+	m, ok := b.take(src, tag)
+	b.mu.Unlock()
+	return m, ok, nil
+}
+
+// wake signals every parked receiver so it rechecks stopped. Callers
+// latch the abort (or close) first.
+func (b *inbox) wake() {
+	b.mu.Lock()
+	for _, w := range b.waiters {
+		w.ch <- struct{}{}
 	}
-	if n.srcNext != none {
-		mb.nodes[n.srcNext].srcPrev = n.srcPrev
-	} else {
-		from.tail = n.srcPrev
+	b.waiters = b.waiters[:0]
+	b.mu.Unlock()
+}
+
+// reset discards every queued message; the queues keep their storage for
+// the next run. Only call while no receiver is parked.
+func (b *inbox) reset() {
+	b.mu.Lock()
+	for s, q := range b.bySrc {
+		clear(q) // drop the payload references
+		b.bySrc[s] = q[:0]
 	}
-	mb.nodes[i] = boxNode{next: mb.free} // drops the payload reference
-	mb.free = i
-	return n.Message, true
+	b.waiters = b.waiters[:0]
+	b.mu.Unlock()
 }

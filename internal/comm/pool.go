@@ -64,8 +64,8 @@ type rankResult struct {
 }
 
 // NewPool creates a Pool over a p-rank world. It accepts the same
-// options as NewWorld (WithTransport, WithTimeout, WithInterceptor) and
-// panics under the same conditions. Worker goroutines are spawned only
+// options as NewWorld (WithTransport, WithTimeout) and panics under the
+// same conditions. Worker goroutines are spawned only
 // for the ranks the transport hosts in this process (all of them for
 // the in-memory backends; the local rank for a multi-process
 // TCPTransport endpoint).

@@ -45,7 +45,7 @@ func TestPoolReuse(t *testing.T) {
 			if sum.Load() != want {
 				t.Fatalf("run %d: sum = %d, want %d", run, sum.Load(), want)
 			}
-			if _, ok := pl.Transport().(*SimTransport); ok {
+			if mt, ok := pl.Transport().(*MemTransport); ok && mt.counting {
 				total := pl.Transport().TotalCounters()
 				if total.MsgsSent != p {
 					t.Fatalf("run %d: MsgsSent = %d, want %d (counters must reset per run)", run, total.MsgsSent, p)

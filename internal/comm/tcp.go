@@ -12,9 +12,9 @@ package comm
 // one writer goroutine draining an unbounded outbound queue — so Send
 // never blocks, preserving the buffered-send model the algorithms assume
 // — and one reader goroutine that decodes frames and feeds the local
-// rank's tag-matched mailbox, so Recv/TryRecv/RecvAny semantics are
-// identical to the in-memory backends and the streaming exchange's
-// credit window works unchanged.
+// rank's inbox, the same one the in-memory backend uses (mailbox.go), so
+// Recv/TryRecv/RecvAny semantics are identical to it and the streaming
+// exchange's credit window works unchanged.
 //
 // Generations. Transport.Reset — the hook the engine (comm.Pool) uses
 // between sorts — is a wire-level epoch bump: every frame carries the
@@ -192,7 +192,7 @@ func (pc *tcpConn) enqueue(frame []byte) {
 // world over real sockets (tests, single-machine benchmarks), see
 // NewTCPLoopback.
 //
-// Unlike SimTransport's modeled byte accounting, Counters here report
+// Unlike NewSimTransport's modeled byte accounting, Counters here report
 // measured wire traffic: every frame charges its actual encoded size,
 // header included.
 type TCPTransport struct {
@@ -207,7 +207,7 @@ type TCPTransport struct {
 	// (Reset waits for that, or re-poisons the next run). Slots are
 	// atomic pointers: the rejoin swap races Send and the monitor.
 	conns []atomic.Pointer[tcpConn]
-	box   *mailbox // the local rank's tag-matched inbox
+	box   *inbox // the hosted rank's receive queue
 
 	// ln is the bootstrap listener, kept open for the life of the
 	// endpoint (acceptLoop serves rejoin handshakes on it).
@@ -230,7 +230,7 @@ type TCPTransport struct {
 	// genMu serializes what depends on the current generation: Reset,
 	// frame dispatch, Abort and the retire step.
 	genMu  sync.Mutex
-	abort  abortState
+	abort  abortLatch
 	bar    tcpBarrier
 	closed atomic.Bool
 
@@ -280,7 +280,7 @@ func DialTCP(opts TCPOptions) (*TCPTransport, error) {
 		return nil, &BootstrapError{Rank: opts.Rank, Err: errors.New("bootstrap needs a coordinator address")}
 	}
 	t := &TCPTransport{p: opts.Procs, me: opts.Rank, opts: opts}
-	t.box = newMailbox(opts.Procs)
+	t.box = newInbox(opts.Procs, t.recvErr)
 	t.bar.cond = sync.NewCond(&t.bar.mu)
 	t.bar.enters = make(map[uint32]int)
 	t.conns = make([]atomic.Pointer[tcpConn], opts.Procs)
@@ -959,7 +959,7 @@ func (t *TCPTransport) Send(src, dst int, tag Tag, payload any, bytes int64) err
 		// uniform copy semantics and one decode path at consumption.
 		raw := make(rawWire, len(frame)-frameHeaderLen)
 		copy(raw, frame[frameHeaderLen:])
-		t.deliver(Message{Src: src, Tag: tag, Payload: raw, Bytes: int64(len(frame))})
+		t.box.put(Message{Src: src, Tag: tag, Payload: raw, Bytes: int64(len(frame))})
 		return nil
 	}
 	pc, err := t.live(dst)
@@ -984,7 +984,7 @@ func (t *TCPTransport) live(dst int) (*tcpConn, error) {
 	return pc, nil
 }
 
-// rawWire is an undecoded data payload parked in the mailbox. Frames
+// rawWire is an undecoded data payload parked in the inbox. Frames
 // decode at consumption time, not on the reader goroutine: a frame can
 // arrive before the receiving rank reaches the protocol step that
 // registers its payload type (readers run arbitrarily far ahead of the
@@ -1007,36 +1007,28 @@ func decodeParked(m *Message) error {
 	return nil
 }
 
-// deliver appends a message to the local mailbox and wakes receivers.
-func (t *TCPTransport) deliver(m Message) {
-	t.box.put(m)
+// recvErr is the inbox's stop condition: the abort latch, then Close.
+func (t *TCPTransport) recvErr() error {
+	if err := t.abort.get(); err != nil {
+		return err
+	}
+	if t.closed.Load() {
+		return ErrTransportClosed
+	}
+	return nil
 }
 
 // Recv blocks until a message matching (src, tag) is in the local
-// mailbox. dst must be the locally hosted rank.
+// inbox. dst must be the locally hosted rank.
 func (t *TCPTransport) Recv(dst, src int, tag Tag) (Message, error) {
 	if dst != t.me {
 		return Message{}, fmt.Errorf("comm: tcp endpoint hosts rank %d, cannot receive as rank %d", t.me, dst)
 	}
-	b := t.box
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if m, ok := b.take(src, tag); ok {
-			if err := decodeParked(&m); err != nil {
-				return Message{}, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, tag, err)
-			}
-			t.chargeRecv(m)
-			return m, nil
-		}
-		if err := t.abort.get(); err != nil {
-			return Message{}, err
-		}
-		if t.closed.Load() {
-			return Message{}, ErrTransportClosed
-		}
-		b.cond.Wait()
+	m, err := t.box.recv(src, tag)
+	if err != nil {
+		return Message{}, err
 	}
+	return t.chargeRecv(m)
 }
 
 // TryRecv returns a matching buffered message without blocking.
@@ -1044,29 +1036,24 @@ func (t *TCPTransport) TryRecv(dst, src int, tag Tag) (Message, bool, error) {
 	if dst != t.me {
 		return Message{}, false, fmt.Errorf("comm: tcp endpoint hosts rank %d, cannot receive as rank %d", t.me, dst)
 	}
-	b := t.box
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := t.abort.get(); err != nil {
+	m, ok, err := t.box.tryRecv(src, tag)
+	if !ok {
 		return Message{}, false, err
 	}
-	m, ok := b.take(src, tag)
-	if !ok {
-		return Message{}, false, nil
-	}
-	if err := decodeParked(&m); err != nil {
-		return Message{}, false, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, tag, err)
-	}
-	t.chargeRecv(m)
-	return m, true, nil
+	m, err = t.chargeRecv(m)
+	return m, err == nil, err
 }
 
-// chargeRecv accounts one consumed message. Callers hold box.mu.
-func (t *TCPTransport) chargeRecv(m Message) {
+// chargeRecv decodes a message taken from the inbox and accounts it.
+func (t *TCPTransport) chargeRecv(m Message) (Message, error) {
+	if err := decodeParked(&m); err != nil {
+		return Message{}, fmt.Errorf("comm: tcp recv from rank %d tag %d: %w", m.Src, m.Tag, err)
+	}
 	t.counters.mu.Lock()
 	t.counters.c.MsgsRecv++
 	t.counters.c.BytesRecv += m.Bytes
 	t.counters.mu.Unlock()
+	return m, nil
 }
 
 // writeLoop drains one connection's outbound queue, flushing whenever
@@ -1242,7 +1229,7 @@ func (t *TCPTransport) dispatchFrame(pc *tcpConn, h frameHeader, payload []byte)
 func (t *TCPTransport) applyFrame(h frameHeader, m Message, payload []byte) {
 	switch h.kind {
 	case frameData:
-		t.deliver(m)
+		t.box.put(m)
 	case frameAbort:
 		var wa wireAbort
 		if err := json.Unmarshal(payload, &wa); err != nil {
@@ -1441,11 +1428,10 @@ func (t *TCPTransport) abortLocked(err error) {
 	t.wakeAll()
 }
 
-// wakeAll unblocks local waiters so they observe the abort latch.
+// wakeAll unblocks local waiters so they observe the abort latch or
+// Close.
 func (t *TCPTransport) wakeAll() {
-	t.box.mu.Lock()
-	t.box.cond.Broadcast()
-	t.box.mu.Unlock()
+	t.box.wake()
 	t.bar.mu.Lock()
 	t.bar.cond.Broadcast()
 	t.bar.mu.Unlock()

@@ -86,7 +86,7 @@ func TestTCPGoroutineLeakAfterAbortedRun(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestTCPCountersMeasureWireTraffic: unlike SimTransport's modeled
+// TestTCPCountersMeasureWireTraffic: unlike the sim transport's modeled
 // bytes, tcp counters report measured frames — headers included — and
 // received bytes match sent bytes across a settled world.
 func TestTCPCountersMeasureWireTraffic(t *testing.T) {

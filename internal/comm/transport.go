@@ -1,18 +1,19 @@
 package comm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Transport is the pluggable message-delivery backend a World runs over.
-// Three implementations ship with the repository:
+// Two implementations ship with the repository, and every rank of either
+// receives through the same inbox (mailbox.go):
 //
-//   - SimTransport (the default): the simulated, fully byte-accounted
-//     runtime used for the paper's BSP measurements. Every message
-//     carries an accounted wire size, per-rank Counters track traffic,
-//     and an Interceptor can veto sends for fault injection.
-//   - InprocTransport: a zero-copy shared-memory fast path for
-//     production-style throughput runs. Payloads move by reference with
-//     no serialization accounting and no per-message envelope
-//     bookkeeping; Counters read zero.
+//   - MemTransport: the in-memory backend, payloads moving by reference
+//     between rank goroutines. NewSimTransport (the default) counts
+//     every message's accounted wire size in per-rank Counters, the
+//     paper's BSP measurements; NewInprocTransport skips the accounting
+//     and its Counters read zero.
 //   - TCPTransport: the multi-process backend — each rank is its own OS
 //     process, messages cross real sockets through the wire protocol of
 //     docs/WIRE.md, and Counters report measured (not modeled) traffic.
@@ -20,13 +21,14 @@ import "sync"
 //     sockets.
 //
 // The contract every implementation must honor (the conformance suite in
-// transport_test.go checks it against all backends):
+// transport_test.go checks it against sim, inproc and tcp):
 //
 //   - Send is asynchronous and never blocks (unbounded buffering).
 //   - Recv blocks until a message matching (src, tag) arrives; src may
 //     be AnySource. Messages from one sender on one tag are delivered
 //     in send order (pairwise FIFO, the MPI non-overtaking rule).
-//     AnySource carries no ordering guarantee across senders.
+//     AnySource carries no ordering guarantee across senders (the
+//     built-in inbox serves the lowest-ranked sender holding a match).
 //   - Barrier blocks until all ranks have entered it.
 //   - Abort latches the first error and unblocks every pending and
 //     future Send/Recv/Barrier with it.
@@ -98,38 +100,29 @@ func hostedRanks(t Transport) []int {
 	return all
 }
 
-// abortState is the first-abort-wins error latch shared by the built-in
-// transports.
-type abortState struct {
-	mu  sync.Mutex
-	err error
-}
+// abortLatch is the first-abort-wins error latch shared by the built-in
+// transports. It is lock-free: the send and receive paths probe it with
+// one atomic load.
+type abortLatch struct{ err atomic.Pointer[error] }
 
 // set latches err (ErrAborted if nil) unless an abort already happened.
-func (a *abortState) set(err error) {
+func (a *abortLatch) set(err error) {
 	if err == nil {
 		err = ErrAborted
 	}
-	a.mu.Lock()
-	if a.err == nil {
-		a.err = err
-	}
-	a.mu.Unlock()
+	a.err.CompareAndSwap(nil, &err)
 }
 
 // get returns the latched abort error, or nil.
-func (a *abortState) get() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
+func (a *abortLatch) get() error {
+	if p := a.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // reset clears the latch so the transport can be reused.
-func (a *abortState) reset() {
-	a.mu.Lock()
-	a.err = nil
-	a.mu.Unlock()
-}
+func (a *abortLatch) reset() { a.err.Store(nil) }
 
 // cyclicBarrier is a reusable p-party barrier that unblocks early when
 // the owning transport aborts.

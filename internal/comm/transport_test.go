@@ -421,16 +421,3 @@ func TestWorldSizeMismatchPanics(t *testing.T) {
 	}()
 	NewWorld(3, WithTransport(NewInprocTransport(2)))
 }
-
-// TestInterceptorRequiresSim: fault injection is a SimTransport feature;
-// combining it with the inproc backend is a programming error.
-func TestInterceptorRequiresSim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WithInterceptor over inproc did not panic")
-		}
-	}()
-	NewWorld(2,
-		WithTransport(NewInprocTransport(2)),
-		WithInterceptor(func(src, dst int, m *Message) error { return nil }))
-}

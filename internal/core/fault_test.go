@@ -10,22 +10,32 @@ import (
 	"hssort/internal/dist"
 )
 
+// cutLink fails every send from src to dst once the world has sent more
+// than after messages: a link that goes down mid-run.
+type cutLink struct {
+	comm.Transport
+	src, dst int
+	after    int64
+	err      error
+	sent     atomic.Int64
+}
+
+func (l *cutLink) Send(src, dst int, tag comm.Tag, payload any, bytes int64) error {
+	if l.sent.Add(1) > l.after && src == l.src && dst == l.dst {
+		return l.err
+	}
+	return l.Transport.Send(src, dst, tag, payload, bytes)
+}
+
 // TestSortSurvivesAsErrorWhenLinkFails injects a link failure mid-run:
-// the sort must surface an error on every rank (via the interceptor veto
-// plus the world timeout) rather than hanging or panicking.
+// the sort must surface an error on every rank (via the failed send plus
+// the world timeout) rather than hanging or panicking.
 func TestSortSurvivesAsErrorWhenLinkFails(t *testing.T) {
 	const p = 6
 	linkDown := errors.New("injected link failure")
-	var sent atomic.Int64
-	w := comm.NewWorld(p,
-		comm.WithTimeout(2*time.Second),
-		comm.WithInterceptor(func(src, dst int, m *comm.Message) error {
-			// Let the early collectives through, then cut one link.
-			if sent.Add(1) > 40 && src == 2 && dst == 0 {
-				return linkDown
-			}
-			return nil
-		}))
+	// Let the early collectives through, then cut one link.
+	link := &cutLink{Transport: comm.NewSimTransport(p), src: 2, dst: 0, after: 40, err: linkDown}
+	w := comm.NewWorld(p, comm.WithTimeout(2*time.Second), comm.WithTransport(link))
 	shards := dist.Spec{Kind: dist.Uniform}.Shards(2000, p, 3)
 	err := w.Run(func(c *comm.Comm) error {
 		_, _, err := Sort(c, shards[c.Rank()], Options[int64]{Cmp: icmp, Epsilon: 0.1})

@@ -274,6 +274,10 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 	me := e.Rank()
 	keySize := comm.SizeOf[K]()
 	sp := opt.Spill
+	var frameKeys int // keys per read-back frame of a diverted stream
+	if sp != nil {
+		frameKeys = sp.FrameKeys(keySize, p)
+	}
 
 	// Route each bucket run to its destination's chunk queue. Chunks are
 	// zero-copy run views batched in bucket order: consecutive small
@@ -406,11 +410,16 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 		}
 		if sm.keys > 0 {
 			chunkBytes := int64(sm.keys) * keySize
-			if sp != nil && !in.diverted && sp.WouldExceed(chunkBytes) {
+			// Every remote stream still open or replaying from disk may
+			// need one read-back frame resident, and by then the chunks
+			// admitted before its divert can still fill the budget: admit
+			// only what leaves room for all of those frames.
+			tailBytes := int64(openStreams+openTails) * int64(frameKeys) * keySize
+			if sp != nil && !in.diverted && sp.WouldExceed(chunkBytes+tailBytes) {
 				// Budget exhausted: divert the rest of this stream to a
 				// compressed run file. The divert is permanent so the
 				// on-disk remainder stays contiguous and in order.
-				w, werr := spill.NewWriter[K](sp, sp.FrameKeys(keySize, p))
+				w, werr := spill.NewWriter[K](sp, frameKeys)
 				if werr != nil {
 					return werr
 				}

@@ -17,15 +17,13 @@ import (
 type Transport int
 
 const (
-	// TransportSim is the simulated message-passing runtime with full
-	// byte accounting: every Stats field is populated, at the cost of
-	// per-message bookkeeping. The default, and the backend behind all
-	// paper-comparison numbers.
+	// TransportSim is the in-memory message-passing runtime with full
+	// byte accounting: every Stats field is populated. The default, and
+	// the backend behind all paper-comparison numbers.
 	TransportSim Transport = iota
-	// TransportInproc is the zero-copy shared-memory fast path for
-	// production-style throughput runs: payloads move by reference with
-	// no serialization accounting, so sorts run faster but the
-	// communication-volume fields of Stats (SplitterBytes,
+	// TransportInproc is the same in-memory runtime without the
+	// accounting: payloads move by reference through the same inboxes,
+	// and the communication-volume fields of Stats (SplitterBytes,
 	// ExchangeBytes, TotalMsgs, TotalBytes) read zero.
 	TransportInproc
 	// TransportTCP is the multi-process backend: each rank is its own
@@ -99,7 +97,7 @@ var transportSpecs = []transportSpec{
 	{
 		value:   TransportSim,
 		name:    "sim",
-		summary: "simulated in-process runtime with modeled byte accounting (the default)",
+		summary: "in-memory runtime with modeled byte accounting (the default)",
 		build: func(cfg Config) (comm.Transport, error) {
 			return comm.NewSimTransport(cfg.Procs), nil
 		},
@@ -107,7 +105,7 @@ var transportSpecs = []transportSpec{
 	{
 		value:   TransportInproc,
 		name:    "inproc",
-		summary: "zero-copy shared-memory fast path; byte/message stats read zero",
+		summary: "the same in-memory runtime without accounting; byte/message stats read zero",
 		build: func(cfg Config) (comm.Transport, error) {
 			return comm.NewInprocTransport(cfg.Procs), nil
 		},
