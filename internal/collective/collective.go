@@ -12,24 +12,6 @@ type rankedPart[T any] struct {
 	data []T
 }
 
-// Barrier blocks until every rank of e has entered the barrier. It uses
-// the dissemination algorithm: ceil(log2 p) rounds of one send + one recv.
-func Barrier(e comm.Endpoint, tag comm.Tag) error {
-	p := e.Size()
-	me := e.Rank()
-	for mask := 1; mask < p; mask <<= 1 {
-		dst := (me + mask) % p
-		src := (me - mask + p) % p
-		if err := comm.SendValue(e, dst, tag, struct{}{}); err != nil {
-			return fmt.Errorf("collective: barrier send: %w", err)
-		}
-		if _, err := e.Recv(src, tag); err != nil {
-			return fmt.Errorf("collective: barrier recv: %w", err)
-		}
-	}
-	return nil
-}
-
 // Bcast broadcasts root's data slice to all ranks along a binomial tree
 // (ceil(log2 p) rounds, each rank sends at most log p messages). Non-root
 // callers pass nil and receive the broadcast slice; root receives its own

@@ -23,21 +23,6 @@ func runWorld(t *testing.T, p int, fn func(c *comm.Comm) error) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	for _, p := range worldSizes {
-		// A barrier between two phases forces phase-1 sends to precede
-		// phase-2 receives; correctness here is simply termination.
-		runWorld(t, p, func(c *comm.Comm) error {
-			for i := 0; i < 3; i++ {
-				if err := Barrier(c, comm.Tag(100+i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-}
-
 func TestBcastAllRootsAllSizes(t *testing.T) {
 	for _, p := range worldSizes {
 		for root := 0; root < p; root++ {

@@ -1,8 +1,9 @@
 // Package collective implements the communication collectives the paper's
-// cost analysis (§5.1) assumes: dissemination barrier, binomial-tree
-// broadcast and reduction, binomial gather, direct scatter, all-to-allv
-// personalized exchange, and pipelined (chunked chain) broadcast/reduction
-// for large messages.
+// cost analysis (§5.1) assumes: binomial-tree broadcast and reduction,
+// binomial gather, direct scatter, all-to-allv personalized exchange, and
+// pipelined (chunked chain) broadcast/reduction for large messages. The
+// dissemination barrier the analysis also assumes is comm.Comm.Barrier:
+// it runs on the whole world only, on a tag comm reserves.
 //
 // All collectives are built purely on comm.Endpoint Send/Recv, so they run
 // unchanged over a whole World or over a Group (sub-communicator). Every

@@ -10,8 +10,14 @@ import (
 
 // Tag distinguishes message streams between the same pair of ranks.
 // Packages building on comm reserve disjoint tag ranges (see the Tag*
-// constants in internal/collective).
+// constants in internal/core); comm itself reserves the top tag for
+// Barrier.
 type Tag uint32
+
+// tagBarrier is the tag Barrier's messages travel on. No protocol
+// allocates from the top of the tag space, so no other receive can
+// match them.
+const tagBarrier = ^Tag(0)
 
 // AnySource may be passed to Recv as src to match a message from any rank.
 const AnySource = -1
@@ -46,7 +52,7 @@ type Counters struct {
 	// rejoin handshakes: 1 on an endpoint that rejoined an existing
 	// world, plus 1 on each survivor per peer it re-adopted. Both are
 	// lifecycle counters — they describe the mesh, not one run — so
-	// unlike the traffic counters they survive Reset/ResetCounters.
+	// unlike the traffic counters they survive Reset.
 	// Always zero on the in-memory transports.
 	Reconnects, Respawns int64
 }
@@ -159,11 +165,9 @@ func (w *World) Run(fn func(c *Comm) error) error {
 // returns (or from rank r itself) to avoid racing the owning goroutine.
 func (w *World) Counters(r int) Counters { return w.t.Counters(r) }
 
-// TotalCounters sums counters across all ranks.
-func (w *World) TotalCounters() Counters { return w.t.TotalCounters() }
-
-// ResetCounters zeroes all counters. Only call while no ranks are running.
-func (w *World) ResetCounters() { w.t.ResetCounters() }
+// TotalCounters sums the counters of the ranks hosted in this process:
+// TotalCounters(w.Transport()).
+func (w *World) TotalCounters() Counters { return TotalCounters(w.t) }
 
 // Comm is one rank's handle to the World. Endpoint abstracts it so
 // sub-groups (internal/collective.Group) can reuse the collectives.
@@ -288,12 +292,27 @@ func (c *Comm) TryRecv(src int, tag Tag) (Message, bool, error) {
 // RecvAny blocks for the next message with the given tag from any rank.
 func (c *Comm) RecvAny(tag Tag) (Message, error) { return c.Recv(AnySource, tag) }
 
-// Barrier blocks until every rank of the World has entered it. Unlike
-// collective.Barrier (which is built from Send/Recv and also works over
-// sub-groups), this is the transport's native whole-world barrier.
+// Barrier blocks until every rank of the World has entered it. It is the
+// dissemination barrier the paper's cost analysis (§5.1) prices:
+// ⌈log₂p⌉ rounds, in round k one empty message to rank+2^k and one
+// receive from rank−2^k, all on a reserved tag. Like every blocking call
+// of the runtime it waits in an inbox receive, so aborts, cancellation,
+// fault injection and accounting reach it as they reach any Recv, and
+// sim counts its p·⌈log₂p⌉ messages. One tag serves back-to-back
+// barriers: each rank sends to a given peer once per barrier, and
+// pairwise FIFO matches every receive to the same barrier's send.
 func (c *Comm) Barrier() error {
 	if err := c.cancelled(); err != nil {
-		return err
+		return err // a one-rank world sends nothing, so probe here
 	}
-	return c.w.t.Barrier(c.rank)
+	p := c.Size()
+	for mask := 1; mask < p; mask <<= 1 {
+		if err := c.Send((c.rank+mask)%p, tagBarrier, nil, 0); err != nil {
+			return fmt.Errorf("comm: rank %d barrier: %w", c.rank, err)
+		}
+		if _, err := c.Recv((c.rank-mask+p)%p, tagBarrier); err != nil {
+			return fmt.Errorf("comm: rank %d barrier: %w", c.rank, err)
+		}
+	}
+	return nil
 }

@@ -241,9 +241,9 @@ func TestCounters(t *testing.T) {
 	if total.MsgsSent != total.MsgsRecv {
 		t.Errorf("total sent %d != total recv %d", total.MsgsSent, total.MsgsRecv)
 	}
-	w.ResetCounters()
+	w.Transport().Reset()
 	if w.TotalCounters() != (Counters{}) {
-		t.Error("ResetCounters did not zero counters")
+		t.Error("Reset did not zero counters")
 	}
 }
 

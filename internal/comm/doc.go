@@ -9,7 +9,11 @@
 // Two transports ship with the repository (see Transport), and every
 // rank of both receives through one inbox type (mailbox.go): per-sender
 // queues, a parked receiver woken only by the send it matches, and
-// wakeups on abort and close.
+// wakeups on abort and close. Every blocking call of the runtime is a
+// receive from that inbox: Comm.Barrier is the dissemination barrier
+// built from Send/Recv on a reserved tag, and the collectives and
+// exchanges are Send/Recv protocols, so a parked rank is always a
+// waiter registered in its inbox.
 //
 //   - MemTransport: the in-memory backend in two modes. NewSimTransport
 //     (the default) counts bytes as if every payload were serialized, so

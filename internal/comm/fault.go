@@ -109,6 +109,11 @@ type FaultTransport struct {
 	mu     sync.Mutex
 	links  map[[2]int]*faultLink
 	closed bool
+	// sendMu serializes each sender's deliveries to the inner
+	// transport: link workers send on a rank's behalf, concurrently with
+	// one another and with the rank's own self-sends, and an inner
+	// transport may assume one rank's sends never overlap.
+	sendMu []sync.Mutex
 	// epoch invalidates in-flight link deliveries across Reset: a
 	// message popped before a Reset must not land in the next run.
 	epoch atomic.Uint64
@@ -131,9 +136,10 @@ var (
 // NewFaultTransport wraps inner with the fault schedule of spec.
 func NewFaultTransport(inner Transport, spec FaultSpec) *FaultTransport {
 	return &FaultTransport{
-		inner: inner,
-		spec:  spec.withDefaults(),
-		links: make(map[[2]int]*faultLink),
+		inner:  inner,
+		spec:   spec.withDefaults(),
+		links:  make(map[[2]int]*faultLink),
+		sendMu: make([]sync.Mutex, inner.Size()),
 	}
 }
 
@@ -205,7 +211,7 @@ func (ft *FaultTransport) Send(src, dst int, tag Tag, payload any, bytes int64) 
 		}
 	}
 	if src == dst || !ft.spec.lossy() {
-		return ft.inner.Send(src, dst, tag, payload, bytes)
+		return ft.deliver(src, dst, tag, payload, bytes)
 	}
 	if err := ft.inner.Err(); err != nil {
 		return err
@@ -323,8 +329,16 @@ func (l *faultLink) run() {
 		}
 		// Delivery errors surface through the inner transport's abort
 		// latch at the blocked receiver; the link cannot return them.
-		l.ft.inner.Send(l.src, l.dst, m.tag, m.payload, m.bytes)
+		l.ft.deliver(l.src, l.dst, m.tag, m.payload, m.bytes)
 	}
+}
+
+// deliver hands one message of src to the inner transport, under src's
+// send lock.
+func (ft *FaultTransport) deliver(src, dst int, tag Tag, payload any, bytes int64) error {
+	ft.sendMu[src].Lock()
+	defer ft.sendMu[src].Unlock()
+	return ft.inner.Send(src, dst, tag, payload, bytes)
 }
 
 // Size delegates to the inner transport.
@@ -339,9 +353,6 @@ func (ft *FaultTransport) Recv(dst, src int, tag Tag) (Message, error) {
 func (ft *FaultTransport) TryRecv(dst, src int, tag Tag) (Message, bool, error) {
 	return ft.inner.TryRecv(dst, src, tag)
 }
-
-// Barrier delegates to the inner transport.
-func (ft *FaultTransport) Barrier(rank int) error { return ft.inner.Barrier(rank) }
 
 // Abort delegates to the inner transport.
 func (ft *FaultTransport) Abort(err error) { ft.inner.Abort(err) }
@@ -367,12 +378,6 @@ func (ft *FaultTransport) Reset() {
 // Counters delegates to the inner transport (faults add latency, not
 // traffic, so measured counters stay truthful).
 func (ft *FaultTransport) Counters(r int) Counters { return ft.inner.Counters(r) }
-
-// TotalCounters delegates to the inner transport.
-func (ft *FaultTransport) TotalCounters() Counters { return ft.inner.TotalCounters() }
-
-// ResetCounters delegates to the inner transport.
-func (ft *FaultTransport) ResetCounters() { ft.inner.ResetCounters() }
 
 // LocalRanks reports the ranks hosted by the inner transport.
 func (ft *FaultTransport) LocalRanks() []int { return hostedRanks(ft.inner) }

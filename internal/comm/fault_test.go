@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,6 +117,78 @@ func TestFaultCrashEveryRankSeesSameTypedError(t *testing.T) {
 	}
 }
 
+// TestFaultLinkFaultsDelayBarrier: barrier messages cross the fault
+// layer like any other, so drop/delay/dup reach them, and 20 barriers
+// still hold every rank until the last one enters.
+func TestFaultLinkFaultsDelayBarrier(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
+		const p, rounds = 4, 20
+		ft := NewFaultTransport(mk(p), FaultSpec{
+			Seed: 7, Drop: 0.2, Delay: 0.2, Dup: 0.1,
+			MaxDelay: 200 * time.Microsecond,
+		})
+		defer ft.Close()
+		w := NewWorld(p, WithTransport(ft), WithTimeout(20*time.Second))
+		var entered atomic.Int64
+		err := w.Run(func(c *Comm) error {
+			for r := 0; r < rounds; r++ {
+				entered.Add(1)
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if n := entered.Load(); n < int64((r+1)*p) {
+					return fmt.Errorf("barrier %d: rank %d left after %d arrivals", r, c.Rank(), n)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ft.FaultStats(); st.Dropped+st.Delayed+st.Duplicated == 0 {
+			t.Fatalf("no link fault reached %d barriers' messages: %+v", rounds, st)
+		}
+	})
+}
+
+// TestFaultCrashMidBarrier: a crash trigger on the barrier tag fires
+// inside a barrier — the victim dies on its second-round send, after
+// its first-round message went out — and every survivor, whether parked
+// in that barrier or already in the next, fails with a *PeerCrashError
+// naming the victim.
+func TestFaultCrashMidBarrier(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
+		const p, victim = 4, 1
+		ft := NewFaultTransport(mk(p), FaultSpec{
+			CrashRank: victim,
+			CrashWhen: func(src, dst int, tag Tag) bool { return tag == tagBarrier && dst == (src+2)%p },
+		})
+		defer ft.Close()
+		w := NewWorld(p, WithTransport(ft), WithTimeout(20*time.Second))
+		rankErrs := make([]error, p)
+		w.Run(func(c *Comm) error {
+			var err error
+			for i := 0; i < 3 && err == nil; i++ {
+				err = c.Barrier()
+			}
+			rankErrs[c.Rank()] = err
+			return err
+		})
+		for r, err := range rankErrs {
+			if r == victim {
+				continue
+			}
+			var crash *PeerCrashError
+			if !errors.As(err, &crash) || crash.Rank != victim {
+				t.Errorf("survivor %d error %v is not a PeerCrashError for rank %d", r, err, victim)
+			}
+		}
+		if st := ft.FaultStats(); st.Crashes != 1 {
+			t.Errorf("FaultStats.Crashes = %d, want 1", st.Crashes)
+		}
+	})
+}
+
 // ring is the one-round SPMD body of the kill/respawn tests: every rank
 // passes its rank to its successor, checks what its predecessor sent,
 // and enters the barrier.
@@ -182,7 +255,7 @@ func TestTCPLoopbackKillRespawnRejoin(t *testing.T) {
 	if err := pool.Run(ctx, ring); err != nil {
 		t.Fatalf("post-rejoin run: %v", err)
 	}
-	ctr := mesh.TotalCounters()
+	ctr := TotalCounters(mesh)
 	// 1 from the joiner, plus 1 per survivor that re-adopted it.
 	if ctr.Respawns != int64(p) {
 		t.Errorf("TotalCounters().Respawns = %d, want %d", ctr.Respawns, p)

@@ -14,9 +14,12 @@ package comm
 type MemTransport struct {
 	boxes    []*inbox
 	counting bool
-	counters []Counters // each rank's, written only by that rank's goroutine
+	// counters holds each rank's traffic. A rank's receive side is
+	// written by its own goroutine, its send side by Send for that rank,
+	// whose calls never overlap (FaultTransport serializes the sends it
+	// makes on a rank's behalf).
+	counters []Counters
 	abort    abortLatch
-	bar      *cyclicBarrier
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -37,25 +40,26 @@ func newMemTransport(p int, counting bool) *MemTransport {
 	for i := range t.boxes {
 		t.boxes[i] = newInbox(p, t.abort.get)
 	}
-	t.bar = newCyclicBarrier(p, t.abort.get)
 	return t
 }
 
 // Size returns the number of ranks.
 func (t *MemTransport) Size() int { return len(t.boxes) }
 
-// Send enqueues the payload reference in dst's inbox and charges src's
-// counters.
+// Send charges src's counters and enqueues the payload reference in
+// dst's inbox. Charging first orders the charge before whatever waits
+// for the message — the receiver, and a Counters read after Run — even
+// when the send runs on another goroutine than the rank's own.
 func (t *MemTransport) Send(src, dst int, tag Tag, payload any, bytes int64) error {
 	if err := t.abort.get(); err != nil {
 		return err
 	}
-	t.boxes[dst].put(Message{Src: src, Tag: tag, Payload: payload, Bytes: bytes})
 	if t.counting {
 		cnt := &t.counters[src]
 		cnt.MsgsSent++
 		cnt.BytesSent += bytes
 	}
+	t.boxes[dst].put(Message{Src: src, Tag: tag, Payload: payload, Bytes: bytes})
 	return nil
 }
 
@@ -89,16 +93,12 @@ func (t *MemTransport) chargeRecv(dst int, m Message) {
 	}
 }
 
-// Barrier blocks until all p ranks have entered.
-func (t *MemTransport) Barrier(int) error { return t.bar.await() }
-
 // Abort latches err and unblocks all pending and future operations.
 func (t *MemTransport) Abort(err error) {
 	t.abort.set(err)
 	for _, b := range t.boxes {
 		b.wake()
 	}
-	t.bar.wake()
 }
 
 // Err returns the abort error, or nil while the transport is live.
@@ -106,30 +106,17 @@ func (t *MemTransport) Err() error { return t.abort.get() }
 
 // Reset returns the transport to its freshly constructed state: queued
 // messages are discarded (the queues keep their storage for the next
-// run), the abort latch clears, the barrier rearms and counters zero.
-// Only call while no ranks are running.
+// run), the abort latch clears and counters zero. Only call while no
+// ranks are running.
 func (t *MemTransport) Reset() {
 	for _, b := range t.boxes {
 		b.reset()
 	}
 	t.abort.reset()
-	t.bar.reset()
-	t.ResetCounters()
+	clear(t.counters)
 }
 
 // Counters returns a copy of rank r's traffic counters (zero under
 // NewInprocTransport). Call after Run returns (or from rank r itself) to
 // avoid racing the owning goroutine.
 func (t *MemTransport) Counters(r int) Counters { return t.counters[r] }
-
-// TotalCounters sums counters across all ranks.
-func (t *MemTransport) TotalCounters() Counters {
-	var total Counters
-	for i := range t.counters {
-		total.Add(t.counters[i])
-	}
-	return total
-}
-
-// ResetCounters zeroes all counters. Only call while no ranks are running.
-func (t *MemTransport) ResetCounters() { clear(t.counters) }

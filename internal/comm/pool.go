@@ -17,10 +17,11 @@ import (
 // abort or cancellation.
 //
 // Run is additionally context-aware: cancellation (or deadline expiry)
-// flows into the transport's abort machinery, so every rank blocked in
-// Send/Recv/Barrier unblocks with an error satisfying
-// errors.Is(err, ctx.Err()) — the cooperative cancellation path for
-// long-lived sorting services. Ranks that are not blocked see it too:
+// flows into the transport's abort machinery, so every rank parked in a
+// receive (Recv, Barrier, any collective) unblocks with an error
+// satisfying errors.Is(err, ctx.Err()) — the cooperative cancellation
+// path for long-lived sorting services. Ranks that are not blocked see
+// it too:
 // every Comm call probes the run's context on entry, so no rank enters
 // communication after cancel() has returned.
 //

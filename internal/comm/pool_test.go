@@ -18,7 +18,8 @@ func pool(t *testing.T, mk func(p int) Transport, p int) *Pool {
 }
 
 // TestPoolReuse: one Pool serves many runs, each starting from a clean
-// protocol state with per-run counters.
+// protocol state with per-run counters. Each run is a ring shift and a
+// barrier: p messages, plus the barrier's p·⌈log₂p⌉.
 func TestPoolReuse(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
 		const p, runs = 4, 5
@@ -46,9 +47,9 @@ func TestPoolReuse(t *testing.T) {
 				t.Fatalf("run %d: sum = %d, want %d", run, sum.Load(), want)
 			}
 			if mt, ok := pl.Transport().(*MemTransport); ok && mt.counting {
-				total := pl.Transport().TotalCounters()
-				if total.MsgsSent != p {
-					t.Fatalf("run %d: MsgsSent = %d, want %d (counters must reset per run)", run, total.MsgsSent, p)
+				const want = p + p*2
+				if total := TotalCounters(pl.Transport()); total.MsgsSent != want || total.MsgsRecv != want {
+					t.Fatalf("run %d: counters %+v, want %d messages each way (counters must reset per run)", run, total, want)
 				}
 			}
 		}
@@ -274,11 +275,11 @@ func waitForGoroutines(t *testing.T, baseline int) {
 
 // TestTransportReset is the Reset leg of the conformance suite: after
 // queued traffic and an abort, Reset restores a usable transport with
-// empty queues, a clean latch, a rearmed barrier and zeroed counters.
+// empty queues, a clean latch and zeroed counters.
 func TestTransportReset(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
 		const p = 3
-		tr := mk(p)
+		tr := closeLater(t, mk(p))
 		// Leave stale traffic queued and latch an abort.
 		if err := tr.Send(0, 1, 5, "stale", 16); err != nil {
 			t.Fatal(err)
@@ -294,7 +295,7 @@ func TestTransportReset(t *testing.T) {
 		if _, ok, err := tr.TryRecv(1, 0, 5); err != nil || ok {
 			t.Fatalf("stale message survived Reset (ok=%v, err=%v)", ok, err)
 		}
-		if got := tr.TotalCounters(); got != (Counters{}) {
+		if got := TotalCounters(tr); got != (Counters{}) {
 			t.Fatalf("counters survived Reset: %+v", got)
 		}
 		// The barrier must work again.

@@ -185,12 +185,11 @@ func (pc *tcpConn) enqueue(frame []byte) {
 // process and messages cross real TCP sockets (docs/WIRE.md).
 //
 // A TCPTransport hosts exactly one local rank. Send accepts only the
-// local rank as src and Recv/TryRecv/Barrier only the local rank as
-// dst/rank — World and Pool detect this through the RankHoster
-// interface and drive just the hosted rank, so the same SPMD code runs
-// unchanged with p processes instead of p goroutines. For an in-process
-// world over real sockets (tests, single-machine benchmarks), see
-// NewTCPLoopback.
+// local rank as src and Recv/TryRecv only the local rank as dst — World
+// and Pool detect this through the RankHoster interface and drive just
+// the hosted rank, so the same SPMD code runs unchanged with p
+// processes instead of p goroutines. For an in-process world over real
+// sockets (tests, single-machine benchmarks), see NewTCPLoopback.
 //
 // Unlike NewSimTransport's modeled byte accounting, Counters here report
 // measured wire traffic: every frame charges its actual encoded size,
@@ -231,7 +230,6 @@ type TCPTransport struct {
 	// frame dispatch, Abort and the retire step.
 	genMu  sync.Mutex
 	abort  abortLatch
-	bar    tcpBarrier
 	closed atomic.Bool
 
 	// hbSuspend pauses outgoing heartbeats (test hook: a suspended
@@ -247,18 +245,6 @@ var (
 	_ RankHoster = (*TCPTransport)(nil)
 	_ io.Closer  = (*TCPTransport)(nil)
 )
-
-// tcpBarrier is the transport's native barrier, centralized at rank 0:
-// each rank sends a barrier-enter control frame to rank 0, which counts
-// p arrivals per sequence number and broadcasts a release frame. The
-// sequence number travels in the frame's tag field.
-type tcpBarrier struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	seq      uint32         // barriers this rank has entered (this generation)
-	released uint32         // highest released sequence number
-	enters   map[uint32]int // rank 0 only: arrivals per sequence
-}
 
 // DialTCP bootstraps this process's endpoint of a TCP world and blocks
 // until the full connection mesh is up: the coordinator has seen all
@@ -281,8 +267,6 @@ func DialTCP(opts TCPOptions) (*TCPTransport, error) {
 	}
 	t := &TCPTransport{p: opts.Procs, me: opts.Rank, opts: opts}
 	t.box = newInbox(opts.Procs, t.recvErr)
-	t.bar.cond = sync.NewCond(&t.bar.mu)
-	t.bar.enters = make(map[uint32]int)
 	t.conns = make([]atomic.Pointer[tcpConn], opts.Procs)
 	t.stop = make(chan struct{})
 	t.gen.Store(1) // generation 0 is never used: frames always carry ≥ 1
@@ -1248,11 +1232,7 @@ func (t *TCPTransport) applyFrame(h frameHeader, m Message, payload []byte) {
 			}
 		}
 		t.abort.set(aerr)
-		t.wakeAll()
-	case frameBarrierEnter:
-		t.barrierEnter(h.tag)
-	case frameBarrierRelease:
-		t.barrierRelease(h.tag)
+		t.box.wake()
 	}
 }
 
@@ -1272,103 +1252,6 @@ func remoteAbortError(src int, wa wireAbort) error {
 	default:
 		return fmt.Errorf("%w: remote abort from rank %d: %s", ErrAborted, src, wa.Msg)
 	}
-}
-
-// ---------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------
-
-// Barrier blocks the local rank until every rank of the world has
-// entered the same barrier episode.
-func (t *TCPTransport) Barrier(rank int) error {
-	if rank != t.me {
-		return fmt.Errorf("comm: tcp endpoint hosts rank %d, cannot barrier as rank %d", t.me, rank)
-	}
-	t.bar.mu.Lock()
-	t.bar.seq++
-	seq := t.bar.seq
-	t.bar.mu.Unlock()
-
-	if err := t.sendCtrl(0, frameBarrierEnter, seq); err != nil {
-		return err
-	}
-
-	t.bar.mu.Lock()
-	defer t.bar.mu.Unlock()
-	for t.bar.released < seq {
-		if err := t.abort.get(); err != nil {
-			return err
-		}
-		if t.closed.Load() {
-			return ErrTransportClosed
-		}
-		t.bar.cond.Wait()
-	}
-	return nil
-}
-
-// sendCtrl emits a control frame (barrier, abort uses its own path) to
-// dst, looping back locally when dst is the hosted rank. The barrier
-// sequence number travels in the tag field.
-func (t *TCPTransport) sendCtrl(dst int, kind byte, seq uint32) error {
-	if dst == t.me {
-		switch kind {
-		case frameBarrierEnter:
-			t.barrierEnter(seq)
-		case frameBarrierRelease:
-			t.barrierRelease(seq)
-		}
-		return nil
-	}
-	if err := t.abort.get(); err != nil {
-		return err
-	}
-	frame := make([]byte, frameHeaderLen)
-	putFrameHeader(frame, frameHeader{
-		kind: kind,
-		src:  uint32(t.me),
-		dst:  uint32(dst),
-		tag:  seq,
-		gen:  t.gen.Load(),
-	})
-	pc, err := t.live(dst)
-	if err != nil {
-		return err
-	}
-	pc.enqueue(frame)
-	return nil
-}
-
-// barrierEnter records one rank's arrival at barrier seq (rank 0 only)
-// and releases the episode when all p ranks have arrived.
-func (t *TCPTransport) barrierEnter(seq uint32) {
-	if t.me != 0 {
-		return // protocol error; harmless to ignore
-	}
-	t.bar.mu.Lock()
-	t.bar.enters[seq]++
-	complete := t.bar.enters[seq] == t.p
-	if complete {
-		delete(t.bar.enters, seq)
-	}
-	t.bar.mu.Unlock()
-	if !complete {
-		return
-	}
-	for r := 1; r < t.p; r++ {
-		t.sendCtrl(r, frameBarrierRelease, seq)
-	}
-	t.barrierRelease(seq)
-}
-
-// barrierRelease unblocks local waiters of barrier episodes ≤ seq.
-func (t *TCPTransport) barrierRelease(seq uint32) {
-	t.bar.mu.Lock()
-	if seq > t.bar.released {
-		t.bar.released = seq
-	}
-	t.bar.cond.Broadcast()
-	t.bar.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------
@@ -1425,16 +1308,7 @@ func (t *TCPTransport) abortLocked(err error) {
 		})
 		pc.enqueue(frame)
 	}
-	t.wakeAll()
-}
-
-// wakeAll unblocks local waiters so they observe the abort latch or
-// Close.
-func (t *TCPTransport) wakeAll() {
 	t.box.wake()
-	t.bar.mu.Lock()
-	t.bar.cond.Broadcast()
-	t.bar.mu.Unlock()
 }
 
 // Err returns the abort error, or nil while the transport is live.
@@ -1443,7 +1317,8 @@ func (t *TCPTransport) Err() error { return t.abort.get() }
 // Reset advances the transport to the next generation: the epoch bump
 // that lets a long-lived engine reuse one mesh across sorts. Queued
 // messages of the old generation are discarded, the abort latch clears,
-// the barrier rearms, traffic counters zero — and frames a faster peer
+// traffic counters zero (the lifecycle counters, Reconnects and
+// Respawns, describe the mesh and survive) — and frames a faster peer
 // already sent for the new generation are delivered out of the pending
 // buffers. If a peer crashed, Reset first waits up to RejoinWait for it
 // to rejoin (healing the mesh before the next run); peers still lost
@@ -1457,17 +1332,14 @@ func (t *TCPTransport) Reset() {
 	t.genMu.Lock()
 	next := t.gen.Load() + 1
 	t.box.reset()
-	t.bar.mu.Lock()
-	t.bar.seq = 0
-	t.bar.released = 0
-	t.bar.enters = make(map[uint32]int)
-	t.bar.mu.Unlock()
 	t.abort.reset()
 	if crash := t.lost(); crash != nil {
 		// Local only: the rank that trips over it fails the world (runRank).
 		t.abort.set(crash)
 	}
-	t.ResetCounters()
+	t.counters.mu.Lock()
+	t.counters.c = Counters{Reconnects: t.counters.c.Reconnects, Respawns: t.counters.c.Respawns}
+	t.counters.mu.Unlock()
 	t.gen.Store(next)
 	// Deliver frames peers raced ahead with; drop ones that somehow
 	// still precede the new generation.
@@ -1517,24 +1389,6 @@ func (t *TCPTransport) Counters(r int) Counters {
 	return t.counters.c
 }
 
-// TotalCounters returns the local rank's counters: a single process
-// cannot see its peers' counters without communication. Whole-world
-// totals over TCP are the sum of each process's TotalCounters (the
-// loopback mesh does this summation for in-process worlds).
-func (t *TCPTransport) TotalCounters() Counters { return t.Counters(t.me) }
-
-// ResetCounters zeroes the local rank's traffic counters. The lifecycle
-// counters (Reconnects, Respawns) describe the mesh, not one run, and
-// survive.
-func (t *TCPTransport) ResetCounters() {
-	t.counters.mu.Lock()
-	t.counters.c = Counters{
-		Reconnects: t.counters.c.Reconnects,
-		Respawns:   t.counters.c.Respawns,
-	}
-	t.counters.mu.Unlock()
-}
-
 // Close tears the endpoint down gracefully: a shutdown frame and a
 // half-close on every connection, then waiting (up to ShutdownTimeout)
 // for peers to finish their own teardown before force-closing sockets.
@@ -1560,7 +1414,7 @@ func (t *TCPTransport) Close() error {
 		pc.cond.Broadcast()
 		pc.mu.Unlock()
 	}
-	t.wakeAll()
+	t.box.wake()
 
 	done := make(chan struct{})
 	go func() {
@@ -1588,7 +1442,7 @@ func (t *TCPTransport) Kill() {
 	}
 	close(t.stop)
 	t.forceClose()
-	t.wakeAll()
+	t.box.wake()
 	t.wg.Wait()
 }
 
@@ -1737,9 +1591,6 @@ func (m *TCPLoopback) TryRecv(dst, src int, tag Tag) (Message, bool, error) {
 	return m.nodes[dst].TryRecv(dst, src, tag)
 }
 
-// Barrier routes through the entering rank's endpoint.
-func (m *TCPLoopback) Barrier(rank int) error { return m.nodes[rank].Barrier(rank) }
-
 // Abort latches every endpoint immediately (the wire broadcast alone
 // would leave a window in which a not-yet-poisoned endpoint accepts
 // operations).
@@ -1770,22 +1621,6 @@ func (m *TCPLoopback) Reset() {
 
 // Counters returns rank r's measured wire traffic.
 func (m *TCPLoopback) Counters(r int) Counters { return m.nodes[r].Counters(r) }
-
-// TotalCounters sums measured traffic across all ranks.
-func (m *TCPLoopback) TotalCounters() Counters {
-	var total Counters
-	for r, n := range m.nodes {
-		total.Add(n.Counters(r))
-	}
-	return total
-}
-
-// ResetCounters zeroes all ranks' counters.
-func (m *TCPLoopback) ResetCounters() {
-	for _, n := range m.nodes {
-		n.ResetCounters()
-	}
-}
 
 // Close tears down every endpoint concurrently.
 func (m *TCPLoopback) Close() error {

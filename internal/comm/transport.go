@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Transport is the pluggable message-delivery backend a World runs over.
 // Two implementations ship with the repository, and every rank of either
@@ -29,9 +26,14 @@ import (
 //     in send order (pairwise FIFO, the MPI non-overtaking rule).
 //     AnySource carries no ordering guarantee across senders (the
 //     built-in inbox serves the lowest-ranked sender holding a match).
-//   - Barrier blocks until all ranks have entered it.
 //   - Abort latches the first error and unblocks every pending and
-//     future Send/Recv/Barrier with it.
+//     future Send/Recv with it.
+//
+// Recv is the only method a running rank blocks in, and every blocking
+// call of the runtime is built on it: Comm.Barrier is messages on a
+// reserved tag, and the collectives and exchanges are Send/Recv
+// protocols. A parked rank is therefore always a receive registered in
+// an inbox.
 //
 // Callers pass valid rank indexes: Comm validates user-supplied ranks
 // before delegating, so transports may assume 0 <= src, dst < Size()
@@ -51,16 +53,14 @@ type Transport interface {
 	// buffered, without blocking. src may be AnySource. ok reports
 	// whether a message was delivered.
 	TryRecv(dst, src int, tag Tag) (Message, bool, error)
-	// Barrier blocks rank until every rank has entered the barrier.
-	Barrier(rank int) error
 	// Abort unblocks all pending and future operations with err (or
 	// ErrAborted if err is nil). The first abort wins.
 	Abort(err error)
 	// Err returns the abort error, or nil while the transport is live.
 	Err() error
 	// Reset returns the transport to its freshly constructed state:
-	// queued messages are discarded, the abort latch clears, the barrier
-	// rearms and counters zero. Only call while no ranks are running —
+	// queued messages are discarded, the abort latch clears and traffic
+	// counters zero. Only call while no ranks are running —
 	// it is the hook that lets a long-lived engine (comm.Pool) reuse one
 	// transport across sorts, including after an abort or cancellation.
 	Reset()
@@ -69,11 +69,6 @@ type Transport interface {
 	// hook behind the paper's communication-volume measurements.
 	// Non-accounting backends return the zero Counters.
 	Counters(r int) Counters
-	// TotalCounters sums counters across all ranks.
-	TotalCounters() Counters
-	// ResetCounters zeroes all counters. Only call while no ranks are
-	// running.
-	ResetCounters()
 }
 
 // RankHoster is the optional Transport extension of multi-process
@@ -100,6 +95,18 @@ func hostedRanks(t Transport) []int {
 	return all
 }
 
+// TotalCounters sums t's counters over the ranks it hosts in this
+// process: the whole world for an in-memory transport, the local rank
+// for a TCPTransport endpoint (whole-world totals over TCP are the sum
+// over processes). Read it while no hosted rank is running.
+func TotalCounters(t Transport) Counters {
+	var total Counters
+	for _, r := range hostedRanks(t) {
+		total.Add(t.Counters(r))
+	}
+	return total
+}
+
 // abortLatch is the first-abort-wins error latch shared by the built-in
 // transports. It is lock-free: the send and receive paths probe it with
 // one atomic load.
@@ -123,62 +130,3 @@ func (a *abortLatch) get() error {
 
 // reset clears the latch so the transport can be reused.
 func (a *abortLatch) reset() { a.err.Store(nil) }
-
-// cyclicBarrier is a reusable p-party barrier that unblocks early when
-// the owning transport aborts.
-type cyclicBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	arrived int
-	gen     uint64
-	aborted func() error
-}
-
-func newCyclicBarrier(size int, aborted func() error) *cyclicBarrier {
-	b := &cyclicBarrier{size: size, aborted: aborted}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await blocks until size parties have called it (one generation), or
-// until the transport aborts.
-func (b *cyclicBarrier) await() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.aborted(); err != nil {
-		return err
-	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.size {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return nil
-	}
-	for b.gen == gen {
-		b.cond.Wait()
-		if err := b.aborted(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// wake unblocks all waiters so they can observe an abort.
-func (b *cyclicBarrier) wake() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// reset rearms the barrier after an abort. Only call while no parties
-// are waiting (all rank goroutines joined).
-func (b *cyclicBarrier) reset() {
-	b.mu.Lock()
-	b.arrived = 0
-	b.gen++
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}

@@ -5,13 +5,15 @@ package comm
 // and the TCP wire backend (as an in-process loopback mesh, so every
 // byte still crosses the codec, framing and socket path) — pinning down
 // the contract documented on the Transport interface: pairwise FIFO, tag
-// matching, AnySource, native barrier, abort-on-panic. A new backend
+// matching, AnySource, the message barrier, abort-on-panic. A new backend
 // only has to pass this file to be a drop-in replacement.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -327,8 +329,8 @@ func TestConformanceAbortOnPanic(t *testing.T) {
 	})
 }
 
-// TestConformanceAbortUnblocksBarrier: ranks parked in the native
-// barrier are released when the world aborts.
+// TestConformanceAbortUnblocksBarrier: ranks parked in the barrier are
+// released when the world aborts.
 func TestConformanceAbortUnblocksBarrier(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
 		w := world(t, mk, 2)
@@ -345,14 +347,18 @@ func TestConformanceAbortUnblocksBarrier(t *testing.T) {
 }
 
 // TestConformanceBarrier: no rank leaves the barrier before every rank
-// has entered it, across repeated reuse of the same barrier.
+// has entered it, across 50 back-to-back barriers on the one barrier
+// tag. Each rank is late by a random skew before each barrier, so a
+// fast rank's next-barrier messages overtake a slow rank's current one.
 func TestConformanceBarrier(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
-		const p, rounds = 6, 25
+		const p, rounds = 6, 50
 		w := world(t, mk, p)
 		var entered atomic.Int64
 		err := w.Run(func(c *Comm) error {
+			rng := rand.New(rand.NewPCG(1, uint64(c.Rank())))
 			for r := 0; r < rounds; r++ {
+				time.Sleep(time.Duration(rng.IntN(300)) * time.Microsecond)
 				entered.Add(1)
 				if err := c.Barrier(); err != nil {
 					return err
@@ -360,6 +366,102 @@ func TestConformanceBarrier(t *testing.T) {
 				if n := entered.Load(); n < int64((r+1)*p) {
 					return fmt.Errorf("round %d: left barrier after %d arrivals, want >= %d", r, n, (r+1)*p)
 				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestConformanceBarrierIsolation: barrier messages and other streams
+// never match each other. Rank 0's messages on another tag sit queued
+// at rank 1 through the barrier, whose first receive there is from rank
+// 0 too; rank 3 is parked in RecvAny on a third tag while a barrier
+// message reaches its inbox. Afterwards every rank's inbox holds no
+// barrier message and rank 1's queued stream is intact.
+func TestConformanceBarrierIsolation(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
+		const p, n = 4, 10
+		const queued, wake Tag = 21, 22
+		w := world(t, mk, p)
+		err := w.Run(func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				for i := 0; i < n; i++ {
+					if err := SendValue(c, 1, queued, i); err != nil {
+						return err
+					}
+				}
+				// Ranks 1 and 2 enter the barrier meanwhile, and rank 2's
+				// first barrier message lands in parked rank 3's inbox.
+				time.Sleep(20 * time.Millisecond)
+				if err := SendValue(c, 3, wake, "wake"); err != nil {
+					return err
+				}
+			case 3:
+				m, err := c.RecvAny(wake)
+				if err != nil {
+					return err
+				}
+				if m.Src != 0 || m.Payload != "wake" {
+					return fmt.Errorf("RecvAny(%d) took %+v, want rank 0's wake-up", wake, m)
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if _, ok, err := c.TryRecv(AnySource, tagBarrier); err != nil || ok {
+				return fmt.Errorf("rank %d: barrier message left queued (ok=%v, err=%v)", c.Rank(), ok, err)
+			}
+			if c.Rank() == 1 {
+				for i := 0; i < n; i++ {
+					if v, err := RecvValue[int](c, 0, queued); err != nil || v != i {
+						return fmt.Errorf("queued message %d after the barrier: %d, %v", i, v, err)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestConformanceBarrierAcrossReset: a barrier aborted by a panic leaves
+// barrier messages queued or in flight; the Pool's Reset must discard
+// them, so the next run's barrier still holds every rank until the last
+// one enters.
+func TestConformanceBarrierAcrossReset(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, mk func(p int) Transport) {
+		const p = 4
+		pl := pool(t, mk, p)
+		defer pl.Close()
+		err := pl.Run(context.Background(), func(c *Comm) error {
+			if c.Rank() == 0 {
+				time.Sleep(20 * time.Millisecond) // the peers' barrier messages go out
+				panic("boom")
+			}
+			return c.Barrier()
+		})
+		if err == nil || !strings.Contains(err.Error(), "rank 0 panicked") {
+			t.Fatalf("aborted barrier: %v, want the rank-0 panic", err)
+		}
+		var entered atomic.Int64
+		err = pl.Run(context.Background(), func(c *Comm) error {
+			if c.Rank() == p-1 {
+				// Ranks 0 and 1 hold stale messages from this rank: if
+				// they survived Reset, those ranks would leave now.
+				time.Sleep(20 * time.Millisecond)
+			}
+			entered.Add(1)
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if n := entered.Load(); n < p {
+				return fmt.Errorf("rank %d left the barrier after %d arrivals: a message of the aborted run crossed into this one", c.Rank(), n)
 			}
 			return nil
 		})

@@ -61,7 +61,12 @@ import (
 // field of the abort payload; a rejoin-data is now acked after the peer
 // adopted the connection, not before. An hsswire/3 joiner would present
 // incarnation 0 and be refused, so the versions must not mix.
-const wireProtoVersion = 4
+//
+// Version 5 removed the barrier-enter and barrier-release frame kinds
+// (Comm.Barrier is now data frames on a reserved tag) and renumbered
+// shutdown and heartbeat to 3 and 4. An hsswire/4 peer would read a
+// shutdown as a barrier frame, so the versions must not mix.
+const wireProtoVersion = 5
 
 // Frame kinds. A frame is the unit of the TCP transport's framing layer:
 // a fixed 25-byte header followed by length payload bytes (see
@@ -74,11 +79,6 @@ const (
 	// frameAbort propagates an abort latch: payload is a JSON
 	// wireAbort. Fenced by generation like data.
 	frameAbort
-	// frameBarrierEnter and frameBarrierRelease implement the
-	// transport's native barrier, centralized at rank 0. The barrier
-	// sequence number travels in the tag field; payload is empty.
-	frameBarrierEnter
-	frameBarrierRelease
 	// frameShutdown announces a graceful close of the sending side;
 	// a subsequent EOF from that peer is teardown, not failure.
 	frameShutdown

@@ -1,8 +1,15 @@
 package comm
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -194,5 +201,74 @@ func TestWireFastPathMatchesReflectPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tail(fast), tail(boxed)) {
 		t.Errorf("fast-path bytes %v != reflect-path bytes %v", tail(fast), tail(boxed))
+	}
+}
+
+// TestWireDocInSync: docs/WIRE.md describes the protocol wire.go
+// speaks. Every protocol identifier in it is the current hsswire/N —
+// except a parenthesized "(hsswire/N)", which dates a feature in the
+// version history — and its frame-kind table lists exactly the kinds
+// wire.go declares, with the numbers this test pins.
+func TestWireDocInSync(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/WIRE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	current := 0
+	for _, m := range regexp.MustCompile(`(\(?)hsswire/(\d+)(\)?)`).FindAllStringSubmatch(doc, -1) {
+		switch {
+		case m[1] == "(" && m[3] == ")":
+			// Version history: "(hsswire/3)" dates a feature.
+		case "hsswire/"+m[2] != protoID:
+			t.Errorf("docs/WIRE.md names %s, the protocol is %s", strings.Trim(m[0], "()"), protoID)
+		default:
+			current++
+		}
+	}
+	if current == 0 {
+		t.Errorf("docs/WIRE.md never names the current protocol %s", protoID)
+	}
+
+	want := map[string]int{"data": 1, "abort": 2, "shutdown": 3, "heartbeat": 4}
+	code := map[string]int{"data": frameData, "abort": frameAbort, "shutdown": frameShutdown, "heartbeat": frameHeartbeat}
+	if !reflect.DeepEqual(code, want) {
+		t.Errorf("wire.go numbers the frame kinds %v, want %v", code, want)
+	}
+	// Every frame-kind constant wire.go declares must be pinned above.
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST {
+			for _, spec := range g.Specs {
+				for _, n := range spec.(*ast.ValueSpec).Names {
+					kind, ok := strings.CutPrefix(n.Name, "frame")
+					if !ok || kind == "HeaderLen" {
+						continue
+					}
+					if _, ok := want[strings.ToLower(kind)]; !ok {
+						t.Errorf("wire.go declares frame kind %s, which this test does not pin", n.Name)
+					}
+				}
+			}
+		}
+	}
+
+	i := strings.Index(doc, "Frame kinds:")
+	if i < 0 {
+		t.Fatal("docs/WIRE.md has no frame-kind table")
+	}
+	section := doc[i:]
+	if j := strings.Index(section, "\n## "); j >= 0 {
+		section = section[:j]
+	}
+	documented := map[string]int{}
+	for _, m := range regexp.MustCompile("(?m)^\\|\\s*(\\d+)\\s*\\|\\s*`([a-z-]+)`").FindAllStringSubmatch(section, -1) {
+		documented[m[2]], _ = strconv.Atoi(m[1])
+	}
+	if !reflect.DeepEqual(documented, want) {
+		t.Errorf("docs/WIRE.md's frame-kind table lists %v, wire.go defines %v", documented, want)
 	}
 }

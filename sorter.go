@@ -595,7 +595,7 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		s.resetSpills()
 		return nil, Stats{}, ctxErr(ctx, err)
 	}
-	total := s.pool.Transport().TotalCounters()
+	total := comm.TotalCounters(s.pool.Transport())
 	stats.TotalMsgs = total.MsgsSent
 	stats.TotalBytes = total.BytesSent
 	if front == nil {
