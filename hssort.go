@@ -262,7 +262,8 @@ type Config struct {
 	// sources. The budget never bounds caller-owned arrays: the input
 	// shards and the output partitions are the caller's memory, so the
 	// local sort orders a shard of any size in place (switching to a
-	// scratch-free radix kernel above half the budget) and writes
+	// scratch-free radix kernel when the shard and the scatter kernel's
+	// scratch would exceed the budget) and writes
 	// nothing to disk. Output is byte-identical to the in-memory sort;
 	// Stats.SpilledBytes reports the traffic. For fixed-size key types
 	// without pointers (ints, floats, plain structs of them — not

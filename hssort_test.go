@@ -163,8 +163,8 @@ func TestFacadeProperty(t *testing.T) {
 	}
 }
 
-func cloneShards(shards [][]int64) [][]int64 {
-	out := make([][]int64, len(shards))
+func cloneShards[K any](shards [][]K) [][]K {
+	out := make([][]K, len(shards))
 	for i := range shards {
 		out[i] = slices.Clone(shards[i])
 	}

@@ -6,7 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"hssort/internal/dist"
 	"hssort/internal/keycoder"
+	"hssort/internal/par"
 )
 
 // testInputs yields code arrays across the shapes that stress a radix
@@ -48,6 +50,98 @@ func TestSortMatchesSlicesSort(t *testing.T) {
 			t.Fatalf("Sort diverged from slices.Sort on %d codes", len(in))
 		}
 	}
+}
+
+// scratchInputs adds the shapes the scatter kernel's own decisions turn
+// on: where its first digit starts, whether one scatter finishes the
+// sort, and whether a level-2 sub-bucket outgrows the insertion cutoff.
+func scratchInputs(rng *rand.Rand) [][]Code {
+	var out [][]Code
+	for _, n := range []int{insertionCutoff - 1, insertionCutoff + 1, 1<<wideBits - 1, 1<<wideBits + 1, 5000, parCutoff + 1} {
+		lowByte := make([]Code, n) // highest differing bit below 8: one scatter
+		lowBits := make([]Code, n) // only the low 20 bits differ
+		sign := make([]Code, n)    // int64 keys around zero straddle the sign bit
+		dataBound := make([]Code, n)
+		logUniform := make([]Code, n) // a hot low bucket: level-2 sub-buckets over the cutoff
+		for i := 0; i < n; i++ {
+			lowByte[i] = 0xdead_beef_0000_0000 | Code(rng.Uint64N(256))
+			lowBits[i] = 0x0123_4567_8900_0000 | Code(rng.Uint64N(1<<20))
+			logUniform[i] = Code(rng.Uint64() >> rng.UintN(64))
+		}
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = rng.Int64N(2001) - 1000
+		}
+		EncodeInto[int64](keycoder.Int64{}, keys, sign)
+		EncodeInto[int64](keycoder.Int64{}, dist.Spec{Kind: dist.Uniform}.Shard(n, 0, 1, uint64(n)), dataBound)
+		out = append(out, lowByte, lowBits, sign, dataBound, logUniform)
+	}
+	return out
+}
+
+// TestSortScratchMatchesSlicesSort holds the scatter kernel to
+// slices.Sort on every shape the in-place kernels are tested on plus its
+// own, at Workers 1–4, with scratch as long as the input and longer.
+func TestSortScratchMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 26))
+	inputs := slices.Concat(testInputs(rng), parInputs(rng), scratchInputs(rng))
+	for i, in := range inputs {
+		want := slices.Clone(in)
+		slices.Sort(want)
+		for workers := 1; workers <= 4; workers++ {
+			extra := i % 3 * 17 // len(tmp) > len(cs) on two inputs in three
+			got := slices.Clone(in)
+			tmp := make([]Code, len(in)+extra)
+			SortScratch(got, tmp, par.New(workers))
+			if !slices.Equal(got, want) {
+				t.Fatalf("input %d (n=%d) workers=%d: SortScratch diverged from slices.Sort", i, len(in), workers)
+			}
+		}
+	}
+}
+
+// TestSortScratchAllocs: the serial scatter kernel on a caller's scratch
+// allocates nothing, on the two-level path and through the in-place
+// finish of an oversized sub-bucket alike.
+func TestSortScratchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 28))
+	for _, in := range scratchInputs(rng)[20:25] { // the 5000-code shapes
+		buf, tmp := make([]Code, len(in)), make([]Code, len(in))
+		allocs := testing.AllocsPerRun(10, func() {
+			copy(buf, in)
+			SortScratch(buf, tmp, nil)
+		})
+		if allocs != 0 {
+			t.Fatalf("serial SortScratch allocated %.1f times per run", allocs)
+		}
+	}
+}
+
+// FuzzSortScratch: codes built from the fuzzer's bytes — each byte is
+// one code's varying digit, placed at a fuzzed bit offset over a fuzzed
+// constant, the stream tiled with a per-tile offset so short inputs
+// still reach level 2 and the parallel path — sort as slices.Sort does.
+func FuzzSortScratch(f *testing.F) {
+	f.Add([]byte{3, 1, 2}, uint8(0), uint64(0), uint16(0), uint8(1))
+	f.Add([]byte("radix sort with scratch"), uint8(52), uint64(1<<63), uint16(300), uint8(2))
+	f.Add(make([]byte, 64), uint8(7), ^uint64(0), uint16(1000), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8, base uint64, tiles uint16, workers uint8) {
+		if len(data) == 0 {
+			return
+		}
+		n := min(len(data)*(int(tiles)+1), 1<<15)
+		cs := make([]Code, n)
+		for i := range cs {
+			tile := Code(i / len(data))
+			cs[i] = Code(base) ^ Code(data[i%len(data)])<<(shift%57) ^ tile*0x9e37
+		}
+		want := slices.Clone(cs)
+		slices.Sort(want)
+		SortScratch(cs, make([]Code, n), par.New(int(workers%4)+1))
+		if !slices.Equal(cs, want) {
+			t.Fatalf("n=%d shift=%d: SortScratch diverged from slices.Sort", n, shift%57)
+		}
+	})
 }
 
 func TestSortByCodeTandem(t *testing.T) {
@@ -205,6 +299,31 @@ func BenchmarkCodeLocalSort(b *testing.B) {
 		}
 		b.SetBytes(n * 8)
 	})
+	// The ledger's key shapes, in place and on a reused scratch: the
+	// encoded [0, 2^60) int64 keys of data_bound, whose top byte holds
+	// only 16 values, and spill_2x's zipfian.
+	for _, kind := range []dist.Kind{dist.Uniform, dist.Zipfian} {
+		in := EncodeSlice[int64](keycoder.Int64{}, dist.Spec{Kind: kind}.Shard(n, 0, 4, 1))
+		buf, tmp := make([]Code, n), make([]Code, n)
+		for _, k := range []struct {
+			name string
+			sort func()
+		}{
+			{"inplace", func() { Sort(buf) }},
+			{"scratch", func() { SortScratch(buf, tmp, nil) }},
+		} {
+			b.Run(kind.String()+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(buf, in)
+					b.StartTimer()
+					k.sort()
+				}
+				b.SetBytes(n * 8)
+			})
+		}
+	}
 	b.Run("comparator", func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]Code, n)

@@ -6,9 +6,10 @@
 // payload-carrying records, an order-preserving code extractor.
 //
 // The package defines the Code point type and the branch-predictable
-// kernels over code slices: an in-place MSD radix sort (with a tandem
-// variant that drags record payloads along, the decorate-sort-undecorate
-// plane for KV data), histogram ranks and partition cuts (branch-lean
+// kernels over code slices: an out-of-place two-level MSD radix sort on
+// caller scratch (SortScratch) and a scratch-free in-place one (Sort),
+// each with a tandem variant that drags record payloads along (the
+// decorate-sort-undecorate plane for KV data), histogram ranks and partition cuts (branch-lean
 // binary searches when probes are few, one forward sweep through keys
 // and sorted probes when they rival the keys — ForwardScanBetter is the
 // shared rule), and the comparator tie-break pass for the prefix plane.

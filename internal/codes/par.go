@@ -1,14 +1,11 @@
 package codes
 
-// The parallel local-sort and codec kernels: the same MSD radix sort and
-// encode/decode maps as sort.go and codes.go, fanned over a bounded
-// par.Pool. The top radix level is rewritten as a count/scatter pass —
-// parallel strided counts, per-worker per-bucket offsets, a stable
-// scatter into scratch, copy-back — and the 256 byte buckets then
-// recurse through the serial in-place kernel, one bucket per task.
-// SortByCodeInPlace trades the parallel top level for a serial in-place
-// flagPass and keeps only the bucket fan-out, for callers that must not
-// allocate shard-sized scratch.
+// The parallel local-sort and codec kernels: the scatter sort of
+// scatter.go and the encode/decode maps of codes.go, fanned over a
+// bounded par.Pool. SortPar and the parallel tandem plane are the
+// scatter kernel on scratch of their own; SortByCodeInPlace runs the
+// in-place kernel's top level serially and fans out only its byte
+// buckets, for callers that must not allocate shard-sized scratch.
 //
 // Determinism: every scatter position is a pure function of the input
 // and the (n, workers)-deterministic par.Blocks boundaries, and bucket
@@ -19,9 +16,11 @@ package codes
 // riding their codes, duplicate-code payload order unspecified.
 //
 // A one-worker pool or a small input short-circuits to the serial
-// kernels, so Workers=1 pipelines run byte-for-byte the PR 5 code.
+// kernels.
 
 import (
+	"unsafe"
+
 	"hssort/internal/keycoder"
 	"hssort/internal/par"
 )
@@ -31,21 +30,20 @@ import (
 // pass and goroutine fork-join cost more than they save.
 const parCutoff = 1 << 14
 
-// SortPar is Sort fanned over the pool: one parallel count/scatter pass
-// on the top radix byte, then the byte buckets sorted serially in
-// parallel. Falls back to Sort for one-worker pools and small inputs.
+// SortPar is SortScratch on scratch of its own: the scatter kernel,
+// fanned over the pool unless it has one worker or the input is small.
 func SortPar(cs []Code, p *par.Pool) {
-	if p.Workers() == 1 || len(cs) < parCutoff {
-		Sort(cs)
+	if len(cs) <= insertionCutoff {
+		insertion(cs)
 		return
 	}
-	parMSD[struct{}](cs, nil, topShift, p)
+	SortScratch(cs, make([]Code, len(cs)), p)
 }
 
 // SortByCodePar is SortByCode fanned over the pool: parallel extraction,
-// then the tandem count/scatter sort. The pure code plane delegates to
-// SortPar; one-worker pools and small inputs fall back to the serial
-// kernel.
+// then the scatter kernel with the payloads in tow. The pure code plane
+// delegates to SortPar; one-worker pools and small inputs fall back to
+// the serial in-place kernel.
 func SortByCodePar[E any](elems []E, code func(E) uint64, p *par.Pool) []Code {
 	if cs, ok := any(elems).([]Code); ok {
 		SortPar(cs, p)
@@ -54,21 +52,29 @@ func SortByCodePar[E any](elems []E, code func(E) uint64, p *par.Pool) []Code {
 	if p.Workers() == 1 || len(elems) < parCutoff {
 		return SortByCode(elems, code)
 	}
-	cs := make([]Code, len(elems))
-	blocks := par.Blocks(len(elems), p.Workers())
-	p.Do(len(blocks), func(i int) {
-		for j := blocks[i].Lo; j < blocks[i].Hi; j++ {
-			cs[j] = Code(code(elems[j]))
-		}
-	})
-	parMSD(cs, elems, topShift, p)
+	cs := ExtractPar(elems, code, p)
+	scatterSort(cs, make([]Code, len(cs)), elems, make([]E, len(elems)), p)
 	return cs
+}
+
+// ScratchBytes is the memory, in bytes, that SortByCodePar takes beyond
+// elems on a pool like p: on the pure plane the scatter scratch, a code
+// per key; on a decorated plane the code array it returns, plus — where
+// it fans out — the scatter scratch for codes and payloads. A caller
+// under a memory budget charges it before picking SortByCodePar over
+// SortByCodeInPlace.
+func ScratchBytes[E any](n int, p *par.Pool) int64 {
+	var zero E
+	if _, pure := any(zero).(Code); pure || p.Workers() == 1 || n < parCutoff {
+		return int64(n) * 8
+	}
+	return int64(n) * (16 + int64(unsafe.Sizeof(zero)))
 }
 
 // SortByCodeInPlace is SortByCodePar without the shard-sized scratch:
 // the top radix level is one serial in-place flagPass instead of the
-// parallel count/scatter, and the byte buckets are then fanned over the
-// pool exactly as in parMSD. Beyond the returned code array (which is
+// parallel count/scatter, and the byte buckets are then sorted in
+// place, one pool task each. Beyond the returned code array (which is
 // elems itself on the pure code plane) its allocation is O(1), which is
 // what lets a memory-budgeted rank sort a resident shard of any size
 // (spill.LocalSort). The result carries the same guarantee as
@@ -108,85 +114,6 @@ func sortBuckets[E any](cs []Code, pay []E, end *[256]int, shift int, p *par.Poo
 			msdTandem(cs[lo:hi], pay[lo:hi], shift)
 		}
 	})
-}
-
-// parMSD runs the top radix level as a stable parallel count/scatter —
-// with pay (when non-nil) permuted in lockstep — then recurses serially
-// per byte bucket, buckets fanned over the pool. Degenerate levels
-// (every code sharing the byte) are skipped without permuting, exactly
-// as in the serial msd.
-func parMSD[E any](cs []Code, pay []E, shift int, p *par.Pool) {
-	n := len(cs)
-	blocks := par.Blocks(n, p.Workers())
-	nb := len(blocks)
-	counts := make([][256]int, nb)
-	var total [256]int
-	for {
-		p.Do(nb, func(i int) {
-			cnt := &counts[i]
-			*cnt = [256]int{}
-			for _, c := range cs[blocks[i].Lo:blocks[i].Hi] {
-				cnt[uint8(c>>shift)]++
-			}
-		})
-		total = [256]int{}
-		for i := range counts {
-			for b := range total {
-				total[b] += counts[i][b]
-			}
-		}
-		if total[uint8(cs[0]>>shift)] == n {
-			if shift == 0 {
-				return
-			}
-			shift -= 8
-			continue
-		}
-		break
-	}
-	// pos[b] starts at bucket b's offset in the rebuilt array;
-	// offsets[i][b] is where block i's bucket-b codes land inside it, and
-	// once every block is placed pos[b] has reached the bucket's end.
-	// Blocks write in index order, so the scatter is stable and —
-	// positions being pure functions of the counts — deterministic.
-	var pos [256]int
-	sum := 0
-	for b := range pos {
-		pos[b] = sum
-		sum += total[b]
-	}
-	offsets := make([][256]int, nb)
-	for i := 0; i < nb; i++ {
-		offsets[i] = pos
-		for b := range pos {
-			pos[b] += counts[i][b]
-		}
-	}
-	scratch := make([]Code, n)
-	var payScratch []E
-	if pay != nil {
-		payScratch = make([]E, n)
-	}
-	p.Do(nb, func(i int) {
-		off := offsets[i]
-		for j := blocks[i].Lo; j < blocks[i].Hi; j++ {
-			d := uint8(cs[j] >> shift)
-			scratch[off[d]] = cs[j]
-			if pay != nil {
-				payScratch[off[d]] = pay[j]
-			}
-			off[d]++
-		}
-	})
-	p.Do(nb, func(i int) {
-		copy(cs[blocks[i].Lo:blocks[i].Hi], scratch[blocks[i].Lo:blocks[i].Hi])
-		if pay != nil {
-			copy(pay[blocks[i].Lo:blocks[i].Hi], payScratch[blocks[i].Lo:blocks[i].Hi])
-		}
-	})
-	if shift > 0 {
-		sortBuckets(cs, pay, &pos, shift-8, p)
-	}
 }
 
 // EncodeIntoPar is EncodeInto with the coder map fanned over the pool in

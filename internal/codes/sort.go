@@ -1,15 +1,18 @@
 package codes
 
-// The local-sort kernels: an in-place byte-wise MSD radix sort
+// The in-place local-sort kernels: a byte-wise MSD radix sort
 // (american-flag permutation) over code arrays, hybridized with insertion
-// sort below a cutoff — the comparator-free replacement for
-// slices.SortFunc on every rank's local-sort phase. The tandem variant
-// drags an arbitrary payload array through the same permutation, which is
-// how payload-carrying records (hssort.KV) ride the code plane:
-// decorate with codes, radix-sort codes and records together, and the
-// records never see a comparator.
+// sort below a cutoff. The scatter kernel (scatter.go) is the fast
+// local sort; this one needs no scratch and serves where a second
+// shard-sized array is not allowed — spill.LocalSort over its budget,
+// Sort called without scratch — and as the scatter kernel's finish for
+// sub-buckets above the cutoff. The tandem variant drags an arbitrary
+// payload array through the same permutation, which is how
+// payload-carrying records (hssort.KV) ride the code plane: decorate
+// with codes, radix-sort codes and records together, and the records
+// never see a comparator.
 //
-// Neither kernel is stable; neither is slices.SortFunc (pdqsort), so the
+// No kernel is stable; neither is slices.SortFunc (pdqsort), so the
 // pipelines' ordering guarantees are unchanged: equal keys have equal
 // codes, and every downstream tie-break (bucket cuts, merge order) is a
 // function of the code alone.
@@ -28,7 +31,8 @@ func Sort(cs []Code) {
 }
 
 // msd sorts cs by the byte at the given shift, then recurses into each
-// byte bucket.
+// byte bucket. The shift need not be a multiple of 8: the byte below
+// the one at shift s starts at max(s-8, 0).
 func msd(cs []Code, shift int) {
 	if len(cs) <= insertionCutoff {
 		insertion(cs)
@@ -42,7 +46,7 @@ func msd(cs []Code, shift int) {
 	lo := 0
 	for _, hi := range end {
 		if hi-lo > 1 {
-			msd(cs[lo:hi], shift-8)
+			msd(cs[lo:hi], max(shift-8, 0))
 		}
 		lo = hi
 	}
@@ -56,7 +60,8 @@ func msd(cs []Code, shift int) {
 // when the encoded key range is narrow — are skipped without permuting,
 // so the returned shift can be lower than the one passed in. A return of
 // 0 means cs is fully sorted: callers recurse into the buckets of end
-// only on a positive shift. cs must be non-empty.
+// only on a positive shift. cs must be non-empty, and its codes must
+// agree on every bit above the byte at shift.
 func flagPass[E any](cs []Code, pay []E, shift int, end *[256]int) int {
 	var counts [256]int
 	for {
@@ -71,7 +76,7 @@ func flagPass[E any](cs []Code, pay []E, shift int, end *[256]int) int {
 			return 0
 		}
 		counts[uint8(cs[0]>>shift)] = 0
-		shift -= 8
+		shift = max(shift-8, 0)
 	}
 	var next [256]int
 	sum := 0
@@ -153,7 +158,7 @@ func msdTandem[E any](cs []Code, pay []E, shift int) {
 	lo := 0
 	for _, hi := range end {
 		if hi-lo > 1 {
-			msdTandem(cs[lo:hi], pay[lo:hi], shift-8)
+			msdTandem(cs[lo:hi], pay[lo:hi], max(shift-8, 0))
 		}
 		lo = hi
 	}

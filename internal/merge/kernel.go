@@ -46,6 +46,21 @@ func (sc *Scratch[E]) Clear() {
 	sc.elems = sc.elems[:0]
 }
 
+// BorrowCodes returns n codes of the scratch's first code array, grown
+// if needed and kept for the merges that follow, for a caller that needs
+// code scratch between merges (a rank's local sort). The contents are
+// unspecified, and the next merge may overwrite them. A nil Scratch
+// returns a fresh array.
+func (sc *Scratch[E]) BorrowCodes(n int) []codes.Code {
+	if sc == nil {
+		return make([]codes.Code, n)
+	}
+	if len(sc.codes[0]) < n {
+		sc.codes[0] = grown(sc.codes[0], n)
+	}
+	return sc.codes[0][:n]
+}
+
 // plane says which arrays a merge orders by: codes alone (the elements
 // are their own codes), codes with element payloads in tow and an
 // optional tie comparator, or the comparator alone.

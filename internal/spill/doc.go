@@ -28,8 +28,8 @@
 //   - LocalSort: the local-sort kernel shared by the sort pipelines.
 //     It never spills — the shard is the caller's array, already
 //     resident, and is sorted in place. The budget only picks the
-//     kernel: the parallel radix sort with its shard-sized scatter
-//     scratch while the shard fits half the budget, the scratch-free
+//     kernel: the radix scatter kernel while the shard plus its scratch
+//     (codes.ScratchBytes) fits the budget, the scratch-free
 //     codes.SortByCodeInPlace above that (slices.SortFunc on the
 //     comparator plane either way) — output identical.
 //

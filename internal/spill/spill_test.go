@@ -379,6 +379,60 @@ func checkLocalSortInRAM[K comparable](t *testing.T, input []K, code func(K) uin
 	}
 }
 
+// TestLocalSortUnderBudgetScratchFits: a shard that fits its budget is
+// sorted with no more memory than the budget — the shard plus every byte
+// the kernel allocates, returned codes included — on the pure and the
+// decorated plane, serial and fanned out. The decorated plane's scatter
+// kernel needs code and payload scratch on top of the codes it returns,
+// three times an 8-byte-keyed shard of 16-byte records; that one must
+// take the in-place kernel.
+func TestLocalSortUnderBudgetScratchFits(t *testing.T) {
+	const n = 50_000 // above codes' parallel cutoff, so Workers > 1 fans out
+	rng := rand.New(rand.NewSource(43))
+	cs := make([]codes.Code, n)
+	recs := make([]record, n)
+	for i := range cs {
+		cs[i] = codes.Code(rng.Uint64())
+		recs[i] = record{A: rng.Uint64(), B: int32(i)}
+	}
+	recCode := func(r record) uint64 { return r.A }
+	recCmp := func(a, b record) int { return codes.Compare(codes.Code(a.A), codes.Code(b.A)) }
+	budget := int64(n) * int64(unsafe.Sizeof(record{})) * 2 // twice the record shard
+	for _, workers := range []int{1, 3} {
+		pool := par.New(workers)
+		t.Run(fmt.Sprintf("code/w%d", workers), func(t *testing.T) {
+			checkLocalSortFits(t, cs, codes.ExtractCode, codes.Compare, pool, budget)
+		})
+		t.Run(fmt.Sprintf("tandem/w%d", workers), func(t *testing.T) {
+			checkLocalSortFits(t, recs, recCode, recCmp, pool, budget)
+		})
+	}
+}
+
+func checkLocalSortFits[K comparable](t *testing.T, input []K, code func(K) uint64, cmp func(K, K) int, pool *par.Pool, budget int64) {
+	t.Helper()
+	want := slices.Clone(input)
+	wantCodes, _ := LocalSort(nil, want, code, cmp, pool)
+
+	m := newTestManager(t, budget)
+	local := slices.Clone(input)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gotCodes, err := LocalSort(m, local, code, cmp, pool)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(local, want) || !slices.Equal(gotCodes, wantCodes) {
+		t.Fatal("budgeted local sort differs from the in-memory kernel")
+	}
+	var zero K
+	shard := int64(len(input)) * int64(unsafe.Sizeof(zero))
+	if used := shard + int64(after.TotalAlloc-before.TotalAlloc); used > budget {
+		t.Fatalf("shard %d + allocations %d = %d bytes, budget %d", shard, used-shard, used, budget)
+	}
+}
+
 func TestLocalSortInMemoryUnderBudget(t *testing.T) {
 	m := newTestManager(t, 1<<30)
 	local := []codes.Code{5, 3, 9, 1}

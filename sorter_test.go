@@ -2,6 +2,7 @@ package hssort
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -18,17 +19,37 @@ import (
 var bg = context.Background()
 
 // TestSorterReuse: one engine serves many sorts, each rank-identical to
-// a one-shot Sort of the same input.
+// a one-shot Sort of the same input. Every round's output is kept and
+// checked again after the last round, on both exchange forms and for
+// int64 and float64 keys, so scratch the engine keeps — and borrows
+// across phases — between sorts can never alias an output it returned.
 func TestSorterReuse(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stream=%v/int64", stream), func(t *testing.T) {
+			checkSorterReuse(t, stream, func(x int64) int64 { return x })
+		})
+		t.Run(fmt.Sprintf("stream=%v/float64", stream), func(t *testing.T) {
+			checkSorterReuse(t, stream, func(x int64) float64 { return float64(x) / 3 })
+		})
+	}
+}
+
+func checkSorterReuse[K cmp.Ordered](t *testing.T, stream bool, key func(int64) K) {
 	const p, perRank, rounds = 4, 1500, 4
-	cfg := Config{Procs: p, Epsilon: 0.1, Seed: 5}
-	s, err := New[int64](cfg)
+	cfg := Config{Procs: p, Epsilon: 0.1, Seed: 5, StreamExchange: stream}
+	s, err := New[K](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	var wants, gots [][][]K
 	for round := 0; round < rounds; round++ {
-		shards := shardsFor(t, dist.Gaussian, p, perRank, uint64(round+1))
+		shards := make([][]K, p)
+		for r, sh := range shardsFor(t, dist.Gaussian, p, perRank, uint64(round+1)) {
+			for _, x := range sh {
+				shards[r] = append(shards[r], key(x))
+			}
+		}
 		want, wantStats, err := Sort(cfg, cloneShards(shards))
 		if err != nil {
 			t.Fatal(err)
@@ -44,6 +65,14 @@ func TestSorterReuse(t *testing.T) {
 		}
 		if gotStats.Rounds != wantStats.Rounds || gotStats.TotalSample != wantStats.TotalSample {
 			t.Fatalf("round %d: protocol stats diverged: %+v vs %+v", round, gotStats, wantStats)
+		}
+		wants, gots = append(wants, want), append(gots, got)
+	}
+	for round := range gots {
+		for r := range gots[round] {
+			if !slices.Equal(wants[round][r], gots[round][r]) {
+				t.Fatalf("round %d rank %d: a later sort changed this output", round, r)
+			}
 		}
 	}
 }
