@@ -108,6 +108,12 @@ func streaming(c *cell, streamed bool) {
 	}
 }
 
+// streams is ExchangeMerge's rule seen from a Config: the materializing
+// exchange runs only with streaming off and no memory budget.
+func streams(cfg Config) bool {
+	return cfg.StreamExchange || cfg.ChunkKeys > 0 || cfg.MemoryBudget > 0
+}
+
 // val is one value of one dimension: the name it adds to a cell's path
 // and what it sets.
 type val struct {
@@ -469,7 +475,7 @@ func run(t *testing.T, c cell) {
 	// element type; credit grants make the streaming exchange's timing
 	// dependent.
 	if c.cfg.Transport == TransportSim && c.cfg.CodePath == r.cfg.CodePath && !c.seeded {
-		if g.SplitterBytes != w.SplitterBytes || !c.cfg.StreamExchange && g.ExchangeBytes != w.ExchangeBytes {
+		if g.SplitterBytes != w.SplitterBytes || !streams(c.cfg) && g.ExchangeBytes != w.ExchangeBytes {
 			t.Errorf("bytes diverged from the reference: splitter %d, exchange %d; reference %d, %d",
 				g.SplitterBytes, g.ExchangeBytes, w.SplitterBytes, w.ExchangeBytes)
 		}
@@ -634,7 +640,7 @@ func checkStats[K any](t *testing.T, what string, c cell, st Stats) {
 			fail("tcp measured no traffic")
 		}
 	}
-	if cfg.StreamExchange {
+	if streams(cfg) {
 		// The chunks carry K — records tagged under TagDuplicates — or,
 		// on the bijective plane, 8-byte codes.
 		keySize := max(comm.SizeOf[K](), 8)
@@ -642,8 +648,14 @@ func checkStats[K any](t *testing.T, what string, c cell, st Stats) {
 			keySize = comm.SizeOf[tagged[K]]()
 		}
 		bound := (p - 1) * exchange.DefaultStreamWindow * int64(cmp.Or(cfg.ChunkKeys, exchange.DefaultChunkKeys)) * keySize
-		if st.PeakInFlightBytes <= 0 || st.PeakInFlightBytes > bound {
-			fail("peak in-flight %d bytes, want in (0, %d]", st.PeakInFlightBytes, bound)
+		// A budgeted rank may divert every incoming stream, admitting
+		// none to the merge.
+		lo := int64(1)
+		if cfg.MemoryBudget > 0 {
+			lo = 0
+		}
+		if st.PeakInFlightBytes < lo || st.PeakInFlightBytes > bound {
+			fail("peak in-flight %d bytes, want in [%d, %d]", st.PeakInFlightBytes, lo, bound)
 		}
 	} else if st.ExchangeOverlap != 0 || st.PeakInFlightBytes != 0 {
 		fail("materializing exchange reported overlap %v, in-flight %d", st.ExchangeOverlap, st.PeakInFlightBytes)

@@ -370,7 +370,8 @@ func (r report) print() {
 	t.AddRow("splitter determination", stats.Splitter.Round(10*time.Microsecond).String())
 	t.AddRow("data exchange", stats.Exchange.Round(10*time.Microsecond).String())
 	t.AddRow("final merge", stats.Merge.Round(10*time.Microsecond).String())
-	if r.cfg.StreamExchange || r.cfg.ChunkKeys > 0 {
+	// A memory budget streams the exchange too (exchange.ExchangeMerge).
+	if r.cfg.StreamExchange || r.cfg.ChunkKeys > 0 || r.cfg.MemoryBudget > 0 {
 		t.AddRow("merge overlapped with exchange", stats.ExchangeOverlap.Round(10*time.Microsecond).String())
 		t.AddRow("peak in-flight exchange data", tablefmt.Bytes(float64(stats.PeakInFlightBytes)))
 	}

@@ -234,10 +234,13 @@ type Config struct {
 	// chunks interleaved across destinations and the k-way merge runs
 	// incrementally as chunks arrive, overlapping the exchange tail
 	// (§6.2) with peak in-flight memory bounded by the flow-control
-	// window. Output is rank-identical to the materializing path.
+	// window. Output is rank-identical to the materializing path. A
+	// MemoryBudget implies it: the materializing path runs only without
+	// a budget.
 	StreamExchange bool
 	// ChunkKeys is the streaming-exchange chunk size in keys; setting it
-	// implies StreamExchange. Default 64Ki when streaming.
+	// implies StreamExchange. Default 64Ki when streaming (including the
+	// streaming a MemoryBudget implies).
 	ChunkKeys int
 	// Workers is the per-rank compute worker pool size: the intra-rank
 	// parallelism of the compute phases (local radix sort, partition
@@ -254,10 +257,10 @@ type Config struct {
 	Timeout time.Duration
 	// MemoryBudget, when > 0, puts the sort out of core: each rank
 	// bounds the memory the engine adds on top of the caller's data —
-	// local-sort scratch, admitted streaming-exchange chunks,
-	// materialized exchange receives and the frames read back during
-	// the merges — to this many bytes, writing exchange data that
-	// would exceed it to compressed, checksummed run files
+	// local-sort scratch, admitted streaming-exchange chunks and the
+	// frames read back during the merge — to this many bytes. The
+	// exchange always streams under a budget, diverting incoming
+	// streams that would exceed it to compressed, checksummed run files
 	// (docs/SPILL.md) that re-enter the k-way merge as additional
 	// sources. The budget never bounds caller-owned arrays: the input
 	// shards and the output partitions are the caller's memory, so the
@@ -295,12 +298,15 @@ type Stats struct {
 	// times (Fig 6.1's breakdown).
 	LocalSort, Splitter, Exchange, Merge time.Duration
 	// ExchangeOverlap is merge time hidden inside the exchange on the
-	// streaming path (§6.2's overlap; max over ranks, zero when
-	// Config.StreamExchange is off).
+	// streaming path (§6.2's overlap; max over ranks). Zero on the
+	// materializing path: Config.StreamExchange and ChunkKeys off and no
+	// MemoryBudget.
 	ExchangeOverlap time.Duration
 	// PeakInFlightBytes is the peak per-rank volume buffered by the
 	// streaming exchange awaiting merge (max over ranks; bounded by
-	// (p-1)·window·ChunkKeys·keysize). Zero on the materializing path.
+	// (p-1)·window·ChunkKeys·keysize). Zero on the materializing path,
+	// which runs only without a MemoryBudget, and when a budget diverts
+	// every incoming stream to disk.
 	PeakInFlightBytes int64
 	// SplitterBytes and ExchangeBytes are total bytes sent during
 	// splitter determination and data movement (§5.1's communication
@@ -336,10 +342,9 @@ type Stats struct {
 	// SpilledBytes, SpillFileBytes and SpillReads are out-of-core plane
 	// counters, summed over ranks: uncompressed key bytes written to
 	// spill runs, the (compressed) bytes those runs occupied on disk,
-	// and the frames read back during the merges. Only the exchange
-	// spills (diverted streams, over-budget materialized receives),
-	// never the local sort. All zero when Config.MemoryBudget is 0 or
-	// the exchange stayed within it.
+	// and the frames read back during the merge. Only the streaming
+	// exchange's diverted streams spill, never the local sort. All zero
+	// when Config.MemoryBudget is 0 or the exchange stayed within it.
 	SpilledBytes, SpillFileBytes, SpillReads int64
 	// PeakResidentBytes is the peak spill-managed working set of any
 	// rank (max over ranks): the high-water mark of bytes the spill

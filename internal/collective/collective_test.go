@@ -223,95 +223,6 @@ func TestAllToAllvWrongPartCount(t *testing.T) {
 	}
 }
 
-func TestPipelinedBcastMatchesBcast(t *testing.T) {
-	for _, p := range worldSizes {
-		for _, n := range []int{0, 1, 100, 5000} {
-			want := make([]int64, n)
-			for i := range want {
-				want[i] = int64(i * 3)
-			}
-			runWorld(t, p, func(c *comm.Comm) error {
-				var in []int64
-				if c.Rank() == 0 {
-					in = slices.Clone(want)
-				}
-				got, err := PipelinedBcast(c, 0, 1, in, 64)
-				if err != nil {
-					return err
-				}
-				if !slices.Equal(got, want) {
-					return fmt.Errorf("p=%d n=%d rank %d: wrong data", p, n, c.Rank())
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestPipelinedBcastNonzeroRoot(t *testing.T) {
-	const p = 7
-	want := []int64{5, 6, 7, 8, 9}
-	runWorld(t, p, func(c *comm.Comm) error {
-		var in []int64
-		if c.Rank() == 3 {
-			in = slices.Clone(want)
-		}
-		got, err := PipelinedBcast(c, 3, 1, in, 2)
-		if err != nil {
-			return err
-		}
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-func TestPipelinedReduceMatchesReduce(t *testing.T) {
-	for _, p := range worldSizes {
-		for _, n := range []int{1, 63, 64, 1000} {
-			runWorld(t, p, func(c *comm.Comm) error {
-				data := make([]int64, n)
-				for i := range data {
-					data[i] = int64(c.Rank() + i)
-				}
-				got, err := PipelinedReduce(c, 0, 1, data, SumInt64, 64)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != 0 {
-					if got != nil {
-						return errors.New("non-root got data")
-					}
-					return nil
-				}
-				rankSum := int64(p * (p - 1) / 2)
-				for i, v := range got {
-					want := rankSum + int64(i*p)
-					if v != want {
-						return fmt.Errorf("p=%d n=%d elem %d: got %d want %d", p, n, i, v, want)
-					}
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestPipelinedReduceNonzeroRoot(t *testing.T) {
-	const p = 5
-	runWorld(t, p, func(c *comm.Comm) error {
-		got, err := PipelinedReduce(c, 2, 1, []int64{1, 1}, SumInt64, 1)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 2 && !slices.Equal(got, []int64{p, p}) {
-			return fmt.Errorf("root got %v", got)
-		}
-		return nil
-	})
-}
-
 func TestGroupBasics(t *testing.T) {
 	const p = 8
 	runWorld(t, p, func(c *comm.Comm) error {
@@ -424,14 +335,6 @@ func TestCollectivesProperty(t *testing.T) {
 			if c.Rank() == root && !slices.Equal(got, want) {
 				ok = false
 			}
-			// And a pipelined reduce must agree.
-			got2, err := PipelinedReduce(c, root, 2, slices.Clone(inputs[c.Rank()]), SumInt64, 7)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == root && !slices.Equal(got2, want) {
-				ok = false
-			}
 			return nil
 		})
 		return err == nil && ok
@@ -439,41 +342,4 @@ func TestCollectivesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkBcastBinomialVsPipelined(b *testing.B) {
-	const p = 16
-	const n = 1 << 16
-	data := make([]int64, n)
-	for i := range data {
-		data[i] = int64(i)
-	}
-	b.Run("binomial", func(b *testing.B) {
-		w := comm.NewWorld(p)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = w.Run(func(c *comm.Comm) error {
-				var in []int64
-				if c.Rank() == 0 {
-					in = data
-				}
-				_, err := Bcast(c, 0, 1, in)
-				return err
-			})
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		w := comm.NewWorld(p)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = w.Run(func(c *comm.Comm) error {
-				var in []int64
-				if c.Rank() == 0 {
-					in = data
-				}
-				_, err := PipelinedBcast(c, 0, 1, in, 4096)
-				return err
-			})
-		}
-	})
 }

@@ -1,8 +1,7 @@
 // Package collective implements the communication collectives the paper's
 // cost analysis (§5.1) assumes: binomial-tree broadcast and reduction,
-// binomial gather, direct scatter, all-to-allv personalized exchange, and
-// pipelined (chunked chain) broadcast/reduction for large messages. The
-// dissemination barrier the analysis also assumes is comm.Comm.Barrier:
+// binomial gather, direct scatter and all-to-allv personalized exchange.
+// The dissemination barrier the analysis also assumes is comm.Comm.Barrier:
 // it runs on the whole world only, on a tag comm reserves.
 //
 // All collectives are built purely on comm.Endpoint Send/Recv, so they run

@@ -86,7 +86,8 @@ type Options[K any] struct {
 	// bucket payloads move in ChunkKeys-sized chunks interleaved across
 	// destinations and the k-way merge runs incrementally as chunks
 	// arrive, overlapping the exchange tail (§6.2) with bounded peak
-	// memory. 0 (the default) selects the materializing exchange.
+	// memory. 0 (the default) selects the materializing exchange, unless
+	// Spill is set: a budgeted exchange always streams.
 	ChunkKeys int
 	// Workers is this rank's compute-phase worker budget: the radix
 	// local sort, partition scans, encode/decode maps and off-overlap
@@ -141,17 +142,6 @@ type Options[K any] struct {
 	// answered from a per-rank representative sample instead of the
 	// full input. The effective imbalance guarantee loosens to ~2ε.
 	Approx bool
-	// ApproxSize is the representative sample size per rank; default
-	// sampling.RepresentativeSize(Buckets, Epsilon).
-	ApproxSize int
-	// PipelineChunk is the chunk size (elements) for pipelined
-	// broadcast/reduction. Default 4096.
-	PipelineChunk int
-	// PipelineThreshold is the message length (elements) above which
-	// histogram broadcasts/reductions switch from binomial trees to
-	// pipelines (§5.1 recommends pipelining for large messages).
-	// Default 8192.
-	PipelineThreshold int
 	// OnRound, if set, is invoked on the root rank after every
 	// histogramming round with that round's protocol state — the
 	// observability hook behind Table 6.1-style analyses. It must not
@@ -236,15 +226,6 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 		}
 		o.MaxRounds = 4*bound + 8
 	}
-	if o.ApproxSize == 0 {
-		o.ApproxSize = sampling.RepresentativeSize(o.Buckets, o.Epsilon)
-	}
-	if o.PipelineChunk == 0 {
-		o.PipelineChunk = 4096
-	}
-	if o.PipelineThreshold == 0 {
-		o.PipelineThreshold = 8192
-	}
 	return o, nil
 }
 
@@ -320,7 +301,8 @@ type Stats struct {
 	LocalSort, Splitter, Exchange, Merge time.Duration
 	// ExchangeOverlap is merge time hidden inside the streaming
 	// exchange — work §6.2's overlap argument takes off the critical
-	// path (max over ranks; zero on the materializing path).
+	// path (max over ranks; zero on the materializing path, which runs
+	// only without a budget).
 	ExchangeOverlap time.Duration
 	// PeakInFlight is the peak bytes admitted to the incremental merge
 	// but not yet emitted (max over ranks; zero on the materializing

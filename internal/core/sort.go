@@ -233,22 +233,19 @@ func (f *Front[K]) BucketImbalance(c *comm.Comm) (float64, error) {
 // configuration and round 0, with the keys replaced by their codes.
 func (o Options[K]) inCodeSpace() Options[codes.Code] {
 	oc := Options[codes.Code]{
-		Cmp:               codes.Compare,
-		Code:              codes.ExtractCode,
-		Epsilon:           o.Epsilon,
-		Buckets:           o.Buckets,
-		Seed:              o.Seed,
-		BaseTag:           o.BaseTag,
-		Schedule:          o.Schedule,
-		Rounds:            o.Rounds,
-		MaxRounds:         o.MaxRounds,
-		OversampleFactor:  o.OversampleFactor,
-		Approx:            o.Approx,
-		ApproxSize:        o.ApproxSize,
-		PipelineChunk:     o.PipelineChunk,
-		PipelineThreshold: o.PipelineThreshold,
-		OnRound:           o.OnRound,
-		round0:            o.round0,
+		Cmp:              codes.Compare,
+		Code:             codes.ExtractCode,
+		Epsilon:          o.Epsilon,
+		Buckets:          o.Buckets,
+		Seed:             o.Seed,
+		BaseTag:          o.BaseTag,
+		Schedule:         o.Schedule,
+		Rounds:           o.Rounds,
+		MaxRounds:        o.MaxRounds,
+		OversampleFactor: o.OversampleFactor,
+		Approx:           o.Approx,
+		OnRound:          o.OnRound,
+		round0:           o.round0,
 	}
 	if o.round0 != nil {
 		oc.Splitters = codes.Extract(o.Splitters, o.Code)
@@ -258,10 +255,10 @@ func (o Options[K]) inCodeSpace() Options[codes.Code] {
 
 // BackHalf is the rest of a flat sort: the all-to-all exchange and k-way
 // merge — fused by exchange.ExchangeMerge, which runs either the
-// materializing path or (with Options.ChunkKeys > 0) the streaming
-// pipeline that overlaps the merge with the exchange tail — then the
-// closing stats all-reduce. It returns the rank's globally sorted
-// partition.
+// materializing path or (with Options.ChunkKeys > 0 or a Spill manager)
+// the streaming pipeline that overlaps the merge with the exchange
+// tail — then the closing stats all-reduce. It returns the rank's
+// globally sorted partition.
 func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	opt := f.Opt
 	bytes0 := c.Counters().BytesSent

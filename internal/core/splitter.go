@@ -11,6 +11,7 @@ import (
 	"hssort/internal/comm"
 	"hssort/internal/exchange"
 	"hssort/internal/histogram"
+	"hssort/internal/merge"
 	"hssort/internal/sampling"
 )
 
@@ -161,41 +162,6 @@ func intervalSpans[K any](local []K, ivs []histogram.Interval[K], cmp func(K, K)
 	return spans
 }
 
-// mergeSamples merges the per-rank sorted samples gathered at the root
-// into one sorted, deduplicated probe list (O(S log p), §5.1.1).
-func mergeSamples[K any](parts [][]K, cmp func(K, K) int) []K {
-	for len(parts) > 1 {
-		var next [][]K
-		for i := 0; i+1 < len(parts); i += 2 {
-			next = append(next, mergeTwo(parts[i], parts[i+1], cmp))
-		}
-		if len(parts)%2 == 1 {
-			next = append(next, parts[len(parts)-1])
-		}
-		parts = next
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	return slices.CompactFunc(parts[0], func(a, b K) bool { return cmp(a, b) == 0 })
-}
-
-func mergeTwo[K any](a, b []K, cmp func(K, K) int) []K {
-	out := make([]K, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if cmp(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
 // rootController is the central processor's per-sort state machine. It
 // exists only on the root rank.
 type rootController[K any] struct {
@@ -331,29 +297,6 @@ func (rc *rootController[K]) seed(probes []K, ranks []int64) {
 	rc.absorb(ps, rs)
 }
 
-// bcastKeys broadcasts the probe keys, using the pipelined chain for
-// large messages and the binomial tree for small ones. The length is
-// broadcast first so every rank picks the same algorithm.
-func bcastKeys[K any](c *comm.Comm, root int, tag comm.Tag, keys []K, opt Options[K]) ([]K, error) {
-	n, err := collective.BcastValue(c, root, tag, len(keys))
-	if err != nil {
-		return nil, err
-	}
-	if n >= opt.PipelineThreshold {
-		return collective.PipelinedBcast(c, root, tag, keys, opt.PipelineChunk)
-	}
-	return collective.Bcast(c, root, tag, keys)
-}
-
-// reduceRanks sum-reduces the local rank vectors to root, pipelined for
-// large histograms.
-func reduceRanks[K any](c *comm.Comm, root int, tag comm.Tag, ranks []int64, opt Options[K]) ([]int64, error) {
-	if len(ranks) >= opt.PipelineThreshold {
-		return collective.PipelinedReduce(c, root, tag, ranks, collective.SumInt64, opt.PipelineChunk)
-	}
-	return collective.Reduce(c, root, tag, ranks, collective.SumInt64)
-}
-
 // DetermineSplitters runs the splitter-determination protocol over the
 // world, each rank holding sortedLocal (already locally sorted), with n
 // total keys. It returns the Buckets-1 splitters on every rank. Defaults
@@ -377,7 +320,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 	// representative sample once; all rank queries go through it.
 	var rep sampling.Representative[K]
 	if opt.Approx {
-		rep = sampling.NewRepresentative(sortedLocal, opt.ApproxSize, rng)
+		rep = sampling.NewRepresentative(sortedLocal, sampling.RepresentativeSize(opt.Buckets, opt.Epsilon), rng)
 	}
 	localRanks := func(probes []K) []int64 {
 		if !opt.Approx {
@@ -424,11 +367,12 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		}
 		var probes []K
 		if me == root {
-			probes = mergeSamples(parts, opt.Cmp)
+			// One sorted, deduplicated probe list (O(S log p), §5.1.1).
+			probes = slices.CompactFunc(merge.KWay(parts, opt.Cmp), func(a, b K) bool { return opt.Cmp(a, b) == 0 })
 		}
 
 		// Histogramming phase (§3.3 steps 1-3).
-		probes, err = bcastKeys(c, root, base+tagProbes, probes, opt)
+		probes, err = collective.Bcast(c, root, base+tagProbes, probes)
 		if err != nil {
 			return nil, info, err
 		}
@@ -436,7 +380,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		info.SamplePerRound = append(info.SamplePerRound, int64(len(probes)))
 		info.TotalSample += int64(len(probes))
 
-		global, err := reduceRanks(c, root, base+tagRanks, localRanks(probes), opt)
+		global, err := collective.Reduce(c, root, base+tagRanks, localRanks(probes), collective.SumInt64)
 		if err != nil {
 			return nil, info, err
 		}

@@ -19,8 +19,10 @@
 // merges received chunks incrementally (merge.Streamer's batch drain —
 // the same kernel), overlapping the exchange tail
 // (§6.2) under a credit window that bounds peak in-flight data.
-// ExchangeMerge dispatches between them; both produce rank-identical
-// output. Everything is built on comm.Endpoint Send/Recv (plus the
+// ExchangeMerge dispatches between them — materializing only with
+// ChunkKeys 0 and no spill budget, so a budgeted rank never holds its
+// whole receive and a diverted stream is the one place exchange data
+// reaches disk; both produce rank-identical output. Everything is built on comm.Endpoint Send/Recv (plus the
 // TryRecv/RecvAny probes of comm.StreamEndpoint for the streaming
 // plane), so it runs unchanged over the byte-accounted simulated
 // transport or the in-process fast path — see internal/comm.Transport.

@@ -27,8 +27,8 @@ const (
 // StreamOptions configures the streaming exchange.
 type StreamOptions struct {
 	// ChunkKeys is the number of keys per chunk message. <= 0 selects
-	// DefaultChunkKeys. (ExchangeMerge instead treats 0 as "use the
-	// materializing path".)
+	// DefaultChunkKeys. (ExchangeMerge instead treats 0 without a Spill
+	// manager as "use the materializing path".)
 	ChunkKeys int
 	// Window is the per-destination flow-control window in chunks;
 	// <= 0 selects DefaultStreamWindow. Peak in-flight data per rank is
@@ -46,14 +46,13 @@ type StreamOptions struct {
 	// ignored on the comparator plane.
 	Tie bool
 	// Spill, when non-nil, bounds the receive path's resident bytes by
-	// the manager's memory budget: a streaming exchange diverts incoming
+	// the manager's memory budget: the streaming exchange diverts incoming
 	// streams to compressed run files once admitting more chunks would
-	// exceed the budget, and the materializing path spills every received
-	// run when their sum plus the merge's scratch does. The incremental
-	// merge charges each batch's scratch to the same budget and clips a
-	// batch that would not fit. Spilled data re-enters the merge through
-	// spill.RunReader frames, so output is identical with or without a
-	// budget. Requires K to be plain data (spill.Spillable).
+	// exceed the budget (ExchangeMerge always streams under a budget). The
+	// incremental merge charges each batch's scratch to the same budget
+	// and clips a batch that would not fit. Spilled data re-enters the
+	// merge through spill.RunReader frames, so output is identical with or
+	// without a budget. Requires K to be plain data (spill.Spillable).
 	Spill *spill.Manager
 }
 
@@ -662,40 +661,26 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 
 // ExchangeMerge is the data-movement dispatcher for the sort pipelines:
 // it routes runs to their owners and returns this rank's fully merged
-// partition, using the materializing Exchange + merge path when
-// opt.ChunkKeys == 0 (the conformance oracle) or the streaming pipeline
-// otherwise. code, when non-nil, selects the code-keyed merge on either
-// path (see ExchangeStream). sc, when non-nil, reuses that rank-private
-// Scratch across calls (engine reuse: the streaming path's queues and
-// run queue, either path's merge scratch). exchangeTime and mergeTime
-// keep phase stats
-// comparable across paths: under streaming, merge work hidden inside the
-// exchange is charged to the exchange phase and only the unhidable tail
+// partition. Without a budget (opt.Spill nil) and with opt.ChunkKeys == 0
+// it runs the materializing Exchange + merge; otherwise it runs the
+// streaming pipeline (at DefaultChunkKeys when ChunkKeys is 0), whose
+// divert is the one place exchange data reaches disk. code, when non-nil,
+// selects the code-keyed merge on either path (see ExchangeStream). sc,
+// when non-nil, reuses that rank-private Scratch across calls (engine
+// reuse: the streaming path's queues and run queue, either path's merge
+// scratch). exchangeTime and mergeTime keep phase stats comparable across
+// paths: under streaming, merge work hidden inside the exchange is
+// charged to the exchange phase and only the unhidable tail
 // (StreamStats.MergeTail) to the merge phase.
 func ExchangeMerge[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner func(int) int, cmp func(K, K) int, code func(K) uint64, opt StreamOptions, sc *Scratch[K]) (out []K, exchangeTime, mergeTime time.Duration, st StreamStats, err error) {
 	t0 := time.Now()
-	if opt.ChunkKeys == 0 {
+	if opt.ChunkKeys == 0 && opt.Spill == nil {
 		recv, err := Exchange(e, tag, runs, owner)
 		if err != nil {
 			return nil, 0, 0, StreamStats{}, err
 		}
 		exchangeTime = time.Since(t0)
 		t1 := time.Now()
-		if sp := opt.Spill; sp != nil {
-			// What the in-memory merge would hold: the received runs plus
-			// the scratch it is about to take.
-			total := 0
-			for _, r := range recv {
-				total += len(r)
-			}
-			if int64(total)*comm.SizeOf[K]()+merge.ScratchBytes[K](total, len(recv), code != nil, opt.Tie) > sp.Budget() {
-				out, err := spillMergeRecv(recv, cmp, code, opt)
-				if err != nil {
-					return nil, 0, 0, StreamStats{}, err
-				}
-				return out, exchangeTime, time.Since(t1), StreamStats{}, nil
-			}
-		}
 		out = merge.Runs([]K{}, recv, cmp, code, opt.Tie, opt.Pool, sc.MergeScratch())
 		return out, exchangeTime, time.Since(t1), StreamStats{}, nil
 	}
@@ -705,51 +690,4 @@ func ExchangeMerge[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner
 	}
 	total := time.Since(t0)
 	return out, total - st.MergeTail, st.MergeTail, st, nil
-}
-
-// spillMergeRecv is the materializing path's out-of-core merge: the
-// received runs together exceed the memory budget, so each run is
-// spilled to its own compressed run file (in rank order, preserving the
-// duplicate-key tie-break) and the merge streams them back one frame
-// per run. The received buffers are dropped as they are spilled; on the
-// wire transports this frees them, on the shared-memory transports the
-// views just stop being referenced (a simulated out-of-core run).
-// Output is identical to the in-memory k-way merge.
-func spillMergeRecv[K any](recv [][]K, cmp func(K, K) int, code func(K) uint64, opt StreamOptions) ([]K, error) {
-	sp := opt.Spill
-	keySize := comm.SizeOf[K]()
-	frameKeys := sp.FrameKeys(keySize, len(recv))
-	srcs := make([]merge.Source[K], 0, len(recv))
-	defer func() {
-		// No-op after a clean merge; on error paths this deletes whatever
-		// run files are still open. Close is idempotent.
-		for _, s := range srcs {
-			s.(*spill.RunReader[K]).Close()
-		}
-	}()
-	total := 0
-	for i, r := range recv {
-		total += len(r)
-		w, err := spill.NewWriter[K](sp, frameKeys)
-		if err != nil {
-			return nil, err
-		}
-		if err := w.WriteKeys(r); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		run, err := w.Finish()
-		if err != nil {
-			return nil, err
-		}
-		recv[i] = nil
-		rd, err := run.Reader(true)
-		if err != nil {
-			run.Remove()
-			return nil, err
-		}
-		srcs = append(srcs, rd)
-	}
-	st := merge.NewStreamerTie(cmp, code, opt.Tie && code != nil)
-	return merge.FromSources(st, srcs, sp, make([]K, 0, total), keySize)
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"slices"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"hssort/internal/comm"
 	"hssort/internal/keycoder"
 	"hssort/internal/merge"
+	"hssort/internal/spill"
 )
 
 // TestExchangeAccounting pins the wire-size model: every message —
@@ -268,5 +270,93 @@ func TestStreamAllEqualKeysLiveness(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestExchangeMergeBudgetStreams runs ExchangeMerge with ChunkKeys 0 and
+// a memory budget below one incoming stream, on sim and on loopback
+// sockets: a budget selects the streaming exchange, so every stream
+// diverts to disk through chunks the meter charges, and the output
+// still equals Exchange + KWay. The meter must end at zero and the
+// spill directory empty.
+func TestExchangeMergeBudgetStreams(t *testing.T) {
+	const p, perRank = 4, 4000
+	backends := []struct {
+		name string
+		mk   func(t *testing.T) comm.Transport
+	}{
+		{"sim", func(*testing.T) comm.Transport { return comm.NewSimTransport(p) }},
+		{"tcp", func(t *testing.T) comm.Transport {
+			tr, err := comm.NewTCPLoopback(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tr.Close() })
+			return tr
+		}},
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	shards := make([][]int64, p)
+	for r := range shards {
+		shards[r] = make([]int64, perRank)
+		for i := range shards[r] {
+			shards[r][i] = rng.Int64N(1 << 20)
+		}
+		slices.Sort(shards[r])
+	}
+	splitters := []int64{1 << 18, 2 << 18, 3 << 18}
+	owner := ContiguousOwner(p, p)
+	// An incoming stream is about perRank/p keys; half of one fits.
+	const budget = perRank / p * 8 / 2
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			want := make([][]int64, p)
+			w := comm.NewWorld(p, comm.WithTransport(be.mk(t)), comm.WithTimeout(20*time.Second))
+			if err := w.Run(func(c *comm.Comm) error {
+				recv, err := Exchange(c, 1, Partition(shards[c.Rank()], splitters, icmp), owner)
+				want[c.Rank()] = merge.KWay(recv, icmp)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			mgrs := make([]*spill.Manager, p)
+			for r := range mgrs {
+				m, err := spill.NewManager(budget, t.TempDir(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mgrs[r] = m
+			}
+			got := make([][]int64, p)
+			stats := make([]StreamStats, p)
+			w = comm.NewWorld(p, comm.WithTransport(be.mk(t)), comm.WithTimeout(20*time.Second))
+			if err := w.Run(func(c *comm.Comm) error {
+				r := c.Rank()
+				out, _, _, st, err := ExchangeMerge(c, 1, Partition(shards[r], splitters, icmp), owner, icmp, nil,
+					StreamOptions{Spill: mgrs[r]}, nil)
+				got[r], stats[r] = out, st
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for r, m := range mgrs {
+				if !slices.Equal(got[r], want[r]) {
+					t.Errorf("rank %d: output differs from Exchange + KWay (%d vs %d keys)", r, len(got[r]), len(want[r]))
+				}
+				if stats[r].ChunksSent == 0 {
+					t.Errorf("rank %d sent no chunks: the budget did not select the streaming exchange", r)
+				}
+				if st := m.TakeStats(); st.SpilledBytes == 0 {
+					t.Errorf("rank %d spilled nothing under a %d-byte budget", r, budget)
+				}
+				if room := m.Room(); room != budget {
+					t.Errorf("rank %d: meter holds %d bytes after the merge", r, budget-room)
+				}
+				if ents, err := os.ReadDir(m.Dir()); err != nil || len(ents) != 0 {
+					t.Errorf("rank %d: %d run files left (%v)", r, len(ents), err)
+				}
+			}
+		})
 	}
 }

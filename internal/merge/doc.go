@@ -28,10 +28,11 @@
 //     The safe bound of a batch is the smallest (last buffered key, run
 //     index) over the runs that may still grow; see RunQueue. That is
 //     what lets exchange.ExchangeStream overlap the merge with the
-//     exchange itself, and what FromSources reads spilled runs back
-//     through a frame at a time. Under a memory budget the queue charges
-//     each batch's scratch to the Budget and clips a batch that would not
-//     fit. NextReady and Next serve single keys from a staged batch.
+//     exchange itself and refill a diverted stream from its spill run a
+//     frame at a time; FromSources drives it over any chunk sources.
+//     Under a memory budget the queue charges each batch's scratch to the
+//     Budget and clips a batch that would not fit. NextReady and Next
+//     serve single keys from a staged batch.
 //
 // Every form emits the same sequence — the stable sort of the
 // concatenated runs: ties go to the lower run index, after the prefix

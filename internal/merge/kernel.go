@@ -102,16 +102,6 @@ func (pl plane[E]) scratchBytes(n, r int) int64 {
 	return int64(n) * per
 }
 
-// ScratchBytes is the working memory, in bytes, that merging n keys held
-// in the given number of runs takes from a Scratch on the plane that
-// (coded, tie) selects — what a caller under a memory budget adds to the
-// data it already holds.
-func ScratchBytes[K any](n, runs int, coded, tie bool) int64 {
-	pl := planeOf[K](coded, nil)
-	pl.pure = pl.pure && !tie
-	return pl.scratchBytes(n, runs)
-}
-
 // reserve sizes the scratch for a merge of n keys in r runs. Lengths
 // only grow: len(elems) is the high-water mark Clear has to wipe.
 func (sc *Scratch[E]) reserve(pl plane[E], n, r int) {

@@ -12,8 +12,9 @@ import (
 // Append feeds it, CloseRun seals it — and leave merged, in batches that
 // go through the kernel (DrainReady) or key by key from a staged batch
 // (NextReady, Next). It is what exchange.ExchangeStream merges received
-// chunks with while the exchange is still in flight, and what
-// FromSources reads spilled runs back through.
+// chunks with while the exchange is still in flight (a diverted stream
+// refilled from its spill run included), and what FromSources drains
+// chunk sources through.
 //
 // A queue is keyed by an optional code slice per chunk plus an optional
 // tie comparator: NewCodeTree orders by the codes (raw uint64 compares,

@@ -94,7 +94,7 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	// Node-to-node exchange: leaders merge their cores' runs per
 	// destination node and exchange n(n-1) combined messages —
 	// materialized, or streamed in chunks overlapped with the node-level
-	// merge when Options.ChunkKeys is set.
+	// merge when Options.ChunkKeys or Options.Spill is set.
 	var nodeData []K
 	var nodeMergeTime time.Duration
 	var sst exchange.StreamStats

@@ -103,7 +103,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	}
 	var splitters []K
 	if c.Rank() == 0 {
-		lambda := mergeParts(parts, opt.Cmp)
+		lambda := merge.KWay(parts, opt.Cmp)
 		splitters = make([]K, 0, buckets-1)
 		if len(lambda) > 0 {
 			for i := 1; i < buckets; i++ {
@@ -230,22 +230,4 @@ func lptAssign(sizes []int64, p int) []int64 {
 		loads[best] += b.size
 	}
 	return owners
-}
-
-// mergeParts pairwise-merges sorted per-rank samples.
-func mergeParts[K any](parts [][]K, cmp func(K, K) int) []K {
-	for len(parts) > 1 {
-		var next [][]K
-		for i := 0; i+1 < len(parts); i += 2 {
-			next = append(next, merge.Two(parts[i], parts[i+1], cmp))
-		}
-		if len(parts)%2 == 1 {
-			next = append(next, parts[len(parts)-1])
-		}
-		parts = next
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	return parts[0]
 }

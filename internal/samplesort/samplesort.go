@@ -127,7 +127,7 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 	if c.Rank() == 0 {
 		// Merge the p sorted per-rank samples (duplicates retained: the
 		// splitter index formula depends on the full multiset).
-		lambda := mergeParts(parts, opt.Cmp)
+		lambda := merge.KWay(parts, opt.Cmp)
 		sampleSize = int64(len(lambda))
 		splitters = selectSplitters(lambda, c.Size(), opt.Buckets, s.Method, opt.Cmp)
 	}
@@ -143,24 +143,6 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 	// per-call O(B) re-check.
 	exchange.ValidateSplitters(splitters, opt.Cmp)
 	return splitters, core.SplitterInfo{Rounds: 1, SamplePerRound: []int64{size}, TotalSample: size, Finalized: true}, nil
-}
-
-// mergeParts pairwise-merges sorted per-rank samples.
-func mergeParts[K any](parts [][]K, cmp func(K, K) int) []K {
-	for len(parts) > 1 {
-		var next [][]K
-		for i := 0; i+1 < len(parts); i += 2 {
-			next = append(next, merge.Two(parts[i], parts[i+1], cmp))
-		}
-		if len(parts)%2 == 1 {
-			next = append(next, parts[len(parts)-1])
-		}
-		parts = next
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	return parts[0]
 }
 
 // selectSplitters picks B-1 splitters from the combined sorted sample Λ.

@@ -16,9 +16,9 @@ import (
 // merge.Source[K]: NextChunk returns each frame's keys in order and
 // (nil, nil) at the final marker. The returned slice reuses the
 // reader's decode buffers and is valid only until the next NextChunk —
-// exactly the ownership discipline merge.FromSources and the exchange
-// tail refill follow (a run is refilled only once the merge has consumed
-// its previous chunk).
+// exactly the ownership discipline the exchange tail refill and
+// merge.FromSources follow (a run is refilled only once the merge has
+// consumed its previous chunk).
 //
 // Every frame is validated before any key is surfaced: header sanity
 // caps, CRC-32C over the stored payload, inflate size limits, exact
