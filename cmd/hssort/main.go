@@ -432,6 +432,7 @@ func sortRuns[K any](ctx context.Context, engine *hssort.Sorter[K], plan bool, r
 			}
 			return nil, stats, 0, err
 		}
+		retries = retryBudget{} // the budget counts consecutive crashes only
 		i++
 	}
 	wall = time.Since(start)
@@ -445,7 +446,8 @@ func sortRuns[K any](ctx context.Context, engine *hssort.Sorter[K], plan bool, r
 // retryBudget retries a sort that failed on a peer crash while the
 // operator respawns the lost rank (-rejoin-wait > 0): the next attempt
 // blocks in the transport's rejoin wait until the mesh heals. Any other
-// error, or a sixth consecutive crash, stops the retries.
+// error, or a sixth consecutive crash, stops the retries; sortRuns
+// restores the budget after every successful sort.
 type retryBudget struct{ attempts int }
 
 func (b *retryBudget) retry(err error, rejoinWait time.Duration) bool {

@@ -21,9 +21,9 @@ import (
 // re-executing the lost rank's shard.
 type PeerCrashError = comm.PeerCrashError
 
-// BootstrapError reports that an endpoint failed to construct or rejoin
-// the TCP mesh (rendezvous, listener setup, peer dialing, or protocol
-// handshake), before any sort ran.
+// BootstrapError reports that an endpoint failed to join the TCP mesh,
+// at bootstrap or at a rejoin (listener setup, registration, peer
+// dialing, or a refused handshake), before any sort ran.
 type BootstrapError = comm.BootstrapError
 
 // VersionMismatchError reports a bootstrap handshake between processes

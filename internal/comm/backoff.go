@@ -1,7 +1,7 @@
 package comm
 
-// backoff.go holds the dial-retry schedule shared by the bootstrap
-// rendezvous and the rejoin path, plus the tiny deterministic PRNG
+// backoff.go holds the dial-retry schedule of every dial a join makes
+// (the coordinator, then the peers), plus the tiny deterministic PRNG
 // (splitmix64) that seeds its jitter and the fault injector's fates.
 // The schedule is capped exponential backoff with jitter: without the
 // cap a late-starting coordinator would push waiters into minutes-long

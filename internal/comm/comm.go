@@ -48,11 +48,11 @@ type Counters struct {
 	// MsgsRecv and BytesRecv count delivered (received) traffic.
 	MsgsRecv, BytesRecv int64
 	// Reconnects counts dial retries beyond each first attempt, across
-	// the bootstrap rendezvous and the rejoin redials. Respawns counts
-	// rejoin handshakes: 1 on an endpoint that rejoined an existing
-	// world, plus 1 on each survivor per peer it re-adopted. Both are
-	// lifecycle counters — they describe the mesh, not one run — so
-	// unlike the traffic counters they survive Reset.
+	// every dial of a join. Respawns counts rejoins: 1 on an endpoint
+	// that rejoined an existing world, plus 1 on each survivor per peer
+	// it re-adopted. Both are lifecycle counters — they describe the
+	// mesh, not one run — so unlike the traffic counters they survive
+	// Reset.
 	// Always zero on the in-memory transports.
 	Reconnects, Respawns int64
 }

@@ -59,11 +59,11 @@ func (e *PeerCrashError) Unwrap() []error {
 	return []error{ErrAborted}
 }
 
-// BootstrapError reports that a TCP endpoint failed to join (or rejoin)
-// its world: the rendezvous, the mesh construction or the rejoin
-// handshake did not complete. DialTCP wraps every setup failure in one,
-// so callers can distinguish "the world never formed" from runtime
-// failures like PeerCrashError.
+// BootstrapError reports that a TCP endpoint failed to join its world,
+// at bootstrap or at a rejoin: the registration, a data handshake or
+// the wait for a whole mesh did not complete. DialTCP wraps every setup
+// failure in one, so callers can distinguish "the world never formed"
+// from runtime failures like PeerCrashError.
 type BootstrapError struct {
 	// Rank is the local rank that failed to join.
 	Rank int

@@ -6,9 +6,11 @@ package comm
 // docs/WIRE.md).
 //
 // Topology. Ranks form a full mesh: one TCP connection per unordered
-// rank pair, established during a coordinator-based bootstrap (rank 0
-// listens at a well-known address, everyone registers, rank 0 broadcasts
-// the address table, higher ranks dial lower ranks). Each connection has
+// rank pair. There is one way into it, the join: register at rank 0's
+// well-known address, learn the address table, dial every rank that was
+// there before. Bootstrap is the join of incarnation 0 (rank 0 holds the
+// replies until all ranks registered; higher ranks dial lower ones), a
+// rejoin a later incarnation's (it dials every peer). Each connection has
 // one writer goroutine draining an unbounded outbound queue — so Send
 // never blocks, preserving the buffered-send model the algorithms assume
 // — and one reader goroutine that decodes frames and feeds the local
@@ -40,13 +42,13 @@ package comm
 // a retired conn". Every connection-level event (EOF, write error,
 // heartbeat miss, a peer's crash report, rejoin adoption) takes the one
 // retire step under genMu: bound to a conn and so to an incarnation, it
-// cannot reach a healed slot or be charged to the next generation. The
-// listener stays open for the life of the endpoint: a respawned worker
-// rejoins the running world through a coordinator re-registration and
-// per-peer rejoin handshakes, adopting the world's current generation,
-// and Reset (with RejoinWait) waits for the mesh to heal so the next run
-// recovers instead of failing. An endpoint's lifecycle is {bootstrap,
-// reset, crash, rejoin, close}.
+// cannot reach a healed slot or be charged to the next generation. "Conn
+// up" is one event too: adopt fills a slot with an incarnation's conn,
+// at bootstrap and at rejoin alike. The listener is served for the life
+// of the endpoint, so a respawned worker joins the running world,
+// adopting its current generation, and Reset (with RejoinWait) waits for
+// the mesh to heal so the next run recovers instead of failing. An
+// endpoint's lifecycle is {join, reset, crash, close}.
 
 import (
 	"bufio"
@@ -57,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,7 +73,7 @@ var ErrTransportClosed = errors.New("comm: transport closed")
 // value is not usable: Coordinator, Rank and Procs are required (the
 // NewTCPLoopback helper fills them for in-process meshes).
 type TCPOptions struct {
-	// Coordinator is the host:port of the rank-0 rendezvous listener.
+	// Coordinator is the host:port of the rank-0 listener.
 	// Rank 0 binds it; every other rank dials it to register and learn
 	// the peer address table.
 	Coordinator string
@@ -88,8 +91,8 @@ type TCPOptions struct {
 	// host:0, read the ephemeral port off Addr, hand it to workers and
 	// pass the listener here, eliminating the bind race of launchers.
 	CoordinatorListener net.Listener
-	// BootstrapTimeout bounds the whole rendezvous + mesh setup.
-	// Default 30s.
+	// BootstrapTimeout bounds a join, registration to whole mesh, and
+	// each handshake served on the listener. Default 30s.
 	BootstrapTimeout time.Duration
 	// ShutdownTimeout bounds how long Close waits for peers to finish
 	// their own teardown before force-closing sockets. Default 5s.
@@ -112,11 +115,11 @@ type TCPOptions struct {
 	// *PeerCrashError. Zero keeps the historical fail-fast behavior:
 	// a lost peer permanently poisons the endpoint.
 	RejoinWait time.Duration
-	// Rejoin re-attaches this endpoint to an already-running world in
-	// place of a crashed rank (same Rank, same Procs): instead of the
-	// full rendezvous it re-registers at the coordinator, adopts the
-	// world's current generation and redials every peer. Rank 0 cannot
-	// rejoin — it hosts the coordinator.
+	// Rejoin states that this endpoint replaces a crashed rank (same
+	// Rank, same Procs) of an already-running world, whose coordinator
+	// accepts no other registration: the join then adopts the world's
+	// current generation and the rank's next incarnation, and dials every
+	// peer. Rank 0 cannot rejoin — it hosts the coordinator.
 	Rejoin bool
 }
 
@@ -208,17 +211,28 @@ type TCPTransport struct {
 	conns []atomic.Pointer[tcpConn]
 	box   *inbox // the hosted rank's receive queue
 
-	// ln is the bootstrap listener, kept open for the life of the
-	// endpoint (acceptLoop serves rejoin handshakes on it).
+	// ln is the endpoint's listener, served by acceptLoop from DialTCP to
+	// Close: every handshake, the bootstrap's and a rejoin's, arrives on it.
 	ln net.Listener
 
-	// table is the live rank → data-address map and incs the rank →
-	// incarnation vector (rank 0 only): rendezvous fills them, each
-	// rejoin registration updates the one and bumps the other, so a
-	// respawned worker can always learn the current mesh.
+	// table is the live rank → data-address map, incs the rank →
+	// incarnation vector and held the registrations awaiting their reply
+	// (rank 0 only). held is non-nil exactly while the world bootstraps;
+	// afterwards each registration updates the table and bumps the
+	// joiner's incarnation, so a respawned worker always learns the
+	// current mesh.
 	tableMu sync.Mutex
 	table   []string
 	incs    []uint32
+	held    []net.Conn
+
+	// missing counts the empty slots and joined carries the join's
+	// outcome: nil once missing reaches 0, or the refusal that failed a
+	// bootstrapping coordinator. up is set when the join returns; adopt
+	// starts the pumps of later conns at once. Guarded by genMu.
+	missing int
+	joined  chan error
+	up      bool
 
 	counters struct {
 		mu sync.Mutex
@@ -246,14 +260,12 @@ var (
 	_ io.Closer  = (*TCPTransport)(nil)
 )
 
-// DialTCP bootstraps this process's endpoint of a TCP world and blocks
-// until the full connection mesh is up: the coordinator has seen all
-// Procs registrations, this rank has dialed every lower rank and been
-// dialed by every higher rank. The bootstrap listener stays open for
-// the life of the endpoint, serving rejoin handshakes from respawned
-// peers. With Rejoin set, the endpoint instead re-attaches to an
-// already-running world in place of a crashed rank. Every setup failure
-// is returned as a *BootstrapError.
+// DialTCP joins this process's endpoint to a TCP world and blocks until
+// its mesh is whole, one conn per peer. Without Rejoin the endpoint is
+// incarnation 0 of a world still forming, with Rejoin it replaces a
+// crashed rank of a running one; either way the listener then serves
+// later joins for the life of the endpoint. Every setup failure is
+// returned as a *BootstrapError.
 func DialTCP(opts TCPOptions) (*TCPTransport, error) {
 	opts = opts.withDefaults()
 	if opts.Procs < 1 {
@@ -265,41 +277,22 @@ func DialTCP(opts TCPOptions) (*TCPTransport, error) {
 	if opts.Coordinator == "" && opts.CoordinatorListener == nil {
 		return nil, &BootstrapError{Rank: opts.Rank, Err: errors.New("bootstrap needs a coordinator address")}
 	}
+	if opts.Rank == 0 && opts.Rejoin {
+		return nil, &BootstrapError{Rank: 0, Err: errors.New("rank 0 hosts the coordinator and cannot rejoin; restart the world")}
+	}
 	t := &TCPTransport{p: opts.Procs, me: opts.Rank, opts: opts}
 	t.box = newInbox(opts.Procs, t.recvErr)
 	t.conns = make([]atomic.Pointer[tcpConn], opts.Procs)
 	t.stop = make(chan struct{})
 	t.gen.Store(1) // generation 0 is never used: frames always carry ≥ 1
-	var err error
-	if opts.Rejoin {
-		err = t.rejoin()
-	} else {
-		err = t.bootstrap()
+	t.joined = make(chan error, 1)
+	if t.missing = opts.Procs - 1; t.missing == 0 {
+		t.endJoin(nil)
 	}
-	if err != nil {
-		t.closed.Store(true)
-		t.forceClose()
+	if err := t.join(); err != nil {
+		t.Kill()
 		return nil, &BootstrapError{Rank: opts.Rank, Err: err}
 	}
-	// The mesh is up: the listener's bootstrap deadline comes off and
-	// it keeps accepting for the life of the endpoint (rejoins).
-	if tl, ok := t.ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Time{})
-	}
-	now := time.Now().UnixNano()
-	// Start the per-peer pumps only once the whole mesh exists.
-	for r := range t.conns {
-		pc := t.conns[r].Load()
-		if pc == nil {
-			continue
-		}
-		pc.lastRecv.Store(now)
-		t.wg.Add(2)
-		go t.readLoop(pc)
-		go t.writeLoop(pc)
-	}
-	t.wg.Add(1)
-	go t.acceptLoop()
 	if t.opts.HeartbeatInterval > 0 {
 		t.wg.Add(1)
 		go t.monitor()
@@ -317,43 +310,41 @@ func (t *TCPTransport) Size() int { return t.p }
 func (t *TCPTransport) Rank() int { return t.me }
 
 // ---------------------------------------------------------------------
-// Bootstrap
+// Joining
 // ---------------------------------------------------------------------
 
-// bootMsg is the JSON control message of the bootstrap phase (wire
-// protocol spec: docs/WIRE.md §Bootstrap). Every message is prefixed
-// with a uint32 length.
+// bootMsg is the JSON control message of a handshake (wire protocol
+// spec: docs/WIRE.md §Joining). Every message is prefixed with a uint32
+// length.
 type bootMsg struct {
 	// Proto pins the wire-protocol version: "hsswire/<N>".
 	Proto string `json:"proto"`
-	// Type is "register", "table", "data", "ok", "rejoin",
-	// "rejoin-data" or "error".
+	// Type is "register", "table", "data", "ok" or "error".
 	Type string `json:"type"`
-	// Rank, Procs, Addr describe the registering worker.
-	Rank  int    `json:"rank,omitempty"`
-	Procs int    `json:"procs,omitempty"`
-	Addr  string `json:"addr,omitempty"`
-	// Src and Dst identify a data connection's rank pair.
-	Src int `json:"src,omitempty"`
-	Dst int `json:"dst,omitempty"`
-	// Addrs is the full rank → address table ("table" messages).
+	// Rank, Procs, Addr and Rejoin describe the registering worker.
+	Rank   int    `json:"rank,omitempty"`
+	Procs  int    `json:"procs,omitempty"`
+	Addr   string `json:"addr,omitempty"`
+	Rejoin bool   `json:"rejoin,omitempty"`
+	// Src and Dst identify a data connection's rank pair, and Inc the
+	// dialer's incarnation.
+	Src int    `json:"src,omitempty"`
+	Dst int    `json:"dst,omitempty"`
+	Inc uint32 `json:"inc,omitempty"`
+	// Addrs, Gen and Incs are the table reply: the rank → address table,
+	// the world's current generation (the joiner re-enters the epoch
+	// lockstep at it) and the rank → incarnation vector.
 	Addrs []string `json:"addrs,omitempty"`
-	// Gen is the world's current generation, carried on the table reply
-	// of a rejoin so the joiner re-enters the epoch lockstep.
-	Gen uint32 `json:"gen,omitempty"`
-	// Incs is the rank → incarnation vector, carried beside Gen on the
-	// table reply of a rejoin; Inc is the joiner's own entry of it,
-	// presented to each peer on "rejoin-data".
-	Incs []uint32 `json:"incs,omitempty"`
-	Inc  uint32   `json:"inc,omitempty"`
-	// Err carries a bootstrap failure ("error" messages).
+	Gen   uint32   `json:"gen,omitempty"`
+	Incs  []uint32 `json:"incs,omitempty"`
+	// Err carries a refusal ("error" messages).
 	Err string `json:"err,omitempty"`
 }
 
-// protoID is the version string every bootstrap message must carry.
+// protoID is the version string every handshake message must carry.
 var protoID = fmt.Sprintf("hsswire/%d", wireProtoVersion)
 
-// writeBootMsg sends one length-prefixed JSON bootstrap message.
+// writeBootMsg sends one length-prefixed JSON handshake message.
 func writeBootMsg(c net.Conn, m bootMsg) error {
 	m.Proto = protoID
 	b, err := json.Marshal(m)
@@ -369,7 +360,7 @@ func writeBootMsg(c net.Conn, m bootMsg) error {
 	return err
 }
 
-// readBootMsg reads one length-prefixed JSON bootstrap message and
+// readBootMsg reads one length-prefixed JSON handshake message and
 // validates its protocol version.
 func readBootMsg(c net.Conn) (bootMsg, error) {
 	var lenb [4]byte
@@ -397,354 +388,160 @@ func readBootMsg(c net.Conn) (bootMsg, error) {
 	return m, nil
 }
 
-// bootstrap performs rendezvous and mesh construction for this rank.
-func (t *TCPTransport) bootstrap() error {
-	deadline := time.Now().Add(t.opts.BootstrapTimeout)
-
-	// Bind the listener: the coordinator address for rank 0 (unless a
-	// pre-bound listener was supplied), an ephemeral data port for the
-	// rest.
-	var ln net.Listener
-	var err error
+// bind opens the endpoint's listener — the coordinator address for rank
+// 0 (or the pre-bound CoordinatorListener), an ephemeral data port for
+// the rest — and gives rank 0 the world's live table, bootstrapping.
+func (t *TCPTransport) bind() error {
+	addr := t.opts.ListenAddr
 	if t.me == 0 {
-		ln = t.opts.CoordinatorListener
-		if ln == nil {
-			ln, err = net.Listen("tcp", t.opts.Coordinator)
-			if err != nil {
-				return fmt.Errorf("comm: tcp coordinator listen %s: %w", t.opts.Coordinator, err)
-			}
-		}
-	} else {
-		ln, err = net.Listen("tcp", t.opts.ListenAddr)
+		addr, t.ln = t.opts.Coordinator, t.opts.CoordinatorListener
+	}
+	if t.ln == nil {
+		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			return fmt.Errorf("comm: tcp listen %s: %w", t.opts.ListenAddr, err)
+			return fmt.Errorf("comm: tcp listen %s: %w", addr, err)
 		}
+		t.ln = ln
 	}
-	// The listener outlives bootstrap: rejoin handshakes arrive on it
-	// for the life of the endpoint. Close/forceClose release it.
-	t.ln = ln
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
+	if t.me != 0 {
+		return nil
 	}
-
-	table, pre, err := t.rendezvous(ln, deadline)
-	if err != nil {
-		return err
-	}
-	return t.buildMesh(ln, table, pre, deadline)
-}
-
-// rendezvous learns the full rank → address table. Rank 0 serves
-// registrations on ln and broadcasts the table; other ranks register at
-// the coordinator and receive it. Data connections that arrive at the
-// listener while rendezvous is still in progress (fast peers) are
-// returned in pre for buildMesh to adopt.
-func (t *TCPTransport) rendezvous(ln net.Listener, deadline time.Time) (table []string, pre []*tcpConn, err error) {
-	if t.me == 0 {
-		table = make([]string, t.p)
-		table[0] = ln.Addr().String()
-		regConns := make([]net.Conn, t.p) // open registration conns by rank
-		registered := 1                   // rank 0 is implicitly present
-		defer func() {
-			for _, c := range regConns {
-				if c != nil {
-					c.Close()
-				}
-			}
-		}()
-		for registered < t.p {
-			c, aerr := ln.Accept()
-			if aerr != nil {
-				return nil, nil, fmt.Errorf("comm: tcp rendezvous accept (have %d/%d ranks): %w", registered, t.p, aerr)
-			}
-			c.SetDeadline(deadline)
-			m, merr := readBootMsg(c)
-			if merr != nil {
-				c.Close()
-				return nil, nil, merr
-			}
-			switch m.Type {
-			case "register":
-				if m.Procs != t.p {
-					writeBootMsg(c, bootMsg{Type: "error", Err: fmt.Sprintf("world size mismatch: coordinator has %d ranks, worker expects %d", t.p, m.Procs)})
-					c.Close()
-					return nil, nil, fmt.Errorf("comm: tcp rendezvous: rank %d expects %d procs, world has %d", m.Rank, m.Procs, t.p)
-				}
-				if m.Rank < 1 || m.Rank >= t.p || regConns[m.Rank] != nil {
-					writeBootMsg(c, bootMsg{Type: "error", Err: fmt.Sprintf("invalid or duplicate rank %d", m.Rank)})
-					c.Close()
-					return nil, nil, fmt.Errorf("comm: tcp rendezvous: invalid or duplicate rank %d", m.Rank)
-				}
-				regConns[m.Rank] = c
-				table[m.Rank] = m.Addr
-				registered++
-			case "data":
-				// A peer that already finished rendezvous is dialing our
-				// data port; adopt the connection for buildMesh.
-				pc, derr := t.acceptData(c, m)
-				if derr != nil {
-					return nil, nil, derr
-				}
-				pre = append(pre, pc)
-			default:
-				c.Close()
-				return nil, nil, fmt.Errorf("comm: tcp rendezvous: unexpected %q message", m.Type)
-			}
-		}
-		for r := 1; r < t.p; r++ {
-			if err := writeBootMsg(regConns[r], bootMsg{Type: "table", Procs: t.p, Addrs: table}); err != nil {
-				return nil, nil, fmt.Errorf("comm: tcp rendezvous: sending table to rank %d: %w", r, err)
-			}
-			regConns[r].Close()
-			regConns[r] = nil
-		}
-		// Keep the table live: a crashed worker's respawn asks for the
-		// current mesh here long after rendezvous is over.
-		t.tableMu.Lock()
-		t.table = table
-		t.incs = make([]uint32, t.p)
-		t.tableMu.Unlock()
-		return table, pre, nil
-	}
-
-	// Ranks > 0: register, then wait for the table. The coordinator may
-	// not be up yet (workers often launch before or alongside rank 0),
-	// so failed dials retry with jittered exponential backoff until the
-	// bootstrap deadline.
-	c, retries, err := dialRetry(t.opts.Coordinator, t.me, deadline)
-	if err != nil {
-		return nil, nil, fmt.Errorf("comm: tcp rank %d dialing coordinator %s: %w", t.me, t.opts.Coordinator, err)
-	}
-	t.counters.mu.Lock()
-	t.counters.c.Reconnects += retries
-	t.counters.mu.Unlock()
-	defer c.Close()
-	c.SetDeadline(deadline)
-	if err := writeBootMsg(c, bootMsg{Type: "register", Rank: t.me, Procs: t.p, Addr: ln.Addr().String()}); err != nil {
-		return nil, nil, fmt.Errorf("comm: tcp rank %d registering: %w", t.me, err)
-	}
-	m, err := readBootMsg(c)
-	if err != nil {
-		return nil, nil, fmt.Errorf("comm: tcp rank %d awaiting address table: %w", t.me, err)
-	}
-	if m.Type != "table" || len(m.Addrs) != t.p {
-		return nil, nil, fmt.Errorf("comm: tcp rank %d: malformed address table (%q, %d addrs)", t.me, m.Type, len(m.Addrs))
-	}
-	return m.Addrs, nil, nil
-}
-
-// acceptData validates an inbound data handshake and wires the conn.
-func (t *TCPTransport) acceptData(c net.Conn, m bootMsg) (*tcpConn, error) {
-	if m.Dst != t.me || m.Src <= t.me || m.Src >= t.p {
-		writeBootMsg(c, bootMsg{Type: "error", Err: fmt.Sprintf("bad data pair (%d,%d) at rank %d", m.Src, m.Dst, t.me)})
-		c.Close()
-		return nil, fmt.Errorf("comm: tcp rank %d: bad data handshake pair (%d,%d)", t.me, m.Src, m.Dst)
-	}
-	if err := writeBootMsg(c, bootMsg{Type: "ok"}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("comm: tcp rank %d: acking data conn from %d: %w", t.me, m.Src, err)
-	}
-	return newTCPConn(m.Src, 0, c), nil
-}
-
-// newTCPConn wraps an established socket to incarnation inc of peer.
-func newTCPConn(peer int, inc uint32, c net.Conn) *tcpConn {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	pc := &tcpConn{peer: peer, inc: inc, c: c, bw: bufio.NewWriterSize(c, 1<<16)}
-	pc.cond = sync.NewCond(&pc.mu)
-	return pc
-}
-
-// buildMesh completes the full mesh: dial every lower rank, accept every
-// higher rank (pre holds early arrivals already accepted during
-// rendezvous).
-func (t *TCPTransport) buildMesh(ln net.Listener, table []string, pre []*tcpConn, deadline time.Time) error {
-	for _, pc := range pre {
-		t.conns[pc.peer].Store(pc)
-	}
-
-	// Dial lower ranks concurrently.
-	var wg sync.WaitGroup
-	dialErr := make([]error, t.me)
-	for j := 0; j < t.me; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			d := net.Dialer{Deadline: deadline}
-			c, err := d.Dial("tcp", table[j])
-			if err != nil {
-				dialErr[j] = fmt.Errorf("comm: tcp rank %d dialing rank %d at %s: %w", t.me, j, table[j], err)
-				return
-			}
-			c.SetDeadline(deadline)
-			if err := writeBootMsg(c, bootMsg{Type: "data", Src: t.me, Dst: j}); err != nil {
-				c.Close()
-				dialErr[j] = fmt.Errorf("comm: tcp rank %d data handshake to rank %d: %w", t.me, j, err)
-				return
-			}
-			if _, err := readBootMsg(c); err != nil {
-				c.Close()
-				dialErr[j] = fmt.Errorf("comm: tcp rank %d data ack from rank %d: %w", t.me, j, err)
-				return
-			}
-			c.SetDeadline(time.Time{}) // the mesh conn lives unbounded
-			t.conns[j].Store(newTCPConn(j, 0, c))
-		}(j)
-	}
-
-	// Accept the remaining higher ranks.
-	var acceptErr error
-	for {
-		missing := 0
-		for r := t.me + 1; r < t.p; r++ {
-			if t.conns[r].Load() == nil {
-				missing++
-			}
-		}
-		if missing == 0 {
-			break
-		}
-		c, err := ln.Accept()
-		if err != nil {
-			acceptErr = fmt.Errorf("comm: tcp rank %d accepting mesh conns (%d missing): %w", t.me, missing, err)
-			break
-		}
-		c.SetDeadline(deadline)
-		m, err := readBootMsg(c)
-		if err != nil {
-			acceptErr = err
-			c.Close()
-			break
-		}
-		if m.Type != "data" {
-			writeBootMsg(c, bootMsg{Type: "error", Err: "mesh is being built; rendezvous is over"})
-			c.Close()
-			acceptErr = fmt.Errorf("comm: tcp rank %d: unexpected %q during mesh build", t.me, m.Type)
-			break
-		}
-		pc, err := t.acceptData(c, m)
-		if err != nil {
-			acceptErr = err
-			break
-		}
-		if t.conns[pc.peer].Load() != nil {
-			pc.c.Close()
-			acceptErr = fmt.Errorf("comm: tcp rank %d: duplicate mesh conn from rank %d", t.me, pc.peer)
-			break
-		}
-		t.conns[pc.peer].Store(pc)
-	}
-	wg.Wait()
-	for _, err := range dialErr {
-		if err != nil {
-			return err
-		}
-	}
-	if acceptErr != nil {
-		return acceptErr
-	}
-	for r := t.me + 1; r < t.p; r++ {
-		t.conns[r].Load().c.SetDeadline(time.Time{})
+	t.table = make([]string, t.p)
+	t.table[0] = t.ln.Addr().String()
+	t.incs = make([]uint32, t.p)
+	if t.p > 1 {
+		t.held = make([]net.Conn, t.p)
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Rejoin (crash recovery)
-// ---------------------------------------------------------------------
-
-// rejoin re-attaches this endpoint to a running world in place of a
-// crashed rank: bind a fresh data listener, re-register at the
-// coordinator ("rejoin"), adopt the world's current address table and
-// generation and incarnation vector, then dial every peer with a
-// "rejoin-data" handshake. Each peer swaps the retired conn for the new
-// one before it acks, so when rejoin returns no survivor still counts
-// this rank as lost: the mesh is healed without restarting the world.
-func (t *TCPTransport) rejoin() error {
-	if t.me == 0 {
-		return errors.New("rank 0 hosts the coordinator and cannot rejoin; restart the world")
+// join is the one way into the mesh; bootstrap is the join of
+// incarnation 0. It binds the listener and serves it from then on. A
+// rank other than 0 registers at the coordinator, adopts the generation
+// and incarnations of the table reply and dials every rank that was
+// there before it — the lower ranks at incarnation 0, every peer
+// otherwise. The other slots fill as their ranks dial in through
+// acceptLoop; rank 0, which serves the registrations, only waits.
+func (t *TCPTransport) join() error {
+	if err := t.bind(); err != nil {
+		return err
 	}
+	t.wg.Add(1)
+	go t.acceptLoop()
 	deadline := time.Now().Add(t.opts.BootstrapTimeout)
-	ln, err := net.Listen("tcp", t.opts.ListenAddr)
-	if err != nil {
-		return fmt.Errorf("comm: tcp listen %s: %w", t.opts.ListenAddr, err)
+	if t.me == 0 {
+		return t.awaitMesh(deadline)
 	}
-	t.ln = ln
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-
+	// The coordinator may not be up yet (workers often launch before or
+	// alongside rank 0), so failed dials retry with jittered exponential
+	// backoff until the deadline.
 	c, retries, err := dialRetry(t.opts.Coordinator, t.me, deadline)
 	if err != nil {
-		return fmt.Errorf("comm: tcp rank %d dialing coordinator %s for rejoin: %w", t.me, t.opts.Coordinator, err)
+		return fmt.Errorf("comm: tcp rank %d dialing coordinator %s: %w", t.me, t.opts.Coordinator, err)
 	}
 	defer c.Close()
 	c.SetDeadline(deadline)
-	if err := writeBootMsg(c, bootMsg{Type: "rejoin", Rank: t.me, Procs: t.p, Addr: ln.Addr().String()}); err != nil {
-		return fmt.Errorf("comm: tcp rank %d rejoin registration: %w", t.me, err)
+	if err := writeBootMsg(c, bootMsg{Type: "register", Rank: t.me, Procs: t.p, Addr: t.ln.Addr().String(), Rejoin: t.opts.Rejoin}); err != nil {
+		return fmt.Errorf("comm: tcp rank %d registering: %w", t.me, err)
 	}
 	m, err := readBootMsg(c)
 	if err != nil {
-		return fmt.Errorf("comm: tcp rank %d awaiting rejoin table: %w", t.me, err)
+		return fmt.Errorf("comm: tcp rank %d awaiting address table: %w", t.me, err)
 	}
 	if m.Type != "table" || len(m.Addrs) != t.p || len(m.Incs) != t.p || m.Gen == 0 {
-		return fmt.Errorf("comm: tcp rank %d: malformed rejoin table (%q, %d addrs, %d incs, gen %d)", t.me, m.Type, len(m.Addrs), len(m.Incs), m.Gen)
+		return fmt.Errorf("comm: tcp rank %d: malformed address table (%q, %d addrs, %d incs, gen %d)", t.me, m.Type, len(m.Addrs), len(m.Incs), m.Gen)
 	}
-	// Adopt the world's epoch: survivors are parked at m.Gen (their
-	// Reset waits for this rejoin before bumping), so the lockstep
-	// resumes as if this process had been there all along.
+	// Adopt the world's epoch: at a rejoin the survivors are parked at
+	// m.Gen (their Reset waits for the mesh to heal before bumping), so
+	// the lockstep resumes as if this process had been there all along.
 	t.gen.Store(m.Gen)
-
-	// Dial every peer — a joiner re-establishes both directions itself,
-	// unlike the bootstrap's higher-dials-lower convention.
+	inc := m.Incs[t.me]
 	var wg sync.WaitGroup
-	dialErr := make([]error, t.p)
-	dialRetries := make([]int64, t.p)
-	for j := 0; j < t.p; j++ {
-		if j == t.me {
-			continue
+	errs := make([]error, t.p)
+	dials := make([]int64, t.p)
+	for j := range t.p {
+		if j == t.me || inc == 0 && j > t.me {
+			continue // j joins after this rank and dials in itself
 		}
 		wg.Add(1)
-		go func(j int) {
+		go func() {
 			defer wg.Done()
-			c, r, err := dialRetry(m.Addrs[j], t.me, deadline)
-			dialRetries[j] = r
-			if err != nil {
-				dialErr[j] = fmt.Errorf("comm: tcp rank %d redialing rank %d at %s: %w", t.me, j, m.Addrs[j], err)
-				return
-			}
-			c.SetDeadline(deadline)
-			if err := writeBootMsg(c, bootMsg{Type: "rejoin-data", Src: t.me, Dst: j, Inc: m.Incs[t.me]}); err != nil {
-				c.Close()
-				dialErr[j] = fmt.Errorf("comm: tcp rank %d rejoin handshake to rank %d: %w", t.me, j, err)
-				return
-			}
-			if _, err := readBootMsg(c); err != nil {
-				c.Close()
-				dialErr[j] = fmt.Errorf("comm: tcp rank %d rejoin ack from rank %d: %w", t.me, j, err)
-				return
-			}
-			c.SetDeadline(time.Time{})
-			t.conns[j].Store(newTCPConn(j, m.Incs[j], c))
-		}(j)
+			dials[j], errs[j] = t.dial(j, m.Addrs[j], inc, m.Incs[j], deadline)
+		}()
 	}
 	wg.Wait()
-	var total int64
-	for _, r := range dialRetries {
-		total += r
-	}
 	t.counters.mu.Lock()
-	t.counters.c.Reconnects += retries + total
-	t.counters.c.Respawns = 1
+	for _, r := range dials {
+		retries += r
+	}
+	t.counters.c.Reconnects += retries
+	if inc > 0 {
+		t.counters.c.Respawns++
+	}
 	t.counters.mu.Unlock()
-	return errors.Join(dialErr...)
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	return t.awaitMesh(deadline)
 }
 
-// acceptLoop serves the endpoint's listener after bootstrap: rejoin
-// registrations (rank 0) and rejoin data handshakes (every rank). It
-// exits when the listener closes (Close/Kill).
+// dial opens this rank's conn to incarnation peerInc of rank j: a data
+// handshake presenting this endpoint's incarnation inc, acked once j
+// has adopted it. It returns the dial retries.
+func (t *TCPTransport) dial(j int, addr string, inc, peerInc uint32, deadline time.Time) (int64, error) {
+	c, retries, err := dialRetry(addr, t.me, deadline)
+	if err != nil {
+		return retries, fmt.Errorf("comm: tcp rank %d dialing rank %d at %s: %w", t.me, j, addr, err)
+	}
+	c.SetDeadline(deadline)
+	if err = writeBootMsg(c, bootMsg{Type: "data", Src: t.me, Dst: j, Inc: inc}); err == nil {
+		if _, err = readBootMsg(c); err == nil {
+			err = t.adopt(j, peerInc, c, false)
+		}
+	}
+	if err != nil {
+		c.Close()
+		return retries, fmt.Errorf("comm: tcp rank %d data handshake with rank %d: %w", t.me, j, err)
+	}
+	return retries, nil
+}
+
+// awaitMesh blocks until every slot holds a conn, then marks the mesh up
+// and starts the pumps: no frame is read before DialTCP returns, and
+// from now on adopt starts the pumps of each conn it adopts.
+func (t *TCPTransport) awaitMesh(deadline time.Time) error {
+	select {
+	case err := <-t.joined:
+		if err != nil {
+			return err
+		}
+	case <-time.After(time.Until(deadline)):
+		return fmt.Errorf("comm: tcp rank %d: mesh incomplete at the bootstrap deadline (%v)", t.me, t.opts.BootstrapTimeout)
+	}
+	t.genMu.Lock()
+	defer t.genMu.Unlock()
+	t.up = true
+	for r := range t.conns {
+		if pc := t.conns[r].Load(); pc != nil {
+			t.startPumps(pc)
+		}
+	}
+	return nil
+}
+
+// endJoin hands awaitMesh the join's outcome; the first one counts.
+func (t *TCPTransport) endJoin(err error) {
+	select {
+	case t.joined <- err:
+	default:
+	}
+}
+
+// acceptLoop serves every handshake on the endpoint's listener, from
+// DialTCP to Close: registrations at the coordinator and data
+// handshakes at every rank, before and after the mesh is up. Handshakes
+// are served serially — one message, one reply — with a deadline so a
+// stuck dialer cannot wedge the loop.
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -752,91 +549,129 @@ func (t *TCPTransport) acceptLoop() {
 		if err != nil {
 			return // closed or broken: the endpoint stops accepting
 		}
-		t.handleLateConn(c)
-	}
-}
-
-// handleLateConn performs one post-bootstrap handshake. Handshakes are
-// served serially — a rejoin is rare and cheap — with a deadline so a
-// stuck dialer cannot wedge the loop.
-func (t *TCPTransport) handleLateConn(c net.Conn) {
-	c.SetDeadline(time.Now().Add(t.opts.BootstrapTimeout))
-	m, err := readBootMsg(c)
-	if err != nil {
-		c.Close()
-		return
-	}
-	switch m.Type {
-	case "rejoin":
-		if t.me != 0 {
-			writeBootMsg(c, bootMsg{Type: "error", Err: "rejoin must go to the coordinator (rank 0)"})
-			c.Close()
-			return
+		c.SetDeadline(time.Now().Add(t.opts.BootstrapTimeout))
+		m, err := readBootMsg(c)
+		switch {
+		case err != nil:
+		case m.Type == "register":
+			err = t.register(c, m)
+		case m.Type != "data":
+			err = fmt.Errorf("unexpected %q handshake", m.Type)
+		case m.Dst != t.me || m.Src == t.me || uint(m.Src) >= uint(t.p):
+			err = fmt.Errorf("bad data pair (%d,%d) at rank %d", m.Src, m.Dst, t.me)
+		default:
+			err = t.adopt(m.Src, m.Inc, c, true)
 		}
-		if m.Procs != t.p || m.Rank < 1 || m.Rank >= t.p {
-			writeBootMsg(c, bootMsg{Type: "error", Err: fmt.Sprintf("invalid rejoin rank %d/procs %d (world has %d)", m.Rank, m.Procs, t.p)})
-			c.Close()
-			return
-		}
-		t.tableMu.Lock()
-		t.table[m.Rank] = m.Addr
-		t.incs[m.Rank]++
-		tbl := append([]string(nil), t.table...)
-		incs := append([]uint32(nil), t.incs...)
-		t.tableMu.Unlock()
-		writeBootMsg(c, bootMsg{Type: "table", Procs: t.p, Addrs: tbl, Incs: incs, Gen: t.gen.Load()})
-		c.Close()
-	case "rejoin-data":
-		if m.Dst != t.me || m.Src == t.me || m.Src < 0 || m.Src >= t.p {
-			writeBootMsg(c, bootMsg{Type: "error", Err: fmt.Sprintf("bad rejoin pair (%d,%d) at rank %d", m.Src, m.Dst, t.me)})
-			c.Close()
-			return
-		}
-		// Adopt, then ack, then pump. The ack lets the joiner's DialTCP
-		// return, and a Reset right behind that must find no lost rank;
-		// until the ack is written the socket speaks JSON, not frames.
-		pc, err := t.adoptRejoin(m.Src, m.Inc, c)
 		if err != nil {
-			writeBootMsg(c, bootMsg{Type: "error", Err: err.Error()})
-			c.Close()
-			return
+			t.refuse(c, err)
 		}
-		// A failed ack is a joiner that died again: pc's reader finds out.
-		writeBootMsg(c, bootMsg{Type: "ok"})
-		c.SetDeadline(time.Time{})
-		t.wg.Add(2)
-		go t.readLoop(pc)
-		go t.writeLoop(pc)
-	default:
-		writeBootMsg(c, bootMsg{Type: "error", Err: "world already bootstrapped"})
-		c.Close()
 	}
 }
 
-// adoptRejoin swaps incarnation inc of a respawned peer into its slot:
-// replacing the retired conn is what clears the rank's crash record, so
-// the next Reset can proceed instead of poisoning the run. Only a
-// strictly newer incarnation is adopted.
-func (t *TCPTransport) adoptRejoin(peer int, inc uint32, c net.Conn) (*tcpConn, error) {
-	if t.closed.Load() {
-		return nil, ErrTransportClosed
+// refuse turns a handshake away, telling the dialer why. At the
+// coordinator of a world still bootstrapping it also fails the
+// coordinator's own join: the world it was forming cannot complete.
+func (t *TCPTransport) refuse(c net.Conn, reason error) {
+	writeBootMsg(c, bootMsg{Type: "error", Err: reason.Error()})
+	c.Close()
+	t.tableMu.Lock()
+	defer t.tableMu.Unlock()
+	if t.held != nil {
+		t.endJoin(fmt.Errorf("comm: tcp bootstrap refused a handshake: %w", reason))
 	}
+}
+
+// register serves one registration at the coordinator. While the world
+// bootstraps it holds every reply until all p−1 ranks have registered,
+// then answers them all (generation 1, every incarnation 0); afterwards
+// it answers a joiner that states rejoin intent at once, with the
+// current generation and the joiner's next incarnation. The error
+// refuses the registration.
+func (t *TCPTransport) register(c net.Conn, m bootMsg) error {
+	t.tableMu.Lock()
+	defer t.tableMu.Unlock()
+	booting := t.held != nil
+	switch {
+	case t.me != 0:
+		return errors.New("registration must go to the coordinator (rank 0)")
+	case m.Procs != t.p:
+		return fmt.Errorf("world size mismatch: coordinator has %d ranks, worker expects %d", t.p, m.Procs)
+	case m.Rank < 1 || m.Rank >= t.p || booting && t.held[m.Rank] != nil:
+		return fmt.Errorf("invalid or duplicate rank %d", m.Rank)
+	case !booting && !m.Rejoin:
+		return errors.New("world already bootstrapped")
+	}
+	t.table[m.Rank] = m.Addr
+	reply := []net.Conn{c}
+	if booting {
+		if t.held[m.Rank] = c; slices.Contains(t.held[1:], nil) {
+			return nil
+		}
+		reply, t.held = t.held[1:], nil
+	} else {
+		t.incs[m.Rank]++
+	}
+	// A failed reply is a joiner that died: the mesh goes on missing it.
+	for _, c := range reply {
+		writeBootMsg(c, bootMsg{Type: "table", Addrs: t.table, Gen: t.gen.Load(), Incs: t.incs})
+		c.Close()
+	}
+	return nil
+}
+
+// adopt is the one place a slot receives a conn. Under genMu it fills
+// peer's slot with incarnation inc over c when the slot is empty or
+// holds an older incarnation, retiring that one, and refuses an
+// incarnation the slot already holds or has outlived. An inbound
+// handshake is acked only after the slot is filled, so a joiner whose
+// dial returns knows no survivor still counts it as lost; the socket
+// speaks JSON until the ack, so the pumps start behind it — here once
+// the mesh is up, in awaitMesh before.
+func (t *TCPTransport) adopt(peer int, inc uint32, c net.Conn, inbound bool) error {
 	t.genMu.Lock()
 	defer t.genMu.Unlock()
-	old := t.conns[peer].Load()
-	if inc <= old.inc {
-		return nil, fmt.Errorf("rank %d already holds incarnation %d of rank %d, refusing %d", t.me, old.inc, peer, inc)
+	if t.closed.Load() {
+		return ErrTransportClosed
 	}
-	// Usually already retired (that is why the peer respawned); if the
-	// crash went unnoticed here, the new incarnation is the evidence.
-	t.retire(old, fmt.Errorf("replaced by incarnation %d", inc))
-	pc := newTCPConn(peer, inc, c)
-	pc.lastRecv.Store(time.Now().UnixNano())
+	old := t.conns[peer].Load()
+	switch {
+	case old == nil:
+		if t.missing--; t.missing == 0 {
+			t.endJoin(nil)
+		}
+	case inc <= old.inc:
+		return fmt.Errorf("rank %d already holds incarnation %d of rank %d, refusing %d", t.me, old.inc, peer, inc)
+	default:
+		// Usually already retired (that is why the peer rejoined); if the
+		// crash went unnoticed here, the new incarnation is the evidence.
+		t.retire(old, fmt.Errorf("replaced by incarnation %d", inc))
+		t.counters.mu.Lock()
+		t.counters.c.Respawns++
+		t.counters.mu.Unlock()
+	}
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
+	pc := &tcpConn{peer: peer, inc: inc, c: c, bw: bufio.NewWriterSize(c, 1<<16)}
+	pc.cond = sync.NewCond(&pc.mu)
 	t.conns[peer].Store(pc)
-	t.counters.mu.Lock()
-	t.counters.c.Respawns++
-	t.counters.mu.Unlock()
-	return pc, nil
+	if inbound {
+		// A failed ack is a joiner that died again: pc's reader finds out.
+		writeBootMsg(c, bootMsg{Type: "ok"})
+	}
+	c.SetDeadline(time.Time{}) // the mesh conn lives unbounded
+	if t.up {
+		t.startPumps(pc)
+	}
+	return nil
+}
+
+// startPumps starts pc's reader and writer; the caller holds genMu.
+func (t *TCPTransport) startPumps(pc *tcpConn) {
+	pc.lastRecv.Store(time.Now().UnixNano())
+	t.wg.Add(2)
+	go t.readLoop(pc)
+	go t.writeLoop(pc)
 }
 
 // ---------------------------------------------------------------------
@@ -1452,6 +1287,13 @@ func (t *TCPTransport) forceClose() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
+	t.tableMu.Lock()
+	for _, c := range t.held {
+		if c != nil {
+			c.Close() // a failed bootstrap's registrants learn at once
+		}
+	}
+	t.tableMu.Unlock()
 	for r := range t.conns {
 		pc := t.conns[r].Load()
 		if pc == nil {

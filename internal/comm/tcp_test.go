@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -544,4 +545,218 @@ func TestTCPStaleEOFAfterReset(t *testing.T) {
 	mesh.Reset()
 	n0.peerLost(old, io.EOF)
 	wantCleanReset(t, mesh)
+}
+
+// rawHandshake sends one handshake message to the listener at addr, as a
+// misbehaving or stale peer would, and returns the reply's error: nil
+// for an ack or a table, the refusal otherwise.
+func rawHandshake(t *testing.T, addr string, m bootMsg) error {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeBootMsg(c, m); err != nil {
+		t.Fatal(err)
+	}
+	_, err = readBootMsg(c)
+	return err
+}
+
+// acceptCounter reports each Accept call of the listener it wraps: the
+// accept loop serves handshakes serially, so its next call means the
+// previous handshake is done.
+type acceptCounter struct {
+	net.Listener
+	calls chan struct{}
+}
+
+func (l acceptCounter) Accept() (net.Conn, error) {
+	select {
+	case l.calls <- struct{}{}:
+	default:
+	}
+	return l.Listener.Accept()
+}
+
+// TestTCPJoinRefusals: every handshake the join turns away is refused
+// with its reason, and no refusal disturbs the mesh — no slot is
+// retired or replaced, the coordinator's table is untouched, and the
+// world still completes a Barrier. The data handshakes present an
+// incarnation the slot already holds or has outlived: a duplicate while
+// the world still bootstraps, a duplicate of a bootstrap handshake, and
+// after a Respawn both the dead incarnation and a duplicate of the
+// rejoin.
+func TestTCPJoinRefusals(t *testing.T) {
+	t.Run("bootstrapping", refuseDuringBootstrap)
+	t.Run("live", refuseOnLiveMesh)
+}
+
+// refuseDuringBootstrap holds a 3-rank bootstrap at the point where rank
+// 0 has adopted rank 1 but not yet rank 2 — rank 2 registers through a
+// relay that withholds its table reply — and presents rank 0 a second
+// incarnation-0 conn from rank 1. The refusal must neither fail rank 0's
+// bootstrap nor replace rank 1's conn.
+func refuseDuringBootstrap(t *testing.T) {
+	const p = 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := acceptCounter{ln, make(chan struct{}, 16)}
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	release := make(chan struct{})
+	go func() {
+		c, err := relay.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		up, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		go io.Copy(up, c)
+		<-release
+		io.Copy(c, up)
+	}()
+	nodes := make([]*TCPTransport, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := range p {
+		opts := TCPOptions{Coordinator: ln.Addr().String(), Rank: r, Procs: p, BootstrapTimeout: 10 * time.Second}
+		switch r {
+		case 0:
+			opts.CoordinatorListener = coord
+		case 2:
+			opts.Coordinator = relay.Addr().String()
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); nodes[r], errs[r] = DialTCP(opts) }()
+	}
+	// Rank 0 accepts both registrations, then rank 1's data handshake;
+	// its fourth Accept call means it has adopted rank 1.
+	for range 4 {
+		select {
+		case <-coord.calls:
+		case <-time.After(10 * time.Second):
+			t.Fatal("rank 0 never adopted rank 1")
+		}
+	}
+	err = rawHandshake(t, ln.Addr().String(), bootMsg{Type: "data", Src: 1, Dst: 0})
+	close(release)
+	wg.Wait()
+	defer func() {
+		for _, n := range nodes {
+			if n != nil {
+				wg.Add(1)
+				go func() { defer wg.Done(); n.Close() }() // peers await each other's shutdown
+			}
+		}
+		wg.Wait()
+	}()
+	if want := "already holds incarnation 0 of rank 1, refusing 0"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("duplicate during bootstrap answered %v, want a refusal naming %q", err, want)
+	}
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("the refusal failed the bootstrap: %v", err)
+	}
+	if pc := nodes[0].conns[1].Load(); pc.retired.Load() != nil {
+		t.Fatalf("the refusal retired rank 0's conn to rank 1: %v", pc.retired.Load())
+	}
+	errs = make([]error, p)
+	for r, n := range nodes {
+		pool := NewPool(p, WithTransport(n), WithTimeout(10*time.Second))
+		defer pool.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = pool.Run(t.Context(), func(c *Comm) error { return c.Barrier() })
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("barrier after the refusal: %v", err)
+	}
+}
+
+// refuseOnLiveMesh presents every refusal to a bootstrapped loopback
+// mesh, then again after a Respawn.
+func refuseOnLiveMesh(t *testing.T) {
+	const p, victim = 3, 2
+	mesh, err := NewTCPLoopback(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	pool := NewPool(p, WithTransport(mesh), WithTimeout(10*time.Second))
+	defer pool.Close()
+	table := func() []string {
+		n0 := mesh.Node(0)
+		n0.tableMu.Lock()
+		defer n0.tableMu.Unlock()
+		return slices.Clone(n0.table)
+	}
+	type refusal struct {
+		to   int
+		m    bootMsg
+		want string
+	}
+	refuseAll := func(stage string, cases []refusal) {
+		t.Helper()
+		slots := make([][]*tcpConn, p)
+		for r := range slots {
+			for j := range p {
+				slots[r] = append(slots[r], mesh.Node(r).conns[j].Load())
+			}
+		}
+		before := table()
+		for _, c := range cases {
+			err := rawHandshake(t, mesh.Node(c.to).ln.Addr().String(), c.m)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %s %+v at rank %d answered %v, want a refusal naming %q", stage, c.m.Type, c.m, c.to, err, c.want)
+			}
+		}
+		for r := range slots {
+			for j, pc := range slots[r] {
+				if got := mesh.Node(r).conns[j].Load(); got != pc || pc != nil && pc.retired.Load() != nil {
+					t.Errorf("%s: a refused handshake disturbed rank %d's slot for rank %d", stage, r, j)
+				}
+			}
+		}
+		if after := table(); !slices.Equal(after, before) {
+			t.Errorf("%s: a refused registration changed the table %v to %v", stage, before, after)
+		}
+		if err := pool.Run(t.Context(), func(c *Comm) error { return c.Barrier() }); err != nil {
+			t.Fatalf("%s: barrier after the refusals: %v", stage, err)
+		}
+	}
+
+	refuseAll("bootstrapped", []refusal{
+		{0, bootMsg{Type: "data", Src: 1, Dst: 0}, "already holds incarnation 0 of rank 1, refusing 0"},
+		{1, bootMsg{Type: "data", Src: 2, Dst: 1}, "already holds incarnation 0 of rank 2, refusing 0"},
+		{0, bootMsg{Type: "data", Src: 1, Dst: 2}, "bad data pair"},
+		{0, bootMsg{Type: "register", Rank: 1, Procs: p, Addr: "127.0.0.1:1"}, "already bootstrapped"},
+		{0, bootMsg{Type: "register", Rank: 1, Procs: p + 1, Addr: "127.0.0.1:1", Rejoin: true}, "mismatch"},
+		{0, bootMsg{Type: "register", Procs: p, Addr: "127.0.0.1:1", Rejoin: true}, "invalid or duplicate rank 0"},
+		{1, bootMsg{Type: "register", Rank: 2, Procs: p, Addr: "127.0.0.1:1", Rejoin: true}, "must go to the coordinator"},
+	})
+
+	mesh.Kill(victim)
+	waitLatched(t, mesh.Node(0), "never noticed the victim's death")
+	waitLatched(t, mesh.Node(1), "never noticed the victim's death")
+	if err := mesh.Respawn(victim); err != nil {
+		t.Fatalf("respawn: %v", err)
+	}
+	refuseAll("respawned", []refusal{
+		{0, bootMsg{Type: "data", Src: victim, Dst: 0}, "already holds incarnation 1 of rank 2, refusing 0"},
+		{1, bootMsg{Type: "data", Src: victim, Dst: 1, Inc: 1}, "already holds incarnation 1 of rank 2, refusing 1"},
+	})
 }

@@ -66,7 +66,11 @@ import (
 // (Comm.Barrier is now data frames on a reserved tag) and renumbered
 // shutdown and heartbeat to 3 and 4. An hsswire/4 peer would read a
 // shutdown as a barrier frame, so the versions must not mix.
-const wireProtoVersion = 5
+//
+// Version 6 made bootstrap the join of incarnation 0: register (with a
+// rejoin flag) and data (with the dialer's incarnation) replace the
+// rejoin and rejoin-data messages, so the versions must not mix.
+const wireProtoVersion = 6
 
 // Frame kinds. A frame is the unit of the TCP transport's framing layer:
 // a fixed 25-byte header followed by length payload bytes (see

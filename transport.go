@@ -42,7 +42,7 @@ const (
 // in-process loopback mesh: all Procs ranks in this process, connected
 // over real localhost sockets.
 type TCPConfig struct {
-	// Coordinator is the host:port of the rank-0 rendezvous listener.
+	// Coordinator is the host:port of the rank-0 listener.
 	// Rank 0 binds it; other ranks dial it to register and learn the
 	// peer address table. Setting it selects worker mode: this process
 	// hosts exactly the rank given by Rank, and Sorter calls drive only
@@ -54,8 +54,8 @@ type TCPConfig struct {
 	// (ranks > 0). Default "127.0.0.1:0"; use a routable interface for
 	// multi-machine worlds.
 	ListenAddr string
-	// BootstrapTimeout bounds rendezvous + mesh construction (default
-	// 30s).
+	// BootstrapTimeout bounds joining the world, registration to whole
+	// mesh (default 30s).
 	BootstrapTimeout time.Duration
 	// HeartbeatInterval is the liveness probe period: each endpoint
 	// sends an empty heartbeat frame to every quiet peer at this
@@ -74,10 +74,11 @@ type TCPConfig struct {
 	// sort immediately, failing it if the mesh is still torn.
 	RejoinWait time.Duration
 	// Rejoin re-enters an existing world after a crash instead of
-	// bootstrapping a new one: the respawned worker process re-registers
-	// with the coordinator, learns the current address table and
-	// generation, and redials its mesh edges while the survivors wait
-	// (RejoinWait). Worker mode only (Coordinator must be set, Rank > 0).
+	// bootstrapping a new one: the respawned worker process registers
+	// with the coordinator as its rank's next incarnation, learns the
+	// current address table and generation, and dials every peer while
+	// the survivors wait (RejoinWait). Worker mode only (Coordinator must
+	// be set, Rank > 0).
 	Rejoin bool
 }
 
