@@ -278,7 +278,7 @@ func main() {
 	defer engine.Close()
 
 	outs, stats, wall, err := sortRuns(ctx, engine, *plan, *repeat, *rejoinWait, shards, func(i int) [][]int64 {
-		return dist.Spec{Kind: kind}.Shards(*n, *p, *seed+uint64(i)+1)
+		return dist.Spec{Kind: kind}.Shards(*n, *p, *seed+uint64(i))
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -398,10 +398,13 @@ func (r report) print() {
 
 // sortRuns is the engine lifecycle both key types share: with plan, one
 // Plan on the input that then seeds every sort; repeat sorts through the
-// one engine (at least one), the warm-ups on fresh(i) shards and the last
-// on shards itself, which -v then verifies. It returns the last sort's
-// output and stats and the wall time of all of them.
-func sortRuns[K any](ctx context.Context, engine *hssort.Sorter[K], plan bool, repeat int, rejoinWait time.Duration, shards [][]K, fresh func(i int) [][]K) (outs [][]K, stats hssort.Stats, wall time.Duration, err error) {
+// one engine (at least one), the warm-ups on gen(i+1) shards and the
+// last on shards itself, which -v then verifies. A sort consumes its
+// input, so a retry after a peer crash sorts the same shards generated
+// anew — gen(0) for the last — not what the failed attempt left behind.
+// It returns the last sort's output and stats and the wall time of all
+// of them.
+func sortRuns[K any](ctx context.Context, engine sorter[K], plan bool, repeat int, rejoinWait time.Duration, shards [][]K, gen func(i int) [][]K) (outs [][]K, stats hssort.Stats, wall time.Duration, err error) {
 	var splitterPlan *hssort.Plan[K]
 	if plan {
 		planStart := time.Now()
@@ -418,8 +421,11 @@ func sortRuns[K any](ctx context.Context, engine *hssort.Sorter[K], plan bool, r
 	var retries retryBudget
 	for i := 0; i < runs; {
 		work := shards
-		if i < runs-1 {
-			work = fresh(i)
+		switch {
+		case i < runs-1:
+			work = gen(i + 1)
+		case retries.attempts > 0:
+			work = gen(0)
 		}
 		if splitterPlan != nil {
 			outs, stats, err = engine.SortWithPlan(ctx, splitterPlan, work)
@@ -441,6 +447,13 @@ func sortRuns[K any](ctx context.Context, engine *hssort.Sorter[K], plan bool, r
 			runs, (wall / time.Duration(runs)).Round(time.Microsecond))
 	}
 	return outs, stats, wall, nil
+}
+
+// sorter is what sortRuns drives of a *hssort.Sorter.
+type sorter[K any] interface {
+	Plan(ctx context.Context, shards [][]K) (*hssort.Plan[K], error)
+	Sort(ctx context.Context, shards [][]K) ([][]K, hssort.Stats, error)
+	SortWithPlan(ctx context.Context, plan *hssort.Plan[K], shards [][]K) ([][]K, hssort.Stats, error)
 }
 
 // retryBudget retries a sort that failed on a peer crash while the
@@ -507,7 +520,7 @@ func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byte
 	defer engine.Close()
 
 	outs, stats, wall, err := sortRuns(ctx, engine, o.plan, o.repeat, o.rejoinWait, shards, func(i int) [][][]byte {
-		return spec.Shards(o.n, cfg.Procs, o.seed+uint64(i)+1)
+		return spec.Shards(o.n, cfg.Procs, o.seed+uint64(i))
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

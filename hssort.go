@@ -264,11 +264,14 @@ type Config struct {
 	// (docs/SPILL.md) that re-enter the k-way merge as additional
 	// sources. The budget never bounds caller-owned arrays: the input
 	// shards and the output partitions are the caller's memory, so the
-	// local sort orders a shard of any size in place (switching to a
-	// scratch-free radix kernel when the shard and the scatter kernel's
-	// scratch would exceed the budget) and writes
-	// nothing to disk. Output is byte-identical to the in-memory sort;
-	// Stats.SpilledBytes reports the traffic. For fixed-size key types
+	// local sort orders a shard of any size where it lies and writes
+	// nothing to disk. For 8-byte numeric keys a consuming call's
+	// shard, dead once encoded, is the scatter kernel's scratch, which
+	// adds no engine memory; decorated (KV) and narrower keys switch to
+	// a scratch-free in-place radix kernel when the shard and the
+	// scatter kernel's scratch would exceed the budget. Output is
+	// byte-identical to the in-memory sort; Stats.SpilledBytes reports
+	// the traffic. For fixed-size key types
 	// without pointers (ints, floats, plain structs of them — not
 	// byte-string keys) and off the TagDuplicates path. 0 (the default)
 	// keeps everything in memory.
@@ -393,7 +396,8 @@ func fromCore(st core.Stats) Stats {
 // Sort sorts shards[i] (the keys initially on processor i) across
 // Config.Procs simulated processors and returns the per-processor sorted
 // partitions. For every algorithm except RoundRobinBuckets placements,
-// the concatenation out[0] ‖ out[1] ‖ … is the sorted input.
+// the concatenation out[0] ‖ out[1] ‖ … is the sorted input. The input
+// shards are consumed, as by Sorter.Sort.
 //
 // Sort builds the whole simulated machine for one call and tears it
 // down again. A service sorting repeatedly should create a Sorter

@@ -79,12 +79,35 @@ func scratchInputs(rng *rand.Rand) [][]Code {
 	return out
 }
 
+// skewInputs are the shapes that reach level 1's log-scale digit and
+// the kernel's out-of-place recursion: the skewed key distributions,
+// encoded as int64 keys, and one hot value over a log-uniform tail, from
+// just under logMinKeys up to a full ledger shard.
+func skewInputs(rng *rand.Rand) [][]Code {
+	var out [][]Code
+	for _, n := range []int{logMinKeys - 1, logMinKeys, 100_000, 1 << 20} {
+		for _, kind := range []dist.Kind{dist.Zipfian, dist.Exponential, dist.PowerSkew, dist.DuplicateHeavy} {
+			out = append(out, EncodeSlice[int64](keycoder.Int64{}, dist.Spec{Kind: kind}.Shard(n, 0, 4, uint64(n))))
+		}
+		hot := make([]Code, n)
+		for i := range hot {
+			hot[i] = Code(rng.Uint64() >> rng.UintN(64))
+			if i%4 == 0 {
+				hot[i] = 1 << 40
+			}
+		}
+		out = append(out, hot)
+	}
+	return out
+}
+
 // TestSortScratchMatchesSlicesSort holds the scatter kernel to
 // slices.Sort on every shape the in-place kernels are tested on plus its
-// own, at Workers 1–4, with scratch as long as the input and longer.
+// own, at Workers 1–4, with scratch as long as the input and longer, on
+// the pure plane and with a payload riding each code.
 func TestSortScratchMatchesSlicesSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 26))
-	inputs := slices.Concat(testInputs(rng), parInputs(rng), scratchInputs(rng))
+	inputs := slices.Concat(testInputs(rng), parInputs(rng), scratchInputs(rng), skewInputs(rng))
 	for i, in := range inputs {
 		want := slices.Clone(in)
 		slices.Sort(want)
@@ -95,6 +118,21 @@ func TestSortScratchMatchesSlicesSort(t *testing.T) {
 			SortScratch(got, tmp, par.New(workers))
 			if !slices.Equal(got, want) {
 				t.Fatalf("input %d (n=%d) workers=%d: SortScratch diverged from slices.Sort", i, len(in), workers)
+			}
+			// Tandem: each payload is its code's complement.
+			copy(got, in)
+			pay := make([]uint64, len(in))
+			for j, c := range in {
+				pay[j] = ^uint64(c)
+			}
+			scatterSort(got, tmp[:len(in)], pay, make([]uint64, len(in)), par.New(workers))
+			if !slices.Equal(got, want) {
+				t.Fatalf("input %d (n=%d) workers=%d: tandem scatter diverged from slices.Sort", i, len(in), workers)
+			}
+			for j, c := range got {
+				if pay[j] != ^uint64(c) {
+					t.Fatalf("input %d (n=%d) workers=%d: payload %d left its code", i, len(in), workers, j)
+				}
 			}
 		}
 	}
@@ -125,6 +163,10 @@ func FuzzSortScratch(f *testing.F) {
 	f.Add([]byte{3, 1, 2}, uint8(0), uint64(0), uint16(0), uint8(1))
 	f.Add([]byte("radix sort with scratch"), uint8(52), uint64(1<<63), uint16(300), uint8(2))
 	f.Add(make([]byte, 64), uint8(7), ^uint64(0), uint16(1000), uint8(3))
+	// Codes spanning 48 bits, eight in fifteen with a zero data byte:
+	// level 1's linear digit piles those into bucket 0 and the log digit
+	// takes over, at 16 Ki codes and more.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 7, 15, 31, 63, 255}, uint8(40), uint64(0), uint16(2000), uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, shift uint8, base uint64, tiles uint16, workers uint8) {
 		if len(data) == 0 {
 			return

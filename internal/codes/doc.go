@@ -6,10 +6,13 @@
 // payload-carrying records, an order-preserving code extractor.
 //
 // The package defines the Code point type and the branch-predictable
-// kernels over code slices: an out-of-place two-level MSD radix sort on
-// caller scratch (SortScratch) and a scratch-free in-place one (Sort),
-// each with a tandem variant that drags record payloads along (the
-// decorate-sort-undecorate plane for KV data), histogram ranks and partition cuts (branch-lean
+// kernels over code slices: an out-of-place MSD radix sort on caller
+// scratch (SortScratch: two scatter levels, a log-scale first digit for
+// skewed shards, and recursion on the idle scratch for hot sub-buckets,
+// so it never swaps in place) and a scratch-free in-place one (Sort) for
+// callers with no scratch to give, each with a tandem variant that drags
+// record payloads along (the decorate-sort-undecorate plane for KV
+// data), histogram ranks and partition cuts (branch-lean
 // binary searches when probes are few, one forward sweep through keys
 // and sorted probes when they rival the keys — ForwardScanBetter is the
 // shared rule), and the comparator tie-break pass for the prefix plane.

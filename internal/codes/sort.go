@@ -4,10 +4,10 @@ package codes
 // (american-flag permutation) over code arrays, hybridized with insertion
 // sort below a cutoff. The scatter kernel (scatter.go) is the fast
 // local sort; this one needs no scratch and serves where a second
-// shard-sized array is not allowed — spill.LocalSort over its budget,
-// Sort called without scratch — and as the scatter kernel's finish for
-// sub-buckets above the cutoff. The tandem variant drags an arbitrary
-// payload array through the same permutation, which is how
+// shard-sized array is not allowed and there is no consumed input to
+// borrow — spill.LocalSort over its budget for decorated (KV) and
+// narrower keys, Sort called without scratch. The tandem variant drags
+// an arbitrary payload array through the same permutation, which is how
 // payload-carrying records (hssort.KV) ride the code plane: decorate
 // with codes, radix-sort codes and records together, and the records
 // never see a comparator.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/exchange"
@@ -113,6 +114,12 @@ type Options[K any] struct {
 	// long-lived engine passes the same Scratch on every call (see
 	// exchange.Scratch). Each rank needs its own.
 	Scratch *exchange.Scratch[K]
+	// Spare, when non-nil, is caller memory this call has consumed — a
+	// bijective-plane input shard, dead once encoded into the rank's
+	// code buffer — at least as long as the local shard. The pure-plane
+	// local sort borrows it as scatter scratch, which then adds nothing
+	// to a memory budget (see spill.LocalSortScratch).
+	Spare []codes.Code
 	// Spill, when non-nil, is this rank's out-of-core manager: the local
 	// sort (spill.LocalSort) keeps its scratch within the budget and the
 	// exchange's receive path diverts over-budget streams to compressed

@@ -105,18 +105,19 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	// Phase 1: local sort (embarrassingly parallel, §6.1.2), fanned over
 	// this rank's worker pool and never touching disk. With a code
 	// extractor it is the comparator-free radix sort of the code
-	// decoration (over a memory budget, spill.LocalSort's scratch-free
-	// in-place kernel with identical output); on the pure plane its
-	// scatter scratch is borrowed from the rank's merge scratch, which
-	// is idle until the exchange. A prefix code orders only up to
-	// collisions, so that plane then restores comparator order within
-	// equal-code spans; it is never budgeted.
+	// decoration. On the pure plane its scatter scratch is the consumed
+	// input in opt.Spare when there is one, else borrowed from the rank's
+	// merge scratch, which is idle until the exchange; over a memory
+	// budget without a spare it is spill.LocalSort's scratch-free
+	// in-place kernel, with identical output. A prefix code orders only
+	// up to collisions, so that plane then restores comparator order
+	// within equal-code spans; it is never budgeted.
 	t0 := time.Now()
 	var localCodes []codes.Code
 	if opt.PrefixCode {
 		localCodes = codes.SortByCodePar(local, opt.Code, pool)
 		f.Times.PrefixCollisions = codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
-	} else if localCodes, err = spill.LocalSortScratch(opt.Spill, local, opt.Code, opt.Cmp, pool, opt.Scratch.MergeScratch().BorrowCodes); err != nil {
+	} else if localCodes, err = spill.LocalSortScratch(opt.Spill, local, opt.Code, opt.Cmp, pool, opt.Scratch.MergeScratch().BorrowCodes, opt.Spare); err != nil {
 		return nil, err
 	}
 	f.Times.LocalSort = time.Since(t0)

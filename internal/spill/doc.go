@@ -28,7 +28,9 @@
 //   - LocalSort: the local-sort kernel shared by the sort pipelines.
 //     It never spills — the shard is the caller's array, already
 //     resident, and is sorted in place. The budget only picks the
-//     kernel: the radix scatter kernel while the shard plus its scratch
+//     kernel: the radix scatter kernel on a consumed input shard lent
+//     as scratch (LocalSortScratch's spare, which costs the budget
+//     nothing) or while the shard plus its own scratch
 //     (codes.ScratchBytes) fits the budget, the scratch-free
 //     codes.SortByCodeInPlace above that (slices.SortFunc on the
 //     comparator plane either way) — output identical.

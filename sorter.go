@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"hssort/internal/codes"
 	"hssort/internal/comm"
@@ -239,8 +240,9 @@ func (s *Sorter[K]) Close() {
 // Sort sorts shards[i] (the keys initially on simulated processor i)
 // and returns the per-processor partitions of the global sorted order,
 // exactly like the package-level Sort but over the engine's reused
-// machine. The input shards are consumed (locally sorted in place,
-// except on the bijective code plane).
+// machine. The input shards, which must not share memory, are
+// consumed: their contents are unspecified after the call, on success
+// or error (a memory-budgeted sort may use them as scratch).
 func (s *Sorter[K]) Sort(ctx context.Context, shards [][]K) ([][]K, Stats, error) {
 	outs, _, stats, err := s.run(ctx, nil, shards, true, false)
 	return outs, stats, err
@@ -249,7 +251,7 @@ func (s *Sorter[K]) Sort(ctx context.Context, shards [][]K) ([][]K, Stats, error
 // SortWithPlan is SortSeeded for callers that keep the plan they came
 // with: the plan seeds the sort and the one it ended with is dropped.
 // The plan must come from this engine (or one with identical Procs and
-// bucket geometry).
+// bucket geometry). Like Sort, it consumes the input shards.
 func (s *Sorter[K]) SortWithPlan(ctx context.Context, plan *Plan[K], shards [][]K) ([][]K, Stats, error) {
 	if plan == nil {
 		return nil, Stats{}, fmt.Errorf("hssort: nil plan (prepare one with Sorter.Plan)")
@@ -272,7 +274,8 @@ func (s *Sorter[K]) SortWithPlan(ctx context.Context, plan *Plan[K], shards [][]
 // distribution (ChaNGa's per-timestep re-sort, §6.3). A nil seed is a
 // plain Sort whose splitters are kept; next is then exactly what Plan
 // would have returned on the same shards. next is nil when the input
-// holds no keys (zero keys determine no splitters).
+// holds no keys (zero keys determine no splitters). Like Sort, it
+// consumes the input shards.
 //
 // Not with TagDuplicates: plans hold plain keys.
 func (s *Sorter[K]) SortSeeded(ctx context.Context, seed *Plan[K], shards [][]K) (out [][]K, next *Plan[K], stats Stats, err error) {
@@ -372,6 +375,12 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 		if seed != nil {
 			job.seed = codes.EncodeSlice(s.coder, seedKeys)
 		}
+		if full && s.cfg.MemoryBudget > 0 {
+			// A consuming call's shard is dead once encoded: under a
+			// budget the local sort scatters through it instead of
+			// falling back to the in-place kernel.
+			job.spare = func(r int) []codes.Code { return spareCodes(shards[r]) }
+		}
 		if full {
 			job.output = func(r int, out []codes.Code) {
 				t0 := time.Now()
@@ -428,6 +437,16 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 		return nil, nil, Stats{}, err
 	}
 	return outs, next, stats, nil
+}
+
+// spareCodes views an 8-byte numeric shard's memory as codes, and is nil
+// for any other key type.
+func spareCodes[K any](shard []K) []codes.Code {
+	switch any(shard).(type) {
+	case []int64, []uint64, []float64:
+		return unsafe.Slice((*codes.Code)(unsafe.Pointer(unsafe.SliceData(shard))), len(shard))
+	}
+	return nil
 }
 
 // resolvePlanes picks the per-call compute plane, demoting CodePathAuto
@@ -526,6 +545,9 @@ type engineRun[K, E any] struct {
 	seed []E
 	// input materializes rank r's working keys, which the run consumes.
 	input func(r int) []E
+	// spare, when non-nil, lends rank r's consumed caller memory to the
+	// local sort as scatter scratch (core.Options.Spare).
+	spare func(r int) []codes.Code
 	// output receives rank r's sorted partition. nil stops the run after
 	// the front half.
 	output func(r int, out []E)
@@ -553,6 +575,9 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		if job.output != nil {
 			o.Scratch = scratchOf[E](s.scratch[r])
 			o.Spill = s.spillFor(r)
+		}
+		if job.spare != nil {
+			o.Spare = job.spare(r)
 		}
 		f, err := core.FrontHalf(c, job.input(r), o, strat)
 		if err != nil {

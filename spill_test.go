@@ -3,10 +3,14 @@ package hssort
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hssort/internal/dist"
+	"hssort/internal/spill"
 )
 
 // TestSpillDirLifecycle pins the on-disk contract of an explicit
@@ -117,5 +121,122 @@ func TestSpillStatsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	} else if strings.Contains(string(b), "spill") {
 		t.Fatalf("zero stats still serialize spill fields: %s", b)
+	}
+}
+
+// TestBudgetedSortBorrowsShard: an int64 Sort under a budget below
+// shard plus scatter scratch borrows the consumed shard as the scatter
+// kernel's scratch. Its output is byte-identical to the unbudgeted
+// engine's, a warm sort allocates no more than the in-place kernel's
+// did, the spill-managed peak stays within the budget, and Plan — which
+// does not consume — leaves its shards alone.
+// Decorated (KV) and int32 keys, whose shards cannot hold the codes,
+// still take the in-place kernel.
+func TestBudgetedSortBorrowsShard(t *testing.T) {
+	const p, perRank, reps = 4, 1 << 17, 4
+	budget := int64(perRank) * 8 / 2
+	var inPlace, scatter atomic.Int64
+	spill.KernelHook = func(ip bool) {
+		if ip {
+			inPlace.Add(1)
+		} else {
+			scatter.Add(1)
+		}
+	}
+	defer func() { spill.KernelHook = nil }()
+	shards := dist.Spec{Kind: dist.Zipfian}.Shards(perRank, p, 11)
+
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Procs: p, Workers: workers}
+		ref, err := New[int64](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ref.Sort(t.Context(), cloneShards(shards))
+		ref.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MemoryBudget = budget
+		s, err := New[int64](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := cloneShards(shards)
+		if _, err := s.Plan(t.Context(), plain); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, shards) {
+			t.Fatalf("workers=%d: Plan changed its input shards", workers)
+		}
+		inputs := make([][][]int64, reps+1)
+		for i := range inputs {
+			inputs[i] = cloneShards(shards)
+		}
+		inPlace.Store(0)
+		scatter.Store(0)
+		got, stats, err := s.Sort(t.Context(), inputs[reps]) // warm
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: budgeted output differs from the unbudgeted engine's", workers)
+		}
+		if stats.PeakResidentBytes > budget {
+			t.Fatalf("workers=%d: PeakResidentBytes %d > budget %d", workers, stats.PeakResidentBytes, budget)
+		}
+		if inPlace.Load() != 0 || scatter.Load() != p {
+			t.Fatalf("workers=%d: %d in-place and %d scatter local sorts, want 0 and %d", workers, inPlace.Load(), scatter.Load(), p)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			if _, _, err := s.Sort(t.Context(), inputs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		s.Close()
+		// With the in-place kernel this sort allocated 41.4 B/key, the
+		// spill writers' compressors most of it; scatter scratch of the
+		// engine's own would add 8.
+		perKey := float64(after.TotalAlloc-before.TotalAlloc) / reps / (p * perRank)
+		if perKey > 42 && !raceEnabled {
+			t.Fatalf("workers=%d: a warm budgeted sort allocated %.2f B/key, want <= 42", workers, perKey)
+		}
+	}
+
+	kv, err := NewKV[int64, uint32](Config{Procs: p, MemoryBudget: budget / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	recs := make([][]KV[int64, uint32], p)
+	for r, sh := range shards {
+		for i, k := range sh {
+			recs[r] = append(recs[r], KV[int64, uint32]{Key: k, Val: uint32(i)})
+		}
+	}
+	narrow, err := New[int32](Config{Procs: p, MemoryBudget: budget / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer narrow.Close()
+	keys32 := make([][]int32, p)
+	for r, sh := range shards {
+		for _, k := range sh {
+			keys32[r] = append(keys32[r], int32(k>>32))
+		}
+	}
+	inPlace.Store(0)
+	scatter.Store(0)
+	if _, _, err := kv.SortKV(t.Context(), recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := narrow.Sort(t.Context(), keys32); err != nil {
+		t.Fatal(err)
+	}
+	if inPlace.Load() != 2*p || scatter.Load() != 0 {
+		t.Fatalf("KV and int32: %d in-place and %d scatter local sorts, want %d and 0", inPlace.Load(), scatter.Load(), 2*p)
 	}
 }
