@@ -1,8 +1,9 @@
 // Benchmarks of the design choices no benchmark/ probe, ledger workload
-// or cmd/experiments experiment measures: the sampling schedules, §3.4
-// approximate histogramming (Config.Approx), the §6.1 node-level sort
+// or cmd/experiments experiment measures: the §6.1 node-level sort
 // (Config.CoresPerNode), §4.3 duplicate tagging (Config.TagDuplicates)
-// and the out-of-core plane under a budget that really spills.
+// and the out-of-core plane under a budget that really spills. The
+// sampling schedules and §3.4 approximate histogramming are benchmarked
+// in internal/core, where they are configured.
 //
 // Run: go test -run '^$' -bench=. -benchmem
 package hssort
@@ -14,68 +15,6 @@ import (
 	"hssort/internal/dist"
 	"hssort/internal/exchange"
 )
-
-// BenchmarkAblationSampling compares the fixed-oversampling production
-// schedule (§6.1.2) against the theoretical ratio schedule (§3.3) at the
-// same ε: rounds vs sample-size trade-off.
-func BenchmarkAblationSampling(b *testing.B) {
-	b.ReportAllocs()
-	const p = 4096
-	n := int64(p) * 1000
-	for _, v := range []struct {
-		name   string
-		alg    Algorithm
-		rounds int
-	}{
-		{"fixed-f5", HSS, 0},
-		{"theoretical-k2", HSSTheoretical, 2},
-		{"theoretical-k5", HSSTheoretical, 5},
-		{"scanning-1round", HSSOneRound, 0},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res SimResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = SimulateSplitters(n, p, 0.05, v.alg, v.rounds, uint64(i)+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-			b.ReportMetric(float64(res.TotalSample), "sample_keys")
-		})
-	}
-}
-
-// BenchmarkAblationApproxHistogram compares exact local histogramming
-// against the §3.4 representative-sample shortcut inside the full sort.
-func BenchmarkAblationApproxHistogram(b *testing.B) {
-	b.ReportAllocs()
-	const p, perRank = 16, 50000
-	for _, approx := range []bool{false, true} {
-		name := "exact"
-		if approx {
-			name = "approx"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var stats Stats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				shards := dist.Spec{Kind: dist.Uniform}.Shards(perRank, p, uint64(i)+1)
-				b.StartTimer()
-				var err error
-				_, stats, err = Sort(Config{Procs: p, Epsilon: 0.05, Approx: approx, Seed: 3}, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(stats.Imbalance, "imbalance")
-			b.ReportMetric(float64(stats.Splitter.Microseconds()), "splitter_us")
-		})
-	}
-}
 
 // BenchmarkAblationNodeLevel compares the flat sort against the §6.1
 // two-level node sort: total message count is the §6.1 claim.

@@ -62,12 +62,8 @@ func sameByteOutputs(a, b [][][]byte) bool {
 }
 
 // TestNewBytesRejections pins the constructor's contract: no bijective
-// coder exists for byte strings, so explicit coders are out, and
-// HistogramSort's probe bisection needs the code plane.
+// coder exists for byte strings, so explicit coders are out.
 func TestNewBytesRejections(t *testing.T) {
-	if _, err := NewBytes(Config{Procs: 4, Algorithm: HistogramSort, CodePath: CodePathOff}); err == nil {
-		t.Error("HistogramSort with CodePathOff accepted; probe bisection needs the prefix code plane")
-	}
 	if _, err := NewBytes(Config{Procs: 4, Algorithm: HSS, Coder: keycoder.Int64{}}); err == nil {
 		t.Error("NewBytes accepted an explicit Config.Coder")
 	}

@@ -39,6 +39,11 @@ type cell struct {
 	seeded   bool // also seed a sort with the cell's own plan
 	repeat   bool // sort twice through one engine; the outputs must be identical
 	balanced bool // Imbalance must be at most 1+ε
+
+	// comparator builds the engine with NewFunc and the key type's
+	// order: the comparator plane. HistogramSort's key arithmetic comes
+	// with Config.Coder, which puts NewFunc on the code plane.
+	comparator bool
 }
 
 // input is p shards of n keys drawn from dist at seed.
@@ -68,9 +73,6 @@ var variants = map[string]struct {
 	dist string
 }{
 	"hss":                {Config{Algorithm: HSS, Epsilon: 0.05}, "powerskew"},
-	"hss-1round":         {Config{Algorithm: HSSOneRound}, "uniform"},
-	"hss-theory":         {Config{Algorithm: HSSTheoretical}, "gaussian"},
-	"hss-approx":         {Config{Algorithm: HSS, Approx: true}, "uniform"},
 	"hss-overpartition":  {Config{Algorithm: HSS, Buckets: 4}, "uniform"},
 	"hss-roundrobin":     {Config{Algorithm: HSS, Buckets: 2, RoundRobinBuckets: true}, "exponential"},
 	"hss-duplicates":     {Config{Algorithm: HSS, TagDuplicates: true}, "dupheavy"},
@@ -86,7 +88,7 @@ func algorithm(c *cell, name string) {
 	if !ok {
 		panic("no algorithm variant " + name)
 	}
-	c.cfg.Algorithm, c.cfg.Approx, c.cfg.TagDuplicates = v.cfg.Algorithm, v.cfg.Approx, v.cfg.TagDuplicates
+	c.cfg.Algorithm, c.cfg.TagDuplicates = v.cfg.Algorithm, v.cfg.TagDuplicates
 	c.cfg.Buckets, c.cfg.RoundRobinBuckets = v.cfg.Buckets*c.in.p, v.cfg.RoundRobinBuckets
 	c.cfg.CoresPerNode, c.cfg.Epsilon = v.cfg.CoresPerNode, cmp.Or(v.cfg.Epsilon, 0.1)
 	c.in.dist = cmp.Or(c.in.dist, v.dist)
@@ -95,7 +97,6 @@ func keyType(c *cell, k string)       { c.key = k }
 func distribution(c *cell, d string)  { c.in.dist = d }
 func protocolSeed(c *cell, s uint64)  { c.cfg.Seed = s }
 func transport(c *cell, tr Transport) { c.cfg.Transport = tr }
-func plane(c *cell, cp CodePath)      { c.cfg.CodePath = cp }
 func workers(c *cell, w int)          { c.cfg.Workers = w }
 func budget(c *cell, b int64)         { c.cfg.MemoryBudget = b }
 func seededSort(c *cell, seeded bool) { c.seeded = seeded }
@@ -146,6 +147,12 @@ func pick(set func(*cell, string), names ...string) []val {
 // exchanges is the exchange-form dimension, its two values named mat and str.
 func exchanges(mat, str string) []val {
 	return []val{{mat, func(c *cell) { streaming(c, false) }}, {str, func(c *cell) { streaming(c, true) }}}
+}
+
+// planes is the constructor dimension: the comparator plane (NewFunc),
+// named off, and the key type's own constructor, named coded.
+func planes(off, coded string) []val {
+	return []val{{off, func(c *cell) { c.comparator = true }}, {coded, func(c *cell) { c.comparator = false }}}
 }
 
 // product crosses base with one value of each dimension, in order.
@@ -354,13 +361,7 @@ func numeric[K cmp.Ordered](from func(int64) K, bits func(K) uint64) keyOps[K] {
 }
 
 var kvOps = keyOps[KV[int64, int32]]{
-	new: func(cfg Config) (*Sorter[KV[int64, int32]], error) {
-		s, err := NewKV[int64, int32](cfg)
-		if err != nil {
-			return nil, err
-		}
-		return s.s, nil
-	},
+	new:   NewKV[int64, int32],
 	from:  func(k int64, id int) KV[int64, int32] { return KV[int64, int32]{Key: k, Val: int32(id)} },
 	order: CompareKV[int64, int32],
 	sort: func(s []KV[int64, int32]) {
@@ -442,16 +443,14 @@ type outcome struct {
 // protocol and input on sim, materializing, serial, in memory, on the
 // comparator plane. Byte strings keep their plane — prefix and
 // comparator planes agree only without prefix collisions — except on
-// hashlike keys, which have none (run checks it), under an algorithm
-// with a comparator plane on bytes. This is the one place a cell's
-// oracle is derived.
+// hashlike keys, which have none (run checks it). HistogramSort keeps
+// its constructor: it has no comparator plane but the one a NaN input
+// demotes it to. This is the one place a cell's oracle is derived.
 func reference(t *testing.T, c cell) (cell, outcome) {
 	r := cell{name: "reference", cfg: c.cfg, key: cmp.Or(c.key, "int64"), in: c.in}
 	r.cfg.Transport, r.cfg.Workers, r.cfg.MemoryBudget = TransportSim, 1, 0
 	r.cfg.StreamExchange, r.cfg.ChunkKeys = false, 0
-	if c.key != "bytes" || c.in.dist == "hashlike" && c.cfg.Algorithm != HistogramSort {
-		r.cfg.CodePath = CodePathOff
-	}
+	r.comparator = c.cfg.Algorithm != HistogramSort && (c.key != "bytes" || c.in.dist == "hashlike")
 	return r, memoized(refs, fmt.Sprintf("%+v", r), func() outcome { return sortCell(t, r) })
 }
 
@@ -474,7 +473,7 @@ func run(t *testing.T, c cell) {
 	// Sim accounts bytes as a function of the protocol and the plane's
 	// element type; credit grants make the streaming exchange's timing
 	// dependent.
-	if c.cfg.Transport == TransportSim && c.cfg.CodePath == r.cfg.CodePath && !c.seeded {
+	if c.cfg.Transport == TransportSim && c.comparator == r.comparator && !c.seeded {
 		if g.SplitterBytes != w.SplitterBytes || !streams(c.cfg) && g.ExchangeBytes != w.ExchangeBytes {
 			t.Errorf("bytes diverged from the reference: splitter %d, exchange %d; reference %d, %d",
 				g.SplitterBytes, g.ExchangeBytes, w.SplitterBytes, w.ExchangeBytes)
@@ -511,7 +510,16 @@ func sortCell(t *testing.T, c cell) outcome {
 func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 	t.Helper()
 	what := cmp.Or(c.name, "cell")
-	eng, err := ops.new(c.cfg)
+	newEngine := ops.new
+	if c.comparator {
+		newEngine = func(cfg Config) (*Sorter[K], error) {
+			if cfg.Algorithm == HistogramSort {
+				cfg.Coder = coderFor[K]()
+			}
+			return NewFunc(cfg, ops.order)
+		}
+	}
+	eng, err := newEngine(c.cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -673,7 +681,7 @@ func checkStats[K any](t *testing.T, what string, c cell, st Stats) {
 	} else if st.SpilledBytes != 0 || st.PeakResidentBytes != 0 {
 		fail("unbudgeted sort spilled %d, peak resident %d", st.SpilledBytes, st.PeakResidentBytes)
 	}
-	if prefix := c.key == "bytes" && cfg.CodePath != CodePathOff; !prefix || c.in.dist == "hashlike" || c.in.dist == "urllike" {
+	if prefix := c.key == "bytes" && !c.comparator; !prefix || c.in.dist == "hashlike" || c.in.dist == "urllike" {
 		want := int64(0) // off the prefix plane, and on hash-like keys
 		if prefix && c.in.dist == "urllike" {
 			want = st.N // one 8-byte scheme prefix
@@ -707,8 +715,8 @@ func workerSweep() []int {
 }
 
 func TestCodePathEquivalence(t *testing.T) {
-	runAll(t, product(cell{cfg: Config{Seed: 3, CodePath: CodePathOn}, in: input{p: 6, n: 3000, seed: 41}},
-		pick(algorithm, "hss", "hss-1round", "hss-theory", "hss-approx", "hss-overpartition", "hss-roundrobin",
+	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 6, n: 3000, seed: 41}},
+		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin",
 			"histogramsort", "samplesort-regular", "samplesort-random", "node-hss"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")))
 }
@@ -717,13 +725,13 @@ func TestCodePathEquivalence(t *testing.T) {
 // the sign bit set, float64 through subnormals and negatives, int32
 // through the widening coder, and negative int64 keys streamed.
 func TestCodePathEquivalenceKeyTypes(t *testing.T) {
-	base := cell{cfg: Config{Seed: 7, CodePath: CodePathOn}, in: input{dist: "full", p: 5, n: 2000, seed: 23}}
+	base := cell{cfg: Config{Seed: 7}, in: input{dist: "full", p: 5, n: 2000, seed: 23}}
 	runAll(t, append(product(base, pick(keyType, "uint64", "float64", "int32"), pick(algorithm, "hss", "histogramsort", "samplesort-regular")),
 		product(base, []val{{"int64-streaming", func(c *cell) { streaming(c, true) }}})...))
 }
 
 func TestCodePathKVEquivalence(t *testing.T) {
-	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 11, CodePath: CodePathOn}, in: input{dist: "dupheavy", p: 4, n: 2000, seed: 43}},
+	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 11}, in: input{dist: "dupheavy", p: 4, n: 2000, seed: 43}},
 		pick(algorithm, "hss", "samplesort-regular", "node-hss"), exchanges("materializing", "streaming")))
 }
 
@@ -731,22 +739,22 @@ func TestCodePathKVEquivalence(t *testing.T) {
 // 500 keys, so probe lists outnumber local keys and the exchange moves a
 // couple of keys per message. The all-equal input never finalizes.
 func TestSmallMessageEquivalence(t *testing.T) {
-	runAll(t, product(cell{cfg: Config{Seed: 5, CodePath: CodePathOn}, in: input{p: 256, n: 500, seed: 71}},
+	runAll(t, product(cell{cfg: Config{Seed: 5}, in: input{p: 256, n: 500, seed: 71}},
 		pick(distribution, "powerskew", "zipfian", "all-equal"), dim("%v", transport, TransportSim, TransportInproc),
 		exchanges("materializing", "streaming")))
 }
 
 func TestPlanSortWithPlanEquivalence(t *testing.T) {
 	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 7}, in: input{dist: "powerskew", p: 6, n: 2500, seed: 17}},
-		pick(algorithm, "hss", "hss-1round", "hss-theory"), dim("%v", transport, TransportSim, TransportInproc),
-		exchanges("materializing", "stream"), dim("%v", plane, CodePathOff, CodePathAuto)))
+		pick(algorithm, "hss"), dim("%v", transport, TransportSim, TransportInproc),
+		exchanges("materializing", "stream"), planes("off", "auto")))
 }
 
 func TestSpillEquivalence(t *testing.T) {
 	quarter := int64(bigN) * 8 / 4
 	runAll(t, append(product(cell{cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "powerskew", p: 4, n: bigN, seed: 83}},
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
-		dim("%v", plane, CodePathOff, CodePathOn), dim("workers=%d", workers, slices.Compact([]int{1, runtime.GOMAXPROCS(0)})...),
+		planes("off", "on"), dim("workers=%d", workers, slices.Compact([]int{1, runtime.GOMAXPROCS(0)})...),
 		dim("budget=%d", budget, quarter, quarter/2)),
 		smallShardStreams(cell{cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "powerskew", seed: 83}}, 8,
 			dim("%v", transport, TransportSim, TransportInproc, TransportTCP))...))
@@ -769,8 +777,8 @@ func smallShardStreams(base cell, keySize int64, dims ...[]val) []cell {
 // node-level stream, at a chunk and a half.
 func TestSpillEquivalenceAlgorithms(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 5, MemoryBudget: bigN * 8 / 4}, in: input{p: 4, n: bigN, seed: 97}},
-		pick(algorithm, "hss-one-round=hss-1round", "hss-theoretical=hss-theory", "samplesort-regular", "samplesort-random",
-			"histogramsort", "node-hss"), exchanges("materializing", "streaming"))
+		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss"),
+		exchanges("materializing", "streaming"))
 	for i, c := range cs {
 		if c.cfg.Algorithm == NodeHSS && c.cfg.StreamExchange {
 			cs[i].cfg.MemoryBudget = int64(c.cfg.ChunkKeys) * 8 * 3 / 2
@@ -795,7 +803,7 @@ func TestStreamExchangeEquivalence(t *testing.T) {
 func TestTCPSortEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
 		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
-		exchanges("stream=false", "stream=true"), dim("codepath=%v", plane, CodePathOff, CodePathOn)))
+		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")))
 }
 
 func TestTCPSortKVEquivalence(t *testing.T) {
@@ -805,7 +813,7 @@ func TestTCPSortKVEquivalence(t *testing.T) {
 
 func TestSortEquivalentAcrossTransports(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3, Transport: TransportInproc}, in: input{p: 8, n: 5000, seed: 21}},
-		append(pick(algorithm, "hss-skewed=hss", "hss-theory", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		append(pick(algorithm, "hss-skewed=hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
 			val{"hss-uniform", func(c *cell) { c.in.dist = "uniform"; algorithm(c, "hss") }})))
 }
 
@@ -813,7 +821,7 @@ func TestWorkersEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 4, n: bigN, seed: 61}},
 		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
-		dim("%v", plane, CodePathOff, CodePathOn), dim("workers=%d", workers, workerSweep()...)))
+		planes("off", "on"), dim("workers=%d", workers, workerSweep()...)))
 }
 
 func TestWorkersEquivalenceKV(t *testing.T) {
@@ -879,20 +887,18 @@ func TestSortFloatKeys(t *testing.T) {
 var nanAuto = val{"nan-auto", func(c *cell) { c.in.dist = "full+nan" }}
 
 // TestSortFloat32Keys: the float32 coder engages the code plane, and a
-// NaN demotes CodePathAuto to the comparator plane and fails CodePathOn.
+// NaN demotes the call to the comparator plane.
 func TestSortFloat32Keys(t *testing.T) {
 	runAll(t, product(cell{key: "float32", cfg: Config{Epsilon: 0.2}, in: input{dist: "full", p: 3, n: 200, seed: 5}},
-		[]val{{"on", func(c *cell) { plane(c, CodePathOn) }}, nanAuto}))
-	if _, _, err := Sort(Config{Procs: 2, CodePath: CodePathOn}, [][]float32{{1, float32(math.NaN())}, {2, 3}}); err == nil {
-		t.Error("float32 NaN under CodePathOn did not fail")
-	}
+		[]val{{"on", func(*cell) {}}, nanAuto}))
 }
 
 // TestNarrowKeysHistogramSortBalance: histogram sort meets 1+ε on the
-// widening coders' key types on every plane.
+// widening coders' key types through both constructors, and on the
+// comparator plane a NaN demotes it to.
 func TestNarrowKeysHistogramSortBalance(t *testing.T) {
 	runAll(t, product(cell{balanced: true, cfg: Config{Algorithm: HistogramSort, Epsilon: 0.1, Seed: 3}, in: input{dist: "full", p: 4, n: 6000, seed: 3}},
-		pick(keyType, "int32", "float32"), append(dim("%v", plane, CodePathOff, CodePathOn), nanAuto)))
+		pick(keyType, "int32", "float32"), append(planes("off", "on"), nanAuto)))
 }
 
 // TestHistogramSortNaNLowRank: a NaN sorts first but encodes above +Inf,
@@ -900,7 +906,7 @@ func TestNarrowKeysHistogramSortBalance(t *testing.T) {
 // keys of buckets 0–3, which round-robin placement sends to four ranks.
 func TestHistogramSortNaNLowRank(t *testing.T) {
 	runAll(t, product(cell{balanced: true, cfg: Config{Algorithm: HistogramSort, Buckets: 16, RoundRobinBuckets: true, Seed: 3}, in: input{dist: "ascending+nan", p: 4, n: 2000}},
-		pick(keyType, "float64", "float32"), dim("%v", plane, CodePathOff, CodePathAuto)))
+		pick(keyType, "float64", "float32"), []val{{"auto", func(*cell) {}}}))
 }
 
 // TestSortKVCarriesPayloads: every record arrives with its own payload.
@@ -923,7 +929,7 @@ func TestSortManyRanks(t *testing.T) {
 
 func TestSortKVAllHSSAlgorithms(t *testing.T) {
 	runAll(t, product(cell{key: "kv", in: input{dist: "full", p: 4, n: 800, seed: 9}},
-		pick(algorithm, "hss", "hss-1round", "hss-theory", "samplesort-regular", "samplesort-random")))
+		pick(algorithm, "hss", "samplesort-regular", "samplesort-random")))
 }
 
 // TestSortBytesAllAlgorithms runs every algorithm over hash-like keys,
@@ -956,8 +962,8 @@ func TestPlanOtherAlgorithms(t *testing.T) {
 // SortSeeded ends with exactly the plan Plan prepares.
 func TestSortSeededReturnsPlansPlan(t *testing.T) {
 	cs := product(cell{seeded: true, cfg: Config{Seed: 11}, in: input{dist: "gaussian", p: 6, n: 1500, seed: 29}},
-		append(pick(keyType, "bijective=int64", "record=kv", "prefix=bytes"), val{"comparator", func(c *cell) { plane(c, CodePathOff) }}),
-		pick(algorithm, "hss", "hss-1round", "samplesort-regular", "histogramsort", "node-hss"))
+		append(pick(keyType, "bijective=int64", "record=kv", "prefix=bytes"), val{"comparator", func(c *cell) { c.comparator = true }}),
+		pick(algorithm, "hss", "samplesort-regular", "histogramsort", "node-hss"))
 	runAll(t, slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv" && c.cfg.Algorithm == HistogramSort }))
 }
 
@@ -972,7 +978,7 @@ func TestKVSorterPlan(t *testing.T) {
 // get big shards, where the kernels fan out and every stream diverts.
 func TestPairwiseCoverage(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 9}, in: input{dist: "gaussian", p: 4, n: 4000, seed: 7}},
-		pick(algorithm, "hss-overpartition", "hss-roundrobin", "hss-1round", "hss-theory", "samplesort-random"),
+		pick(algorithm, "hss-overpartition", "hss-roundrobin", "samplesort-random"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		[]val{{"workers=1", func(*cell) {}}, {"workers=2", func(c *cell) { workers(c, 2); c.in.n = bigN }}},
 		pick(keyType, "int64", "kv", "bytes"),

@@ -16,7 +16,7 @@ func runFig31(scale float64) error {
 		n = 1 << 14
 	}
 	const buckets = 16
-	res, err := hssort.SimulateSplitters(n, buckets, 0.02, hssort.HSS, 0, 1)
+	res, err := hssort.SimulateSplitters(n, buckets, 0.02, 1)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 
 	"hssort"
 	"hssort/internal/bspmodel"
+	"hssort/internal/core"
 	"hssort/internal/tablefmt"
 )
 
@@ -44,15 +46,15 @@ func runFig41(scale float64) error {
 		if n < int64(p)*64 {
 			n = int64(p) * 64
 		}
-		r1, err := hssort.SimulateSplitters(n, p, eps, hssort.HSSTheoretical, 1, 1)
+		r1, err := simulateTheoretical(n, p, eps, 1)
 		if err != nil {
 			return err
 		}
-		r2, err := hssort.SimulateSplitters(n, p, eps, hssort.HSSTheoretical, 2, 1)
+		r2, err := simulateTheoretical(n, p, eps, 2)
 		if err != nil {
 			return err
 		}
-		rc, err := hssort.SimulateSplitters(n, p, eps, hssort.HSS, 0, 1)
+		rc, err := hssort.SimulateSplitters(n, p, eps, 1)
 		if err != nil {
 			return err
 		}
@@ -67,4 +69,17 @@ func runFig41(scale float64) error {
 	fmt.Println("\nPaper: the five curves separate by orders of magnitude at large p, in")
 	fmt.Println("the order regular > random > HSS-1 > HSS-2 > constant oversampling.")
 	return nil
+}
+
+// simulateTheoretical runs the splitter protocol centrally under §3.3's
+// k-round geometric sample-size schedule.
+func simulateTheoretical(n int64, buckets int, eps float64, rounds int) (core.SimResult, error) {
+	return core.SimulateSplitters(n, core.Options[int64]{
+		Cmp:      cmp.Compare[int64],
+		Buckets:  buckets,
+		Epsilon:  eps,
+		Schedule: core.Theoretical,
+		Rounds:   rounds,
+		Seed:     1,
+	})
 }

@@ -64,22 +64,10 @@ func main() {
 		}
 		return
 	}
-	names := map[string]bool{}
-	for _, n := range strings.Split(*exp, ",") {
-		names[strings.TrimSpace(n)] = true
-	}
-	ran := 0
-	for _, e := range experiments {
-		if !names["all"] && !names[e.name] {
-			continue
-		}
-		fmt.Printf("=== %s — %s ===\n\n", e.name, e.desc)
-		if err := e.run(*scale); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		ran++
+	ran, err := runNamed(*exp, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if ran == 0 {
 		known := make([]string, 0, len(experiments))
@@ -90,4 +78,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", *exp, strings.Join(known, ", "))
 		os.Exit(2)
 	}
+}
+
+// runNamed runs the experiments in a comma-separated list of names
+// ("all" for every one), each under its banner, and returns how many
+// ran.
+func runNamed(list string, scale float64) (int, error) {
+	names := map[string]bool{}
+	for _, n := range strings.Split(list, ",") {
+		names[strings.TrimSpace(n)] = true
+	}
+	ran := 0
+	for _, e := range experiments {
+		if !names["all"] && !names[e.name] {
+			continue
+		}
+		fmt.Printf("=== %s — %s ===\n\n", e.name, e.desc)
+		if err := e.run(scale); err != nil {
+			return ran, fmt.Errorf("%s: %w", e.name, err)
+		}
+		fmt.Println()
+		ran++
+	}
+	return ran, nil
 }

@@ -23,7 +23,7 @@ func runTable61(scale float64) error {
 	}
 	t := tablefmt.New("p (x1000)", "sample/round (xp)", "rounds observed", "bound", "imbalance", "finalized")
 	for _, p := range []int{4096, 8192, 16384, 32768} {
-		res, err := hssort.SimulateSplitters(int64(p)*perBucket, p, eps, hssort.HSS, 0, 1)
+		res, err := hssort.SimulateSplitters(int64(p)*perBucket, p, eps, 1)
 		if err != nil {
 			return err
 		}

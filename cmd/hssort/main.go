@@ -57,8 +57,6 @@ import (
 
 var algorithms = map[string]hssort.Algorithm{
 	"hss":                hssort.HSS,
-	"hss-1round":         hssort.HSSOneRound,
-	"hss-theory":         hssort.HSSTheoretical,
 	"samplesort-regular": hssort.SampleSortRegular,
 	"samplesort-random":  hssort.SampleSortRandom,
 	"histogramsort":      hssort.HistogramSort,
@@ -100,13 +98,10 @@ func main() {
 		dsName  = flag.String("dist", "uniform", "distribution: "+names(distributions)+"; with -keys bytes: "+names(byteDistributions)+" (default hashlike)")
 		eps     = flag.Float64("eps", 0.05, "load-imbalance threshold")
 		buckets = flag.Int("buckets", 0, "output buckets (default: p)")
-		rounds  = flag.Int("rounds", 0, "rounds for hss-theory (default: log log p/eps)")
 		cores   = flag.Int("cores", 4, "cores per node for node-hss")
 		tag     = flag.Bool("tag", false, "tag duplicates (§4.3)")
-		approx  = flag.Bool("approx", false, "approximate histogramming (§3.4)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		trName  = flag.String("transport", "sim", "comm backend — "+strings.Join(hssort.TransportSummaries(), "; "))
-		cpName  = flag.String("codepath", "auto", "compute plane: auto (code plane when available), off (comparator oracle) or on (require the code plane)")
 		stream  = flag.Bool("stream", false, "streaming chunked exchange overlapped with the merge")
 		workers = flag.Int("workers", 0, "per-rank compute worker pool size (0 = GOMAXPROCS split across hosted ranks, 1 = serial)")
 		chunk   = flag.Int("chunk", 0, "streaming-exchange chunk size in keys (implies -stream; default 64Ki)")
@@ -136,11 +131,6 @@ func main() {
 		os.Exit(2)
 	}
 	transport, err := hssort.ParseTransport(*trName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	codePath, err := hssort.ParseCodePath(*cpName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -219,13 +209,10 @@ func main() {
 		Algorithm:      alg,
 		Epsilon:        *eps,
 		Buckets:        *buckets,
-		Rounds:         *rounds,
 		CoresPerNode:   *cores,
 		TagDuplicates:  *tag,
-		Approx:         *approx,
 		Seed:           *seed,
 		Transport:      transport,
-		CodePath:       codePath,
 		StreamExchange: *stream,
 		ChunkKeys:      *chunk,
 		Workers:        *workers,
@@ -290,13 +277,13 @@ func main() {
 		fmt.Printf("%s: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
 			alg, *rank, *p, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
 		if *digest {
-			printDigests(outs, *rank, workerMode)
+			printDigests(outs, *rank, workerMode, appendInt64)
 		}
 		return
 	}
 	report{cfg: cfg, distName: *dsName, wall: wall, stats: stats, workerMode: workerMode}.print()
 	if *digest {
-		printDigests(outs, *rank, workerMode)
+		printDigests(outs, *rank, workerMode, appendInt64)
 		printStatsJSON(stats)
 	}
 
@@ -312,11 +299,6 @@ func main() {
 				os.Exit(1)
 			}
 			got = append(got, o...)
-		}
-		// Non-contiguous bucket placements produce per-rank sorted
-		// output whose rank order does not follow key order.
-		if cfg.RoundRobinBuckets {
-			slices.Sort(got)
 		}
 		if !slices.Equal(got, want) {
 			fmt.Fprintln(os.Stderr, "FAIL: output is not the sorted permutation of the input")
@@ -351,9 +333,9 @@ func (r report) print() {
 	if r.workerMode {
 		world = "worker processes"
 	}
-	fmt.Printf("%s: sorted %s %s keys on %d %s in %v (%s transport, %s code path)\n\n",
+	fmt.Printf("%s: sorted %s %s keys on %d %s in %v (%s transport)\n\n",
 		r.cfg.Algorithm, tablefmt.Count(float64(stats.N)), r.distName, r.cfg.Procs, world,
-		r.wall.Round(time.Millisecond), r.cfg.Transport, r.cfg.CodePath)
+		r.wall.Round(time.Millisecond), r.cfg.Transport)
 	if r.cfg.Transport == hssort.TransportInproc {
 		fmt.Println("note: the inproc transport does no byte accounting; byte/message metrics read zero")
 		fmt.Println()
@@ -531,13 +513,13 @@ func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byte
 		fmt.Printf("%s: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
 			cfg.Algorithm, o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
 		if o.digest {
-			printByteDigests(outs, o.rank, true)
+			printDigests(outs, o.rank, true, appendBytes)
 		}
 		return 0
 	}
 	report{cfg: cfg, distName: o.distName, wall: wall, stats: stats, workerMode: o.workerMode}.print()
 	if o.digest {
-		printByteDigests(outs, o.rank, o.workerMode)
+		printDigests(outs, o.rank, o.workerMode, appendBytes)
 		printStatsJSON(stats)
 	}
 
@@ -563,25 +545,6 @@ func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byte
 	return 0
 }
 
-// printByteDigests is printDigests for byte-string partitions: FNV-64a
-// over length-prefixed keys, so the fingerprint distinguishes
-// {"ab","c"} from {"a","bc"}.
-func printByteDigests(outs [][][]byte, rank int, workerMode bool) {
-	for r, o := range outs {
-		if workerMode && r != rank {
-			continue // peers print their own
-		}
-		h := fnv.New64a()
-		var b [8]byte
-		for _, k := range o {
-			binary.LittleEndian.PutUint64(b[:], uint64(len(k)))
-			h.Write(b[:])
-			h.Write(k)
-		}
-		fmt.Printf("digest rank=%d n=%d fnv=%016x\n", r, len(o), h.Sum64())
-	}
-}
-
 // printStatsJSON emits the run's statistics as one machine-readable
 // "stats {json}" line (hssort.Stats.Snapshot) next to the digest
 // lines, so scripted runs can diff digests and scrape metrics from one
@@ -596,23 +559,32 @@ func printStatsJSON(stats hssort.Stats) {
 }
 
 // printDigests emits one deterministic fingerprint line per output
-// partition. The lines are identical for rank-identical output, whatever
-// transport produced it — diffing the sorted digest lines of a tcp
-// worker fleet against a sim run is the cross-process correctness check
-// the CI smoke performs.
-func printDigests(outs [][]int64, rank int, workerMode bool) {
+// partition: FNV-64a over each key as appendKey writes it. The lines are
+// identical for rank-identical output, whatever transport produced it —
+// diffing the sorted digest lines of a tcp worker fleet against a sim
+// run is the cross-process correctness check the CI smoke performs.
+func printDigests[K any](outs [][]K, rank int, workerMode bool, appendKey func([]byte, K) []byte) {
+	var b []byte
 	for r, o := range outs {
 		if workerMode && r != rank {
 			continue // peers print their own
 		}
 		h := fnv.New64a()
-		var b [8]byte
 		for _, k := range o {
-			binary.LittleEndian.PutUint64(b[:], uint64(k))
-			h.Write(b[:])
+			b = appendKey(b[:0], k)
+			h.Write(b)
 		}
 		fmt.Printf("digest rank=%d n=%d fnv=%016x\n", r, len(o), h.Sum64())
 	}
+}
+
+// appendInt64 writes an int64 key's 8 little-endian bytes.
+func appendInt64(b []byte, k int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(k)) }
+
+// appendBytes writes a byte-string key length-prefixed, so the
+// fingerprint distinguishes {"ab","c"} from {"a","bc"}.
+func appendBytes(b, k []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(k))), k...)
 }
 
 // launchWorkers implements -launch local:N: fork N copies of this

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"strings"
 	"testing"
 
 	"hssort/internal/dist"
@@ -41,22 +40,15 @@ func TestMain(m *testing.M) {
 
 // TestCodePathNaNGuard: NaN is the one float64 value whose comparator
 // order (below everything, per cmp.Compare) no order-preserving code
-// realizes. With NaNs present, the default CodePathAuto must fall back
-// to the comparator plane — bit-identical output to CodePathOff, NaNs
-// first — and CodePathOn must fail loudly instead of silently
-// reordering.
+// realizes. With NaNs present, New's engine must fall back to the
+// comparator plane — bit-identical output to NewFunc's, NaNs first —
+// instead of silently reordering.
 func TestCodePathNaNGuard(t *testing.T) {
 	run(t, cell{key: "float64", cfg: Config{Epsilon: 0.5}, in: input{dist: "full+nan", p: 2, n: 300, seed: 1}})
-	nan := math.NaN()
-	if _, _, err := Sort(Config{Procs: 2, CodePath: CodePathOn, Epsilon: 0.5}, [][]float64{{5, nan, 1}, {3, nan, 2}}); err == nil {
-		t.Error("CodePathOn accepted NaN keys")
-	}
 
 	// Records with NaN keys take the same guard.
+	nan := math.NaN()
 	kvShards := [][]KV[float64, int32]{{{Key: nan, Val: 1}, {Key: 1, Val: 2}}, {{Key: 2, Val: 3}}}
-	if _, _, err := SortKV(Config{Procs: 2, CodePath: CodePathOn, Epsilon: 0.5}, cloneAny(kvShards)); err == nil {
-		t.Error("SortKV CodePathOn accepted NaN keys")
-	}
 	outs, _, err := SortKV(Config{Procs: 2, Epsilon: 0.5}, cloneAny(kvShards))
 	if err != nil {
 		t.Fatal(err)
@@ -66,36 +58,29 @@ func TestCodePathNaNGuard(t *testing.T) {
 		n += len(o)
 	}
 	if n != 3 {
-		t.Fatalf("SortKV auto with NaN keys lost records: %d", n)
+		t.Fatalf("SortKV with NaN keys lost records: %d", n)
 	}
 }
 
-// TestCodePathConfigErrors: misconfigurations fail loudly, not silently.
+// TestCodePathConfigErrors: a Config.Coder of the wrong type fails
+// loudly, and one of the right type puts NewFunc on the code plane.
 func TestCodePathConfigErrors(t *testing.T) {
 	shards := dist.Spec{Kind: dist.Uniform}.Shards(100, 2, 1)
-
-	// CodePathOn without any coder (opaque key type via SortFunc).
-	type opaque struct{ v int64 }
-	oShards := [][]opaque{{{1}, {2}}, {{3}, {4}}}
-	if _, _, err := SortFunc(Config{Procs: 2, CodePath: CodePathOn}, oShards,
-		func(a, b opaque) int { return int(a.v - b.v) }); err == nil {
-		t.Error("CodePathOn without a coder did not fail")
-	}
-
-	// CodePathOn with TagDuplicates.
-	if _, _, err := Sort(Config{Procs: 2, TagDuplicates: true, CodePath: CodePathOn}, cloneShards(shards)); err == nil {
-		t.Error("CodePathOn with TagDuplicates did not fail")
-	}
 
 	// A Config.Coder of the wrong type.
 	if _, _, err := Sort(Config{Procs: 2, Coder: 42}, cloneShards(shards)); err == nil {
 		t.Error("bogus Config.Coder did not fail")
 	}
 
-	// A custom coder through Config.Coder unlocks the plane for SortFunc.
+	// A custom coder through Config.Coder unlocks the code plane for
+	// SortFunc, and with it HistogramSort's key arithmetic, which
+	// SortFunc without a coder rejects.
+	byDiff := func(a, b int64) int { return int(a - b) }
+	if _, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort}, [][]int64{{5, 1}, {3, 2}}, byDiff); err == nil {
+		t.Error("HistogramSort through SortFunc without a coder did not fail")
+	}
 	ordered := [][]int64{{5, 1}, {3, 2}}
-	outs, _, err := SortFunc(Config{Procs: 2, CodePath: CodePathOn, Coder: Coder[int64](int64Coder{})}, ordered,
-		func(a, b int64) int { return int(a - b) })
+	outs, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort, Coder: Coder[int64](int64Coder{})}, ordered, byDiff)
 	if err != nil {
 		t.Fatalf("custom coder rejected: %v", err)
 	}
@@ -113,33 +98,3 @@ type int64Coder struct{}
 
 func (int64Coder) Encode(k int64) uint64 { return uint64(k) ^ (1 << 63) }
 func (int64Coder) Decode(c uint64) int64 { return int64(c ^ (1 << 63)) }
-
-// TestCodePathNamesRoundTrip: String and ParseCodePath agree, the
-// parser is case-insensitive, and its error names the valid values.
-func TestCodePathNamesRoundTrip(t *testing.T) {
-	for _, cp := range []CodePath{CodePathAuto, CodePathOff, CodePathOn} {
-		got, err := ParseCodePath(cp.String())
-		if err != nil || got != cp {
-			t.Errorf("ParseCodePath(%q) = %v, %v", cp.String(), got, err)
-		}
-		name := cp.String()
-		for _, variant := range []string{strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
-			got, err := ParseCodePath(variant)
-			if err != nil || got != cp {
-				t.Errorf("ParseCodePath(%q) = %v, %v (want case-insensitive match)", variant, got, err)
-			}
-		}
-	}
-	_, err := ParseCodePath("abacus")
-	if err == nil {
-		t.Fatal("unknown code path parsed")
-	}
-	for _, want := range []string{"auto", "off", "on"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("parse error %q does not list valid value %q", err, want)
-		}
-	}
-	if CodePath(42).String() != "CodePath(42)" {
-		t.Error("unknown code path name")
-	}
-}

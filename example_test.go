@@ -70,7 +70,7 @@ func ExampleSortFunc() {
 // ExampleSimulateSplitters runs the splitter-determination protocol at a
 // scale no laptop could host as real ranks — the paper's Table 6.1 tool.
 func ExampleSimulateSplitters() {
-	res, err := hssort.SimulateSplitters(1<<22, 4096, 0.02, hssort.HSS, 0, 1)
+	res, err := hssort.SimulateSplitters(1<<22, 4096, 0.02, 1)
 	if err != nil {
 		panic(err)
 	}

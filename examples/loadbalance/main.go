@@ -12,8 +12,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"math/rand/v2"
+	"os"
 	"slices"
 
 	"hssort"
@@ -43,7 +43,7 @@ func main() {
 		shards[r] = skewedShard(perProc, uint64(r))
 	}
 
-	run := func(name string, cfg hssort.Config) {
+	run := func(name string, cfg hssort.Config) hssort.Stats {
 		in := make([][]int64, procs)
 		for i := range shards {
 			in[i] = slices.Clone(shards[i])
@@ -61,19 +61,19 @@ func main() {
 		}
 		fmt.Printf("%-34s sample %7d keys   imbalance %.4f   %s\n",
 			name, stats.TotalSample, stats.Imbalance, status)
+		return stats
 	}
 
 	fmt.Printf("skewed input: %d processors x %d keys, target imbalance <= %.2f\n\n",
 		procs, perProc, 1+eps)
-	run("HSS (fixed oversampling)", hssort.Config{Algorithm: hssort.HSS})
-	run("HSS (one round + scanning)", hssort.Config{Algorithm: hssort.HSSOneRound})
+	hss := run("HSS (fixed oversampling)", hssort.Config{Algorithm: hssort.HSS})
 
 	// Give sample sort roughly the same total sampling budget HSS used:
 	// ~5 rounds x 5 x 32 keys => a few hundred per processor is already
 	// generous.
-	budget := int(math.Ceil(5 * 5))
-	run(fmt.Sprintf("sample sort (capped s=%d)", budget),
-		hssort.Config{Algorithm: hssort.SampleSortRegular, MaxOversample: budget})
+	const budget = 5 * 5
+	capped := run(fmt.Sprintf("sample sort (capped s=%d)", budget),
+		hssort.Config{Algorithm: hssort.SampleSortRegular, OversampleFactor: budget})
 
 	// With its provable Θ(B/ε) oversampling, sample sort does meet the
 	// target — at a much larger sampling cost.
@@ -82,4 +82,10 @@ func main() {
 	fmt.Println("\nAt matched sampling budgets HSS holds the guarantee because each")
 	fmt.Println("histogram round tells it exactly where the remaining uncertainty is;")
 	fmt.Println("sample sort needs its full Θ(p²/ε) sample to promise the same bound.")
+
+	// The claim above, enforced: CI runs this example and fails on exit 1.
+	if hss.Imbalance > 1+eps+1e-9 || capped.Imbalance <= 1+eps+1e-9 {
+		fmt.Println("\nFAIL: HSS must meet 1+eps and the capped sample sort must miss it")
+		os.Exit(1)
+	}
 }

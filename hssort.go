@@ -40,7 +40,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"hssort/internal/comm"
@@ -54,7 +53,9 @@ import (
 // equal codes, and Decode inverts Encode. Supplying one (Config.Coder)
 // — or using a key type for which the library knows one: int64, uint64,
 // int32, uint32, float64, float32 — lets the sort run its compute
-// phases on the comparator-free code plane (see Config.CodePath).
+// phases on the comparator-free code plane. The constructor picks the
+// plane: New and NewKV run on it whenever a coder exists, NewFunc only
+// when Config.Coder supplies one.
 type Coder[K any] = keycoder.Coder[K]
 
 // Algorithm selects the sorting algorithm: which splitter strategy runs
@@ -71,12 +72,6 @@ const (
 	// until all splitters are finalized. The paper's contribution and
 	// the default.
 	HSS Algorithm = iota
-	// HSSOneRound is HSS with a single sampling round finished by the
-	// scanning algorithm (§3.2).
-	HSSOneRound
-	// HSSTheoretical is HSS with the k-round geometric ratio schedule
-	// of §3.3 (k = Config.Rounds, default log log B/ε).
-	HSSTheoretical
 	// SampleSortRegular is sample sort with regular sampling (§4.1.2).
 	SampleSortRegular
 	// SampleSortRandom is sample sort with random sampling (§4.1.1).
@@ -94,10 +89,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case HSS:
 		return "hss"
-	case HSSOneRound:
-		return "hss-1round"
-	case HSSTheoretical:
-		return "hss-theory"
 	case SampleSortRegular:
 		return "samplesort-regular"
 	case SampleSortRandom:
@@ -108,59 +99,6 @@ func (a Algorithm) String() string {
 		return "node-hss"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// CodePath selects the compute plane: whether the sort's hot loops
-// (local sort, partition cuts, histogram scans, k-way merges) run on
-// comparator closures or on raw uint64 code points.
-type CodePath int
-
-const (
-	// CodePathAuto — the default — engages the code plane whenever an
-	// order-preserving coder for the key type is available (built-in for
-	// the integer and float key types, or supplied via Config.Coder; key
-	// coders also cover KV records), and falls back to the comparator
-	// plane otherwise. Note that code
-	// points are always 8 bytes, so for narrower key types (int32,
-	// uint32) the bijective plane doubles the modeled communication
-	// volume the sim transport accounts — use CodePathOff when studying
-	// §5.1 byte counts of narrow keys.
-	CodePathAuto CodePath = iota
-	// CodePathOff forces the comparator plane everywhere — the
-	// conformance oracle the code plane's equivalence tests run against.
-	CodePathOff
-	// CodePathOn requires the code plane and fails the sort if no coder
-	// is available or TagDuplicates is set (tagged records carry no
-	// order-preserving 64-bit code).
-	CodePathOn
-)
-
-// String returns the name used by flags and experiment output.
-func (cp CodePath) String() string {
-	switch cp {
-	case CodePathAuto:
-		return "auto"
-	case CodePathOff:
-		return "off"
-	case CodePathOn:
-		return "on"
-	default:
-		return fmt.Sprintf("CodePath(%d)", int(cp))
-	}
-}
-
-// ParseCodePath parses "auto", "off" or "on" (case-insensitively).
-func ParseCodePath(s string) (CodePath, error) {
-	switch strings.ToLower(s) {
-	case "auto":
-		return CodePathAuto, nil
-	case "off":
-		return CodePathOff, nil
-	case "on":
-		return CodePathOn, nil
-	default:
-		return 0, fmt.Errorf("hssort: unknown code path %q (valid values: auto, off, on)", s)
 	}
 }
 
@@ -182,14 +120,10 @@ type Config struct {
 	// contiguously (§6.3's non-contiguous virtual processors). The
 	// output is then sorted per rank but not across ranks.
 	RoundRobinBuckets bool
-	// Rounds is the round count for HSSTheoretical.
-	Rounds int
 	// OversampleFactor is the per-round oversampling factor f for HSS
 	// (default 5) or the per-processor sample size for the sample
 	// sorts (default: their provable values).
 	OversampleFactor float64
-	// MaxOversample caps the sample-sort per-processor sample.
-	MaxOversample int
 	// CoresPerNode configures NodeHSS. Required for NodeHSS.
 	CoresPerNode int
 	// TagDuplicates wraps every key with its (processor, index) origin
@@ -197,8 +131,6 @@ type Config struct {
 	// inputs. Every algorithm but HistogramSort, whose probe bisection
 	// needs the key bijection tagged records lack.
 	TagDuplicates bool
-	// Approx enables §3.4 approximate histogramming (HSS variants).
-	Approx bool
 	// Transport selects the communication backend: TransportSim (the
 	// default, fully byte-accounted), TransportInproc (the same
 	// in-memory runtime unaccounted; communication-volume Stats read zero) or
@@ -218,10 +150,6 @@ type Config struct {
 	// rank crash at a named phase. See ChaosConfig. Testing facility;
 	// leave nil in production.
 	Chaos *ChaosConfig
-	// CodePath selects the compute plane; see the CodePath constants.
-	// The default, CodePathAuto, engages the code-space fast path
-	// whenever the key type admits it.
-	CodePath CodePath
 	// Coder optionally supplies the order-preserving key <-> uint64
 	// bijection that unlocks the code plane for key types the library
 	// does not know. It must hold a Coder[K] for Sort/SortFunc's key
@@ -464,10 +392,9 @@ func SortBytes(cfg Config, shards [][][]byte) ([][][]byte, Stats, error) {
 // large) imbalance the code plane could express.
 //
 // Every algorithm runs on it; HistogramSort bisects probes over code
-// space and therefore needs the plane on. CodePathOff forces the pure
-// comparator plane (the conformance oracle); output is rank-identical
-// either way. Stats.PrefixCollisions reports how often the tie-break
-// fired.
+// space. NewFunc(cfg, bytes.Compare) is the pure comparator plane (the
+// conformance oracle); output is rank-identical either way.
+// Stats.PrefixCollisions reports how often the tie-break fired.
 func NewBytes(cfg Config) (*Sorter[[]byte], error) {
 	if cfg.Coder != nil {
 		return nil, fmt.Errorf("hssort: byte-string keys admit no bijective coder; NewBytes uses the built-in prefix code (unset Config.Coder)")
@@ -511,28 +438,16 @@ func coderFor[K any]() keycoder.Coder[K] {
 	}
 }
 
-// SimulateSplitters runs the splitter-determination protocol centrally at
-// arbitrary scale (the paper's true processor counts) without moving any
-// data: the tool behind Table 6.1 and the measured Fig 4.1 curves. See
-// SimResult for the reported quantities.
-func SimulateSplitters(n int64, buckets int, eps float64, alg Algorithm, rounds int, seed uint64) (SimResult, error) {
-	sched := core.FixedOversampling
-	switch alg {
-	case HSSOneRound:
-		sched = core.OneRoundScanning
-	case HSSTheoretical:
-		sched = core.Theoretical
-	case HSS:
-	default:
-		return SimResult{}, fmt.Errorf("hssort: SimulateSplitters supports the HSS variants, not %v", alg)
-	}
+// SimulateSplitters runs HSS's splitter-determination protocol centrally
+// at arbitrary scale (the paper's true processor counts) without moving
+// any data: the tool behind Table 6.1. See SimResult for the reported
+// quantities.
+func SimulateSplitters(n int64, buckets int, eps float64, seed uint64) (SimResult, error) {
 	res, err := core.SimulateSplitters(n, core.Options[int64]{
-		Cmp:      cmp.Compare[int64],
-		Buckets:  buckets,
-		Epsilon:  eps,
-		Schedule: sched,
-		Rounds:   rounds,
-		Seed:     seed,
+		Cmp:     cmp.Compare[int64],
+		Buckets: buckets,
+		Epsilon: eps,
+		Seed:    seed,
 	})
 	if err != nil {
 		return SimResult{}, err

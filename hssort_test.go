@@ -10,8 +10,7 @@ import (
 
 // sortableAlgorithms lists every algorithm.
 var sortableAlgorithms = []Algorithm{
-	HSS, HSSOneRound, HSSTheoretical,
-	SampleSortRegular, SampleSortRandom,
+	HSS, SampleSortRegular, SampleSortRandom,
 	HistogramSort, NodeHSS,
 }
 
@@ -104,15 +103,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSimulateSplittersFacade(t *testing.T) {
-	res, err := SimulateSplitters(1<<20, 256, 0.05, HSS, 0, 1)
+	res, err := SimulateSplitters(1<<20, 256, 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Finalized || res.Imbalance > 1.05+1e-9 {
 		t.Errorf("sim result %+v", res)
 	}
-	if _, err := SimulateSplitters(100, 4, 0.05, SampleSortRegular, 0, 1); err == nil {
-		t.Error("sim accepted a non-HSS algorithm")
+	if _, err := SimulateSplitters(100, 4, -0.1, 1); err == nil {
+		t.Error("sim accepted a negative eps")
 	}
 }
 
@@ -129,7 +128,7 @@ func TestAlgorithmString(t *testing.T) {
 
 // TestFacadeProperty drives the facade across random configurations.
 func TestFacadeProperty(t *testing.T) {
-	algs := []Algorithm{HSS, HSSOneRound, HSSTheoretical, SampleSortRegular, SampleSortRandom}
+	algs := []Algorithm{HSS, SampleSortRegular, SampleSortRandom}
 	f := func(seed uint32, aRaw, pRaw uint8) bool {
 		alg := algs[int(aRaw)%len(algs)]
 		p := int(pRaw%4) + 1
@@ -139,7 +138,7 @@ func TestFacadeProperty(t *testing.T) {
 			shards[r] = spec.Shard(int(seed%400)+20, r, p, uint64(seed))
 		}
 		outs, _, err := Sort(Config{
-			Procs: p, Algorithm: alg, Epsilon: 0.2, Seed: uint64(seed) + 1, MaxOversample: 300,
+			Procs: p, Algorithm: alg, Epsilon: 0.2, Seed: uint64(seed) + 1,
 		}, cloneShards(shards))
 		if err != nil {
 			t.Log(err)

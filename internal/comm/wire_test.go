@@ -18,8 +18,8 @@ import (
 // unexported fields, nested slices, strings, and nil — with the decoded
 // value owning fresh memory.
 
-// wireStruct mirrors the protocol structs (streamMsg, bruckItem,
-// roundPlan): unexported fields, nested slices, bools.
+// wireStruct mirrors the protocol structs (streamMsg, roundPlan):
+// unexported fields, nested slices, bools.
 type wireStruct struct {
 	runs   [][]int64
 	keys   int

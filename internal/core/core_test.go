@@ -18,7 +18,7 @@ func icmp(a, b int64) int { return cmp.Compare(a, b) }
 
 // runSort sorts the given shards with opt and returns per-rank outputs
 // and the stats observed on rank 0.
-func runSort(t *testing.T, shards [][]int64, opt Options[int64]) ([][]int64, Stats) {
+func runSort(t testing.TB, shards [][]int64, opt Options[int64]) ([][]int64, Stats) {
 	t.Helper()
 	p := len(shards)
 	outs := make([][]int64, p)
@@ -206,6 +206,77 @@ func TestSortApproxHistogramming(t *testing.T) {
 	if stats.Imbalance > 1.25 {
 		t.Errorf("approx imbalance %.4f exceeds 1+2.5ε", stats.Imbalance)
 	}
+}
+
+// TestSortApproxStreaming: approximate histogramming feeds the
+// streaming back half (chunked exchange, incremental merge) the same
+// way it feeds the materializing one.
+func TestSortApproxStreaming(t *testing.T) {
+	const p, perRank = 6, 4000
+	shards := dist.Spec{Kind: dist.Gaussian}.Shards(perRank, p, 19)
+	outs, stats := runSort(t, cloneAll(shards), Options[int64]{Cmp: icmp, Epsilon: 0.1, Approx: true, ChunkKeys: 512, Seed: 5})
+	checkGloballySorted(t, shards, outs)
+	if stats.PeakInFlight == 0 {
+		t.Error("streaming exchange buffered nothing")
+	}
+	if stats.Imbalance > 1.25 {
+		t.Errorf("approx imbalance %.4f exceeds 1+2.5ε", stats.Imbalance)
+	}
+}
+
+// TestSortTheoreticalHonoursRounds: the k-round schedule takes k from
+// Options.Rounds in a real sort. It finishes within k+1 rounds, and a
+// smaller k draws a denser first round: ratio (2 ln B/ε)^(1/k).
+func TestSortTheoreticalHonoursRounds(t *testing.T) {
+	const p, perRank = 8, 3000
+	shards := dist.Spec{Kind: dist.PowerSkew}.Shards(perRank, p, 23)
+	first := map[int]int64{}
+	for _, k := range []int{1, 3} {
+		outs, stats := runSort(t, cloneAll(shards), Options[int64]{Cmp: icmp, Epsilon: 0.1, Schedule: Theoretical, Rounds: k, Seed: 3})
+		checkGloballySorted(t, shards, outs)
+		if stats.Rounds < 1 || stats.Rounds > k+1 {
+			t.Errorf("k=%d: %d rounds", k, stats.Rounds)
+		}
+		if stats.Imbalance > 1.1+1e-9 {
+			t.Errorf("k=%d: imbalance %.4f exceeds 1+eps", k, stats.Imbalance)
+		}
+		first[k] = stats.SamplePerRound[0]
+	}
+	if first[1] <= first[3] {
+		t.Errorf("first-round sample %d at k=1, %d at k=3: want k=1 denser", first[1], first[3])
+	}
+}
+
+// TestSortScanningRunsColdOnRejectedSeed: the one-round scanning
+// schedule picks its splitters from one sample of the whole range, so a
+// rejected seed's round 0 must not change its protocol: same rounds,
+// samples and output as the unseeded sort.
+func TestSortScanningRunsColdOnRejectedSeed(t *testing.T) {
+	const p, perRank = 6, 2000
+	shards := dist.Spec{Kind: dist.Uniform}.Shards(perRank, p, 31)
+	opt := Options[int64]{Cmp: icmp, Epsilon: 0.1, Schedule: OneRoundScanning, Seed: 9}
+	coldOuts, cold := runSort(t, cloneAll(shards), opt)
+	// Seed splitters 1..p-1 put every key in the last bucket.
+	opt.Splitters = []int64{1, 2, 3, 4, 5}
+	outs, seeded := runSort(t, cloneAll(shards), opt)
+	checkGloballySorted(t, shards, outs)
+	if seeded.Rounds != 1 || seeded.Rounds != cold.Rounds || !slices.Equal(seeded.SamplePerRound, cold.SamplePerRound) {
+		t.Errorf("seeded scanning ran %d rounds, samples %v; cold %d, %v", seeded.Rounds, seeded.SamplePerRound, cold.Rounds, cold.SamplePerRound)
+	}
+	for r := range outs {
+		if !slices.Equal(outs[r], coldOuts[r]) {
+			t.Fatalf("rank %d: the rejected seed changed the partition", r)
+		}
+	}
+}
+
+// cloneAll copies shards: runSort consumes its input.
+func cloneAll(shards [][]int64) [][]int64 {
+	out := make([][]int64, len(shards))
+	for i := range shards {
+		out[i] = slices.Clone(shards[i])
+	}
+	return out
 }
 
 func TestSortMassDuplicatesTerminates(t *testing.T) {

@@ -5,15 +5,6 @@ import (
 	"hssort/internal/par"
 )
 
-// Two merges two sorted runs into a new slice using the three-way
-// comparator cmp. The merge is stable: on ties, elements of a precede
-// elements of b.
-func Two[K any](a, b []K, cmp func(K, K) int) []K {
-	out := make([]K, len(a)+len(b))
-	mergeCmp(out, a, b, cmp)
-	return out
-}
-
 // Runs appends the k-way merge of the sorted runs to dst — the one
 // entry point of every materialized merge. Empty runs are permitted and
 // the merge is stable across runs: ties resolve in favor of the lower

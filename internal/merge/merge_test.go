@@ -10,8 +10,11 @@ import (
 
 func intCmp(a, b int) int { return cmp.Compare(a, b) }
 
+// two merges two runs: the two-run case of KWay.
+func two[K any](a, b []K, cmp func(K, K) int) []K { return KWay([][]K{a, b}, cmp) }
+
 func TestTwoBasic(t *testing.T) {
-	got := Two([]int{1, 3, 5}, []int{2, 4, 6}, intCmp)
+	got := two([]int{1, 3, 5}, []int{2, 4, 6}, intCmp)
 	want := []int{1, 2, 3, 4, 5, 6}
 	if !slices.Equal(got, want) {
 		t.Errorf("got %v, want %v", got, want)
@@ -19,13 +22,13 @@ func TestTwoBasic(t *testing.T) {
 }
 
 func TestTwoEmpty(t *testing.T) {
-	if got := Two(nil, []int{1}, intCmp); !slices.Equal(got, []int{1}) {
+	if got := two(nil, []int{1}, intCmp); !slices.Equal(got, []int{1}) {
 		t.Errorf("nil+[1] = %v", got)
 	}
-	if got := Two([]int{1}, nil, intCmp); !slices.Equal(got, []int{1}) {
+	if got := two([]int{1}, nil, intCmp); !slices.Equal(got, []int{1}) {
 		t.Errorf("[1]+nil = %v", got)
 	}
-	if got := Two[int](nil, nil, intCmp); len(got) != 0 {
+	if got := two[int](nil, nil, intCmp); len(got) != 0 {
 		t.Errorf("nil+nil = %v", got)
 	}
 }
@@ -34,7 +37,7 @@ func TestTwoStable(t *testing.T) {
 	type kv struct{ k, src int }
 	a := []kv{{1, 0}, {2, 0}}
 	b := []kv{{1, 1}, {2, 1}}
-	got := Two(a, b, func(x, y kv) int { return cmp.Compare(x.k, y.k) })
+	got := two(a, b, func(x, y kv) int { return cmp.Compare(x.k, y.k) })
 	for i := 0; i < len(got)-1; i++ {
 		if got[i].k == got[i+1].k && got[i].src > got[i+1].src {
 			t.Fatalf("unstable merge at %d: %v", i, got)
@@ -54,7 +57,7 @@ func TestTwoProperty(t *testing.T) {
 		}
 		slices.Sort(as)
 		slices.Sort(bs)
-		got := Two(as, bs, intCmp)
+		got := two(as, bs, intCmp)
 		want := append(append([]int{}, as...), bs...)
 		slices.Sort(want)
 		return slices.Equal(got, want)

@@ -14,7 +14,7 @@ type engineKey struct {
 }
 
 // pooledEngine wraps one warm Sorter behind the pool: impl is the typed
-// engine (*hssort.Sorter[K], *hssort.KVSorter[K,string] or
+// engine (*hssort.Sorter[K], *hssort.Sorter[hssort.KV[K, string]] or
 // *hssort.Sorter[[]byte]), close tears it down.
 type pooledEngine struct {
 	impl  any

@@ -235,7 +235,7 @@ func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) 
 		return nil, nil, hssort.Stats{}, planNone, err
 	}
 	defer srv.engines.release(key, pe)
-	eng := pe.impl.(*hssort.KVSorter[K, string])
+	eng := pe.impl.(*hssort.Sorter[hssort.KV[K, string]])
 
 	recs := make([][]hssort.KV[K, string], len(d.shards))
 	for r, sh := range d.shards {

@@ -23,25 +23,21 @@ func CompareKV[K cmp.Ordered, V any](a, b KV[K, V]) int {
 	return cmp.Compare(a.Key, b.Key)
 }
 
-// KVSorter is the record-sorting engine: NewKV's counterpart of Sorter
-// for keyed payloads. It exposes the same lifecycle — SortKV
-// repeatedly over one long-lived machine, SortSeeded and its halves
-// Plan/SortWithPlan for sorts that start from an earlier one's
-// splitters, Close to release the workers.
-type KVSorter[K cmp.Ordered, V any] struct {
-	s *Sorter[KV[K, V]]
-}
-
-// NewKV creates a KVSorter. HistogramSort is unavailable for records (it
-// needs key-space arithmetic); use the HSS variants or the sample sorts.
+// NewKV creates a Sorter for keyed records. HistogramSort is
+// unavailable for records (it needs key-space arithmetic); use HSS,
+// NodeHSS or the sample sorts. The plan's splitters are records whose
+// payloads are incidental — only keys partition. Records with equal keys
+// keep their per-bucket multiset but — as with any unstable sort — not a
+// particular relative order.
 //
 // When the key type admits an order-preserving code (built-in for the
 // integer and float key types, or a key Coder supplied via
-// Config.Coder) and Config.CodePath allows it, records ride the
-// decorated code plane: the local sort radix-sorts a uint64 code
-// decoration with the payloads in tow, and partition cuts and merges
-// compare codes instead of calling the comparator.
-func NewKV[K cmp.Ordered, V any](cfg Config) (*KVSorter[K, V], error) {
+// Config.Coder), records ride the decorated code plane: the local sort
+// radix-sorts a uint64 code decoration with the payloads in tow, and
+// partition cuts and merges compare codes instead of calling the
+// comparator. A call whose input holds a NaN key runs on the comparator
+// plane, as New's do; NewFunc(cfg, CompareKV[K, V]) runs there always.
+func NewKV[K cmp.Ordered, V any](cfg Config) (*Sorter[KV[K, V]], error) {
 	keyCoder, err := resolveCoder(cfg, coderFor[K]())
 	if err != nil {
 		return nil, err
@@ -60,46 +56,12 @@ func NewKV[K cmp.Ordered, V any](cfg Config) (*KVSorter[K, V], error) {
 	// above; clear it so the inner constructor does not retry the
 	// resolution against the record type.
 	cfg.Coder = nil
-	s, err := newSorter(cfg, CompareKV[K, V], nil, code, isNaN, false)
-	if err != nil {
-		return nil, err
-	}
-	return &KVSorter[K, V]{s: s}, nil
+	return newSorter(cfg, CompareKV[K, V], nil, code, isNaN, false)
 }
-
-// SortKV sorts keyed records across the engine's simulated processors;
-// see Sorter.Sort for semantics. Records with equal keys keep their
-// per-bucket multiset but — as with any unstable sort — not a
-// particular relative order.
-func (s *KVSorter[K, V]) SortKV(ctx context.Context, shards [][]KV[K, V]) ([][]KV[K, V], Stats, error) {
-	return s.s.Sort(ctx, shards)
-}
-
-// Plan runs splitter determination only and returns the reusable plan;
-// see Sorter.Plan. The plan's splitters are records whose payloads are
-// incidental — only keys partition.
-func (s *KVSorter[K, V]) Plan(ctx context.Context, shards [][]KV[K, V]) (*Plan[KV[K, V]], error) {
-	return s.s.Plan(ctx, shards)
-}
-
-// SortSeeded sorts records starting from seed's splitters and returns
-// the plan the sort ended with; see Sorter.SortSeeded.
-func (s *KVSorter[K, V]) SortSeeded(ctx context.Context, seed *Plan[KV[K, V]], shards [][]KV[K, V]) ([][]KV[K, V], *Plan[KV[K, V]], Stats, error) {
-	return s.s.SortSeeded(ctx, seed, shards)
-}
-
-// SortWithPlan sorts records seeded with a previously prepared plan;
-// see Sorter.SortWithPlan.
-func (s *KVSorter[K, V]) SortWithPlan(ctx context.Context, plan *Plan[KV[K, V]], shards [][]KV[K, V]) ([][]KV[K, V], Stats, error) {
-	return s.s.SortWithPlan(ctx, plan, shards)
-}
-
-// Close stops the engine's worker goroutines. Idempotent.
-func (s *KVSorter[K, V]) Close() { s.s.Close() }
 
 // SortKV sorts keyed records across simulated processors; see Sort for
 // semantics and NewKV for the record plane details. It is a one-shot
-// wrapper over a throwaway KVSorter.
+// wrapper over a throwaway NewKV engine.
 func SortKV[K cmp.Ordered, V any](cfg Config, shards [][]KV[K, V]) ([][]KV[K, V], Stats, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = len(shards)
@@ -109,5 +71,5 @@ func SortKV[K cmp.Ordered, V any](cfg Config, shards [][]KV[K, V]) ([][]KV[K, V]
 		return nil, Stats{}, err
 	}
 	defer s.Close()
-	return s.SortKV(context.Background(), shards)
+	return s.Sort(context.Background(), shards)
 }

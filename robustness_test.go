@@ -1,6 +1,7 @@
 package hssort
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -40,7 +41,7 @@ func chaosShards(p, perRank int) [][]int64 {
 // TestSortUnderFaultInjection: seeded link faults (drops retransmitted,
 // latency jitter, suppressed duplicates) over the real TCP loopback
 // mesh change no output — each faulted run is rank-identical to a clean
-// sim run, across both exchange planes and both code paths. Run with
+// sim run, across both exchange planes and both compute planes. Run with
 // -race in CI (the chaos job).
 func TestSortUnderFaultInjection(t *testing.T) {
 	const p, perRank = 4, 800
@@ -54,26 +55,33 @@ func TestSortUnderFaultInjection(t *testing.T) {
 		{"mixed", ChaosConfig{Seed: 45, Drop: 0.05, Delay: 0.1, Dup: 0.05}},
 	}
 	base := Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3}
+	// The two planes: the comparator (SortFunc) and the code plane (Sort).
+	planes := []struct {
+		name string
+		sort func(Config, [][]int64) ([][]int64, Stats, error)
+	}{
+		{"off", func(cfg Config, sh [][]int64) ([][]int64, Stats, error) { return SortFunc(cfg, sh, cmp.Compare[int64]) }},
+		{"on", Sort[int64]},
+	}
 	for _, stream := range []bool{false, true} {
-		for _, cp := range []CodePath{CodePathOff, CodePathOn} {
+		for _, plane := range planes {
 			cfg := base
 			cfg.StreamExchange = stream
-			cfg.CodePath = cp
 
 			simCfg := cfg
 			simCfg.Transport = TransportSim
-			want, _, err := Sort(simCfg, chaosShards(p, perRank))
+			want, _, err := plane.sort(simCfg, chaosShards(p, perRank))
 			if err != nil {
 				t.Fatalf("sim oracle: %v", err)
 			}
 			for _, f := range faults {
-				name := fmt.Sprintf("%s/stream=%v/codepath=%v", f.name, stream, cp)
+				name := fmt.Sprintf("%s/stream=%v/codepath=%s", f.name, stream, plane.name)
 				t.Run(name, func(t *testing.T) {
 					chaos := f.chaos
 					chaosCfg := cfg
 					chaosCfg.Transport = TransportTCP
 					chaosCfg.Chaos = &chaos
-					outs, _, err := Sort(chaosCfg, chaosShards(p, perRank))
+					outs, _, err := plane.sort(chaosCfg, chaosShards(p, perRank))
 					if err != nil {
 						t.Fatalf("faulted sort: %v", err)
 					}

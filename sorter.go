@@ -70,6 +70,16 @@ var ErrSorterClosed = errors.New("hssort: sorter closed")
 // New creates a Sorter for ordered keys. Config.Procs is required (the
 // worker world is sized at construction); every other field is
 // validated here, once, instead of on every sort.
+//
+// The engine runs on the bijective code plane whenever a coder exists
+// (built in for int64, uint64, int32, uint32, float64 and float32, or
+// supplied via Config.Coder) and on the comparator plane otherwise. A
+// call whose input or seed holds a NaN float key runs on the comparator
+// plane: no order-preserving code realizes NaN's comparator order.
+// Code points are always 8 bytes, so for int32 and uint32 keys the code
+// plane doubles the communication volume the sim transport accounts;
+// NewFunc(cfg, cmp.Compare[K]) keeps the keys' own width for §5.1 byte
+// counts.
 func New[K cmp.Ordered](cfg Config) (*Sorter[K], error) {
 	var isNaN func(K) bool
 	var zero K
@@ -81,8 +91,12 @@ func New[K cmp.Ordered](cfg Config) (*Sorter[K], error) {
 }
 
 // NewFunc creates a Sorter with an explicit comparator, for key types
-// without a built-in order. HistogramSort additionally needs key-space
-// arithmetic and is unavailable unless Config.Coder supplies it.
+// without a built-in order. It runs on the comparator plane unless
+// Config.Coder supplies a coder, which puts it on the code plane as New.
+// NewFunc(cfg, cmp.Compare[K]) is therefore New without the code plane:
+// the conformance oracle the code plane's equivalence tests run against.
+// HistogramSort additionally needs key-space arithmetic and is
+// unavailable unless Config.Coder supplies it.
 func NewFunc[K any](cfg Config, compare func(K, K) int) (*Sorter[K], error) {
 	if compare == nil {
 		return nil, fmt.Errorf("hssort: comparator is required")
@@ -131,22 +145,9 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 	}
 	// HistogramSort bisects probes in key space, so it runs only where
 	// the bijection (or, for byte strings, the prefix code) is in play:
-	// not on tagged records, not with the prefix plane switched off.
-	if cfg.Algorithm == HistogramSort {
-		if cfg.TagDuplicates {
-			return nil, fmt.Errorf("hssort: TagDuplicates is not supported by %v", cfg.Algorithm)
-		}
-		if prefix && cfg.CodePath == CodePathOff {
-			return nil, fmt.Errorf("hssort: HistogramSort on byte-string keys runs probe bisection over the prefix code plane, which CodePathOff disables")
-		}
-	}
-	if cfg.CodePath == CodePathOn {
-		if cfg.TagDuplicates {
-			return nil, fmt.Errorf("hssort: CodePathOn is incompatible with TagDuplicates (tagged records carry no order-preserving 64-bit code)")
-		}
-		if coder == nil && code == nil {
-			return nil, fmt.Errorf("hssort: CodePathOn, but no order-preserving coder is known for the key type (set Config.Coder)")
-		}
+	// not on tagged records.
+	if cfg.Algorithm == HistogramSort && cfg.TagDuplicates {
+		return nil, fmt.Errorf("hssort: TagDuplicates is not supported by %v", cfg.Algorithm)
 	}
 	if cfg.MemoryBudget < 0 {
 		return nil, fmt.Errorf("hssort: MemoryBudget %d < 0", cfg.MemoryBudget)
@@ -268,8 +269,8 @@ func (s *Sorter[K]) SortWithPlan(ctx context.Context, plan *Plan[K], shards [][]
 // next holds the seed's splitters. Otherwise splitter determination runs
 // after all, with round 0 as its first histogram — the HSS variants and
 // NodeHSS finalize the splitters the seed already pins and sample only
-// the intervals still open; the sample sorts, HSSOneRound and classic
-// histogram sort start cold — and next holds the refined splitters:
+// the intervals still open; the sample sorts and classic histogram sort
+// start cold — and next holds the refined splitters:
 // feeding it to the following sort is how a loop tracks a drifting
 // distribution (ChaNGa's per-timestep re-sort, §6.3). A nil seed is a
 // plain Sort whose splitters are kept; next is then exactly what Plan
@@ -325,11 +326,9 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 			seedKeys = seed.Splitters
 		}
 	}
-	useBijective, useRecord, usePrefix, err := s.resolvePlanes(shards, seedKeys)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
+	useBijective, useRecord, usePrefix := s.resolvePlanes(shards, seedKeys)
 	var outs [][]K
+	var err error
 	if full {
 		outs = make([][]K, s.cfg.Procs)
 	}
@@ -449,30 +448,20 @@ func spareCodes[K any](shard []K) []codes.Code {
 	return nil
 }
 
-// resolvePlanes picks the per-call compute plane, demoting CodePathAuto
-// to the comparator plane (or failing CodePathOn) when the input holds
-// NaN float keys — the one ordered value no order-preserving code can
-// carry. A stored plan's splitters are scanned too: a plan prepared on
-// NaN-bearing data can legitimately carry a NaN splitter, which must
-// keep the sort off the code plane even when the shards are NaN-free.
-func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective, useRecord, usePrefix bool, err error) {
-	cp, err := guardNaN(s.cfg.CodePath, shards, s.isNaN)
-	if err != nil {
-		return false, false, false, err
+// resolvePlanes picks the per-call compute plane: the constructor's,
+// demoted to the comparator plane when the input holds NaN float keys —
+// the one ordered value no order-preserving code can carry. A stored
+// plan's splitters are scanned too: a plan prepared on NaN-bearing data
+// can legitimately carry a NaN splitter, which must keep the sort off
+// the code plane even when the shards are NaN-free.
+func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective, useRecord, usePrefix bool) {
+	if s.cfg.TagDuplicates || hasNaN(shards, s.isNaN) || hasNaN([][]K{planSplitters}, s.isNaN) {
+		return false, false, false
 	}
-	if planSplitters != nil {
-		cp, err = guardNaN(cp, [][]K{planSplitters}, s.isNaN)
-		if err != nil {
-			return false, false, false, err
-		}
-	}
-	if s.cfg.TagDuplicates {
-		return false, false, false, nil
-	}
-	useBijective = cp != CodePathOff && s.coder != nil
-	useRecord = cp != CodePathOff && !useBijective && !s.prefix && s.code != nil
-	usePrefix = cp != CodePathOff && s.prefix && s.code != nil
-	return useBijective, useRecord, usePrefix, nil
+	useBijective = s.coder != nil
+	useRecord = !useBijective && !s.prefix && s.code != nil
+	usePrefix = s.prefix && s.code != nil
+	return useBijective, useRecord, usePrefix
 }
 
 // checkPlan verifies that this engine deals in plans at all and, when a
@@ -769,20 +758,7 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 		o.ChunkKeys = exchange.DefaultChunkKeys
 	}
 	switch cfg.Algorithm {
-	case HSS, HSSOneRound, HSSTheoretical:
-		switch cfg.Algorithm {
-		case HSSOneRound:
-			o.Schedule = core.OneRoundScanning
-		case HSSTheoretical:
-			o.Schedule = core.Theoretical
-		}
-		o.Rounds = cfg.Rounds
-		o.OversampleFactor = cfg.OversampleFactor
-		o.Approx = cfg.Approx
-		return o, core.HSS[E](), nil
-	case NodeHSS:
-		// Node-level HSS is always fixed oversampling on exact
-		// histograms: no Rounds/Approx threading.
+	case HSS, NodeHSS:
 		o.OversampleFactor = cfg.OversampleFactor
 		return o, core.HSS[E](), nil
 	case SampleSortRegular, SampleSortRandom:
@@ -791,9 +767,8 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 			method = samplesort.Random
 		}
 		return o, samplesort.Strategies[E](samplesort.Options{
-			Method:        method,
-			Oversample:    int(cfg.OversampleFactor),
-			MaxOversample: cfg.MaxOversample,
+			Method:     method,
+			Oversample: int(cfg.OversampleFactor),
 		}), nil
 	case HistogramSort:
 		if coder == nil && !prefix {
@@ -804,30 +779,22 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 	return o, core.Strategies[E]{}, fmt.Errorf("unknown algorithm %v", cfg.Algorithm)
 }
 
-// guardNaN resolves the per-call code path for inputs that may contain
-// NaN keys — the one ordered value no order-preserving code can carry:
-// the comparator sorts NaN below everything while the IEEE encoding
-// scatters NaN payloads to both extremes. isNaN is non-nil only for
-// float key types with a coder in play (plain float64/float32 keys and
-// float-keyed KV records share this helper); when a NaN is found,
-// CodePathAuto falls back to the comparator plane and CodePathOn fails
-// loudly.
-func guardNaN[E any](cp CodePath, shards [][]E, isNaN func(E) bool) (CodePath, error) {
-	if isNaN == nil || cp == CodePathOff {
-		return cp, nil
+// hasNaN reports whether shards hold a NaN key — the one ordered value
+// no order-preserving code can carry: the comparator sorts NaN below
+// everything while the IEEE encoding scatters NaN payloads to both
+// extremes. isNaN is non-nil only for float key types with a coder in
+// play (plain float64/float32 keys and float-keyed KV records share
+// this helper).
+func hasNaN[E any](shards [][]E, isNaN func(E) bool) bool {
+	if isNaN == nil {
+		return false
 	}
 	for _, s := range shards {
-		for _, k := range s {
-			if !isNaN(k) {
-				continue
-			}
-			if cp == CodePathOn {
-				return cp, fmt.Errorf("hssort: CodePathOn, but the input contains NaN keys, whose comparator order (NaN first) no order-preserving code realizes")
-			}
-			return CodePathOff, nil
+		if slices.ContainsFunc(s, isNaN) {
+			return true
 		}
 	}
-	return cp, nil
+	return false
 }
 
 // tagged is a key with its origin — the duplicate handling of §4.3

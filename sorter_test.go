@@ -196,9 +196,15 @@ func TestSeededSortDuplicateSeed(t *testing.T) {
 		}
 	}
 	fresh := shardsFor(t, dist.Uniform, p, perRank, 41)
-	for _, cp := range []CodePath{CodePathOff, CodePathAuto} {
-		t.Run(cp.String(), func(t *testing.T) {
-			s, err := New[int64](Config{Procs: p, Epsilon: 0.05, Seed: 5, CodePath: cp})
+	for _, plane := range []struct {
+		name string
+		new  func(Config) (*Sorter[int64], error)
+	}{
+		{"off", func(cfg Config) (*Sorter[int64], error) { return NewFunc(cfg, cmp.Compare[int64]) }},
+		{"auto", New[int64]},
+	} {
+		t.Run(plane.name, func(t *testing.T) {
+			s, err := plane.new(Config{Procs: p, Epsilon: 0.05, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -230,7 +230,7 @@ func TestBudgetedSortBorrowsShard(t *testing.T) {
 	}
 	inPlace.Store(0)
 	scatter.Store(0)
-	if _, _, err := kv.SortKV(t.Context(), recs); err != nil {
+	if _, _, err := kv.Sort(t.Context(), recs); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := narrow.Sort(t.Context(), keys32); err != nil {

@@ -105,7 +105,7 @@ func freeLoopbackAddr(t *testing.T) string {
 }
 
 // workerConfig builds the worker-mode engine config for one rank.
-func workerConfig(coordinator string, rank, procs int, stream bool, cp CodePath) Config {
+func workerConfig(coordinator string, rank, procs int, stream bool) Config {
 	return Config{
 		Procs:          procs,
 		Algorithm:      HSS,
@@ -113,7 +113,6 @@ func workerConfig(coordinator string, rank, procs int, stream bool, cp CodePath)
 		Seed:           3,
 		Transport:      TransportTCP,
 		StreamExchange: stream,
-		CodePath:       cp,
 		TCP: TCPConfig{
 			Coordinator:      coordinator,
 			Rank:             rank,
@@ -200,7 +199,7 @@ func runWorkerEngines(p, perRank, runs int) ([][]string, error) {
 		go func(r int) {
 			defer wg.Done()
 			errs[r] = func() error {
-				engine, err := New[int64](workerConfig(coordinator, r, p, true, CodePathAuto))
+				engine, err := New[int64](workerConfig(coordinator, r, p, true))
 				if err != nil {
 					return fmt.Errorf("rank %d: %w", r, err)
 				}
@@ -282,7 +281,7 @@ func runTCPWorker(spec string) int {
 			fmt.Sscanf(v, "%d", &chunk)
 		}
 	}
-	cfg := workerConfig(coordinator, rank, procs, true, CodePathAuto)
+	cfg := workerConfig(coordinator, rank, procs, true)
 	cfg.TCP.HeartbeatInterval = heartbeat
 	cfg.TCP.PeerTimeout = peerTimeout
 	cfg.TCP.RejoinWait = rejoinWait
