@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hssort/internal/dist"
-	"hssort/internal/keycoder"
 )
 
 func cloneByteShards(shards [][][]byte) [][][]byte {
@@ -59,14 +58,6 @@ func sameByteOutputs(a, b [][][]byte) bool {
 		}
 	}
 	return true
-}
-
-// TestNewBytesRejections pins the constructor's contract: no bijective
-// coder exists for byte strings, so explicit coders are out.
-func TestNewBytesRejections(t *testing.T) {
-	if _, err := NewBytes(Config{Procs: 4, Algorithm: HSS, Coder: keycoder.Int64{}}); err == nil {
-		t.Error("NewBytes accepted an explicit Config.Coder")
-	}
 }
 
 // TestBytePrefixSaturation is the eps-honesty regression test: on an

@@ -34,15 +34,15 @@ import (
 type cell struct {
 	name     string // subtest path, one component per picked value
 	cfg      Config // Procs is the input's p
-	key      string // int64 (""), uint64, int32, float32, float64, kv (KV[int64, int32]) or bytes
+	key      string // int64 (""), uint64, int32, float32, float64, kv (KV[int64, int32]), kv-float64 or bytes
 	in       input
 	seeded   bool // also seed a sort with the cell's own plan
 	repeat   bool // sort twice through one engine; the outputs must be identical
 	balanced bool // Imbalance must be at most 1+ε
 
 	// comparator builds the engine with NewFunc and the key type's
-	// order: the comparator plane. HistogramSort's key arithmetic comes
-	// with Config.Coder, which puts NewFunc on the code plane.
+	// order: the comparator plane. HistogramSort needs key arithmetic,
+	// which NewFunc lacks, so it keeps the key type's constructor.
 	comparator bool
 }
 
@@ -62,6 +62,15 @@ const (
 	// nanBits draws as a NaN in both float views of a key.
 	nanBits = 0x7ff80000_7fc00000
 )
+
+// nanPayloads draw as NaNs of both signs, quiet and signaling, with
+// several payloads, in both float views of a key; then as -0 in the
+// float64 view, -0 in the float32 view, and +0 in both.
+var nanPayloads = []uint64{
+	nanBits, 0xfff80000_ffc00000, 0x7ff00000_7f800001, 0xfff12345_ff812345,
+	0x7fffffff_7fffffff, 0xffffffff_ffffffff,
+	0x80000000_00000000, 0x00000000_80000000, 0,
+}
 
 // ---- Dimensions ----
 
@@ -272,12 +281,13 @@ func memoized[K comparable, V any](m map[K]V, k K, f func() V) V {
 // dupheavy; all-equal, 2-valued and 3-valued are dupheavy with that many.
 // full draws bit patterns whose float64 and float32 views are finite
 // (their exponents' top bits cleared) while the integer views still span
-// both signs; full+nan puts one NaN first on rank 0. ascending+nan gives
-// rank r the keys v = r·n+1 … r·n+n as v<<32|v, ascending in every view,
-// so rank 0 holds the lowest n, and then makes rank 0's first key a NaN.
+// both signs; full+nan puts one NaN first on rank 0, and full+nan-payloads
+// makes every fifth key one of nanPayloads. ascending+nan gives rank r the
+// keys v = r·n+1 … r·n+n as v<<32|v, ascending in every view, so rank 0
+// holds the lowest n, and then makes rank 0's first key a NaN.
 func draw(in input) [][]int64 {
 	return memoized(draws, in, func() [][]int64 {
-		if in.dist == "full" || strings.HasSuffix(in.dist, "+nan") {
+		if strings.HasPrefix(in.dist, "full") || in.dist == "ascending+nan" {
 			out := make([][]int64, in.p)
 			for r := range out {
 				rng := rand.New(rand.NewPCG(in.seed, uint64(r)))
@@ -289,8 +299,15 @@ func draw(in input) [][]int64 {
 					}
 				}
 			}
-			if in.dist != "full" {
+			switch in.dist {
+			case "full+nan", "ascending+nan":
 				out[0][0] = nanBits
+			case "full+nan-payloads":
+				for r := range out {
+					for i := r; i < in.n; i += 5 {
+						out[r][i] = int64(nanPayloads[(i/5+r)%len(nanPayloads)])
+					}
+				}
 			}
 			return out
 		}
@@ -347,7 +364,7 @@ type keyOps[K any] struct {
 	new   func(Config) (*Sorter[K], error)
 	from  func(k int64, id int) K    // a drawn key; id numbers it across the input
 	order func(K, K) int             // the sort order
-	sort  func([]K)                  // slices.Sort, records by key, then payload
+	sort  func([]K)                  // a total order: by key, then bits or payload
 	hash  func(h uint64, k K) uint64 // one step of an ordered hash
 	// rank is the hash rank identity compares. Records hash their key
 	// alone: equal-key records may trade places, across the ranks of one
@@ -355,21 +372,36 @@ type keyOps[K any] struct {
 	rank func(h uint64, k K) uint64
 }
 
+// numeric is keyOps for an ordered key type, bits its bit pattern. Keys
+// cmp.Compare ties — ±0, NaNs — sort by bits.
 func numeric[K cmp.Ordered](from func(int64) K, bits func(K) uint64) keyOps[K] {
 	hash := func(h uint64, k K) uint64 { return mix(h ^ bits(k)) }
-	return keyOps[K]{New[K], func(k int64, _ int) K { return from(k) }, cmp.Compare[K], slices.Sort[[]K], hash, hash}
+	sort := func(s []K) {
+		slices.SortFunc(s, func(a, b K) int { return cmp.Or(cmp.Compare(a, b), cmp.Compare(bits(a), bits(b))) })
+	}
+	return keyOps[K]{New[K], func(k int64, _ int) K { return from(k) }, cmp.Compare[K], sort, hash, hash}
 }
 
-var kvOps = keyOps[KV[int64, int32]]{
-	new:   NewKV[int64, int32],
-	from:  func(k int64, id int) KV[int64, int32] { return KV[int64, int32]{Key: k, Val: int32(id)} },
-	order: CompareKV[int64, int32],
-	sort: func(s []KV[int64, int32]) {
-		slices.SortFunc(s, func(a, b KV[int64, int32]) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Val, b.Val)) })
-	},
-	hash: func(h uint64, kv KV[int64, int32]) uint64 { return mix(mix(h^uint64(kv.Key)) ^ uint64(kv.Val)) },
-	rank: func(h uint64, kv KV[int64, int32]) uint64 { return mix(h ^ uint64(kv.Key)) },
+// records is keyOps for KV[K, int32] records, each numbered by its
+// payload.
+func records[K cmp.Ordered](from func(int64) K, bits func(K) uint64) keyOps[KV[K, int32]] {
+	return keyOps[KV[K, int32]]{
+		new:   NewKV[K, int32],
+		from:  func(k int64, id int) KV[K, int32] { return KV[K, int32]{Key: from(k), Val: int32(id)} },
+		order: CompareKV[K, int32],
+		sort: func(s []KV[K, int32]) {
+			slices.SortFunc(s, func(a, b KV[K, int32]) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Val, b.Val)) })
+		},
+		hash: func(h uint64, kv KV[K, int32]) uint64 { return mix(mix(h^bits(kv.Key)) ^ uint64(kv.Val)) },
+		rank: func(h uint64, kv KV[K, int32]) uint64 { return mix(h ^ bits(kv.Key)) },
+	}
 }
+
+func int64Key(k int64) int64       { return k }
+func int64Bits(k int64) uint64     { return uint64(k) }
+func float64Key(k int64) float64   { return math.Float64frombits(uint64(k)) }
+func float32Key(k int64) float32   { return math.Float32frombits(uint32(k)) }
+func float32Bits(k float32) uint64 { return uint64(math.Float32bits(k)) }
 
 func hashBytes(h uint64, k []byte) uint64 {
 	for _, b := range k {
@@ -444,8 +476,8 @@ type outcome struct {
 // comparator plane. Byte strings keep their plane — prefix and
 // comparator planes agree only without prefix collisions — except on
 // hashlike keys, which have none (run checks it). HistogramSort keeps
-// its constructor: it has no comparator plane but the one a NaN input
-// demotes it to. This is the one place a cell's oracle is derived.
+// its constructor: it has no comparator plane. This is the one place a
+// cell's oracle is derived.
 func reference(t *testing.T, c cell) (cell, outcome) {
 	r := cell{name: "reference", cfg: c.cfg, key: cmp.Or(c.key, "int64"), in: c.in}
 	r.cfg.Transport, r.cfg.Workers, r.cfg.MemoryBudget = TransportSim, 1, 0
@@ -486,18 +518,19 @@ func sortCell(t *testing.T, c cell) outcome {
 	c.cfg.Procs, c.key = c.in.p, cmp.Or(c.key, "int64")
 	switch c.key {
 	case "int64":
-		return sortAs(t, c, numeric(func(k int64) int64 { return k }, func(k int64) uint64 { return uint64(k) }))
+		return sortAs(t, c, numeric(int64Key, int64Bits))
 	case "uint64":
 		return sortAs(t, c, numeric(func(k int64) uint64 { return uint64(k) }, func(k uint64) uint64 { return k }))
 	case "int32":
 		return sortAs(t, c, numeric(func(k int64) int32 { return int32(k) }, func(k int32) uint64 { return uint64(k) }))
 	case "float64":
-		return sortAs(t, c, numeric(func(k int64) float64 { return math.Float64frombits(uint64(k)) }, math.Float64bits))
+		return sortAs(t, c, numeric(float64Key, math.Float64bits))
 	case "float32":
-		return sortAs(t, c, numeric(func(k int64) float32 { return math.Float32frombits(uint32(k)) },
-			func(k float32) uint64 { return uint64(math.Float32bits(k)) }))
+		return sortAs(t, c, numeric(float32Key, float32Bits))
 	case "kv":
-		return sortAs(t, c, kvOps)
+		return sortAs(t, c, records(int64Key, int64Bits))
+	case "kv-float64":
+		return sortAs(t, c, records(float64Key, math.Float64bits))
 	case "bytes":
 		return sortAs(t, c, bytesOps)
 	}
@@ -511,13 +544,8 @@ func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 	t.Helper()
 	what := cmp.Or(c.name, "cell")
 	newEngine := ops.new
-	if c.comparator {
-		newEngine = func(cfg Config) (*Sorter[K], error) {
-			if cfg.Algorithm == HistogramSort {
-				cfg.Coder = coderFor[K]()
-			}
-			return NewFunc(cfg, ops.order)
-		}
+	if c.comparator && c.cfg.Algorithm != HistogramSort {
+		newEngine = func(cfg Config) (*Sorter[K], error) { return NewFunc(cfg, ops.order) }
 	}
 	eng, err := newEngine(c.cfg)
 	if err != nil {
@@ -607,7 +635,9 @@ func check[K any](t *testing.T, what string, c cell, ops keyOps[K], outs [][]K) 
 		ranks[r] = digestOf(digest{h: got.h}, o, ops.rank)
 		got = digest{got.n + len(o), ranks[r].h}
 	}
-	if c.cfg.RoundRobinBuckets || c.key == "kv" { // the whole in its total order
+	// The whole in its total order, where the output may hold ties in
+	// any order: records and cmp.Compare's ±0 and NaNs.
+	if c.cfg.RoundRobinBuckets || strings.HasPrefix(c.key, "kv") || c.in.dist == "full+nan-payloads" {
 		all := slices.Concat(outs...)
 		ops.sort(all)
 		got = digestOf(digest{}, all, ops.hash)
@@ -882,31 +912,44 @@ func TestSortFloatKeys(t *testing.T) {
 	runAll(t, product(cell{key: "float64", in: input{dist: "full", p: 4, n: 500, seed: 1}}, pick(algorithm, "hss", "histogramsort")))
 }
 
-// nanAuto is the default plane over an input holding one NaN, which
-// demotes it to the comparator plane.
+// nanAuto is the default plane over an input holding one NaN, which the
+// code plane sorts first, as the comparator plane does.
 var nanAuto = val{"nan-auto", func(c *cell) { c.in.dist = "full+nan" }}
 
-// TestSortFloat32Keys: the float32 coder engages the code plane, and a
-// NaN demotes the call to the comparator plane.
+// TestSortFloat32Keys: the float32 coder engages the code plane, with
+// and without a NaN.
 func TestSortFloat32Keys(t *testing.T) {
 	runAll(t, product(cell{key: "float32", cfg: Config{Epsilon: 0.2}, in: input{dist: "full", p: 3, n: 200, seed: 5}},
 		[]val{{"on", func(*cell) {}}, nanAuto}))
 }
 
 // TestNarrowKeysHistogramSortBalance: histogram sort meets 1+ε on the
-// widening coders' key types through both constructors, and on the
-// comparator plane a NaN demotes it to.
+// widening coders' key types, with and without a NaN.
 func TestNarrowKeysHistogramSortBalance(t *testing.T) {
 	runAll(t, product(cell{balanced: true, cfg: Config{Algorithm: HistogramSort, Epsilon: 0.1, Seed: 3}, in: input{dist: "full", p: 4, n: 6000, seed: 3}},
 		pick(keyType, "int32", "float32"), append(planes("off", "on"), nanAuto)))
 }
 
-// TestHistogramSortNaNLowRank: a NaN sorts first but encodes above +Inf,
-// so it must not hide the real minimum of the rank it leads — here the
-// keys of buckets 0–3, which round-robin placement sends to four ranks.
+// TestHistogramSortNaNLowRank: a NaN sorts first and encodes below
+// -Inf, so the bisection's bracket starts at it and still finds the
+// real minimum of the rank it leads — here the keys of buckets 0–3,
+// which round-robin placement sends to four ranks.
 func TestHistogramSortNaNLowRank(t *testing.T) {
 	runAll(t, product(cell{balanced: true, cfg: Config{Algorithm: HistogramSort, Buckets: 16, RoundRobinBuckets: true, Seed: 3}, in: input{dist: "ascending+nan", p: 4, n: 2000}},
 		pick(keyType, "float64", "float32"), []val{{"auto", func(*cell) {}}}))
+}
+
+// TestNaNPayloadsSortFirst: NaNs of both signs and several payloads,
+// and -0 beside +0, sort on the code plane into a bit-exact permutation
+// in cmp.Compare order, every NaN first. cmp.Compare ties them, so no
+// reference pins their ranks: only the contract is checked.
+func TestNaNPayloadsSortFirst(t *testing.T) {
+	cs := product(cell{cfg: Config{Seed: 3}, in: input{dist: "full+nan-payloads", p: 4, n: 1500, seed: 7}},
+		pick(keyType, "float64", "float32", "kv=kv-float64"), pick(algorithm, "hss", "samplesort-random", "histogramsort"),
+		exchanges("materializing", "streaming"))
+	for _, c := range slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv-float64" && c.cfg.Algorithm == HistogramSort }) {
+		t.Run(c.name, func(t *testing.T) { sortCell(t, c) })
+	}
 }
 
 // TestSortKVCarriesPayloads: every record arrives with its own payload.

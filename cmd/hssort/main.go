@@ -33,6 +33,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -184,26 +185,6 @@ func main() {
 		}
 	}
 
-	var shards, input [][]int64
-	if !byteKeys {
-		shards = dist.Spec{Kind: kind}.Shards(*n, *p, *seed)
-		if workerMode {
-			// Each process derives the deterministic global input and keeps
-			// only its own rank's shard; peers sort theirs.
-			for i := range shards {
-				if i != *rank {
-					shards[i] = nil
-				}
-			}
-		}
-		if *verbose {
-			input = make([][]int64, *p)
-			for i := range shards {
-				input[i] = slices.Clone(shards[i])
-			}
-		}
-	}
-
 	cfg := hssort.Config{
 		Procs:          *p,
 		Algorithm:      alg,
@@ -248,64 +229,118 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	o := runOpts{
+		distName: *dsName, rank: *rank, workerMode: workerMode,
+		plan: *plan, repeat: *repeat, verbose: *verbose, digest: *digest,
+		rejoinWait: *rejoinWait,
+	}
+	var code int
 	if byteKeys {
-		os.Exit(runBytes(ctx, cfg, byteKind, byteOpts{
-			distName: *dsName, n: *n, seed: *seed,
-			rank: *rank, workerMode: workerMode,
-			plan: *plan, repeat: *repeat, verbose: *verbose, digest: *digest,
-			rejoinWait: *rejoinWait,
-		}))
+		spec := dist.ByteSpec{Kind: byteKind}
+		code = run(ctx, cfg, o, workload[[]byte]{
+			gen:       func(i int) [][][]byte { return spec.Shards(*n, *p, *seed+uint64(i)) },
+			newEngine: hssort.NewBytes,
+			compare:   bytes.Compare,
+			appendKey: appendBytes,
+		})
+	} else {
+		spec := dist.Spec{Kind: kind}
+		code = run(ctx, cfg, o, workload[int64]{
+			gen:       func(i int) [][]int64 { return spec.Shards(*n, *p, *seed+uint64(i)) },
+			newEngine: hssort.New[int64],
+			compare:   cmp.Compare[int64],
+			appendKey: appendInt64,
+		})
+	}
+	os.Exit(code)
+}
+
+// workload is one key type's side of a run.
+type workload[K any] struct {
+	// gen draws the global input of sort i: the -seed stream plus i.
+	gen       func(i int) [][]K
+	newEngine func(hssort.Config) (*hssort.Sorter[K], error)
+	compare   func(K, K) int
+	// appendKey writes a key as the -digest fingerprint hashes it.
+	appendKey func([]byte, K) []byte
+}
+
+// runOpts carries the flag values run needs beyond Config.
+type runOpts struct {
+	distName   string
+	rank       int
+	workerMode bool
+	plan       bool
+	repeat     int
+	verbose    bool
+	digest     bool
+	rejoinWait time.Duration
+}
+
+// run is the whole flow for one key type: draw the input (in worker mode
+// only this rank's shard), build the engine, sortRuns, report, print
+// digests, and with -v verify the output is the globally sorted
+// permutation of the input. It returns the exit code.
+func run[K any](ctx context.Context, cfg hssort.Config, o runOpts, w workload[K]) int {
+	shards := w.gen(0)
+	if o.workerMode {
+		// Each process derives the deterministic global input and keeps
+		// only its own rank's shard; peers sort theirs.
+		for i := range shards {
+			if i != o.rank {
+				shards[i] = nil
+			}
+		}
+	}
+	var input []K
+	if o.verbose {
+		input = slices.Concat(shards...)
 	}
 
-	engine, err := hssort.New[int64](cfg)
+	engine, err := w.newEngine(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	defer engine.Close()
 
-	outs, stats, wall, err := sortRuns(ctx, engine, *plan, *repeat, *rejoinWait, shards, func(i int) [][]int64 {
-		return dist.Spec{Kind: kind}.Shards(*n, *p, *seed+uint64(i))
-	})
+	outs, stats, wall, err := sortRuns(ctx, engine, o.plan, o.repeat, o.rejoinWait, shards, w.gen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
-	if workerMode && *rank != 0 {
+	if o.workerMode && o.rank != 0 {
 		// Peers report their partition; whole-run stats live on rank 0.
 		fmt.Printf("%s: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
-			alg, *rank, *p, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
-		if *digest {
-			printDigests(outs, *rank, workerMode, appendInt64)
+			cfg.Algorithm, o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
+		if o.digest {
+			printDigests(outs, o.rank, true, w.appendKey)
 		}
-		return
+		return 0
 	}
-	report{cfg: cfg, distName: *dsName, wall: wall, stats: stats, workerMode: workerMode}.print()
-	if *digest {
-		printDigests(outs, *rank, workerMode, appendInt64)
+	report{cfg: cfg, distName: o.distName, wall: wall, stats: stats, workerMode: o.workerMode}.print()
+	if o.digest {
+		printDigests(outs, o.rank, o.workerMode, w.appendKey)
 		printStatsJSON(stats)
 	}
 
-	if *verbose {
-		var want, got []int64
-		for _, s := range input {
-			want = append(want, s...)
-		}
-		slices.Sort(want)
-		for _, o := range outs {
-			if !slices.IsSorted(o) {
+	if o.verbose {
+		slices.SortFunc(input, w.compare)
+		for _, part := range outs {
+			if !slices.IsSortedFunc(part, w.compare) {
 				fmt.Fprintln(os.Stderr, "FAIL: a rank's output is not sorted")
-				os.Exit(1)
+				return 1
 			}
-			got = append(got, o...)
 		}
-		if !slices.Equal(got, want) {
+		equal := func(a, b K) bool { return w.compare(a, b) == 0 }
+		if !slices.EqualFunc(slices.Concat(outs...), input, equal) {
 			fmt.Fprintln(os.Stderr, "FAIL: output is not the sorted permutation of the input")
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println("\nverified: output is the globally sorted permutation of the input")
 	}
+	return 0
 }
 
 // totalKeys counts the keys across a rank's output partitions.
@@ -318,7 +353,7 @@ func totalKeys[K any](outs [][]K) int {
 }
 
 // report prints the whole-run metrics table. It is key-type agnostic:
-// the int64 and []byte paths feed it the same Config and Stats.
+// run feeds it the same Config and Stats for either key type.
 type report struct {
 	cfg        hssort.Config
 	distName   string
@@ -456,93 +491,6 @@ func (b *retryBudget) retry(err error, rejoinWait time.Duration) bool {
 	fmt.Fprintf(os.Stderr, "peer rank %d crashed mid-sort; retrying once it rejoins (attempt %d)\n",
 		crash.Rank, b.attempts)
 	return true
-}
-
-// byteOpts carries the flag values the []byte path needs beyond Config.
-type byteOpts struct {
-	distName   string
-	n          int
-	seed       uint64
-	rank       int
-	workerMode bool
-	plan       bool
-	repeat     int
-	verbose    bool
-	digest     bool
-	rejoinWait time.Duration
-}
-
-// runBytes is the -keys bytes counterpart of main's int64 flow: same
-// engine lifecycle (Plan, -repeat reuse, worker mode, digests, -v
-// verification), but over variable-length byte-string keys via
-// hssort.NewBytes — the prefix-code plane.
-func runBytes(ctx context.Context, cfg hssort.Config, kind dist.ByteKind, o byteOpts) int {
-	spec := dist.ByteSpec{Kind: kind}
-	shards := spec.Shards(o.n, cfg.Procs, o.seed)
-	if o.workerMode {
-		for i := range shards {
-			if i != o.rank {
-				shards[i] = nil
-			}
-		}
-	}
-	var input [][][]byte
-	if o.verbose {
-		input = make([][][]byte, cfg.Procs)
-		for i := range shards {
-			input[i] = slices.Clone(shards[i])
-		}
-	}
-
-	engine, err := hssort.NewBytes(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer engine.Close()
-
-	outs, stats, wall, err := sortRuns(ctx, engine, o.plan, o.repeat, o.rejoinWait, shards, func(i int) [][][]byte {
-		return spec.Shards(o.n, cfg.Procs, o.seed+uint64(i))
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	if o.workerMode && o.rank != 0 {
-		fmt.Printf("%s: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
-			cfg.Algorithm, o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
-		if o.digest {
-			printDigests(outs, o.rank, true, appendBytes)
-		}
-		return 0
-	}
-	report{cfg: cfg, distName: o.distName, wall: wall, stats: stats, workerMode: o.workerMode}.print()
-	if o.digest {
-		printDigests(outs, o.rank, o.workerMode, appendBytes)
-		printStatsJSON(stats)
-	}
-
-	if o.verbose {
-		var want, got [][]byte
-		for _, s := range input {
-			want = append(want, s...)
-		}
-		slices.SortFunc(want, bytes.Compare)
-		for _, part := range outs {
-			if !slices.IsSortedFunc(part, bytes.Compare) {
-				fmt.Fprintln(os.Stderr, "FAIL: a rank's output is not sorted")
-				return 1
-			}
-			got = append(got, part...)
-		}
-		if !slices.EqualFunc(got, want, bytes.Equal) {
-			fmt.Fprintln(os.Stderr, "FAIL: output is not the sorted permutation of the input")
-			return 1
-		}
-		fmt.Println("\nverified: output is the globally sorted permutation of the input")
-	}
-	return 0
 }
 
 // printStatsJSON emits the run's statistics as one machine-readable

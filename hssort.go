@@ -48,16 +48,6 @@ import (
 	"hssort/internal/rankoracle"
 )
 
-// Coder is an order-preserving bijection between keys and uint64 code
-// points: compare(a, b) < 0 ⇔ Encode(a) < Encode(b), equal keys have
-// equal codes, and Decode inverts Encode. Supplying one (Config.Coder)
-// — or using a key type for which the library knows one: int64, uint64,
-// int32, uint32, float64, float32 — lets the sort run its compute
-// phases on the comparator-free code plane. The constructor picks the
-// plane: New and NewKV run on it whenever a coder exists, NewFunc only
-// when Config.Coder supplies one.
-type Coder[K any] = keycoder.Coder[K]
-
 // Algorithm selects the sorting algorithm: which splitter strategy runs
 // on the one sort skeleton (local sort → splitters → exchange → merge),
 // so the engine's capabilities — compute planes, streaming exchange,
@@ -150,13 +140,6 @@ type Config struct {
 	// rank crash at a named phase. See ChaosConfig. Testing facility;
 	// leave nil in production.
 	Chaos *ChaosConfig
-	// Coder optionally supplies the order-preserving key <-> uint64
-	// bijection that unlocks the code plane for key types the library
-	// does not know. It must hold a Coder[K] for Sort/SortFunc's key
-	// type K — or, for SortKV, a Coder[K] for the record's key type —
-	// and must agree with the sort's comparator; any other value fails
-	// the sort. (The field is untyped because Config is not generic.)
-	Coder any
 	// StreamExchange replaces the materializing all-to-all + merge with
 	// the streaming pipeline: bucket payloads move in ChunkKeys-sized
 	// chunks interleaved across destinations and the k-way merge runs
@@ -345,8 +328,8 @@ func Sort[K cmp.Ordered](cfg Config, shards [][]K) ([][]K, Stats, error) {
 }
 
 // SortFunc is Sort with an explicit comparator, for key types without a
-// built-in order. HistogramSort additionally needs key-space arithmetic
-// and is unavailable through SortFunc unless Config.Coder supplies it.
+// built-in order. HistogramSort needs key-space arithmetic and is
+// unavailable through SortFunc.
 // Like Sort, it is a one-shot wrapper over a throwaway engine; see
 // NewFunc for the reusable form.
 func SortFunc[K any](cfg Config, shards [][]K, compare func(K, K) int) ([][]K, Stats, error) {
@@ -396,25 +379,7 @@ func SortBytes(cfg Config, shards [][][]byte) ([][][]byte, Stats, error) {
 // conformance oracle); output is rank-identical either way.
 // Stats.PrefixCollisions reports how often the tie-break fired.
 func NewBytes(cfg Config) (*Sorter[[]byte], error) {
-	if cfg.Coder != nil {
-		return nil, fmt.Errorf("hssort: byte-string keys admit no bijective coder; NewBytes uses the built-in prefix code (unset Config.Coder)")
-	}
-	return newSorter[[]byte](cfg, bytes.Compare, nil, keycoder.Prefix{}.Code, nil, true)
-}
-
-// resolveCoder merges the built-in coder for the key type with an
-// explicit Config.Coder, which wins when present and fails loudly when
-// it holds the wrong type.
-func resolveCoder[K any](cfg Config, builtin keycoder.Coder[K]) (keycoder.Coder[K], error) {
-	if cfg.Coder == nil {
-		return builtin, nil
-	}
-	c, ok := cfg.Coder.(keycoder.Coder[K])
-	if !ok {
-		var zero K
-		return nil, fmt.Errorf("hssort: Config.Coder is %T, want hssort.Coder[%T]", cfg.Coder, zero)
-	}
-	return c, nil
+	return newSorter[[]byte](cfg, bytes.Compare, nil, keycoder.Prefix{}.Code, true)
 }
 
 // coderFor returns the keycoder for supported ordered key types, or nil.

@@ -1,6 +1,7 @@
 package hssort
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,10 @@ func TestSortFuncRejectsCoderAlgorithms(t *testing.T) {
 	cmpO := func(a, b opaque) int { return a.v - b.v }
 	if _, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort}, shards, cmpO); err == nil {
 		t.Error("HistogramSort accepted a coder-less key type")
+	}
+	// NewFunc is the comparator plane even over a key type New codes.
+	if _, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort}, [][]int64{{5, 1}, {3, 2}}, cmp.Compare[int64]); err == nil {
+		t.Error("HistogramSort through SortFunc on int64 keys did not fail")
 	}
 }
 

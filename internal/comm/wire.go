@@ -70,7 +70,12 @@ import (
 // Version 6 made bootstrap the join of incarnation 0: register (with a
 // rejoin flag) and data (with the dialer's incarnation) replace the
 // rejoin and rejoin-data messages, so the versions must not mix.
-const wireProtoVersion = 6
+//
+// Version 7 rotated the float key codes (keycoder.Float64, Float32) so
+// that every NaN encodes below -Inf. The frame layout is unchanged, but
+// a float code slice means different keys to an hsswire/6 peer, so the
+// versions must not mix.
+const wireProtoVersion = 7
 
 // Frame kinds. A frame is the unit of the TCP transport's framing layer:
 // a fixed 25-byte header followed by length payload bytes (see

@@ -205,7 +205,7 @@ func TestWireFastPathMatchesReflectPath(t *testing.T) {
 }
 
 // TestWireDocInSync: docs/WIRE.md describes the protocol wire.go
-// speaks. Every protocol identifier in it is the current hsswire/N —
+// speaks, hsswire/7. Every protocol identifier in it is the current hsswire/N —
 // except a parenthesized "(hsswire/N)", which dates a feature in the
 // version history — and its frame-kind table lists exactly the kinds
 // wire.go declares, with the numbers this test pins.
@@ -215,6 +215,9 @@ func TestWireDocInSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := string(raw)
+	if protoID != "hsswire/7" {
+		t.Errorf("the protocol is %s, want hsswire/7 (float codes put NaN below -Inf)", protoID)
+	}
 	current := 0
 	for _, m := range regexp.MustCompile(`(\(?)hsswire/(\d+)(\)?)`).FindAllStringSubmatch(doc, -1) {
 		switch {

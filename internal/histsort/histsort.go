@@ -3,7 +3,6 @@ package histsort
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hssort/internal/codes"
 	"hssort/internal/collective"
@@ -107,17 +106,12 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 	// a code outside its image by truncation, so a probe synthesized there
 	// is an unrelated key and the bisection never converges. One reduction
 	// of (min, ^max) under min finds the bracket; an empty rank sends the
-	// identity. A rank's first key need not hold its lowest code: NaN
-	// sorts first under cmp.Compare, yet a positive NaN encodes above
-	// +Inf. So the first key past that leading run of equal keys bounds
-	// the minimum too.
+	// identity. Code order refines key order, so a rank's first key holds
+	// its lowest code, up to keys the comparator ties (±0, NaNs), which
+	// every histogram counts alike.
 	bounds := []uint64{^uint64(0), ^uint64(0)}
 	if len(local) > 0 {
-		lo := h.Coder.Encode(local[0])
-		if j := sort.Search(len(local), func(i int) bool { return opt.Cmp(local[i], local[0]) > 0 }); j < len(local) {
-			lo = min(lo, h.Coder.Encode(local[j]))
-		}
-		bounds = []uint64{lo, ^h.Coder.Encode(local[len(local)-1])}
+		bounds = []uint64{h.Coder.Encode(local[0]), ^h.Coder.Encode(local[len(local)-1])}
 	}
 	bounds, err := collective.Reduce(c, root, base+tagRanks, bounds, minUint64)
 	if err != nil {

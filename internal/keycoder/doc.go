@@ -6,14 +6,15 @@
 // space numerically, and radix partitioning (internal/radix) buckets
 // keys by their most significant bits. Both need a total order on a
 // fixed-width integer image of the key type. A Coder maps keys to
-// uint64 codes such that
+// uint64 codes such that, for cmp = cmp.Compare,
 //
-//	cmp(a, b) < 0  ⇔  Encode(a) < Encode(b)
+//	cmp(a, b) < 0  ⟹  Encode(a) < Encode(b)
 //
-// and Decode(Encode(k)) == k for every representable key (for Float64,
-// NaN is excluded; see its documentation). Equal codes imply equal
-// keys, so a pipeline on the bijective plane never needs the
-// comparator again.
+// and Decode(Encode(k)) is k bit for bit, for every bit pattern. Code
+// order refines cmp.Compare order: only keys cmp.Compare ties yet whose
+// bits differ — -0 and +0, and any two NaNs, which encode below -Inf —
+// get distinct codes. Equal codes imply identical keys, so a pipeline
+// on the bijective plane never needs the comparator again.
 //
 // The prefix-extractor contract. Variable-length byte-string keys
 // admit no uint64 bijection, but they do admit an order-preserving

@@ -1,6 +1,7 @@
 package keycoder
 
 import (
+	"cmp"
 	"math"
 	"testing"
 )
@@ -9,8 +10,8 @@ import (
 // a single order inversion or lossy round trip would silently misplace
 // keys across bucket boundaries. The fuzz targets below drive the
 // properties with coverage-guided inputs seeded at the known-treacherous
-// corners — IEEE-754 negatives, both zeros, subnormals, infinities, and
-// the widening paths.
+// corners — IEEE-754 negatives, both zeros, subnormals, infinities, NaNs
+// of both signs, and the widening paths.
 
 // float64Specials are the corner values every float fuzz run starts
 // from, pairwise.
@@ -21,56 +22,53 @@ var float64Specials = []float64{
 	math.MaxFloat64, math.Inf(1),
 }
 
-// FuzzFloat64Coder: bit-exact round trip (both zeros and subnormals
-// keep their payloads) and strict order preservation. The code order
-// refines the comparator order at -0/+0: the comparator ties them, the
-// encoding orders -0 < +0, and nothing may ever invert.
+// float64NaNs are NaNs of both signs, quiet and signaling, with the
+// smallest and largest payloads.
+var float64NaNs = []uint64{
+	0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000001, 0xfff0000000000001,
+	0x7fffffffffffffff, 0xffffffffffffffff, 0x7ff4000000000abc, 0xfffc000000000abc,
+}
+
+// checkCodes holds one pair's codes to cmp.Compare order: strict where
+// the keys differ, one code for identical bits, and -0 below +0. Two
+// distinct NaNs compare equal and keep distinct codes, in either order;
+// every NaN encodes below -Inf.
+func checkCodes[F float32 | float64](t *testing.T, enc func(F) uint64, a, b F, sameBits bool) {
+	t.Helper()
+	ea, eb := enc(a), enc(b)
+	switch c := cmp.Compare(a, b); {
+	case a != a && ea >= enc(F(math.Inf(-1))):
+		t.Fatalf("NaN %g must encode below -Inf: %#x", a, ea)
+	case c < 0 && ea >= eb, c > 0 && ea <= eb:
+		t.Fatalf("order inverted: cmp(%g, %g) = %d but codes %#x, %#x", a, b, c, ea, eb)
+	case c == 0 && sameBits != (ea == eb):
+		t.Fatalf("identical bits must share a code, distinct bits must not: %g -> %#x, %g -> %#x", a, ea, b, eb)
+	case c == 0 && !sameBits && a == a && math.Signbit(float64(a)) != (ea < eb):
+		t.Fatalf("-0 must encode below +0: %#x, %#x", ea, eb)
+	}
+}
+
+// FuzzFloat64Coder: bit-exact round trip (both zeros, subnormals and
+// NaN payloads) and cmp.Compare order. The code order refines the
+// comparator's ties: -0 < +0, and distinct NaNs get distinct codes.
 func FuzzFloat64Coder(f *testing.F) {
 	for _, a := range float64Specials {
 		for _, b := range float64Specials {
 			f.Add(a, b)
 		}
 	}
+	for i, n := range float64NaNs {
+		f.Add(math.Float64frombits(n), float64Specials[i])
+		f.Add(math.Float64frombits(n), math.Float64frombits(float64NaNs[(i+1)%len(float64NaNs)]))
+	}
 	var c Float64
 	f.Fuzz(func(t *testing.T, a, b float64) {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return // NaN order is documented as unspecified
-		}
 		ra := c.Decode(c.Encode(a))
 		if math.Float64bits(ra) != math.Float64bits(a) {
 			t.Fatalf("round trip not bit-exact: %g (%#x) -> %g (%#x)",
 				a, math.Float64bits(a), ra, math.Float64bits(ra))
 		}
-		ea, eb := c.Encode(a), c.Encode(b)
-		switch {
-		case a < b:
-			if ea >= eb {
-				t.Fatalf("order inverted: %g < %g but %#x >= %#x", a, b, ea, eb)
-			}
-		case a > b:
-			if ea <= eb {
-				t.Fatalf("order inverted: %g > %g but %#x <= %#x", a, b, ea, eb)
-			}
-		default:
-			// a == b numerically. Identical bits must agree exactly; the
-			// ±0 pair is ordered -0 < +0 (the documented refinement of
-			// the comparator's tie).
-			abits, bbits := math.Float64bits(a), math.Float64bits(b)
-			switch {
-			case abits == bbits:
-				if ea != eb {
-					t.Fatalf("identical values, different codes: %g -> %#x vs %#x", a, ea, eb)
-				}
-			case math.Signbit(a) && !math.Signbit(b):
-				if ea >= eb {
-					t.Fatalf("-0 must encode below +0: %#x >= %#x", ea, eb)
-				}
-			case !math.Signbit(a) && math.Signbit(b):
-				if ea <= eb {
-					t.Fatalf("+0 must encode above -0: %#x <= %#x", ea, eb)
-				}
-			}
-		}
+		checkCodes(t, c.Encode, a, b, math.Float64bits(a) == math.Float64bits(b))
 	})
 }
 
@@ -135,8 +133,8 @@ func FuzzUint32Coder(f *testing.F) {
 	})
 }
 
-// FuzzFloat32Coder: bit-exact round trips and order preservation on the
-// widened single-precision plane.
+// FuzzFloat32Coder: bit-exact round trips and cmp.Compare order on the
+// widened single-precision plane, NaNs included, as FuzzFloat64Coder.
 func FuzzFloat32Coder(f *testing.F) {
 	specials := []float32{float32(math.Inf(-1)), -math.MaxFloat32, -1,
 		-math.SmallestNonzeroFloat32, float32(math.Copysign(0, -1)), 0,
@@ -146,38 +144,18 @@ func FuzzFloat32Coder(f *testing.F) {
 			f.Add(math.Float32bits(a), math.Float32bits(b))
 		}
 	}
+	nans := []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fffffff, 0xffffffff, 0x7fa00abc, 0xffe00abc}
+	for i, n := range nans {
+		f.Add(n, math.Float32bits(specials[i]))
+		f.Add(n, nans[(i+1)%len(nans)])
+	}
 	var c Float32
 	f.Fuzz(func(t *testing.T, abits, bbits uint32) {
 		a, b := math.Float32frombits(abits), math.Float32frombits(bbits)
-		if a != a || b != b {
-			return // NaN order unspecified
-		}
 		if got := c.Decode(c.Encode(a)); math.Float32bits(got) != abits {
 			t.Fatalf("round trip lost %g (bits %#x -> %#x)", a, abits, math.Float32bits(got))
 		}
-		ea, eb := c.Encode(a), c.Encode(b)
-		switch {
-		case a < b:
-			if ea >= eb {
-				t.Fatalf("order inverted: %g < %g but %#x >= %#x", a, b, ea, eb)
-			}
-		case a > b:
-			if ea <= eb {
-				t.Fatalf("order inverted: %g > %g but %#x <= %#x", a, b, ea, eb)
-			}
-		case abits == bbits:
-			if ea != eb {
-				t.Fatalf("identical values, different codes: %g -> %#x vs %#x", a, ea, eb)
-			}
-		default:
-			// The ±0 pair: ordered -0 < +0 like Float64.
-			if math.Signbit(float64(a)) && ea >= eb {
-				t.Fatalf("-0 must encode below +0: %#x >= %#x", ea, eb)
-			}
-			if !math.Signbit(float64(a)) && ea <= eb {
-				t.Fatalf("+0 must encode above -0: %#x <= %#x", ea, eb)
-			}
-		}
+		checkCodes(t, c.Encode, a, b, abits == bbits)
 	})
 }
 

@@ -52,51 +52,71 @@ func (Uint32) Encode(k uint32) uint64 { return uint64(k) }
 // Decode inverts Encode.
 func (Uint32) Decode(c uint64) uint32 { return uint32(c) }
 
-// Float64 encodes IEEE-754 doubles with the standard total-order bit trick:
-// negative values have all bits flipped, non-negative values have the sign
-// bit set. The encoding orders -Inf < negative < -0 < +0 < positive < +Inf.
-// NaN payloads round-trip but their position in the order is unspecified;
-// callers sorting float data should filter NaNs first.
+// Float64 encodes IEEE-754 doubles in cmp.Compare order. The standard
+// total-order bit trick (negative values have all bits flipped,
+// non-negative values have the sign bit set) orders -NaN < -Inf <
+// negative < -0 < +0 < positive < +Inf < +NaN; Encode then rotates code
+// space down by f64NaNs, the number of positive NaN bit patterns, so the
+// +NaN block wraps around to the bottom. Every NaN, of either sign and
+// any payload, encodes below -Inf, where cmp.Compare puts it:
+//
+//	+NaN < -NaN < -Inf < negative < -0 < +0 < positive < +Inf
+//
+// The mapping is a bijection on bit patterns, so every key round-trips
+// bit-exactly. Distinct NaNs, like -0 and +0, compare equal but keep
+// distinct codes.
 type Float64 struct{}
 
-// Encode maps a float64 to a uint64 preserving numeric order.
+// f64NaNs is the number of positive float64 NaN bit patterns, 2⁵²−1.
+const f64NaNs = 1<<52 - 1
+
+// Encode maps a float64 to a uint64 preserving cmp.Compare order.
 func (Float64) Encode(k float64) uint64 {
 	bits := math.Float64bits(k)
 	if bits&signBit != 0 {
-		return ^bits
+		bits = ^bits
+	} else {
+		bits |= signBit
 	}
-	return bits | signBit
+	return bits + f64NaNs
 }
 
 // Decode inverts Encode.
 func (Float64) Decode(c uint64) float64 {
+	c -= f64NaNs
 	if c&signBit != 0 {
 		return math.Float64frombits(c ^ signBit)
 	}
 	return math.Float64frombits(^c)
 }
 
-// Float32 encodes IEEE-754 singles with the same total-order bit trick
-// as Float64, applied to the 32-bit pattern and widened to uint64 (like
-// Int32, the image occupies the low 32 bits of code space, so Decode of
-// an arbitrary uint64 truncates). NaN caveats match Float64.
+// Float32 encodes IEEE-754 singles as Float64 encodes doubles: the same
+// bit trick and rotation (by f32NaNs) on the 32-bit pattern, widened to
+// uint64 (like Int32, the image occupies the low 32 bits of code space,
+// so Decode of an arbitrary uint64 truncates).
 type Float32 struct{}
 
-// f32SignBit is the most significant bit of a 32-bit word.
-const f32SignBit = uint32(1) << 31
+// f32SignBit is the most significant bit of a 32-bit word, and f32NaNs
+// the number of positive float32 NaN bit patterns, 2²³−1.
+const (
+	f32SignBit = uint32(1) << 31
+	f32NaNs    = 1<<23 - 1
+)
 
-// Encode maps a float32 to a uint64 preserving numeric order.
+// Encode maps a float32 to a uint64 preserving cmp.Compare order.
 func (Float32) Encode(k float32) uint64 {
 	bits := math.Float32bits(k)
 	if bits&f32SignBit != 0 {
-		return uint64(^bits)
+		bits = ^bits
+	} else {
+		bits |= f32SignBit
 	}
-	return uint64(bits | f32SignBit)
+	return uint64(bits + f32NaNs)
 }
 
 // Decode inverts Encode.
 func (Float32) Decode(c uint64) float32 {
-	bits := uint32(c)
+	bits := uint32(c) - f32NaNs
 	if bits&f32SignBit != 0 {
 		return math.Float32frombits(bits ^ f32SignBit)
 	}

@@ -12,7 +12,7 @@
 // The scheduler between the HTTP layer and the engines provides the
 // multi-tenant guarantees a shared daemon needs: a bounded FIFO
 // admission queue (submissions beyond it are refused with a typed
-// *hssort.QuotaExceededError, HTTP 429), per-tenant concurrency quotas
+// *QuotaExceededError, HTTP 429), per-tenant concurrency quotas
 // with fair round-robin dequeue across tenants, and per-job deadlines
 // and cancellation riding the engine's context plumbing — a canceled or
 // deadline-expired job aborts mid-phase on every rank and the engine

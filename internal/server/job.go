@@ -198,21 +198,7 @@ func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string)
 	if pk.kv {
 		return d.runKV(ctx, srv, pk)
 	}
-	key := engineKey{keyType: d.t.name}
-	pe, err := srv.engines.acquire(key, func() (*pooledEngine, error) {
-		s, err := hssort.New[K](srv.engineConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &pooledEngine{impl: s, close: s.Close}, nil
-	})
-	if err != nil {
-		return nil, nil, hssort.Stats{}, planNone, err
-	}
-	defer srv.engines.release(key, pe)
-	eng := pe.impl.(*hssort.Sorter[K])
-
-	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, eng.SortSeeded, d.shards)
+	outs, stats, outcome, err := sortOn(ctx, srv, engineKey{keyType: d.t.name}, hssort.New[K], pk, d.shards)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
@@ -223,20 +209,6 @@ func (d *orderedPayload[K]) run(ctx context.Context, srv *Server, tenant string)
 // runKV is the record-job path: zip keys and values into KV records,
 // sort on the record engine, unzip for the response.
 func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) (jobResult, *storedDataset, hssort.Stats, planOutcome, error) {
-	key := engineKey{keyType: d.t.name, kv: true}
-	pe, err := srv.engines.acquire(key, func() (*pooledEngine, error) {
-		s, err := hssort.NewKV[K, string](srv.engineConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &pooledEngine{impl: s, close: s.Close}, nil
-	})
-	if err != nil {
-		return nil, nil, hssort.Stats{}, planNone, err
-	}
-	defer srv.engines.release(key, pe)
-	eng := pe.impl.(*hssort.Sorter[hssort.KV[K, string]])
-
 	recs := make([][]hssort.KV[K, string], len(d.shards))
 	for r, sh := range d.shards {
 		recs[r] = make([]hssort.KV[K, string], len(sh))
@@ -244,7 +216,7 @@ func (d *orderedPayload[K]) runKV(ctx context.Context, srv *Server, pk planKey) 
 			recs[r][i] = hssort.KV[K, string]{Key: k, Val: d.values[r][i]}
 		}
 	}
-	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, eng.SortSeeded, recs)
+	outs, stats, outcome, err := sortOn(ctx, srv, engineKey{keyType: d.t.name, kv: true}, hssort.NewKV[K, string], pk, recs)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
@@ -280,21 +252,7 @@ func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (job
 	code := keycoder.Prefix{}.Code
 	fp := srv.fingerprint("bytes", len(d.shards), d.n(), sampleCodes(d.shards, code))
 	pk := planKey{tenant: tenant, fp: fp}
-	key := engineKey{keyType: "bytes"}
-	pe, err := srv.engines.acquire(key, func() (*pooledEngine, error) {
-		s, err := hssort.NewBytes(srv.engineConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &pooledEngine{impl: s, close: s.Close}, nil
-	})
-	if err != nil {
-		return nil, nil, hssort.Stats{}, planNone, err
-	}
-	defer srv.engines.release(key, pe)
-	eng := pe.impl.(*hssort.Sorter[[]byte])
-
-	outs, stats, outcome, err := sortWithPlanCache(ctx, srv, pk, eng.SortSeeded, d.shards)
+	outs, stats, outcome, err := sortOn(ctx, srv, engineKey{keyType: "bytes"}, hssort.NewBytes, pk, d.shards)
 	if err != nil {
 		return nil, nil, stats, outcome, err
 	}
@@ -305,19 +263,31 @@ func (d *bytesPayload) run(ctx context.Context, srv *Server, tenant string) (job
 	return &shardsResult[[]byte]{shards: outs, appendKey: appendJSONBytes}, sd, stats, outcome, nil
 }
 
-// sortWithPlanCache is every job's sort: one engine call, seeded with
-// the cached plan for the job's key when there is one. A seed that still
-// fits the data is a hit — zero histogramming rounds. One that does not
-// (a fingerprint collision handed drifted data another distribution's
+// sortOn is every job's sort: one call on a warm engine of shape key,
+// which newEngine builds when the pool has none parked, seeded with the
+// cached plan for pk when there is one. A seed that still fits the data
+// is a hit — zero histogramming rounds. One that does not (a
+// fingerprint collision handed drifted data another distribution's
 // plan) is refined by the sort itself ("replanned"), and the plan the
 // sort ended with replaces it, so the next job of the drifted
 // distribution hits. A miss is a plain sort whose splitters are kept.
 // Only finalized plans are cached: splitters the protocol could not
 // settle (byte keys sharing one prefix code) seed nothing.
-func sortWithPlanCache[E any](ctx context.Context, srv *Server, pk planKey, sortSeeded func(context.Context, *hssort.Plan[E], [][]E) ([][]E, *hssort.Plan[E], hssort.Stats, error), shards [][]E) ([][]E, hssort.Stats, planOutcome, error) {
+func sortOn[E any](ctx context.Context, srv *Server, key engineKey, newEngine func(hssort.Config) (*hssort.Sorter[E], error), pk planKey, shards [][]E) ([][]E, hssort.Stats, planOutcome, error) {
+	pe, err := srv.engines.acquire(key, func() (*pooledEngine, error) {
+		s, err := newEngine(srv.engineConfig())
+		if err != nil {
+			return nil, err
+		}
+		return &pooledEngine{impl: s, close: s.Close}, nil
+	})
+	if err != nil {
+		return nil, hssort.Stats{}, planNone, err
+	}
+	defer srv.engines.release(key, pe)
 	cached, _ := srv.plans.get(pk)
 	seed, _ := cached.(*hssort.Plan[E])
-	outs, next, stats, err := sortSeeded(ctx, seed, shards)
+	outs, next, stats, err := pe.impl.(*hssort.Sorter[E]).SortSeeded(ctx, seed, shards)
 	outcome := planMiss
 	switch {
 	case seed != nil && stats.Rounds == 0:

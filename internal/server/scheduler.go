@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"sync"
-
-	"hssort"
 )
 
 // errDraining refuses work arriving after drain began; the HTTP layer
@@ -15,7 +13,7 @@ var errDraining = errors.New("hssortd: draining, not accepting jobs")
 // and the engine pool:
 //
 //   - Admission control: a bounded FIFO queue. Submissions past the
-//     bound are refused with a typed *hssort.QuotaExceededError (429) —
+//     bound are refused with a typed *QuotaExceededError (429) —
 //     load sheds at the front door instead of piling onto the engines.
 //   - Fair dequeue: jobs queue per tenant and workers pick round-robin
 //     across tenants, so one tenant's burst cannot starve another's
@@ -78,7 +76,7 @@ func (s *scheduler) submit(j *job) error {
 		return errDraining
 	}
 	if s.queued >= s.capQueue {
-		return &hssort.QuotaExceededError{Tenant: j.tenant, Queued: s.queued, Capacity: s.capQueue}
+		return &QuotaExceededError{Tenant: j.tenant, Queued: s.queued, Capacity: s.capQueue}
 	}
 	if len(s.queues[j.tenant]) == 0 {
 		s.ring = append(s.ring, j.tenant)

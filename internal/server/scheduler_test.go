@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hssort"
 )
 
 // testJob builds a bare job for scheduler-level tests (no payload, no
@@ -45,9 +43,9 @@ func TestSchedulerQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := s.submit(testJob("c"))
-	var quota *hssort.QuotaExceededError
+	var quota *QuotaExceededError
 	if !errors.As(err, &quota) {
-		t.Fatalf("submit into a full queue returned %v, want *hssort.QuotaExceededError", err)
+		t.Fatalf("submit into a full queue returned %v, want *QuotaExceededError", err)
 	}
 	if quota.Tenant != "c" || quota.Queued != 2 || quota.Capacity != 2 {
 		t.Errorf("quota error carries %+v, want tenant c, 2/2", quota)

@@ -214,7 +214,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		delete(s.jobs, j.id)
 		s.mu.Unlock()
 		cancel()
-		var quota *hssort.QuotaExceededError
+		var quota *QuotaExceededError
 		if errors.As(err, &quota) {
 			s.metrics.rejected429(req.Tenant)
 			writeError(w, http.StatusTooManyRequests, err)
@@ -290,7 +290,7 @@ func (s *Server) lookupJob(id, tenant string) (*job, error) {
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok || j.tenant != tenant {
-		return nil, &hssort.JobNotFoundError{ID: id}
+		return nil, &JobNotFoundError{ID: id}
 	}
 	return j, nil
 }

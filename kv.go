@@ -30,33 +30,18 @@ func CompareKV[K cmp.Ordered, V any](a, b KV[K, V]) int {
 // keep their per-bucket multiset but — as with any unstable sort — not a
 // particular relative order.
 //
-// When the key type admits an order-preserving code (built-in for the
-// integer and float key types, or a key Coder supplied via
-// Config.Coder), records ride the decorated code plane: the local sort
-// radix-sorts a uint64 code decoration with the payloads in tow, and
-// partition cuts and merges compare codes instead of calling the
-// comparator. A call whose input holds a NaN key runs on the comparator
-// plane, as New's do; NewFunc(cfg, CompareKV[K, V]) runs there always.
+// When the key type has a coder (the integer and float key types),
+// records ride the decorated code plane: the local sort radix-sorts a
+// uint64 code decoration with the payloads in tow, and partition cuts
+// and merges compare codes instead of calling the comparator. NaN keys
+// included, as on New's plane; NewFunc(cfg, CompareKV[K, V]) runs on
+// the comparator plane.
 func NewKV[K cmp.Ordered, V any](cfg Config) (*Sorter[KV[K, V]], error) {
-	keyCoder, err := resolveCoder(cfg, coderFor[K]())
-	if err != nil {
-		return nil, err
-	}
 	var code func(KV[K, V]) uint64
-	var isNaN func(KV[K, V]) bool
-	if keyCoder != nil {
+	if keyCoder := coderFor[K](); keyCoder != nil {
 		code = func(kv KV[K, V]) uint64 { return keyCoder.Encode(kv.Key) }
-		var zero K
-		switch any(zero).(type) {
-		case float64, float32:
-			isNaN = func(kv KV[K, V]) bool { return kv.Key != kv.Key }
-		}
 	}
-	// The record engine resolves Config.Coder against the key type
-	// above; clear it so the inner constructor does not retry the
-	// resolution against the record type.
-	cfg.Coder = nil
-	return newSorter(cfg, CompareKV[K, V], nil, code, isNaN, false)
+	return newSorter(cfg, CompareKV[K, V], nil, code, false)
 }
 
 // SortKV sorts keyed records across simulated processors; see Sort for

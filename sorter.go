@@ -44,10 +44,9 @@ import (
 type Sorter[K any] struct {
 	cfg     Config
 	compare func(K, K) int
-	coder   keycoder.Coder[K]
-	code    func(K) uint64 // decorated-plane extractor (records) or prefix extractor
-	prefix  bool           // code is a non-injective prefix extractor (NewBytes)
-	isNaN   func(K) bool   // non-nil only for float keys with a coder
+	coder   keycoder.Coder[K] // the bijective plane's coder (New); nil on every other plane
+	code    func(K) uint64    // decorated-plane extractor (records) or prefix extractor
+	prefix  bool              // code is a non-injective prefix extractor (NewBytes)
 	pool    *comm.Pool
 	scratch []*rankScratch[K]
 	spills  []*spill.Manager // per-rank spill managers; nil when MemoryBudget is 0, nil entries for ranks other processes host
@@ -71,52 +70,41 @@ var ErrSorterClosed = errors.New("hssort: sorter closed")
 // worker world is sized at construction); every other field is
 // validated here, once, instead of on every sort.
 //
-// The engine runs on the bijective code plane whenever a coder exists
-// (built in for int64, uint64, int32, uint32, float64 and float32, or
-// supplied via Config.Coder) and on the comparator plane otherwise. A
-// call whose input or seed holds a NaN float key runs on the comparator
-// plane: no order-preserving code realizes NaN's comparator order.
+// The engine runs on the bijective code plane whenever the key type has
+// a coder (int64, uint64, int32, uint32, float64 and float32) and on the
+// comparator plane otherwise. The float coders put every NaN below -Inf,
+// where cmp.Compare sorts it, so NaN keys ride the code plane too.
 // Code points are always 8 bytes, so for int32 and uint32 keys the code
 // plane doubles the communication volume the sim transport accounts;
 // NewFunc(cfg, cmp.Compare[K]) keeps the keys' own width for §5.1 byte
 // counts.
 func New[K cmp.Ordered](cfg Config) (*Sorter[K], error) {
-	var isNaN func(K) bool
-	var zero K
-	switch any(zero).(type) {
-	case float64, float32:
-		isNaN = func(k K) bool { return k != k }
-	}
-	return newSorter(cfg, cmp.Compare[K], coderFor[K](), nil, isNaN, false)
+	return newSorter(cfg, cmp.Compare[K], coderFor[K](), nil, false)
 }
 
 // NewFunc creates a Sorter with an explicit comparator, for key types
-// without a built-in order. It runs on the comparator plane unless
-// Config.Coder supplies a coder, which puts it on the code plane as New.
-// NewFunc(cfg, cmp.Compare[K]) is therefore New without the code plane:
-// the conformance oracle the code plane's equivalence tests run against.
-// HistogramSort additionally needs key-space arithmetic and is
-// unavailable unless Config.Coder supplies it.
+// without a built-in order. It always runs on the comparator plane, so
+// NewFunc(cfg, cmp.Compare[K]) is New without the code plane: the
+// conformance oracle the code plane's equivalence tests run against.
+// HistogramSort needs key-space arithmetic and is unavailable here.
 func NewFunc[K any](cfg Config, compare func(K, K) int) (*Sorter[K], error) {
 	if compare == nil {
 		return nil, fmt.Errorf("hssort: comparator is required")
 	}
-	return newSorter[K](cfg, compare, nil, nil, nil, false)
+	return newSorter[K](cfg, compare, nil, nil, false)
 }
 
-// newSorter is the shared constructor: resolve the coder, validate the
-// configuration once — its own rules, then the skeleton's, by building
-// the options every Sort will run under — and only then build the
-// transport and the worker pool. prefix marks code as a non-injective
-// prefix extractor (the NewBytes plane); it puts the prefix tie-break
-// pipelines in play.
-func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder[K], code func(K) uint64, isNaN func(K) bool, prefix bool) (*Sorter[K], error) {
+// newSorter is the shared constructor, and the compute plane is its
+// arguments: coder puts the engine on the bijective code plane, code on
+// the record plane, code with prefix — a non-injective prefix extractor
+// (NewBytes) — on the prefix plane with its tie-break pipelines, and
+// neither on the comparator plane. It validates the configuration once
+// — its own rules, then the skeleton's, by building the options every
+// Sort will run under — and only then builds the transport and the
+// worker pool.
+func newSorter[K any](cfg Config, compare func(K, K) int, coder keycoder.Coder[K], code func(K) uint64, prefix bool) (*Sorter[K], error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("hssort: at least one shard is required")
-	}
-	coder, err := resolveCoder(cfg, builtin)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Minute
@@ -134,7 +122,7 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 	}
 	// The skeleton's own checks (algorithm, ε, buckets, chunking,
 	// oversampling; HistogramSort's need for the key bijection), run on
-	// the options every Sort builds — the per-call plane changes only
+	// the options every Sort builds — the bijective plane changes only
 	// their element type.
 	o, _, err := splitterSort(cfg, compare, coder, code, prefix)
 	if err == nil {
@@ -192,16 +180,12 @@ func newSorter[K any](cfg Config, compare func(K, K) int, builtin keycoder.Coder
 			spills[r] = m
 		}
 	}
-	if coder == nil && code == nil {
-		isNaN = nil // no code plane to guard
-	}
 	s := &Sorter[K]{
 		cfg:     cfg,
 		compare: compare,
 		coder:   coder,
 		code:    code,
 		prefix:  prefix,
-		isNaN:   isNaN,
 		pool:    comm.NewPool(cfg.Procs, comm.WithTimeout(cfg.Timeout), comm.WithTransport(tr)),
 		scratch: make([]*rankScratch[K], cfg.Procs),
 		spills:  spills,
@@ -303,11 +287,11 @@ func (s *Sorter[K]) Plan(ctx context.Context, shards [][]K) (*Plan[K], error) {
 	return plan, err
 }
 
-// run is every engine call: resolve the per-call compute plane (the NaN
-// guard may demote it), describe the plane to runEngine — what each rank
-// sorts, where its output goes, how splitters turn back into keys — and
-// run the worker world once. full is false for Plan, which stops after
-// the front half; wantNext asks for the plan the run ends with.
+// run is every engine call: describe the engine's compute plane to
+// runEngine — what each rank sorts, where its output goes, how splitters
+// turn back into keys — and run the worker world once. full is false for
+// Plan, which stops after the front half; wantNext asks for the plan the
+// run ends with.
 func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, wantNext bool) ([][]K, *Plan[K], Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,7 +310,6 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 			seedKeys = seed.Splitters
 		}
 	}
-	useBijective, useRecord, usePrefix := s.resolvePlanes(shards, seedKeys)
 	var outs [][]K
 	var err error
 	if full {
@@ -349,7 +332,7 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 			input:   func(r int) []tagged[K] { return tagWrap(shards[r], r) },
 			output:  func(r int, out []tagged[K]) { outs[r] = tagUnwrap(out) },
 		})
-	case useBijective:
+	case s.coder != nil:
 		// Each rank encodes its shard once into its reusable code buffer,
 		// the whole pipeline runs on raw uint64s, and each rank decodes
 		// its merged partition once at the end (see the package-level
@@ -395,34 +378,19 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 		// slight upper bound on the true combined critical path.)
 		stats.LocalSort += slices.Max(encTime)
 		stats.Merge += slices.Max(decTime)
-	case usePrefix && !full:
-		// A prefix-plane sort determines its splitters entirely in code
-		// space, so a plan needs only each key's sorted prefix code: no
-		// key is cloned or tie-broken. The splitter codes materialize as
-		// their canonical 8-byte big-endian representatives, whose
-		// re-extracted codes are these codes again.
-		next, _, err = runEngine(ctx, s, engineRun[K, codes.Code]{
-			compare: codes.Compare,
-			coder:   codes.Identity{},
-			code:    codes.ExtractCode,
-			input:   func(r int) []codes.Code { return codes.Extract(shards[r], s.code) },
-			plan:    true,
-			keys:    func(f *core.Front[codes.Code]) []K { return prefixSplitters[K](f.Splitters) },
-		})
 	default:
+		// The record, prefix and comparator planes sort the keys
+		// themselves; the first two decorate them with s.code.
 		job := engineRun[K, K]{
 			compare: s.compare,
-			coder:   s.coder,
-			prefix:  usePrefix,
+			code:    s.code,
+			prefix:  s.prefix,
 			seed:    seedKeys,
 			input:   func(r int) []K { return shards[r] },
 			plan:    wantNext,
 			keys:    func(f *core.Front[K]) []K { return f.Splitters },
 		}
-		if useRecord || usePrefix {
-			job.code = s.code
-		}
-		if usePrefix {
+		if s.prefix {
 			job.keys = func(f *core.Front[K]) []K { return prefixSplitters[K](f.SplitterCodes) }
 		}
 		if full {
@@ -446,22 +414,6 @@ func spareCodes[K any](shard []K) []codes.Code {
 		return unsafe.Slice((*codes.Code)(unsafe.Pointer(unsafe.SliceData(shard))), len(shard))
 	}
 	return nil
-}
-
-// resolvePlanes picks the per-call compute plane: the constructor's,
-// demoted to the comparator plane when the input holds NaN float keys —
-// the one ordered value no order-preserving code can carry. A stored
-// plan's splitters are scanned too: a plan prepared on NaN-bearing data
-// can legitimately carry a NaN splitter, which must keep the sort off
-// the code plane even when the shards are NaN-free.
-func (s *Sorter[K]) resolvePlanes(shards [][]K, planSplitters []K) (useBijective, useRecord, usePrefix bool) {
-	if s.cfg.TagDuplicates || hasNaN(shards, s.isNaN) || hasNaN([][]K{planSplitters}, s.isNaN) {
-		return false, false, false
-	}
-	useBijective = s.coder != nil
-	useRecord = !useBijective && !s.prefix && s.code != nil
-	usePrefix = s.prefix && s.code != nil
-	return useBijective, useRecord, usePrefix
 }
 
 // checkPlan verifies that this engine deals in plans at all and, when a
@@ -777,24 +729,6 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 		return o, histsort.Strategies(histsort.Options[E]{Coder: coder}), nil
 	}
 	return o, core.Strategies[E]{}, fmt.Errorf("unknown algorithm %v", cfg.Algorithm)
-}
-
-// hasNaN reports whether shards hold a NaN key — the one ordered value
-// no order-preserving code can carry: the comparator sorts NaN below
-// everything while the IEEE encoding scatters NaN payloads to both
-// extremes. isNaN is non-nil only for float key types with a coder in
-// play (plain float64/float32 keys and float-keyed KV records share
-// this helper).
-func hasNaN[E any](shards [][]E, isNaN func(E) bool) bool {
-	if isNaN == nil {
-		return false
-	}
-	for _, s := range shards {
-		if slices.ContainsFunc(s, isNaN) {
-			return true
-		}
-	}
-	return false
 }
 
 // tagged is a key with its origin — the duplicate handling of §4.3

@@ -429,10 +429,9 @@ func TestNewRejectsWhatSortWould(t *testing.T) {
 }
 
 // TestPlanNaNSplitterGuard: a plan prepared on NaN-bearing float data
-// (comparator plane; NaN sorts first, so it can become a splitter) must
-// keep a later SortWithPlan off the code plane even when that sort's
-// shards are NaN-free — otherwise the NaN splitter encodes out of
-// order.
+// can hold a NaN splitter (NaN sorts first), and a later SortWithPlan on
+// NaN-free shards must still sort: the splitter encodes below -Inf, as
+// the keys it was drawn from did.
 func TestPlanNaNSplitterGuard(t *testing.T) {
 	const p = 4
 	nan := math.NaN()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -26,13 +27,9 @@ import (
 // multi-process run via re-exec of this test binary.
 
 // keyDigest is a deterministic fingerprint of one rank's output.
-func keyDigest(keys []int64) string {
+func keyDigest[K int64 | float64](keys []K) string {
 	h := fnv.New64a()
-	var b [8]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(b[:], uint64(k))
-		h.Write(b[:])
-	}
+	binary.Write(h, binary.LittleEndian, keys)
 	return fmt.Sprintf("%d:%016x", len(keys), h.Sum64())
 }
 
@@ -157,19 +154,7 @@ func simDigests(t *testing.T, procs, perRank int, runs int) [][]string {
 func TestTCPWorkerModeEngines(t *testing.T) {
 	const p, perRank, runs = 4, 2000, 3
 	want := simDigests(t, p, perRank, runs)
-
-	var got [][]string
-	for attempt := 0; ; attempt++ {
-		digests, err := runWorkerEngines(p, perRank, runs)
-		if err == nil {
-			got = digests
-			break
-		}
-		if attempt >= 2 {
-			t.Fatalf("worker-mode engines failed after retries: %v", err)
-		}
-		t.Logf("retrying after bootstrap race: %v", err)
-	}
+	got := workerDigests(t, workerShards(p, perRank), runs)
 	for run := 0; run < runs; run++ {
 		if !slices.Equal(got[run], want[run]) {
 			t.Errorf("run %d digests differ:\n tcp %v\n sim %v", run, got[run], want[run])
@@ -177,8 +162,61 @@ func TestTCPWorkerModeEngines(t *testing.T) {
 	}
 }
 
-// runWorkerEngines drives one complete worker-mode world in-process.
-func runWorkerEngines(p, perRank, runs int) ([][]string, error) {
+// TestTCPWorkerModeNaN: a NaN on one rank only. Each worker-mode engine
+// takes its compute plane from its constructor and key type, never from
+// its own shard, so the rank holding the NaN sorts on its peers' code
+// plane, and the world matches the sim oracle with the NaN first.
+func TestTCPWorkerModeNaN(t *testing.T) {
+	const p, perRank = 4, 2000
+	input := make([][]float64, p)
+	for r, sh := range workerShards(p, perRank) {
+		for _, k := range sh {
+			input[r] = append(input[r], float64(k))
+		}
+	}
+	input[1][perRank/2] = math.NaN()
+	engine, err := New[float64](Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3, Transport: TransportSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	outs, _, err := engine.Sort(bg, cloneAny(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(outs[0][0]) {
+		t.Fatalf("sim sorted %g first, want the NaN", outs[0][0])
+	}
+	var want []string
+	for _, o := range outs {
+		want = append(want, keyDigest(o))
+	}
+	if got := workerDigests(t, input, 1)[0]; !slices.Equal(got, want) {
+		t.Errorf("digests differ:\n tcp %v\n sim %v", got, want)
+	}
+}
+
+// workerDigests runs input through a worker-mode world runs times and
+// returns each run's rank digests, retrying a world lost to a bootstrap
+// race.
+func workerDigests[K int64 | float64](t *testing.T, input [][]K, runs int) [][]string {
+	t.Helper()
+	for attempt := 0; ; attempt++ {
+		digests, err := runWorkerEngines(input, runs)
+		if err == nil {
+			return digests
+		}
+		if attempt >= 2 {
+			t.Fatalf("worker-mode engines failed after retries: %v", err)
+		}
+		t.Logf("retrying after bootstrap race: %v", err)
+	}
+}
+
+// runWorkerEngines drives one complete worker-mode world in-process:
+// one engine per rank of input, each sorting its own shard.
+func runWorkerEngines[K int64 | float64](input [][]K, runs int) ([][]string, error) {
+	p := len(input)
 	coordinator := ""
 	{
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -192,6 +230,10 @@ func runWorkerEngines(p, perRank, runs int) ([][]string, error) {
 	for i := range digests {
 		digests[i] = make([]string, p)
 	}
+	var n int64
+	for _, sh := range input {
+		n += int64(len(sh))
+	}
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -199,21 +241,21 @@ func runWorkerEngines(p, perRank, runs int) ([][]string, error) {
 		go func(r int) {
 			defer wg.Done()
 			errs[r] = func() error {
-				engine, err := New[int64](workerConfig(coordinator, r, p, true))
+				engine, err := New[K](workerConfig(coordinator, r, p, true))
 				if err != nil {
 					return fmt.Errorf("rank %d: %w", r, err)
 				}
 				defer engine.Close()
 				for run := 0; run < runs; run++ {
-					shards := make([][]int64, p)
-					shards[r] = slices.Clone(workerShards(p, perRank)[r])
+					shards := make([][]K, p)
+					shards[r] = slices.Clone(input[r])
 					outs, stats, err := engine.Sort(context.Background(), shards)
 					if err != nil {
 						return fmt.Errorf("rank %d run %d: %w", r, run, err)
 					}
 					digests[run][r] = keyDigest(outs[r])
-					if r == 0 && stats.N != int64(p*perRank) {
-						return fmt.Errorf("rank 0 stats.N = %d, want %d", stats.N, p*perRank)
+					if r == 0 && stats.N != n {
+						return fmt.Errorf("rank 0 stats.N = %d, want %d", stats.N, n)
 					}
 					if r != 0 {
 						for q, o := range outs {
