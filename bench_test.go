@@ -26,8 +26,8 @@ func BenchmarkAblationNodeLevel(b *testing.B) {
 		cfg  Config
 	}{
 		{"flat", Config{Procs: p, Epsilon: 0.05, Seed: 3}},
-		{"node-c4", Config{Procs: p, Algorithm: NodeHSS, CoresPerNode: 4, Epsilon: 0.05, Seed: 3}},
-		{"node-c8", Config{Procs: p, Algorithm: NodeHSS, CoresPerNode: 8, Epsilon: 0.05, Seed: 3}},
+		{"node-c4", Config{Procs: p, CoresPerNode: 4, Epsilon: 0.05, Seed: 3}},
+		{"node-c8", Config{Procs: p, CoresPerNode: 8, Epsilon: 0.05, Seed: 3}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -72,7 +72,7 @@ func TestBytePrefixSaturation(t *testing.T) {
 	shards := dist.ByteSpec{Kind: dist.URLLike}.Shards(perRank, p, 11)
 	oracle := byteOracle(shards)
 
-	s, err := NewBytes(Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 7})
+	s, err := NewBytes(Config{Procs: p, Epsilon: 0.05, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestBytesPlanRoundTrip(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			shards := dist.ByteSpec{Kind: kind}.Shards(perRank, p, 29)
 			oracle := byteOracle(shards)
-			s, err := NewBytes(Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 31})
+			s, err := NewBytes(Config{Procs: p, Epsilon: 0.05, Seed: 31})
 			if err != nil {
 				t.Fatal(err)
 			}

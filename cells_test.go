@@ -41,8 +41,7 @@ type cell struct {
 	balanced bool // Imbalance must be at most 1+ε
 
 	// comparator builds the engine with NewFunc and the key type's
-	// order: the comparator plane. HistogramSort needs key arithmetic,
-	// which NewFunc lacks, so it keeps the key type's constructor.
+	// order: the comparator plane.
 	comparator bool
 }
 
@@ -74,21 +73,18 @@ var nanPayloads = []uint64{
 
 // ---- Dimensions ----
 
-// variants are the algorithm dimension: the configurations the matrices
-// sweep, each with the distribution it draws unless the cell names one.
+// variants are the algorithm dimension: the HSS configurations the
+// matrices sweep, flat and two-level (node-hss), each with the distribution it draws unless the cell names one.
 // Buckets counts buckets per rank; Epsilon defaults to 0.1.
 var variants = map[string]struct {
 	cfg  Config
 	dist string
 }{
-	"hss":                {Config{Algorithm: HSS, Epsilon: 0.05}, "powerskew"},
-	"hss-overpartition":  {Config{Algorithm: HSS, Buckets: 4}, "uniform"},
-	"hss-roundrobin":     {Config{Algorithm: HSS, Buckets: 2, RoundRobinBuckets: true}, "exponential"},
-	"hss-duplicates":     {Config{Algorithm: HSS, TagDuplicates: true}, "dupheavy"},
-	"histogramsort":      {Config{Algorithm: HistogramSort}, "exponential"},
-	"samplesort-regular": {Config{Algorithm: SampleSortRegular}, "uniform"},
-	"samplesort-random":  {Config{Algorithm: SampleSortRandom}, "dupheavy"},
-	"node-hss":           {Config{Algorithm: NodeHSS, CoresPerNode: 2}, "uniform"},
+	"hss":               {Config{Epsilon: 0.05}, "powerskew"},
+	"hss-overpartition": {Config{Buckets: 4}, "uniform"},
+	"hss-roundrobin":    {Config{Buckets: 2, RoundRobinBuckets: true}, "exponential"},
+	"hss-duplicates":    {Config{TagDuplicates: true}, "dupheavy"},
+	"node-hss":          {Config{CoresPerNode: 2}, "uniform"},
 }
 
 // The setters, one per dimension.
@@ -97,7 +93,7 @@ func algorithm(c *cell, name string) {
 	if !ok {
 		panic("no algorithm variant " + name)
 	}
-	c.cfg.Algorithm, c.cfg.TagDuplicates = v.cfg.Algorithm, v.cfg.TagDuplicates
+	c.cfg.TagDuplicates = v.cfg.TagDuplicates
 	c.cfg.Buckets, c.cfg.RoundRobinBuckets = v.cfg.Buckets*c.in.p, v.cfg.RoundRobinBuckets
 	c.cfg.CoresPerNode, c.cfg.Epsilon = v.cfg.CoresPerNode, cmp.Or(v.cfg.Epsilon, 0.1)
 	c.in.dist = cmp.Or(c.in.dist, v.dist)
@@ -282,25 +278,20 @@ func memoized[K comparable, V any](m map[K]V, k K, f func() V) V {
 // full draws bit patterns whose float64 and float32 views are finite
 // (their exponents' top bits cleared) while the integer views still span
 // both signs; full+nan puts one NaN first on rank 0, and full+nan-payloads
-// makes every fifth key one of nanPayloads. ascending+nan gives rank r the
-// keys v = r·n+1 … r·n+n as v<<32|v, ascending in every view, so rank 0
-// holds the lowest n, and then makes rank 0's first key a NaN.
+// makes every fifth key one of nanPayloads.
 func draw(in input) [][]int64 {
 	return memoized(draws, in, func() [][]int64 {
-		if strings.HasPrefix(in.dist, "full") || in.dist == "ascending+nan" {
+		if strings.HasPrefix(in.dist, "full") {
 			out := make([][]int64, in.p)
 			for r := range out {
 				rng := rand.New(rand.NewPCG(in.seed, uint64(r)))
 				out[r] = make([]int64, in.n)
 				for i := range out[r] {
 					out[r][i] = int64(rng.Uint64() &^ (1<<62 | 1<<30))
-					if in.dist == "ascending+nan" {
-						out[r][i] = int64(r*in.n+i+1) * (1<<32 + 1) // v<<32 | v
-					}
 				}
 			}
 			switch in.dist {
-			case "full+nan", "ascending+nan":
+			case "full+nan":
 				out[0][0] = nanBits
 			case "full+nan-payloads":
 				for r := range out {
@@ -475,14 +466,13 @@ type outcome struct {
 // protocol and input on sim, materializing, serial, in memory, on the
 // comparator plane. Byte strings keep their plane — prefix and
 // comparator planes agree only without prefix collisions — except on
-// hashlike keys, which have none (run checks it). HistogramSort keeps
-// its constructor: it has no comparator plane. This is the one place a
-// cell's oracle is derived.
+// hashlike keys, which have none (run checks it). This is the one place
+// a cell's oracle is derived.
 func reference(t *testing.T, c cell) (cell, outcome) {
 	r := cell{name: "reference", cfg: c.cfg, key: cmp.Or(c.key, "int64"), in: c.in}
 	r.cfg.Transport, r.cfg.Workers, r.cfg.MemoryBudget = TransportSim, 1, 0
 	r.cfg.StreamExchange, r.cfg.ChunkKeys = false, 0
-	r.comparator = c.cfg.Algorithm != HistogramSort && (c.key != "bytes" || c.in.dist == "hashlike")
+	r.comparator = c.key != "bytes" || c.in.dist == "hashlike"
 	return r, memoized(refs, fmt.Sprintf("%+v", r), func() outcome { return sortCell(t, r) })
 }
 
@@ -544,7 +534,7 @@ func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 	t.Helper()
 	what := cmp.Or(c.name, "cell")
 	newEngine := ops.new
-	if c.comparator && c.cfg.Algorithm != HistogramSort {
+	if c.comparator {
 		newEngine = func(cfg Config) (*Sorter[K], error) { return NewFunc(cfg, ops.order) }
 	}
 	eng, err := newEngine(c.cfg)
@@ -727,15 +717,6 @@ func checkStats[K any](t *testing.T, what string, c cell, st Stats) {
 
 // ---- Filters ----
 
-// algNames are the Algorithm names, which are also variant names.
-func algNames() []string {
-	var out []string
-	for _, a := range sortableAlgorithms {
-		out = append(out, a.String())
-	}
-	return out
-}
-
 // workerSweep is the Workers values above 1 a filter sweeps: two small
 // pools and the machine's GOMAXPROCS.
 func workerSweep() []int {
@@ -746,8 +727,7 @@ func workerSweep() []int {
 
 func TestCodePathEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 6, n: 3000, seed: 41}},
-		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin",
-			"histogramsort", "samplesort-regular", "samplesort-random", "node-hss"),
+		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "node-hss"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")))
 }
 
@@ -756,13 +736,13 @@ func TestCodePathEquivalence(t *testing.T) {
 // through the widening coder, and negative int64 keys streamed.
 func TestCodePathEquivalenceKeyTypes(t *testing.T) {
 	base := cell{cfg: Config{Seed: 7}, in: input{dist: "full", p: 5, n: 2000, seed: 23}}
-	runAll(t, append(product(base, pick(keyType, "uint64", "float64", "int32"), pick(algorithm, "hss", "histogramsort", "samplesort-regular")),
+	runAll(t, append(product(base, pick(keyType, "uint64", "float64", "int32"), pick(algorithm, "hss")),
 		product(base, []val{{"int64-streaming", func(c *cell) { streaming(c, true) }}})...))
 }
 
 func TestCodePathKVEquivalence(t *testing.T) {
 	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 11}, in: input{dist: "dupheavy", p: 4, n: 2000, seed: 43}},
-		pick(algorithm, "hss", "samplesort-regular", "node-hss"), exchanges("materializing", "streaming")))
+		pick(algorithm, "hss", "node-hss"), exchanges("materializing", "streaming")))
 }
 
 // TestSmallMessageEquivalence is the small-message regime: 256 ranks of
@@ -802,15 +782,14 @@ func smallShardStreams(base cell, keySize int64, dims ...[]val) []cell {
 	return product(base, dims...)
 }
 
-// TestSpillEquivalenceAlgorithms runs every other algorithm at a quarter
-// budget — NodeHSS's streaming exchange, which holds only one chunk per
-// node-level stream, at a chunk and a half.
+// TestSpillEquivalenceAlgorithms runs the two-level node sort at a
+// quarter budget — its streaming exchange, which holds only one chunk
+// per node-level stream, at a chunk and a half.
 func TestSpillEquivalenceAlgorithms(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 5, MemoryBudget: bigN * 8 / 4}, in: input{p: 4, n: bigN, seed: 97}},
-		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss"),
-		exchanges("materializing", "streaming"))
+		pick(algorithm, "node-hss"), exchanges("materializing", "streaming"))
 	for i, c := range cs {
-		if c.cfg.Algorithm == NodeHSS && c.cfg.StreamExchange {
+		if c.cfg.StreamExchange {
 			cs[i].cfg.MemoryBudget = int64(c.cfg.ChunkKeys) * 8 * 3 / 2
 		}
 	}
@@ -825,14 +804,13 @@ func TestSpillEquivalenceKV(t *testing.T) {
 
 func TestStreamExchangeEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 8, n: 4000, seed: 33}},
-		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "samplesort-regular", "samplesort-random",
-			"histogramsort", "node-hss", "hss-duplicates"),
+		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "node-hss", "hss-duplicates"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")[1:]))
 }
 
 func TestTCPSortEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
-		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		pick(algorithm, "hss", "node-hss"),
 		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")))
 }
 
@@ -843,20 +821,20 @@ func TestTCPSortKVEquivalence(t *testing.T) {
 
 func TestSortEquivalentAcrossTransports(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3, Transport: TransportInproc}, in: input{p: 8, n: 5000, seed: 21}},
-		append(pick(algorithm, "hss-skewed=hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		append(pick(algorithm, "hss-skewed=hss", "node-hss"),
 			val{"hss-uniform", func(c *cell) { c.in.dist = "uniform"; algorithm(c, "hss") }})))
 }
 
 func TestWorkersEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 4, n: bigN, seed: 61}},
-		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		pick(algorithm, "hss", "node-hss"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		planes("off", "on"), dim("workers=%d", workers, workerSweep()...)))
 }
 
 func TestWorkersEquivalenceKV(t *testing.T) {
 	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 13}, in: input{dist: "dupheavy", p: 4, n: bigN, seed: 53}},
-		pick(algorithm, "hss", "samplesort-regular"), exchanges("materializing", "streaming"),
+		pick(algorithm, "hss"), exchanges("materializing", "streaming"),
 		dim("workers=%d", workers, workerSweep()...)))
 }
 
@@ -890,15 +868,15 @@ func TestStreamExchangeStats(t *testing.T) {
 }
 
 func TestSortAllAlgorithms(t *testing.T) {
-	runAll(t, product(cell{cfg: Config{Seed: 5}, in: input{dist: "uniform", p: 4, n: 1000, seed: 3}}, pick(algorithm, algNames()...)))
+	runAll(t, product(cell{cfg: Config{Seed: 5}, in: input{dist: "uniform", p: 4, n: 1000, seed: 3}}, pick(algorithm, "hss", "node-hss")))
 }
 
-// TestAllAlgorithmsUnderRace is every algorithm at once on the
+// TestAllAlgorithmsUnderRace is flat and two-level HSS on the
 // concurrent paths — inproc, a worker pool, both exchange forms — for
 // the race detector.
 func TestAllAlgorithmsUnderRace(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3, Transport: TransportInproc, Workers: 2}, in: input{p: 4, n: 300, seed: 13}},
-		pick(algorithm, algNames()...), exchanges("materializing", "streaming")))
+		pick(algorithm, "hss", "node-hss"), exchanges("materializing", "streaming")))
 }
 
 // TestSortDeterministicGivenSeed: a seed fixes outputs and protocol, and
@@ -909,34 +887,15 @@ func TestSortDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestSortFloatKeys(t *testing.T) {
-	runAll(t, product(cell{key: "float64", in: input{dist: "full", p: 4, n: 500, seed: 1}}, pick(algorithm, "hss", "histogramsort")))
+	runAll(t, product(cell{key: "float64", in: input{dist: "full", p: 4, n: 500, seed: 1}}, pick(algorithm, "hss")))
 }
-
-// nanAuto is the default plane over an input holding one NaN, which the
-// code plane sorts first, as the comparator plane does.
-var nanAuto = val{"nan-auto", func(c *cell) { c.in.dist = "full+nan" }}
 
 // TestSortFloat32Keys: the float32 coder engages the code plane, with
-// and without a NaN.
+// and without a NaN, which the code plane sorts first, as the comparator
+// plane does.
 func TestSortFloat32Keys(t *testing.T) {
 	runAll(t, product(cell{key: "float32", cfg: Config{Epsilon: 0.2}, in: input{dist: "full", p: 3, n: 200, seed: 5}},
-		[]val{{"on", func(*cell) {}}, nanAuto}))
-}
-
-// TestNarrowKeysHistogramSortBalance: histogram sort meets 1+ε on the
-// widening coders' key types, with and without a NaN.
-func TestNarrowKeysHistogramSortBalance(t *testing.T) {
-	runAll(t, product(cell{balanced: true, cfg: Config{Algorithm: HistogramSort, Epsilon: 0.1, Seed: 3}, in: input{dist: "full", p: 4, n: 6000, seed: 3}},
-		pick(keyType, "int32", "float32"), append(planes("off", "on"), nanAuto)))
-}
-
-// TestHistogramSortNaNLowRank: a NaN sorts first and encodes below
-// -Inf, so the bisection's bracket starts at it and still finds the
-// real minimum of the rank it leads — here the keys of buckets 0–3,
-// which round-robin placement sends to four ranks.
-func TestHistogramSortNaNLowRank(t *testing.T) {
-	runAll(t, product(cell{balanced: true, cfg: Config{Algorithm: HistogramSort, Buckets: 16, RoundRobinBuckets: true, Seed: 3}, in: input{dist: "ascending+nan", p: 4, n: 2000}},
-		pick(keyType, "float64", "float32"), []val{{"auto", func(*cell) {}}}))
+		[]val{{"on", func(*cell) {}}, {"nan-auto", func(c *cell) { c.in.dist = "full+nan" }}}))
 }
 
 // TestNaNPayloadsSortFirst: NaNs of both signs and several payloads,
@@ -945,9 +904,9 @@ func TestHistogramSortNaNLowRank(t *testing.T) {
 // reference pins their ranks: only the contract is checked.
 func TestNaNPayloadsSortFirst(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 3}, in: input{dist: "full+nan-payloads", p: 4, n: 1500, seed: 7}},
-		pick(keyType, "float64", "float32", "kv=kv-float64"), pick(algorithm, "hss", "samplesort-random", "histogramsort"),
+		pick(keyType, "float64", "float32", "kv=kv-float64"), pick(algorithm, "hss"),
 		exchanges("materializing", "streaming"))
-	for _, c := range slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv-float64" && c.cfg.Algorithm == HistogramSort }) {
+	for _, c := range cs {
 		t.Run(c.name, func(t *testing.T) { sortCell(t, c) })
 	}
 }
@@ -971,15 +930,14 @@ func TestSortManyRanks(t *testing.T) {
 }
 
 func TestSortKVAllHSSAlgorithms(t *testing.T) {
-	runAll(t, product(cell{key: "kv", in: input{dist: "full", p: 4, n: 800, seed: 9}},
-		pick(algorithm, "hss", "samplesort-regular", "samplesort-random")))
+	runAll(t, product(cell{key: "kv", in: input{dist: "full", p: 4, n: 800, seed: 9}}, pick(algorithm, "hss")))
 }
 
-// TestSortBytesAllAlgorithms runs every algorithm over hash-like keys,
-// whose prefix codes never collide: the prefix plane must then agree
-// with the comparator plane (TestSortBytesCrossPlane).
+// TestSortBytesAllAlgorithms runs flat and two-level HSS over hash-like
+// keys, whose prefix codes never collide: the prefix plane must then
+// agree with the comparator plane (TestSortBytesCrossPlane).
 func TestSortBytesAllAlgorithms(t *testing.T) {
-	runAll(t, product(cell{key: "bytes", cfg: Config{Seed: 5}, in: input{dist: "hashlike", p: 4, n: 1000, seed: 3}}, pick(algorithm, algNames()...)))
+	runAll(t, product(cell{key: "bytes", cfg: Config{Seed: 5}, in: input{dist: "hashlike", p: 4, n: 1000, seed: 3}}, pick(algorithm, "hss", "node-hss")))
 }
 
 func TestSortBytesCrossPlane(t *testing.T) {
@@ -998,16 +956,15 @@ func TestSortBytesMatrixEquivalence(t *testing.T) {
 
 func TestPlanOtherAlgorithms(t *testing.T) {
 	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 3}, in: input{dist: "exponential", p: 6, n: 2000, seed: 23}},
-		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss", "hss=hss-overpartition")))
+		pick(algorithm, "node-hss", "hss=hss-overpartition")))
 }
 
 // TestSortSeededReturnsPlansPlan: on every plane, an unseeded
 // SortSeeded ends with exactly the plan Plan prepares.
 func TestSortSeededReturnsPlansPlan(t *testing.T) {
-	cs := product(cell{seeded: true, cfg: Config{Seed: 11}, in: input{dist: "gaussian", p: 6, n: 1500, seed: 29}},
+	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 11}, in: input{dist: "gaussian", p: 6, n: 1500, seed: 29}},
 		append(pick(keyType, "bijective=int64", "record=kv", "prefix=bytes"), val{"comparator", func(c *cell) { c.comparator = true }}),
-		pick(algorithm, "hss", "samplesort-regular", "histogramsort", "node-hss"))
-	runAll(t, slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv" && c.cfg.Algorithm == HistogramSort }))
+		pick(algorithm, "hss", "node-hss")))
 }
 
 func TestKVSorterPlan(t *testing.T) {
@@ -1021,7 +978,7 @@ func TestKVSorterPlan(t *testing.T) {
 // get big shards, where the kernels fan out and every stream diverts.
 func TestPairwiseCoverage(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 9}, in: input{dist: "gaussian", p: 4, n: 4000, seed: 7}},
-		pick(algorithm, "hss-overpartition", "hss-roundrobin", "samplesort-random"),
+		pick(algorithm, "hss-overpartition", "hss-roundrobin", "hss"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		[]val{{"workers=1", func(*cell) {}}, {"workers=2", func(c *cell) { workers(c, 2); c.in.n = bigN }}},
 		pick(keyType, "int64", "kv", "bytes"),

@@ -32,8 +32,8 @@ type ChaosConfig struct {
 	// triggers.
 	CrashRank int
 	// CrashPhase triggers the crash on CrashRank's first send of a named
-	// phase of the sort skeleton every algorithm runs: "start" (any
-	// message), "splitter" (key count, the strategy's rounds, a
+	// phase of the sort skeleton, flat or two-level: "start" (any
+	// message), "splitter" (key count, the histogramming rounds, a
 	// seed's round 0) or "exchange" (bucket data movement). Empty
 	// disables phase-triggered crashing.
 	CrashPhase string

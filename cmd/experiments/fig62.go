@@ -5,6 +5,11 @@ import (
 	"time"
 
 	"hssort"
+	"hssort/internal/comm"
+	"hssort/internal/core"
+	"hssort/internal/exchange"
+	"hssort/internal/histsort"
+	"hssort/internal/keycoder"
 	"hssort/internal/tablefmt"
 )
 
@@ -13,7 +18,9 @@ import (
 // placed non-contiguously) — comparing HSS against classic histogram
 // sort ("Old") on the Dwarf and Lambb dataset analogues, across
 // processor counts with a fixed dataset size (strong scaling of the
-// splitting cost).
+// splitting cost). HSS runs on the engine; Old is not an engine
+// algorithm and runs its strategy on a world of the -transport backend
+// under the same buckets and placement.
 func runFig62(scale float64) error {
 	totalParticles := int(200000 * scale)
 	if totalParticles < 20000 {
@@ -36,8 +43,11 @@ func runFig62(scale float64) error {
 			if err != nil {
 				return fmt.Errorf("%s p=%d HSS: %w", ds.Name, p, err)
 			}
-			cfg.Algorithm = hssort.HistogramSort
-			_, oldStats, err := hssort.Sort(cfg, cloneShards(shards))
+			opt := coded[uint64](keycoder.Uint64{}, p)
+			opt.Epsilon, opt.Buckets, opt.Owner, opt.Seed = cfg.Epsilon, buckets, exchange.RoundRobinOwner(p), cfg.Seed
+			_, oldStats, _, err := onWorld(cloneShards(shards), func(c *comm.Comm, local []uint64) ([]uint64, core.Stats, error) {
+				return histsort.Sort(c, local, opt, histsort.Options[uint64]{Coder: keycoder.Uint64{}})
+			})
 			if err != nil {
 				return fmt.Errorf("%s p=%d Old: %w", ds.Name, p, err)
 			}
@@ -63,10 +73,10 @@ func runFig62(scale float64) error {
 	return nil
 }
 
-func cloneShards(shards [][]uint64) [][]uint64 {
-	out := make([][]uint64, len(shards))
+func cloneShards[K any](shards [][]K) [][]K {
+	out := make([][]K, len(shards))
 	for i, s := range shards {
-		out[i] = append([]uint64(nil), s...)
+		out[i] = append([]K(nil), s...)
 	}
 	return out
 }

@@ -33,7 +33,7 @@ type experiment struct {
 var experiments = []experiment{
 	{"fig3.1", "splitter intervals shrink across rounds (illustration)", runFig31},
 	{"fig4.1", "sample size vs p: sample sort vs HSS (analytic + measured)", runFig41},
-	{"sec4.2", "HSS vs sample sort, histogram sort, radix, bitonic and over-partitioning on one workload", runSec42},
+	{"sec4.2", "HSS vs sample sort, histogram sort, radix, bitonic and over-partitioning on one workload; load balance under skew", runSec42},
 	{"table5.1", "complexity table with concrete sample sizes (p=1e5, eps=5%)", runTable51},
 	{"fig6.1", "weak scaling: execution-time breakdown per phase", runFig61},
 	{"table6.1", "histogramming rounds observed at the paper's processor counts", runTable61},

@@ -8,8 +8,10 @@ import (
 )
 
 // TestExperimentsRunAtTinyScale smoke-tests every experiment at a scale
-// small enough for CI (sec4.2 included, which is what keeps the three
-// §4.2 baseline packages exercised end to end).
+// small enough for CI (sec4.2 included, which is what keeps the five
+// §4.2 baseline packages — samplesort, histsort, radix, bitonic and
+// overpartition — exercised end to end, and fails unless HSS meets 1+ε
+// where capped sample sort misses it).
 func TestExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests")

@@ -1,16 +1,16 @@
-// Command hssort sorts a synthetic workload with any of the library's
-// algorithms and prints the paper's metrics: phase breakdown,
+// Command hssort sorts a synthetic workload with Histogram Sort with
+// Sampling and prints the paper's metrics: phase breakdown,
 // histogramming rounds, sample sizes, communication volume, and the
-// achieved load imbalance.
+// achieved load imbalance. The paper's baselines are experiment code:
+// cmd/experiments -exp sec4.2 and -exp fig6.2.
 //
 // Examples:
 //
-//	hssort -p 16 -n 100000                          # HSS on uniform keys
-//	hssort -p 16 -alg samplesort-regular -eps 0.02  # baseline comparison
-//	hssort -p 16 -dist powerskew -alg histogramsort # skew vs bisection
-//	hssort -p 16 -dist dupheavy -tag                # §4.3 duplicate tagging
-//	hssort -p 16 -alg node-hss -cores 4             # §6.1 two-level sort
-//	hssort -p 16 -keys bytes -dist urllike          # []byte keys, prefix-code plane
+//	hssort -p 16 -n 100000                  # HSS on uniform keys
+//	hssort -p 16 -dist powerskew -eps 0.02  # skewed keys, tighter balance
+//	hssort -p 16 -dist dupheavy -tag        # §4.3 duplicate tagging
+//	hssort -p 16 -cores 4                   # §6.1 two-level node sort
+//	hssort -p 16 -keys bytes -dist urllike  # []byte keys, prefix-code plane
 //
 // Multi-process deployment (the tcp transport; see docs/WIRE.md and the
 // "Distributed deployment" in docs/TRANSPORTS.md):
@@ -23,7 +23,7 @@
 //	...
 //
 // Every worker must be started with identical workload flags (-n, -dist,
-// -seed, -alg, …): each process derives the deterministic global input
+// -seed, -cores, …): each process derives the deterministic global input
 // and sorts its own rank's shard. -digest prints per-rank output
 // fingerprints that are comparable across transports, which is how the
 // CI smoke asserts rank-identical output of a 4-process tcp run against
@@ -56,14 +56,6 @@ import (
 	"hssort/internal/tablefmt"
 )
 
-var algorithms = map[string]hssort.Algorithm{
-	"hss":                hssort.HSS,
-	"samplesort-regular": hssort.SampleSortRegular,
-	"samplesort-random":  hssort.SampleSortRandom,
-	"histogramsort":      hssort.HistogramSort,
-	"node-hss":           hssort.NodeHSS,
-}
-
 var distributions = map[string]dist.Kind{
 	"uniform":      dist.Uniform,
 	"gaussian":     dist.Gaussian,
@@ -94,12 +86,11 @@ func main() {
 	var (
 		p       = flag.Int("p", 8, "simulated processors")
 		n       = flag.Int("n", 100000, "keys per processor")
-		algName = flag.String("alg", "hss", "algorithm: "+names(algorithms))
 		keyType = flag.String("keys", "int64", "key type: int64, or bytes for variable-length byte strings on the prefix-code plane")
 		dsName  = flag.String("dist", "uniform", "distribution: "+names(distributions)+"; with -keys bytes: "+names(byteDistributions)+" (default hashlike)")
 		eps     = flag.Float64("eps", 0.05, "load-imbalance threshold")
 		buckets = flag.Int("buckets", 0, "output buckets (default: p)")
-		cores   = flag.Int("cores", 4, "cores per node for node-hss")
+		cores   = flag.Int("cores", 0, "cores per node: > 0 runs the §6.1 two-level node sort (node-hss) with one bucket per node; 0 = flat HSS")
 		tag     = flag.Bool("tag", false, "tag duplicates (§4.3)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		trName  = flag.String("transport", "sim", "comm backend — "+strings.Join(hssort.TransportSummaries(), "; "))
@@ -126,11 +117,6 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, ok := algorithms[*algName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q; known: %s\n", *algName, names(algorithms))
-		os.Exit(2)
-	}
 	transport, err := hssort.ParseTransport(*trName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -143,6 +129,7 @@ func main() {
 	}
 	var kind dist.Kind
 	var byteKind dist.ByteKind
+	var ok bool
 	byteKeys := false
 	switch *keyType {
 	case "int64":
@@ -187,7 +174,6 @@ func main() {
 
 	cfg := hssort.Config{
 		Procs:          *p,
-		Algorithm:      alg,
 		Epsilon:        *eps,
 		Buckets:        *buckets,
 		CoresPerNode:   *cores,
@@ -313,7 +299,7 @@ func run[K any](ctx context.Context, cfg hssort.Config, o runOpts, w workload[K]
 	if o.workerMode && o.rank != 0 {
 		// Peers report their partition; whole-run stats live on rank 0.
 		fmt.Printf("%s: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
-			cfg.Algorithm, o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
+			algorithm(cfg), o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
 		if o.digest {
 			printDigests(outs, o.rank, true, w.appendKey)
 		}
@@ -352,6 +338,14 @@ func totalKeys[K any](outs [][]K) int {
 	return total
 }
 
+// algorithm names the sort cfg runs in the report header.
+func algorithm(cfg hssort.Config) string {
+	if cfg.CoresPerNode > 0 {
+		return "node-hss"
+	}
+	return "hss"
+}
+
 // report prints the whole-run metrics table. It is key-type agnostic:
 // run feeds it the same Config and Stats for either key type.
 type report struct {
@@ -369,7 +363,7 @@ func (r report) print() {
 		world = "worker processes"
 	}
 	fmt.Printf("%s: sorted %s %s keys on %d %s in %v (%s transport)\n\n",
-		r.cfg.Algorithm, tablefmt.Count(float64(stats.N)), r.distName, r.cfg.Procs, world,
+		algorithm(r.cfg), tablefmt.Count(float64(stats.N)), r.distName, r.cfg.Procs, world,
 		r.wall.Round(time.Millisecond), r.cfg.Transport)
 	if r.cfg.Transport == hssort.TransportInproc {
 		fmt.Println("note: the inproc transport does no byte accounting; byte/message metrics read zero")

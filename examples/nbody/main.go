@@ -2,20 +2,18 @@
 // every step of an N-body simulation sorts particles by space-filling-
 // curve key so each processor owns a compact spatial region. Particle
 // positions cluster heavily (galaxies!), so the key distribution is
-// exactly the skewed case where Histogram Sort with Sampling shines over
-// classic histogram sort's key-space bisection.
+// heavily skewed. (cmd/experiments -exp fig6.2 compares HSS with classic
+// histogram sort on such keys.)
 //
-// This example builds a Plummer-sphere "galaxy", computes Morton keys,
-// sorts them with both algorithms across 16 simulated processors with 64
-// virtual-processor buckets, and compares the splitter-determination
-// work. It then simulates the per-timestep loop the way a production
-// code would run it: one long-lived Sorter engine whose every step is
-// seeded with the splitters the previous step ended with — particles
-// move only slightly between steps, so each step either keeps the
-// decomposition as it is (zero histogramming rounds) or nudges the few
-// splitters that fell out of balance. It exits 1 if a step misses the
-// balance target or costs more rounds than the cold start — CI runs it
-// for that.
+// This example builds a Plummer-sphere "galaxy", computes Morton keys
+// and simulates the per-timestep loop across 16 simulated processors
+// with 64 virtual-processor buckets, the way a production code would run
+// it: one long-lived Sorter engine whose every step is seeded with the
+// splitters the previous step ended with — particles move only slightly
+// between steps, so each step either keeps the decomposition as it is
+// (zero histogramming rounds) or nudges the few splitters that fell out
+// of balance. It exits 1 if a step misses the balance target or costs
+// more rounds than the cold start — CI runs it for that.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
-	"slices"
 
 	"hssort"
 )
@@ -88,37 +85,8 @@ func main() {
 		shards[i%procs] = append(shards[i%procs], k)
 	}
 
-	run := func(alg hssort.Algorithm) hssort.Stats {
-		in := make([][]uint64, procs)
-		for i := range shards {
-			in[i] = slices.Clone(shards[i])
-		}
-		_, stats, err := hssort.Sort(hssort.Config{
-			Procs:     procs,
-			Algorithm: alg,
-			Buckets:   buckets,
-			Epsilon:   0.05,
-			Seed:      3,
-		}, in)
-		if err != nil {
-			log.Fatalf("%v: %v", alg, err)
-		}
-		return stats
-	}
-
-	hss := run(hssort.HSS)
-	old := run(hssort.HistogramSort)
-
-	fmt.Printf("domain decomposition of %d clustered particles, %d processors, %d buckets\n\n",
+	fmt.Printf("domain decomposition of %d clustered particles, %d processors, %d buckets\n",
 		particles, procs, buckets)
-	fmt.Printf("%-28s %14s %14s\n", "", "HSS", "histogram sort")
-	fmt.Printf("%-28s %14d %14d\n", "probe rounds", hss.Rounds, old.Rounds)
-	fmt.Printf("%-28s %14d %14d\n", "probe keys total", hss.TotalSample, old.TotalSample)
-	fmt.Printf("%-28s %14v %14v\n", "splitter determination", hss.Splitter, old.Splitter)
-	fmt.Printf("%-28s %14.4f %14.4f\n", "load imbalance", hss.Imbalance, old.Imbalance)
-	fmt.Println("\nClassic histogram sort bisects the 63-bit Morton key space, paying a")
-	fmt.Println("round per bit of skew; HSS samples the data instead and converges in a")
-	fmt.Println("handful of rounds regardless of how clustered the galaxy is.")
 
 	// Timestep loop: between steps the galaxy barely moves, so each
 	// step's decomposition starts from the last one's (plan = next).
@@ -139,7 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	coldRounds := plan.Rounds
-	fmt.Printf("\ntimestep loop, each step seeded by the one before (cold start: %d rounds, %d probe keys):\n",
+	fmt.Printf("timestep loop, each step seeded by the one before (cold start: %d rounds, %d probe keys):\n",
 		coldRounds, plan.TotalSample)
 	ok := true
 	for step := 1; step <= 5; step++ {

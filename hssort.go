@@ -1,7 +1,7 @@
 // Package hssort is a Go reproduction of "Histogram Sort with Sampling"
 // (Harsh; Kale, Solomonik — SPAA 2019 / UIUC 2017): a distributed
 // splitter-based parallel sorting library with provable (1+ε) load
-// balance, plus every baseline the paper evaluates against.
+// balance.
 //
 // The library simulates a distributed-memory machine: Sort spawns one
 // goroutine per processor, all communication flows through an explicit
@@ -48,59 +48,16 @@ import (
 	"hssort/internal/rankoracle"
 )
 
-// Algorithm selects the sorting algorithm: which splitter strategy runs
-// on the one sort skeleton (local sort → splitters → exchange → merge),
-// so the engine's capabilities — compute planes, streaming exchange,
-// Workers, MemoryBudget, plans, chaos phases — hold for every Algorithm.
-// The §4.2 comparison sorts that determine no splitters (bitonic, radix,
-// over-partitioning) are experiment code: cmd/experiments -exp sec4.2.
-type Algorithm int
-
-const (
-	// HSS is Histogram Sort with Sampling in its production
-	// configuration (§6.1.2): fixed 5·B-key oversampling per round
-	// until all splitters are finalized. The paper's contribution and
-	// the default.
-	HSS Algorithm = iota
-	// SampleSortRegular is sample sort with regular sampling (§4.1.2).
-	SampleSortRegular
-	// SampleSortRandom is sample sort with random sampling (§4.1.1).
-	SampleSortRandom
-	// HistogramSort is classic histogram sort (§2.3) — key-space probe
-	// bisection, no sampling. Requires an integer or float key type.
-	HistogramSort
-	// NodeHSS is HSS with the two-level node partitioning and message
-	// combining of §6.1 (set Config.CoresPerNode).
-	NodeHSS
-)
-
-// String returns the algorithm name used in experiment output.
-func (a Algorithm) String() string {
-	switch a {
-	case HSS:
-		return "hss"
-	case SampleSortRegular:
-		return "samplesort-regular"
-	case SampleSortRandom:
-		return "samplesort-random"
-	case HistogramSort:
-		return "histogramsort"
-	case NodeHSS:
-		return "node-hss"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // Config configures a sort run. The zero value plus Procs is usable:
-// plain HSS at ε = 0.05.
+// Histogram Sort with Sampling in its production configuration
+// (§6.1.2: fixed 5·B-key oversampling per round) at ε = 0.05.
+// CoresPerNode > 0 selects the §6.1 two-level node sort instead.
 type Config struct {
 	// Procs is the number of simulated processors; it must equal
 	// len(shards) in Sort. Required.
 	Procs int
-	// Algorithm selects the sort. Default HSS.
-	Algorithm Algorithm
-	// Epsilon is the load-imbalance threshold ε. Default 0.05.
+	// Epsilon is the load-imbalance threshold ε. Default 0.05 (0.02
+	// with CoresPerNode).
 	Epsilon float64
 	// Buckets is the number of output ranges (virtual processors).
 	// Default Procs. Buckets > Procs simulates ChaNGa's TreePiece
@@ -110,16 +67,15 @@ type Config struct {
 	// contiguously (§6.3's non-contiguous virtual processors). The
 	// output is then sorted per rank but not across ranks.
 	RoundRobinBuckets bool
-	// OversampleFactor is the per-round oversampling factor f for HSS
-	// (default 5) or the per-processor sample size for the sample
-	// sorts (default: their provable values).
-	OversampleFactor float64
-	// CoresPerNode configures NodeHSS. Required for NodeHSS.
+	// CoresPerNode, when > 0, runs HSS with the two-level node
+	// partitioning and message combining of §6.1: Procs/CoresPerNode
+	// nodes of CoresPerNode ranks each, one bucket per node, at a
+	// default ε of 0.02. Procs must be a multiple of it, and Buckets and
+	// RoundRobinBuckets must be unset. 0 (the default) is flat HSS.
 	CoresPerNode int
 	// TagDuplicates wraps every key with its (processor, index) origin
 	// (§4.3), restoring the balance guarantee on duplicate-heavy
-	// inputs. Every algorithm but HistogramSort, whose probe bisection
-	// needs the key bijection tagged records lack.
+	// inputs.
 	TagDuplicates bool
 	// Transport selects the communication backend: TransportSim (the
 	// default, fully byte-accounted), TransportInproc (the same
@@ -306,8 +262,8 @@ func fromCore(st core.Stats) Stats {
 
 // Sort sorts shards[i] (the keys initially on processor i) across
 // Config.Procs simulated processors and returns the per-processor sorted
-// partitions. For every algorithm except RoundRobinBuckets placements,
-// the concatenation out[0] ‖ out[1] ‖ … is the sorted input. The input
+// partitions. Except under RoundRobinBuckets placements, the
+// concatenation out[0] ‖ out[1] ‖ … is the sorted input. The input
 // shards are consumed, as by Sorter.Sort.
 //
 // Sort builds the whole simulated machine for one call and tears it
@@ -328,10 +284,8 @@ func Sort[K cmp.Ordered](cfg Config, shards [][]K) ([][]K, Stats, error) {
 }
 
 // SortFunc is Sort with an explicit comparator, for key types without a
-// built-in order. HistogramSort needs key-space arithmetic and is
-// unavailable through SortFunc.
-// Like Sort, it is a one-shot wrapper over a throwaway engine; see
-// NewFunc for the reusable form.
+// built-in order. Like Sort, it is a one-shot wrapper over a throwaway
+// engine; see NewFunc for the reusable form.
 func SortFunc[K any](cfg Config, shards [][]K, compare func(K, K) int) ([][]K, Stats, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = len(shards)
@@ -374,8 +328,7 @@ func SortBytes(cfg Config, shards [][][]byte) ([][][]byte, Stats, error) {
 // looping, and Plan.AchievedEpsilon reports the honest (possibly
 // large) imbalance the code plane could express.
 //
-// Every algorithm runs on it; HistogramSort bisects probes over code
-// space. NewFunc(cfg, bytes.Compare) is the pure comparator plane (the
+// NewFunc(cfg, bytes.Compare) is the pure comparator plane (the
 // conformance oracle); output is rank-identical either way.
 // Stats.PrefixCollisions reports how often the tie-break fired.
 func NewBytes(cfg Config) (*Sorter[[]byte], error) {

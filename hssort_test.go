@@ -1,19 +1,12 @@
 package hssort
 
 import (
-	"cmp"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"hssort/internal/dist"
 )
-
-// sortableAlgorithms lists every algorithm.
-var sortableAlgorithms = []Algorithm{
-	HSS, SampleSortRegular, SampleSortRandom,
-	HistogramSort, NodeHSS,
-}
 
 func shardsFor(t *testing.T, kind dist.Kind, p, perRank int, seed uint64) [][]int64 {
 	t.Helper()
@@ -68,27 +61,6 @@ func TestSortFuncCustomKeyType(t *testing.T) {
 	}
 }
 
-func TestSortFuncRejectsCoderAlgorithms(t *testing.T) {
-	type opaque struct{ v int }
-	shards := [][]opaque{{{1}}, {{2}}}
-	cmpO := func(a, b opaque) int { return a.v - b.v }
-	if _, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort}, shards, cmpO); err == nil {
-		t.Error("HistogramSort accepted a coder-less key type")
-	}
-	// NewFunc is the comparator plane even over a key type New codes.
-	if _, _, err := SortFunc(Config{Procs: 2, Algorithm: HistogramSort}, [][]int64{{5, 1}, {3, 2}}, cmp.Compare[int64]); err == nil {
-		t.Error("HistogramSort through SortFunc on int64 keys did not fail")
-	}
-}
-
-func TestTagDuplicatesUnsupportedAlgorithms(t *testing.T) {
-	shards := [][]int64{{1}, {2}}
-	cfg := Config{Procs: 2, Algorithm: HistogramSort, TagDuplicates: true}
-	if _, _, err := Sort(cfg, cloneShards(shards)); err == nil {
-		t.Error("HistogramSort accepted TagDuplicates")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, _, err := Sort(Config{Procs: 3}, [][]int64{{1}}); err == nil {
 		t.Error("Procs/shards mismatch accepted")
@@ -96,14 +68,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, _, err := Sort(Config{}, [][]int64{}); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, _, err := Sort(Config{Algorithm: Algorithm(99)}, [][]int64{{1}}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
 	if _, _, err := SortFunc[int64](Config{}, [][]int64{{1}}, nil); err == nil {
 		t.Error("nil comparator accepted")
 	}
-	if _, _, err := Sort(Config{Algorithm: NodeHSS}, [][]int64{{1}, {2}}); err == nil {
-		t.Error("NodeHSS without CoresPerNode accepted")
+	if _, _, err := Sort(Config{CoresPerNode: 3}, [][]int64{{1}, {2}}); err == nil {
+		t.Error("Procs not a multiple of CoresPerNode accepted")
 	}
 }
 
@@ -120,22 +89,9 @@ func TestSimulateSplittersFacade(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	for _, alg := range sortableAlgorithms {
-		if alg.String() == "" {
-			t.Errorf("empty name for %d", int(alg))
-		}
-	}
-	if Algorithm(42).String() != "Algorithm(42)" {
-		t.Error("unknown algorithm name")
-	}
-}
-
 // TestFacadeProperty drives the facade across random configurations.
 func TestFacadeProperty(t *testing.T) {
-	algs := []Algorithm{HSS, SampleSortRegular, SampleSortRandom}
-	f := func(seed uint32, aRaw, pRaw uint8) bool {
-		alg := algs[int(aRaw)%len(algs)]
+	f := func(seed uint32, pRaw uint8) bool {
 		p := int(pRaw%4) + 1
 		spec := dist.Spec{Kind: dist.Kind(seed % 6), Min: 0, Max: 1 << 20}
 		shards := make([][]int64, p)
@@ -143,7 +99,7 @@ func TestFacadeProperty(t *testing.T) {
 			shards[r] = spec.Shard(int(seed%400)+20, r, p, uint64(seed))
 		}
 		outs, _, err := Sort(Config{
-			Procs: p, Algorithm: alg, Epsilon: 0.2, Seed: uint64(seed) + 1,
+			Procs: p, Epsilon: 0.2, Seed: uint64(seed) + 1,
 		}, cloneShards(shards))
 		if err != nil {
 			t.Log(err)

@@ -26,18 +26,6 @@ func Compare(a, b Code) int {
 	}
 }
 
-// Identity is the keycoder for code points themselves: a pipeline that
-// has already been mapped into code space presents Identity wherever
-// key-space arithmetic (histsort probe synthesis, radix digit
-// extraction) demands a coder.
-type Identity struct{}
-
-// Encode returns the code point unchanged.
-func (Identity) Encode(c Code) uint64 { return uint64(c) }
-
-// Decode returns the code point unchanged.
-func (Identity) Decode(u uint64) Code { return Code(u) }
-
 // ExtractCode is the identity code extractor for the pure code plane
 // (element type == Code).
 func ExtractCode(c Code) uint64 { return uint64(c) }

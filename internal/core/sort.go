@@ -26,7 +26,8 @@ type Strategies[K any] struct {
 	// Keys runs over the sorted keys.
 	Keys Strategy[K]
 	// Codes runs the prefix plane (Options.PrefixCode) in code space: over
-	// the sorted code decoration, under raw integer comparison.
+	// the sorted code decoration, under raw integer comparison. Only HSS
+	// has one; the §4.2 baselines' Sort functions reject PrefixCode.
 	Codes Strategy[codes.Code]
 }
 

@@ -12,9 +12,10 @@
 //
 // Key-space bisection needs arithmetic on keys, so this algorithm is only
 // available for key types with an order-preserving integer code
-// (internal/keycoder); hssort.Sort rejects it for SortFunc-style opaque
-// comparators.
+// (internal/keycoder).
 //
 // The package holds only that refinement loop, as a core.Strategy;
-// everything around it is core's sort skeleton.
+// everything around it is core's sort skeleton. It is experiment code:
+// cmd/experiments (-exp sec4.2, fig6.2) is its only caller outside its
+// tests.
 package histsort

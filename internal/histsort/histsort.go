@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
@@ -18,10 +17,9 @@ import (
 // core.Options.
 type Options[K any] struct {
 	// Coder is the order-preserving key <-> uint64 code bijection that
-	// supplies the key-space arithmetic probe synthesis needs. Required,
-	// except on the prefix plane (core.Options.PrefixCode), whose probes
-	// are the code points themselves. It feeds probe synthesis only: the
-	// compute phases leave the comparator when core.Options.Code is set.
+	// supplies the key-space arithmetic probe synthesis needs. Required.
+	// It feeds probe synthesis only: the compute phases leave the
+	// comparator when core.Options.Code is set.
 	Coder keycoder.Coder[K]
 	// ProbesPerSplitter is how many evenly spaced probes each
 	// unfinalized splitter contributes per round (subdividing its code
@@ -60,31 +58,19 @@ type splitterSearch struct {
 // Sort runs classic histogram sort on this rank's keys and returns its
 // globally sorted partition: the skeleton (core.SortWith) under the
 // probe-refinement strategy. Every rank must call Sort with the same
-// options. The input slice is consumed.
+// options. The input slice is consumed. The prefix plane
+// (core.Options.PrefixCode) is not supported: its keys have no coder.
 func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], h Options[K]) ([]K, core.Stats, error) {
-	if h.Coder == nil && !opt.PrefixCode {
+	if h.Coder == nil {
 		return nil, core.Stats{}, fmt.Errorf("histsort: Options.Coder is required")
 	}
-	return core.SortWith(c, local, opt, Strategies(h))
-}
-
-// Strategies is probe refinement as a skeleton strategy. On the prefix
-// plane it bisects the code space directly — every probe is a code
-// point, so the protocol needs no key-space Decode and the probe traffic
-// stays fixed-size regardless of key length: codes.Identity is the
-// degenerate Coder that makes the root's bisection arithmetic run on the
-// codes themselves.
-func Strategies[K any](h Options[K]) core.Strategies[K] {
-	return core.Strategies[K]{
-		Keys:  strategy(h),
-		Codes: strategy(Options[codes.Code]{Coder: codes.Identity{}, ProbesPerSplitter: h.ProbesPerSplitter, MaxRounds: h.MaxRounds}),
+	if opt.PrefixCode {
+		return nil, core.Stats{}, fmt.Errorf("histsort: the prefix plane (Options.PrefixCode) is not supported")
 	}
-}
-
-func strategy[E any](h Options[E]) core.Strategy[E] {
-	return func(c *comm.Comm, sorted []E, n int64, opt core.Options[E]) ([]E, core.SplitterInfo, error) {
+	probe := func(c *comm.Comm, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
 		return DetermineSplitters(c, sorted, n, opt, h)
 	}
+	return core.SortWith(c, local, opt, core.Strategies[K]{Keys: probe})
 }
 
 // DetermineSplitters runs the probe-refinement loop of §2.3 over

@@ -2,6 +2,8 @@ package histsort
 
 import (
 	"cmp"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,7 @@ import (
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/dist"
+	"hssort/internal/exchange"
 	"hssort/internal/keycoder"
 )
 
@@ -23,9 +26,9 @@ func baseProbe() Options[int64] {
 	return Options[int64]{Coder: keycoder.Int64{}}
 }
 
-func trySort(shards [][]int64, opt core.Options[int64], h Options[int64]) ([][]int64, core.Stats, error) {
+func trySort[K any](shards [][]K, opt core.Options[K], h Options[K]) ([][]K, core.Stats, error) {
 	p := len(shards)
-	outs := make([][]int64, p)
+	outs := make([][]K, p)
 	var stats core.Stats
 	w := comm.NewWorld(p, comm.WithTimeout(120*time.Second))
 	err := w.Run(func(c *comm.Comm) error {
@@ -172,6 +175,10 @@ func TestHistSortRejectsMissingDeps(t *testing.T) {
 	if _, _, err := trySort([][]int64{{1}}, core.Options[int64]{Cmp: icmp}, Options[int64]{}); err == nil {
 		t.Error("missing Coder accepted")
 	}
+	prefix := core.Options[int64]{Cmp: icmp, Code: keycoder.Int64{}.Encode, PrefixCode: true}
+	if _, _, err := trySort([][]int64{{1}}, prefix, baseProbe()); err == nil {
+		t.Error("prefix plane accepted")
+	}
 }
 
 func TestHistSortProperty(t *testing.T) {
@@ -206,5 +213,86 @@ func TestHistSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHistSortKeyTypes: probe bisection meets 1+ε on the widening
+// coders' key types, whose codes span only part of the code space, and
+// on float keys led by a NaN. A NaN sorts first and encodes below -Inf,
+// so the bisection's bracket starts at it and still finds the real
+// minimum of the rank it leads — there the keys of buckets 0–3, which
+// round-robin placement sends to four ranks.
+func TestHistSortKeyTypes(t *testing.T) {
+	f32 := func(b uint64) float32 { return math.Float32frombits(uint32(b)) }
+	nan64, nan32 := math.NaN(), float32(math.NaN())
+	roundRobin := exchange.RoundRobinOwner(4)
+	t.Run("int32", func(t *testing.T) {
+		checkKeyType(t, keyShards(6000, func(b uint64) int32 { return int32(b) }, nil), keycoder.Int32{}, core.Options[int32]{Epsilon: 0.1})
+	})
+	t.Run("float32", func(t *testing.T) {
+		checkKeyType(t, keyShards(6000, f32, nil), keycoder.Float32{}, core.Options[float32]{Epsilon: 0.1})
+	})
+	t.Run("float64-nan-low-rank", func(t *testing.T) {
+		checkKeyType(t, keyShards(2000, math.Float64frombits, &nan64), keycoder.Float64{}, core.Options[float64]{Epsilon: 0.05, Buckets: 16, Owner: roundRobin})
+	})
+	t.Run("float32-nan-low-rank", func(t *testing.T) {
+		checkKeyType(t, keyShards(2000, f32, &nan32), keycoder.Float32{}, core.Options[float32]{Epsilon: 0.05, Buckets: 16, Owner: roundRobin})
+	})
+}
+
+// keyShards views 4 shards of n bit patterns as K: random patterns whose
+// float views are finite (exponent top bit cleared) while the integer
+// view spans both signs, or, given a nan, rank r's v = r·n+1 … r·n+n as
+// v<<32|v — ascending in every view, so rank 0 holds the lowest n — with
+// rank 0's first key replaced by the nan.
+func keyShards[K any](n int, view func(uint64) K, nan *K) [][]K {
+	out := make([][]K, 4)
+	for r := range out {
+		rng := rand.New(rand.NewPCG(3, uint64(r)))
+		for i := range n {
+			b := rng.Uint64() &^ (1<<62 | 1<<30)
+			if nan != nil {
+				v := uint64(r*n + i + 1)
+				b = v<<32 | v
+			}
+			out[r] = append(out[r], view(b))
+		}
+	}
+	if nan != nil {
+		out[0][0] = *nan
+	}
+	return out
+}
+
+// checkKeyType sorts shards on the coder's code plane and checks that
+// every rank is sorted, that the ranks together hold the input, and that
+// the buckets meet 1+ε.
+func checkKeyType[K cmp.Ordered](t *testing.T, shards [][]K, coder keycoder.Coder[K], opt core.Options[K]) {
+	t.Helper()
+	opt.Cmp, opt.Code, opt.Seed = cmp.Compare[K], coder.Encode, 3
+	// Codes compare NaNs by bits, which == on the keys cannot.
+	sortedCodes := func(shards [][]K) []uint64 {
+		var cs []uint64
+		for _, k := range slices.Concat(shards...) {
+			cs = append(cs, coder.Encode(k))
+		}
+		slices.Sort(cs)
+		return cs
+	}
+	want := sortedCodes(shards)
+	outs, stats, err := trySort(shards, opt, Options[K]{Coder: coder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, o := range outs {
+		if !slices.IsSortedFunc(o, cmp.Compare[K]) {
+			t.Fatalf("rank %d output not sorted", r)
+		}
+	}
+	if !slices.Equal(sortedCodes(outs), want) {
+		t.Fatal("output not a permutation of the input")
+	}
+	if stats.Imbalance > 1+opt.Epsilon+1e-9 {
+		t.Errorf("imbalance %.4f, want at most 1+%v", stats.Imbalance, opt.Epsilon)
 	}
 }

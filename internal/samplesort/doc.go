@@ -9,5 +9,7 @@
 //
 // The paper's point of comparison is purely the splitter-determination
 // cost, so the package holds only that: the sampling phase as a
-// core.Strategy. Everything around it is core's sort skeleton.
+// core.Strategy. Everything around it is core's sort skeleton. It is
+// experiment code: cmd/experiments (-exp sec4.2) is its only caller
+// outside its tests.
 package samplesort

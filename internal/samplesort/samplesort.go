@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"hssort/internal/codes"
 	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/core"
@@ -81,23 +80,19 @@ const (
 // Sort runs parallel sample sort on this rank's keys and returns its
 // globally sorted partition: the skeleton (core.SortWith) under the
 // sampling strategy. Every rank must call Sort with the same options.
-// The input slice is consumed.
+// The input slice is consumed. The prefix plane (core.Options.PrefixCode)
+// is not supported.
 func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], s Options) ([]K, core.Stats, error) {
 	if s.Method != Regular && s.Method != Random {
 		return nil, core.Stats{}, fmt.Errorf("samplesort: unknown method %d", s.Method)
 	}
-	return core.SortWith(c, local, opt, Strategies[K](s))
-}
-
-// Strategies is the sampling phase as a skeleton strategy.
-func Strategies[K any](s Options) core.Strategies[K] {
-	return core.Strategies[K]{Keys: strategy[K](s), Codes: strategy[codes.Code](s)}
-}
-
-func strategy[E any](s Options) core.Strategy[E] {
-	return func(c *comm.Comm, sorted []E, n int64, opt core.Options[E]) ([]E, core.SplitterInfo, error) {
+	if opt.PrefixCode {
+		return nil, core.Stats{}, fmt.Errorf("samplesort: the prefix plane (Options.PrefixCode) is not supported")
+	}
+	sample := func(c *comm.Comm, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
 		return DetermineSplitters(c, sorted, n, opt, s)
 	}
+	return core.SortWith(c, local, opt, core.Strategies[K]{Keys: sample})
 }
 
 // DetermineSplitters runs the sampling phase (§2.2 steps 1-2): every rank

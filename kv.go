@@ -23,12 +23,10 @@ func CompareKV[K cmp.Ordered, V any](a, b KV[K, V]) int {
 	return cmp.Compare(a.Key, b.Key)
 }
 
-// NewKV creates a Sorter for keyed records. HistogramSort is
-// unavailable for records (it needs key-space arithmetic); use HSS,
-// NodeHSS or the sample sorts. The plan's splitters are records whose
-// payloads are incidental — only keys partition. Records with equal keys
-// keep their per-bucket multiset but — as with any unstable sort — not a
-// particular relative order.
+// NewKV creates a Sorter for keyed records. The plan's splitters are
+// records whose payloads are incidental — only keys partition. Records
+// with equal keys keep their per-bucket multiset but — as with any
+// unstable sort — not a particular relative order.
 //
 // When the key type has a coder (the integer and float key types),
 // records ride the decorated code plane: the local sort radix-sorts a

@@ -54,7 +54,7 @@ func TestSortUnderFaultInjection(t *testing.T) {
 		{"dup", ChaosConfig{Seed: 44, Dup: 0.15}},
 		{"mixed", ChaosConfig{Seed: 45, Drop: 0.05, Delay: 0.1, Dup: 0.05}},
 	}
-	base := Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3}
+	base := Config{Procs: p, Epsilon: 0.05, Seed: 3}
 	// The two planes: the comparator (SortFunc) and the code plane (Sort).
 	planes := []struct {
 		name string
@@ -133,7 +133,7 @@ func TestPeerCrashMidExchange(t *testing.T) {
 	before := runtime.NumGoroutine()
 	{
 		engine, err := New[int64](Config{
-			Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3,
+			Procs: p, Epsilon: 0.05, Seed: 3,
 			Transport: TransportTCP,
 			Chaos:     &ChaosConfig{Seed: 7, CrashRank: victim, CrashPhase: "exchange"},
 		})
@@ -170,20 +170,18 @@ func TestPeerCrashMidExchange(t *testing.T) {
 }
 
 // TestPeerCrashPhaseMatrix: Config.Chaos.CrashPhase names a phase of
-// the one sort skeleton, so it fires under every splitter strategy and
-// under NodeHSS's two-level data movement alike — each cell fails fast
-// with a *PeerCrashError naming the victim, and every engine closes
-// without leaking goroutines. (With per-algorithm tag ranges the phase
-// silently never matched outside HSS and the sort finished with a nil
-// error.)
+// the one sort skeleton, so it fires under flat HSS and under the node
+// sort's two-level data movement alike — each cell fails fast with a
+// *PeerCrashError naming the victim, and every engine closes without
+// leaking goroutines.
 func TestPeerCrashPhaseMatrix(t *testing.T) {
 	const p, perRank, victim = 4, 800, 2
 	before := runtime.NumGoroutine()
-	for _, alg := range []Algorithm{HSS, SampleSortRegular, HistogramSort, NodeHSS} {
+	for alg, cores := range map[string]int{"hss": 0, "node-hss": 2} {
 		for _, phase := range []string{"splitter", "exchange"} {
-			t.Run(fmt.Sprintf("%v/%s", alg, phase), func(t *testing.T) {
+			t.Run(alg+"/"+phase, func(t *testing.T) {
 				engine, err := New[int64](Config{
-					Procs: p, Algorithm: alg, CoresPerNode: 2, Epsilon: 0.05, Seed: 3,
+					Procs: p, CoresPerNode: cores, Epsilon: 0.05, Seed: 3,
 					Transport: TransportSim,
 					Chaos:     &ChaosConfig{Seed: 7, CrashRank: victim, CrashPhase: phase},
 				})
@@ -218,7 +216,7 @@ func TestPeerCrashPhaseMatrix(t *testing.T) {
 // deterministically), and the respawn surfaces in Stats.
 func TestRejoinThenSort(t *testing.T) {
 	const p, perRank, victim = 4, 1000, 1
-	simCfg := Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3}
+	simCfg := Config{Procs: p, Epsilon: 0.05, Seed: 3}
 	want, _, err := Sort(simCfg, chaosShards(p, perRank))
 	if err != nil {
 		t.Fatalf("sim oracle: %v", err)

@@ -15,11 +15,9 @@ import (
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
-	"hssort/internal/histsort"
 	"hssort/internal/keycoder"
 	"hssort/internal/nodesort"
 	"hssort/internal/par"
-	"hssort/internal/samplesort"
 	"hssort/internal/spill"
 )
 
@@ -86,7 +84,6 @@ func New[K cmp.Ordered](cfg Config) (*Sorter[K], error) {
 // without a built-in order. It always runs on the comparator plane, so
 // NewFunc(cfg, cmp.Compare[K]) is New without the code plane: the
 // conformance oracle the code plane's equivalence tests run against.
-// HistogramSort needs key-space arithmetic and is unavailable here.
 func NewFunc[K any](cfg Config, compare func(K, K) int) (*Sorter[K], error) {
 	if compare == nil {
 		return nil, fmt.Errorf("hssort: comparator is required")
@@ -112,30 +109,24 @@ func newSorter[K any](cfg Config, compare func(K, K) int, coder keycoder.Coder[K
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("hssort: Workers %d < 0", cfg.Workers)
 	}
-	if cfg.Algorithm == NodeHSS {
-		if cfg.CoresPerNode < 1 {
-			return nil, fmt.Errorf("hssort: NodeHSS requires CoresPerNode >= 1")
-		}
+	if cfg.CoresPerNode < 0 {
+		return nil, fmt.Errorf("hssort: CoresPerNode %d < 0", cfg.CoresPerNode)
+	}
+	if cfg.CoresPerNode > 0 {
+		// The node sort partitions into one bucket per node, placed on
+		// the node's own ranks.
 		if cfg.Procs%cfg.CoresPerNode != 0 {
 			return nil, fmt.Errorf("hssort: Procs %d not a multiple of CoresPerNode %d", cfg.Procs, cfg.CoresPerNode)
 		}
+		if cfg.Buckets != 0 || cfg.RoundRobinBuckets {
+			return nil, fmt.Errorf("hssort: Buckets and RoundRobinBuckets cannot be set with CoresPerNode (the node sort places one bucket per node)")
+		}
 	}
-	// The skeleton's own checks (algorithm, ε, buckets, chunking,
-	// oversampling; HistogramSort's need for the key bijection), run on
-	// the options every Sort builds — the bijective plane changes only
-	// their element type.
-	o, _, err := splitterSort(cfg, compare, coder, code, prefix)
-	if err == nil {
-		err = o.Validate(cfg.Procs)
-	}
-	if err != nil {
+	// The skeleton's own checks (ε, buckets, chunking), run on the
+	// options every Sort builds — the bijective plane changes only their
+	// element type.
+	if err := coreOptions(cfg, compare, code, prefix).Validate(cfg.Procs); err != nil {
 		return nil, fmt.Errorf("hssort: invalid Config: %w", err)
-	}
-	// HistogramSort bisects probes in key space, so it runs only where
-	// the bijection (or, for byte strings, the prefix code) is in play:
-	// not on tagged records.
-	if cfg.Algorithm == HistogramSort && cfg.TagDuplicates {
-		return nil, fmt.Errorf("hssort: TagDuplicates is not supported by %v", cfg.Algorithm)
 	}
 	if cfg.MemoryBudget < 0 {
 		return nil, fmt.Errorf("hssort: MemoryBudget %d < 0", cfg.MemoryBudget)
@@ -251,10 +242,9 @@ func (s *Sorter[K]) SortWithPlan(ctx context.Context, plan *Plan[K], shards [][]
 // reduction, no sample). A seed that still meets the 1+ε target stands:
 // the sort goes straight to exchange → merge, Stats.Rounds reads 0 and
 // next holds the seed's splitters. Otherwise splitter determination runs
-// after all, with round 0 as its first histogram — the HSS variants and
-// NodeHSS finalize the splitters the seed already pins and sample only
-// the intervals still open; the sample sorts and classic histogram sort
-// start cold — and next holds the refined splitters:
+// after all, with round 0 as its first histogram — it finalizes the
+// splitters the seed already pins and samples only the intervals still
+// open — and next holds the refined splitters:
 // feeding it to the following sort is how a loop tracks a drifting
 // distribution (ChaNGa's per-timestep re-sort, §6.3). A nil seed is a
 // plain Sort whose splitters are kept; next is then exactly what Plan
@@ -268,11 +258,9 @@ func (s *Sorter[K]) SortSeeded(ctx context.Context, seed *Plan[K], shards [][]K)
 }
 
 // Plan is SortSeeded stopped before any data moves — local sort plus
-// splitter determination (sampling and histogramming for the HSS
-// variants, the sampling phase for the sample sorts, probe refinement
-// for classic histogram sort, node-level histogramming for NodeHSS) —
-// returning the splitters with the protocol's achieved statistics. The
-// input shards are read, not consumed.
+// splitter determination (sampling and histogramming; node-level with
+// CoresPerNode) — returning the splitters with the protocol's achieved
+// statistics. The input shards are read, not consumed.
 //
 // Plan is deterministic given Config.Seed and the input, and uses the
 // same per-rank sampling streams as Sort — the splitters are exactly
@@ -342,7 +330,6 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 		decTime := make([]time.Duration, s.cfg.Procs)
 		job := engineRun[K, codes.Code]{
 			compare: codes.Compare,
-			coder:   codes.Identity{},
 			code:    codes.ExtractCode,
 			input: func(r int) []codes.Code {
 				t0 := time.Now()
@@ -446,9 +433,9 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 }
 
 // effectiveBuckets is the number of output ranges cfg partitions into:
-// Buckets (default Procs), or the node count for NodeHSS.
+// Buckets (default Procs), or the node count with CoresPerNode.
 func effectiveBuckets(cfg Config) int {
-	if cfg.Algorithm == NodeHSS {
+	if cfg.CoresPerNode > 0 {
 		return cfg.Procs / cfg.CoresPerNode
 	}
 	if cfg.Buckets != 0 {
@@ -458,13 +445,13 @@ func effectiveBuckets(cfg Config) int {
 }
 
 // effectiveEpsilon is the load-imbalance target ε cfg aims for: Epsilon,
-// defaulting to the paper's 0.05, or its tighter node-level 0.02 for
-// NodeHSS.
+// defaulting to the paper's 0.05, or its tighter node-level 0.02 with
+// CoresPerNode.
 func effectiveEpsilon(cfg Config) float64 {
 	switch {
 	case cfg.Epsilon != 0:
 		return cfg.Epsilon
-	case cfg.Algorithm == NodeHSS:
+	case cfg.CoresPerNode > 0:
 		return 0.02
 	}
 	return 0.05
@@ -474,12 +461,11 @@ func effectiveEpsilon(cfg Config) float64 {
 // plane it runs on, as the element type E the skeleton actually sorts
 // and the hooks that carry K in and out of it.
 type engineRun[K, E any] struct {
-	// compare, coder, code and prefix are the plane: E's comparator, its
-	// bijective coder (nil if none), the order-preserving extractor that
-	// puts the hot paths on the code plane (nil for the comparator plane)
-	// and whether that extractor is only a prefix.
+	// compare, code and prefix are the plane: E's comparator, the
+	// order-preserving extractor that puts the hot paths on the code
+	// plane (nil for the comparator plane) and whether that extractor is
+	// only a prefix.
 	compare func(E, E) int
-	coder   keycoder.Coder[E]
 	code    func(E) uint64
 	prefix  bool
 	// seed, when non-nil, holds the splitters the sort starts from.
@@ -499,19 +485,17 @@ type engineRun[K, E any] struct {
 }
 
 // runEngine executes one run over the engine's worker pool — the only
-// place the pool is run — and every run is the skeleton: the front half
-// under the options and strategy splitterSort builds, then (unless the
-// run stops there) the flat back half or NodeHSS's two-level one.
+// place the pool is run — and every run is the skeleton: the HSS front
+// half under the options coreOptions builds, then (unless the run stops
+// there) the flat back half or, with CoresPerNode, the node sort's
+// two-level one.
 func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E]) (*Plan[K], Stats, error) {
 	var stats Stats
 	var front *core.Front[E]
 	var achieved float64
 	err := s.pool.Run(ctx, func(c *comm.Comm) error {
 		r := c.Rank()
-		o, strat, err := splitterSort(s.cfg, job.compare, job.coder, job.code, job.prefix)
-		if err != nil {
-			return err
-		}
+		o := coreOptions(s.cfg, job.compare, job.code, job.prefix)
 		o.Splitters = job.seed
 		if job.output != nil {
 			o.Scratch = scratchOf[E](s.scratch[r])
@@ -520,7 +504,7 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		if job.spare != nil {
 			o.Spare = job.spare(r)
 		}
-		f, err := core.FrontHalf(c, job.input(r), o, strat)
+		f, err := core.FrontHalf(c, job.input(r), o, core.HSS[E]())
 		if err != nil {
 			return err
 		}
@@ -542,7 +526,7 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		}
 		var out []E
 		var st core.Stats
-		if s.cfg.Algorithm == NodeHSS {
+		if s.cfg.CoresPerNode > 0 {
 			out, st, err = nodesort.BackHalf(c, f)
 		} else {
 			out, st, err = f.BackHalf(c)
@@ -648,7 +632,7 @@ type Plan[K any] struct {
 	// non-decreasing order. Bucket i receives keys in [S_{i-1}, S_i).
 	Splitters []K
 	// Buckets is the bucket count the plan partitions into (the node
-	// count for NodeHSS).
+	// count with CoresPerNode).
 	Buckets int
 	// N is the global key count of the planning input.
 	N int64
@@ -687,12 +671,10 @@ func prefixSplitters[K any](sp []codes.Code) []K {
 	return out
 }
 
-// splitterSort wires Config into the skeleton: core.Options, its shared
-// part filled once for every algorithm, and the algorithm's splitter
-// strategy — the only place the algorithms are told apart. The per-call
-// fields (seed splitters, scratch, spill manager) are runEngine's to
-// set.
-func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Coder[E], code func(E) uint64, prefix bool) (core.Options[E], core.Strategies[E], error) {
+// coreOptions wires Config into the skeleton's core.Options. The
+// per-call fields (seed splitters, scratch, spill manager) are
+// runEngine's to set.
+func coreOptions[E any](cfg Config, compare func(E, E) int, code func(E) uint64, prefix bool) core.Options[E] {
 	o := core.Options[E]{
 		Cmp:        compare,
 		Code:       code,
@@ -709,26 +691,7 @@ func splitterSort[E any](cfg Config, compare func(E, E) int, coder keycoder.Code
 	if o.ChunkKeys == 0 && cfg.StreamExchange {
 		o.ChunkKeys = exchange.DefaultChunkKeys
 	}
-	switch cfg.Algorithm {
-	case HSS, NodeHSS:
-		o.OversampleFactor = cfg.OversampleFactor
-		return o, core.HSS[E](), nil
-	case SampleSortRegular, SampleSortRandom:
-		method := samplesort.Regular
-		if cfg.Algorithm == SampleSortRandom {
-			method = samplesort.Random
-		}
-		return o, samplesort.Strategies[E](samplesort.Options{
-			Method:     method,
-			Oversample: int(cfg.OversampleFactor),
-		}), nil
-	case HistogramSort:
-		if coder == nil && !prefix {
-			return o, core.Strategies[E]{}, fmt.Errorf("%v requires an integer or float key type", cfg.Algorithm)
-		}
-		return o, histsort.Strategies(histsort.Options[E]{Coder: coder}), nil
-	}
-	return o, core.Strategies[E]{}, fmt.Errorf("unknown algorithm %v", cfg.Algorithm)
+	return o
 }
 
 // tagged is a key with its origin — the duplicate handling of §4.3

@@ -385,22 +385,21 @@ func TestSorterConstructorValidation(t *testing.T) {
 	if _, err := New[int64](Config{}); err == nil {
 		t.Error("Procs 0 accepted")
 	}
-	if _, err := New[int64](Config{Procs: 2, Algorithm: Algorithm(99)}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if _, err := New[int64](Config{Procs: 2, Algorithm: NodeHSS}); err == nil {
-		t.Error("NodeHSS without CoresPerNode accepted")
-	}
-	if _, err := New[int64](Config{Procs: 3, Algorithm: NodeHSS, CoresPerNode: 2}); err == nil {
-		t.Error("NodeHSS with non-divisible CoresPerNode accepted")
-	}
 	if _, err := NewFunc[int64](Config{Procs: 2}, nil); err == nil {
 		t.Error("nil comparator accepted")
 	}
-	type opaque struct{ v int }
-	if _, err := NewFunc(Config{Procs: 2, Algorithm: HistogramSort},
-		func(a, b opaque) int { return a.v - b.v }); err == nil {
-		t.Error("HistogramSort without coder accepted")
+	// The node sort places one bucket per node on the node's own ranks:
+	// it cannot honour a bucket count or placement of its own.
+	for name, cfg := range map[string]Config{
+		"CoresPerNode -1":              {Procs: 4, CoresPerNode: -1},
+		"Procs not a multiple":         {Procs: 3, CoresPerNode: 2},
+		"CoresPerNode with Buckets":    {Procs: 4, CoresPerNode: 2, Buckets: 8},
+		"CoresPerNode with RoundRobin": {Procs: 4, CoresPerNode: 2, RoundRobinBuckets: true},
+	} {
+		if s, err := New[int64](cfg); err == nil {
+			s.Close()
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -409,11 +408,9 @@ func TestSorterConstructorValidation(t *testing.T) {
 // the first Sort, once per rank.
 func TestNewRejectsWhatSortWould(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"Epsilon -1":          {Procs: 4, Epsilon: -1},
-		"Buckets -3":          {Procs: 4, Buckets: -3},
-		"ChunkKeys -5":        {Procs: 4, ChunkKeys: -5},
-		"OversampleFactor -2": {Procs: 4, OversampleFactor: -2},
-		"Algorithm(99)":       {Procs: 4, Algorithm: Algorithm(99)},
+		"Epsilon -1":   {Procs: 4, Epsilon: -1},
+		"Buckets -3":   {Procs: 4, Buckets: -3},
+		"ChunkKeys -5": {Procs: 4, ChunkKeys: -5},
 	} {
 		before := runtime.NumGoroutine()
 		s, err := New[int64](cfg)

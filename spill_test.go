@@ -20,7 +20,7 @@ func TestSpillDirLifecycle(t *testing.T) {
 	const p, perRank = 4, 20000
 	dir := t.TempDir()
 	shards := dist.Spec{Kind: dist.Uniform, Min: 0, Max: 1 << 40}.Shards(perRank, p, 3)
-	s, err := New[int64](Config{Procs: p, Algorithm: HSS, Epsilon: 0.1, MemoryBudget: int64(perRank) * 8 / 4, SpillDir: dir})
+	s, err := New[int64](Config{Procs: p, Epsilon: 0.1, MemoryBudget: int64(perRank) * 8 / 4, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,6 @@ func freeLoopbackAddr(t *testing.T) string {
 func workerConfig(coordinator string, rank, procs int, stream bool) Config {
 	return Config{
 		Procs:          procs,
-		Algorithm:      HSS,
 		Epsilon:        0.05,
 		Seed:           3,
 		Transport:      TransportTCP,
@@ -128,7 +127,7 @@ func workerShards(procs, perRank int) [][]int64 {
 // simDigests computes the oracle digests of the worker-mode input.
 func simDigests(t *testing.T, procs, perRank int, runs int) [][]string {
 	t.Helper()
-	engine, err := New[int64](Config{Procs: procs, Algorithm: HSS, Epsilon: 0.05, Seed: 3, Transport: TransportSim})
+	engine, err := New[int64](Config{Procs: procs, Epsilon: 0.05, Seed: 3, Transport: TransportSim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestTCPWorkerModeNaN(t *testing.T) {
 		}
 	}
 	input[1][perRank/2] = math.NaN()
-	engine, err := New[float64](Config{Procs: p, Algorithm: HSS, Epsilon: 0.05, Seed: 3, Transport: TransportSim})
+	engine, err := New[float64](Config{Procs: p, Epsilon: 0.05, Seed: 3, Transport: TransportSim})
 	if err != nil {
 		t.Fatal(err)
 	}
