@@ -25,9 +25,14 @@ import (
 	"sync"
 	"testing"
 
+	"hssort/internal/codes"
 	"hssort/internal/comm"
+	"hssort/internal/core"
 	"hssort/internal/dist"
 	"hssort/internal/exchange"
+	"hssort/internal/histsort"
+	"hssort/internal/keycoder"
+	"hssort/internal/samplesort"
 )
 
 // cell is one point of the space.
@@ -41,8 +46,13 @@ type cell struct {
 	balanced bool // Imbalance must be at most 1+ε
 
 	// comparator builds the engine with NewFunc and the key type's
-	// order: the comparator plane.
+	// order: the comparator plane. Histogram sort needs key arithmetic,
+	// which NewFunc lacks, so it keeps the key type's constructor.
 	comparator bool
+	// baseline names the §4.2 splitter strategy the engine runs instead
+	// of HSS: "histogramsort", "samplesort-regular" or "samplesort-random"
+	// (see withBaseline); "" is HSS.
+	baseline string
 }
 
 // input is p shards of n keys drawn from dist at seed.
@@ -73,19 +83,29 @@ var nanPayloads = []uint64{
 
 // ---- Dimensions ----
 
-// variants are the algorithm dimension: the HSS configurations the
-// matrices sweep, flat and two-level (node-hss), each with the distribution it draws unless the cell names one.
+// variants are the algorithm dimension: the configurations the matrices
+// sweep, each with the distribution it draws unless the cell names one —
+// flat and two-level (node-hss) HSS, and the §4.2 baselines, which run
+// the whole engine with their splitter strategy in place of HSS's.
 // Buckets counts buckets per rank; Epsilon defaults to 0.1.
 var variants = map[string]struct {
-	cfg  Config
-	dist string
+	cfg      Config
+	dist     string
+	baseline bool
 }{
-	"hss":               {Config{Epsilon: 0.05}, "powerskew"},
-	"hss-overpartition": {Config{Buckets: 4}, "uniform"},
-	"hss-roundrobin":    {Config{Buckets: 2, RoundRobinBuckets: true}, "exponential"},
-	"hss-duplicates":    {Config{TagDuplicates: true}, "dupheavy"},
-	"node-hss":          {Config{CoresPerNode: 2}, "uniform"},
+	"hss":                {Config{Epsilon: 0.05}, "powerskew", false},
+	"hss-overpartition":  {Config{Buckets: 4}, "uniform", false},
+	"hss-roundrobin":     {Config{Buckets: 2, RoundRobinBuckets: true}, "exponential", false},
+	"hss-duplicates":     {Config{TagDuplicates: true}, "dupheavy", false},
+	"histogramsort":      {Config{}, "exponential", true},
+	"samplesort-regular": {Config{}, "uniform", true},
+	"samplesort-random":  {Config{}, "dupheavy", true},
+	"node-hss":           {Config{CoresPerNode: 2}, "uniform", false},
 }
+
+// algNames are the variants that name an algorithm rather than an HSS
+// configuration: flat HSS, the three baselines and the node sort.
+var algNames = []string{"hss", "samplesort-regular", "samplesort-random", "histogramsort", "node-hss"}
 
 // The setters, one per dimension.
 func algorithm(c *cell, name string) {
@@ -93,11 +113,15 @@ func algorithm(c *cell, name string) {
 	if !ok {
 		panic("no algorithm variant " + name)
 	}
-	c.cfg.TagDuplicates = v.cfg.TagDuplicates
+	c.baseline, c.cfg.TagDuplicates = "", v.cfg.TagDuplicates
+	if v.baseline {
+		c.baseline = name
+	}
 	c.cfg.Buckets, c.cfg.RoundRobinBuckets = v.cfg.Buckets*c.in.p, v.cfg.RoundRobinBuckets
 	c.cfg.CoresPerNode, c.cfg.Epsilon = v.cfg.CoresPerNode, cmp.Or(v.cfg.Epsilon, 0.1)
 	c.in.dist = cmp.Or(c.in.dist, v.dist)
 }
+
 func keyType(c *cell, k string)       { c.key = k }
 func distribution(c *cell, d string)  { c.in.dist = d }
 func protocolSeed(c *cell, s uint64)  { c.cfg.Seed = s }
@@ -119,6 +143,54 @@ func streaming(c *cell, streamed bool) {
 func streams(cfg Config) bool {
 	return cfg.StreamExchange || cfg.ChunkKeys > 0 || cfg.MemoryBudget > 0
 }
+
+// withBaseline makes eng run the §4.2 baseline name (none if "") in place
+// of HSS, on every plane: sample sort and classic histogram sort as the
+// engine ran them when Config selected them. Histogram sort bisects code
+// space on the code and prefix planes, and has no strategy over keys
+// themselves: it needs a coder the comparator and record planes lack.
+func withBaseline[K any](eng *Sorter[K], name string) {
+	if name != "" {
+		eng.strategies = []any{baseline[K](name), baseline[codes.Code](name), baseline[tagged[K]](name)}
+	}
+}
+
+func baseline[E any](name string) core.Strategies[E] {
+	switch name {
+	case "samplesort-regular", "samplesort-random":
+		o := samplesort.Options{Method: samplesort.Regular}
+		if name == "samplesort-random" {
+			o.Method = samplesort.Random
+		}
+		return core.Strategies[E]{Keys: sampleSort[E](o), Codes: sampleSort[codes.Code](o)}
+	case "histogramsort":
+		probe := func(c *comm.Comm, sorted []codes.Code, n int64, opt core.Options[codes.Code]) ([]codes.Code, core.SplitterInfo, error) {
+			return histsort.DetermineSplitters(c, sorted, n, opt, histsort.Options[codes.Code]{Coder: identityCoder{}})
+		}
+		keys, ok := any(core.Strategy[codes.Code](probe)).(core.Strategy[E])
+		if !ok {
+			keys = func(*comm.Comm, []E, int64, core.Options[E]) ([]E, core.SplitterInfo, error) {
+				var zero E
+				return nil, core.SplitterInfo{}, fmt.Errorf("histogram sort needs a key coder, which %T lacks", zero)
+			}
+		}
+		return core.Strategies[E]{Keys: keys, Codes: probe}
+	}
+	panic("no baseline " + name)
+}
+
+func sampleSort[E any](o samplesort.Options) core.Strategy[E] {
+	return func(c *comm.Comm, sorted []E, n int64, opt core.Options[E]) ([]E, core.SplitterInfo, error) {
+		return samplesort.DetermineSplitters(c, sorted, n, opt, o)
+	}
+}
+
+// identityCoder is the coder of code points themselves, under which
+// histogram sort's probe arithmetic runs on the codes.
+type identityCoder struct{}
+
+func (identityCoder) Encode(c codes.Code) uint64 { return uint64(c) }
+func (identityCoder) Decode(u uint64) codes.Code { return codes.Code(u) }
 
 // val is one value of one dimension: the name it adds to a cell's path
 // and what it sets.
@@ -278,20 +350,25 @@ func memoized[K comparable, V any](m map[K]V, k K, f func() V) V {
 // full draws bit patterns whose float64 and float32 views are finite
 // (their exponents' top bits cleared) while the integer views still span
 // both signs; full+nan puts one NaN first on rank 0, and full+nan-payloads
-// makes every fifth key one of nanPayloads.
+// makes every fifth key one of nanPayloads. ascending+nan gives rank r the
+// keys v = r·n+1 … r·n+n as v<<32|v, ascending in every view, so rank 0
+// holds the lowest n, and then makes rank 0's first key a NaN.
 func draw(in input) [][]int64 {
 	return memoized(draws, in, func() [][]int64 {
-		if strings.HasPrefix(in.dist, "full") {
+		if strings.HasPrefix(in.dist, "full") || in.dist == "ascending+nan" {
 			out := make([][]int64, in.p)
 			for r := range out {
 				rng := rand.New(rand.NewPCG(in.seed, uint64(r)))
 				out[r] = make([]int64, in.n)
 				for i := range out[r] {
 					out[r][i] = int64(rng.Uint64() &^ (1<<62 | 1<<30))
+					if in.dist == "ascending+nan" {
+						out[r][i] = int64(r*in.n+i+1) * (1<<32 + 1) // v<<32 | v
+					}
 				}
 			}
 			switch in.dist {
-			case "full+nan":
+			case "full+nan", "ascending+nan":
 				out[0][0] = nanBits
 			case "full+nan-payloads":
 				for r := range out {
@@ -359,7 +436,7 @@ type keyOps[K any] struct {
 	hash  func(h uint64, k K) uint64 // one step of an ordered hash
 	// rank is the hash rank identity compares. Records hash their key
 	// alone: equal-key records may trade places, across the ranks of one
-	// NodeHSS node too.
+	// node-sort node too.
 	rank func(h uint64, k K) uint64
 }
 
@@ -466,13 +543,14 @@ type outcome struct {
 // protocol and input on sim, materializing, serial, in memory, on the
 // comparator plane. Byte strings keep their plane — prefix and
 // comparator planes agree only without prefix collisions — except on
-// hashlike keys, which have none (run checks it). This is the one place
-// a cell's oracle is derived.
+// hashlike keys, which have none (run checks it). Histogram sort keeps
+// its constructor: it has no comparator plane. This is the one place a
+// cell's oracle is derived.
 func reference(t *testing.T, c cell) (cell, outcome) {
-	r := cell{name: "reference", cfg: c.cfg, key: cmp.Or(c.key, "int64"), in: c.in}
+	r := cell{name: "reference", cfg: c.cfg, key: cmp.Or(c.key, "int64"), in: c.in, baseline: c.baseline}
 	r.cfg.Transport, r.cfg.Workers, r.cfg.MemoryBudget = TransportSim, 1, 0
 	r.cfg.StreamExchange, r.cfg.ChunkKeys = false, 0
-	r.comparator = c.key != "bytes" || c.in.dist == "hashlike"
+	r.comparator = c.baseline != "histogramsort" && (c.key != "bytes" || c.in.dist == "hashlike")
 	return r, memoized(refs, fmt.Sprintf("%+v", r), func() outcome { return sortCell(t, r) })
 }
 
@@ -534,7 +612,7 @@ func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 	t.Helper()
 	what := cmp.Or(c.name, "cell")
 	newEngine := ops.new
-	if c.comparator {
+	if c.comparator && c.baseline != "histogramsort" {
 		newEngine = func(cfg Config) (*Sorter[K], error) { return NewFunc(cfg, ops.order) }
 	}
 	eng, err := newEngine(c.cfg)
@@ -542,6 +620,7 @@ func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 		t.Fatalf("%s: %v", what, err)
 	}
 	defer eng.Close()
+	withBaseline(eng, c.baseline)
 	in := func() [][]K { return shardsOf(c, ops) }
 	var outs [][]K
 	var next *Plan[K]
@@ -727,7 +806,8 @@ func workerSweep() []int {
 
 func TestCodePathEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 6, n: 3000, seed: 41}},
-		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "node-hss"),
+		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin",
+			"histogramsort", "samplesort-regular", "samplesort-random", "node-hss"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")))
 }
 
@@ -736,13 +816,13 @@ func TestCodePathEquivalence(t *testing.T) {
 // through the widening coder, and negative int64 keys streamed.
 func TestCodePathEquivalenceKeyTypes(t *testing.T) {
 	base := cell{cfg: Config{Seed: 7}, in: input{dist: "full", p: 5, n: 2000, seed: 23}}
-	runAll(t, append(product(base, pick(keyType, "uint64", "float64", "int32"), pick(algorithm, "hss")),
+	runAll(t, append(product(base, pick(keyType, "uint64", "float64", "int32"), pick(algorithm, "hss", "histogramsort", "samplesort-regular")),
 		product(base, []val{{"int64-streaming", func(c *cell) { streaming(c, true) }}})...))
 }
 
 func TestCodePathKVEquivalence(t *testing.T) {
 	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 11}, in: input{dist: "dupheavy", p: 4, n: 2000, seed: 43}},
-		pick(algorithm, "hss", "node-hss"), exchanges("materializing", "streaming")))
+		pick(algorithm, "hss", "samplesort-regular", "node-hss"), exchanges("materializing", "streaming")))
 }
 
 // TestSmallMessageEquivalence is the small-message regime: 256 ranks of
@@ -782,14 +862,15 @@ func smallShardStreams(base cell, keySize int64, dims ...[]val) []cell {
 	return product(base, dims...)
 }
 
-// TestSpillEquivalenceAlgorithms runs the two-level node sort at a
-// quarter budget — its streaming exchange, which holds only one chunk
-// per node-level stream, at a chunk and a half.
+// TestSpillEquivalenceAlgorithms runs every other algorithm at a quarter
+// budget — the node sort's streaming exchange, which holds only one chunk per
+// node-level stream, at a chunk and a half.
 func TestSpillEquivalenceAlgorithms(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 5, MemoryBudget: bigN * 8 / 4}, in: input{p: 4, n: bigN, seed: 97}},
-		pick(algorithm, "node-hss"), exchanges("materializing", "streaming"))
+		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss"),
+		exchanges("materializing", "streaming"))
 	for i, c := range cs {
-		if c.cfg.StreamExchange {
+		if c.cfg.CoresPerNode > 0 && c.cfg.StreamExchange {
 			cs[i].cfg.MemoryBudget = int64(c.cfg.ChunkKeys) * 8 * 3 / 2
 		}
 	}
@@ -804,13 +885,14 @@ func TestSpillEquivalenceKV(t *testing.T) {
 
 func TestStreamExchangeEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 8, n: 4000, seed: 33}},
-		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "node-hss", "hss-duplicates"),
+		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "samplesort-regular", "samplesort-random",
+			"histogramsort", "node-hss", "hss-duplicates"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")[1:]))
 }
 
 func TestTCPSortEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
-		pick(algorithm, "hss", "node-hss"),
+		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
 		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")))
 }
 
@@ -821,20 +903,20 @@ func TestTCPSortKVEquivalence(t *testing.T) {
 
 func TestSortEquivalentAcrossTransports(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3, Transport: TransportInproc}, in: input{p: 8, n: 5000, seed: 21}},
-		append(pick(algorithm, "hss-skewed=hss", "node-hss"),
+		append(pick(algorithm, "hss-skewed=hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
 			val{"hss-uniform", func(c *cell) { c.in.dist = "uniform"; algorithm(c, "hss") }})))
 }
 
 func TestWorkersEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 4, n: bigN, seed: 61}},
-		pick(algorithm, "hss", "node-hss"),
+		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		planes("off", "on"), dim("workers=%d", workers, workerSweep()...)))
 }
 
 func TestWorkersEquivalenceKV(t *testing.T) {
 	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 13}, in: input{dist: "dupheavy", p: 4, n: bigN, seed: 53}},
-		pick(algorithm, "hss"), exchanges("materializing", "streaming"),
+		pick(algorithm, "hss", "samplesort-regular"), exchanges("materializing", "streaming"),
 		dim("workers=%d", workers, workerSweep()...)))
 }
 
@@ -868,15 +950,15 @@ func TestStreamExchangeStats(t *testing.T) {
 }
 
 func TestSortAllAlgorithms(t *testing.T) {
-	runAll(t, product(cell{cfg: Config{Seed: 5}, in: input{dist: "uniform", p: 4, n: 1000, seed: 3}}, pick(algorithm, "hss", "node-hss")))
+	runAll(t, product(cell{cfg: Config{Seed: 5}, in: input{dist: "uniform", p: 4, n: 1000, seed: 3}}, pick(algorithm, algNames...)))
 }
 
-// TestAllAlgorithmsUnderRace is flat and two-level HSS on the
+// TestAllAlgorithmsUnderRace is every algorithm at once on the
 // concurrent paths — inproc, a worker pool, both exchange forms — for
 // the race detector.
 func TestAllAlgorithmsUnderRace(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3, Transport: TransportInproc, Workers: 2}, in: input{p: 4, n: 300, seed: 13}},
-		pick(algorithm, "hss", "node-hss"), exchanges("materializing", "streaming")))
+		pick(algorithm, algNames...), exchanges("materializing", "streaming")))
 }
 
 // TestSortDeterministicGivenSeed: a seed fixes outputs and protocol, and
@@ -887,15 +969,34 @@ func TestSortDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestSortFloatKeys(t *testing.T) {
-	runAll(t, product(cell{key: "float64", in: input{dist: "full", p: 4, n: 500, seed: 1}}, pick(algorithm, "hss")))
+	runAll(t, product(cell{key: "float64", in: input{dist: "full", p: 4, n: 500, seed: 1}}, pick(algorithm, "hss", "histogramsort")))
 }
 
+// nanAuto is the default plane over an input holding one NaN, which the
+// code plane sorts first, as the comparator plane does.
+var nanAuto = val{"nan-auto", func(c *cell) { c.in.dist = "full+nan" }}
+
 // TestSortFloat32Keys: the float32 coder engages the code plane, with
-// and without a NaN, which the code plane sorts first, as the comparator
-// plane does.
+// and without a NaN.
 func TestSortFloat32Keys(t *testing.T) {
 	runAll(t, product(cell{key: "float32", cfg: Config{Epsilon: 0.2}, in: input{dist: "full", p: 3, n: 200, seed: 5}},
-		[]val{{"on", func(*cell) {}}, {"nan-auto", func(c *cell) { c.in.dist = "full+nan" }}}))
+		[]val{{"on", func(*cell) {}}, nanAuto}))
+}
+
+// TestNarrowKeysHistogramSortBalance: histogram sort meets 1+ε on the
+// widening coders' key types, with and without a NaN.
+func TestNarrowKeysHistogramSortBalance(t *testing.T) {
+	runAll(t, product(cell{balanced: true, baseline: "histogramsort", cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "full", p: 4, n: 6000, seed: 3}},
+		pick(keyType, "int32", "float32"), append(planes("off", "on"), nanAuto)))
+}
+
+// TestHistogramSortNaNLowRank: a NaN sorts first and encodes below
+// -Inf, so the bisection's bracket starts at it and still finds the
+// real minimum of the rank it leads — here the keys of buckets 0–3,
+// which round-robin placement sends to four ranks.
+func TestHistogramSortNaNLowRank(t *testing.T) {
+	runAll(t, product(cell{balanced: true, baseline: "histogramsort", cfg: Config{Buckets: 16, RoundRobinBuckets: true, Seed: 3}, in: input{dist: "ascending+nan", p: 4, n: 2000}},
+		pick(keyType, "float64", "float32"), []val{{"auto", func(*cell) {}}}))
 }
 
 // TestNaNPayloadsSortFirst: NaNs of both signs and several payloads,
@@ -904,9 +1005,9 @@ func TestSortFloat32Keys(t *testing.T) {
 // reference pins their ranks: only the contract is checked.
 func TestNaNPayloadsSortFirst(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 3}, in: input{dist: "full+nan-payloads", p: 4, n: 1500, seed: 7}},
-		pick(keyType, "float64", "float32", "kv=kv-float64"), pick(algorithm, "hss"),
+		pick(keyType, "float64", "float32", "kv=kv-float64"), pick(algorithm, "hss", "samplesort-random", "histogramsort"),
 		exchanges("materializing", "streaming"))
-	for _, c := range cs {
+	for _, c := range slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv-float64" && c.baseline == "histogramsort" }) {
 		t.Run(c.name, func(t *testing.T) { sortCell(t, c) })
 	}
 }
@@ -930,14 +1031,15 @@ func TestSortManyRanks(t *testing.T) {
 }
 
 func TestSortKVAllHSSAlgorithms(t *testing.T) {
-	runAll(t, product(cell{key: "kv", in: input{dist: "full", p: 4, n: 800, seed: 9}}, pick(algorithm, "hss")))
+	runAll(t, product(cell{key: "kv", in: input{dist: "full", p: 4, n: 800, seed: 9}},
+		pick(algorithm, "hss", "samplesort-regular", "samplesort-random")))
 }
 
-// TestSortBytesAllAlgorithms runs flat and two-level HSS over hash-like
-// keys, whose prefix codes never collide: the prefix plane must then
-// agree with the comparator plane (TestSortBytesCrossPlane).
+// TestSortBytesAllAlgorithms runs every algorithm over hash-like keys,
+// whose prefix codes never collide: the prefix plane must then agree
+// with the comparator plane (TestSortBytesCrossPlane).
 func TestSortBytesAllAlgorithms(t *testing.T) {
-	runAll(t, product(cell{key: "bytes", cfg: Config{Seed: 5}, in: input{dist: "hashlike", p: 4, n: 1000, seed: 3}}, pick(algorithm, "hss", "node-hss")))
+	runAll(t, product(cell{key: "bytes", cfg: Config{Seed: 5}, in: input{dist: "hashlike", p: 4, n: 1000, seed: 3}}, pick(algorithm, algNames...)))
 }
 
 func TestSortBytesCrossPlane(t *testing.T) {
@@ -956,15 +1058,71 @@ func TestSortBytesMatrixEquivalence(t *testing.T) {
 
 func TestPlanOtherAlgorithms(t *testing.T) {
 	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 3}, in: input{dist: "exponential", p: 6, n: 2000, seed: 23}},
-		pick(algorithm, "node-hss", "hss=hss-overpartition")))
+		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss", "hss=hss-overpartition")))
+}
+
+// TestBaselinesRunThroughEngine: withBaseline really swaps the splitter
+// strategy — the engine on the code plane sorts exactly as the baseline's
+// own Sort on the skeleton, to the splitter round and the sample size.
+func TestBaselinesRunThroughEngine(t *testing.T) {
+	const p, n = 4, 3000
+	shards := dist.Spec{Kind: dist.Exponential}.Shards(n, p, 5)
+	sorts := map[string]func(*comm.Comm, []int64, core.Options[int64]) ([]int64, core.Stats, error){
+		"samplesort-regular": func(c *comm.Comm, local []int64, o core.Options[int64]) ([]int64, core.Stats, error) {
+			return samplesort.Sort(c, local, o, samplesort.Options{Method: samplesort.Regular})
+		},
+		"samplesort-random": func(c *comm.Comm, local []int64, o core.Options[int64]) ([]int64, core.Stats, error) {
+			return samplesort.Sort(c, local, o, samplesort.Options{Method: samplesort.Random})
+		},
+		"histogramsort": func(c *comm.Comm, local []int64, o core.Options[int64]) ([]int64, core.Stats, error) {
+			return histsort.Sort(c, local, o, histsort.Options[int64]{Coder: keycoder.Int64{}})
+		},
+	}
+	for name, sort := range sorts {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Procs: p, Epsilon: 0.1, Seed: 7}
+			eng, err := New[int64](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			withBaseline(eng, name)
+			got, st, err := eng.Sort(bg, cloneShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]int64, p)
+			var wst core.Stats
+			err = comm.NewWorld(p).Run(func(c *comm.Comm) error {
+				o := core.Options[int64]{Cmp: cmp.Compare[int64], Code: keycoder.Int64{}.Encode, Epsilon: cfg.Epsilon, Seed: cfg.Seed}
+				out, st, err := sort(c, slices.Clone(shards[c.Rank()]), o)
+				want[c.Rank()] = out
+				if c.Rank() == 0 {
+					wst = st
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("engine output differs from the baseline's own sort")
+			}
+			if st.Rounds != wst.Rounds || st.TotalSample != wst.TotalSample {
+				t.Errorf("engine ran %d rounds sampling %d keys, the baseline %d rounds sampling %d",
+					st.Rounds, st.TotalSample, wst.Rounds, wst.TotalSample)
+			}
+		})
+	}
 }
 
 // TestSortSeededReturnsPlansPlan: on every plane, an unseeded
 // SortSeeded ends with exactly the plan Plan prepares.
 func TestSortSeededReturnsPlansPlan(t *testing.T) {
-	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 11}, in: input{dist: "gaussian", p: 6, n: 1500, seed: 29}},
+	cs := product(cell{seeded: true, cfg: Config{Seed: 11}, in: input{dist: "gaussian", p: 6, n: 1500, seed: 29}},
 		append(pick(keyType, "bijective=int64", "record=kv", "prefix=bytes"), val{"comparator", func(c *cell) { c.comparator = true }}),
-		pick(algorithm, "hss", "node-hss")))
+		pick(algorithm, "hss", "samplesort-regular", "histogramsort", "node-hss"))
+	runAll(t, slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv" && c.baseline == "histogramsort" }))
 }
 
 func TestKVSorterPlan(t *testing.T) {
@@ -978,7 +1136,7 @@ func TestKVSorterPlan(t *testing.T) {
 // get big shards, where the kernels fan out and every stream diverts.
 func TestPairwiseCoverage(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 9}, in: input{dist: "gaussian", p: 4, n: 4000, seed: 7}},
-		pick(algorithm, "hss-overpartition", "hss-roundrobin", "hss"),
+		pick(algorithm, "hss-overpartition", "hss-roundrobin", "samplesort-random"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		[]val{{"workers=1", func(*cell) {}}, {"workers=2", func(c *cell) { workers(c, 2); c.in.n = bigN }}},
 		pick(keyType, "int64", "kv", "bytes"),

@@ -170,18 +170,22 @@ func TestPeerCrashMidExchange(t *testing.T) {
 }
 
 // TestPeerCrashPhaseMatrix: Config.Chaos.CrashPhase names a phase of
-// the one sort skeleton, so it fires under flat HSS and under the node
-// sort's two-level data movement alike — each cell fails fast with a
-// *PeerCrashError naming the victim, and every engine closes without
-// leaking goroutines.
+// the one sort skeleton, so it fires under every splitter strategy and
+// under the node sort's two-level data movement alike — each cell fails
+// fast with a *PeerCrashError naming the victim, and every engine closes
+// without leaking goroutines.
 func TestPeerCrashPhaseMatrix(t *testing.T) {
 	const p, perRank, victim = 4, 800, 2
 	before := runtime.NumGoroutine()
-	for alg, cores := range map[string]int{"hss": 0, "node-hss": 2} {
+	for _, alg := range []struct {
+		name     string
+		cores    int
+		baseline string
+	}{{"hss", 0, ""}, {"samplesort-regular", 0, "samplesort-regular"}, {"histogramsort", 0, "histogramsort"}, {"node-hss", 2, ""}} {
 		for _, phase := range []string{"splitter", "exchange"} {
-			t.Run(alg+"/"+phase, func(t *testing.T) {
+			t.Run(alg.name+"/"+phase, func(t *testing.T) {
 				engine, err := New[int64](Config{
-					Procs: p, CoresPerNode: cores, Epsilon: 0.05, Seed: 3,
+					Procs: p, CoresPerNode: alg.cores, Epsilon: 0.05, Seed: 3,
 					Transport: TransportSim,
 					Chaos:     &ChaosConfig{Seed: 7, CrashRank: victim, CrashPhase: phase},
 				})
@@ -189,6 +193,7 @@ func TestPeerCrashPhaseMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer engine.Close()
+				withBaseline(engine, alg.baseline)
 				_, _, err = engine.Sort(context.Background(), chaosShards(p, perRank))
 				var crash *PeerCrashError
 				if !errors.As(err, &crash) {

@@ -49,6 +49,11 @@ type Sorter[K any] struct {
 	scratch []*rankScratch[K]
 	spills  []*spill.Manager // per-rank spill managers; nil when MemoryBudget is 0, nil entries for ranks other processes host
 	first   int              // lowest rank this process hosts
+	// strategies replaces HSS as the splitter strategy: it holds
+	// core.Strategies[E] values, at most one per element type E a plane
+	// sorts. Only the tests of the §4.2 baselines set it, to run them
+	// through the whole engine.
+	strategies []any
 
 	mu     sync.Mutex
 	closed bool
@@ -485,10 +490,10 @@ type engineRun[K, E any] struct {
 }
 
 // runEngine executes one run over the engine's worker pool — the only
-// place the pool is run — and every run is the skeleton: the HSS front
-// half under the options coreOptions builds, then (unless the run stops
-// there) the flat back half or, with CoresPerNode, the node sort's
-// two-level one.
+// place the pool is run — and every run is the skeleton: the front half
+// under HSS (or the strategy s.strategies holds) and the options
+// coreOptions builds, then (unless the run stops there) the flat back
+// half or, with CoresPerNode, the node sort's two-level one.
 func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E]) (*Plan[K], Stats, error) {
 	var stats Stats
 	var front *core.Front[E]
@@ -504,7 +509,7 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		if job.spare != nil {
 			o.Spare = job.spare(r)
 		}
-		f, err := core.FrontHalf(c, job.input(r), o, core.HSS[E]())
+		f, err := core.FrontHalf(c, job.input(r), o, strategyOf[E](s.strategies))
 		if err != nil {
 			return err
 		}
@@ -567,6 +572,17 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		AchievedEpsilon: achieved,
 		procs:           s.cfg.Procs,
 	}, stats, nil
+}
+
+// strategyOf returns the splitter strategy over element type E: the one
+// strategies holds for E, or HSS.
+func strategyOf[E any](strategies []any) core.Strategies[E] {
+	for _, st := range strategies {
+		if st, ok := st.(core.Strategies[E]); ok {
+			return st
+		}
+	}
+	return core.HSS[E]()
 }
 
 // scratchOf returns the rank's reusable exchange state for element type
