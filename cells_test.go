@@ -192,6 +192,18 @@ type identityCoder struct{}
 func (identityCoder) Encode(c codes.Code) uint64 { return uint64(c) }
 func (identityCoder) Decode(u uint64) codes.Code { return codes.Code(u) }
 
+func (identityCoder) EncodeAll(dst []uint64, cs []codes.Code) {
+	for i, c := range cs {
+		dst[i] = uint64(c)
+	}
+}
+
+func (identityCoder) DecodeAll(dst []codes.Code, us []uint64) {
+	for i, u := range us {
+		dst[i] = codes.Code(u)
+	}
+}
+
 // val is one value of one dimension: the name it adds to a cell's path
 // and what it sets.
 type val struct {

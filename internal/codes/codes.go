@@ -2,6 +2,7 @@ package codes
 
 import (
 	"slices"
+	"unsafe"
 
 	"hssort/internal/keycoder"
 )
@@ -38,9 +39,7 @@ func EncodeSlice[K any](coder keycoder.Coder[K], keys []K) []Code {
 		return cs
 	}
 	out := make([]Code, len(keys))
-	for i, k := range keys {
-		out[i] = Code(coder.Encode(k))
-	}
+	coder.EncodeAll(words(out), keys)
 	return out
 }
 
@@ -56,9 +55,7 @@ func EncodeInto[K any](coder keycoder.Coder[K], keys []K, dst []Code) []Code {
 		dst = make([]Code, len(keys))
 	}
 	dst = dst[:len(keys)]
-	for i, k := range keys {
-		dst[i] = Code(coder.Encode(k))
-	}
+	coder.EncodeAll(words(dst), keys)
 	return dst
 }
 
@@ -69,10 +66,18 @@ func DecodeSlice[K any](coder keycoder.Coder[K], cs []Code) []K {
 		return ks
 	}
 	out := make([]K, len(cs))
-	for i, c := range cs {
-		out[i] = coder.Decode(uint64(c))
-	}
+	coder.DecodeAll(out, words(cs))
 	return out
+}
+
+// words views codes as the uint64s they are.
+func words(cs []Code) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.SliceData(cs)), len(cs))
+}
+
+// asKeys views codes as keys of a pointer-free 8-byte type.
+func asKeys[K any](cs []Code) []K {
+	return unsafe.Slice((*K)(unsafe.Pointer(unsafe.SliceData(cs))), len(cs))
 }
 
 // Extract maps elements through the code extractor into a fresh code

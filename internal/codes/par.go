@@ -117,8 +117,8 @@ func sortBuckets[E any](cs []Code, pay []E, end *[256]int, shift int, p *par.Poo
 }
 
 // EncodeIntoPar is EncodeInto with the coder map fanned over the pool in
-// contiguous chunks. The pure-plane identity alias and the
-// capacity-reuse contract are unchanged.
+// contiguous blocks, one coder call per block. The pure-plane identity
+// alias and the capacity-reuse contract are unchanged.
 func EncodeIntoPar[K any](coder keycoder.Coder[K], keys []K, dst []Code, p *par.Pool) []Code {
 	if cs, ok := any(keys).([]Code); ok {
 		return cs
@@ -132,9 +132,8 @@ func EncodeIntoPar[K any](coder keycoder.Coder[K], keys []K, dst []Code, p *par.
 	dst = dst[:len(keys)]
 	blocks := par.Blocks(len(keys), p.Workers())
 	p.Do(len(blocks), func(i int) {
-		for j := blocks[i].Lo; j < blocks[i].Hi; j++ {
-			dst[j] = Code(coder.Encode(keys[j]))
-		}
+		b := blocks[i]
+		coder.EncodeAll(words(dst[b.Lo:b.Hi]), keys[b.Lo:b.Hi])
 	})
 	return dst
 }
@@ -145,17 +144,44 @@ func DecodeSlicePar[K any](coder keycoder.Coder[K], cs []Code, p *par.Pool) []K 
 	if ks, ok := any(cs).([]K); ok {
 		return ks
 	}
-	if p.Workers() == 1 || len(cs) < parCutoff {
-		return DecodeSlice(coder, cs)
-	}
 	out := make([]K, len(cs))
+	decodePar(coder, out, cs, p)
+	return out
+}
+
+// DecodeInPlace is DecodeSlicePar for a caller that gives cs up. With an
+// 8-byte coder (Int64, Uint64, Float64) every key is decoded into its
+// own code's slot and cs's memory comes back as the keys — for Uint64,
+// whose codes are the keys, with no pass at all; any other coder
+// allocates as DecodeSlicePar does. Either way cs must not be read as
+// codes afterwards, and the result is never nil.
+func DecodeInPlace[K any](coder keycoder.Coder[K], cs []Code, p *par.Pool) []K {
+	if len(cs) == 0 {
+		return []K{}
+	}
+	switch any(coder).(type) {
+	case keycoder.Uint64:
+		return asKeys[K](cs)
+	case keycoder.Int64, keycoder.Float64:
+		ks := asKeys[K](cs)
+		decodePar(coder, ks, cs, p)
+		return ks
+	}
+	return DecodeSlicePar(coder, cs, p)
+}
+
+// decodePar decodes cs into dst, fanned over the pool in contiguous
+// blocks, one coder call per block.
+func decodePar[K any](coder keycoder.Coder[K], dst []K, cs []Code, p *par.Pool) {
+	if p.Workers() == 1 || len(cs) < parCutoff {
+		coder.DecodeAll(dst, words(cs))
+		return
+	}
 	blocks := par.Blocks(len(cs), p.Workers())
 	p.Do(len(blocks), func(i int) {
-		for j := blocks[i].Lo; j < blocks[i].Hi; j++ {
-			out[j] = coder.Decode(uint64(cs[j]))
-		}
+		b := blocks[i]
+		coder.DecodeAll(dst[b.Lo:b.Hi], words(cs[b.Lo:b.Hi]))
 	})
-	return out
 }
 
 // ExtractPar is Extract with the extractor map fanned over the pool. The

@@ -3,7 +3,9 @@ package keycoder
 import (
 	"cmp"
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // The tentpole code plane makes every sort depend on these bijections:
@@ -69,6 +71,7 @@ func FuzzFloat64Coder(f *testing.F) {
 				a, math.Float64bits(a), ra, math.Float64bits(ra))
 		}
 		checkCodes(t, c.Encode, a, b, math.Float64bits(a) == math.Float64bits(b))
+		checkBatch(t, c, []float64{a, b}, math.Float64bits)
 	})
 }
 
@@ -89,7 +92,33 @@ func FuzzInt64Coder(f *testing.F) {
 		if (a < b) != (c.Encode(a) < c.Encode(b)) || (a == b) != (c.Encode(a) == c.Encode(b)) {
 			t.Fatalf("order not preserved for (%d, %d)", a, b)
 		}
+		checkBatch(t, c, []int64{a, b}, func(k int64) uint64 { return uint64(k) })
 	})
+}
+
+// checkBatch holds an 8-byte coder's EncodeAll and DecodeAll to its
+// per-key methods, into fresh arrays and in place, where the destination
+// is the source's own memory. Keys compare by their bits.
+func checkBatch[K any](t *testing.T, c Coder[K], ks []K, bits func(K) uint64) {
+	t.Helper()
+	cs := make([]uint64, len(ks))
+	c.EncodeAll(cs, ks)
+	back := make([]K, len(ks))
+	c.DecodeAll(back, cs)
+	buf := slices.Clone(ks)
+	view := unsafe.Slice((*uint64)(unsafe.Pointer(&buf[0])), len(buf))
+	c.EncodeAll(view, buf)
+	for i, k := range ks {
+		if cs[i] != c.Encode(k) || view[i] != cs[i] {
+			t.Fatalf("EncodeAll of key %d: %#x, in place %#x, want %#x", i, cs[i], view[i], c.Encode(k))
+		}
+	}
+	c.DecodeAll(buf, view)
+	for i, k := range ks {
+		if bits(back[i]) != bits(k) || bits(buf[i]) != bits(k) {
+			t.Fatalf("DecodeAll of key %d: bits %#x, in place %#x, want %#x", i, bits(back[i]), bits(buf[i]), bits(k))
+		}
+	}
 }
 
 // FuzzInt32Coder: the widening path must round-trip through the Int64

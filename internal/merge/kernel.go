@@ -266,23 +266,40 @@ func mergeInto[E any](out []E, outC []codes.Code, elemRuns [][]E, codeRuns [][]c
 }
 
 // mergeCodes merges sorted a and b into dst, a first on ties. Which side
-// wins a step is a coin flip no branch predictor learns, so the step
-// selects arithmetically instead of branching (measured 1.4x).
+// wins a step is a coin flip no branch predictor learns, so a step
+// selects with min/max and advances by a computed 0/1 instead of
+// branching (measured 1.4x). Each step still waits on the one before it,
+// so two independent chains share the loop: the front chain takes the
+// smaller head (a's on ties) into dst[i+j], the back chain the larger
+// tail (b's on ties) into dst[ie+je-1]. While both runs hold an untaken
+// key the two take different keys, so the output is the one-chain
+// merge's; once either run is used up, the rest of the other fills the
+// middle.
 func mergeCodes(dst, a, b []codes.Code) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
+	dst = dst[:len(a)+len(b)]
+	i, j := 0, 0             // front chain: the next head of each run
+	ie, je := len(a), len(b) // back chain: one past the last untaken key
+	for i < ie && j < je {
 		x, y := a[i], b[j]
 		fromB := 0
 		if y < x {
 			fromB = 1
 		}
-		dst[k] = x ^ ((x ^ y) & codes.Code(-fromB))
+		dst[i+j] = min(x, y)
 		i += 1 - fromB
 		j += fromB
-		k++
+
+		x, y = a[ie-1], b[je-1]
+		fromA := 0
+		if x > y {
+			fromA = 1
+		}
+		dst[ie+je-1] = max(x, y)
+		ie -= fromA
+		je -= 1 - fromA
 	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	k := i + j + copy(dst[i+j:], a[i:ie])
+	copy(dst[k:], b[j:je])
 }
 
 // mergeCoded is mergeCodes with element payloads in tow: b's head goes

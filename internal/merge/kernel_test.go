@@ -152,6 +152,75 @@ func TestMergeKernelMatchesStableSort(t *testing.T) {
 	}
 }
 
+// TestMergeCodesEdges holds the two-chain pure merge to slices.Sort of
+// the concatenation where its chains start, stop and meet: an empty run,
+// one key against many, runs wholly below or above each other, all codes
+// equal, odd and even totals, chains that meet exactly in the middle,
+// and every split of every sorted multiset of up to 10 keys over three
+// values.
+func TestMergeCodesEdges(t *testing.T) {
+	seq := func(from, step, n int) []codes.Code {
+		s := make([]codes.Code, n)
+		for i := range s {
+			s[i] = codes.Code(from + i*step)
+		}
+		return s
+	}
+	check := func(name string, a, b []codes.Code) {
+		t.Helper()
+		want := slices.Sorted(slices.Values(slices.Concat(a, b)))
+		dst := make([]codes.Code, len(want))
+		for i := range dst {
+			dst[i] = ^codes.Code(0) // a slot left unwritten shows
+		}
+		mergeCodes(dst[:len(dst):len(dst)], a, b)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("%s: merge(%v, %v) = %v, want %v", name, a, b, dst, want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a, b []codes.Code
+	}{
+		{"both empty", nil, nil},
+		{"a empty", nil, seq(0, 1, 5)},
+		{"b empty", seq(0, 1, 5), nil},
+		{"1 vs n", seq(3, 0, 1), seq(0, 1, 9)},
+		{"n vs 1", seq(0, 1, 9), seq(3, 0, 1)},
+		{"1 vs n, below", seq(0, 0, 1), seq(1, 1, 9)},
+		{"1 vs n, above", seq(20, 0, 1), seq(1, 1, 9)},
+		{"a wholly below b", seq(0, 1, 6), seq(10, 1, 7)},
+		{"a wholly above b", seq(10, 1, 6), seq(0, 1, 7)},
+		{"all equal, odd total", seq(4, 0, 5), seq(4, 0, 6)},
+		{"all equal, even total", seq(4, 0, 5), seq(4, 0, 5)},
+		{"interleaved, odd total", seq(0, 2, 5), seq(1, 2, 4)},
+		{"chains meet in the middle", seq(0, 2, 4), seq(1, 2, 4)},
+		{"chains meet in the middle, ties", seq(0, 1, 4), seq(0, 1, 4)},
+	} {
+		check(c.name, c.a, c.b)
+	}
+	// Every sorted multiset over {0, 1, 2} of up to 10 keys, split every
+	// way into a (the keys whose mask bit is set) and b.
+	for n := 0; n <= 10; n++ {
+		for c0 := 0; c0 <= n; c0++ {
+			for c1 := 0; c0+c1 <= n; c1++ {
+				keys := slices.Concat(seq(0, 0, c0), seq(1, 0, c1), seq(2, 0, n-c0-c1))
+				for mask := 0; mask < 1<<n; mask++ {
+					var a, b []codes.Code
+					for i, k := range keys {
+						if mask>>i&1 == 1 {
+							a = append(a, k)
+						} else {
+							b = append(b, k)
+						}
+					}
+					check("every split", a, b)
+				}
+			}
+		}
+	}
+}
+
 // FuzzMergeKernel cuts arbitrary bytes into runs — byte values are the
 // codes, so collisions across runs are the norm — and holds the kernel
 // to the stable-sort oracle on every plane.

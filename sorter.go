@@ -356,9 +356,17 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 			job.spare = func(r int) []codes.Code { return spareCodes(shards[r]) }
 		}
 		if full {
+			// The output decodes in place (8-byte keys; uint64 with no
+			// pass at all), so the caller gets the merged array's own
+			// memory. That rests on one invariant: out is fresh for every
+			// call and this rank's alone — merge.Runs([]K{}, …) on the
+			// materializing exchange, ExchangeStream's make on the
+			// streaming one, or one of the disjoint sub-slices of
+			// NodeHSS's fresh node array. It is never engine scratch, an
+			// input shard, or memory another rank's output shares.
 			job.output = func(r int, out []codes.Code) {
 				t0 := time.Now()
-				outs[r] = codes.DecodeSlicePar(s.coder, out, par.New(s.cfg.Workers))
+				outs[r] = codes.DecodeInPlace(s.coder, out, par.New(s.cfg.Workers))
 				decTime[r] = time.Since(t0)
 			}
 		}

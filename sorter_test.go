@@ -20,29 +20,44 @@ var bg = context.Background()
 
 // TestSorterReuse: one engine serves many sorts, each rank-identical to
 // a one-shot Sort of the same input. Every round's output is kept and
-// checked again after the last round, on both exchange forms and for
-// int64 and float64 keys, so scratch the engine keeps — and borrows
-// across phases — between sorts can never alias an output it returned.
+// checked again after the last round, on both exchange forms, under a
+// memory budget (the local sort borrows the consumed shard) and on
+// NodeHSS (ranks decode disjoint pieces of one node array), for int64,
+// uint64 and float64 keys. The code plane hands each rank its merged
+// array decoded in place, so the outputs must own their memory: scratch
+// the engine keeps between sorts, an input shard or another rank's
+// output must never share it.
 func TestSorterReuse(t *testing.T) {
-	for _, stream := range []bool{false, true} {
-		t.Run(fmt.Sprintf("stream=%v/int64", stream), func(t *testing.T) {
-			checkSorterReuse(t, stream, func(x int64) int64 { return x })
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"stream=false", Config{}},
+		{"stream=true", Config{StreamExchange: true}},
+		{"budget", Config{MemoryBudget: 1500 * 8 * 2}},
+		{"cores=2", Config{CoresPerNode: 2}},
+	} {
+		t.Run(c.name+"/int64", func(t *testing.T) {
+			checkSorterReuse(t, c.cfg, func(x int64) int64 { return x })
 		})
-		t.Run(fmt.Sprintf("stream=%v/float64", stream), func(t *testing.T) {
-			checkSorterReuse(t, stream, func(x int64) float64 { return float64(x) / 3 })
+		t.Run(c.name+"/uint64", func(t *testing.T) {
+			checkSorterReuse(t, c.cfg, func(x int64) uint64 { return uint64(x) })
+		})
+		t.Run(c.name+"/float64", func(t *testing.T) {
+			checkSorterReuse(t, c.cfg, func(x int64) float64 { return float64(x) / 3 })
 		})
 	}
 }
 
-func checkSorterReuse[K cmp.Ordered](t *testing.T, stream bool, key func(int64) K) {
+func checkSorterReuse[K cmp.Ordered](t *testing.T, cfg Config, key func(int64) K) {
 	const p, perRank, rounds = 4, 1500, 4
-	cfg := Config{Procs: p, Epsilon: 0.1, Seed: 5, StreamExchange: stream}
+	cfg.Procs, cfg.Epsilon, cfg.Seed = p, 0.1, 5
 	s, err := New[K](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var wants, gots [][][]K
+	var wants, gots, ins [][]K
 	for round := 0; round < rounds; round++ {
 		shards := make([][]K, p)
 		for r, sh := range shardsFor(t, dist.Gaussian, p, perRank, uint64(round+1)) {
@@ -54,7 +69,8 @@ func checkSorterReuse[K cmp.Ordered](t *testing.T, stream bool, key func(int64) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotStats, err := s.Sort(bg, cloneShards(shards))
+		in := cloneShards(shards)
+		got, gotStats, err := s.Sort(bg, in)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -66,14 +82,37 @@ func checkSorterReuse[K cmp.Ordered](t *testing.T, stream bool, key func(int64) 
 		if gotStats.Rounds != wantStats.Rounds || gotStats.TotalSample != wantStats.TotalSample {
 			t.Fatalf("round %d: protocol stats diverged: %+v vs %+v", round, gotStats, wantStats)
 		}
-		wants, gots = append(wants, want), append(gots, got)
+		wants, gots, ins = append(wants, want...), append(gots, got...), append(ins, in...)
 	}
-	for round := range gots {
-		for r := range gots[round] {
-			if !slices.Equal(wants[round][r], gots[round][r]) {
-				t.Fatalf("round %d rank %d: a later sort changed this output", round, r)
+	checkOutputs := func(skip int, what string) {
+		t.Helper()
+		for i := range gots {
+			if i != skip && !slices.Equal(wants[i], gots[i]) {
+				t.Fatalf("round %d rank %d: %s changed this output", i/p, i%p, what)
 			}
 		}
+	}
+	checkOutputs(-1, "a later sort")
+	// Overwrite every input and every output in turn, through its whole
+	// capacity (where an append would write), and re-check the others.
+	junk := key(0x5a5a5a5a)
+	overwrite := func(buf []K) (restore func()) {
+		buf = buf[:cap(buf)]
+		saved := slices.Clone(buf)
+		for i := range buf {
+			buf[i] = junk
+		}
+		return func() { copy(buf, saved) }
+	}
+	for i, in := range ins {
+		restore := overwrite(in)
+		checkOutputs(-1, fmt.Sprintf("overwriting round %d's input shard %d", i/p, i%p))
+		restore()
+	}
+	for i, out := range gots {
+		restore := overwrite(out)
+		checkOutputs(i, fmt.Sprintf("overwriting round %d's output %d", i/p, i%p))
+		restore()
 	}
 }
 
