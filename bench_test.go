@@ -80,7 +80,7 @@ func BenchmarkAblationDuplicates(b *testing.B) {
 // sort fully in memory versus under a per-rank MemoryBudget. The local
 // sort never spills (the shard is the caller's array, sorted where it
 // lies), so the budgets are set against what the budget does bound —
-// the streaming exchange's in-flight window of (p-1)·Window·ChunkKeys
+// the streaming exchange's in-flight window of (p-1)·2·ChunkKeys
 // keys — at a half and a quarter of it, where incoming streams divert
 // to run files. The gap is the cost of compressing, writing, reading
 // back and re-merging the diverted runs; compression_pct reports how

@@ -101,9 +101,9 @@ type Config struct {
 	// chunks interleaved across destinations and the k-way merge runs
 	// incrementally as chunks arrive, overlapping the exchange tail
 	// (§6.2) with peak in-flight memory bounded by the flow-control
-	// window. Output is rank-identical to the materializing path. A
-	// MemoryBudget implies it: the materializing path runs only without
-	// a budget.
+	// window, a fixed 2 chunks per destination. Output is rank-identical
+	// to the materializing path. A MemoryBudget implies it: the
+	// materializing path runs only without a budget.
 	StreamExchange bool
 	// ChunkKeys is the streaming-exchange chunk size in keys; setting it
 	// implies StreamExchange. Default 64Ki when streaming (including the
@@ -120,7 +120,7 @@ type Config struct {
 	// Seed makes randomized phases reproducible. Default 1.
 	Seed uint64
 	// Timeout aborts a wedged run (protocol-bug safety net). Default
-	// 10 minutes.
+	// 10 minutes; New rejects a negative one.
 	Timeout time.Duration
 	// MemoryBudget, when > 0, puts the sort out of core: each rank
 	// bounds the memory the engine adds on top of the caller's data —
@@ -174,9 +174,10 @@ type Stats struct {
 	ExchangeOverlap time.Duration
 	// PeakInFlightBytes is the peak per-rank volume buffered by the
 	// streaming exchange awaiting merge (max over ranks; bounded by
-	// (p-1)·window·ChunkKeys·keysize). Zero on the materializing path,
-	// which runs only without a MemoryBudget, and when a budget diverts
-	// every incoming stream to disk.
+	// (p-1)·2·ChunkKeys·keysize, the window being a fixed 2 chunks per
+	// destination). Zero on the materializing path, which runs only
+	// without a MemoryBudget, and when a budget diverts every incoming
+	// stream to disk.
 	PeakInFlightBytes int64
 	// SplitterBytes and ExchangeBytes are total bytes sent during
 	// splitter determination and data movement (§5.1's communication

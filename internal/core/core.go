@@ -314,7 +314,7 @@ type Stats struct {
 	// PeakInFlight is the peak bytes admitted to the incremental merge
 	// but not yet emitted (max over ranks; zero on the materializing
 	// path). The streaming flow control bounds it by
-	// (p-1)·Window·ChunkKeys·keysize.
+	// (p-1)·2·ChunkKeys·keysize (exchange.DefaultStreamWindow = 2).
 	PeakInFlight int64
 	// SplitterBytes and ExchangeBytes are total bytes sent by all ranks
 	// during splitter determination and data movement.

@@ -22,8 +22,16 @@
 // ExchangeMerge dispatches between them — materializing only with
 // ChunkKeys 0 and no spill budget, so a budgeted rank never holds its
 // whole receive and a diverted stream is the one place exchange data
-// reaches disk; both produce rank-identical output. Everything is built on comm.Endpoint Send/Recv (plus the
-// TryRecv/RecvAny probes of comm.StreamEndpoint for the streaming
-// plane), so it runs unchanged over the byte-accounted simulated
-// transport or the in-process fast path — see internal/comm.Transport.
+// reaches disk; both produce rank-identical output. Everything is built
+// on comm.Endpoint Send/Recv (plus the TryRecv/RecvAny probes of
+// comm.StreamEndpoint for the streaming plane), so it runs unchanged
+// over the byte-accounted simulated transport or the in-process fast
+// path — see internal/comm.Transport.
+//
+// A streaming exchange is one per-rank stream state kept in Scratch —
+// route, send (a credit window fixed at 2 chunks per destination),
+// receive (credit, admit, divert) and drain (refill diverted tails,
+// merge, grant credits) — and charges nothing to the memory budget
+// itself: the merge's run queue is the only place merge input is
+// charged.
 package exchange

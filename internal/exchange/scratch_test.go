@@ -8,6 +8,7 @@ import (
 
 	"hssort/internal/comm"
 	"hssort/internal/keycoder"
+	"hssort/internal/spill"
 )
 
 // scratchShards builds p deterministic sorted shards.
@@ -25,41 +26,68 @@ func scratchShards(p, perRank int, seed int64) [][]int64 {
 }
 
 // TestScratchReuseEquivalence: one Scratch per rank, reused across
-// several streaming exchanges (including a plane switch between the
-// comparator and code-keyed merge), produces output identical to the
-// scratch-free path every time. Scratch release happens only after all
-// ranks joined — the contract the engine follows.
+// several streaming exchanges — a plane switch between the comparator
+// and code-keyed merge, budgeted rounds whose streams divert to disk,
+// and a one-rank world — produces output identical to a fresh Scratch
+// every time, and a budgeted round leaves every meter back at its
+// budget. Scratch release happens only after all ranks joined — the
+// contract the engine follows.
 func TestScratchReuseEquivalence(t *testing.T) {
-	const p, perRank, rounds = 4, 3000, 4
+	const perRank = 3000
+	// An incoming stream is about perRank/p keys; half of one fits.
+	const budget = perRank / 4 * 8 / 2
 	icmp := cmp.Compare[int64]
-	splitters := []int64{-1 << 41, 0, 1 << 41}
-	owner := func(b int) int { return b }
-	opt := StreamOptions{ChunkKeys: 256}
 	code := func(k int64) uint64 { return keycoder.Int64{}.Encode(k) }
+	rounds := []struct {
+		p      int
+		coded  bool
+		budget int64
+	}{
+		{4, false, 0}, {4, true, 0}, {4, false, budget}, {4, true, 0},
+		{1, false, 0}, {4, true, budget}, {1, true, 0}, {4, false, 0},
+	}
 
-	scratches := make([]*Scratch[int64], p)
+	scratches := make([]*Scratch[int64], 4)
 	for r := range scratches {
 		scratches[r] = &Scratch[int64]{}
 	}
-	for round := 0; round < rounds; round++ {
+	for round, rd := range rounds {
+		p := rd.p
 		shards := scratchShards(p, perRank, int64(round+1))
-		// Alternate merge planes to exercise the cached-streamer swap.
+		splitters := []int64{-1 << 41, 0, 1 << 41}[:p-1]
 		var extractor func(int64) uint64
-		if round%2 == 1 {
+		if rd.coded {
 			extractor = code
+		}
+		mgrs := make([]*spill.Manager, p)
+		if rd.budget > 0 {
+			for r := range mgrs {
+				m, err := spill.NewManager(rd.budget, t.TempDir(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mgrs[r] = m
+			}
 		}
 
 		run := func(sc func(r int) *Scratch[int64]) [][]int64 {
 			outs := make([][]int64, p)
 			w := comm.NewWorld(p, comm.WithTimeout(10*time.Second))
 			err := w.Run(func(c *comm.Comm) error {
-				runs := Partition(slices.Clone(shards[c.Rank()]), splitters, icmp)
-				out, _, err := ExchangeStream(c, 1, runs, owner, icmp, extractor, opt, sc(c.Rank()))
-				outs[c.Rank()] = out
+				r := c.Rank()
+				runs := Partition(slices.Clone(shards[r]), splitters, icmp)
+				out, _, err := ExchangeStream(c, 1, runs, ContiguousOwner(p, p), icmp, extractor,
+					StreamOptions{ChunkKeys: 256, Spill: mgrs[r]}, sc(r))
+				outs[r] = out
 				return err
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			for r, m := range mgrs {
+				if m != nil && m.Room() != rd.budget {
+					t.Fatalf("round %d rank %d: meter holds %d bytes after the exchange", round, r, rd.budget-m.Room())
+				}
 			}
 			return outs
 		}
@@ -69,6 +97,11 @@ func TestScratchReuseEquivalence(t *testing.T) {
 			if !slices.Equal(want[r], got[r]) {
 				t.Fatalf("round %d rank %d: scratch output differs (%d vs %d keys)",
 					round, r, len(got[r]), len(want[r]))
+			}
+		}
+		for r, m := range mgrs {
+			if m != nil && m.TakeStats().SpilledBytes == 0 {
+				t.Fatalf("round %d rank %d: no stream diverted under a %d-byte budget", round, r, rd.budget)
 			}
 		}
 		// All ranks joined: releasing is now safe, as the engine does.

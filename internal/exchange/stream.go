@@ -10,30 +10,27 @@ import (
 	"hssort/internal/spill"
 )
 
-// Streaming-exchange defaults.
+// Streaming-exchange constants.
 const (
 	// DefaultChunkKeys is the default chunk size (keys per message) of
 	// the streaming exchange: large enough to amortize per-message
 	// overhead, small enough that several chunks per peer fit in the
 	// in-flight budget.
 	DefaultChunkKeys = 64 * 1024
-	// DefaultStreamWindow is the default flow-control window: how many
+	// DefaultStreamWindow is the flow-control window, fixed: how many
 	// chunks a sender may have outstanding (sent but not yet merged by
-	// the receiver) per destination. Window ≥ 2 keeps the pipe full —
-	// one chunk in transit while the previous one merges.
+	// the receiver) per destination. Two keep the pipe full — one chunk
+	// in transit while the previous one merges.
 	DefaultStreamWindow = 2
 )
 
-// StreamOptions configures the streaming exchange.
+// StreamOptions configures the streaming exchange, whose flow-control
+// window is fixed at 2 chunks per destination (DefaultStreamWindow).
 type StreamOptions struct {
 	// ChunkKeys is the number of keys per chunk message. <= 0 selects
 	// DefaultChunkKeys. (ExchangeMerge instead treats 0 without a Spill
 	// manager as "use the materializing path".)
 	ChunkKeys int
-	// Window is the per-destination flow-control window in chunks;
-	// <= 0 selects DefaultStreamWindow. Peak in-flight data per rank is
-	// bounded by (p-1)·Window·ChunkKeys keys.
-	Window int
 	// Pool, when it has more than one worker, parallelizes the merge
 	// work that is off the overlap path: the materializing path's k-way
 	// merge and the streaming drain's tail both split at sub-splitters
@@ -49,21 +46,12 @@ type StreamOptions struct {
 	// the manager's memory budget: the streaming exchange diverts incoming
 	// streams to compressed run files once admitting more chunks would
 	// exceed the budget (ExchangeMerge always streams under a budget). The
-	// incremental merge charges each batch's scratch to the same budget
-	// and clips a batch that would not fit. Spilled data re-enters the
-	// merge through spill.RunReader frames, so output is identical with or
+	// incremental merge's run queue charges every admitted chunk and
+	// read-back frame, and each batch's scratch, to the same budget and
+	// clips a batch that would not fit. Spilled data re-enters the merge
+	// through spill.RunReader frames, so output is identical with or
 	// without a budget. Requires K to be plain data (spill.Spillable).
 	Spill *spill.Manager
-}
-
-func (o StreamOptions) withDefaults() StreamOptions {
-	if o.ChunkKeys <= 0 {
-		o.ChunkKeys = DefaultChunkKeys
-	}
-	if o.Window <= 0 {
-		o.Window = DefaultStreamWindow
-	}
-	return o
 }
 
 // StreamStats reports one rank's streaming-exchange behaviour.
@@ -78,7 +66,7 @@ type StreamStats struct {
 	MergeTail time.Duration
 	// PeakInFlight is the peak number of payload bytes admitted to the
 	// incremental merge but not yet emitted. The credit protocol bounds
-	// it by (p-1)·Window·ChunkKeys·sizeof(K).
+	// it by (p-1)·DefaultStreamWindow·ChunkKeys·sizeof(K).
 	PeakInFlight int64
 	// ChunksSent counts data messages (including empty closures) sent.
 	ChunksSent int64
@@ -106,26 +94,20 @@ type chunk[K any] struct {
 }
 
 // Scratch holds one rank's reusable exchange state across sorts: the
-// incremental merge (run queue, batch scratch), the materializing
-// merge's scratch and the chunk-routing queues the streaming path
-// rebuilds every call. A long-lived engine (hssort.Sorter) keeps one
-// Scratch per rank and passes it to every ExchangeMerge, turning the
-// per-sort allocation churn of either plane into steady-state reuse. The
-// zero value is ready; nil is accepted everywhere and means "allocate
-// per call".
+// streaming exchange's stream (its incremental merge, chunk queues and
+// flow-control state) and the materializing merge's scratch. A
+// long-lived engine (hssort.Sorter) keeps one Scratch per rank and
+// passes it to every ExchangeMerge, turning the per-sort allocation
+// churn of either plane into steady-state reuse. The zero value is
+// ready; nil is accepted everywhere and means a fresh zero Scratch per
+// call.
 //
 // A Scratch belongs to one rank: it must not be shared between
 // concurrently running ranks, and the caller must not start a second
 // exchange with the same Scratch before the first returns.
 type Scratch[K any] struct {
-	merge         merge.Scratch[K] // the materializing path's merge
-	streamer      *merge.Streamer[K]
-	streamerCoded bool // streamer was built with a code extractor
-	streamerTie   bool // streamer resolves code ties with the comparator
-	chunksTo      [][]chunk[K]
-	totalTo       []int64
-	outs          []outStream
-	ins           []inStream[K]
+	merge  merge.Scratch[K] // the materializing path's merge
+	stream stream[K]
 }
 
 // MergeScratch returns the kernel scratch for materialized merges made
@@ -136,54 +118,6 @@ func (sc *Scratch[K]) MergeScratch() *merge.Scratch[K] {
 		return nil
 	}
 	return &sc.merge
-}
-
-// streamerFor returns the incremental merge matching the requested
-// plane — the cached one, reset and emptied of any references to a
-// previous sort's data, or with a nil Scratch a fresh one.
-func (sc *Scratch[K]) streamerFor(cmp func(K, K) int, code func(K) uint64, tie bool) *merge.Streamer[K] {
-	if sc == nil {
-		return merge.NewStreamerTie(cmp, code, tie)
-	}
-	coded := code != nil
-	tie = tie && coded
-	if sc.streamer == nil || sc.streamerCoded != coded || sc.streamerTie != tie {
-		sc.streamer = merge.NewStreamerTie(cmp, code, tie)
-		sc.streamerCoded = coded
-		sc.streamerTie = tie
-	}
-	sc.streamer.Reset()
-	return sc.streamer
-}
-
-// routing returns the per-destination routing state sized for p ranks,
-// cleared of any references to a previous sort's key data.
-func (sc *Scratch[K]) routing(p int) (chunksTo [][]chunk[K], totalTo []int64, outs []outStream, ins []inStream[K]) {
-	if cap(sc.chunksTo) < p {
-		sc.chunksTo = make([][]chunk[K], p)
-		sc.totalTo = make([]int64, p)
-		sc.outs = make([]outStream, p)
-		sc.ins = make([]inStream[K], p)
-	}
-	sc.chunksTo = sc.chunksTo[:p]
-	sc.totalTo = sc.totalTo[:p]
-	sc.outs = sc.outs[:p]
-	sc.ins = sc.ins[:p]
-	for d := range sc.chunksTo {
-		q := sc.chunksTo[d]
-		for i := range q {
-			clear(q[i].runs)
-			q[i].runs = q[i].runs[:0]
-			q[i].keys = 0
-		}
-		sc.chunksTo[d] = q[:0]
-	}
-	clear(sc.totalTo)
-	clear(sc.outs)
-	for i := range sc.ins {
-		sc.ins[i] = inStream[K]{bounds: sc.ins[i].bounds[:0]}
-	}
-	return sc.chunksTo, sc.totalTo, sc.outs, sc.ins
 }
 
 // Release drops the Scratch's references to the last sort's key data so
@@ -197,16 +131,42 @@ func (sc *Scratch[K]) routing(p int) (chunksTo [][]chunk[K], totalTo []int64, ou
 // mailbox — clearing them any earlier would nil out views the receiver
 // is about to merge.
 func (sc *Scratch[K]) Release() {
-	if sc.streamer != nil {
-		sc.streamer.Reset()
+	if sc.stream.lt != nil {
+		sc.stream.lt.Reset()
 	}
 	sc.merge.Clear()
-	for d := range sc.chunksTo {
-		q := sc.chunksTo[d]
+	for _, q := range sc.stream.chunksTo {
 		for i := range q {
 			clear(q[i].runs)
 		}
 	}
+}
+
+// stream is one rank's side of one streaming exchange, its parts the
+// methods route, send, receive and drain; its arrays and incremental
+// merge are kept across exchanges.
+type stream[K any] struct {
+	e         comm.StreamEndpoint
+	tag       comm.Tag
+	opt       StreamOptions
+	me        int
+	frameKeys int // keys per read-back frame of a diverted stream
+
+	lt    *merge.Streamer[K]
+	coded bool // lt was built with a code extractor
+	tie   bool // lt resolves code ties with the comparator
+
+	chunksTo [][]chunk[K]
+	totalTo  []int64
+	outs     []outStream
+	ins      []inStream[K]
+
+	sendsPending int   // destinations still owed their last chunk
+	unseen       int   // streams whose first message is still to come
+	expect       int64 // final output size, once every stream has been seen
+	admitted     int64 // keys admitted across remote streams
+	out          []K
+	st           StreamStats
 }
 
 // outStream tracks one destination of the sender half.
@@ -227,8 +187,6 @@ type inStream[K any] struct {
 	closed   bool                // sender sent its last chunk
 	diverted bool                // remainder of the stream goes to disk
 	admitted int64               // cumulative keys appended to the merge
-	released int64               // keys whose budget charge has been returned
-	charged  int64               // bytes currently charged against the budget
 	bounds   []int64             // admitted counts at un-acked chunk ends
 	w        *spill.Writer[K]    // open spill writer while diverted
 	tail     *spill.RunReader[K] // read-back of the diverted remainder
@@ -240,18 +198,18 @@ type inStream[K any] struct {
 // interleaved across destinations, and received chunks feed an
 // incremental k-way merge (merge.Streamer) that emits this rank's
 // sorted partition while the tail of the exchange is still in flight.
-// It returns the merged partition directly.
+// It returns the merged partition directly, freshly allocated.
 //
 // The output is rank-identical to merge.KWay over Exchange's result:
 // each sender's chunks arrive in bucket-major order, so per-sender
 // streams are sorted, and duplicate keys — which always land in the same
 // bucket on every sender — tie-break by sender rank in both paths.
 //
-// Flow control: a sender may have at most Window un-acknowledged chunks
-// per destination; the receiver grants a credit only after a chunk has
-// fully passed through the merge. That bounds per-rank in-flight data
-// (transport-buffered plus admitted-but-unmerged) by
-// (p-1)·Window·ChunkKeys keys, the streaming path's memory budget.
+// Flow control: a sender may have at most 2 (DefaultStreamWindow)
+// un-acknowledged chunks per destination; the receiver grants a credit
+// only after a chunk has fully passed through the merge. That bounds
+// per-rank in-flight data (transport-buffered plus admitted-but-unmerged)
+// by (p-1)·2·ChunkKeys keys, the streaming path's memory budget.
 // Credits share the data tag, so a rank out of local work can park in
 // RecvAny and wake on whichever protocol event arrives first.
 //
@@ -266,382 +224,43 @@ type inStream[K any] struct {
 // of comparator calls. When K is the code-point type itself the chunks
 // alias straight into the merge — codes travel through the exchange and
 // are never re-encoded.
-func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner func(int) int, cmp func(K, K) int, code func(K) uint64, opt StreamOptions, sc *Scratch[K]) (out []K, st StreamStats, err error) {
+func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner func(int) int, cmp func(K, K) int, code func(K) uint64, opt StreamOptions, sc *Scratch[K]) ([]K, StreamStats, error) {
 	comm.RegisterWire[streamMsg[K]]() // wire transports decode by registered type
-	opt = opt.withDefaults()
-	p := e.Size()
-	me := e.Rank()
-	keySize := comm.SizeOf[K]()
-	sp := opt.Spill
-	var frameKeys int // keys per read-back frame of a diverted stream
-	if sp != nil {
-		frameKeys = sp.FrameKeys(keySize, p)
+	if sc == nil {
+		sc = &Scratch[K]{}
 	}
-
-	// Route each bucket run to its destination's chunk queue. Chunks are
-	// zero-copy run views batched in bucket order: consecutive small
-	// runs share one chunk up to ChunkKeys keys (so over-partitioned
-	// configurations keep the materializing path's message count), and
-	// a run larger than ChunkKeys spans several chunks. With a Scratch
-	// the queues, flow-control state and run queue are reused.
-	var (
-		chunksTo [][]chunk[K]
-		totalTo  []int64
-		outs     []outStream
-		ins      []inStream[K]
-	)
-	if sc != nil {
-		chunksTo, totalTo, outs, ins = sc.routing(p)
-	} else {
-		chunksTo = make([][]chunk[K], p)
-		totalTo = make([]int64, p)
-		outs = make([]outStream, p)
-		ins = make([]inStream[K], p)
+	s := &sc.stream
+	if err := s.route(e, tag, runs, owner, opt); err != nil {
+		return nil, StreamStats{}, err
 	}
-	// On any error, release the spill state an interrupted exchange left
-	// open: in-progress divert writers (aborted, file deleted) and tail
-	// readers (closed, file deleted). A clean exit has already nil'd all
-	// of these. (A merge batch's scratch charge needs no cleanup: it is
-	// taken and returned inside DrainReady.)
-	defer func() {
-		if err == nil {
-			return
-		}
-		for i := range ins {
-			if ins[i].w != nil {
-				ins[i].w.Abort()
-				ins[i].w = nil
-			}
-			if ins[i].tail != nil {
-				ins[i].tail.Close()
-				ins[i].tail = nil
-			}
-		}
-	}()
-	push := func(dst int, view []K) {
-		q := chunksTo[dst]
-		if n := len(q); n > 0 && q[n-1].keys+len(view) <= opt.ChunkKeys {
-			q[n-1].runs = append(q[n-1].runs, view)
-			q[n-1].keys += len(view)
-		} else if n < cap(q) {
-			// Resurrect a slot kept by the Scratch from a previous sort:
-			// its runs array (cleared by routing) is the buffer being
-			// reused.
-			q = q[:n+1]
-			q[n].runs = append(q[n].runs[:0], view)
-			q[n].keys = len(view)
-		} else {
-			q = append(q, chunk[K]{runs: [][]K{view}, keys: len(view)})
-		}
-		chunksTo[dst] = q
-	}
-	for b, run := range runs {
-		dst := owner(b)
-		if dst < 0 || dst >= p {
-			return nil, StreamStats{}, fmt.Errorf("exchange: owner(%d) = %d outside world size %d", b, dst, p)
-		}
-		totalTo[dst] += int64(len(run))
-		for len(run) > 0 {
-			c := min(opt.ChunkKeys, len(run))
-			push(dst, run[:c])
-			run = run[c:]
-		}
-	}
-
-	// One merge stream per sender, admitted in rank order so run indices
-	// — and with them duplicate-key tie-breaks — are deterministic. Own
-	// data feeds its stream directly and closes it.
-	lt := sc.streamerFor(cmp, code, opt.Tie)
-	if sp != nil {
-		lt.SetBudget(sp)
-	}
-	for r := 0; r < p; r++ {
-		lt.AddRun(nil)
-	}
-	for _, c := range chunksTo[me] {
-		for _, view := range c.runs {
-			lt.Append(me, view)
-		}
-	}
-	lt.CloseRun(me)
-
-	if p == 1 {
-		t0 := time.Now()
-		out = lt.DrainReady(make([]K, 0, totalTo[me]))
-		st.MergeTail = time.Since(t0)
-		return out, st, nil
-	}
-
-	for d := range outs {
-		outs[d].credits = opt.Window
-	}
-	sendsPending := p - 1
-	openStreams := p - 1
-	openTails := 0        // diverted streams still replaying from disk
-	expect := totalTo[me] // final output size, once every stream has been seen
-	unseen := p - 1       // streams whose first message is still to come
-	admitted := int64(0)  // keys admitted across remote streams
-
-	// handle folds one incoming protocol message into local state.
-	handle := func(m comm.Message) error {
-		sm, ok := m.Payload.(streamMsg[K])
-		if !ok {
-			return fmt.Errorf("exchange: stream payload type %T from rank %d", m.Payload, m.Src)
-		}
-		if sm.credit > 0 {
-			outs[m.Src].credits += int(sm.credit)
-			return nil
-		}
-		in := &ins[m.Src]
-		if in.closed {
-			return fmt.Errorf("exchange: chunk from rank %d after its last chunk", m.Src)
-		}
-		if !in.seen {
-			// First message of the stream: it carries the sender's whole
-			// contribution. Once every sender's is known the output is
-			// sized, once — nothing has been emitted yet, because a
-			// stream not yet seen starves the merge.
-			in.seen = true
-			expect += sm.total
-			if unseen--; unseen == 0 {
-				out = make([]K, 0, expect)
-			}
-		}
-		if sm.keys > 0 {
-			chunkBytes := int64(sm.keys) * keySize
-			// Every remote stream still open or replaying from disk may
-			// need one read-back frame resident, and by then the chunks
-			// admitted before its divert can still fill the budget: admit
-			// only what leaves room for all of those frames.
-			tailBytes := int64(openStreams+openTails) * int64(frameKeys) * keySize
-			if sp != nil && !in.diverted && sp.WouldExceed(chunkBytes+tailBytes) {
-				// Budget exhausted: divert the rest of this stream to a
-				// compressed run file. The divert is permanent so the
-				// on-disk remainder stays contiguous and in order.
-				w, werr := spill.NewWriter[K](sp, frameKeys)
-				if werr != nil {
-					return werr
-				}
-				in.w = w
-				in.diverted = true
-			}
-			if in.diverted {
-				for _, view := range sm.runs {
-					if werr := in.w.WriteKeys(view); werr != nil {
-						return werr
-					}
-				}
-				// The chunk never occupies the merge, so its credit
-				// comes back as soon as it is on disk — the run file is
-				// the window. A last chunk needs no credit at all.
-				if !sm.last {
-					if serr := e.Send(m.Src, tag, streamMsg[K]{credit: 1}, MsgHeaderBytes); serr != nil {
-						return fmt.Errorf("exchange: stream credit: %w", serr)
-					}
-				}
-			} else {
-				if sp != nil {
-					sp.Acquire(chunkBytes)
-					in.charged += chunkBytes
-				}
-				for _, view := range sm.runs {
-					lt.Append(m.Src, view)
-				}
-				in.admitted += int64(sm.keys)
-				in.bounds = append(in.bounds, in.admitted)
-				admitted += int64(sm.keys)
-				// Remote keys emitted so far = total emitted - own-stream
-				// emissions, so buffered = admitted - that difference.
-				buffered := (admitted - (int64(len(out)) - lt.Consumed(me))) * keySize
-				if buffered > st.PeakInFlight {
-					st.PeakInFlight = buffered
-				}
-			}
-		}
-		if sm.last {
-			in.closed = true
-			in.bounds = nil // the sender needs no further credits
-			openStreams--
-			if in.diverted {
-				// The stream's merge run stays open: its remainder now
-				// replays from the run file, refilled frame-at-a-time by
-				// drain as the merge consumes it.
-				run, ferr := in.w.Finish()
-				in.w = nil
-				if ferr != nil {
-					return ferr
-				}
-				rd, rerr := run.Reader(true)
-				if rerr != nil {
-					run.Remove()
-					return rerr
-				}
-				in.tail = rd
-				openTails++
-			} else {
-				lt.CloseRun(m.Src)
-			}
-		}
-		return nil
-	}
-
-	// trySend pushes at most one chunk to every destination with credit,
-	// staggered like the materializing path so chunks interleave across
-	// destinations instead of draining one peer at a time.
-	trySend := func() (bool, error) {
-		progress := false
-		for i := 1; i < p; i++ {
-			dst := (me + i) % p
-			o := &outs[dst]
-			if o.lastSent || o.credits == 0 {
-				continue
-			}
-			q := chunksTo[dst]
-			var msg streamMsg[K]
-			bytes := int64(MsgHeaderBytes)
-			if o.next < len(q) {
-				c := q[o.next]
-				o.next++
-				msg = streamMsg[K]{runs: c.runs, keys: c.keys, total: totalTo[dst], last: o.next == len(q)}
-				bytes += int64(len(c.runs))*RunHeaderBytes + int64(c.keys)*keySize
-			} else {
-				// Nothing for this destination: a single empty closure
-				// message, which still pays the per-message overhead.
-				msg = streamMsg[K]{last: true}
-			}
-			if err := e.Send(dst, tag, msg, bytes); err != nil {
-				return false, fmt.Errorf("exchange: stream send: %w", err)
-			}
-			o.credits--
-			st.ChunksSent++
-			if msg.last {
-				o.lastSent = true
-				sendsPending--
-			}
-			progress = true
-		}
-		return progress, nil
-	}
-
-	// refillTails feeds every starved disk tail its next frame (the merge
-	// has consumed everything the tail's stream appended), closing the
-	// stream's merge run at the final marker — which also deletes the
-	// run file, the steady-state cleanup.
-	refillTails := func() (bool, error) {
-		did := false
-		for i := range ins {
-			in := &ins[i]
-			if in.tail == nil || lt.Consumed(i) < in.admitted {
-				continue
-			}
-			keys, rerr := in.tail.NextChunk()
-			if rerr != nil {
-				return did, rerr
-			}
-			if keys == nil {
-				in.tail = nil
-				lt.CloseRun(i)
-				openTails--
-			} else {
-				b := int64(len(keys)) * keySize
-				sp.Acquire(b)
-				in.charged += b
-				lt.Append(i, keys)
-				in.admitted += int64(len(keys))
-				admitted += int64(len(keys))
-			}
-			did = true
-		}
-		return did, nil
-	}
-
-	// drain emits every safely mergeable key, then grants credits for
-	// chunks that have fully passed through the merge of still-open
-	// streams (a closed stream's sender has nothing left to send) and
-	// returns the budget of fully consumed chunks.
-	drain := func() (bool, error) {
-		refilled := false
-		if openTails > 0 {
-			var rerr error
-			if refilled, rerr = refillTails(); rerr != nil {
-				return false, rerr
-			}
-		}
-		t0 := time.Now()
-		emitted := len(out)
-		overlapped := openStreams > 0 || openTails > 0
-		if !overlapped && opt.Pool.Workers() > 1 {
-			// Every stream is closed and a worker pool is available:
-			// merge the unconsumed tail one sub-range per core.
-			// Byte-identical to the serial drain.
-			out = lt.DrainClosed(out, opt.Pool)
-		} else {
-			out = lt.DrainReady(out)
-		}
-		if len(out) == emitted {
-			return refilled, nil
-		}
-		if overlapped {
-			st.Overlap += time.Since(t0)
-		} else {
-			st.MergeTail += time.Since(t0)
-		}
-		if sp != nil {
-			for i := range ins {
-				in := &ins[i]
-				if c := lt.Consumed(i); c > in.released {
-					if b := min((c-in.released)*keySize, in.charged); b > 0 {
-						sp.Release(b)
-						in.charged -= b
-					}
-					in.released = c
-				}
-			}
-		}
-		for i := 1; i < p; i++ {
-			src := (me - i + p) % p
-			in := &ins[src]
-			var grant int32
-			for len(in.bounds) > 0 && lt.Consumed(src) >= in.bounds[0] {
-				in.bounds = in.bounds[1:]
-				grant++
-			}
-			if grant > 0 {
-				if err := e.Send(src, tag, streamMsg[K]{credit: grant}, MsgHeaderBytes); err != nil {
-					return false, fmt.Errorf("exchange: stream credit: %w", err)
-				}
-			}
-		}
-		return true, nil
-	}
-
+	s.start(cmp, code)
+	defer s.end()
 	for {
-		progress, err := trySend()
+		progress, err := s.send()
 		if err != nil {
-			return nil, st, err
+			return nil, s.st, err
 		}
 		for {
 			m, ok, err := e.TryRecv(comm.AnySource, tag)
 			if err != nil {
-				return nil, st, fmt.Errorf("exchange: stream recv: %w", err)
+				return nil, s.st, fmt.Errorf("exchange: stream recv: %w", err)
 			}
 			if !ok {
 				break
 			}
-			if err := handle(m); err != nil {
-				return nil, st, err
+			if err := s.receive(m); err != nil {
+				return nil, s.st, err
 			}
 			progress = true
 		}
-		emitted, err := drain()
+		drained, err := s.drain()
 		if err != nil {
-			return nil, st, err
+			return nil, s.st, err
 		}
-		progress = progress || emitted
-		if sendsPending == 0 && openStreams == 0 && openTails == 0 && lt.Exhausted() {
-			return out, st, nil
+		if s.sendsPending == 0 && s.lt.Exhausted() {
+			return s.out, s.st, nil
 		}
-		if !progress {
+		if !progress && !drained {
 			// Out of local work: park until the next protocol event —
 			// a chunk for a starved stream or a credit for a stalled
 			// send, whichever peer delivers first. Liveness: a rank
@@ -650,11 +269,328 @@ func ExchangeStream[K any](e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owne
 			// are granted whenever merges progress.
 			m, err := e.RecvAny(tag)
 			if err != nil {
-				return nil, st, fmt.Errorf("exchange: stream recv: %w", err)
+				return nil, s.st, fmt.Errorf("exchange: stream recv: %w", err)
 			}
-			if err := handle(m); err != nil {
-				return nil, st, err
+			if err := s.receive(m); err != nil {
+				return nil, s.st, err
 			}
+		}
+	}
+}
+
+// route resets the stream for an exchange over e and cuts each bucket
+// run into its destination's chunk queue: zero-copy run views batched
+// in bucket order, consecutive small runs sharing one chunk up to
+// ChunkKeys keys (so over-partitioned configurations keep the
+// materializing path's message count) and a run larger than ChunkKeys
+// spanning several.
+func (s *stream[K]) route(e comm.StreamEndpoint, tag comm.Tag, runs [][]K, owner func(int) int, opt StreamOptions) error {
+	if opt.ChunkKeys <= 0 {
+		opt.ChunkKeys = DefaultChunkKeys
+	}
+	p := e.Size()
+	s.e, s.tag, s.opt, s.me = e, tag, opt, e.Rank()
+	if opt.Spill != nil {
+		s.frameKeys = opt.Spill.FrameKeys(comm.SizeOf[K](), p)
+	}
+	if cap(s.chunksTo) < p {
+		s.chunksTo = make([][]chunk[K], p)
+		s.totalTo = make([]int64, p)
+		s.outs = make([]outStream, p)
+		s.ins = make([]inStream[K], p)
+	}
+	s.chunksTo, s.totalTo = s.chunksTo[:p], s.totalTo[:p]
+	s.outs, s.ins = s.outs[:p], s.ins[:p]
+	for d, q := range s.chunksTo {
+		for i := range q {
+			clear(q[i].runs)
+		}
+		s.chunksTo[d] = q[:0]
+		s.totalTo[d] = 0
+		s.outs[d] = outStream{credits: DefaultStreamWindow}
+		s.ins[d] = inStream[K]{bounds: s.ins[d].bounds[:0]}
+	}
+	s.sendsPending, s.unseen, s.expect, s.admitted = p-1, p, 0, 0
+	s.out, s.st = nil, StreamStats{}
+	for b, run := range runs {
+		dst := owner(b)
+		if dst < 0 || dst >= p {
+			return fmt.Errorf("exchange: owner(%d) = %d outside world size %d", b, dst, p)
+		}
+		s.totalTo[dst] += int64(len(run))
+		for len(run) > 0 {
+			c := min(opt.ChunkKeys, len(run))
+			s.push(dst, run[:c])
+			run = run[c:]
+		}
+	}
+	return nil
+}
+
+// push adds view to dst's chunk queue, into the last chunk while that
+// stays within ChunkKeys.
+func (s *stream[K]) push(dst int, view []K) {
+	q := s.chunksTo[dst]
+	if n := len(q); n > 0 && q[n-1].keys+len(view) <= s.opt.ChunkKeys {
+		q[n-1].runs = append(q[n-1].runs, view)
+		q[n-1].keys += len(view)
+	} else if n < cap(q) {
+		// Resurrect a slot kept from a previous sort: its runs array
+		// (cleared by route) is the buffer being reused.
+		q = q[:n+1]
+		q[n].runs = append(q[n].runs[:0], view)
+		q[n].keys = len(view)
+	} else {
+		q = append(q, chunk[K]{runs: [][]K{view}, keys: len(view)})
+	}
+	s.chunksTo[dst] = q
+}
+
+// start readies the incremental merge: one run per sender, added in
+// rank order so run indices — and with them duplicate-key tie-breaks —
+// are deterministic. Own data feeds its run directly and closes it
+// before the budget is set, so the run queue never charges it: it is
+// the caller's memory.
+func (s *stream[K]) start(cmp func(K, K) int, code func(K) uint64) {
+	coded, tie := code != nil, s.opt.Tie && code != nil
+	if s.lt == nil || s.coded != coded || s.tie != tie {
+		s.lt, s.coded, s.tie = merge.NewStreamerTie(cmp, code, tie), coded, tie
+	}
+	s.lt.Reset()
+	for range s.chunksTo {
+		s.lt.AddRun(nil)
+	}
+	for _, c := range s.chunksTo[s.me] {
+		for _, view := range c.runs {
+			s.lt.Append(s.me, view)
+		}
+	}
+	s.lt.CloseRun(s.me)
+	if s.opt.Spill != nil {
+		s.lt.SetBudget(s.opt.Spill)
+	}
+	s.see(s.totalTo[s.me])
+}
+
+// see accounts one stream's first message, whose total is the sender's
+// whole contribution. Once all are seen the output is sized, before any
+// key is emitted: a stream not yet seen starves the merge.
+func (s *stream[K]) see(total int64) {
+	s.expect += total
+	if s.unseen--; s.unseen == 0 {
+		s.out = make([]K, 0, s.expect)
+	}
+}
+
+// send pushes at most one chunk to every destination with credit,
+// staggered like the materializing path so chunks interleave across
+// destinations instead of draining one peer at a time, and reports
+// whether it sent anything.
+func (s *stream[K]) send() (bool, error) {
+	progress := false
+	p := len(s.outs)
+	for i := 1; i < p; i++ {
+		dst := (s.me + i) % p
+		o := &s.outs[dst]
+		if o.lastSent || o.credits == 0 {
+			continue
+		}
+		q := s.chunksTo[dst]
+		var msg streamMsg[K]
+		bytes := int64(MsgHeaderBytes)
+		if o.next < len(q) {
+			c := q[o.next]
+			o.next++
+			msg = streamMsg[K]{runs: c.runs, keys: c.keys, total: s.totalTo[dst], last: o.next == len(q)}
+			bytes += int64(len(c.runs))*RunHeaderBytes + int64(c.keys)*comm.SizeOf[K]()
+		} else {
+			// Nothing for this destination: a single empty closure
+			// message, which still pays the per-message overhead.
+			msg = streamMsg[K]{last: true}
+		}
+		if err := s.e.Send(dst, s.tag, msg, bytes); err != nil {
+			return false, fmt.Errorf("exchange: stream send: %w", err)
+		}
+		o.credits--
+		s.st.ChunksSent++
+		if msg.last {
+			o.lastSent = true
+			s.sendsPending--
+		}
+		progress = true
+	}
+	return progress, nil
+}
+
+// receive folds one incoming message into the stream: a credit widens
+// its destination's window; a chunk is admitted to the merge or
+// diverted to disk; a last chunk closes its stream.
+func (s *stream[K]) receive(m comm.Message) error {
+	sm, ok := m.Payload.(streamMsg[K])
+	if !ok {
+		return fmt.Errorf("exchange: stream payload type %T from rank %d", m.Payload, m.Src)
+	}
+	if sm.credit > 0 {
+		s.outs[m.Src].credits += int(sm.credit)
+		return nil
+	}
+	in := &s.ins[m.Src]
+	if in.closed {
+		return fmt.Errorf("exchange: chunk from rank %d after its last chunk", m.Src)
+	}
+	if !in.seen {
+		in.seen = true
+		s.see(sm.total)
+	}
+	if sm.keys > 0 {
+		if err := s.admit(m.Src, in, sm); err != nil {
+			return err
+		}
+	}
+	if !sm.last {
+		return nil
+	}
+	in.closed = true
+	in.bounds = in.bounds[:0] // the sender needs no further credits
+	if !in.diverted {
+		s.lt.CloseRun(m.Src)
+		return nil
+	}
+	// The stream's merge run stays open: its remainder now replays from
+	// the run file, refilled frame-at-a-time by drain as the merge
+	// consumes it.
+	run, err := in.w.Finish()
+	in.w = nil
+	if err != nil {
+		return err
+	}
+	if in.tail, err = run.Reader(true); err != nil {
+		run.Remove()
+		return err
+	}
+	return nil
+}
+
+// admit appends one chunk of stream src to the merge or, under a memory
+// budget that admitting it would exceed, diverts the rest of the stream
+// to a compressed run file. The divert is permanent, so the on-disk
+// remainder stays contiguous and in order.
+func (s *stream[K]) admit(src int, in *inStream[K], sm streamMsg[K]) error {
+	// Every remote stream still open or replaying from disk — every open
+	// merge run — may need one read-back frame resident, and by then the
+	// chunks admitted before its divert can still fill the budget: admit
+	// only what leaves room for all of those frames.
+	if sp := s.opt.Spill; sp != nil && !in.diverted &&
+		sp.WouldExceed(int64(sm.keys+s.lt.Open()*s.frameKeys)*comm.SizeOf[K]()) {
+		w, err := spill.NewWriter[K](sp, s.frameKeys)
+		if err != nil {
+			return err
+		}
+		in.w, in.diverted = w, true
+	}
+	if in.diverted {
+		for _, view := range sm.runs {
+			if err := in.w.WriteKeys(view); err != nil {
+				return err
+			}
+		}
+		// The chunk never occupies the merge, so its credit comes back
+		// as soon as it is on disk — the run file is the window. A last
+		// chunk needs no credit at all.
+		if sm.last {
+			return nil
+		}
+		return s.grant(src, 1)
+	}
+	for _, view := range sm.runs {
+		s.lt.Append(src, view)
+	}
+	in.admitted += int64(sm.keys)
+	in.bounds = append(in.bounds, in.admitted)
+	s.admitted += int64(sm.keys)
+	// Remote keys emitted so far = total emitted - own-stream emissions,
+	// so buffered = admitted - that difference.
+	buffered := (s.admitted - (int64(len(s.out)) - s.lt.Consumed(s.me))) * comm.SizeOf[K]()
+	s.st.PeakInFlight = max(s.st.PeakInFlight, buffered)
+	return nil
+}
+
+// drain refills every starved diverted tail with its next frame, emits
+// every safely mergeable key, then grants a credit for each chunk of a
+// still-open stream that has fully passed through the merge (a closed
+// stream's sender has nothing left to send). It reports whether it
+// refilled or emitted anything.
+func (s *stream[K]) drain() (bool, error) {
+	refilled := false
+	for i := range s.ins {
+		if tail := s.ins[i].tail; tail != nil {
+			n, err := s.lt.Refill(i, tail)
+			if err != nil {
+				return false, err
+			}
+			s.admitted += int64(n)
+			refilled = refilled || n > 0
+		}
+	}
+	t0 := time.Now()
+	emitted := len(s.out)
+	overlapped := s.lt.Open() > 0
+	if !overlapped && s.opt.Pool.Workers() > 1 {
+		// Every stream is closed and a worker pool is available: merge
+		// the unconsumed tail one sub-range per core. Byte-identical to
+		// the serial drain.
+		s.out = s.lt.DrainClosed(s.out, s.opt.Pool)
+	} else {
+		s.out = s.lt.DrainReady(s.out)
+	}
+	if len(s.out) == emitted {
+		return refilled, nil
+	}
+	if overlapped {
+		s.st.Overlap += time.Since(t0)
+	} else {
+		s.st.MergeTail += time.Since(t0)
+	}
+	p := len(s.ins)
+	for i := 1; i < p; i++ {
+		src := (s.me - i + p) % p
+		in := &s.ins[src]
+		var grant int32
+		for len(in.bounds) > 0 && s.lt.Consumed(src) >= in.bounds[0] {
+			in.bounds = in.bounds[1:]
+			grant++
+		}
+		if grant > 0 {
+			if err := s.grant(src, grant); err != nil {
+				return false, err
+			}
+		}
+	}
+	return true, nil
+}
+
+// grant returns n credits to the sender of stream src.
+func (s *stream[K]) grant(src int, n int32) error {
+	if err := s.e.Send(src, s.tag, streamMsg[K]{credit: n}, MsgHeaderBytes); err != nil {
+		return fmt.Errorf("exchange: stream credit: %w", err)
+	}
+	return nil
+}
+
+// end drops the exchange's output, now the caller's, and its spill
+// state, aborting a divert writer or closing a tail reader — each
+// deleting its file — that a failed exchange left open.
+func (s *stream[K]) end() {
+	s.out = nil
+	for i := range s.ins {
+		in := &s.ins[i]
+		if in.w != nil {
+			in.w.Abort()
+			in.w = nil
+		}
+		if in.tail != nil {
+			in.tail.Close()
+			in.tail = nil
 		}
 	}
 }

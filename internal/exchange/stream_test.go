@@ -128,8 +128,7 @@ func streamCase(t *testing.T, mk func(p int) comm.Transport, shards [][]pair, bu
 		t.Fatal(err)
 	}
 
-	eff := opt.withDefaults()
-	budget := int64(p-1) * int64(eff.Window) * int64(eff.ChunkKeys) * comm.SizeOf[pair]()
+	budget := int64(p-1) * DefaultStreamWindow * int64(cmp.Or(opt.ChunkKeys, DefaultChunkKeys)) * comm.SizeOf[pair]()
 	for r := 0; r < p; r++ {
 		if !slices.Equal(outM[r], outS[r]) {
 			t.Fatalf("rank %d: streaming output diverged from materializing path (%d vs %d keys)", r, len(outS[r]), len(outM[r]))
@@ -143,8 +142,8 @@ func streamCase(t *testing.T, mk func(p int) comm.Transport, shards [][]pair, bu
 	}
 }
 
-// TestExchangeStreamEquivalence sweeps world sizes, ownership maps,
-// chunk sizes and windows on both transports: the streaming pipeline
+// TestExchangeStreamEquivalence sweeps world sizes, ownership maps and
+// chunk sizes on both transports: the streaming pipeline
 // must be output-identical to Exchange + KWay, duplicates included.
 func TestExchangeStreamEquivalence(t *testing.T) {
 	backends := []struct {
@@ -170,9 +169,9 @@ func TestExchangeStreamEquivalence(t *testing.T) {
 		{"p3-roundrobin", 3, 9, rr},
 	}
 	opts := []StreamOptions{
-		{ChunkKeys: 1, Window: 1}, // worst case: every key its own message
-		{ChunkKeys: 7, Window: 2},
-		{ChunkKeys: 1 << 16, Window: 2}, // defaults: one chunk per run
+		{ChunkKeys: 1}, // worst case: every key its own message
+		{ChunkKeys: 7},
+		{ChunkKeys: 1 << 16}, // one chunk per run
 	}
 	for _, be := range backends {
 		for _, sh := range shapes {
@@ -237,7 +236,7 @@ func TestExchangeStreamBadOwner(t *testing.T) {
 // when there are just two values — the batch drain's safe bound sits on
 // a duplicate span in every stream at once, so liveness rests on the
 // run-index half of the bound (equal keys of runs up to the bounding one
-// are ready). With one-chunk windows of four keys every sender stalls
+// are ready). With two-chunk windows of four keys every sender stalls
 // until the receiver's merge consumes a whole chunk; a drain that held
 // the duplicates back would deadlock the exchange. Each case must finish
 // well inside the deadline, rank-identical to the materializing path.
@@ -263,7 +262,7 @@ func TestStreamAllEqualKeysLiveness(t *testing.T) {
 						}
 					}
 					start := time.Now()
-					streamCase(t, be.mk, shards, p, ContiguousOwner(p, p), StreamOptions{ChunkKeys: 4, Window: 1})
+					streamCase(t, be.mk, shards, p, ContiguousOwner(p, p), StreamOptions{ChunkKeys: 4})
 					if d := time.Since(start); d > 10*time.Second {
 						t.Fatalf("took %v, deadline 10s", d)
 					}

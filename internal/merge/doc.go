@@ -28,11 +28,12 @@
 //     The safe bound of a batch is the smallest (last buffered key, run
 //     index) over the runs that may still grow; see RunQueue. That is
 //     what lets exchange.ExchangeStream overlap the merge with the
-//     exchange itself and refill a diverted stream from its spill run a
-//     frame at a time; FromSources drives it over any chunk sources.
-//     Under a memory budget the queue charges each batch's scratch to the
-//     Budget and clips a batch that would not fit. NextReady and Next
-//     serve single keys from a staged batch.
+//     exchange itself. Streamer.Refill feeds a run from a Source (a
+//     diverted stream's spill run) once the run has consumed its last
+//     chunk; FromSources loops it over any sources. Under a Budget the
+//     queue is the only place merge input is charged: each chunk on
+//     Append, released as it is consumed, and each batch's scratch while
+//     it merges, clipped to fit. NextReady and Next serve single keys.
 //
 // Every form emits the same sequence — the stable sort of the
 // concatenated runs: ties go to the lower run index, after the prefix

@@ -93,13 +93,18 @@ func (pl plane[E]) arrays(r int) (elems bool, codeArrays int) {
 // scratchBytes is the working memory a merge of n keys in r non-empty
 // runs takes — what a budgeted caller charges before merging.
 func (pl plane[E]) scratchBytes(n, r int) int64 {
-	var zero E
 	elems, codeArrays := pl.arrays(r)
 	per := int64(codeArrays) * 8
 	if elems {
-		per += int64(unsafe.Sizeof(zero))
+		per += pl.elemBytes()
 	}
 	return int64(n) * per
+}
+
+// elemBytes is what a budgeted queue charges per buffered key.
+func (plane[E]) elemBytes() int64 {
+	var zero E
+	return int64(unsafe.Sizeof(zero))
 }
 
 // reserve sizes the scratch for a merge of n keys in r runs. Lengths

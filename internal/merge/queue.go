@@ -47,14 +47,17 @@ type RunQueue[E any] struct {
 	pendE [][][]E
 	// consumed counts keys ever emitted per run.
 	consumed []int64
-	// open marks runs that may still receive Append; starved counts open
-	// runs with drained buffers (they block NextReady and DrainReady).
+	// open marks runs that may still receive Append; opened counts them,
+	// starved counts those with drained buffers (they block NextReady and
+	// DrainReady).
 	open    []bool
+	opened  int
 	starved int
 	n       int
 
-	sc  Scratch[E]
-	bud Budget
+	sc      Scratch[E]
+	bud     Budget
+	charged []int64 // per run, bytes of appended chunks still held against bud
 	// One batch: cuts[i] keys of run i, viewed by batchE/batchC.
 	cuts   []int
 	batchE [][]E
@@ -81,9 +84,12 @@ func NewCodeTreeTie[E any](tie func(E, E) int) *RunQueue[E] {
 	return &RunQueue[E]{pl: planeOf(true, tie)}
 }
 
-// SetBudget makes the queue charge its batch scratch to bud while a
-// batch is being merged, and clip a batch whose scratch would not fit
-// (nil: no accounting). Reset drops the setting.
+// SetBudget makes the queue the one place its input is charged to bud
+// (nil: no accounting): every chunk appended from now on is charged on
+// Append and released as its keys are consumed, and each batch's scratch
+// is charged while the batch merges, clipping a batch that would not
+// fit. What the runs already hold — the caller's own data — stays
+// uncharged. Reset drops the setting.
 func (q *RunQueue[E]) SetBudget(bud Budget) { q.bud = bud }
 
 // Reset empties the queue for reuse, dropping all references to run data
@@ -101,9 +107,9 @@ func (q *RunQueue[E]) Reset() {
 	q.bud = nil
 	q.codes, q.elems, q.pos = q.codes[:0], q.elems[:0], q.pos[:0]
 	q.pendC, q.pendE = q.pendC[:0], q.pendE[:0]
-	q.consumed, q.open = q.consumed[:0], q.open[:0]
+	q.consumed, q.open, q.charged = q.consumed[:0], q.open[:0], q.charged[:0]
 	q.stage, q.stageC, q.next = q.stage[:0], q.stageC[:0], 0
-	q.n, q.starved = 0, 0
+	q.n, q.opened, q.starved = 0, 0, 0
 }
 
 // AddRun registers a new, initially open run holding the given sorted
@@ -120,8 +126,10 @@ func (q *RunQueue[E]) AddRun(cs []codes.Code, elems []E) int {
 	q.pendE = append(q.pendE, nil)
 	q.consumed = append(q.consumed, 0)
 	q.open = append(q.open, true)
+	q.charged = append(q.charged, 0)
 	q.cuts = append(q.cuts[:q.n], 0)
 	q.n++
+	q.opened++
 	if len(elems) == 0 {
 		q.starved++
 	}
@@ -143,6 +151,11 @@ func (q *RunQueue[E]) Append(i int, cs []codes.Code, elems []E) {
 	if len(elems) == 0 {
 		return
 	}
+	if q.bud != nil {
+		b := int64(len(elems)) * q.pl.elemBytes()
+		q.bud.Acquire(b)
+		q.charged[i] += b
+	}
 	if q.pos[i] < len(q.elems[i]) {
 		q.pendC[i] = append(q.pendC[i], cs)
 		q.pendE[i] = append(q.pendE[i], elems)
@@ -159,10 +172,14 @@ func (q *RunQueue[E]) CloseRun(i int) {
 		return
 	}
 	q.open[i] = false
+	q.opened--
 	if q.pos[i] >= len(q.elems[i]) {
 		q.starved--
 	}
 }
+
+// Open returns the number of runs that may still receive Append.
+func (q *RunQueue[E]) Open() int { return q.opened }
 
 // Consumed returns the number of keys emitted from run i so far.
 func (q *RunQueue[E]) Consumed(i int) int64 {
@@ -204,6 +221,7 @@ func (q *RunQueue[E]) Rest() ([][]E, [][]codes.Code) {
 			q.codes[i], q.pendC[i] = nil, nil
 		}
 		q.consumed[i] += int64(len(elems[i]))
+		q.release(i, len(elems[i]))
 		q.elems[i], q.pendE[i], q.pos[i] = nil, nil, 0
 	}
 	return elems, cs
@@ -328,6 +346,7 @@ func (q *RunQueue[E]) commit() {
 		}
 		q.pos[i] += c
 		q.consumed[i] += int64(c)
+		q.release(i, c)
 		if q.pos[i] < len(q.elems[i]) {
 			continue
 		}
@@ -341,6 +360,15 @@ func (q *RunQueue[E]) commit() {
 		} else if q.open[i] {
 			q.starved++
 		}
+	}
+}
+
+// release returns the charge of n consumed keys of run i to the budget.
+// A run's chunks are either all charged or, the caller's own, none.
+func (q *RunQueue[E]) release(i, n int) {
+	if b := min(int64(n)*q.pl.elemBytes(), q.charged[i]); b > 0 {
+		q.bud.Release(b)
+		q.charged[i] -= b
 	}
 }
 

@@ -5,20 +5,24 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"hssort/internal/codes"
 )
 
 // meter is a Budget with a fixed capacity that checks the queue's
-// accounting: never over capacity, never negative.
+// accounting: never negative, and over capacity only while admitting —
+// the caller's Append, whose admission is the caller's call. A batch's
+// scratch must fit in the room left.
 type meter struct {
-	t        *testing.T
-	capacity int64
-	resident int64
+	t         *testing.T
+	capacity  int64
+	resident  int64
+	admitting bool
 }
 
 func (m *meter) Acquire(b int64) {
-	if m.resident += b; m.resident > m.capacity {
+	if m.resident += b; b > 0 && m.resident > m.capacity && !m.admitting {
 		m.t.Fatalf("budget exceeded: %d resident of %d", m.resident, m.capacity)
 	}
 }
@@ -38,11 +42,15 @@ func (m *meter) Room() int64 { return m.capacity - m.resident }
 // oracle's prefix, that nothing was emitted while an open run was
 // starved, that no emitted key orders after an open run's last buffered
 // key, that DrainReady stops only at starvation or exhaustion, and that
-// the per-run consumed counts add up to the emitted count. less orders
-// two (key, run) pairs the way the merge does.
-func driveQueue[K comparable](t *testing.T, st *Streamer[K], runs [][]K, want []K, pick func(n int) int, less func(a K, ra int, b K, rb int) bool, origin func(K) int) {
+// the per-run consumed counts add up to the emitted count. With a meter
+// (st's budget) it checks too that the meter holds exactly the appended
+// keys not yet consumed — each chunk charged on Append, released as it
+// is consumed, zero once the queue is exhausted. less orders two (key,
+// run) pairs the way the merge does.
+func driveQueue[K comparable](t *testing.T, st *Streamer[K], m *meter, runs [][]K, want []K, pick func(n int) int, less func(a K, ra int, b K, rb int) bool, origin func(K) int) {
 	t.Helper()
 	k := len(runs)
+	size := int64(unsafe.Sizeof(*new(K)))
 	rest := make([][]K, k) // keys not yet appended
 	last := make([]*K, k)  // last key appended per run
 	appended := make([]int64, k)
@@ -86,6 +94,19 @@ func driveQueue[K comparable](t *testing.T, st *Streamer[K], runs [][]K, want []
 			t.Fatalf("consumed counts add up to %d, emitted %d", sum, len(got))
 		}
 	}
+	checkMeter := func() {
+		t.Helper()
+		if m == nil {
+			return
+		}
+		var held int64
+		for i := range runs {
+			held += appended[i] - st.Consumed(i)
+		}
+		if m.resident != held*size {
+			t.Fatalf("meter holds %d bytes for %d buffered keys of %d bytes", m.resident, held, size)
+		}
+	}
 	for steps := 0; !st.Exhausted(); steps++ {
 		if steps > 64*(len(want)+k+1) {
 			t.Fatalf("no progress: %d of %d keys after %d steps", len(got), len(want), steps)
@@ -95,7 +116,13 @@ func driveQueue[K comparable](t *testing.T, st *Streamer[K], runs [][]K, want []
 		case ev < 3 && open[i] && len(rest[i]) > 0:
 			c := 1 + pick(min(len(rest[i]), 1+pick(40)))
 			chunk := slices.Clone(rest[i][:c])
+			if m != nil {
+				m.admitting = true
+			}
 			st.Append(i, chunk)
+			if m != nil {
+				m.admitting = false
+			}
 			rest[i], last[i], appended[i] = rest[i][c:], &chunk[c-1], appended[i]+int64(c)
 		case ev < 5 && open[i] && len(rest[i]) == 0:
 			st.CloseRun(i)
@@ -117,6 +144,7 @@ func driveQueue[K comparable](t *testing.T, st *Streamer[K], runs [][]K, want []
 				emitted([]K{e}, was)
 			}
 		}
+		checkMeter()
 	}
 	if len(got) != len(want) {
 		t.Fatalf("exhausted after %d of %d keys", len(got), len(want))
@@ -138,22 +166,22 @@ func drivePlanes(t *testing.T, keyRuns [][]codes.Code, pick func(n int) int) {
 		return a.key < b.key || (a.key == b.key && ra < rb)
 	}
 	for _, capacity := range []int64{-1, 1 << 20, 200, 0} {
-		budget := func() Budget {
+		budget := func(st interface{ SetBudget(Budget) }) *meter {
 			if capacity < 0 {
 				return nil
 			}
-			return &meter{t: t, capacity: capacity}
+			m := &meter{t: t, capacity: capacity}
+			st.SetBudget(m)
+			return m
 		}
 		pure := NewStreamer(codes.Compare, nil)
-		pure.SetBudget(budget())
-		driveQueue(t, pure, keyRuns, wantPure, pick, lessCode, func(codes.Code) int { return 0 })
+		driveQueue(t, pure, budget(pure), keyRuns, wantPure, pick, lessCode, func(codes.Code) int { return 0 })
 		for _, st := range []*Streamer[rec]{
 			NewStreamer(recCmp, recKey),             // record plane
 			NewStreamerTie(recCmp, recPrefix, true), // tie plane
 			NewStreaming(recCmp),                    // comparator plane
 		} {
-			st.SetBudget(budget())
-			driveQueue(t, st, recRuns, wantRec, pick, lessRec, func(e rec) int { return int(e.run) })
+			driveQueue(t, st, budget(st), recRuns, wantRec, pick, lessRec, func(e rec) int { return int(e.run) })
 		}
 	}
 }
@@ -199,4 +227,92 @@ func FuzzDrainReady(f *testing.F) {
 		}
 		drivePlanes(t, byteRuns(int(kB)%48+1, data), pick)
 	})
+}
+
+// reusedSource hands out its run a chunk at a time, copied into one
+// buffer it reuses, and fails the test when asked for a chunk before the
+// queue has consumed the previous one.
+type reusedSource[K any] struct {
+	t      *testing.T
+	st     *Streamer[K]
+	run    int
+	keys   []K
+	chunk  int
+	buf    []K
+	handed int64
+}
+
+func (s *reusedSource[K]) NextChunk() ([]K, error) {
+	if c := s.st.Consumed(s.run); c < s.handed {
+		s.t.Fatalf("run %d asked for a chunk with %d of %d keys consumed", s.run, c, s.handed)
+	}
+	n := min(s.chunk, len(s.keys))
+	if n == 0 {
+		return nil, nil
+	}
+	s.buf = append(s.buf[:0], s.keys[:n]...)
+	s.keys = s.keys[n:]
+	s.handed += int64(n)
+	return s.buf, nil
+}
+
+// TestQueueChargesRefills: the budgeted queue is where merge input is
+// charged. Run 0, filled by the caller before SetBudget, is never
+// charged; Refill charges each chunk a Source hands over and asks for
+// the next only once the run has consumed it, so a Source that reuses
+// one buffer merges correctly; batches clip to the room one chunk per
+// source leaves; and the meter holds exactly the handed-over keys not
+// yet consumed, zero once the queue is exhausted — driven by hand and
+// through FromSources.
+func TestQueueChargesRefills(t *testing.T) {
+	rng := rand.New(rand.NewPCG(38, 2))
+	size := int64(unsafe.Sizeof(rec{}))
+	for _, k := range []int{1, 2, 5, 17} {
+		for _, chunk := range []int{1, 7, 64} {
+			recRuns, _ := recRunsOf(runShape(rng, k+1, 300, 1<<10))
+			want := stableMerge(recRuns, recKey, nil)
+			sources := func(st *Streamer[rec], runs [][]rec, first int) []Source[rec] {
+				srcs := make([]Source[rec], len(runs))
+				for i, r := range runs {
+					srcs[i] = &reusedSource[rec]{t: t, st: st, run: first + i, keys: r, chunk: chunk}
+				}
+				return srcs
+			}
+
+			st := NewStreamer(recCmp, recKey)
+			st.CloseRun(st.AddRun(recRuns[0]))
+			m := &meter{t: t, capacity: int64(k*chunk) * size}
+			st.SetBudget(m)
+			srcs := sources(st, recRuns[1:], 1)
+			for range srcs {
+				st.AddRun(nil)
+			}
+			var got []rec
+			for !st.Exhausted() {
+				for i, src := range srcs {
+					if _, err := st.Refill(1+i, src); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got = st.DrainReady(got)
+				var held int64
+				for i, src := range srcs {
+					held += src.(*reusedSource[rec]).handed - st.Consumed(1+i)
+				}
+				if m.resident != held*size {
+					t.Fatalf("k=%d chunk=%d: meter holds %d bytes for %d buffered source keys", k, chunk, m.resident, held)
+				}
+			}
+			if !slices.Equal(got, want) || m.resident != 0 {
+				t.Fatalf("k=%d chunk=%d: by hand, output equal %v, meter %d at the end", k, chunk, slices.Equal(got, want), m.resident)
+			}
+
+			st = NewStreamer(recCmp, recKey)
+			m = &meter{t: t, capacity: int64((k+1)*chunk) * size}
+			got, err := FromSources(st, sources(st, recRuns, 0), m, nil, size)
+			if err != nil || !slices.Equal(got, want) || m.resident != 0 {
+				t.Fatalf("k=%d chunk=%d: FromSources err %v, output equal %v, meter %d at the end", k, chunk, err, slices.Equal(got, want), m.resident)
+			}
+		}
+	}
 }

@@ -8,92 +8,71 @@ import "fmt"
 // every NextChunk reads back one frame, so the merge's working set is a
 // frame per run rather than the runs themselves.
 type Source[K any] interface {
-	// NextChunk returns the run's next chunk of sorted keys, or (nil,
-	// nil) when the run is exhausted. The returned slice is owned by the
-	// caller until the following NextChunk call.
+	// NextChunk returns the run's next non-empty chunk of sorted keys,
+	// or (nil, nil) when the run is exhausted. The returned slice is
+	// owned by the caller until the following NextChunk call.
 	NextChunk() ([]K, error)
 }
 
-// Budget is the meter the incremental merge charges resident bytes
-// against: Acquire when a chunk enters the run queue or a batch takes
-// its scratch, Release once the chunk has been fully consumed or the
-// batch is merged; Room is what may still be acquired before the budget
-// is exceeded (negative once it is). spill.Manager implements it
-// (tracking peak resident bytes against Config.MemoryBudget); nil
-// disables accounting.
+// Budget is the meter a budgeted RunQueue charges resident bytes
+// against: Acquire when a chunk is appended or a batch takes its
+// scratch, Release as the chunk's keys are consumed or once the batch is
+// merged; Room is what may still be acquired before the budget is
+// exceeded (negative once it is). spill.Manager implements it (tracking
+// peak resident bytes against Config.MemoryBudget); nil disables
+// accounting.
 type Budget interface {
 	Acquire(bytes int64)
 	Release(bytes int64)
 	Room() int64
 }
 
-// FromSources merges the sorted runs behind srcs through st, appending
-// the merged keys to out. It keeps at most one unconsumed chunk per run
-// resident: a run is refilled only when the merge has consumed
-// everything it appended (the same starvation signal the streaming
-// exchange keys its credits on), and each chunk's bytes — and each
-// batch's merge scratch, for as long as the batch takes — are charged to
-// bud while resident. st must be freshly reset; run indices are
-// assigned in srcs order, so duplicate keys tie-break by source index —
-// callers get deterministic output by fixing the source order.
-func FromSources[K any](st *Streamer[K], srcs []Source[K], bud Budget, out []K, keySize int64) ([]K, error) {
-	n := len(srcs)
+// Refill feeds open run i the next chunk of src, but only once the run
+// has consumed everything appended to it before — so a Source may reuse
+// one buffer for every chunk — and closes the run when src is
+// exhausted. It returns the number of keys appended, 0 when the run was
+// not starved, is closed, or has just been closed.
+func (s *Streamer[K]) Refill(i int, src Source[K]) (int, error) {
+	s.settle()
+	if !s.open[i] || s.pos[i] < len(s.elems[i]) {
+		return 0, nil
+	}
+	keys, err := src.NextChunk()
+	if err != nil {
+		return 0, err
+	}
+	if keys == nil {
+		s.CloseRun(i)
+		return 0, nil
+	}
+	s.Append(i, keys)
+	return len(keys), nil
+}
+
+// FromSources merges the sorted runs behind srcs through st under bud,
+// appending the merged keys to out; Refill keeps at most one unconsumed
+// chunk per run resident. The last argument, bytes per key, is unused:
+// st charges a key's in-memory size. st must be freshly reset; run
+// indices follow srcs order, so duplicate keys tie-break by source
+// index.
+func FromSources[K any](st *Streamer[K], srcs []Source[K], bud Budget, out []K, _ int64) ([]K, error) {
 	st.SetBudget(bud)
-	admitted := make([]int64, n) // keys appended to the merge per run
-	released := make([]int64, n) // keys whose budget has been returned
-	charged := make([]int64, n)  // bytes currently held against bud
-	closed := make([]bool, n)
-	open := n
 	for range srcs {
 		st.AddRun(nil)
 	}
-	for {
-		progress := false
-		// Refill every starved open run with one chunk; a source that
-		// reports exhaustion closes its run instead.
-		for i := range srcs {
-			if closed[i] || st.Consumed(i) < admitted[i] {
-				continue
-			}
-			keys, err := srcs[i].NextChunk()
+	for !st.Exhausted() {
+		fed := 0
+		for i, src := range srcs {
+			n, err := st.Refill(i, src)
 			if err != nil {
 				return out, err
 			}
-			if keys == nil {
-				st.CloseRun(i)
-				closed[i] = true
-				open--
-			} else {
-				if bud != nil {
-					b := int64(len(keys)) * keySize
-					bud.Acquire(b)
-					charged[i] += b
-				}
-				st.Append(i, keys)
-				admitted[i] += int64(len(keys))
-			}
-			progress = true
+			fed += n
 		}
-		// Emit everything that is provably safe (no open run starved).
 		emitted := len(out)
-		out = st.DrainReady(out)
-		progress = progress || len(out) > emitted
-		// Return the budget of consumed keys.
-		if bud != nil {
-			for i := range srcs {
-				if c := st.Consumed(i); c > released[i] {
-					b := min((c-released[i])*keySize, charged[i])
-					bud.Release(b)
-					charged[i] -= b
-					released[i] = c
-				}
-			}
-		}
-		if open == 0 && st.Exhausted() {
-			return out, nil
-		}
-		if !progress {
-			return out, fmt.Errorf("merge: FromSources stalled with %d open runs", open)
+		if out = st.DrainReady(out); fed == 0 && len(out) == emitted && !st.Exhausted() {
+			return out, fmt.Errorf("merge: FromSources stalled with %d open runs", st.Open())
 		}
 	}
+	return out, nil
 }

@@ -9,7 +9,8 @@ import "hssort/internal/codes"
 // nil on the comparator plane), SetBudget and Reset are the queue's;
 // only admission differs: every appended chunk is encoded once (one
 // extractor call per key per hop; nothing at all when the keys already
-// are codes — chunks then alias straight into the queue).
+// are codes — chunks then alias straight into the queue), and Refill
+// appends a Source's chunks one at a time.
 type Streamer[K any] struct {
 	*RunQueue[K]
 	code func(K) uint64

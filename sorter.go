@@ -108,6 +108,9 @@ func newSorter[K any](cfg Config, compare func(K, K) int, coder keycoder.Coder[K
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("hssort: at least one shard is required")
 	}
+	if cfg.Timeout < 0 {
+		return nil, fmt.Errorf("hssort: Timeout %v < 0", cfg.Timeout)
+	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Minute
 	}

@@ -450,6 +450,7 @@ func TestNewRejectsWhatSortWould(t *testing.T) {
 		"Epsilon -1":   {Procs: 4, Epsilon: -1},
 		"Buckets -3":   {Procs: 4, Buckets: -3},
 		"ChunkKeys -5": {Procs: 4, ChunkKeys: -5},
+		"Timeout -1s":  {Procs: 4, Timeout: -time.Second},
 	} {
 		before := runtime.NumGoroutine()
 		s, err := New[int64](cfg)
