@@ -113,7 +113,7 @@ func main() {
 		peerTimeout = flag.Duration("peer-timeout", 0, "tcp: declare a silent peer crashed after this long (0 = detect severed sockets only)")
 		rejoin      = flag.Bool("rejoin", false, "tcp worker mode: rejoin the live mesh in place of this rank's crashed predecessor instead of bootstrapping a new world")
 		rejoinWait  = flag.Duration("rejoin-wait", 0, "tcp: after a peer crash, retry the sort and wait up to this long for the respawned rank to rejoin (0 = fail on first crash)")
-		chaosSpec   = flag.String("chaos", "", "deterministic fault injection \"seed:drop=P,delay=P,dup=P,maxdelay=DUR,crash=RANK@PHASE\" (PHASE: start, splitter, exchange, or sends:N); in worker mode a crash of this rank is a real kill -9")
+		chaosSpec   = flag.String("chaos", "", "deterministic fault injection \"seed:delay=P,crash=RANK@PHASE\" (PHASE: start, splitter, exchange); in worker mode a crash of this rank is a real kill -9")
 	)
 	flag.Parse()
 
@@ -197,7 +197,7 @@ func main() {
 		cfg.TCP.Rank = *rank
 		cfg.TCP.ListenAddr = *listenAddr
 		cfg.TCP.Rejoin = *rejoin
-		if chaos != nil && (chaos.CrashPhase != "" || chaos.CrashAfterSends > 0) {
+		if chaos != nil && chaos.CrashPhase != "" {
 			// A worker-mode chaos crash is the real thing: the victim
 			// process SIGKILLs itself mid-protocol (no shutdown handshake,
 			// peers see a severed socket), exactly what the respawn +

@@ -91,9 +91,9 @@ type Config struct {
 	// populated on the rank-0 process only.
 	TCP TCPConfig
 	// Chaos, when non-nil, wraps the transport in a deterministic
-	// seeded fault-injection layer: link faults (drop/delay/dup) that
-	// add latency without changing output, and an optional one-shot
-	// rank crash at a named phase. See ChaosConfig. Testing facility;
+	// seeded fault-injection layer: link delays that add latency
+	// without changing output, and an optional one-shot rank crash at
+	// a named phase. See ChaosConfig. Testing facility;
 	// leave nil in production.
 	Chaos *ChaosConfig
 	// StreamExchange replaces the materializing all-to-all + merge with

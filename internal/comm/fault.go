@@ -1,24 +1,19 @@
 package comm
 
 // fault.go implements FaultTransport: a deterministic chaos layer that
-// wraps any Transport and perturbs its message flow — seeded drops,
-// delays, duplicates, and a one-shot rank crash at a chosen protocol
-// point. It is the test substrate for the failure-survival machinery:
-// the same seed produces the same fault schedule, so a chaos test that
-// fails replays exactly.
+// wraps any Transport and perturbs its message flow — seeded delays and
+// a one-shot rank crash at a chosen protocol point. It is the test
+// substrate for the failure-survival machinery: the same seed produces
+// the same fault schedule, so a chaos test that fails replays exactly.
 //
 // The sort protocols assume what TCP gives them: reliable, FIFO,
 // exactly-once delivery per (src, dst, tag) stream. A fault layer that
 // actually discarded or reordered messages would not model a fault of
 // the deployed system — it would model a different (broken) transport,
-// and every protocol would rightly hang. So drop/delay/dup model a
-// lossy *link* underneath its repair layer, the way TCP rides on lossy
-// IP: a dropped message is retransmitted (delivered after a retransmit
-// delay), a delayed message waits out its jitter, a duplicate is
-// delivered once and the copy suppressed. The observable effect is pure
-// added latency on a per-pair FIFO link — protocol outputs stay
-// byte-identical to a clean run, which is exactly the determinism
-// property the chaos sweep pins.
+// and every protocol would rightly hang. So the link fault is latency
+// on a per-pair FIFO link: a delayed message waits out its jitter, and
+// protocol outputs stay byte-identical to a clean run, which is exactly
+// the determinism property the chaos sweep pins.
 //
 // Crashes are the real faults: once the crash condition fires, the
 // victim rank's endpoint dies for real (TCPTransport.Kill /
@@ -36,65 +31,39 @@ import (
 	"time"
 )
 
-// FaultSpec configures a FaultTransport. Probabilities are per message
-// and must satisfy Drop+Delay+Dup ≤ 1; the fate of each message is
+// defaultMaxDelay is FaultSpec.MaxDelay's default jitter bound.
+const defaultMaxDelay = 2 * time.Millisecond
+
+// FaultSpec configures a FaultTransport. The fate of each message is
 // drawn deterministically from Seed and the (src, dst) pair's message
 // sequence.
 type FaultSpec struct {
 	// Seed drives every random decision. The same seed and traffic
 	// produce the same fault schedule.
 	Seed uint64
-	// Drop, Delay, Dup are per-message probabilities of the three link
-	// faults. A "dropped" message is delivered after RetransmitDelay
-	// (the link's repair layer resends it); a delayed message waits a
-	// jitter in (0, MaxDelay]; a duplicated message is delivered once
-	// with the copy suppressed.
-	Drop, Delay, Dup float64
+	// Delay is the per-message probability of the link fault: the
+	// message waits a jitter in (0, MaxDelay] on its pair's FIFO link.
+	Delay float64
 	// MaxDelay bounds the delay jitter. Default 2ms.
 	MaxDelay time.Duration
-	// RetransmitDelay is the latency modeling a drop + retransmit.
-	// Default 2×MaxDelay.
-	RetransmitDelay time.Duration
 
-	// CrashRank is the rank that crashes when CrashWhen or
-	// CrashAfterSends triggers (meaningful only when one of them is
-	// set).
+	// CrashRank is the rank that crashes when CrashWhen triggers.
 	CrashRank int
 	// CrashWhen triggers the crash on CrashRank's first send matching
 	// the predicate — tags name protocol phases, so a crash lands at a
 	// reproducible protocol point.
 	CrashWhen func(src, dst int, tag Tag) bool
-	// CrashAfterSends triggers the crash on CrashRank's nth send (1 ≤
-	// n), counting all destinations. Zero disables.
-	CrashAfterSends int
 	// OnCrash, if set, replaces the default crash action (killing the
 	// victim's endpoint): the multi-process harness uses it to SIGKILL
 	// the victim process itself.
 	OnCrash func(rank int)
 }
 
-// withDefaults fills unset spec fields.
-func (s FaultSpec) withDefaults() FaultSpec {
-	if s.MaxDelay == 0 {
-		s.MaxDelay = 2 * time.Millisecond
-	}
-	if s.RetransmitDelay == 0 {
-		s.RetransmitDelay = 2 * s.MaxDelay
-	}
-	return s
-}
-
-// lossy reports whether any link fault is enabled.
-func (s *FaultSpec) lossy() bool { return s.Drop > 0 || s.Delay > 0 || s.Dup > 0 }
-
-// crashArmed reports whether a crash trigger is configured.
-func (s *FaultSpec) crashArmed() bool { return s.CrashWhen != nil || s.CrashAfterSends > 0 }
-
 // FaultStats counts the faults a FaultTransport has injected.
 type FaultStats struct {
-	// Dropped, Delayed, Duplicated count link faults (each message
-	// still delivered exactly once, late).
-	Dropped, Delayed, Duplicated int64
+	// Delayed counts delayed messages (each still delivered exactly
+	// once, late).
+	Delayed int64
 	// Crashes is 1 after the crash trigger has fired.
 	Crashes int64
 }
@@ -120,9 +89,8 @@ type FaultTransport struct {
 
 	crashed  atomic.Bool
 	crashErr atomic.Pointer[PeerCrashError]
-	sends    atomic.Int64 // CrashRank's send count (CrashAfterSends)
 
-	dropped, delayed, duplicated, crashes atomic.Int64
+	delayed, crashes atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -135,9 +103,12 @@ var (
 
 // NewFaultTransport wraps inner with the fault schedule of spec.
 func NewFaultTransport(inner Transport, spec FaultSpec) *FaultTransport {
+	if spec.MaxDelay == 0 {
+		spec.MaxDelay = defaultMaxDelay
+	}
 	return &FaultTransport{
 		inner:  inner,
-		spec:   spec.withDefaults(),
+		spec:   spec,
 		links:  make(map[[2]int]*faultLink),
 		sendMu: make([]sync.Mutex, inner.Size()),
 	}
@@ -149,12 +120,7 @@ func (ft *FaultTransport) Inner() Transport { return ft.inner }
 
 // FaultStats returns the faults injected so far.
 func (ft *FaultTransport) FaultStats() FaultStats {
-	return FaultStats{
-		Dropped:    ft.dropped.Load(),
-		Delayed:    ft.delayed.Load(),
-		Duplicated: ft.duplicated.Load(),
-		Crashes:    ft.crashes.Load(),
-	}
+	return FaultStats{Delayed: ft.delayed.Load(), Crashes: ft.crashes.Load()}
 }
 
 // faultLink is the per-(src,dst) FIFO delivery worker: messages queue
@@ -203,14 +169,14 @@ func (ft *FaultTransport) link(src, dst int) *faultLink {
 
 // Send applies the crash trigger and the link fault schedule, then
 // forwards to the inner transport (directly, or through the pair's FIFO
-// link when a latency fault is drawn).
+// link when delays are armed).
 func (ft *FaultTransport) Send(src, dst int, tag Tag, payload any, bytes int64) error {
-	if ft.spec.crashArmed() && src == ft.spec.CrashRank {
+	if ft.spec.CrashWhen != nil && src == ft.spec.CrashRank {
 		if err := ft.maybeCrash(src, dst, tag); err != nil {
 			return err
 		}
 	}
-	if src == dst || !ft.spec.lossy() {
+	if src == dst || ft.spec.Delay <= 0 {
 		return ft.deliver(src, dst, tag, payload, bytes)
 	}
 	if err := ft.inner.Err(); err != nil {
@@ -222,22 +188,10 @@ func (ft *FaultTransport) Send(src, dst int, tag Tag, payload any, bytes int64) 
 	if l.closed {
 		return ErrTransportClosed
 	}
-	u := splitmix64Float(&l.rng)
 	var wait time.Duration
-	s := &ft.spec
-	switch {
-	case u < s.Drop:
-		// The link lost the message; its repair layer retransmits.
-		wait = s.RetransmitDelay
-		ft.dropped.Add(1)
-	case u < s.Drop+s.Delay:
-		wait = time.Duration(1 + splitmix64(&l.rng)%uint64(s.MaxDelay))
+	if splitmix64Float(&l.rng) < ft.spec.Delay {
+		wait = time.Duration(1 + splitmix64(&l.rng)%uint64(ft.spec.MaxDelay))
 		ft.delayed.Add(1)
-	case u < s.Drop+s.Delay+s.Dup:
-		// Delivered twice; the duplicate is suppressed, the survivor
-		// pays the duplicate-detection queueing cost.
-		wait = s.MaxDelay / 2
-		ft.duplicated.Add(1)
 	}
 	l.q = append(l.q, faultMsg{tag: tag, payload: payload, bytes: bytes, wait: wait, epoch: ft.epoch.Load()})
 	l.cond.Signal()
@@ -252,11 +206,7 @@ func (ft *FaultTransport) maybeCrash(src, dst int, tag Tag) error {
 		return ft.crashError(src)
 	}
 	s := &ft.spec
-	trigger := s.CrashWhen != nil && s.CrashWhen(src, dst, tag)
-	if s.CrashAfterSends > 0 && ft.sends.Add(1) >= int64(s.CrashAfterSends) {
-		trigger = true
-	}
-	if !trigger {
+	if !s.CrashWhen(src, dst, tag) {
 		return nil
 	}
 	if !ft.crashed.CompareAndSwap(false, true) {
@@ -288,7 +238,6 @@ func (ft *FaultTransport) maybeCrash(src, dst int, tag Tag) error {
 // a phase-triggered crash would re-fire every run.
 func (ft *FaultTransport) ClearCrash() {
 	ft.spec.CrashWhen = nil
-	ft.spec.CrashAfterSends = 0
 	ft.crashErr.Store(nil)
 	ft.crashed.Store(false)
 }
@@ -402,5 +351,5 @@ func (ft *FaultTransport) Close() error {
 
 // String identifies the wrapper in logs and test failures.
 func (ft *FaultTransport) String() string {
-	return fmt.Sprintf("FaultTransport(drop=%g delay=%g dup=%g seed=%d)", ft.spec.Drop, ft.spec.Delay, ft.spec.Dup, ft.spec.Seed)
+	return fmt.Sprintf("FaultTransport(delay=%g seed=%d)", ft.spec.Delay, ft.spec.Seed)
 }

@@ -30,7 +30,7 @@ package comm
 // Teardown. Close sends a shutdown frame and half-closes each
 // connection; an EOF after a shutdown frame is graceful, an EOF without
 // one aborts the transport (peer crash). Close waits for the peer's own
-// shutdown up to ShutdownTimeout, then force-closes, and is the hook
+// shutdown up to shutdownTimeout, then force-closes, and is the hook
 // behind the goroutine-leak guarantees the tests pin.
 //
 // Failure survival. A peer's death surfaces as a typed *PeerCrashError
@@ -69,6 +69,10 @@ import (
 // Close.
 var ErrTransportClosed = errors.New("comm: transport closed")
 
+// shutdownTimeout bounds how long Close waits for peers to finish their
+// own teardown before force-closing sockets.
+const shutdownTimeout = 5 * time.Second
+
 // TCPOptions configures one process's endpoint of a TCP world. The zero
 // value is not usable: Coordinator, Rank and Procs are required (the
 // NewTCPLoopback helper fills them for in-process meshes).
@@ -94,9 +98,6 @@ type TCPOptions struct {
 	// BootstrapTimeout bounds a join, registration to whole mesh, and
 	// each handshake served on the listener. Default 30s.
 	BootstrapTimeout time.Duration
-	// ShutdownTimeout bounds how long Close waits for peers to finish
-	// their own teardown before force-closing sockets. Default 5s.
-	ShutdownTimeout time.Duration
 	// PeerTimeout declares a peer crashed when nothing — data or
 	// heartbeat — has arrived from it for this long, surfacing a
 	// *PeerCrashError instead of hanging until a socket error. Zero
@@ -130,9 +131,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.BootstrapTimeout == 0 {
 		o.BootstrapTimeout = 30 * time.Second
-	}
-	if o.ShutdownTimeout == 0 {
-		o.ShutdownTimeout = 5 * time.Second
 	}
 	if o.HeartbeatInterval == 0 && o.PeerTimeout > 0 {
 		o.HeartbeatInterval = max(o.PeerTimeout/3, time.Millisecond)
@@ -1225,7 +1223,7 @@ func (t *TCPTransport) Counters(r int) Counters {
 }
 
 // Close tears the endpoint down gracefully: a shutdown frame and a
-// half-close on every connection, then waiting (up to ShutdownTimeout)
+// half-close on every connection, then waiting (up to shutdownTimeout)
 // for peers to finish their own teardown before force-closing sockets.
 // After Close every operation fails with ErrTransportClosed. Close is
 // idempotent and leaves no goroutines behind.
@@ -1258,7 +1256,7 @@ func (t *TCPTransport) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(t.opts.ShutdownTimeout):
+	case <-time.After(shutdownTimeout):
 		t.forceClose()
 		<-done
 	}

@@ -16,7 +16,7 @@ import (
 type Schedule int
 
 const (
-	// FixedOversampling gathers an expected OversampleFactor·Buckets
+	// FixedOversampling gathers an expected oversampleFactor·Buckets
 	// sample per round until all splitters are finalized (§6.1.2).
 	FixedOversampling Schedule = iota
 	// Theoretical runs Rounds rounds with sampling ratios
@@ -126,9 +126,6 @@ type Options[K any] struct {
 	// run files (see spill.Manager). nil keeps every phase fully in
 	// memory.
 	Spill *spill.Manager
-	// BaseTag is the start of the tag range (TagSpan tags) the sort uses
-	// on the endpoint. Default 1000.
-	BaseTag comm.Tag
 
 	// Schedule selects HSS's sampling discipline. Default
 	// FixedOversampling.
@@ -141,10 +138,6 @@ type Options[K any] struct {
 	// best candidates seen (guarantees termination on adversarial
 	// inputs such as mass duplicates). Default: 4× the §6.2 bound + 8.
 	MaxRounds int
-	// OversampleFactor is f for FixedOversampling: the expected sample
-	// size per round in units of Buckets. Default 5 (the paper's
-	// setting).
-	OversampleFactor float64
 	// Approx enables §3.4 approximate histogramming: local ranks are
 	// answered from a per-rank representative sample instead of the
 	// full input. The effective imbalance guarantee loosens to ~2ε.
@@ -213,21 +206,12 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Splitters != nil && len(o.Splitters) != o.Buckets-1 {
 		return o, fmt.Errorf("core: %d injected splitters for %d buckets (want %d)", len(o.Splitters), o.Buckets, o.Buckets-1)
 	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 1000
-	}
 
-	if o.OversampleFactor == 0 {
-		o.OversampleFactor = 5
-	}
-	if o.OversampleFactor <= 2 && o.Schedule == FixedOversampling {
-		return o, fmt.Errorf("core: OversampleFactor %v must exceed 2", o.OversampleFactor)
-	}
 	if o.Rounds == 0 {
 		o.Rounds = sampling.AutoRounds(o.Buckets, o.Epsilon)
 	}
 	if o.MaxRounds == 0 {
-		bound, err := sampling.ExpectedRoundsFixed(o.Buckets, o.Epsilon, max(o.OversampleFactor, 3))
+		bound, err := sampling.ExpectedRoundsFixed(o.Buckets, o.Epsilon, oversampleFactor)
 		if err != nil {
 			bound = 8
 		}
@@ -244,15 +228,22 @@ func (o Options[K]) Validate(p int) error {
 	return err
 }
 
-// The skeleton's tag layout, as offsets from Options.BaseTag, in protocol
-// order. Every splitter-based sort — flat or two-level, whatever its
-// strategy — uses this one layout, which is what lets PhaseTagRange name
-// a phase for all of them.
+// oversampleFactor is f for FixedOversampling: the expected sample size
+// per round in units of Buckets — the paper's production setting
+// (§6.1.2).
+const oversampleFactor = 5
+
+// The skeleton's tag layout, in protocol order, from tagBase. Every
+// splitter-based sort — flat or two-level, whatever its strategy — uses
+// this one layout, which is what lets PhaseTagRange name a phase for
+// all of them.
 const (
-	tagCount = 0 // global N all-reduce (+1)
+	// tagBase is the first tag a sort uses on its endpoint.
+	tagBase  comm.Tag = 1000
+	tagCount          = tagBase // global N all-reduce (+1)
 	// TagStrategy starts the StrategyTags tags a splitter strategy lays
 	// out for its own protocol.
-	TagStrategy  = 2
+	TagStrategy  = tagBase + 2
 	StrategyTags = 4
 	tagSeed      = TagStrategy + StrategyTags // round-0 bucket-load all-reduce (+1)
 	// TagExchange starts the data movement's ExchangeTags tags: the flat
@@ -263,29 +254,24 @@ const (
 	ExchangeTags = 3
 	// TagStats is the closing stats all-reduce (+1).
 	TagStats = TagExchange + ExchangeTags
-	// TagSpan is the number of consecutive tags a sort occupies starting
-	// at BaseTag.
-	TagSpan = TagStats + 2
+	// tagEnd is one past the last tag a sort occupies.
+	tagEnd = TagStats + 2
 )
 
 // PhaseTagRange maps a named sort phase to the half-open tag interval
-// [lo, hi) it occupies within the BaseTag range, for chaos/fault tooling
-// that triggers on "the first message of phase X". base == 0 selects the
-// default BaseTag (1000). Recognised phases: "start" (the whole span),
-// "splitter" (count all-reduce through the strategy's rounds and a
-// seed's round 0), "exchange" (all data movement, excluding the closing
-// stats all-reduce). ok is false for any other name.
-func PhaseTagRange(base comm.Tag, phase string) (lo, hi comm.Tag, ok bool) {
-	if base == 0 {
-		base = 1000
-	}
+// [lo, hi) it occupies, for chaos/fault tooling that triggers on "the
+// first message of phase X". Recognised phases: "start" (the whole
+// span), "splitter" (count all-reduce through the strategy's rounds and
+// a seed's round 0), "exchange" (all data movement, excluding the
+// closing stats all-reduce). ok is false for any other name.
+func PhaseTagRange(phase string) (lo, hi comm.Tag, ok bool) {
 	switch phase {
 	case "start":
-		return base, base + TagSpan, true
+		return tagBase, tagEnd, true
 	case "splitter":
-		return base, base + TagExchange, true
+		return tagBase, TagExchange, true
 	case "exchange":
-		return base + TagExchange, base + TagStats, true
+		return TagExchange, TagStats, true
 	}
 	return 0, 0, false
 }

@@ -23,8 +23,8 @@
 // puts its own two-level BackHalf behind FrontHalf; the root engine's
 // Plan calls FrontHalf and stops. Options is the one options struct —
 // declared, defaulted and validated once, before any rank works or sends
-// — and one tag layout under Options.BaseTag (count · strategy span · round 0 ·
-// data movement · stats) serves every caller, which is what lets
+// — and one tag layout from tag 1000 (count · strategy span ·
+// round 0 · data movement · stats) serves every caller, which is what lets
 // PhaseTagRange name a phase for all of them. The byte-string prefix
 // plane (Options.PrefixCode) is a branch inside the same body.
 //
@@ -36,15 +36,15 @@
 // must return the same Buckets-1 non-decreasing splitters on every rank,
 // validated once there (exchange.ValidateSplitters) so that no partition
 // re-checks them, plus a SplitterInfo for Stats. Its messages stay inside
-// the StrategyTags tags from BaseTag+TagStrategy. Strategies pairs the
+// the StrategyTags tags from TagStrategy. Strategies pairs the
 // key-space and code-space instantiations of one generic function.
 //
 // HSS, the strategy defined here (DetermineSplitters), supports the
 // three sampling disciplines the paper analyzes:
 //
 //   - FixedOversampling (§6.1.2): every round gathers an expected f·B-key
-//     sample from the union of active splitter intervals (the production
-//     configuration, f = 5 in the paper's runs).
+//     sample from the union of active splitter intervals, f = 5 fixed
+//     as in the paper's production runs.
 //   - Theoretical (§3.3): k rounds with the geometric ratio schedule
 //     s_j = (2 ln B/ε)^(j/k).
 //   - OneRoundScanning (§3.2): a single 2/ε-ratio sample finished by the

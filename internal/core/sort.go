@@ -17,7 +17,7 @@ import (
 // skeleton's Options — defaults applied, validated once — and every rank
 // must return the same opt.Buckets-1 splitters in non-decreasing opt.Cmp
 // order (none when opt.Buckets == 1 or n == 0). Its messages use the
-// StrategyTags tags from opt.BaseTag+TagStrategy.
+// StrategyTags tags from TagStrategy.
 type Strategy[E any] func(c *comm.Comm, sorted []E, n int64, opt Options[E]) ([]E, SplitterInfo, error)
 
 // Strategies is one algorithm's strategy on both planes it can be asked
@@ -123,7 +123,7 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	}
 	f.Times.LocalSort = time.Since(t0)
 
-	nVec, err := collective.AllReduce(c, opt.BaseTag+tagCount, []int64{int64(len(local))}, collective.SumInt64)
+	nVec, err := collective.AllReduce(c, tagCount, []int64{int64(len(local))}, collective.SumInt64)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +212,7 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 // measure all-reduces the bucket loads of f.Runs (the round-0 tag) and
 // records the imbalance they amount to.
 func (f *Front[K]) measure(c *comm.Comm) (float64, []int64, error) {
-	imb, loads, err := exchange.RunsImbalance(c, f.Opt.BaseTag+tagSeed, f.Runs)
+	imb, loads, err := exchange.RunsImbalance(c, tagSeed, f.Runs)
 	f.imbalance = imb
 	return imb, loads, err
 }
@@ -235,19 +235,17 @@ func (f *Front[K]) BucketImbalance(c *comm.Comm) (float64, error) {
 // configuration and round 0, with the keys replaced by their codes.
 func (o Options[K]) inCodeSpace() Options[codes.Code] {
 	oc := Options[codes.Code]{
-		Cmp:              codes.Compare,
-		Code:             codes.ExtractCode,
-		Epsilon:          o.Epsilon,
-		Buckets:          o.Buckets,
-		Seed:             o.Seed,
-		BaseTag:          o.BaseTag,
-		Schedule:         o.Schedule,
-		Rounds:           o.Rounds,
-		MaxRounds:        o.MaxRounds,
-		OversampleFactor: o.OversampleFactor,
-		Approx:           o.Approx,
-		OnRound:          o.OnRound,
-		round0:           o.round0,
+		Cmp:       codes.Compare,
+		Code:      codes.ExtractCode,
+		Epsilon:   o.Epsilon,
+		Buckets:   o.Buckets,
+		Seed:      o.Seed,
+		Schedule:  o.Schedule,
+		Rounds:    o.Rounds,
+		MaxRounds: o.MaxRounds,
+		Approx:    o.Approx,
+		OnRound:   o.OnRound,
+		round0:    o.round0,
 	}
 	if o.round0 != nil {
 		oc.Splitters = codes.Extract(o.Splitters, o.Code)
@@ -265,7 +263,7 @@ func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	opt := f.Opt
 	bytes0 := c.Counters().BytesSent
 	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, opt.BaseTag+TagExchange, f.Runs, opt.Owner, opt.Cmp, opt.Code,
+		c, TagExchange, f.Runs, opt.Owner, opt.Cmp, opt.Code,
 		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: f.Pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
 	if err != nil {
 		return nil, f.Stats, err
@@ -281,7 +279,7 @@ func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
 	m.Spill = opt.Spill.TakeStats()
 	f.Stats.LocalCount = len(out)
-	if err := FinishStats(c, opt.BaseTag+TagStats, &f.Stats, m); err != nil {
+	if err := FinishStats(c, TagStats, &f.Stats, m); err != nil {
 		return nil, f.Stats, err
 	}
 	return out, f.Stats, nil

@@ -248,7 +248,7 @@ func (rc *rootController[K]) plan(round int) roundPlan[K] {
 		if coverage < 1 {
 			coverage = 1
 		}
-		prob = rc.opt.OversampleFactor * float64(rc.opt.Buckets) / float64(coverage)
+		prob = oversampleFactor * float64(rc.opt.Buckets) / float64(coverage)
 	}
 	if prob > 1 {
 		prob = 1
@@ -313,7 +313,6 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 	}
 	root := 0
 	me := c.Rank()
-	base := opt.BaseTag
 	rng := rand.New(rand.NewPCG(opt.Seed, 0xda3e39cb94b95bdb^uint64(me)))
 
 	// Approximate histogramming (§3.4): build the per-rank
@@ -347,7 +346,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		if me == root {
 			plan = rc.plan(round)
 		}
-		plan, err := bcastPlan(c, root, base+tagPlan, plan)
+		plan, err := bcastPlan(c, root, tagPlan, plan)
 		if err != nil {
 			return nil, info, err
 		}
@@ -361,7 +360,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 
 		// Sampling phase (§3.3 step 4).
 		sample := sampleIntervals(sortedLocal, plan.Intervals, plan.Prob, opt.Cmp, rng)
-		parts, err := collective.Gatherv(c, root, base+tagSample, sample)
+		parts, err := collective.Gatherv(c, root, tagSample, sample)
 		if err != nil {
 			return nil, info, err
 		}
@@ -372,7 +371,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		}
 
 		// Histogramming phase (§3.3 steps 1-3).
-		probes, err = collective.Bcast(c, root, base+tagProbes, probes)
+		probes, err = collective.Bcast(c, root, tagProbes, probes)
 		if err != nil {
 			return nil, info, err
 		}
@@ -380,7 +379,7 @@ func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Optio
 		info.SamplePerRound = append(info.SamplePerRound, int64(len(probes)))
 		info.TotalSample += int64(len(probes))
 
-		global, err := collective.Reduce(c, root, base+tagRanks, localRanks(probes), collective.SumInt64)
+		global, err := collective.Reduce(c, root, tagRanks, localRanks(probes), collective.SumInt64)
 		if err != nil {
 			return nil, info, err
 		}

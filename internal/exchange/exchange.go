@@ -268,25 +268,3 @@ func RunsImbalance[K any](e comm.Endpoint, tag comm.Tag, runs [][]K) (imb float6
 	}
 	return float64(slices.Max(loads)) * float64(len(runs)) / float64(total), loads, nil
 }
-
-// Imbalance measures the achieved load balance after the exchange: it
-// all-reduces (sum, max) of the per-rank output counts and returns
-// max·p/avg — the paper's load-imbalance ratio (§1 footnote) — along with
-// the global key count. Every rank receives the same answer.
-func Imbalance(e comm.Endpoint, tag comm.Tag, localCount int64) (imb float64, total int64, err error) {
-	out, err := collective.AllReduce(e, tag, []int64{localCount, localCount}, func(dst, src []int64) {
-		dst[0] += src[0]
-		if src[1] > dst[1] {
-			dst[1] = src[1]
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	total = out[0]
-	if total == 0 {
-		return 1, 0, nil
-	}
-	avg := float64(total) / float64(e.Size())
-	return float64(out[1]) / avg, total, nil
-}

@@ -344,41 +344,6 @@ func TestExchangeSingleRank(t *testing.T) {
 	})
 }
 
-func TestImbalance(t *testing.T) {
-	const p = 4
-	runWorld(t, p, func(c *comm.Comm) error {
-		// Counts 10, 10, 10, 30 → avg 15, max 30, imbalance 2.
-		count := int64(10)
-		if c.Rank() == p-1 {
-			count = 30
-		}
-		imb, total, err := Imbalance(c, 1, count)
-		if err != nil {
-			return err
-		}
-		if total != 60 {
-			return fmt.Errorf("total %d", total)
-		}
-		if imb != 2 {
-			return fmt.Errorf("imbalance %f, want 2", imb)
-		}
-		return nil
-	})
-}
-
-func TestImbalanceEmpty(t *testing.T) {
-	runWorld(t, 3, func(c *comm.Comm) error {
-		imb, total, err := Imbalance(c, 1, 0)
-		if err != nil {
-			return err
-		}
-		if total != 0 || imb != 1 {
-			return fmt.Errorf("imb %f total %d", imb, total)
-		}
-		return nil
-	})
-}
-
 // TestExchangeEndToEndProperty: random shards, random splitters — the
 // union of merged outputs across ranks equals the sorted input union, and
 // every rank's data respects its bucket ranges.

@@ -80,7 +80,6 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], h Options[K]) ([]
 func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Options[E], h Options[E]) ([]E, core.SplitterInfo, error) {
 	h = h.withDefaults()
 	info := core.SplitterInfo{Finalized: true}
-	base := opt.BaseTag
 	root := 0
 	me := c.Rank()
 	if opt.Buckets == 1 || n == 0 {
@@ -99,7 +98,7 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 	if len(local) > 0 {
 		bounds = []uint64{h.Coder.Encode(local[0]), ^h.Coder.Encode(local[len(local)-1])}
 	}
-	bounds, err := collective.Reduce(c, root, base+tagRanks, bounds, minUint64)
+	bounds, err := collective.Reduce(c, root, tagRanks, bounds, minUint64)
 	if err != nil {
 		return nil, info, err
 	}
@@ -123,7 +122,7 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 		if me == root {
 			probes = synthesizeProbes(searches, tracker, opt.Cmp, h)
 		}
-		probes, err := collective.Bcast(c, root, base+tagProbes, probes)
+		probes, err := collective.Bcast(c, root, tagProbes, probes)
 		if err != nil {
 			return nil, info, err
 		}
@@ -132,7 +131,7 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 		}
 		rounds++
 		totalProbes += int64(len(probes))
-		ranks, err := collective.Reduce(c, root, base+tagRanks,
+		ranks, err := collective.Reduce(c, root, tagRanks,
 			histogram.LocalRanks(local, probes, opt.Cmp), collective.SumInt64)
 		if err != nil {
 			return nil, info, err
@@ -157,11 +156,11 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 		slices.SortFunc(sp, opt.Cmp)
 		splitters = sp
 	}
-	splitters, err = collective.Bcast(c, root, base+tagSplit, splitters)
+	splitters, err = collective.Bcast(c, root, tagSplit, splitters)
 	if err != nil {
 		return nil, info, err
 	}
-	rv, err := collective.Bcast(c, root, base+tagInfo, []int64{int64(rounds), totalProbes})
+	rv, err := collective.Bcast(c, root, tagInfo, []int64{int64(rounds), totalProbes})
 	if err != nil {
 		return nil, info, err
 	}

@@ -69,7 +69,6 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	me := c.Rank()
 	leaderRank := me / cores * cores
 	isLeader := me == leaderRank
-	base := opt.BaseTag
 
 	// Build this node's group; node g occupies ranks [g·c, (g+1)·c).
 	members := make([]int, cores)
@@ -86,7 +85,7 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	// sees nothing yet.
 	bytes1 := c.Counters().BytesSent
 	t2 := time.Now()
-	gathered, err := collective.Gatherv(group, 0, base+tagCombine, f.Runs)
+	gathered, err := collective.Gatherv(group, 0, tagCombine, f.Runs)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -118,7 +117,7 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 			return nil, stats, err
 		}
 		nodeData, _, nodeMergeTime, sst, err = exchange.ExchangeMerge(
-			leaderGroup, base+tagNodeEx, combined, exchange.ContiguousOwner(nodes, nodes), opt.Cmp, opt.Code,
+			leaderGroup, tagNodeEx, combined, exchange.ContiguousOwner(nodes, nodes), opt.Cmp, opt.Code,
 			exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
 		if err != nil {
 			return nil, stats, err
@@ -140,7 +139,7 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 			parts[i] = nodeData[lo:hi]
 		}
 	}
-	out, err := collective.Scatterv(group, 0, base+tagScatter, parts)
+	out, err := collective.Scatterv(group, 0, tagScatter, parts)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -157,7 +156,7 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	pc := pool.Counters()
 	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
 	m.Spill = opt.Spill.TakeStats()
-	if err := core.FinishStats(c, base+core.TagStats, &stats, m); err != nil {
+	if err := core.FinishStats(c, core.TagStats, &stats, m); err != nil {
 		return nil, stats, err
 	}
 	return out, stats, nil

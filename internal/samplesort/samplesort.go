@@ -113,7 +113,7 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 	default:
 		return nil, core.SplitterInfo{}, fmt.Errorf("samplesort: unknown method %d", s.Method)
 	}
-	parts, err := collective.Gatherv(c, 0, opt.BaseTag+tagGather, mine)
+	parts, err := collective.Gatherv(c, 0, tagGather, mine)
 	if err != nil {
 		return nil, core.SplitterInfo{}, err
 	}
@@ -126,11 +126,11 @@ func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Option
 		sampleSize = int64(len(lambda))
 		splitters = selectSplitters(lambda, c.Size(), opt.Buckets, s.Method, opt.Cmp)
 	}
-	splitters, err = collective.Bcast(c, 0, opt.BaseTag+tagSplit, splitters)
+	splitters, err = collective.Bcast(c, 0, tagSplit, splitters)
 	if err != nil {
 		return nil, core.SplitterInfo{}, err
 	}
-	size, err := collective.BcastValue(c, 0, opt.BaseTag+tagSplit+1, sampleSize)
+	size, err := collective.BcastValue(c, 0, tagSplit+1, sampleSize)
 	if err != nil {
 		return nil, core.SplitterInfo{}, err
 	}

@@ -19,8 +19,9 @@ type Config struct {
 	// Shards is the engine shard (simulated processor) count every job
 	// is split across. Default 4.
 	Shards int
-	// Transport selects the engines' communication backend. Default
-	// hssort.TransportInproc (zero-copy in-process).
+	// Transport selects the engines' communication backend. The zero
+	// value is hssort.TransportSim (byte-accounted, as in
+	// hssort.Config); hssortd's -transport flag defaults to inproc.
 	Transport hssort.Transport
 	// Workers is each engine's per-rank compute worker pool size.
 	// Default 1 (serial per rank): concurrent jobs already fan out
@@ -42,17 +43,15 @@ type Config struct {
 	// MaxKeys, when positive, refuses jobs above it with 413. Default 0
 	// (unlimited).
 	MaxKeys int
-	// RetainJobs bounds how many finished jobs stay queryable before
-	// the oldest are evicted. Default 256.
-	RetainJobs int
 }
+
+// retainJobs bounds how many finished jobs stay queryable before the
+// oldest are evicted.
+const retainJobs = 256
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.Transport == 0 {
-		c.Transport = hssort.TransportInproc
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -71,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 128
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 256
 	}
 	return c
 }
@@ -406,7 +402,7 @@ func (s *Server) finishJob(j *job, res jobResult, sd *storedDataset, stats hssor
 		s.datasets[dsKey{tenant: j.tenant, name: j.dataset}] = sd
 	}
 	s.doneOrder = append(s.doneOrder, j.id)
-	for len(s.doneOrder) > s.cfg.RetainJobs {
+	for len(s.doneOrder) > retainJobs {
 		delete(s.jobs, s.doneOrder[0])
 		s.doneOrder = s.doneOrder[1:]
 	}

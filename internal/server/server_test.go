@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hssort"
 )
 
 // submitBody mirrors the POST /v1/jobs request from the client's side.
@@ -690,6 +692,25 @@ func TestServerRankAcrossShards(t *testing.T) {
 		if got := rankDoc["percentile"]; got != float64(want)/5 {
 			t.Errorf("percentile of %v = %v, want %v", probe, got, float64(want)/5)
 		}
+	}
+}
+
+// TestServerSimTransportCountsBytes: a server built on the sim transport
+// sorts on it, so a job's stats carry the byte accounting only sim
+// offers — the daemon's "-transport sim" is not inproc in disguise.
+func TestServerSimTransportCountsBytes(t *testing.T) {
+	srv := newTestServer(t, Config{Shards: 4, Transport: hssort.TransportSim})
+	keys := make([]any, 2000)
+	for i := range keys {
+		keys[i] = float64((i * 7919) % 2000)
+	}
+	doc := submitWait(t, srv, submitBody{Tenant: "acme", KeyType: "int64", Keys: keys})
+	stats, ok := doc["stats"].(map[string]any)
+	if !ok || doc["status"] != "done" {
+		t.Fatalf("job did not finish with stats: %v", doc)
+	}
+	if b, _ := stats["totalBytes"].(float64); b <= 0 {
+		t.Errorf("sim-transport job reported totalBytes %v, want > 0", stats["totalBytes"])
 	}
 }
 

@@ -4,8 +4,9 @@
 # jobs from two tenants, int64 and bytes keys, every output diffed
 # against a locally sorted copy), assert the plan cache shows up in
 # /metrics, probe admission control on a daemon with a tiny queue (429s
-# under flood), and check the SIGTERM drain: admitted jobs finish and
-# the process exits 0. This is the CI gate for the sort-as-a-service
+# under flood), check that a daemon started with -transport sim sorts on
+# the byte-accounted transport (a job reports nonzero totalBytes), and
+# check the SIGTERM drain: admitted jobs finish and the process exits 0. This is the CI gate for the sort-as-a-service
 # surface (internal/server + cmd/hssortd).
 #
 # Usage: scripts/serve_smoke.sh
@@ -118,6 +119,22 @@ fi
 grep -q "drained, exiting" "$tmp/d2.log" || { echo "daemon 2 never logged the drain"; cat "$tmp/d2.log"; exit 1; }
 echo "== small-queue daemon drained cleanly under SIGTERM"
 
+# --- Daemon 3: the transport flag reaches the engines. ---------------
+# Only sim counts bytes, so a nonzero totalBytes shows the daemon sorted
+# on it rather than on inproc.
+start_daemon "$tmp/d3.log" -transport sim
+d3=$DPID
+reply="$(curl -sf -X POST "http://$DADDR/v1/jobs" \
+	-d '{"tenant":"smoke","keyType":"int64","keys":[5,1,9,3,7,2,8,4,6,0],"wait":true}')"
+total="$(echo "$reply" | sed -n 's/.*"totalBytes":\([0-9]*\).*/\1/p')"
+if [ -z "$total" ] || [ "$total" -eq 0 ]; then
+	echo "sim daemon's job reported totalBytes '${total:-none}', want > 0: $reply" >&2
+	exit 1
+fi
+kill -TERM "$d3"
+wait "$d3" || { echo "daemon 3 exited non-zero on SIGTERM" >&2; cat "$tmp/d3.log" >&2; exit 1; }
+echo "== -transport sim daemon: job moved $total bytes"
+
 # --- Drain daemon 1 too. ---------------------------------------------
 kill -TERM "$d1"
 if ! wait "$d1"; then
@@ -128,4 +145,4 @@ fi
 grep -q "drained, exiting" "$tmp/d1.log" || { echo "daemon 1 never logged the drain"; cat "$tmp/d1.log"; exit 1; }
 
 pids=()
-echo "serve smoke passed: concurrent tenants digest-clean, plan cache hit with 0 rounds, flood shed $refused jobs with 429, SIGTERM drained both daemons"
+echo "serve smoke passed: concurrent tenants digest-clean, plan cache hit with 0 rounds, flood shed $refused jobs with 429, sim daemon counted $total bytes, SIGTERM drained every daemon"

@@ -447,10 +447,12 @@ func TestSorterConstructorValidation(t *testing.T) {
 // the first Sort, once per rank.
 func TestNewRejectsWhatSortWould(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"Epsilon -1":   {Procs: 4, Epsilon: -1},
-		"Buckets -3":   {Procs: 4, Buckets: -3},
-		"ChunkKeys -5": {Procs: 4, ChunkKeys: -5},
-		"Timeout -1s":  {Procs: 4, Timeout: -time.Second},
+		"Epsilon -1":              {Procs: 4, Epsilon: -1},
+		"Buckets -3":              {Procs: 4, Buckets: -3},
+		"ChunkKeys -5":            {Procs: 4, ChunkKeys: -5},
+		"Timeout -1s":             {Procs: 4, Timeout: -time.Second},
+		"Chaos delay 1.5":         {Procs: 4, Chaos: &ChaosConfig{Delay: 1.5}},
+		"Chaos crash rank 4 of 4": {Procs: 4, Chaos: &ChaosConfig{CrashRank: 4, CrashPhase: "exchange"}},
 	} {
 		before := runtime.NumGoroutine()
 		s, err := New[int64](cfg)
