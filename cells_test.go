@@ -902,10 +902,15 @@ func TestStreamExchangeEquivalence(t *testing.T) {
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")[1:]))
 }
 
+// TestTCPSortEquivalence's grid cells are 16 ranks of 500 keys and of
+// 300 byte-string keys: the materializing exchange takes the two-hop
+// grid, so forwarded runs cross the wire codec.
 func TestTCPSortEquivalence(t *testing.T) {
-	runAll(t, product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
+	runAll(t, append(product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
 		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
-		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")))
+		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")),
+		cell{name: "grid", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 16, n: 500, seed: 17}},
+		cell{name: "grid-bytes", key: "bytes", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "hashlike", p: 16, n: 300, seed: 17}}))
 }
 
 func TestTCPSortKVEquivalence(t *testing.T) {

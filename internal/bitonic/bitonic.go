@@ -14,9 +14,10 @@ import (
 type Options[K any] struct {
 	// Cmp is the three-way key comparator.
 	Cmp func(K, K) int
-	// BaseTag is the start of the tag range this sort uses. Default 4000.
-	BaseTag comm.Tag
 }
+
+// baseTag is the start of the tag range this sort uses.
+const baseTag comm.Tag = 4000
 
 // Sort runs distributed bitonic sort. The world size must be a power of
 // two and every rank must hold the same number of keys (the classic
@@ -26,9 +27,6 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	if opt.Cmp == nil {
 		return nil, core.Stats{}, fmt.Errorf("bitonic: Options.Cmp is required")
 	}
-	if opt.BaseTag == 0 {
-		opt.BaseTag = 4000
-	}
 	p := c.Size()
 	if p&(p-1) != 0 {
 		return nil, core.Stats{}, fmt.Errorf("bitonic: world size %d is not a power of two", p)
@@ -37,7 +35,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	stats.Buckets = p
 
 	// Equal local sizes are required for compare-split symmetry.
-	sizes, err := collective.AllReduce(c, opt.BaseTag, []int64{int64(len(local)), int64(len(local))},
+	sizes, err := collective.AllReduce(c, baseTag, []int64{int64(len(local)), int64(len(local))},
 		func(dst, src []int64) {
 			if src[0] < dst[0] {
 				dst[0] = src[0]
@@ -70,7 +68,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 			// ascending pair keeps the small half.
 			ascending := me&k == 0
 			keepSmall := ascending == (me < partner)
-			tag := opt.BaseTag + 2 + comm.Tag(stage)
+			tag := baseTag + 2 + comm.Tag(stage)
 			stage++
 			if err := comm.SendSlice(c, partner, tag, local); err != nil {
 				return nil, stats, err
@@ -86,7 +84,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	exchangeBytes := c.Counters().BytesSent - bytes0
 	stats.LocalCount = len(local)
 
-	agg, err := collective.AllReduce(c, opt.BaseTag+1, []int64{
+	agg, err := collective.AllReduce(c, baseTag+1, []int64{
 		exchangeBytes, int64(localSort), int64(exchangeTime),
 	}, func(dst, src []int64) {
 		dst[0] += src[0]

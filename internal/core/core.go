@@ -247,11 +247,12 @@ const (
 	StrategyTags = 4
 	tagSeed      = TagStrategy + StrategyTags // round-0 bucket-load all-reduce (+1)
 	// TagExchange starts the data movement's ExchangeTags tags: the flat
-	// bucket exchange uses the first; the two-level sort's intra-node
-	// combine, node-to-node exchange and within-node scatter take one
-	// each.
+	// sort's bucket exchange uses the first two (the second is the
+	// forward hop of exchange.Exchange's two-hop grid); the two-level
+	// sort's intra-node combine takes the first, its node-to-node
+	// exchange the next two, and its within-node scatter the last.
 	TagExchange  = tagSeed + 2
-	ExchangeTags = 3
+	ExchangeTags = 4
 	// TagStats is the closing stats all-reduce (+1).
 	TagStats = TagExchange + ExchangeTags
 	// tagEnd is one past the last tag a sort occupies.

@@ -13,9 +13,9 @@ import (
 
 // The two-level data movement's layout of the skeleton's exchange tags.
 const (
-	tagCombine = core.TagExchange + iota // intra-node run gather
-	tagNodeEx                            // node-to-node exchange
-	tagScatter                           // within-node scatter
+	tagCombine = core.TagExchange     // intra-node run gather
+	tagNodeEx  = core.TagExchange + 1 // node-to-node exchange (+1: its grid's forward hop)
+	tagScatter = core.TagExchange + 3 // within-node scatter
 )
 
 // Sort runs the two-level sort and returns this rank's globally sorted

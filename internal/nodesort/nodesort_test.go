@@ -61,8 +61,9 @@ func checkGloballySorted(t *testing.T, shards, outs [][]int64) {
 
 func TestNodeSortConfigurations(t *testing.T) {
 	const perRank = 800
+	// {32, 2} has 16 nodes, so its leader exchange takes the two-hop grid.
 	for _, cfg := range []struct{ p, c int }{
-		{8, 2}, {8, 4}, {8, 8}, {6, 3}, {4, 1}, {12, 4},
+		{8, 2}, {8, 4}, {8, 8}, {6, 3}, {4, 1}, {12, 4}, {32, 2},
 	} {
 		spec := dist.Spec{Kind: dist.Uniform}
 		shards := spec.Shards(perRank, cfg.p, 3)

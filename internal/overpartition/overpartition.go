@@ -30,8 +30,6 @@ type Options[K any] struct {
 	Oversample int
 	// Seed drives block sampling. Default 1.
 	Seed uint64
-	// BaseTag is the tag range start (8 tags). Default 8000.
-	BaseTag comm.Tag
 }
 
 func (o Options[K]) withDefaults(p int) (Options[K], error) {
@@ -50,21 +48,21 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 8000
-	}
 	return o, nil
 }
 
-// Tag offsets within BaseTag.
+// baseTag is the start of the tag range this sort uses (10 tags).
+const baseTag comm.Tag = 8000
+
+// Tag offsets within the range.
 const (
 	tagCount    = 0 // N all-reduce (+1)
 	tagGather   = 2 // sample gather
 	tagSplit    = 3 // splitter broadcast
 	tagRanks    = 4 // bucket-size histogram reduction
 	tagOwners   = 5 // owner-map broadcast
-	tagExchange = 6 // bucket exchange
-	tagStats    = 7 // stats all-reduce (+1... shares +8)
+	tagExchange = 6 // bucket exchange (+1: its grid's forward hop)
+	tagStats    = 8 // stats all-reduce (+1)
 )
 
 // Sort runs the over-partitioning sort. Each rank's output is sorted;
@@ -76,7 +74,6 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 		return nil, core.Stats{}, err
 	}
 	p := c.Size()
-	base := opt.BaseTag
 	buckets := opt.OverRatio * p
 	var stats core.Stats
 	stats.Buckets = buckets
@@ -85,7 +82,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	slices.SortFunc(local, opt.Cmp)
 	localSort := time.Since(t0)
 
-	nVec, err := collective.AllReduce(c, base+tagCount, []int64{int64(len(local))}, collective.SumInt64)
+	nVec, err := collective.AllReduce(c, baseTag+tagCount, []int64{int64(len(local))}, collective.SumInt64)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -97,7 +94,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	t1 := time.Now()
 	rng := rand.New(rand.NewPCG(opt.Seed, 0xabcdef^uint64(c.Rank())))
 	mine := sampling.RandomBlock(local, opt.Oversample, rng)
-	parts, err := collective.Gatherv(c, 0, base+tagGather, mine)
+	parts, err := collective.Gatherv(c, 0, baseTag+tagGather, mine)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -117,7 +114,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 		stats.TotalSample = int64(len(lambda))
 		stats.Rounds = 1
 	}
-	splitters, err = collective.Bcast(c, 0, base+tagSplit, splitters)
+	splitters, err = collective.Bcast(c, 0, baseTag+tagSplit, splitters)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -126,7 +123,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	// what the LPT assignment needs (the distributed stand-in for the
 	// task queue's size ordering).
 	localRanks := histogram.LocalRanks(local, splitters, opt.Cmp)
-	globalRanks, err := collective.Reduce(c, 0, base+tagRanks, localRanks, collective.SumInt64)
+	globalRanks, err := collective.Reduce(c, 0, baseTag+tagRanks, localRanks, collective.SumInt64)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -135,7 +132,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 		sizes := bucketSizes(globalRanks, stats.N)
 		owners = lptAssign(sizes, p)
 	}
-	owners, err = collective.Bcast(c, 0, base+tagOwners, owners)
+	owners, err = collective.Bcast(c, 0, baseTag+tagOwners, owners)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -146,7 +143,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	bytes1 := c.Counters().BytesSent
 	t2 := time.Now()
 	runs := exchange.Partition(local, splitters, opt.Cmp)
-	recv, err := exchange.Exchange(c, base+tagExchange, runs, func(b int) int { return int(owners[b]) })
+	recv, err := exchange.Exchange(c, baseTag+tagExchange, runs, func(b int) int { return int(owners[b]) })
 	if err != nil {
 		return nil, stats, err
 	}
@@ -158,7 +155,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	mergeTime := time.Since(t3)
 	stats.LocalCount = len(out)
 
-	agg, err := collective.AllReduce(c, base+tagStats, []int64{
+	agg, err := collective.AllReduce(c, baseTag+tagStats, []int64{
 		splitterBytes, exchangeBytes,
 		int64(localSort), int64(splitterTime), int64(exchangeTime), int64(mergeTime),
 		int64(len(out)), int64(len(out)),

@@ -61,21 +61,25 @@ func checkPermutation(t *testing.T, shards, outs [][]int64) {
 	}
 }
 
+// TestOverPartitionUniform runs 8 ranks, and 16, whose bucket exchange
+// takes the two-hop grid.
 func TestOverPartitionUniform(t *testing.T) {
-	const p, perRank = 8, 2000
-	spec := dist.Spec{Kind: dist.Uniform}
-	shards := spec.Shards(perRank, p, 3)
-	outs, stats, err := trySort(clone(shards), Options[int64]{Cmp: icmp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPermutation(t, shards, outs)
-	// log2(8) = 3× over-partitioning with LPT: balance well under 2.
-	if stats.Imbalance > 1.5 {
-		t.Errorf("imbalance %.3f", stats.Imbalance)
-	}
-	if stats.Buckets != 3*p {
-		t.Errorf("buckets %d, want %d", stats.Buckets, 3*p)
+	const perRank = 2000
+	for _, c := range []struct{ p, ratio int }{{8, 3}, {16, 4}} {
+		spec := dist.Spec{Kind: dist.Uniform}
+		shards := spec.Shards(perRank, c.p, 3)
+		outs, stats, err := trySort(clone(shards), Options[int64]{Cmp: icmp})
+		if err != nil {
+			t.Fatalf("p=%d: %v", c.p, err)
+		}
+		checkPermutation(t, shards, outs)
+		// log2(p)× over-partitioning with LPT: balance well under 2.
+		if stats.Imbalance > 1.5 {
+			t.Errorf("p=%d: imbalance %.3f", c.p, stats.Imbalance)
+		}
+		if stats.Buckets != c.ratio*c.p {
+			t.Errorf("p=%d: buckets %d, want %d", c.p, stats.Buckets, c.ratio*c.p)
+		}
 	}
 }
 

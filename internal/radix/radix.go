@@ -24,9 +24,12 @@ type Options[K any] struct {
 	// Bits is the digit width: 2^Bits buckets. Default 12 (4096
 	// buckets). Must be in [1, 24].
 	Bits int
-	// BaseTag is the start of the tag range this sort uses. Default 5000.
-	BaseTag comm.Tag
 }
+
+// baseTag is the start of the tag range this sort uses: the digit-count
+// all-reduce (+0, +1), the bucket exchange (+2, and +3 for its grid's
+// forward hop) and the stats all-reduce (+4, +5).
+const baseTag comm.Tag = 5000
 
 func (o Options[K]) withDefaults() (Options[K], error) {
 	if o.Cmp == nil {
@@ -41,9 +44,6 @@ func (o Options[K]) withDefaults() (Options[K], error) {
 	if o.Bits < 1 || o.Bits > 24 {
 		return o, fmt.Errorf("radix: Bits %d outside [1,24]", o.Bits)
 	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 5000
-	}
 	return o, nil
 }
 
@@ -55,7 +55,6 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 		return nil, core.Stats{}, err
 	}
 	p := c.Size()
-	base := opt.BaseTag
 	digits := 1 << opt.Bits
 	shift := 64 - opt.Bits
 	var stats core.Stats
@@ -72,7 +71,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	for _, k := range local {
 		counts[opt.Coder.Encode(k)>>shift]++
 	}
-	global, err := collective.AllReduce(c, base, counts, collective.SumInt64)
+	global, err := collective.AllReduce(c, baseTag, counts, collective.SumInt64)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -114,7 +113,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	// Partition no longer repeats per call).
 	exchange.ValidateSplitters(splitters, opt.Cmp)
 	runs := exchange.Partition(local, splitters, opt.Cmp)
-	recv, err := exchange.Exchange(c, base+2, runs, func(b int) int { return owner[b] })
+	recv, err := exchange.Exchange(c, baseTag+2, runs, func(b int) int { return owner[b] })
 	if err != nil {
 		return nil, stats, err
 	}
@@ -126,7 +125,7 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	mergeTime := time.Since(t3)
 	stats.LocalCount = len(out)
 
-	agg, err := collective.AllReduce(c, base+3, []int64{
+	agg, err := collective.AllReduce(c, baseTag+4, []int64{
 		splitterBytes, exchangeBytes,
 		int64(localSort), int64(splitterTime), int64(exchangeTime), int64(mergeTime),
 		int64(len(out)), int64(len(out)),

@@ -45,31 +45,35 @@ func clone(shards [][]int64) [][]int64 {
 	return out
 }
 
+// TestRadixUniform runs 6 ranks, and 16, whose bucket exchange takes
+// the two-hop grid.
 func TestRadixUniform(t *testing.T) {
-	const p, perRank = 6, 2000
-	spec := dist.Spec{Kind: dist.Uniform}
-	shards := spec.Shards(perRank, p, 3)
-	outs, imb, err := trySort(clone(shards), baseOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, got []int64
-	for _, s := range shards {
-		want = append(want, s...)
-	}
-	slices.Sort(want)
-	for r, o := range outs {
-		if !slices.IsSorted(o) {
-			t.Fatalf("rank %d not sorted", r)
+	const perRank = 2000
+	for _, p := range []int{6, 16} {
+		spec := dist.Spec{Kind: dist.Uniform}
+		shards := spec.Shards(perRank, p, 3)
+		outs, imb, err := trySort(clone(shards), baseOpt())
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
-		got = append(got, o...)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("not the sorted permutation")
-	}
-	// Uniform codes over the full range: decent balance expected.
-	if imb > 1.5 {
-		t.Errorf("uniform imbalance %.3f", imb)
+		var want, got []int64
+		for _, s := range shards {
+			want = append(want, s...)
+		}
+		slices.Sort(want)
+		for r, o := range outs {
+			if !slices.IsSorted(o) {
+				t.Fatalf("p=%d: rank %d not sorted", p, r)
+			}
+			got = append(got, o...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("p=%d: not the sorted permutation", p)
+		}
+		// Uniform codes over the full range: decent balance expected.
+		if imb > 1.5 {
+			t.Errorf("p=%d: uniform imbalance %.3f", p, imb)
+		}
 	}
 }
 

@@ -21,9 +21,10 @@ type Options[K any] struct {
 	SampleSize int
 	// Seed drives block sampling. Default 1.
 	Seed uint64
-	// BaseTag is the tag range start (3 tags). Default 6000.
-	BaseTag comm.Tag
 }
+
+// baseTag is the start of the tag range the oracle uses (3 tags).
+const baseTag comm.Tag = 6000
 
 func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Cmp == nil {
@@ -40,9 +41,6 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.BaseTag == 0 {
-		o.BaseTag = 6000
 	}
 	return o, nil
 }
@@ -67,7 +65,7 @@ func New[K any](c *comm.Comm, sortedLocal []K, opt Options[K]) (*Oracle[K], erro
 	}
 	rng := rand.New(rand.NewPCG(opt.Seed, 0x94d049bb133111eb^uint64(c.Rank())))
 	rep := sampling.NewRepresentative(sortedLocal, opt.SampleSize, rng)
-	nVec, err := collective.AllReduce(c, opt.BaseTag, []int64{int64(len(sortedLocal))}, collective.SumInt64)
+	nVec, err := collective.AllReduce(c, baseTag, []int64{int64(len(sortedLocal))}, collective.SumInt64)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +82,7 @@ func (o *Oracle[K]) Query(probes []K) ([]int64, error) {
 	for i, q := range probes {
 		local[i] = o.rep.LocalRank(q, o.opt.Cmp)
 	}
-	return collective.AllReduce(o.c, o.opt.BaseTag+1, local, collective.SumInt64)
+	return collective.AllReduce(o.c, baseTag+1, local, collective.SumInt64)
 }
 
 // ErrorBound returns the w.h.p. accuracy radius N·ε/p of Theorem 3.4.1.

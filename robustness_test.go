@@ -40,11 +40,10 @@ func chaosShards(p, perRank int) [][]int64 {
 
 // TestSortUnderFaultInjection: seeded link delays over the real TCP
 // loopback mesh change no output — each faulted run is rank-identical to a clean
-// sim run, across both exchange planes and both compute planes. Run with
-// -race in CI (the chaos job).
+// sim run, across both exchange planes and both compute planes, and at
+// 16 ranks of small shards, where the materializing exchange takes the
+// two-hop grid. Run with -race in CI (the chaos job).
 func TestSortUnderFaultInjection(t *testing.T) {
-	const p, perRank = 4, 800
-	base := Config{Procs: p, Epsilon: 0.05, Seed: 3}
 	// The two planes: the comparator (SortFunc) and the code plane (Sort).
 	planes := []struct {
 		name string
@@ -53,22 +52,25 @@ func TestSortUnderFaultInjection(t *testing.T) {
 		{"off", func(cfg Config, sh [][]int64) ([][]int64, Stats, error) { return SortFunc(cfg, sh, cmp.Compare[int64]) }},
 		{"on", Sort[int64]},
 	}
-	for _, stream := range []bool{false, true} {
+	for _, c := range []struct {
+		name       string
+		p, perRank int
+		stream     bool
+	}{{"stream=false", 4, 800, false}, {"stream=true", 4, 800, true}, {"grid", 16, 200, false}} {
 		for _, plane := range planes {
-			cfg := base
-			cfg.StreamExchange = stream
+			cfg := Config{Procs: c.p, Epsilon: 0.05, Seed: 3, StreamExchange: c.stream}
 
 			simCfg := cfg
 			simCfg.Transport = TransportSim
-			want, _, err := plane.sort(simCfg, chaosShards(p, perRank))
+			want, _, err := plane.sort(simCfg, chaosShards(c.p, c.perRank))
 			if err != nil {
 				t.Fatalf("sim oracle: %v", err)
 			}
-			t.Run(fmt.Sprintf("delay/stream=%v/codepath=%s", stream, plane.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("delay/%s/codepath=%s", c.name, plane.name), func(t *testing.T) {
 				chaosCfg := cfg
 				chaosCfg.Transport = TransportTCP
 				chaosCfg.Chaos = &ChaosConfig{Seed: 43, Delay: 0.25}
-				outs, _, err := plane.sort(chaosCfg, chaosShards(p, perRank))
+				outs, _, err := plane.sort(chaosCfg, chaosShards(c.p, c.perRank))
 				if err != nil {
 					t.Fatalf("faulted sort: %v", err)
 				}
@@ -156,20 +158,27 @@ func TestPeerCrashMidExchange(t *testing.T) {
 }
 
 // TestPeerCrashPhaseMatrix: Config.Chaos.CrashPhase names a phase of
-// the one sort skeleton, so it fires under every splitter strategy and
-// under the node sort's two-level data movement alike — each cell fails
-// fast with a *PeerCrashError naming the victim, and every engine closes
+// the one sort skeleton, so it fires under every splitter strategy, under
+// the node sort's two-level data movement, and in the two-hop grid that
+// 16 ranks of small shards exchange over alike — each cell fails fast
+// with a *PeerCrashError naming the victim, and every engine closes
 // without leaking goroutines.
 func TestPeerCrashPhaseMatrix(t *testing.T) {
-	const p, perRank, victim = 4, 800, 2
+	const victim = 2
 	before := runtime.NumGoroutine()
 	for _, alg := range []struct {
-		name     string
-		cores    int
-		baseline string
-	}{{"hss", 0, ""}, {"samplesort-regular", 0, "samplesort-regular"}, {"histogramsort", 0, "histogramsort"}, {"node-hss", 2, ""}} {
+		name       string
+		cores      int
+		baseline   string
+		p, perRank int
+	}{
+		{"hss", 0, "", 4, 800}, {"samplesort-regular", 0, "samplesort-regular", 4, 800},
+		{"histogramsort", 0, "histogramsort", 4, 800}, {"node-hss", 2, "", 4, 800},
+		{"hss-grid", 0, "", 16, 100},
+	} {
 		for _, phase := range []string{"splitter", "exchange"} {
 			t.Run(alg.name+"/"+phase, func(t *testing.T) {
+				p, perRank := alg.p, alg.perRank
 				engine, err := New[int64](Config{
 					Procs: p, CoresPerNode: alg.cores, Epsilon: 0.05, Seed: 3,
 					Transport: TransportSim,
