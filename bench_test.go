@@ -1,7 +1,7 @@
 // Benchmarks of the design choices no benchmark/ probe, ledger workload
-// or cmd/experiments experiment measures: the §6.1 node-level sort
-// (Config.CoresPerNode), §4.3 duplicate tagging (Config.TagDuplicates)
-// and the out-of-core plane under a budget that really spills. The
+// or cmd/experiments experiment measures: §4.3 duplicate tagging
+// (Config.TagDuplicates) and the out-of-core plane under a budget that
+// really spills. The
 // sampling schedules and §3.4 approximate histogramming are benchmarked
 // in internal/core, where they are configured.
 //
@@ -15,38 +15,6 @@ import (
 	"hssort/internal/dist"
 	"hssort/internal/exchange"
 )
-
-// BenchmarkAblationNodeLevel compares the flat sort against the §6.1
-// two-level node sort: total message count is the §6.1 claim.
-func BenchmarkAblationNodeLevel(b *testing.B) {
-	b.ReportAllocs()
-	const p, perRank = 32, 20000
-	for _, v := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"flat", Config{Procs: p, Epsilon: 0.05, Seed: 3}},
-		{"node-c4", Config{Procs: p, CoresPerNode: 4, Epsilon: 0.05, Seed: 3}},
-		{"node-c8", Config{Procs: p, CoresPerNode: 8, Epsilon: 0.05, Seed: 3}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var stats Stats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				shards := dist.Spec{Kind: dist.Uniform}.Shards(perRank, p, uint64(i)+1)
-				b.StartTimer()
-				var err error
-				_, stats, err = Sort(v.cfg, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stats.TotalMsgs), "messages")
-			b.ReportMetric(stats.Imbalance, "imbalance")
-		})
-	}
-}
 
 // BenchmarkAblationDuplicates measures the §4.3 tagging cost and payoff
 // on a duplicate-heavy workload.

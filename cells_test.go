@@ -85,8 +85,8 @@ var nanPayloads = []uint64{
 
 // variants are the algorithm dimension: the configurations the matrices
 // sweep, each with the distribution it draws unless the cell names one —
-// flat and two-level (node-hss) HSS, and the §4.2 baselines, which run
-// the whole engine with their splitter strategy in place of HSS's.
+// HSS, and the §4.2 baselines, which run the whole engine with their
+// splitter strategy in place of HSS's.
 // Buckets counts buckets per rank; Epsilon defaults to 0.1.
 var variants = map[string]struct {
 	cfg      Config
@@ -95,17 +95,15 @@ var variants = map[string]struct {
 }{
 	"hss":                {Config{Epsilon: 0.05}, "powerskew", false},
 	"hss-overpartition":  {Config{Buckets: 4}, "uniform", false},
-	"hss-roundrobin":     {Config{Buckets: 2, RoundRobinBuckets: true}, "exponential", false},
 	"hss-duplicates":     {Config{TagDuplicates: true}, "dupheavy", false},
 	"histogramsort":      {Config{}, "exponential", true},
 	"samplesort-regular": {Config{}, "uniform", true},
 	"samplesort-random":  {Config{}, "dupheavy", true},
-	"node-hss":           {Config{CoresPerNode: 2}, "uniform", false},
 }
 
 // algNames are the variants that name an algorithm rather than an HSS
-// configuration: flat HSS, the three baselines and the node sort.
-var algNames = []string{"hss", "samplesort-regular", "samplesort-random", "histogramsort", "node-hss"}
+// configuration: HSS and the three baselines.
+var algNames = []string{"hss", "samplesort-regular", "samplesort-random", "histogramsort"}
 
 // The setters, one per dimension.
 func algorithm(c *cell, name string) {
@@ -117,8 +115,7 @@ func algorithm(c *cell, name string) {
 	if v.baseline {
 		c.baseline = name
 	}
-	c.cfg.Buckets, c.cfg.RoundRobinBuckets = v.cfg.Buckets*c.in.p, v.cfg.RoundRobinBuckets
-	c.cfg.CoresPerNode, c.cfg.Epsilon = v.cfg.CoresPerNode, cmp.Or(v.cfg.Epsilon, 0.1)
+	c.cfg.Buckets, c.cfg.Epsilon = v.cfg.Buckets*c.in.p, cmp.Or(v.cfg.Epsilon, 0.1)
 	c.in.dist = cmp.Or(c.in.dist, v.dist)
 }
 
@@ -362,25 +359,20 @@ func memoized[K comparable, V any](m map[K]V, k K, f func() V) V {
 // full draws bit patterns whose float64 and float32 views are finite
 // (their exponents' top bits cleared) while the integer views still span
 // both signs; full+nan puts one NaN first on rank 0, and full+nan-payloads
-// makes every fifth key one of nanPayloads. ascending+nan gives rank r the
-// keys v = r·n+1 … r·n+n as v<<32|v, ascending in every view, so rank 0
-// holds the lowest n, and then makes rank 0's first key a NaN.
+// makes every fifth key one of nanPayloads.
 func draw(in input) [][]int64 {
 	return memoized(draws, in, func() [][]int64 {
-		if strings.HasPrefix(in.dist, "full") || in.dist == "ascending+nan" {
+		if strings.HasPrefix(in.dist, "full") {
 			out := make([][]int64, in.p)
 			for r := range out {
 				rng := rand.New(rand.NewPCG(in.seed, uint64(r)))
 				out[r] = make([]int64, in.n)
 				for i := range out[r] {
 					out[r][i] = int64(rng.Uint64() &^ (1<<62 | 1<<30))
-					if in.dist == "ascending+nan" {
-						out[r][i] = int64(r*in.n+i+1) * (1<<32 + 1) // v<<32 | v
-					}
 				}
 			}
 			switch in.dist {
-			case "full+nan", "ascending+nan":
+			case "full+nan":
 				out[0][0] = nanBits
 			case "full+nan-payloads":
 				for r := range out {
@@ -693,9 +685,9 @@ func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 	return o
 }
 
-// check holds outs to the contract — each rank in order, ranks in order
-// unless buckets are placed round-robin, and the whole a permutation of
-// the input, records with their payloads — and returns the rank digests.
+// check holds outs to the contract — each rank in order, ranks in order,
+// and the whole a permutation of the input, records with their payloads
+// — and returns the rank digests.
 func check[K any](t *testing.T, what string, c cell, ops keyOps[K], outs [][]K) []digest {
 	t.Helper()
 	var last *K
@@ -705,7 +697,7 @@ func check[K any](t *testing.T, what string, c cell, ops keyOps[K], outs [][]K) 
 		if !slices.IsSortedFunc(o, ops.order) {
 			t.Fatalf("%s: rank %d output not sorted", what, r)
 		}
-		if len(o) > 0 && !c.cfg.RoundRobinBuckets {
+		if len(o) > 0 {
 			if last != nil && ops.order(*last, o[0]) > 0 {
 				t.Fatalf("%s: rank %d starts below its predecessor's last key", what, r)
 			}
@@ -718,7 +710,7 @@ func check[K any](t *testing.T, what string, c cell, ops keyOps[K], outs [][]K) 
 	}
 	// The whole in its total order, where the output may hold ties in
 	// any order: records and cmp.Compare's ±0 and NaNs.
-	if c.cfg.RoundRobinBuckets || strings.HasPrefix(c.key, "kv") || c.in.dist == "full+nan-payloads" {
+	if strings.HasPrefix(c.key, "kv") || c.in.dist == "full+nan-payloads" {
 		all := slices.Concat(outs...)
 		ops.sort(all)
 		got = digestOf(digest{}, all, ops.hash)
@@ -742,8 +734,8 @@ func checkStats[K any](t *testing.T, what string, c cell, st Stats) {
 		t.Errorf(what+": "+format, args...)
 	}
 	p, cfg := int64(c.in.p), c.cfg
-	if st.N != p*int64(c.in.n) || st.Buckets != effectiveBuckets(cfg) || st.Total() <= 0 {
-		fail("N %d, Buckets %d, time %v: want %d keys in %d buckets", st.N, st.Buckets, st.Total(), p*int64(c.in.n), effectiveBuckets(cfg))
+	if buckets := cmp.Or(cfg.Buckets, c.in.p); st.N != p*int64(c.in.n) || st.Buckets != buckets || st.Total() <= 0 {
+		fail("N %d, Buckets %d, time %v: want %d keys in %d buckets", st.N, st.Buckets, st.Total(), p*int64(c.in.n), buckets)
 	}
 	switch cfg.Transport {
 	case TransportSim:
@@ -801,7 +793,7 @@ func checkStats[K any](t *testing.T, what string, c cell, st Stats) {
 			fail("PrefixCollisions = %d, want %d", st.PrefixCollisions, want)
 		}
 	}
-	if eps := effectiveEpsilon(cfg); c.balanced && st.Imbalance > 1+eps+1e-9 {
+	if eps := cmp.Or(cfg.Epsilon, 0.05); c.balanced && st.Imbalance > 1+eps+1e-9 {
 		fail("imbalance %.4f, want at most 1+%v", st.Imbalance, eps)
 	}
 }
@@ -818,8 +810,7 @@ func workerSweep() []int {
 
 func TestCodePathEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 6, n: 3000, seed: 41}},
-		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin",
-			"histogramsort", "samplesort-regular", "samplesort-random", "node-hss"),
+		pick(algorithm, "hss", "hss-overpartition", "histogramsort", "samplesort-regular", "samplesort-random"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")))
 }
 
@@ -834,7 +825,7 @@ func TestCodePathEquivalenceKeyTypes(t *testing.T) {
 
 func TestCodePathKVEquivalence(t *testing.T) {
 	runAll(t, product(cell{key: "kv", cfg: Config{Seed: 11}, in: input{dist: "dupheavy", p: 4, n: 2000, seed: 43}},
-		pick(algorithm, "hss", "samplesort-regular", "node-hss"), exchanges("materializing", "streaming")))
+		pick(algorithm, "hss", "samplesort-regular"), exchanges("materializing", "streaming")))
 }
 
 // TestSmallMessageEquivalence is the small-message regime: 256 ranks of
@@ -875,18 +866,11 @@ func smallShardStreams(base cell, keySize int64, dims ...[]val) []cell {
 }
 
 // TestSpillEquivalenceAlgorithms runs every other algorithm at a quarter
-// budget — the node sort's streaming exchange, which holds only one chunk per
-// node-level stream, at a chunk and a half.
+// budget.
 func TestSpillEquivalenceAlgorithms(t *testing.T) {
-	cs := product(cell{cfg: Config{Seed: 5, MemoryBudget: bigN * 8 / 4}, in: input{p: 4, n: bigN, seed: 97}},
-		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss"),
-		exchanges("materializing", "streaming"))
-	for i, c := range cs {
-		if c.cfg.CoresPerNode > 0 && c.cfg.StreamExchange {
-			cs[i].cfg.MemoryBudget = int64(c.cfg.ChunkKeys) * 8 * 3 / 2
-		}
-	}
-	runAll(t, cs)
+	runAll(t, product(cell{cfg: Config{Seed: 5, MemoryBudget: bigN * 8 / 4}, in: input{p: 4, n: bigN, seed: 97}},
+		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort"),
+		exchanges("materializing", "streaming")))
 }
 
 func TestSpillEquivalenceKV(t *testing.T) {
@@ -897,8 +881,8 @@ func TestSpillEquivalenceKV(t *testing.T) {
 
 func TestStreamExchangeEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 8, n: 4000, seed: 33}},
-		pick(algorithm, "hss", "hss-overpartition", "hss-roundrobin", "samplesort-regular", "samplesort-random",
-			"histogramsort", "node-hss", "hss-duplicates"),
+		pick(algorithm, "hss", "hss-overpartition", "samplesort-regular", "samplesort-random",
+			"histogramsort", "hss-duplicates"),
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")[1:]))
 }
 
@@ -907,7 +891,7 @@ func TestStreamExchangeEquivalence(t *testing.T) {
 // grid, so forwarded runs cross the wire codec.
 func TestTCPSortEquivalence(t *testing.T) {
 	runAll(t, append(product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
-		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort"),
 		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")),
 		cell{name: "grid", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 16, n: 500, seed: 17}},
 		cell{name: "grid-bytes", key: "bytes", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "hashlike", p: 16, n: 300, seed: 17}}))
@@ -920,13 +904,13 @@ func TestTCPSortKVEquivalence(t *testing.T) {
 
 func TestSortEquivalentAcrossTransports(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3, Transport: TransportInproc}, in: input{p: 8, n: 5000, seed: 21}},
-		append(pick(algorithm, "hss-skewed=hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		append(pick(algorithm, "hss-skewed=hss", "samplesort=samplesort-regular", "histogramsort"),
 			val{"hss-uniform", func(c *cell) { c.in.dist = "uniform"; algorithm(c, "hss") }})))
 }
 
 func TestWorkersEquivalence(t *testing.T) {
 	runAll(t, product(cell{cfg: Config{Seed: 3}, in: input{p: 4, n: bigN, seed: 61}},
-		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort", "node-hss"),
+		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		planes("off", "on"), dim("workers=%d", workers, workerSweep()...)))
 }
@@ -955,10 +939,6 @@ func TestTagDuplicatesRestoresBalance(t *testing.T) {
 
 func TestVirtualProcessorBuckets(t *testing.T) {
 	run(t, cell{cfg: Config{Buckets: 16, Epsilon: 0.1}, in: input{dist: "gaussian", p: 4, n: 1000, seed: 9}})
-}
-
-func TestRoundRobinBucketsPermutation(t *testing.T) {
-	run(t, cell{cfg: Config{Buckets: 8, RoundRobinBuckets: true, Epsilon: 0.1}, in: input{dist: "uniform", p: 4, n: 600, seed: 11}})
 }
 
 func TestStreamExchangeStats(t *testing.T) {
@@ -1005,15 +985,6 @@ func TestSortFloat32Keys(t *testing.T) {
 func TestNarrowKeysHistogramSortBalance(t *testing.T) {
 	runAll(t, product(cell{balanced: true, baseline: "histogramsort", cfg: Config{Epsilon: 0.1, Seed: 3}, in: input{dist: "full", p: 4, n: 6000, seed: 3}},
 		pick(keyType, "int32", "float32"), append(planes("off", "on"), nanAuto)))
-}
-
-// TestHistogramSortNaNLowRank: a NaN sorts first and encodes below
-// -Inf, so the bisection's bracket starts at it and still finds the
-// real minimum of the rank it leads — here the keys of buckets 0–3,
-// which round-robin placement sends to four ranks.
-func TestHistogramSortNaNLowRank(t *testing.T) {
-	runAll(t, product(cell{balanced: true, baseline: "histogramsort", cfg: Config{Buckets: 16, RoundRobinBuckets: true, Seed: 3}, in: input{dist: "ascending+nan", p: 4, n: 2000}},
-		pick(keyType, "float64", "float32"), []val{{"auto", func(*cell) {}}}))
 }
 
 // TestNaNPayloadsSortFirst: NaNs of both signs and several payloads,
@@ -1075,7 +1046,7 @@ func TestSortBytesMatrixEquivalence(t *testing.T) {
 
 func TestPlanOtherAlgorithms(t *testing.T) {
 	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 3}, in: input{dist: "exponential", p: 6, n: 2000, seed: 23}},
-		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "node-hss", "hss=hss-overpartition")))
+		pick(algorithm, "samplesort-regular", "samplesort-random", "histogramsort", "hss=hss-overpartition")))
 }
 
 // TestBaselinesRunThroughEngine: withBaseline really swaps the splitter
@@ -1138,7 +1109,7 @@ func TestBaselinesRunThroughEngine(t *testing.T) {
 func TestSortSeededReturnsPlansPlan(t *testing.T) {
 	cs := product(cell{seeded: true, cfg: Config{Seed: 11}, in: input{dist: "gaussian", p: 6, n: 1500, seed: 29}},
 		append(pick(keyType, "bijective=int64", "record=kv", "prefix=bytes"), val{"comparator", func(c *cell) { c.comparator = true }}),
-		pick(algorithm, "hss", "samplesort-regular", "histogramsort", "node-hss"))
+		pick(algorithm, "hss", "samplesort-regular", "histogramsort"))
 	runAll(t, slices.DeleteFunc(cs, func(c cell) bool { return c.key == "kv" && c.baseline == "histogramsort" }))
 }
 
@@ -1147,13 +1118,13 @@ func TestKVSorterPlan(t *testing.T) {
 }
 
 // TestPairwiseCoverage crosses what the matrices above keep apart —
-// virtual and round-robin buckets, seeded sorts, records and byte keys
-// against every transport, exchange form, worker pool and a spilling
-// budget — in a subset holding every pair of values. Pools and budgets
+// virtual buckets, HSS's default shape, seeded sorts, records and byte
+// keys against every transport, exchange form, worker pool and a
+// spilling budget — in a subset holding every pair of values. Pools and budgets
 // get big shards, where the kernels fan out and every stream diverts.
 func TestPairwiseCoverage(t *testing.T) {
 	cs := product(cell{cfg: Config{Seed: 9}, in: input{dist: "gaussian", p: 4, n: 4000, seed: 7}},
-		pick(algorithm, "hss-overpartition", "hss-roundrobin", "samplesort-random"),
+		pick(algorithm, "hss-overpartition", "hss", "samplesort-random"),
 		dim("%v", transport, TransportSim, TransportInproc, TransportTCP), exchanges("materializing", "streaming"),
 		[]val{{"workers=1", func(*cell) {}}, {"workers=2", func(c *cell) { workers(c, 2); c.in.n = bigN }}},
 		pick(keyType, "int64", "kv", "bytes"),

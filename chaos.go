@@ -27,7 +27,7 @@ type ChaosConfig struct {
 	// CrashRank is the rank killed when CrashPhase triggers.
 	CrashRank int
 	// CrashPhase triggers the crash on CrashRank's first send of a named
-	// phase of the sort skeleton, flat or two-level: "start" (any
+	// phase of the sort skeleton: "start" (any
 	// message), "splitter" (key count, the histogramming rounds, a
 	// seed's round 0) or "exchange" (bucket data movement). Empty
 	// disables crashing.

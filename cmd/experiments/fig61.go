@@ -5,7 +5,11 @@ import (
 	"time"
 
 	"hssort"
+	"hssort/internal/comm"
+	"hssort/internal/core"
 	"hssort/internal/dist"
+	"hssort/internal/keycoder"
+	"hssort/internal/nodesort"
 	"hssort/internal/tablefmt"
 )
 
@@ -14,7 +18,8 @@ import (
 // The paper runs 512–32K cores with 1M 8-byte keys + 4-byte payload per
 // core on Mira; we sort the same record shape over simulated ranks at
 // laptop scale with a fixed per-rank load, so the phase *fractions* and
-// their trend with p are the comparable quantities.
+// their trend with p are the comparable quantities. The §6.1 node-sort
+// table (runNodeSort) follows.
 func runFig61(scale float64) error {
 	perRank := int(100000 * scale)
 	if perRank < 5000 {
@@ -32,10 +37,7 @@ func runFig61(scale float64) error {
 				shards[r][i] = hssort.KV[int64, uint32]{Key: k, Val: uint32(i)}
 			}
 		}
-		_, stats, err := hssort.SortKV(hssort.Config{
-			Procs: p, Epsilon: 0.02, Seed: 7, Timeout: 10 * time.Minute,
-			Transport: transport,
-		}, shards)
+		_, stats, err := hssort.SortKV(hssort.Config{Procs: p, Epsilon: 0.02, Seed: 7, Transport: transport}, shards)
 		if err != nil {
 			return err
 		}
@@ -57,5 +59,59 @@ func runFig61(scale float64) error {
 	fmt.Print(t.String())
 	fmt.Println("\nPaper (Fig 6.1): the histogramming phase is a small fraction of the")
 	fmt.Println("total at every scale; data exchange dominates as p grows.")
+	return runNodeSort(scale)
+}
+
+// runNodeSort is §6.1's node-level partitioning beside flat HSS: the
+// same int64 keys sorted by core.Sort over p buckets and by
+// nodesort.Sort over p/c node buckets, both at ε = 0.05. The node sort
+// seeks p/c−1 splitters, not p−1, and combines each node pair's
+// messages into one. It moves runs inside a node by reference, so its
+// message and byte counts model shared memory within a node. On sim it
+// fails unless the node sort sends fewer splitter bytes and messages at
+// every (p, c).
+func runNodeSort(scale float64) error {
+	perRank := max(int(2000*scale), 2000)
+	t := tablefmt.New("p", "c", "sort", "rounds", "total sample", "splitter bytes", "messages", "imbalance")
+	for _, pc := range []struct{ p, c int }{{16, 4}, {64, 8}, {256, 16}} {
+		shards := dist.Spec{Kind: dist.PowerSkew}.Shards(perRank, pc.p, 42)
+		opt := coded[int64](keycoder.Int64{}, pc.p)
+		opt.Epsilon, opt.Seed = 0.05, 7
+		var bytes, msgs [2]int64
+		for i, alg := range []struct {
+			name string
+			sort func(*comm.Comm, []int64) ([]int64, core.Stats, error)
+		}{
+			{"flat HSS", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) { return core.Sort(c, local, opt) }},
+			{"node sort", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
+				return nodesort.Sort(c, local, opt, pc.c)
+			}},
+		} {
+			_, st, total, err := onWorld(cloneShards(shards), alg.sort)
+			if err != nil {
+				return fmt.Errorf("p=%d c=%d %s: %w", pc.p, pc.c, alg.name, err)
+			}
+			bytes[i], msgs[i] = st.SplitterBytes, total.MsgsSent
+			t.AddRow(
+				fmt.Sprintf("%d", pc.p),
+				fmt.Sprintf("%d", pc.c),
+				alg.name,
+				fmt.Sprintf("%d", st.Rounds),
+				fmt.Sprintf("%d", st.TotalSample),
+				tablefmt.Bytes(float64(st.SplitterBytes)),
+				fmt.Sprintf("%d", total.MsgsSent),
+				fmt.Sprintf("%.4f", st.Imbalance),
+			)
+		}
+		if transport == hssort.TransportSim && (bytes[1] >= bytes[0] || msgs[1] >= msgs[0]) {
+			return fmt.Errorf("p=%d c=%d: the node sort sent %d splitter bytes in %d messages, flat HSS %d in %d",
+				pc.p, pc.c, bytes[1], msgs[1], bytes[0], msgs[0])
+		}
+	}
+	fmt.Printf("\n§6.1 node-level partitioning, %s powerskew keys per rank, c ranks per node, eps = 0.05:\n\n", tablefmt.Count(float64(perRank)))
+	fmt.Print(t.String())
+	fmt.Println("\nPaper (§6.1): partitioning across nodes shrinks the splitter problem")
+	fmt.Println("from p−1 to n−1 splitters and the all-to-all from p(p−1) to n(n−1)")
+	fmt.Println("messages.")
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hssort"
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/exchange"
@@ -18,9 +17,9 @@ import (
 // placed non-contiguously) — comparing HSS against classic histogram
 // sort ("Old") on the Dwarf and Lambb dataset analogues, across
 // processor counts with a fixed dataset size (strong scaling of the
-// splitting cost). HSS runs on the engine; Old is not an engine
-// algorithm and runs its strategy on a world of the -transport backend
-// under the same buckets and placement.
+// splitting cost). Both run the one skeleton on a world of the
+// -transport backend, under the same buckets and round-robin placement
+// (exchange.RoundRobinOwner), with HSS's and Old's splitter strategies.
 func runFig62(scale float64) error {
 	totalParticles := int(200000 * scale)
 	if totalParticles < 20000 {
@@ -34,17 +33,14 @@ func runFig62(scale float64) error {
 			for r := 0; r < p; r++ {
 				shards[r] = ShardKeys(ds, totalParticles, r, p, 77)
 			}
-			cfg := hssort.Config{
-				Procs: p, Buckets: buckets, RoundRobinBuckets: true,
-				Epsilon: 0.05, Seed: 5, Timeout: 10 * time.Minute,
-				Transport: transport,
-			}
-			_, hssStats, err := hssort.Sort(cfg, cloneShards(shards))
+			opt := coded[uint64](keycoder.Uint64{}, p)
+			opt.Epsilon, opt.Buckets, opt.Owner, opt.Seed = 0.05, buckets, exchange.RoundRobinOwner(p), 5
+			_, hssStats, _, err := onWorld(cloneShards(shards), func(c *comm.Comm, local []uint64) ([]uint64, core.Stats, error) {
+				return core.Sort(c, local, opt)
+			})
 			if err != nil {
 				return fmt.Errorf("%s p=%d HSS: %w", ds.Name, p, err)
 			}
-			opt := coded[uint64](keycoder.Uint64{}, p)
-			opt.Epsilon, opt.Buckets, opt.Owner, opt.Seed = cfg.Epsilon, buckets, exchange.RoundRobinOwner(p), cfg.Seed
 			_, oldStats, _, err := onWorld(cloneShards(shards), func(c *comm.Comm, local []uint64) ([]uint64, core.Stats, error) {
 				return histsort.Sort(c, local, opt, histsort.Options[uint64]{Coder: keycoder.Uint64{}})
 			})

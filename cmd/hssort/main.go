@@ -1,15 +1,14 @@
 // Command hssort sorts a synthetic workload with Histogram Sort with
 // Sampling and prints the paper's metrics: phase breakdown,
 // histogramming rounds, sample sizes, communication volume, and the
-// achieved load imbalance. The paper's baselines are experiment code:
-// cmd/experiments -exp sec4.2 and -exp fig6.2.
+// achieved load imbalance. The paper's baselines and its §6.1 node sort
+// are experiment code: cmd/experiments -exp sec4.2, fig6.1 and fig6.2.
 //
 // Examples:
 //
 //	hssort -p 16 -n 100000                  # HSS on uniform keys
 //	hssort -p 16 -dist powerskew -eps 0.02  # skewed keys, tighter balance
 //	hssort -p 16 -dist dupheavy -tag        # §4.3 duplicate tagging
-//	hssort -p 16 -cores 4                   # §6.1 two-level node sort
 //	hssort -p 16 -keys bytes -dist urllike  # []byte keys, prefix-code plane
 //
 // Multi-process deployment (the tcp transport; see docs/WIRE.md and the
@@ -23,7 +22,7 @@
 //	...
 //
 // Every worker must be started with identical workload flags (-n, -dist,
-// -seed, -cores, …): each process derives the deterministic global input
+// -seed, …): each process derives the deterministic global input
 // and sorts its own rank's shard. -digest prints per-rank output
 // fingerprints that are comparable across transports, which is how the
 // CI smoke asserts rank-identical output of a 4-process tcp run against
@@ -90,7 +89,6 @@ func main() {
 		dsName  = flag.String("dist", "uniform", "distribution: "+names(distributions)+"; with -keys bytes: "+names(byteDistributions)+" (default hashlike)")
 		eps     = flag.Float64("eps", 0.05, "load-imbalance threshold")
 		buckets = flag.Int("buckets", 0, "output buckets (default: p)")
-		cores   = flag.Int("cores", 0, "cores per node: > 0 runs the §6.1 two-level node sort (node-hss) with one bucket per node; 0 = flat HSS")
 		tag     = flag.Bool("tag", false, "tag duplicates (§4.3)")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		trName  = flag.String("transport", "sim", "comm backend — "+strings.Join(hssort.TransportSummaries(), "; "))
@@ -176,7 +174,6 @@ func main() {
 		Procs:          *p,
 		Epsilon:        *eps,
 		Buckets:        *buckets,
-		CoresPerNode:   *cores,
 		TagDuplicates:  *tag,
 		Seed:           *seed,
 		Transport:      transport,
@@ -298,8 +295,8 @@ func run[K any](ctx context.Context, cfg hssort.Config, o runOpts, w workload[K]
 
 	if o.workerMode && o.rank != 0 {
 		// Peers report their partition; whole-run stats live on rank 0.
-		fmt.Printf("%s: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
-			algorithm(cfg), o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
+		fmt.Printf("hss: rank %d/%d sorted its partition (%s keys received) in %v over tcp\n",
+			o.rank, cfg.Procs, tablefmt.Count(float64(totalKeys(outs))), wall.Round(time.Millisecond))
 		if o.digest {
 			printDigests(outs, o.rank, true, w.appendKey)
 		}
@@ -338,14 +335,6 @@ func totalKeys[K any](outs [][]K) int {
 	return total
 }
 
-// algorithm names the sort cfg runs in the report header.
-func algorithm(cfg hssort.Config) string {
-	if cfg.CoresPerNode > 0 {
-		return "node-hss"
-	}
-	return "hss"
-}
-
 // report prints the whole-run metrics table. It is key-type agnostic:
 // run feeds it the same Config and Stats for either key type.
 type report struct {
@@ -362,8 +351,8 @@ func (r report) print() {
 	if r.workerMode {
 		world = "worker processes"
 	}
-	fmt.Printf("%s: sorted %s %s keys on %d %s in %v (%s transport)\n\n",
-		algorithm(r.cfg), tablefmt.Count(float64(stats.N)), r.distName, r.cfg.Procs, world,
+	fmt.Printf("hss: sorted %s %s keys on %d %s in %v (%s transport)\n\n",
+		tablefmt.Count(float64(stats.N)), r.distName, r.cfg.Procs, world,
 		r.wall.Round(time.Millisecond), r.cfg.Transport)
 	if r.cfg.Transport == hssort.TransportInproc {
 		fmt.Println("note: the inproc transport does no byte accounting; byte/message metrics read zero")

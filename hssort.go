@@ -51,28 +51,16 @@ import (
 // Config configures a sort run. The zero value plus Procs is usable:
 // Histogram Sort with Sampling in its production configuration
 // (§6.1.2: fixed 5·B-key oversampling per round) at ε = 0.05.
-// CoresPerNode > 0 selects the §6.1 two-level node sort instead.
 type Config struct {
 	// Procs is the number of simulated processors; it must equal
 	// len(shards) in Sort. Required.
 	Procs int
-	// Epsilon is the load-imbalance threshold ε. Default 0.05 (0.02
-	// with CoresPerNode).
+	// Epsilon is the load-imbalance threshold ε. Default 0.05.
 	Epsilon float64
 	// Buckets is the number of output ranges (virtual processors).
 	// Default Procs. Buckets > Procs simulates ChaNGa's TreePiece
 	// regime (§6.3).
 	Buckets int
-	// RoundRobinBuckets places buckets on ranks cyclically instead of
-	// contiguously (§6.3's non-contiguous virtual processors). The
-	// output is then sorted per rank but not across ranks.
-	RoundRobinBuckets bool
-	// CoresPerNode, when > 0, runs HSS with the two-level node
-	// partitioning and message combining of §6.1: Procs/CoresPerNode
-	// nodes of CoresPerNode ranks each, one bucket per node, at a
-	// default ε of 0.02. Procs must be a multiple of it, and Buckets and
-	// RoundRobinBuckets must be unset. 0 (the default) is flat HSS.
-	CoresPerNode int
 	// TagDuplicates wraps every key with its (processor, index) origin
 	// (§4.3), restoring the balance guarantee on duplicate-heavy
 	// inputs.
@@ -263,9 +251,8 @@ func fromCore(st core.Stats) Stats {
 
 // Sort sorts shards[i] (the keys initially on processor i) across
 // Config.Procs simulated processors and returns the per-processor sorted
-// partitions. Except under RoundRobinBuckets placements, the
-// concatenation out[0] ‖ out[1] ‖ … is the sorted input. The input
-// shards are consumed, as by Sorter.Sort.
+// partitions: the concatenation out[0] ‖ out[1] ‖ … is the sorted
+// input. The input shards are consumed, as by Sorter.Sort.
 //
 // Sort builds the whole simulated machine for one call and tears it
 // down again. A service sorting repeatedly should create a Sorter

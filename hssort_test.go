@@ -71,9 +71,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, _, err := SortFunc[int64](Config{}, [][]int64{{1}}, nil); err == nil {
 		t.Error("nil comparator accepted")
 	}
-	if _, _, err := Sort(Config{CoresPerNode: 3}, [][]int64{{1}, {2}}); err == nil {
-		t.Error("Procs not a multiple of CoresPerNode accepted")
-	}
 }
 
 func TestSimulateSplittersFacade(t *testing.T) {

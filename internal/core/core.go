@@ -220,12 +220,12 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	return o, nil
 }
 
-// Validate reports the error FrontHalf would return for these options on
-// a world of p ranks, so an engine can reject a configuration before it
-// builds the world.
-func (o Options[K]) Validate(p int) error {
-	_, err := o.withDefaults(p)
-	return err
+// Resolve returns the options FrontHalf runs under on a world of p
+// ranks, defaults filled, or the error it would return, so an engine can
+// reject a configuration before it builds the world and read back the
+// defaults it left to the skeleton.
+func (o Options[K]) Resolve(p int) (Options[K], error) {
+	return o.withDefaults(p)
 }
 
 // oversampleFactor is f for FixedOversampling: the expected sample size
@@ -234,9 +234,8 @@ func (o Options[K]) Validate(p int) error {
 const oversampleFactor = 5
 
 // The skeleton's tag layout, in protocol order, from tagBase. Every
-// splitter-based sort — flat or two-level, whatever its strategy — uses
-// this one layout, which is what lets PhaseTagRange name a phase for
-// all of them.
+// splitter-based sort, whatever its strategy, uses this one layout,
+// which is what lets PhaseTagRange name a phase for all of them.
 const (
 	// tagBase is the first tag a sort uses on its endpoint.
 	tagBase  comm.Tag = 1000
@@ -246,15 +245,12 @@ const (
 	TagStrategy  = tagBase + 2
 	StrategyTags = 4
 	tagSeed      = TagStrategy + StrategyTags // round-0 bucket-load all-reduce (+1)
-	// TagExchange starts the data movement's ExchangeTags tags: the flat
-	// sort's bucket exchange uses the first two (the second is the
-	// forward hop of exchange.Exchange's two-hop grid); the two-level
-	// sort's intra-node combine takes the first, its node-to-node
-	// exchange the next two, and its within-node scatter the last.
-	TagExchange  = tagSeed + 2
-	ExchangeTags = 4
+	// tagExchange starts the bucket exchange's exchangeTags tags; the
+	// second is the forward hop of exchange.Exchange's two-hop grid.
+	tagExchange  = tagSeed + 2
+	exchangeTags = 2
 	// TagStats is the closing stats all-reduce (+1).
-	TagStats = TagExchange + ExchangeTags
+	TagStats = tagExchange + exchangeTags
 	// tagEnd is one past the last tag a sort occupies.
 	tagEnd = TagStats + 2
 )
@@ -270,9 +266,9 @@ func PhaseTagRange(phase string) (lo, hi comm.Tag, ok bool) {
 	case "start":
 		return tagBase, tagEnd, true
 	case "splitter":
-		return tagBase, TagExchange, true
+		return tagBase, tagExchange, true
 	case "exchange":
-		return TagExchange, TagStats, true
+		return tagExchange, TagStats, true
 	}
 	return 0, 0, false
 }

@@ -19,9 +19,10 @@
 //   - BackHalf: exchange.ExchangeMerge (all-to-all + k-way merge) →
 //     FinishStats.
 //
-// Sort and SortWith are the two halves back to back. internal/nodesort
-// puts its own two-level BackHalf behind FrontHalf; the root engine's
-// Plan calls FrontHalf and stops. Options is the one options struct —
+// Sort and SortWith are the two halves back to back. The §6.1 node-sort
+// experiment (internal/nodesort) puts its own two-level data movement,
+// on its own tags, behind FrontHalf; the root engine's Plan calls
+// FrontHalf and stops. Options is the one options struct —
 // declared, defaulted and validated once, before any rank works or sends
 // — and one tag layout from tag 1000 (count · strategy span ·
 // round 0 · data movement · stats) serves every caller, which is what lets

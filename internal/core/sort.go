@@ -263,7 +263,7 @@ func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	opt := f.Opt
 	bytes0 := c.Counters().BytesSent
 	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, TagExchange, f.Runs, opt.Owner, opt.Cmp, opt.Code,
+		c, tagExchange, f.Runs, opt.Owner, opt.Cmp, opt.Code,
 		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: f.Pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
 	if err != nil {
 		return nil, f.Stats, err

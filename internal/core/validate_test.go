@@ -9,7 +9,6 @@ import (
 	"hssort/internal/core"
 	"hssort/internal/histsort"
 	"hssort/internal/keycoder"
-	"hssort/internal/nodesort"
 	"hssort/internal/samplesort"
 )
 
@@ -46,10 +45,6 @@ func TestSharedOptionsRejectedBeforeAnyWork(t *testing.T) {
 		}},
 		{"histsort", func(c *comm.Comm, local []int64, opt core.Options[int64]) error {
 			_, _, err := histsort.Sort(c, local, opt, histsort.Options[int64]{Coder: keycoder.Int64{}})
-			return err
-		}},
-		{"nodesort", func(c *comm.Comm, local []int64, opt core.Options[int64]) error {
-			_, _, err := nodesort.Sort(c, local, opt, 2)
 			return err
 		}},
 	}

@@ -16,5 +16,8 @@
 // Intra-node traffic models shared memory: runs move by reference, so
 // the byte counters see only envelope-sized messages within a node while
 // node-to-node messages carry full key payloads — mirroring where real
-// network traffic flows.
+// network traffic flows. That makes it a model for the paper's
+// comparison, not a production path: it is experiment code, run beside
+// flat HSS by cmd/experiments -exp fig6.1, and nothing the library, the
+// CLI or the daemon links imports it.
 package nodesort

@@ -11,11 +11,13 @@ import (
 	"hssort/internal/merge"
 )
 
-// The two-level data movement's layout of the skeleton's exchange tags.
+// The two-level data movement's tags, from a base of its own: core's
+// layout reserves only the flat exchange's.
 const (
-	tagCombine = core.TagExchange     // intra-node run gather
-	tagNodeEx  = core.TagExchange + 1 // node-to-node exchange (+1: its grid's forward hop)
-	tagScatter = core.TagExchange + 3 // within-node scatter
+	baseTag    comm.Tag = 7000
+	tagCombine          = baseTag     // intra-node run gather
+	tagNodeEx           = baseTag + 1 // node-to-node exchange (+1: its grid's forward hop)
+	tagScatter          = baseTag + 3 // within-node scatter
 )
 
 // Sort runs the two-level sort and returns this rank's globally sorted
@@ -23,12 +25,14 @@ const (
 // (core.FrontHalf) under the HSS strategy, retargeted at node-level
 // partitioning — all p ranks participate, but only n-1 splitters are
 // sought (§6.1: "data partitioning needs to be only across physical
-// nodes") — then BackHalf. coresPerNode is the node width c; the world
-// size must be a multiple of it. opt.Buckets is forced to the node count
-// n = p/c, so injected Splitters are n-1 node-level keys and their round 0
-// is measured over node buckets; opt.Epsilon defaults to 0.02, the
-// paper's node-level threshold; opt.Owner is unused. Every rank must call
-// Sort with the same arguments. The input is consumed.
+// nodes") — then the two-level data movement. coresPerNode is the node
+// width c; the world size must be a multiple of it. opt.Buckets is
+// forced to the node count n = p/c, so injected Splitters are n-1
+// node-level keys and their round 0 is measured over node buckets;
+// opt.Epsilon defaults to 0.02, the paper's node-level threshold;
+// opt.Owner and opt.ChunkKeys are unused, as the leader exchange always
+// materializes. Every rank must call Sort with the same arguments. The
+// input is consumed.
 func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], coresPerNode int) ([]K, core.Stats, error) {
 	p := c.Size()
 	if coresPerNode < 1 {
@@ -45,19 +49,16 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], coresPerNode int)
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	return BackHalf(c, f)
+	return backHalf(c, f)
 }
 
-// BackHalf is the two-level data movement behind a front half cut into
+// backHalf is the two-level data movement behind a front half cut into
 // one bucket per node (f.Opt.Buckets nodes of equal width): intra-node
 // combine, node-to-node exchange, within-node scatter, then the closing
 // stats all-reduce. On leaders f.Opt.Workers also serves the combine and
 // node-level merges and f.Opt.Scratch the leader exchange.
-func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
+func backHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	nodes := f.Opt.Buckets
-	if c.Size()%nodes != 0 {
-		return nil, core.Stats{}, fmt.Errorf("nodesort: world size %d not a multiple of the %d node buckets", c.Size(), nodes)
-	}
 	cores := c.Size() / nodes
 	opt, stats, pool := f.Opt, f.Stats, f.Pool
 	if stats.N == 0 {
@@ -91,12 +92,9 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	}
 
 	// Node-to-node exchange: leaders merge their cores' runs per
-	// destination node and exchange n(n-1) combined messages —
-	// materialized, or streamed in chunks overlapped with the node-level
-	// merge when Options.ChunkKeys or Options.Spill is set.
+	// destination node and exchange n(n-1) combined messages.
 	var nodeData []K
 	var nodeMergeTime time.Duration
-	var sst exchange.StreamStats
 	if isLeader {
 		// Prefix plane: the combine and node-level merges resolve
 		// equal-code matches with the comparator.
@@ -116,9 +114,9 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 		if err != nil {
 			return nil, stats, err
 		}
-		nodeData, _, nodeMergeTime, sst, err = exchange.ExchangeMerge(
+		nodeData, _, nodeMergeTime, _, err = exchange.ExchangeMerge(
 			leaderGroup, tagNodeEx, combined, exchange.ContiguousOwner(nodes, nodes), opt.Cmp, opt.Code,
-			exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
+			exchange.StreamOptions{Pool: pool, Tie: opt.PrefixCode}, opt.Scratch)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -150,12 +148,9 @@ func BackHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	m.ExchangeBytes = exchangeBytes
 	m.Exchange += exchangeTime
 	m.Merge = mergeTime
-	m.Overlap = sst.Overlap
-	m.PeakInFlight = sst.PeakInFlight
 	m.OutCount = len(out)
 	pc := pool.Counters()
 	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
-	m.Spill = opt.Spill.TakeStats()
 	if err := core.FinishStats(c, core.TagStats, &stats, m); err != nil {
 		return nil, stats, err
 	}

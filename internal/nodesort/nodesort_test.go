@@ -132,15 +132,36 @@ func TestNodeSortReducesMessages(t *testing.T) {
 	}
 }
 
+// TestNodeSortValidation: a bad node width or option is rejected on
+// every rank before any message is sent.
 func TestNodeSortValidation(t *testing.T) {
-	if _, _, _, err := trySort([][]int64{{1}, {2}}, core.Options[int64]{}, 2); err == nil {
-		t.Error("missing Cmp accepted")
-	}
-	if _, _, _, err := trySort([][]int64{{1}, {2}}, core.Options[int64]{Cmp: icmp}, 0); err == nil {
-		t.Error("CoresPerNode=0 accepted")
-	}
-	if _, _, _, err := trySort([][]int64{{1}, {2}, {3}}, core.Options[int64]{Cmp: icmp}, 2); err == nil {
-		t.Error("p=3, c=2 accepted")
+	valid := core.Options[int64]{Cmp: icmp}
+	for _, tc := range []struct {
+		name string
+		p, c int
+		mod  func(*core.Options[int64])
+	}{
+		{"missing Cmp", 2, 2, func(o *core.Options[int64]) { o.Cmp = nil }},
+		{"PrefixCode without Code", 2, 2, func(o *core.Options[int64]) { o.PrefixCode = true }},
+		{"negative Epsilon", 2, 2, func(o *core.Options[int64]) { o.Epsilon = -0.1 }},
+		{"negative ChunkKeys", 2, 2, func(o *core.Options[int64]) { o.ChunkKeys = -1 }},
+		{"wrong splitter count", 4, 2, func(o *core.Options[int64]) { o.Splitters = []int64{1, 2} }},
+		{"coresPerNode 0", 2, 0, func(*core.Options[int64]) {}},
+		{"p=3, c=2", 3, 2, func(*core.Options[int64]) {}},
+	} {
+		opt := valid
+		tc.mod(&opt)
+		shards := make([][]int64, tc.p)
+		for r := range shards {
+			shards[r] = []int64{3, 1, 2}
+		}
+		_, _, w, err := trySort(shards, opt, tc.c)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if sent := w.TotalCounters().MsgsSent; sent != 0 {
+			t.Errorf("%s: %d messages sent before the rejection", tc.name, sent)
+		}
 	}
 }
 

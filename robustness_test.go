@@ -158,29 +158,26 @@ func TestPeerCrashMidExchange(t *testing.T) {
 }
 
 // TestPeerCrashPhaseMatrix: Config.Chaos.CrashPhase names a phase of
-// the one sort skeleton, so it fires under every splitter strategy, under
-// the node sort's two-level data movement, and in the two-hop grid that
-// 16 ranks of small shards exchange over alike — each cell fails fast
-// with a *PeerCrashError naming the victim, and every engine closes
-// without leaking goroutines.
+// the one sort skeleton, so it fires under every splitter strategy and
+// in the two-hop grid that 16 ranks of small shards exchange over alike
+// — each cell fails fast with a *PeerCrashError naming the victim, and
+// every engine closes without leaking goroutines.
 func TestPeerCrashPhaseMatrix(t *testing.T) {
 	const victim = 2
 	before := runtime.NumGoroutine()
 	for _, alg := range []struct {
 		name       string
-		cores      int
 		baseline   string
 		p, perRank int
 	}{
-		{"hss", 0, "", 4, 800}, {"samplesort-regular", 0, "samplesort-regular", 4, 800},
-		{"histogramsort", 0, "histogramsort", 4, 800}, {"node-hss", 2, "", 4, 800},
-		{"hss-grid", 0, "", 16, 100},
+		{"hss", "", 4, 800}, {"samplesort-regular", "samplesort-regular", 4, 800},
+		{"histogramsort", "histogramsort", 4, 800}, {"hss-grid", "", 16, 100},
 	} {
 		for _, phase := range []string{"splitter", "exchange"} {
 			t.Run(alg.name+"/"+phase, func(t *testing.T) {
 				p, perRank := alg.p, alg.perRank
 				engine, err := New[int64](Config{
-					Procs: p, CoresPerNode: alg.cores, Epsilon: 0.05, Seed: 3,
+					Procs: p, Epsilon: 0.05, Seed: 3,
 					Transport: TransportSim,
 					Chaos:     &ChaosConfig{Seed: 7, CrashRank: victim, CrashPhase: phase},
 				})

@@ -16,7 +16,6 @@ import (
 	"hssort/internal/core"
 	"hssort/internal/exchange"
 	"hssort/internal/keycoder"
-	"hssort/internal/nodesort"
 	"hssort/internal/par"
 	"hssort/internal/spill"
 )
@@ -117,25 +116,15 @@ func newSorter[K any](cfg Config, compare func(K, K) int, coder keycoder.Coder[K
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("hssort: Workers %d < 0", cfg.Workers)
 	}
-	if cfg.CoresPerNode < 0 {
-		return nil, fmt.Errorf("hssort: CoresPerNode %d < 0", cfg.CoresPerNode)
-	}
-	if cfg.CoresPerNode > 0 {
-		// The node sort partitions into one bucket per node, placed on
-		// the node's own ranks.
-		if cfg.Procs%cfg.CoresPerNode != 0 {
-			return nil, fmt.Errorf("hssort: Procs %d not a multiple of CoresPerNode %d", cfg.Procs, cfg.CoresPerNode)
-		}
-		if cfg.Buckets != 0 || cfg.RoundRobinBuckets {
-			return nil, fmt.Errorf("hssort: Buckets and RoundRobinBuckets cannot be set with CoresPerNode (the node sort places one bucket per node)")
-		}
-	}
 	// The skeleton's own checks (ε, buckets, chunking), run on the
 	// options every Sort builds — the bijective plane changes only their
-	// element type.
-	if err := coreOptions(cfg, compare, code, prefix).Validate(cfg.Procs); err != nil {
+	// element type. Its defaults for ε and the bucket count are the
+	// engine's, resolved here once.
+	o, err := coreOptions(cfg, compare, code, prefix).Resolve(cfg.Procs)
+	if err != nil {
 		return nil, fmt.Errorf("hssort: invalid Config: %w", err)
 	}
+	cfg.Epsilon, cfg.Buckets = o.Epsilon, o.Buckets
 	if cfg.MemoryBudget < 0 {
 		return nil, fmt.Errorf("hssort: MemoryBudget %d < 0", cfg.MemoryBudget)
 	}
@@ -266,9 +255,9 @@ func (s *Sorter[K]) SortSeeded(ctx context.Context, seed *Plan[K], shards [][]K)
 }
 
 // Plan is SortSeeded stopped before any data moves — local sort plus
-// splitter determination (sampling and histogramming; node-level with
-// CoresPerNode) — returning the splitters with the protocol's achieved
-// statistics. The input shards are read, not consumed.
+// splitter determination (sampling and histogramming) — returning the
+// splitters with the protocol's achieved statistics. The input shards
+// are read, not consumed.
 //
 // Plan is deterministic given Config.Seed and the input, and uses the
 // same per-rank sampling streams as Sort — the splitters are exactly
@@ -364,9 +353,8 @@ func (s *Sorter[K]) run(ctx context.Context, seed *Plan[K], shards [][]K, full, 
 			// memory. That rests on one invariant: out is fresh for every
 			// call and this rank's alone — merge.Runs([]K{}, …) on the
 			// materializing exchange, ExchangeStream's make on the
-			// streaming one, or one of the disjoint sub-slices of
-			// NodeHSS's fresh node array. It is never engine scratch, an
-			// input shard, or memory another rank's output shares.
+			// streaming one. It is never engine scratch, an input shard,
+			// or memory another rank's output shares.
 			job.output = func(r int, out []codes.Code) {
 				t0 := time.Now()
 				outs[r] = codes.DecodeInPlace(s.coder, out, par.New(s.cfg.Workers))
@@ -434,8 +422,8 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 	if plan.procs != s.cfg.Procs {
 		return fmt.Errorf("hssort: plan prepared for %d procs, engine has %d", plan.procs, s.cfg.Procs)
 	}
-	if want := effectiveBuckets(s.cfg); plan.Buckets != want {
-		return fmt.Errorf("hssort: plan prepared for %d buckets, engine partitions into %d", plan.Buckets, want)
+	if plan.Buckets != s.cfg.Buckets {
+		return fmt.Errorf("hssort: plan prepared for %d buckets, engine partitions into %d", plan.Buckets, s.cfg.Buckets)
 	}
 	if len(plan.Splitters) != plan.Buckets-1 {
 		return fmt.Errorf("hssort: plan holds %d splitters for %d buckets", len(plan.Splitters), plan.Buckets)
@@ -446,31 +434,6 @@ func (s *Sorter[K]) checkPlan(plan *Plan[K]) error {
 		}
 	}
 	return nil
-}
-
-// effectiveBuckets is the number of output ranges cfg partitions into:
-// Buckets (default Procs), or the node count with CoresPerNode.
-func effectiveBuckets(cfg Config) int {
-	if cfg.CoresPerNode > 0 {
-		return cfg.Procs / cfg.CoresPerNode
-	}
-	if cfg.Buckets != 0 {
-		return cfg.Buckets
-	}
-	return cfg.Procs
-}
-
-// effectiveEpsilon is the load-imbalance target ε cfg aims for: Epsilon,
-// defaulting to the paper's 0.05, or its tighter node-level 0.02 with
-// CoresPerNode.
-func effectiveEpsilon(cfg Config) float64 {
-	switch {
-	case cfg.Epsilon != 0:
-		return cfg.Epsilon
-	case cfg.CoresPerNode > 0:
-		return 0.02
-	}
-	return 0.05
 }
 
 // engineRun describes one run of the worker world to runEngine: the
@@ -503,8 +466,7 @@ type engineRun[K, E any] struct {
 // runEngine executes one run over the engine's worker pool — the only
 // place the pool is run — and every run is the skeleton: the front half
 // under HSS (or the strategy s.strategies holds) and the options
-// coreOptions builds, then (unless the run stops there) the flat back
-// half or, with CoresPerNode, the node sort's two-level one.
+// coreOptions builds, then (unless the run stops there) the back half.
 func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E]) (*Plan[K], Stats, error) {
 	var stats Stats
 	var front *core.Front[E]
@@ -540,13 +502,7 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		if job.output == nil {
 			return nil
 		}
-		var out []E
-		var st core.Stats
-		if s.cfg.CoresPerNode > 0 {
-			out, st, err = nodesort.BackHalf(c, f)
-		} else {
-			out, st, err = f.BackHalf(c)
-		}
+		out, st, err := f.BackHalf(c)
 		if err != nil {
 			return err
 		}
@@ -568,18 +524,18 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		return nil, stats, nil
 	}
 	splitters := job.keys(front)
-	if len(splitters) != effectiveBuckets(s.cfg)-1 {
+	if len(splitters) != s.cfg.Buckets-1 {
 		return nil, stats, nil // no keys, no splitters
 	}
 	return &Plan[K]{
 		Splitters:       splitters,
-		Buckets:         effectiveBuckets(s.cfg),
+		Buckets:         s.cfg.Buckets,
 		N:               front.Stats.N,
 		Rounds:          front.Stats.Rounds,
 		SamplePerRound:  front.Stats.SamplePerRound,
 		TotalSample:     front.Stats.TotalSample,
 		Finalized:       front.Finalized,
-		Epsilon:         effectiveEpsilon(s.cfg),
+		Epsilon:         s.cfg.Epsilon,
 		AchievedEpsilon: achieved,
 		procs:           s.cfg.Procs,
 	}, stats, nil
@@ -658,8 +614,7 @@ type Plan[K any] struct {
 	// Splitters are the finalized bucket boundaries: Buckets-1 keys in
 	// non-decreasing order. Bucket i receives keys in [S_{i-1}, S_i).
 	Splitters []K
-	// Buckets is the bucket count the plan partitions into (the node
-	// count with CoresPerNode).
+	// Buckets is the bucket count the plan partitions into.
 	Buckets int
 	// N is the global key count of the planning input.
 	N int64
@@ -706,14 +661,11 @@ func coreOptions[E any](cfg Config, compare func(E, E) int, code func(E) uint64,
 		Cmp:        compare,
 		Code:       code,
 		PrefixCode: prefix,
-		Epsilon:    effectiveEpsilon(cfg),
-		Buckets:    effectiveBuckets(cfg),
+		Epsilon:    cfg.Epsilon,
+		Buckets:    cfg.Buckets,
 		Seed:       cfg.Seed,
 		ChunkKeys:  cfg.ChunkKeys,
 		Workers:    cfg.Workers,
-	}
-	if cfg.RoundRobinBuckets {
-		o.Owner = exchange.RoundRobinOwner(cfg.Procs)
 	}
 	if o.ChunkKeys == 0 && cfg.StreamExchange {
 		o.ChunkKeys = exchange.DefaultChunkKeys

@@ -20,10 +20,9 @@ var bg = context.Background()
 
 // TestSorterReuse: one engine serves many sorts, each rank-identical to
 // a one-shot Sort of the same input. Every round's output is kept and
-// checked again after the last round, on both exchange forms, under a
-// memory budget (the local sort borrows the consumed shard) and on
-// NodeHSS (ranks decode disjoint pieces of one node array), for int64,
-// uint64 and float64 keys. The code plane hands each rank its merged
+// checked again after the last round, on both exchange forms and under
+// a memory budget (the local sort borrows the consumed shard), for
+// int64, uint64 and float64 keys. The code plane hands each rank its merged
 // array decoded in place, so the outputs must own their memory: scratch
 // the engine keeps between sorts, an input shard or another rank's
 // output must never share it.
@@ -35,7 +34,6 @@ func TestSorterReuse(t *testing.T) {
 		{"stream=false", Config{}},
 		{"stream=true", Config{StreamExchange: true}},
 		{"budget", Config{MemoryBudget: 1500 * 8 * 2}},
-		{"cores=2", Config{CoresPerNode: 2}},
 	} {
 		t.Run(c.name+"/int64", func(t *testing.T) {
 			checkSorterReuse(t, c.cfg, func(x int64) int64 { return x })
@@ -426,19 +424,6 @@ func TestSorterConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewFunc[int64](Config{Procs: 2}, nil); err == nil {
 		t.Error("nil comparator accepted")
-	}
-	// The node sort places one bucket per node on the node's own ranks:
-	// it cannot honour a bucket count or placement of its own.
-	for name, cfg := range map[string]Config{
-		"CoresPerNode -1":              {Procs: 4, CoresPerNode: -1},
-		"Procs not a multiple":         {Procs: 3, CoresPerNode: 2},
-		"CoresPerNode with Buckets":    {Procs: 4, CoresPerNode: 2, Buckets: 8},
-		"CoresPerNode with RoundRobin": {Procs: 4, CoresPerNode: 2, RoundRobinBuckets: true},
-	} {
-		if s, err := New[int64](cfg); err == nil {
-			s.Close()
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }
 
