@@ -44,6 +44,9 @@ type cell struct {
 	seeded   bool // also seed a sort with the cell's own plan
 	repeat   bool // sort twice through one engine; the outputs must be identical
 	balanced bool // Imbalance must be at most 1+ε
+	// oracle also holds the cell to the materializing exchange under a
+	// shared plan (materializingOracle); run sets it where streamsFlat.
+	oracle bool
 
 	// comparator builds the engine with NewFunc and the key type's
 	// order: the comparator plane. Histogram sort needs key arithmetic,
@@ -141,6 +144,16 @@ func streams(cfg Config) bool {
 	return cfg.StreamExchange || cfg.ChunkKeys > 0 || cfg.MemoryBudget > 0
 }
 
+// streamsFlat reports whether the cell streams, and so sorts flat, where
+// its materializing form sorts in two levels (core.Levels). The two cut
+// at different splitters, so their ranks agree only under a shared plan.
+func streamsFlat(c cell) bool {
+	m := c.cfg
+	m.StreamExchange, m.ChunkKeys, m.MemoryBudget = false, 0, 0
+	_, _, two := core.Levels(c.in.p, int64(c.in.p*c.in.n), coreOptions(m, cmp.Compare[int64], nil, false))
+	return two && streams(c.cfg)
+}
+
 // withBaseline makes eng run the §4.2 baseline name (none if "") in place
 // of HSS, on every plane: sample sort and classic histogram sort as the
 // engine ran them when Config selected them. Histogram sort bisects code
@@ -161,12 +174,12 @@ func baseline[E any](name string) core.Strategies[E] {
 		}
 		return core.Strategies[E]{Keys: sampleSort[E](o), Codes: sampleSort[codes.Code](o)}
 	case "histogramsort":
-		probe := func(c *comm.Comm, sorted []codes.Code, n int64, opt core.Options[codes.Code]) ([]codes.Code, core.SplitterInfo, error) {
+		probe := func(c comm.Endpoint, sorted []codes.Code, n int64, opt core.Options[codes.Code]) ([]codes.Code, core.SplitterInfo, error) {
 			return histsort.DetermineSplitters(c, sorted, n, opt, histsort.Options[codes.Code]{Coder: identityCoder{}})
 		}
 		keys, ok := any(core.Strategy[codes.Code](probe)).(core.Strategy[E])
 		if !ok {
-			keys = func(*comm.Comm, []E, int64, core.Options[E]) ([]E, core.SplitterInfo, error) {
+			keys = func(comm.Endpoint, []E, int64, core.Options[E]) ([]E, core.SplitterInfo, error) {
 				var zero E
 				return nil, core.SplitterInfo{}, fmt.Errorf("histogram sort needs a key coder, which %T lacks", zero)
 			}
@@ -177,7 +190,7 @@ func baseline[E any](name string) core.Strategies[E] {
 }
 
 func sampleSort[E any](o samplesort.Options) core.Strategy[E] {
-	return func(c *comm.Comm, sorted []E, n int64, opt core.Options[E]) ([]E, core.SplitterInfo, error) {
+	return func(c comm.Endpoint, sorted []E, n int64, opt core.Options[E]) ([]E, core.SplitterInfo, error) {
 		return samplesort.DetermineSplitters(c, sorted, n, opt, o)
 	}
 }
@@ -545,15 +558,17 @@ type outcome struct {
 
 // reference sorts the cell's reference, once per test binary: the same
 // protocol and input on sim, materializing, serial, in memory, on the
-// comparator plane. Byte strings keep their plane — prefix and
-// comparator planes agree only without prefix collisions — except on
-// hashlike keys, which have none (run checks it). Histogram sort keeps
-// its constructor: it has no comparator plane. This is the one place a
-// cell's oracle is derived.
+// comparator plane. A cell that streamsFlat streams in its reference
+// too, which sorts flat as it does; the cell itself is then also held to
+// the materializing exchange under a shared plan (materializingOracle).
+// Byte strings keep their plane — prefix and comparator planes agree
+// only without prefix collisions — except on hashlike keys, which have
+// none (run checks it). Histogram sort keeps its constructor: it has no
+// comparator plane. This is the one place a cell's oracle is derived.
 func reference(t *testing.T, c cell) (cell, outcome) {
 	r := cell{name: "reference", cfg: c.cfg, key: cmp.Or(c.key, "int64"), in: c.in, baseline: c.baseline}
 	r.cfg.Transport, r.cfg.Workers, r.cfg.MemoryBudget = TransportSim, 1, 0
-	r.cfg.StreamExchange, r.cfg.ChunkKeys = false, 0
+	r.cfg.StreamExchange, r.cfg.ChunkKeys = streamsFlat(c), 0
 	r.comparator = c.baseline != "histogramsort" && (c.key != "bytes" || c.in.dist == "hashlike")
 	return r, memoized(refs, fmt.Sprintf("%+v", r), func() outcome { return sortCell(t, r) })
 }
@@ -562,6 +577,7 @@ func reference(t *testing.T, c cell) (cell, outcome) {
 // invariants and its reference.
 func run(t *testing.T, c cell) {
 	t.Helper()
+	c.oracle = streamsFlat(c)
 	got := sortCell(t, c)
 	r, want := reference(t, c)
 	for i := range want.ranks {
@@ -677,12 +693,57 @@ func sortAs[K any](t *testing.T, c cell, ops keyOps[K]) outcome {
 			t.Fatalf("%s: the seeded sort's output differs from the unseeded one", what)
 		}
 	}
+	if c.oracle {
+		materializingOracle(t, what, c, ops, eng, newEngine, in)
+	}
 	for r, m := range eng.spills {
 		if m.Room() != m.Budget() {
 			t.Errorf("%s: rank %d: %d bytes still charged to the budget after the sorts", what, r, m.Budget()-m.Room())
 		}
 	}
 	return o
+}
+
+// materializingOracle holds a cell that streamsFlat to the materializing
+// exchange, the streaming path's oracle, all the same: the materializing
+// sort's own plan seeds a sort through a materializing engine and
+// through the cell's. A finalized two-level plan is within 1+ε over all
+// p buckets and within each level's 1+ε_level, so both accept it, cut at
+// the same p−1 splitters and must agree on every rank. An input on
+// which no plan finalizes (heavy duplicates, untagged) has no shared cut
+// to compare.
+func materializingOracle[K any](t *testing.T, what string, c cell, ops keyOps[K], eng *Sorter[K], newEngine func(Config) (*Sorter[K], error), in func() [][]K) {
+	t.Helper()
+	cfg := c.cfg
+	cfg.StreamExchange, cfg.ChunkKeys, cfg.MemoryBudget, cfg.SpillDir = false, 0, 0, ""
+	m, err := newEngine(cfg)
+	if err != nil {
+		t.Fatalf("%s materializing: %v", what, err)
+	}
+	defer m.Close()
+	withBaseline(m, c.baseline)
+	plan, err := m.Plan(bg, in())
+	if err != nil {
+		t.Fatalf("%s materializing plan: %v", what, err)
+	}
+	if !plan.Finalized {
+		return
+	}
+	want, _, wst, err := m.SortSeeded(bg, plan, in())
+	if err != nil {
+		t.Fatalf("%s materializing seeded: %v", what, err)
+	}
+	got, _, gst, err := eng.SortSeeded(bg, plan, in())
+	if err != nil {
+		t.Fatalf("%s seeded with the materializing plan: %v", what, err)
+	}
+	if wst.Rounds != 0 || gst.Rounds != 0 {
+		t.Fatalf("%s: the materializing plan (achieved ε %v) ran %d rounds materializing and %d streaming",
+			what, plan.AchievedEpsilon, wst.Rounds, gst.Rounds)
+	}
+	if !slices.Equal(check(t, what, c, ops, got), check(t, what, c, ops, want)) {
+		t.Fatalf("%s: under the materializing plan the streaming sort's ranks differ from the materializing sort's", what)
+	}
 }
 
 // check holds outs to the contract — each rank in order, ranks in order,
@@ -837,6 +898,74 @@ func TestSmallMessageEquivalence(t *testing.T) {
 		exchanges("materializing", "streaming")))
 }
 
+// TestTwoLevelEquivalence sweeps world sizes around the two-level
+// predicate (core.Levels: 16 and 64 split, prime 17 stays flat) and the
+// benchmark's 256, over keys, records, byte strings and tagged
+// duplicates, each within 1+ε; the untagged cells also re-seed with their
+// own plan, which must then run no round. The baselines run their
+// strategies on the row groups. Under a memory budget 16 ranks sort flat,
+// their Plan too, and are held to the two-level materializing sort under
+// its plan (materializingOracle).
+func TestTwoLevelEquivalence(t *testing.T) {
+	sizes := dim("p=%d", func(c *cell, p int) { c.in.p = p }, 16, 17, 64, 256)
+	base := cell{balanced: true, cfg: Config{Epsilon: 0.05, Seed: 7}, in: input{dist: "powerskew", n: 300, seed: 19}}
+	budgeted := base
+	budgeted.name, budgeted.seeded, budgeted.in.p, budgeted.in.n, budgeted.cfg.MemoryBudget = "budget/p=16", true, 16, 2000, 2000*8/2
+	runAll(t, append(append(product(base, sizes,
+		[]val{{"int64", func(c *cell) { c.seeded = true }}, {"kv", func(c *cell) { c.key, c.seeded = "kv", true }},
+			{"bytes", func(c *cell) { c.key, c.seeded, c.in.dist = "bytes", true, "hashlike" }},
+			{"tagged", func(c *cell) { c.cfg.TagDuplicates, c.in.dist = true, "dupheavy" }}}),
+		product(cell{cfg: Config{Seed: 7}, in: input{p: 64, n: 300, seed: 19}}, pick(algorithm, "samplesort-regular", "histogramsort"))...),
+		budgeted))
+}
+
+// TestTwoLevelTinyInputs: at 64 ranks inputs that leave ranks or groups
+// without keys sort to the contract. No keys and fewer keys than ranks
+// sort flat (core.Levels); one key repeated sorts in 8 groups of 8, all
+// in the last group. Any keys at all plan p−1 sorted splitters (an empty
+// group repeats a level-1 splitter), and the plan seeds the next sort of
+// the same input.
+func TestTwoLevelTinyInputs(t *testing.T) {
+	const p = 64
+	few := make([][]int64, p)
+	for r, k := range []int64{5, 1, 9, 3, 7} {
+		few[r*13] = []int64{k}
+	}
+	for name, in := range map[string][][]int64{
+		"no-keys": make([][]int64, p), "fewer-keys-than-ranks": few, "all-equal": draw(input{dist: "all-equal", p: p, n: 100, seed: 3}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := New[int64](Config{Procs: p, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			want := slices.Concat(in...)
+			slices.Sort(want)
+			var plan *Plan[int64]
+			for i := range 2 {
+				outs, next, _, err := eng.SortSeeded(bg, plan, cloneShards(in))
+				if err != nil {
+					t.Fatalf("sort %d: %v", i, err)
+				}
+				if !slices.Equal(slices.Concat(outs...), want) {
+					t.Fatalf("sort %d: output is not the sorted input", i)
+				}
+				if len(want) == 0 {
+					if next != nil {
+						t.Fatalf("a plan from no keys: %v", next.Splitters)
+					}
+					return
+				}
+				if next == nil || len(next.Splitters) != p-1 || !slices.IsSorted(next.Splitters) {
+					t.Fatalf("sort %d: plan %+v, want %d sorted splitters", i, next, p-1)
+				}
+				plan = next
+			}
+		})
+	}
+}
+
 func TestPlanSortWithPlanEquivalence(t *testing.T) {
 	runAll(t, product(cell{seeded: true, cfg: Config{Seed: 7}, in: input{dist: "powerskew", p: 6, n: 2500, seed: 17}},
 		pick(algorithm, "hss"), dim("%v", transport, TransportSim, TransportInproc),
@@ -886,15 +1015,15 @@ func TestStreamExchangeEquivalence(t *testing.T) {
 		dim("%v", transport, TransportSim, TransportInproc), exchanges("materializing", "streaming")[1:]))
 }
 
-// TestTCPSortEquivalence's grid cells are 16 ranks of 500 keys and of
-// 300 byte-string keys: the materializing exchange takes the two-hop
-// grid, so forwarded runs cross the wire codec.
+// TestTCPSortEquivalence's two-level cells are 16 ranks of 500 keys and
+// of 300 byte-string keys: level 2's row groups and the column all-gather
+// of their splitters cross the wire codec.
 func TestTCPSortEquivalence(t *testing.T) {
 	runAll(t, append(product(cell{cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 4, n: 2000, seed: 17}},
 		pick(algorithm, "hss", "samplesort=samplesort-regular", "histogramsort"),
 		exchanges("stream=false", "stream=true"), planes("codepath=off", "codepath=on")),
-		cell{name: "grid", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 16, n: 500, seed: 17}},
-		cell{name: "grid-bytes", key: "bytes", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "hashlike", p: 16, n: 300, seed: 17}}))
+		cell{name: "two-level", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "powerskew", p: 16, n: 500, seed: 17}},
+		cell{name: "two-level-bytes", key: "bytes", cfg: Config{Seed: 5, Transport: TransportTCP}, in: input{dist: "hashlike", p: 16, n: 300, seed: 17}}))
 }
 
 func TestTCPSortKVEquivalence(t *testing.T) {

@@ -57,19 +57,22 @@ func runFig61(scale float64) error {
 	}
 	fmt.Printf("HSS weak scaling, %s records (8B key + 4B payload) per rank, eps = 0.02:\n\n", tablefmt.Count(float64(perRank)))
 	fmt.Print(t.String())
+	fmt.Println("\nFrom p = 16 the sort runs in two levels (core.Levels): its rounds are")
+	fmt.Println("level 1's plus level 2's, and every key moves twice.")
 	fmt.Println("\nPaper (Fig 6.1): the histogramming phase is a small fraction of the")
 	fmt.Println("total at every scale; data exchange dominates as p grows.")
 	return runNodeSort(scale)
 }
 
-// runNodeSort is §6.1's node-level partitioning beside flat HSS: the
-// same int64 keys sorted by core.Sort over p buckets and by
-// nodesort.Sort over p/c node buckets, both at ε = 0.05. The node sort
-// seeks p/c−1 splitters, not p−1, and combines each node pair's
-// messages into one. It moves runs inside a node by reference, so its
-// message and byte counts model shared memory within a node. On sim it
-// fails unless the node sort sends fewer splitter bytes and messages at
-// every (p, c).
+// runNodeSort is §6.1's node-level partitioning beside HSS: the same
+// int64 keys sorted by core.Sort over p buckets and by nodesort.Sort
+// over p/c node buckets, both at ε = 0.05. At these p core.Sort runs in
+// two levels of √p groups (core.Levels), §6.1's split on real messages:
+// each level seeks √p−1 splitters. The node sort seeks p/c−1 once and
+// combines each node pair's messages into one. It moves runs inside a
+// node by reference, so its message and byte counts model shared memory
+// within a node. On sim it fails unless the node sort sends fewer
+// splitter bytes and messages at every (p, c).
 func runNodeSort(scale float64) error {
 	perRank := max(int(2000*scale), 2000)
 	t := tablefmt.New("p", "c", "sort", "rounds", "total sample", "splitter bytes", "messages", "imbalance")
@@ -82,7 +85,7 @@ func runNodeSort(scale float64) error {
 			name string
 			sort func(*comm.Comm, []int64) ([]int64, core.Stats, error)
 		}{
-			{"flat HSS", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) { return core.Sort(c, local, opt) }},
+			{"HSS two-level", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) { return core.Sort(c, local, opt) }},
 			{"node sort", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
 				return nodesort.Sort(c, local, opt, pc.c)
 			}},
@@ -104,7 +107,7 @@ func runNodeSort(scale float64) error {
 			)
 		}
 		if transport == hssort.TransportSim && (bytes[1] >= bytes[0] || msgs[1] >= msgs[0]) {
-			return fmt.Errorf("p=%d c=%d: the node sort sent %d splitter bytes in %d messages, flat HSS %d in %d",
+			return fmt.Errorf("p=%d c=%d: the node sort sent %d splitter bytes in %d messages, two-level HSS %d in %d",
 				pc.p, pc.c, bytes[1], msgs[1], bytes[0], msgs[0])
 		}
 	}

@@ -32,7 +32,10 @@ type sec42Row struct {
 // runSec42 regenerates the comparison of §4.2: HSS against the sorts the
 // paper discusses there, on one uniform workload at equal ε, then the
 // load-balance check under skew (sec42LoadBalance). HSS runs on the
-// engine (hssort.Sort). The baselines are not engine algorithms: they
+// engine (hssort.Sort). At p = 16 it, sample sort and histogram sort run
+// in two levels of 4×4 (core.Levels), labelled so; radix,
+// over-partitioning and bitonic exchange flat. The baselines are not
+// engine algorithms: they
 // run here straight on a world of the -transport backend, the only place
 // outside their package tests that does — sample sort and histogram sort
 // as splitter strategies of the one skeleton (core.SortWith), radix,
@@ -64,14 +67,14 @@ func runSec42(scale float64) error {
 		rankOrdered bool
 		run         func([][]int64) (sec42Row, error)
 	}{
-		{"hss", true, func(in [][]int64) (sec42Row, error) {
+		{"hss (two-level)", true, func(in [][]int64) (sec42Row, error) {
 			outs, st, err := hssort.Sort(hssort.Config{Procs: p, Epsilon: 0.05, Seed: 7, Transport: transport}, in)
 			return sec42Row{outs, st.Rounds, st.TotalMsgs, st.TotalBytes, st.Imbalance}, err
 		}},
-		{"samplesort-regular", true, baseline(func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
+		{"samplesort-regular (two-level)", true, baseline(func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
 			return samplesort.Sort(c, local, opt, samplesort.Options{Method: samplesort.Regular})
 		})},
-		{"histogramsort", true, baseline(func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
+		{"histogramsort (two-level)", true, baseline(func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
 			return histsort.Sort(c, local, opt, histsort.Options[int64]{Coder: keycoder.Int64{}})
 		})},
 		{"radix", true, baseline(func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
@@ -124,8 +127,10 @@ func runSec42(scale float64) error {
 // fixed heavily skewed workload, whatever the -scale: 32 ranks of 50 000
 // keys, 95% of them in the lowest 1% of the key range. Regular sample
 // sort capped at about what HSS samples in total misses the target; with
-// its provable s = B/ε it meets it at a much larger sample. It returns an
-// error unless HSS meets 1+ε and the capped sample sort misses it.
+// its provable s = B/ε it meets it at a much larger sample. All three
+// sort in two levels of 4×8 ranks (core.Levels), each level sampling
+// anew. It returns an error unless HSS meets 1+ε and the capped sample
+// sort misses it.
 func sec42LoadBalance() error {
 	const p, perRank, eps, seed = 32, 50_000, 0.05, 9
 	shards := make([][]int64, p)

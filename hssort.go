@@ -148,7 +148,11 @@ type Stats struct {
 	// Rounds is the number of histogramming rounds (Table 6.1);
 	// SamplePerRound and TotalSample the per-round and overall sample
 	// sizes (Fig 4.1). A seeded sort (Sorter.SortSeeded) whose seed
-	// still met the 1+ε target reads 0 in all three.
+	// still met the 1+ε target reads 0 in all three. From 16 ranks the
+	// sort may run in two levels of √p-rank groups (docs/STREAMING.md):
+	// Rounds is then level 1's plus the most any group's level 2 ran,
+	// and SamplePerRound lists level 1's rounds, then level 2's summed
+	// over the groups.
 	Rounds         int
 	SamplePerRound []int64
 	TotalSample    int64

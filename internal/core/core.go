@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"time"
 
 	"hssort/internal/codes"
@@ -70,12 +72,11 @@ type Options[K any] struct {
 	// rounds (see SplitterInfo.Finalized). Requires Code.
 	PrefixCode bool
 	// Epsilon is the load-imbalance threshold ε: every bucket receives
-	// at most N(1+ε)/B keys w.h.p. Default 0.05.
+	// at most N(1+ε)/B keys w.h.p. Default defaultEpsilon.
 	Epsilon float64
 	// Buckets is the number of output ranges B. Default: world size
-	// (one bucket per processor, the flat sort). The two-level and
-	// ChaNGa configurations set it to node count or virtual-processor
-	// count.
+	// (one bucket per processor). The node sort and ChaNGa
+	// configurations set it to node count or virtual-processor count.
 	Buckets int
 	// Owner maps a bucket to the rank that receives it. Default:
 	// exchange.ContiguousOwner(Buckets, p).
@@ -180,7 +181,7 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 		return o, fmt.Errorf("core: PrefixCode requires Code")
 	}
 	if o.Epsilon == 0 {
-		o.Epsilon = 0.05
+		o.Epsilon = defaultEpsilon
 	}
 	if o.Epsilon < 0 {
 		return o, fmt.Errorf("core: Epsilon %v < 0", o.Epsilon)
@@ -220,6 +221,49 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	return o, nil
 }
 
+// defaultEpsilon is Options.Epsilon's default.
+const defaultEpsilon = 0.05
+
+// minTwoLevelRanks is the smallest world that sorts in two levels. It is
+// not measured: the benchmark's sorts run p = 4 (flat) and p = 256 (16
+// groups of 16), and none between. At 16 ranks a rank sends 3 + 3
+// exchange messages instead of 15 and each level seeks 3 splitters.
+const minTwoLevelRanks = 16
+
+// Levels reports whether a sort of n keys with opt (as the caller passes
+// it, before defaults) over p ranks runs in two levels, and its shape: g
+// groups of c = p/g consecutive ranks, where g is the largest divisor of
+// p with g ≤ √p. That takes p ≥ minTwoLevelRanks, one bucket per rank
+// under the default owner, the materializing exchange (ChunkKeys 0, no
+// Spill) and g ≥ 4, so p = 17 and p = 22 stay flat and p = 256 is 16×16.
+// It also takes a key of level-2 slack per rank, n·ε₂ ≥ p: below that
+// the window of either level is narrower than a key, and level 1 may
+// fill a group past what its ranks can hold within 1+ε. Every rank
+// decides alike. See FrontHalf.
+func Levels[K any](p int, n int64, opt Options[K]) (g, c int, ok bool) {
+	if p < minTwoLevelRanks || opt.Buckets != 0 && opt.Buckets != p || opt.Owner != nil || opt.ChunkKeys != 0 || opt.Spill != nil {
+		return 0, 0, false
+	}
+	if eps := cmp.Or(opt.Epsilon, defaultEpsilon); float64(n)*levelEpsilon(eps) < float64(p) {
+		return 0, 0, false
+	}
+	g = int(math.Sqrt(float64(p)))
+	for g*g > p {
+		g--
+	}
+	for p%g != 0 {
+		g--
+	}
+	if g < 4 {
+		return 0, 0, false
+	}
+	return g, p / g, true
+}
+
+// levelEpsilon is each level's ε of a two-level sort at ε: (1+ε₁)(1+ε₂)
+// = 1+ε with ε₁ = ε₂.
+func levelEpsilon(eps float64) float64 { return math.Sqrt(1+eps) - 1 }
+
 // Resolve returns the options FrontHalf runs under on a world of p
 // ranks, defaults filled, or the error it would return, so an engine can
 // reject a configuration before it builds the world and read back the
@@ -245,8 +289,11 @@ const (
 	TagStrategy  = tagBase + 2
 	StrategyTags = 4
 	tagSeed      = TagStrategy + StrategyTags // round-0 bucket-load all-reduce (+1)
-	// tagExchange starts the bucket exchange's exchangeTags tags; the
-	// second is the forward hop of exchange.Exchange's two-hop grid.
+	// tagExchange starts the bucket exchange's exchangeTags tags: a flat
+	// sort's one exchange; at two levels, level 1's over the column and
+	// level 2's over the row. Level 2's count, strategy and round 0 reuse
+	// the tags before it, as do the column all-gathers of its counts and
+	// (for a plan) its splitters.
 	tagExchange  = tagSeed + 2
 	exchangeTags = 2
 	// TagStats is the closing stats all-reduce (+1).
@@ -280,10 +327,12 @@ type Stats struct {
 	// N is the global key count; Buckets the bucket count.
 	N       int64
 	Buckets int
-	// Rounds is the number of histogramming rounds executed.
+	// Rounds is the number of histogramming rounds executed: at two
+	// levels, level 1's plus the most any group's level 2 ran.
 	Rounds int
 	// SamplePerRound is the overall (all-ranks) sample gathered per
-	// round; TotalSample is its sum.
+	// round — at two levels level 1's rounds, then level 2's summed over
+	// the groups; TotalSample is its sum.
 	SamplePerRound []int64
 	TotalSample    int64
 	// LocalSort, Splitter, Exchange, Merge are per-phase wall times

@@ -17,8 +17,9 @@ import (
 // skeleton's Options — defaults applied, validated once — and every rank
 // must return the same opt.Buckets-1 splitters in non-decreasing opt.Cmp
 // order (none when opt.Buckets == 1 or n == 0). Its messages use the
-// StrategyTags tags from TagStrategy.
-type Strategy[E any] func(c *comm.Comm, sorted []E, n int64, opt Options[E]) ([]E, SplitterInfo, error)
+// StrategyTags tags from TagStrategy. e is the world of a flat sort, and
+// level 2 of a two-level sort runs it on a row group (see Levels).
+type Strategy[E any] func(e comm.Endpoint, sorted []E, n int64, opt Options[E]) ([]E, SplitterInfo, error)
 
 // Strategies is one algorithm's strategy on both planes it can be asked
 // to run on, instantiated from the same generic function.
@@ -59,31 +60,51 @@ func SortWith[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) (
 
 // Front is one rank's state between the skeleton's halves: its keys
 // locally sorted and cut into bucket runs by splitters every rank agrees
-// on. The flat sorts hand it straight to BackHalf; the two-level sort
-// moves the runs itself; a splitter plan stops here.
+// on. BackHalf moves the runs; the node sort (internal/nodesort) moves
+// them itself; a splitter plan stops here. In a two-level sort the front
+// half has already moved the keys once, and Runs are level 2's.
 type Front[K any] struct {
 	// Opt is the Options the front half ran with, defaults applied.
 	Opt Options[K]
 	// Pool is the rank's compute pool; the data movement keeps using it
 	// so its counters cover the whole sort.
 	Pool *par.Pool
-	// Runs[b] is this rank's share of bucket b. The runs alias the
-	// sorted input.
+	// Runs[b] is this rank's share of bucket b, or at two levels of
+	// bucket b of its group. The runs alias the sorted input (at two
+	// levels, the merged level-1 keys).
 	Runs [][]K
 	// Splitters are the Buckets-1 bucket boundaries — nil on the prefix
-	// plane, where they exist only as SplitterCodes.
+	// plane, where they exist only as SplitterCodes. At two levels they
+	// are this rank's group's until GatherSplitters puts level 1's at
+	// multiples of the group width and each group's in the gaps between
+	// them.
 	Splitters []K
 	// SplitterCodes are the boundaries' codes, on every coded plane.
 	SplitterCodes []codes.Code
-	// Finalized is the strategy's SplitterInfo.Finalized.
+	// Finalized is the strategy's SplitterInfo.Finalized (at two levels,
+	// every level's and group's).
 	Finalized bool
 	// Stats holds what is known so far: N, Buckets, Workers and the
 	// protocol counts (Rounds, SamplePerRound, TotalSample).
 	Stats Stats
 	// Times holds this rank's LocalSort, Splitter, SplitterBytes and
-	// PrefixCollisions, and the partition's share of Exchange.
+	// PrefixCollisions, and the partition's share of Exchange (at two
+	// levels also level 1's exchange and merge).
 	Times PhaseTimes
 
+	// ex, tag and owner are where BackHalf routes Runs: the world on
+	// tagExchange under Opt.Owner, or at two levels the row group on
+	// tagExchange+1.
+	ex    comm.StreamEndpoint
+	tag   comm.Tag
+	owner func(int) int
+	// first is the first bucket of this rank's group at two levels, -1
+	// in a flat sort; col is the rank's column group and l1, l1Codes
+	// level 1's splitters, for GatherSplitters.
+	first   int
+	col     comm.Endpoint
+	l1      []K
+	l1Codes []codes.Code
 	// imbalance is the bucket imbalance of Runs once measured, 0 before.
 	imbalance float64
 }
@@ -92,14 +113,16 @@ type Front[K any] struct {
 // → global key count → splitters (determined by the strategy, or
 // injected and checked by round 0) → partition. Options.PrefixCode
 // switches the local sort, the strategy's input and the partition cuts
-// to the prefix plane; the steps are the same.
+// to the prefix plane; the steps are the same. Where Levels says so, the
+// steps after the key count run twice, at two levels (twoLevels).
 func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) (*Front[K], error) {
+	raw := opt
 	opt, err := opt.withDefaults(c.Size())
 	if err != nil {
 		return nil, err
 	}
 	pool := par.New(opt.Workers)
-	f := &Front[K]{Opt: opt, Pool: pool, Finalized: true}
+	f := &Front[K]{Opt: opt, Pool: pool, Finalized: true, ex: c, tag: tagExchange, owner: opt.Owner, first: -1}
 	f.Stats.Buckets = opt.Buckets
 	f.Stats.Workers = pool.Workers()
 
@@ -123,11 +146,33 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	}
 	f.Times.LocalSort = time.Since(t0)
 
-	nVec, err := collective.AllReduce(c, tagCount, []int64{int64(len(local))}, collective.SumInt64)
+	if err := f.count(c, local); err != nil {
+		return nil, err
+	}
+	if g, w, two := Levels(c.Size(), f.Stats.N, raw); two {
+		err = f.twoLevels(c, local, localCodes, raw, s, g, w)
+	} else {
+		err = f.cut(c, c, local, localCodes, s)
+	}
 	if err != nil {
 		return nil, err
 	}
-	f.Stats.N = nVec[0]
+	return f, nil
+}
+
+// count all-reduces the key count over e into Stats.N.
+func (f *Front[K]) count(e comm.Endpoint, local []K) error {
+	n, err := collective.AllReduce(e, tagCount, []int64{int64(len(local))}, collective.SumInt64)
+	if err == nil {
+		f.Stats.N = n[0]
+	}
+	return err
+}
+
+// cut is the front half after the key count, over e under f.Opt: the
+// splitters and the partition. Its bytes are read off the world c.
+func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []codes.Code, s Strategies[K]) error {
+	opt := f.Opt
 
 	// Phase 2: splitters. The prefix plane determines them in code space
 	// and partitions by those codes directly; every other coded plane
@@ -138,9 +183,9 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 		var err error
 		if opt.PrefixCode {
 			f.Splitters = nil
-			f.SplitterCodes, info, err = s.Codes(c, localCodes, f.Stats.N, opt.inCodeSpace())
+			f.SplitterCodes, info, err = s.Codes(e, localCodes, f.Stats.N, opt.inCodeSpace())
 		} else {
-			f.Splitters, info, err = s.Keys(c, local, f.Stats.N, opt)
+			f.Splitters, info, err = s.Keys(e, local, f.Stats.N, opt)
 		}
 		f.Finalized = info.Finalized
 		f.Stats.Rounds = info.Rounds
@@ -151,13 +196,13 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	partition := func() {
 		f.imbalance = 0
 		if localCodes == nil {
-			f.Runs = exchange.PartitionPar(local, f.Splitters, opt.Cmp, pool)
+			f.Runs = exchange.PartitionPar(local, f.Splitters, opt.Cmp, f.Pool)
 			return
 		}
 		if f.Splitters != nil {
 			f.SplitterCodes = codes.Extract(f.Splitters, opt.Code)
 		}
-		f.Runs = exchange.PartitionByCodePar(local, localCodes, f.SplitterCodes, pool)
+		f.Runs = exchange.PartitionByCodePar(local, localCodes, f.SplitterCodes, f.Pool)
 	}
 	bytes0 := c.Counters().BytesSent
 	t1 := time.Now()
@@ -167,13 +212,13 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 		exchange.ValidateSplitters(opt.Splitters, opt.Cmp)
 		f.Splitters = opt.Splitters
 	} else if err := determine(); err != nil {
-		return nil, err
+		return err
 	}
-	f.Times.Splitter = time.Since(t1)
+	f.Times.Splitter += time.Since(t1)
 
 	t2 := time.Now()
 	partition()
-	f.Times.Exchange = time.Since(t2)
+	f.Times.Exchange += time.Since(t2)
 
 	// Round 0: a seed is only as good as the distribution it was
 	// histogrammed on, so histogram it on this one. Within the sort's own
@@ -185,9 +230,9 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	// work.
 	if opt.Splitters != nil {
 		t3 := time.Now()
-		imb, loads, err := f.measure(c)
+		imb, loads, err := f.measure(e, f.Runs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if imb > 1+opt.Epsilon {
 			// (A fresh slice: a zero-copy transport hands every rank the
@@ -199,20 +244,230 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 				opt.round0[i] = below
 			}
 			if err := determine(); err != nil {
-				return nil, err
+				return err
 			}
 			partition()
 		}
 		f.Times.Splitter += time.Since(t3)
 	}
-	f.Times.SplitterBytes = c.Counters().BytesSent - bytes0
-	return f, nil
+	f.Times.SplitterBytes += c.Counters().BytesSent - bytes0
+	return nil
 }
 
-// measure all-reduces the bucket loads of f.Runs (the round-0 tag) and
-// records the imbalance they amount to.
-func (f *Front[K]) measure(c *comm.Comm) (float64, []int64, error) {
-	imb, loads, err := exchange.RunsImbalance(c, tagSeed, f.Runs)
+// twoLevels is the front half of a sort in two levels, g groups of w
+// consecutive ranks (Levels), after the key count — §6.1's partitioning
+// across groups first, on real messages. Level 1 cuts the world's keys
+// into g group buckets at ε₁ and sends each run to the rank of its group
+// that shares this rank's column (ranks equal mod w): g−1 messages.
+// Level 2 cuts each group's merged keys into w buckets at ε₂ over the
+// row group, with no second local sort, leaving Runs for BackHalf's row
+// exchange: w−1 messages. ε₁ = ε₂ = √(1+ε) − 1, so (1+ε₁)(1+ε₂) = 1+ε
+// bounds every rank's share as the flat sort's ε does. Each level seeks
+// g−1 or w−1 splitters where the flat sort seeks p−1.
+//
+// A seed's p−1 splitters split the same way: every w-th seeds level 1,
+// and each group's w−1 between them seed its level 2 once level 1's seed
+// stands (after a rejected one they bound the wrong keys). Each level's
+// round 0 checks its own 1+ε_level. One all-gather over the column then
+// gives every rank every group's protocol counts; the groups' splitters
+// follow only for a plan (GatherSplitters).
+//
+// Level 2's runs alias level 1's merged output, which ExchangeMerge
+// allocates fresh, so BackHalf's merge may use opt.Scratch.
+func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, raw Options[K], s Strategies[K], g, w int) error {
+	opt := f.Opt
+	grp := c.Rank() / w
+	f.first = grp * w
+	row, err := collective.NewGroup(c, ranks(f.first, 1, w))
+	if err != nil {
+		return err
+	}
+	col, err := collective.NewGroup(c, ranks(c.Rank()%w, w, g))
+	if err != nil {
+		return err
+	}
+	level := func(buckets int, seed []K, p int) (err error) {
+		o := raw
+		o.Buckets, o.Epsilon, o.Splitters = buckets, levelEpsilon(opt.Epsilon), seed
+		f.Opt, err = o.withDefaults(p)
+		return err
+	}
+
+	var seed []K
+	if opt.Splitters != nil {
+		for k := 1; k < g; k++ {
+			seed = append(seed, opt.Splitters[k*w-1])
+		}
+	}
+	if err := level(g, seed, c.Size()); err != nil {
+		return err
+	}
+	if err := f.cut(c, c, local, localCodes, s); err != nil {
+		return err
+	}
+	l1 := *f
+	bytes0 := c.Counters().BytesSent
+	merged, xt, mt, _, err := exchange.ExchangeMerge(col, tagExchange, f.Runs, exchange.ContiguousOwner(g, g), opt.Cmp, opt.Code,
+		exchange.StreamOptions{Pool: f.Pool, Tie: opt.PrefixCode}, opt.Scratch)
+	if err != nil {
+		return err
+	}
+	f.Times.Exchange += xt
+	f.Times.Merge += mt
+	f.Times.ExchangeBytes += c.Counters().BytesSent - bytes0
+
+	seed = nil
+	if opt.Splitters != nil && l1.Stats.Rounds == 0 {
+		seed = opt.Splitters[f.first : f.first+w-1]
+	}
+	if err := level(w, seed, w); err != nil {
+		return err
+	}
+	if on := f.Opt.OnRound; on != nil {
+		// The hook stays on world rank 0: group 0's root, numbering on
+		// from level 1's rounds.
+		f.Opt.OnRound = nil
+		if grp == 0 {
+			f.Opt.OnRound = func(t RoundTrace) { t.Round += l1.Stats.Rounds; on(t) }
+		}
+	}
+	if localCodes != nil {
+		localCodes = codes.ExtractPar(merged, opt.Code, f.Pool)
+	}
+	f.Finalized, f.Stats.Rounds, f.Stats.SamplePerRound, f.Stats.TotalSample = true, 0, nil, 0
+	if err := f.count(row, merged); err != nil {
+		return err
+	}
+	if err := f.cut(row, c, merged, localCodes, s); err != nil {
+		return err
+	}
+
+	// One gather over the column to its root, which merges every
+	// group's level-2 counts into level 1's, and a broadcast: [finalized,
+	// rounds, sample per round...] of the whole sort. The splitters stay
+	// with their groups until a plan asks for them (GatherSplitters).
+	bytes0, t0 := c.Counters().BytesSent, time.Now()
+	parts, err := collective.Gatherv(col, 0, tagSeed, append([]int64{boolInt(f.Finalized), int64(f.Stats.Rounds)}, f.Stats.SamplePerRound...))
+	if err != nil {
+		return err
+	}
+	var counts []int64
+	if parts != nil {
+		counts = mergeCounts(l1, parts)
+	}
+	if counts, err = collective.Bcast(col, 0, tagSeed+1, counts); err != nil {
+		return err
+	}
+	f.Times.Splitter += time.Since(t0)
+	f.Times.SplitterBytes += c.Counters().BytesSent - bytes0
+
+	f.Opt, f.ex, f.tag, f.owner, f.imbalance = opt, row, tagExchange+1, f.Opt.Owner, 0
+	f.col, f.l1, f.l1Codes = col, l1.Splitters, l1.SplitterCodes
+	f.Stats = l1.Stats
+	f.Finalized, f.Stats.Rounds = counts[0] == 1, int(counts[1])
+	f.Stats.SamplePerRound, f.Stats.TotalSample = nil, 0
+	for _, n := range counts[2:] {
+		f.Stats.SamplePerRound = append(f.Stats.SamplePerRound, n)
+		f.Stats.TotalSample += n
+	}
+	return nil
+}
+
+// mergeCounts merges the column's level-2 counts, one [finalized, rounds,
+// sample per round...] per group, into level 1's front l1: finalized if
+// every level and group is, level 1's rounds plus the most any group
+// ran, and level 1's samples followed by level 2's summed over groups.
+func mergeCounts[K any](l1 Front[K], parts [][]int64) []int64 {
+	out := append([]int64{boolInt(l1.Finalized), int64(l1.Stats.Rounds)}, l1.Stats.SamplePerRound...)
+	r1, rounds := len(out), int64(0)
+	for _, pt := range parts {
+		out[0] &= pt[0]
+		rounds = max(rounds, pt[1])
+		for i, n := range pt[2:] {
+			if r1+i == len(out) {
+				out = append(out, 0)
+			}
+			out[r1+i] += n
+		}
+	}
+	out[1] += rounds
+	return out
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// GatherSplitters makes Splitters (SplitterCodes on the prefix plane)
+// all Buckets-1 boundaries, as a plan needs them. A flat sort has them
+// already; at two levels the front half leaves each group holding its
+// own, and this is one gather of the groups' splitters to the column's
+// root, which interleaves them with level 1's, and a broadcast. Every
+// rank must join.
+func (f *Front[K]) GatherSplitters(c *comm.Comm) error {
+	if f.first < 0 {
+		return nil
+	}
+	bytes0, t0 := c.Counters().BytesSent, time.Now()
+	var err error
+	if f.Opt.PrefixCode {
+		f.SplitterCodes, err = gatherSplitters(f.col, f.l1Codes, f.SplitterCodes, f.Opt.Buckets/f.col.Size())
+	} else if f.Splitters, err = gatherSplitters(f.col, f.l1, f.Splitters, f.Opt.Buckets/f.col.Size()); err == nil && f.Opt.Code != nil {
+		f.SplitterCodes = codes.Extract(f.Splitters, f.Opt.Code)
+	}
+	f.Times.Splitter += time.Since(t0)
+	f.Times.SplitterBytes += c.Counters().BytesSent - bytes0
+	return err
+}
+
+// gatherSplitters is GatherSplitters on one plane: mine are this rank's
+// group's splitters, l1 level 1's and w the group width.
+func gatherSplitters[T any](col comm.Endpoint, l1, mine []T, w int) ([]T, error) {
+	parts, err := collective.Gatherv(col, 0, tagSeed, mine)
+	if err != nil {
+		return nil, err
+	}
+	var all []T
+	if parts != nil {
+		all = interleave(l1, parts, w)
+	}
+	return collective.Bcast(col, 0, tagSeed+1, all)
+}
+
+// interleave assembles a flat plan's p−1 splitters from level 1's g−1
+// and each group's w−1: level 1's sit at multiples of w. A group with no
+// keys determined none and repeats the level-1 splitter below it (the
+// first group, the one above), which keeps the plan sorted.
+func interleave[T any](l1 []T, groups [][]T, w int) []T {
+	out := make([]T, 0, len(groups)*w-1)
+	for k, sp := range groups {
+		if k > 0 {
+			out = append(out, l1[k-1])
+		}
+		out = append(out, sp...)
+		for range w - 1 - len(sp) {
+			out = append(out, l1[max(k-1, 0)])
+		}
+	}
+	return out
+}
+
+// ranks lists n world ranks from first, stride apart.
+func ranks(first, stride, n int) []int {
+	rs := make([]int, n)
+	for i := range rs {
+		rs[i] = first + i*stride
+	}
+	return rs
+}
+
+// measure all-reduces the bucket loads of runs over e (the round-0 tag)
+// and records the imbalance they amount to.
+func (f *Front[K]) measure(e comm.Endpoint, runs [][]K) (float64, []int64, error) {
+	imb, loads, err := exchange.RunsImbalance(e, tagSeed, runs)
 	f.imbalance = imb
 	return imb, loads, err
 }
@@ -220,13 +475,20 @@ func (f *Front[K]) measure(c *comm.Comm) (float64, []int64, error) {
 // BucketImbalance returns the bucket-level imbalance max·B/N the
 // partition achieves before any data moves — directly comparable to the
 // paper's (1+ε) target and, less one, the achieved ε a splitter plan
-// reports. An accepted seed's round 0 already measured it; otherwise
-// this is one all-reduce of the bucket loads, which every rank must join.
+// reports. An accepted seed's round 0 already measured it in a flat sort;
+// otherwise this is one all-reduce of the bucket loads over the world —
+// at two levels of all p buckets, each group's placed at its offset —
+// which every rank must join.
 func (f *Front[K]) BucketImbalance(c *comm.Comm) (float64, error) {
 	if f.imbalance != 0 {
 		return f.imbalance, nil
 	}
-	imb, _, err := f.measure(c)
+	runs := f.Runs
+	if f.first >= 0 {
+		runs = make([][]K, f.Opt.Buckets)
+		copy(runs[f.first:], f.Runs)
+	}
+	imb, _, err := f.measure(c, runs)
 	return imb, err
 }
 
@@ -253,25 +515,25 @@ func (o Options[K]) inCodeSpace() Options[codes.Code] {
 	return oc
 }
 
-// BackHalf is the rest of a flat sort: the all-to-all exchange and k-way
+// BackHalf is the rest of the sort: the all-to-all exchange and k-way
 // merge — fused by exchange.ExchangeMerge, which runs either the
 // materializing path or (with Options.ChunkKeys > 0 or a Spill manager)
 // the streaming pipeline that overlaps the merge with the exchange
-// tail — then the closing stats all-reduce. It returns the rank's
-// globally sorted partition.
+// tail; at two levels over the row group — then the closing stats
+// all-reduce. It returns the rank's globally sorted partition.
 func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	opt := f.Opt
 	bytes0 := c.Counters().BytesSent
 	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		c, tagExchange, f.Runs, opt.Owner, opt.Cmp, opt.Code,
+		f.ex, f.tag, f.Runs, f.owner, opt.Cmp, opt.Code,
 		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: f.Pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
 	if err != nil {
 		return nil, f.Stats, err
 	}
 	m := f.Times
-	m.ExchangeBytes = c.Counters().BytesSent - bytes0
+	m.ExchangeBytes += c.Counters().BytesSent - bytes0
 	m.Exchange += exchangeTime
-	m.Merge = mergeTime
+	m.Merge += mergeTime
 	m.Overlap = sst.Overlap
 	m.PeakInFlight = sst.PeakInFlight
 	m.OutCount = len(out)

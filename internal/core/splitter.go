@@ -297,13 +297,14 @@ func (rc *rootController[K]) seed(probes []K, ranks []int64) {
 	rc.absorb(ps, rs)
 }
 
-// DetermineSplitters runs the splitter-determination protocol over the
-// world, each rank holding sortedLocal (already locally sorted), with n
-// total keys. It returns the Buckets-1 splitters on every rank. Defaults
-// are applied to opt internally. When FrontHalf hands over a rejected
-// seed's round 0, the root absorbs it before planning round 1 — no
-// message is added, and Rounds counts the sampling rounds only.
-func DetermineSplitters[K any](c *comm.Comm, sortedLocal []K, n int64, opt Options[K]) ([]K, SplitterInfo, error) {
+// DetermineSplitters runs the splitter-determination protocol over c's
+// ranks (the world, or a row group at level 2), each holding sortedLocal
+// (already locally sorted), with n total keys. It returns the Buckets-1
+// splitters on every rank. Defaults are applied to opt internally. When
+// FrontHalf hands over a rejected seed's round 0, the root absorbs it
+// before planning round 1 — no message is added, and Rounds counts the
+// sampling rounds only.
+func DetermineSplitters[K any](c comm.Endpoint, sortedLocal []K, n int64, opt Options[K]) ([]K, SplitterInfo, error) {
 	opt, err := opt.withDefaults(c.Size())
 	if err != nil {
 		return nil, SplitterInfo{}, err

@@ -13,18 +13,12 @@
 //
 // Exchange is the bandwidth-dominant phase of the sort (the 2N/p BSP
 // term of §5.1) — until runs are short, when its p−1 messages per rank
-// make it latency-bound instead. The materializing all-to-all is built
-// from one routing step: group runs by next-hop rank, send one message
-// to and receive one from every peer of the hop. Its flat form is that
-// step run once, every rank a peer. Its grid form places the ranks on
-// ⌈√p⌉ columns and runs the step twice: across the sender's row (runs
-// combined by destination column), then down the destination's column
-// on the next tag (runs forwarded by destination row), with row 0
-// standing in for the missing cells of a partial last row. That is
-// 2(⌈√p⌉−1) messages per rank instead of p−1, at most two hops per key,
-// and the receiver fills the same (bucket, sender) slots, so both forms
-// return the same runs. Exchange takes the grid iff p ≥ 16, which every
-// rank of a world decides alike.
+// make it latency-bound instead. The materializing all-to-all is one
+// routing step: group runs by owner, send one message to and receive one
+// from every peer, empty ones included. Where p−1 tiny messages per
+// rank would cost too much, core's two-level sort (core.Levels) calls
+// it over √p-rank groups instead: once over each column, once over each
+// row.
 //
 // Two data planes implement the exchange: the materializing
 // all-to-all (Exchange, merged afterwards with merge.Runs) and the

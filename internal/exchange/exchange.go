@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sort"
 
@@ -125,54 +124,36 @@ const (
 )
 
 // bucketRun is the wire unit of the exchange: one bucket's keys from one
-// sender. A run keeps its sender across a forwarding hop.
+// sender.
 type bucketRun[K any] struct {
 	bucket int32
 	sender int32
 	keys   []K
 }
 
-// gridMinRanks is the smallest world whose materializing exchange takes
-// the two-hop grid: at p = 16 the grid sends 6 messages per rank where
-// the flat form sends 15. The value is not measured: the benchmark's
-// materializing workloads run p = 4 (flat) and p = 256 (grid), and none
-// runs between them. Nor does the rule look at the exchange's size: none
-// runs p ≥ 16 with long runs, where the second hop's bytes are pure cost
-// (docs/STREAMING.md).
-const gridMinRanks = 16
-
 // Exchange routes runs[b] (this rank's keys for bucket b) to owner(b) for
-// every bucket, combining all runs bound for one next-hop rank into a
-// single message. It returns the sorted runs this rank received — one per
+// every bucket, combining all runs for one destination rank into a single
+// message. It returns the sorted runs this rank received — one per
 // (bucket, sender) pair with data, ordered by bucket then sender — ready
 // for a k-way merge. Every rank must pass the same number of buckets and
 // the same owner mapping.
 //
-// The world size picks the form, the same on every rank; both return
-// identical runs. Below gridMinRanks the exchange is flat: one routing
-// step, every run straight to its owner, p−1 messages per rank, on tag.
-// From gridMinRanks on it is the grid (see rankGrid): every run crosses
-// its sender's row on tag, then its owner's column on tag+1 — at most
-// 2(⌈√p⌉−1) messages per rank (a few more beside a partial last row),
-// with each key moving at most twice. The caller reserves both tags.
-//
 // At large p every piece here is tiny (a handful of keys per
 // destination), so the bookkeeping is sized once and indexed directly:
-// each step groups its runs by next hop in one allocation, and each
-// received run is written straight to its (bucket, sender) slot — no
-// per-destination append growth and no sort of the received set.
+// the outgoing runs are counted, then carved per destination out of one
+// allocation, and each received run is written straight to its (bucket,
+// sender) slot — no per-destination append growth and no sort of the
+// received set.
 func Exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) int) ([][]K, error) {
-	return exchange(e, tag, runs, owner, e.Size() >= gridMinRanks)
-}
-
-// exchange is Exchange in the form grid picks.
-func exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) int, grid bool) ([][]K, error) {
 	comm.RegisterWire[[]bucketRun[K]]() // wire transports decode by registered type
 	p := e.Size()
 	me := e.Rank()
-	// mine lists the buckets this rank owns, ascending.
+	// Counting pass: ends[d] becomes the end offset of destination d's
+	// non-empty runs in one shared array; mine lists the buckets this
+	// rank owns, ascending.
+	ends := make([]int, p)
 	var mine []int32
-	for b := range runs {
+	for b, run := range runs {
 		dst := owner(b)
 		if dst < 0 || dst >= p {
 			return nil, fmt.Errorf("exchange: owner(%d) = %d outside world size %d", b, dst, p)
@@ -180,13 +161,44 @@ func exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) 
 		if dst == me {
 			mine = append(mine, int32(b))
 		}
+		if len(run) > 0 {
+			ends[dst]++
+		}
 	}
-	// sent yields this rank's non-empty runs.
-	sent := func(yield func(bucketRun[K]) bool) {
-		for b, run := range runs {
-			if len(run) > 0 && !yield(bucketRun[K]{bucket: int32(b), sender: int32(me), keys: run}) {
-				return
-			}
+	total := 0
+	for d, n := range ends {
+		ends[d], total = total, total+n // start offsets, advanced to ends by the fill
+	}
+	outgoing := make([]bucketRun[K], total)
+	for b, run := range runs {
+		if len(run) > 0 {
+			dst := owner(b)
+			outgoing[ends[dst]] = bucketRun[K]{bucket: int32(b), sender: int32(me), keys: run}
+			ends[dst]++
+		}
+	}
+	byDst := func(d int) []bucketRun[K] {
+		start := 0
+		if d > 0 {
+			start = ends[d-1]
+		}
+		if start == ends[d] {
+			return nil // boxes into the message payload without allocating
+		}
+		return outgoing[start:ends[d]:ends[d]]
+	}
+	// Staggered sends, as in collective.AllToAllv. Every rank sends to
+	// every other rank even when it has nothing for it, so receivers
+	// need no separate count protocol.
+	for i := 1; i < p; i++ {
+		dst := (me + i) % p
+		part := byDst(dst)
+		bytes := int64(MsgHeaderBytes)
+		for _, br := range part {
+			bytes += RunHeaderBytes + comm.SliceBytes(br.keys)
+		}
+		if err := e.Send(dst, tag, part, bytes); err != nil {
+			return nil, fmt.Errorf("exchange: send: %w", err)
 		}
 	}
 	// Deterministic run order: bucket-major, sender-minor, so duplicate
@@ -199,30 +211,26 @@ func exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) 
 			if !ok {
 				return fmt.Errorf("exchange: rank %d sent bucket %d, which rank %d does not own", src, br.bucket, me)
 			}
-			if br.sender < 0 || int(br.sender) >= p {
-				return fmt.Errorf("exchange: rank %d sent a run from rank %d, outside world size %d", src, br.sender, p)
-			}
-			slots[i*p+int(br.sender)] = br.keys
+			slots[i*p+src] = br.keys
 		}
 		return nil
 	}
-	toOwner := func(br bucketRun[K]) int { return owner(int(br.bucket)) }
-	if grid {
-		gr := newGrid(p)
-		held := make([]bucketRun[K], 0, len(runs))
-		hold := func(_ int, part []bucketRun[K]) error {
-			held = append(held, part...)
-			return nil
-		}
-		toVia := func(br bucketRun[K]) int { return gr.via(me, owner(int(br.bucket))) }
-		if err := route(e, tag, sent, toVia, gr.rowPeers(me), hold); err != nil {
-			return nil, err
-		}
-		if err := route(e, tag+1, slices.Values(held), toOwner, gr.colPeers(me), place); err != nil {
-			return nil, err
-		}
-	} else if err := route(e, tag, sent, toOwner, allPeers(p, me), place); err != nil {
+	if err := place(me, byDst(me)); err != nil {
 		return nil, err
+	}
+	for i := 1; i < p; i++ {
+		src := (me - i + p) % p
+		m, err := e.Recv(src, tag)
+		if err != nil {
+			return nil, fmt.Errorf("exchange: recv: %w", err)
+		}
+		part, ok := m.Payload.([]bucketRun[K])
+		if !ok {
+			return nil, fmt.Errorf("exchange: payload type %T", m.Payload)
+		}
+		if err := place(src, part); err != nil {
+			return nil, err
+		}
 	}
 	out := slots[:0]
 	for _, run := range slots {
@@ -231,153 +239,6 @@ func exchange[K any](e comm.Endpoint, tag comm.Tag, runs [][]K, owner func(int) 
 		}
 	}
 	return out, nil
-}
-
-// route is the one routing step both exchange forms are built from: it
-// groups items by next hop (next(item): this rank or one of peers),
-// sends one message to every peer — an empty one when nothing goes
-// there, so receivers need no count protocol — and receives one from
-// every peer. deliver gets the part this rank keeps first, then each
-// received part. peers must be ascending, exclude this rank and be
-// symmetric: r lists s iff s lists r.
-func route[K any](e comm.Endpoint, tag comm.Tag, items iter.Seq[bucketRun[K]], next func(bucketRun[K]) int, peers []int, deliver func(src int, part []bucketRun[K]) error) error {
-	// Counting pass: ends[d] becomes the end offset of next hop d's
-	// runs in one shared array.
-	ends := make([]int, e.Size())
-	for br := range items {
-		ends[next(br)]++
-	}
-	total := 0
-	for d, n := range ends {
-		ends[d], total = total, total+n // start offsets, advanced to ends by the fill
-	}
-	grouped := make([]bucketRun[K], total)
-	for br := range items {
-		d := next(br)
-		grouped[ends[d]] = br
-		ends[d]++
-	}
-	to := func(d int) []bucketRun[K] {
-		start := 0
-		if d > 0 {
-			start = ends[d-1]
-		}
-		if start == ends[d] {
-			return nil // boxes into the message payload without allocating
-		}
-		return grouped[start:ends[d]:ends[d]]
-	}
-	// Staggered sends, as in collective.AllToAllv: from the first peer
-	// above this rank upward, wrapping; receives run the other way.
-	me := e.Rank()
-	k, np := sort.SearchInts(peers, me), len(peers)
-	routed := len(to(me))
-	for i := range np {
-		dst := peers[(k+i)%np]
-		part := to(dst)
-		routed += len(part)
-		bytes := int64(MsgHeaderBytes)
-		for _, br := range part {
-			bytes += RunHeaderBytes + comm.SliceBytes(br.keys)
-		}
-		if err := e.Send(dst, tag, part, bytes); err != nil {
-			return fmt.Errorf("exchange: send: %w", err)
-		}
-	}
-	if routed != total {
-		return fmt.Errorf("exchange: rank %d routed %d of %d runs to a peer of tag %d", me, routed, total, tag)
-	}
-	if err := deliver(me, to(me)); err != nil {
-		return err
-	}
-	for i := 1; i <= np; i++ {
-		src := peers[(k-i+np)%np]
-		m, err := e.Recv(src, tag)
-		if err != nil {
-			return fmt.Errorf("exchange: recv: %w", err)
-		}
-		part, ok := m.Payload.([]bucketRun[K])
-		if !ok {
-			return fmt.Errorf("exchange: payload type %T", m.Payload)
-		}
-		if err := deliver(src, part); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// allPeers is the flat form's peer set: every rank but me.
-func allPeers(p, me int) []int {
-	peers := make([]int, 0, p-1)
-	for r := range p {
-		if r != me {
-			peers = append(peers, r)
-		}
-	}
-	return peers
-}
-
-// rankGrid places p ranks row-major on g = ⌈√p⌉ columns: rank r sits in row
-// r/g, column r%g. The last row holds w = p − (rows−1)·g ranks; where
-// it is partial, the top rank of column c (rank c) stands in for its
-// missing cell (last row, column c), which every rank computes alike.
-// A run from s to d first crosses s's row to via(s, d), the rank in s's
-// row and d's column (or that column's stand-in), then crosses d's
-// column to d.
-type rankGrid struct{ p, g, rows, w int }
-
-func newGrid(p int) rankGrid {
-	g := 1
-	for g*g < p {
-		g++
-	}
-	rows := (p + g - 1) / g
-	return rankGrid{p: p, g: g, rows: rows, w: p - (rows-1)*g}
-}
-
-// via is the first hop of a run from rank s to rank d.
-func (gr rankGrid) via(s, d int) int {
-	if m := s - s%gr.g + d%gr.g; m < gr.p {
-		return m
-	}
-	return d % gr.g
-}
-
-// rowPeers are rank r's first-hop peers, ascending: the rest of its
-// row, plus the stand-ins (row 0, columns w…g−1) for a rank of a partial
-// last row, and that row's ranks for a stand-in.
-func (gr rankGrid) rowPeers(r int) []int {
-	row, col := r/gr.g, r%gr.g
-	var peers []int
-	if row == gr.rows-1 {
-		for c := gr.w; c < gr.g; c++ {
-			peers = append(peers, c)
-		}
-	}
-	for c := range gr.g {
-		if q := row*gr.g + c; q != r && q < gr.p {
-			peers = append(peers, q)
-		}
-	}
-	if row == 0 && col >= gr.w {
-		for c := range gr.w {
-			peers = append(peers, (gr.rows-1)*gr.g+c)
-		}
-	}
-	return peers
-}
-
-// colPeers are rank r's second-hop peers, ascending: the rest of its
-// column.
-func (gr rankGrid) colPeers(r int) []int {
-	var peers []int
-	for q := r % gr.g; q < gr.p; q += gr.g {
-		if q != r {
-			peers = append(peers, q)
-		}
-	}
-	return peers
 }
 
 // RunsImbalance measures the load balance a partition would achieve

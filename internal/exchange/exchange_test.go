@@ -257,6 +257,27 @@ func TestExchangeIdentityOwner(t *testing.T) {
 	})
 }
 
+// TestExchangeForm pins the one routing step through the messages
+// Exchange sends on sim: p−1 per rank at every world size, 16 included.
+func TestExchangeForm(t *testing.T) {
+	for _, p := range []int{15, 16} {
+		w := comm.NewWorld(p, comm.WithTimeout(30*time.Second))
+		if err := w.Run(func(c *comm.Comm) error {
+			runs := make([][]int64, p)
+			for b := range runs {
+				runs[b] = []int64{int64(b)}
+			}
+			_, err := Exchange(c, 1, runs, ContiguousOwner(p, p))
+			return err
+		}); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if got, want := w.TotalCounters().MsgsSent, int64(p*(p-1)); got != want {
+			t.Errorf("p=%d: %d messages, want %d", p, got, want)
+		}
+	}
+}
+
 func TestExchangeManyBucketsPerRank(t *testing.T) {
 	// 8 buckets over 2 ranks with contiguous ownership: global sort order.
 	const p = 2

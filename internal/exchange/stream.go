@@ -598,11 +598,11 @@ func (s *stream[K]) end() {
 // ExchangeMerge is the data-movement dispatcher for the sort pipelines:
 // it routes runs to their owners and returns this rank's fully merged
 // partition. Without a budget (opt.Spill nil) and with opt.ChunkKeys == 0
-// it runs the materializing Exchange + merge (whose grid form also uses
-// tag+1); otherwise it runs the streaming pipeline (at DefaultChunkKeys
-// when ChunkKeys is 0), whose divert is the one place exchange data
-// reaches disk. code, when non-nil,
-// selects the code-keyed merge on either path (see ExchangeStream). sc,
+// it runs the materializing Exchange + merge, whose output is freshly
+// allocated (never sc's memory); otherwise it runs the streaming pipeline
+// (at DefaultChunkKeys when ChunkKeys is 0), whose divert is the one
+// place exchange data reaches disk. code, when non-nil, selects the
+// code-keyed merge on either path (see ExchangeStream). sc,
 // when non-nil, reuses that rank-private Scratch across calls (engine
 // reuse: the streaming path's queues and run queue, either path's merge
 // scratch). exchangeTime and mergeTime keep phase stats comparable across

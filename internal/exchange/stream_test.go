@@ -167,6 +167,10 @@ func TestExchangeStreamEquivalence(t *testing.T) {
 		{"p5-flat", 5, 5, contig},
 		{"p4-overpart", 4, 12, contig},
 		{"p3-roundrobin", 3, 9, rr},
+		// The world sizes at which a materializing sort runs two levels
+		// and a streaming one stays flat.
+		{"p16-flat", 16, 16, contig},
+		{"p256-flat", 256, 256, contig},
 	}
 	opts := []StreamOptions{
 		{ChunkKeys: 1}, // worst case: every key its own message
@@ -176,16 +180,25 @@ func TestExchangeStreamEquivalence(t *testing.T) {
 	for _, be := range backends {
 		for _, sh := range shapes {
 			for oi, opt := range opts {
+				if sh.p == 256 && (be.name != "sim" || oi > 0) {
+					// Its 65 280 streams cost a second under -race, and
+					// with a few keys per rank every chunk size sends
+					// the same: one run of one-key chunks.
+					continue
+				}
 				t.Run(fmt.Sprintf("%s/%s/opt%d", be.name, sh.name, oi), func(t *testing.T) {
 					rng := rand.New(rand.NewPCG(uint64(sh.p)*1000+uint64(oi), 99))
 					shards := make([][]pair, sh.p)
 					id := int64(0)
 					for r := range shards {
-						n := rng.IntN(300)
+						// Under 2 000 keys in all at the larger
+						// world sizes, so every-key chunks stay cheap.
+						n := rng.IntN(min(300, 2000/sh.p))
 						shards[r] = make([]pair, n)
 						for i := range shards[r] {
-							// Small key range: lots of cross-rank duplicates.
-							shards[r][i] = pair{k: rng.Int64N(40), id: id}
+							// Small key range: lots of cross-rank duplicates,
+							// yet enough keys to fill most buckets.
+							shards[r][i] = pair{k: rng.Int64N(max(40, 4*int64(sh.p))), id: id}
 							id++
 						}
 						slices.SortFunc(shards[r], pairCmp)

@@ -67,8 +67,8 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], h Options[K]) ([]
 	if opt.PrefixCode {
 		return nil, core.Stats{}, fmt.Errorf("histsort: the prefix plane (Options.PrefixCode) is not supported")
 	}
-	probe := func(c *comm.Comm, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
-		return DetermineSplitters(c, sorted, n, opt, h)
+	probe := func(e comm.Endpoint, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
+		return DetermineSplitters(e, sorted, n, opt, h)
 	}
 	return core.SortWith(c, local, opt, core.Strategies[K]{Keys: probe})
 }
@@ -77,7 +77,7 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], h Options[K]) ([]
 // locally sorted keys; opt is the skeleton's (defaults applied). It
 // returns the splitters on every rank, reporting the round count and
 // total probe volume.
-func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Options[E], h Options[E]) ([]E, core.SplitterInfo, error) {
+func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Options[E], h Options[E]) ([]E, core.SplitterInfo, error) {
 	h = h.withDefaults()
 	info := core.SplitterInfo{Finalized: true}
 	root := 0

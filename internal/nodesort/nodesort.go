@@ -16,8 +16,8 @@ import (
 const (
 	baseTag    comm.Tag = 7000
 	tagCombine          = baseTag     // intra-node run gather
-	tagNodeEx           = baseTag + 1 // node-to-node exchange (+1: its grid's forward hop)
-	tagScatter          = baseTag + 3 // within-node scatter
+	tagNodeEx           = baseTag + 1 // node-to-node exchange
+	tagScatter          = baseTag + 2 // within-node scatter
 )
 
 // Sort runs the two-level sort and returns this rank's globally sorted

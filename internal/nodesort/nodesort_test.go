@@ -61,7 +61,8 @@ func checkGloballySorted(t *testing.T, shards, outs [][]int64) {
 
 func TestNodeSortConfigurations(t *testing.T) {
 	const perRank = 800
-	// {32, 2} has 16 nodes, so its leader exchange takes the two-hop grid.
+	// {32, 2} has 16 nodes: its front half stays flat (16 buckets over
+	// 32 ranks) and so does its 16-leader exchange.
 	for _, cfg := range []struct{ p, c int }{
 		{8, 2}, {8, 4}, {8, 8}, {6, 3}, {4, 1}, {12, 4}, {32, 2},
 	} {

@@ -61,7 +61,7 @@ const (
 	tagSplit    = 3 // splitter broadcast
 	tagRanks    = 4 // bucket-size histogram reduction
 	tagOwners   = 5 // owner-map broadcast
-	tagExchange = 6 // bucket exchange (+1: its grid's forward hop)
+	tagExchange = 6 // bucket exchange (7 is unused)
 	tagStats    = 8 // stats all-reduce (+1)
 )
 

@@ -61,8 +61,7 @@ func checkPermutation(t *testing.T, shards, outs [][]int64) {
 	}
 }
 
-// TestOverPartitionUniform runs 8 ranks, and 16, whose bucket exchange
-// takes the two-hop grid.
+// TestOverPartitionUniform runs 8 ranks and 16.
 func TestOverPartitionUniform(t *testing.T) {
 	const perRank = 2000
 	for _, c := range []struct{ p, ratio int }{{8, 3}, {16, 4}} {

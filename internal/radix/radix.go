@@ -27,8 +27,8 @@ type Options[K any] struct {
 }
 
 // baseTag is the start of the tag range this sort uses: the digit-count
-// all-reduce (+0, +1), the bucket exchange (+2, and +3 for its grid's
-// forward hop) and the stats all-reduce (+4, +5).
+// all-reduce (+0, +1), the bucket exchange (+2; +3 is unused) and the
+// stats all-reduce (+4, +5).
 const baseTag comm.Tag = 5000
 
 func (o Options[K]) withDefaults() (Options[K], error) {

@@ -45,8 +45,7 @@ func clone(shards [][]int64) [][]int64 {
 	return out
 }
 
-// TestRadixUniform runs 6 ranks, and 16, whose bucket exchange takes
-// the two-hop grid.
+// TestRadixUniform runs 6 ranks and 16.
 func TestRadixUniform(t *testing.T) {
 	const perRank = 2000
 	for _, p := range []int{6, 16} {

@@ -89,8 +89,8 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], s Options) ([]K, 
 	if opt.PrefixCode {
 		return nil, core.Stats{}, fmt.Errorf("samplesort: the prefix plane (Options.PrefixCode) is not supported")
 	}
-	sample := func(c *comm.Comm, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
-		return DetermineSplitters(c, sorted, n, opt, s)
+	sample := func(e comm.Endpoint, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
+		return DetermineSplitters(e, sorted, n, opt, s)
 	}
 	return core.SortWith(c, local, opt, core.Strategies[K]{Keys: sample})
 }
@@ -101,7 +101,7 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], s Options) ([]K, 
 // sorted and opt is the skeleton's (defaults applied). It returns the
 // splitters on every rank, reporting the one round's combined sample
 // size.
-func DetermineSplitters[E any](c *comm.Comm, local []E, n int64, opt core.Options[E], s Options) ([]E, core.SplitterInfo, error) {
+func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Options[E], s Options) ([]E, core.SplitterInfo, error) {
 	k := s.oversample(opt.Buckets, opt.Epsilon, n)
 	var mine []E
 	switch s.Method {

@@ -41,8 +41,8 @@ func chaosShards(p, perRank int) [][]int64 {
 // TestSortUnderFaultInjection: seeded link delays over the real TCP
 // loopback mesh change no output — each faulted run is rank-identical to a clean
 // sim run, across both exchange planes and both compute planes, and at
-// 16 ranks of small shards, where the materializing exchange takes the
-// two-hop grid. Run with -race in CI (the chaos job).
+// 16 ranks of small shards, which sort in two levels of 4×4. Run with
+// -race in CI (the chaos job).
 func TestSortUnderFaultInjection(t *testing.T) {
 	// The two planes: the comparator (SortFunc) and the code plane (Sort).
 	planes := []struct {
@@ -56,7 +56,7 @@ func TestSortUnderFaultInjection(t *testing.T) {
 		name       string
 		p, perRank int
 		stream     bool
-	}{{"stream=false", 4, 800, false}, {"stream=true", 4, 800, true}, {"grid", 16, 200, false}} {
+	}{{"stream=false", 4, 800, false}, {"stream=true", 4, 800, true}, {"two-level", 16, 200, false}} {
 		for _, plane := range planes {
 			cfg := Config{Procs: c.p, Epsilon: 0.05, Seed: 3, StreamExchange: c.stream}
 
@@ -159,9 +159,9 @@ func TestPeerCrashMidExchange(t *testing.T) {
 
 // TestPeerCrashPhaseMatrix: Config.Chaos.CrashPhase names a phase of
 // the one sort skeleton, so it fires under every splitter strategy and
-// in the two-hop grid that 16 ranks of small shards exchange over alike
-// — each cell fails fast with a *PeerCrashError naming the victim, and
-// every engine closes without leaking goroutines.
+// in the two-level sort of 16 ranks alike — each cell fails fast with a
+// *PeerCrashError naming the victim, and every engine closes without
+// leaking goroutines.
 func TestPeerCrashPhaseMatrix(t *testing.T) {
 	const victim = 2
 	before := runtime.NumGoroutine()
@@ -171,7 +171,7 @@ func TestPeerCrashPhaseMatrix(t *testing.T) {
 		p, perRank int
 	}{
 		{"hss", "", 4, 800}, {"samplesort-regular", "samplesort-regular", 4, 800},
-		{"histogramsort", "histogramsort", 4, 800}, {"hss-grid", "", 16, 100},
+		{"histogramsort", "histogramsort", 4, 800}, {"hss-two-level", "", 16, 100},
 	} {
 		for _, phase := range []string{"splitter", "exchange"} {
 			t.Run(alg.name+"/"+phase, func(t *testing.T) {

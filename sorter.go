@@ -475,9 +475,11 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		r := c.Rank()
 		o := coreOptions(s.cfg, job.compare, job.code, job.prefix)
 		o.Splitters = job.seed
+		// Every job runs under the rank's budget, so a plan takes the
+		// same shape (core.Levels) as the sort it seeds.
+		o.Spill = s.spillFor(r)
 		if job.output != nil {
 			o.Scratch = scratchOf[E](s.scratch[r])
-			o.Spill = s.spillFor(r)
 		}
 		if job.spare != nil {
 			o.Spare = job.spare(r)
@@ -487,10 +489,14 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 			return err
 		}
 		if job.plan {
-			// The plan's exact quality on this data: the front half has
-			// cut this rank's runs, so one reduction of the bucket loads
-			// yields max·B/N = 1 + the achieved ε — the very one an
-			// accepted seed's round 0 already made.
+			// The plan's splitters, all of them at two levels, and its
+			// exact quality on this data: the front half has cut this
+			// rank's runs, so one reduction of the bucket loads yields
+			// max·B/N = 1 + the achieved ε — the very one an accepted
+			// seed's round 0 already made.
+			if err := f.GatherSplitters(c); err != nil {
+				return err
+			}
 			imb, err := f.BucketImbalance(c)
 			if err != nil {
 				return err
@@ -613,6 +619,8 @@ func ctxErr(ctx context.Context, err error) error {
 type Plan[K any] struct {
 	// Splitters are the finalized bucket boundaries: Buckets-1 keys in
 	// non-decreasing order. Bucket i receives keys in [S_{i-1}, S_i).
+	// From a two-level sort, every (p/g)-th is level 1's and the rest
+	// its groups'.
 	Splitters []K
 	// Buckets is the bucket count the plan partitions into.
 	Buckets int
@@ -632,9 +640,11 @@ type Plan[K any] struct {
 	Epsilon float64
 	// AchievedEpsilon is the measured quality of the plan on the
 	// planning input: the largest bucket's load relative to the even
-	// share N/Buckets, minus 1. It is computed exactly (one extra
-	// histogram round over the final splitters) and is what round 0 of
-	// a sort seeded with the plan would observe on the same data.
+	// share N/Buckets, minus 1, over all Buckets buckets at two levels
+	// too. It is computed exactly (one extra histogram round over the
+	// final splitters) and is what round 0 of a flat sort seeded with
+	// the plan would observe on the same data; at two levels each
+	// level's round 0 checks its own share against √(1+ε).
 	AchievedEpsilon float64
 
 	procs int
