@@ -139,120 +139,6 @@ type Config struct {
 	SpillDir string
 }
 
-// Stats reports one sort run; see the field comments on the paper
-// quantities each one reproduces.
-type Stats struct {
-	// N is the global key count, Buckets the bucket count.
-	N       int64
-	Buckets int
-	// Rounds is the number of histogramming rounds (Table 6.1);
-	// SamplePerRound and TotalSample the per-round and overall sample
-	// sizes (Fig 4.1). A seeded sort (Sorter.SortSeeded) whose seed
-	// still met the 1+ε target reads 0 in all three. From 16 ranks the
-	// sort may run in two levels of √p-rank groups (docs/STREAMING.md):
-	// Rounds is then level 1's plus the most any group's level 2 ran,
-	// and SamplePerRound lists level 1's rounds, then level 2's summed
-	// over the groups.
-	Rounds         int
-	SamplePerRound []int64
-	TotalSample    int64
-	// LocalSort, Splitter, Exchange, Merge are critical-path phase
-	// times (Fig 6.1's breakdown).
-	LocalSort, Splitter, Exchange, Merge time.Duration
-	// ExchangeOverlap is merge time hidden inside the exchange on the
-	// streaming path (§6.2's overlap; max over ranks). Zero on the
-	// materializing path: Config.StreamExchange and ChunkKeys off and no
-	// MemoryBudget.
-	ExchangeOverlap time.Duration
-	// PeakInFlightBytes is the peak per-rank volume buffered by the
-	// streaming exchange awaiting merge (max over ranks; bounded by
-	// (p-1)·2·ChunkKeys·keysize, the window being a fixed 2 chunks per
-	// destination). Zero on the materializing path, which runs only
-	// without a MemoryBudget, and when a budget diverts every incoming
-	// stream to disk.
-	PeakInFlightBytes int64
-	// SplitterBytes and ExchangeBytes are total bytes sent during
-	// splitter determination and data movement (§5.1's communication
-	// terms).
-	SplitterBytes, ExchangeBytes int64
-	// TotalMsgs and TotalBytes are whole-run message and byte counts
-	// (§6.1's message-combining metric).
-	TotalMsgs, TotalBytes int64
-	// Workers is the resolved per-rank worker pool size the compute
-	// phases ran with (Config.Workers after defaulting). 1 = serial.
-	Workers int
-	// ParSpawned and ParTasks count, summed over all ranks, the worker
-	// goroutines forked and the parallel tasks executed by the compute
-	// kernels — ParTasks/ParSpawned is the effective fan-out per fork.
-	// Both are zero when Workers is 1.
-	ParSpawned, ParTasks int64
-	// Imbalance is max load / average load after sorting (§1).
-	Imbalance float64
-	// PrefixCollisions counts, summed over ranks, the keys that shared
-	// an 8-byte prefix code with a neighbour during the local sorts and
-	// therefore needed the comparator tie-break — the byte-key prefix
-	// plane's measure of how much of the input the fixed-size code could
-	// not discriminate. Zero off the prefix plane (NewBytes engines
-	// only).
-	PrefixCollisions int64
-	// Reconnects and Respawns are transport lifecycle counters summed
-	// over all ranks: dial retries beyond each first attempt, and rejoin
-	// handshakes after a crash (1 from the rejoined rank plus 1 per
-	// surviving peer that re-adopted it). Zero on the in-memory
-	// transports — nonzero values fingerprint a TCP mesh that survived
-	// churn.
-	Reconnects, Respawns int64
-	// SpilledBytes, SpillFileBytes and SpillReads are out-of-core plane
-	// counters, summed over ranks: uncompressed key bytes written to
-	// spill runs, the (compressed) bytes those runs occupied on disk,
-	// and the frames read back during the merge. Only the streaming
-	// exchange's diverted streams spill, never the local sort. All zero
-	// when Config.MemoryBudget is 0 or the exchange stayed within it.
-	SpilledBytes, SpillFileBytes, SpillReads int64
-	// PeakResidentBytes is the peak spill-managed working set of any
-	// rank (max over ranks): the high-water mark of bytes the spill
-	// plane held in memory at once. At most Config.MemoryBudget, down
-	// to the merge's structural floor: every spilled run needs one
-	// read-back frame (at least 64 keys) resident to stay mergeable,
-	// so a budget smaller than fan-in × minimum frame is overshot by
-	// exactly that floor rather than deadlocking.
-	PeakResidentBytes int64
-}
-
-// Total returns the end-to-end critical-path time.
-func (s Stats) Total() time.Duration {
-	return s.LocalSort + s.Splitter + s.Exchange + s.Merge
-}
-
-func fromCore(st core.Stats) Stats {
-	return Stats{
-		N:                 st.N,
-		Buckets:           st.Buckets,
-		Rounds:            st.Rounds,
-		SamplePerRound:    st.SamplePerRound,
-		TotalSample:       st.TotalSample,
-		LocalSort:         st.LocalSort,
-		Splitter:          st.Splitter,
-		Exchange:          st.Exchange,
-		Merge:             st.Merge,
-		ExchangeOverlap:   st.ExchangeOverlap,
-		PeakInFlightBytes: st.PeakInFlight,
-		SplitterBytes:     st.SplitterBytes,
-		ExchangeBytes:     st.ExchangeBytes,
-		Workers:           st.Workers,
-		ParSpawned:        st.ParSpawned,
-		ParTasks:          st.ParTasks,
-		Imbalance:         st.Imbalance,
-		PrefixCollisions:  st.PrefixCollisions,
-		Reconnects:        st.Reconnects,
-		Respawns:          st.Respawns,
-		SpilledBytes:      st.SpilledBytes,
-		SpillFileBytes:    st.SpillFileBytes,
-		SpillReads:        st.SpillReads,
-		PeakResidentBytes: st.PeakResident,
-	}
-}
-
 // Sort sorts shards[i] (the keys initially on processor i) across
 // Config.Procs simulated processors and returns the per-processor sorted
 // partitions: the concatenation out[0] ‖ out[1] ‖ … is the sorted
@@ -362,20 +248,14 @@ func SimulateSplitters(n int64, buckets int, eps float64, seed uint64) (SimResul
 	if err != nil {
 		return SimResult{}, err
 	}
-	return SimResult(res), nil
+	return res, nil
 }
 
 // SimResult reports a SimulateSplitters run: rounds, per-round sample
 // sizes, interval coverage per round, achieved bucket imbalance, and
-// whether every splitter met its window.
-type SimResult struct {
-	Rounds           int
-	SamplePerRound   []int64
-	TotalSample      int64
-	CoveragePerRound []int64
-	Imbalance        float64
-	Finalized        bool
-}
+// whether every splitter met its window. It is core's record, re-exported;
+// the field docs are at go doc hssort/internal/core.SimResult.
+type SimResult = core.SimResult
 
 // ApproxRanks answers global rank queries over sharded data with the
 // §3.4 approximate rank oracle: each simulated processor summarizes its

@@ -82,7 +82,6 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	}
 	exchangeTime := time.Since(t1)
 	exchangeBytes := c.Counters().BytesSent - bytes0
-	stats.LocalCount = len(local)
 
 	agg, err := collective.AllReduce(c, baseTag+1, []int64{
 		exchangeBytes, int64(localSort), int64(exchangeTime),

@@ -4,10 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"time"
 
 	"hssort/internal/codes"
-	"hssort/internal/collective"
 	"hssort/internal/comm"
 	"hssort/internal/exchange"
 	"hssort/internal/sampling"
@@ -318,185 +316,4 @@ func PhaseTagRange(phase string) (lo, hi comm.Tag, ok bool) {
 		return tagExchange, TagStats, true
 	}
 	return 0, 0, false
-}
-
-// Stats reports one sort invocation. Per-phase durations are global
-// maxima over ranks (the BSP critical path); byte counts are global sums;
-// Rounds and sample sizes describe the splitter-determination protocol.
-type Stats struct {
-	// N is the global key count; Buckets the bucket count.
-	N       int64
-	Buckets int
-	// Rounds is the number of histogramming rounds executed: at two
-	// levels, level 1's plus the most any group's level 2 ran.
-	Rounds int
-	// SamplePerRound is the overall (all-ranks) sample gathered per
-	// round — at two levels level 1's rounds, then level 2's summed over
-	// the groups; TotalSample is its sum.
-	SamplePerRound []int64
-	TotalSample    int64
-	// LocalSort, Splitter, Exchange, Merge are per-phase wall times
-	// (max over ranks).
-	LocalSort, Splitter, Exchange, Merge time.Duration
-	// ExchangeOverlap is merge time hidden inside the streaming
-	// exchange — work §6.2's overlap argument takes off the critical
-	// path (max over ranks; zero on the materializing path, which runs
-	// only without a budget).
-	ExchangeOverlap time.Duration
-	// PeakInFlight is the peak bytes admitted to the incremental merge
-	// but not yet emitted (max over ranks; zero on the materializing
-	// path). The streaming flow control bounds it by
-	// (p-1)·2·ChunkKeys·keysize (exchange.DefaultStreamWindow = 2).
-	PeakInFlight int64
-	// SplitterBytes and ExchangeBytes are total bytes sent by all ranks
-	// during splitter determination and data movement.
-	SplitterBytes, ExchangeBytes int64
-	// Workers is the per-rank compute worker budget the sort ran with
-	// (identical on every rank by the same-Options contract).
-	Workers int
-	// ParSpawned and ParTasks are the effective-parallelism counters,
-	// summed over ranks: worker goroutines forked and fork-join tasks
-	// executed by the compute kernels. ParSpawned = 0 at Workers 1 —
-	// the serial pipeline forks nothing.
-	ParSpawned, ParTasks int64
-	// PrefixCollisions counts keys that landed in an equal-code span
-	// during the prefix plane's local sorts, summed over ranks — the
-	// number of keys whose final position needed the comparator
-	// tie-break. 0 off the prefix plane.
-	PrefixCollisions int64
-	// Imbalance is max rank load / average rank load after sorting.
-	Imbalance float64
-	// LocalCount is this rank's output size.
-	LocalCount int
-	// Reconnects and Respawns are transport lifecycle counters summed
-	// over ranks: dial retries beyond each first attempt, and rejoin
-	// handshakes after a crash. Always zero on in-memory transports —
-	// nonzero values are the fingerprint of a mesh that survived
-	// churn (see comm.Counters).
-	Reconnects, Respawns int64
-	// SpilledBytes and SpillFileBytes are the out-of-core plane's
-	// uncompressed and on-disk volumes, and SpillReads its frame
-	// read-backs, summed over ranks; PeakResident is the worst rank's
-	// budget-metered resident high-water mark. All zero without a
-	// memory budget (see spill.Manager).
-	SpilledBytes, SpillFileBytes, SpillReads, PeakResident int64
-}
-
-// Total returns the end-to-end critical-path time.
-func (s Stats) Total() time.Duration {
-	return s.LocalSort + s.Splitter + s.Exchange + s.Merge
-}
-
-// PhaseTimes carries one rank's per-phase measurements into FinishStats.
-type PhaseTimes struct {
-	// SplitterBytes and ExchangeBytes are this rank's bytes sent during
-	// the two communication phases.
-	SplitterBytes, ExchangeBytes int64
-	// LocalSort, Splitter, Exchange, Merge are this rank's phase wall
-	// times; Overlap is merge time hidden inside a streaming exchange.
-	LocalSort, Splitter, Exchange, Merge, Overlap time.Duration
-	// PeakInFlight is this rank's peak streaming-exchange buffer.
-	PeakInFlight int64
-	// OutCount is this rank's output size.
-	OutCount int
-	// ParSpawned and ParTasks are this rank's fork-join pool counters.
-	ParSpawned, ParTasks int64
-	// PrefixCollisions is this rank's equal-code tie-break key count
-	// (prefix plane only).
-	PrefixCollisions int64
-	// Spill is this rank's out-of-core activity, drained from its
-	// spill.Manager (zero value without a budget).
-	Spill spill.Stats
-}
-
-// statsRun is the working set of one FinishStats call: the rank's
-// measurements going in, the Stats coming out, and the values that
-// belong to neither.
-type statsRun struct {
-	m  PhaseTimes
-	st *Stats
-	// reconnects and respawns go in, read off the endpoint.
-	reconnects, respawns int64
-	// outTotal and outMax come out and yield Imbalance.
-	outTotal, outMax int64
-}
-
-// reduceOp is how a stats slot combines across ranks.
-type reduceOp int
-
-const (
-	opSum reduceOp = iota + 1 // global total
-	opMax                     // the BSP critical path / the worst rank
-)
-
-// statSlots declares the vector FinishStats all-reduces, one row per
-// slot: how a rank packs it, how two ranks' values combine, and where
-// the aggregate lands.
-var statSlots = []struct {
-	name string
-	op   reduceOp
-	get  func(*statsRun) int64
-	set  func(*statsRun, int64)
-}{
-	{"splitter_bytes", opSum, func(r *statsRun) int64 { return r.m.SplitterBytes }, func(r *statsRun, v int64) { r.st.SplitterBytes = v }},
-	{"exchange_bytes", opSum, func(r *statsRun) int64 { return r.m.ExchangeBytes }, func(r *statsRun, v int64) { r.st.ExchangeBytes = v }},
-	{"local_sort", opMax, func(r *statsRun) int64 { return int64(r.m.LocalSort) }, func(r *statsRun, v int64) { r.st.LocalSort = time.Duration(v) }},
-	{"splitter", opMax, func(r *statsRun) int64 { return int64(r.m.Splitter) }, func(r *statsRun, v int64) { r.st.Splitter = time.Duration(v) }},
-	{"exchange", opMax, func(r *statsRun) int64 { return int64(r.m.Exchange) }, func(r *statsRun, v int64) { r.st.Exchange = time.Duration(v) }},
-	{"merge", opMax, func(r *statsRun) int64 { return int64(r.m.Merge) }, func(r *statsRun, v int64) { r.st.Merge = time.Duration(v) }},
-	{"exchange_overlap", opMax, func(r *statsRun) int64 { return int64(r.m.Overlap) }, func(r *statsRun, v int64) { r.st.ExchangeOverlap = time.Duration(v) }},
-	{"peak_in_flight", opMax, func(r *statsRun) int64 { return r.m.PeakInFlight }, func(r *statsRun, v int64) { r.st.PeakInFlight = v }},
-	{"out_total", opSum, func(r *statsRun) int64 { return int64(r.m.OutCount) }, func(r *statsRun, v int64) { r.outTotal = v }},
-	{"out_max", opMax, func(r *statsRun) int64 { return int64(r.m.OutCount) }, func(r *statsRun, v int64) { r.outMax = v }},
-	{"par_spawned", opSum, func(r *statsRun) int64 { return r.m.ParSpawned }, func(r *statsRun, v int64) { r.st.ParSpawned = v }},
-	{"par_tasks", opSum, func(r *statsRun) int64 { return r.m.ParTasks }, func(r *statsRun, v int64) { r.st.ParTasks = v }},
-	{"prefix_collisions", opSum, func(r *statsRun) int64 { return r.m.PrefixCollisions }, func(r *statsRun, v int64) { r.st.PrefixCollisions = v }},
-	{"reconnects", opSum, func(r *statsRun) int64 { return r.reconnects }, func(r *statsRun, v int64) { r.st.Reconnects = v }},
-	{"respawns", opSum, func(r *statsRun) int64 { return r.respawns }, func(r *statsRun, v int64) { r.st.Respawns = v }},
-	{"spilled_bytes", opSum, func(r *statsRun) int64 { return r.m.Spill.SpilledBytes }, func(r *statsRun, v int64) { r.st.SpilledBytes = v }},
-	{"spill_file_bytes", opSum, func(r *statsRun) int64 { return r.m.Spill.FileBytes }, func(r *statsRun, v int64) { r.st.SpillFileBytes = v }},
-	{"spill_reads", opSum, func(r *statsRun) int64 { return r.m.Spill.Reads }, func(r *statsRun, v int64) { r.st.SpillReads = v }},
-	{"peak_resident", opMax, func(r *statsRun) int64 { return r.m.Spill.PeakResident }, func(r *statsRun, v int64) { r.st.PeakResident = v }},
-}
-
-// FinishStats all-reduces one rank's phase measurements into st, the
-// final collective step shared by every sort pipeline, in one vector
-// laid out by statSlots: byte counts and output totals sum across ranks;
-// phase times, overlap and peak in-flight take the global max (the BSP
-// critical path); the output counts yield Imbalance. Transport lifecycle
-// counters (reconnects, respawns) are read off the endpoint itself and
-// summed, so a single rank's crash-recovery work is visible in every
-// rank's Stats. Every rank must call it with the same tag, and every
-// rank receives the same aggregates.
-func FinishStats(e comm.Endpoint, tag comm.Tag, st *Stats, m PhaseTimes) error {
-	r := statsRun{m: m, st: st}
-	if cc, ok := e.(*comm.Comm); ok {
-		ctr := cc.Counters()
-		r.reconnects, r.respawns = ctr.Reconnects, ctr.Respawns
-	}
-	vec := make([]int64, len(statSlots))
-	for i, s := range statSlots {
-		vec[i] = s.get(&r)
-	}
-	agg, err := collective.AllReduce(e, tag, vec, func(dst, src []int64) {
-		for i, s := range statSlots {
-			if s.op == opSum {
-				dst[i] += src[i]
-			} else if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	for i, s := range statSlots {
-		s.set(&r, agg[i])
-	}
-	if r.outTotal > 0 {
-		st.Imbalance = float64(r.outMax) * float64(e.Size()) / float64(r.outTotal)
-	} else {
-		st.Imbalance = 1
-	}
-	return nil
 }

@@ -216,7 +216,7 @@ func TestSortApproxStreaming(t *testing.T) {
 	shards := dist.Spec{Kind: dist.Gaussian}.Shards(perRank, p, 19)
 	outs, stats := runSort(t, cloneAll(shards), Options[int64]{Cmp: icmp, Epsilon: 0.1, Approx: true, ChunkKeys: 512, Seed: 5})
 	checkGloballySorted(t, shards, outs)
-	if stats.PeakInFlight == 0 {
+	if stats.PeakInFlightBytes == 0 {
 		t.Error("streaming exchange buffered nothing")
 	}
 	if stats.Imbalance > 1.25 {

@@ -17,7 +17,7 @@
 //     bucket loads) and stands if it meets 1+ε; otherwise the strategy
 //     runs with that histogram as its first and the runs are re-cut.
 //   - BackHalf: exchange.ExchangeMerge (all-to-all + k-way merge) →
-//     FinishStats.
+//     FinishStats, which reduces the rank's own Stats in place.
 //
 // Sort and SortWith are the two halves back to back. The §6.1 node-sort
 // experiment (internal/nodesort) puts its own two-level data movement,

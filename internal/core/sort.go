@@ -84,13 +84,13 @@ type Front[K any] struct {
 	// Finalized is the strategy's SplitterInfo.Finalized (at two levels,
 	// every level's and group's).
 	Finalized bool
-	// Stats holds what is known so far: N, Buckets, Workers and the
-	// protocol counts (Rounds, SamplePerRound, TotalSample).
+	// Stats is the rank's own record so far: N, Buckets, Workers, the
+	// protocol counts (Rounds, SamplePerRound, TotalSample), and this
+	// rank's LocalSort, Splitter, SplitterBytes, PrefixCollisions and
+	// the partition's share of Exchange (at two levels also level 1's
+	// exchange and merge). The back half adds its own and reduces it
+	// with FinishStats.
 	Stats Stats
-	// Times holds this rank's LocalSort, Splitter, SplitterBytes and
-	// PrefixCollisions, and the partition's share of Exchange (at two
-	// levels also level 1's exchange and merge).
-	Times PhaseTimes
 
 	// ex, tag and owner are where BackHalf routes Runs: the world on
 	// tagExchange under Opt.Owner, or at two levels the row group on
@@ -140,11 +140,11 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 	var localCodes []codes.Code
 	if opt.PrefixCode {
 		localCodes = codes.SortByCodePar(local, opt.Code, pool)
-		f.Times.PrefixCollisions = codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
+		f.Stats.PrefixCollisions = codes.TieBreakPar(localCodes, local, opt.Cmp, pool)
 	} else if localCodes, err = spill.LocalSortScratch(opt.Spill, local, opt.Code, opt.Cmp, pool, opt.Scratch.MergeScratch().BorrowCodes, opt.Spare); err != nil {
 		return nil, err
 	}
-	f.Times.LocalSort = time.Since(t0)
+	f.Stats.LocalSort = time.Since(t0)
 
 	if err := f.count(c, local); err != nil {
 		return nil, err
@@ -214,11 +214,11 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 	} else if err := determine(); err != nil {
 		return err
 	}
-	f.Times.Splitter += time.Since(t1)
+	f.Stats.Splitter += time.Since(t1)
 
 	t2 := time.Now()
 	partition()
-	f.Times.Exchange += time.Since(t2)
+	f.Stats.Exchange += time.Since(t2)
 
 	// Round 0: a seed is only as good as the distribution it was
 	// histogrammed on, so histogram it on this one. Within the sort's own
@@ -248,9 +248,9 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 			}
 			partition()
 		}
-		f.Times.Splitter += time.Since(t3)
+		f.Stats.Splitter += time.Since(t3)
 	}
-	f.Times.SplitterBytes += c.Counters().BytesSent - bytes0
+	f.Stats.SplitterBytes += c.Counters().BytesSent - bytes0
 	return nil
 }
 
@@ -312,9 +312,9 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	if err != nil {
 		return err
 	}
-	f.Times.Exchange += xt
-	f.Times.Merge += mt
-	f.Times.ExchangeBytes += c.Counters().BytesSent - bytes0
+	f.Stats.Exchange += xt
+	f.Stats.Merge += mt
+	f.Stats.ExchangeBytes += c.Counters().BytesSent - bytes0
 
 	seed = nil
 	if opt.Splitters != nil && l1.Stats.Rounds == 0 {
@@ -358,12 +358,12 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	if counts, err = collective.Bcast(col, 0, tagSeed+1, counts); err != nil {
 		return err
 	}
-	f.Times.Splitter += time.Since(t0)
-	f.Times.SplitterBytes += c.Counters().BytesSent - bytes0
+	f.Stats.Splitter += time.Since(t0)
+	f.Stats.SplitterBytes += c.Counters().BytesSent - bytes0
 
 	f.Opt, f.ex, f.tag, f.owner, f.imbalance = opt, row, tagExchange+1, f.Opt.Owner, 0
 	f.col, f.l1, f.l1Codes = col, l1.Splitters, l1.SplitterCodes
-	f.Stats = l1.Stats
+	f.Stats.N = l1.Stats.N // level 2's count left the group's
 	f.Finalized, f.Stats.Rounds = counts[0] == 1, int(counts[1])
 	f.Stats.SamplePerRound, f.Stats.TotalSample = nil, 0
 	for _, n := range counts[2:] {
@@ -418,8 +418,8 @@ func (f *Front[K]) GatherSplitters(c *comm.Comm) error {
 	} else if f.Splitters, err = gatherSplitters(f.col, f.l1, f.Splitters, f.Opt.Buckets/f.col.Size()); err == nil && f.Opt.Code != nil {
 		f.SplitterCodes = codes.Extract(f.Splitters, f.Opt.Code)
 	}
-	f.Times.Splitter += time.Since(t0)
-	f.Times.SplitterBytes += c.Counters().BytesSent - bytes0
+	f.Stats.Splitter += time.Since(t0)
+	f.Stats.SplitterBytes += c.Counters().BytesSent - bytes0
 	return err
 }
 
@@ -530,18 +530,16 @@ func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	if err != nil {
 		return nil, f.Stats, err
 	}
-	m := f.Times
-	m.ExchangeBytes += c.Counters().BytesSent - bytes0
-	m.Exchange += exchangeTime
-	m.Merge += mergeTime
-	m.Overlap = sst.Overlap
-	m.PeakInFlight = sst.PeakInFlight
-	m.OutCount = len(out)
+	st := &f.Stats
+	st.ExchangeBytes += c.Counters().BytesSent - bytes0
+	st.Exchange += exchangeTime
+	st.Merge += mergeTime
+	st.ExchangeOverlap, st.PeakInFlightBytes = sst.Overlap, sst.PeakInFlight
 	pc := f.Pool.Counters()
-	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
-	m.Spill = opt.Spill.TakeStats()
-	f.Stats.LocalCount = len(out)
-	if err := FinishStats(c, TagStats, &f.Stats, m); err != nil {
+	st.ParSpawned, st.ParTasks = pc.Spawned, pc.Tasks
+	sp := opt.Spill.TakeCounters()
+	st.SpilledBytes, st.SpillFileBytes, st.SpillReads, st.PeakResidentBytes = sp.SpilledBytes, sp.FileBytes, sp.Reads, sp.PeakResident
+	if err := FinishStats(c, TagStats, st, len(out)); err != nil {
 		return nil, f.Stats, err
 	}
 	return out, f.Stats, nil

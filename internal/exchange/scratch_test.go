@@ -100,7 +100,7 @@ func TestScratchReuseEquivalence(t *testing.T) {
 			}
 		}
 		for r, m := range mgrs {
-			if m != nil && m.TakeStats().SpilledBytes == 0 {
+			if m != nil && m.TakeCounters().SpilledBytes == 0 {
 				t.Fatalf("round %d rank %d: no stream diverted under a %d-byte budget", round, r, rd.budget)
 			}
 		}

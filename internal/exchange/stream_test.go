@@ -359,7 +359,7 @@ func TestExchangeMergeBudgetStreams(t *testing.T) {
 				if stats[r].ChunksSent == 0 {
 					t.Errorf("rank %d sent no chunks: the budget did not select the streaming exchange", r)
 				}
-				if st := m.TakeStats(); st.SpilledBytes == 0 {
+				if st := m.TakeCounters(); st.SpilledBytes == 0 {
 					t.Errorf("rank %d spilled nothing under a %d-byte budget", r, budget)
 				}
 				if room := m.Room(); room != budget {

@@ -64,7 +64,6 @@ func backHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 	if stats.N == 0 {
 		// Nothing to move: every rank returns empty, consistently.
 		stats.Imbalance = 1
-		stats.LocalSort = f.Times.LocalSort
 		return []K{}, stats, nil
 	}
 	me := c.Rank()
@@ -142,16 +141,12 @@ func backHalf[K any](c *comm.Comm, f *core.Front[K]) ([]K, core.Stats, error) {
 		return nil, stats, err
 	}
 	mergeTime := nodeMergeTime + time.Since(t3)
-	stats.LocalCount = len(out)
-
-	m := f.Times
-	m.ExchangeBytes = exchangeBytes
-	m.Exchange += exchangeTime
-	m.Merge = mergeTime
-	m.OutCount = len(out)
+	stats.ExchangeBytes = exchangeBytes
+	stats.Exchange += exchangeTime
+	stats.Merge = mergeTime
 	pc := pool.Counters()
-	m.ParSpawned, m.ParTasks = pc.Spawned, pc.Tasks
-	if err := core.FinishStats(c, core.TagStats, &stats, m); err != nil {
+	stats.ParSpawned, stats.ParTasks = pc.Spawned, pc.Tasks
+	if err := core.FinishStats(c, core.TagStats, &stats, len(out)); err != nil {
 		return nil, stats, err
 	}
 	return out, stats, nil

@@ -153,7 +153,6 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	t3 := time.Now()
 	out := merge.KWay(recv, opt.Cmp)
 	mergeTime := time.Since(t3)
-	stats.LocalCount = len(out)
 
 	agg, err := collective.AllReduce(c, baseTag+tagStats, []int64{
 		splitterBytes, exchangeBytes,

@@ -123,7 +123,6 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	t3 := time.Now()
 	out := merge.Runs([]K{}, recv, opt.Cmp, nil, false, nil, nil)
 	mergeTime := time.Since(t3)
-	stats.LocalCount = len(out)
 
 	agg, err := collective.AllReduce(c, baseTag+4, []int64{
 		splitterBytes, exchangeBytes,

@@ -8,9 +8,9 @@ import (
 	"sync"
 )
 
-// Stats is one sort's spill activity, drained by TakeStats and folded
-// into the pipeline stats (and from there into hssort.Stats).
-type Stats struct {
+// Counters are one sort's spill activity, drained by TakeCounters into
+// the rank's core.Stats.
+type Counters struct {
 	// SpilledBytes is the uncompressed volume written to run files.
 	SpilledBytes int64
 	// FileBytes is the on-disk volume (headers + stored payloads) —
@@ -42,7 +42,7 @@ type Manager struct {
 	mu       sync.Mutex
 	resident int64
 	seq      int
-	st       Stats
+	st       Counters
 }
 
 // NewManager creates the spill state for one rank with the given budget
@@ -118,15 +118,15 @@ func (m *Manager) Room() int64 {
 	return room
 }
 
-// TakeStats drains the per-sort counters, returning the activity since
-// the previous call. Nil-safe (returns zero Stats).
-func (m *Manager) TakeStats() Stats {
+// TakeCounters drains the per-sort counters, returning the activity since
+// the previous call. Nil-safe (returns zero Counters).
+func (m *Manager) TakeCounters() Counters {
 	if m == nil {
-		return Stats{}
+		return Counters{}
 	}
 	m.mu.Lock()
 	st := m.st
-	m.st = Stats{}
+	m.st = Counters{}
 	m.mu.Unlock()
 	return st
 }
@@ -141,7 +141,7 @@ func (m *Manager) Reset() error {
 	}
 	m.mu.Lock()
 	m.resident = 0
-	m.st = Stats{}
+	m.st = Counters{}
 	m.mu.Unlock()
 	ents, err := os.ReadDir(m.dir)
 	if err != nil {

@@ -74,7 +74,7 @@ func TestRoundTripCodes(t *testing.T) {
 	if _, err := os.Stat(run.Path()); !os.IsNotExist(err) {
 		t.Fatalf("run file not removed at EOF: %v", err)
 	}
-	st := m.TakeStats()
+	st := m.TakeCounters()
 	if st.SpilledBytes != int64(len(keys))*8 {
 		t.Fatalf("SpilledBytes = %d, want %d", st.SpilledBytes, len(keys)*8)
 	}
@@ -216,18 +216,18 @@ func TestManagerBudgetAndStats(t *testing.T) {
 	}
 	m.Acquire(100)
 	m.Release(900)
-	st := m.TakeStats()
+	st := m.TakeCounters()
 	if st.PeakResident != 900 {
 		t.Fatalf("PeakResident = %d, want 900", st.PeakResident)
 	}
-	if st2 := m.TakeStats(); st2.PeakResident != 0 {
-		t.Fatal("TakeStats did not reset counters")
+	if st2 := m.TakeCounters(); st2.PeakResident != 0 {
+		t.Fatal("TakeCounters did not reset counters")
 	}
 	if m.Budget() != 1000 {
 		t.Fatalf("Budget = %d", m.Budget())
 	}
 	var nilM *Manager
-	if nilM.Budget() != 0 || nilM.TakeStats() != (Stats{}) || nilM.Reset() != nil || nilM.Close() != nil {
+	if nilM.Budget() != 0 || nilM.TakeCounters() != (Counters{}) || nilM.Reset() != nil || nilM.Close() != nil {
 		t.Fatal("nil Manager methods not nil-safe")
 	}
 }
@@ -371,7 +371,7 @@ func checkLocalSortInRAM[K comparable](t *testing.T, input []K, code func(K) uin
 	if scratch > budget/2 {
 		t.Fatalf("allocated %d bytes of scratch, budget/2 is %d", scratch, budget/2)
 	}
-	if st := m.TakeStats(); st != (Stats{}) {
+	if st := m.TakeCounters(); st != (Counters{}) {
 		t.Fatalf("local sort touched the spill plane: %+v", st)
 	}
 	if ents, err := os.ReadDir(m.Dir()); err != nil || len(ents) != 0 {
@@ -443,7 +443,7 @@ func TestLocalSortInMemoryUnderBudget(t *testing.T) {
 	if !slices.IsSorted(local) || len(cs) != 4 {
 		t.Fatal("in-memory path broken")
 	}
-	if st := m.TakeStats(); st.SpilledBytes != 0 {
+	if st := m.TakeCounters(); st.SpilledBytes != 0 {
 		t.Fatal("under-budget sort spilled")
 	}
 }

@@ -514,7 +514,7 @@ func runEngine[K, E any](ctx context.Context, s *Sorter[K], job engineRun[K, E])
 		}
 		job.output(r, out)
 		if r == 0 {
-			stats = fromCore(st)
+			stats = st
 		}
 		return nil
 	})
