@@ -8,8 +8,8 @@ import (
 	"hssort/internal/comm"
 	"hssort/internal/core"
 	"hssort/internal/dist"
+	"hssort/internal/exchange"
 	"hssort/internal/keycoder"
-	"hssort/internal/nodesort"
 	"hssort/internal/tablefmt"
 )
 
@@ -64,15 +64,15 @@ func runFig61(scale float64) error {
 	return runNodeSort(scale)
 }
 
-// runNodeSort is §6.1's node-level partitioning beside HSS: the same
-// int64 keys sorted by core.Sort over p buckets and by nodesort.Sort
-// over p/c node buckets, both at ε = 0.05. At these p core.Sort runs in
-// two levels of √p groups (core.Levels), §6.1's split on real messages:
-// each level seeks √p−1 splitters. The node sort seeks p/c−1 once and
-// combines each node pair's messages into one. It moves runs inside a
-// node by reference, so its message and byte counts model shared memory
-// within a node. On sim it fails unless the node sort sends fewer
-// splitter bytes and messages at every (p, c).
+// runNodeSort is §6.1's node-level partitioning beside flat HSS: the
+// same int64 keys sorted by core.Sort at ε = 0.05 flat over p buckets
+// and in core's two levels (core.Levels), whose groups at these (p, c)
+// are c consecutive ranks, as a node's cores are. Level 1 partitions
+// across the p/c groups and level 2 within each, so each level seeks
+// p/c−1 or c−1 splitters where the flat sort seeks p−1. The flat sort
+// runs under an explicit contiguous owner, which routes as the default
+// does but keeps it out of two levels. On sim it fails unless two levels
+// send fewer splitter bytes and messages at every (p, c).
 func runNodeSort(scale float64) error {
 	perRank := max(int(2000*scale), 2000)
 	t := tablefmt.New("p", "c", "sort", "rounds", "total sample", "splitter bytes", "messages", "imbalance")
@@ -80,17 +80,19 @@ func runNodeSort(scale float64) error {
 		shards := dist.Spec{Kind: dist.PowerSkew}.Shards(perRank, pc.p, 42)
 		opt := coded[int64](keycoder.Int64{}, pc.p)
 		opt.Epsilon, opt.Seed = 0.05, 7
+		if g, c, ok := core.Levels(pc.p, int64(perRank*pc.p), opt); !ok || g != pc.p/pc.c || c != pc.c {
+			return fmt.Errorf("p=%d: core.Levels gives %d groups of %d, want %d of %d", pc.p, g, c, pc.p/pc.c, pc.c)
+		}
+		flat := opt
+		flat.Owner = exchange.ContiguousOwner(pc.p, pc.p)
 		var bytes, msgs [2]int64
 		for i, alg := range []struct {
 			name string
-			sort func(*comm.Comm, []int64) ([]int64, core.Stats, error)
-		}{
-			{"HSS two-level", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) { return core.Sort(c, local, opt) }},
-			{"node sort", func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
-				return nodesort.Sort(c, local, opt, pc.c)
-			}},
-		} {
-			_, st, total, err := onWorld(cloneShards(shards), alg.sort)
+			opt  core.Options[int64]
+		}{{"HSS flat", flat}, {"HSS two-level", opt}} {
+			_, st, total, err := onWorld(cloneShards(shards), func(c *comm.Comm, local []int64) ([]int64, core.Stats, error) {
+				return core.Sort(c, local, alg.opt)
+			})
 			if err != nil {
 				return fmt.Errorf("p=%d c=%d %s: %w", pc.p, pc.c, alg.name, err)
 			}
@@ -107,11 +109,11 @@ func runNodeSort(scale float64) error {
 			)
 		}
 		if transport == hssort.TransportSim && (bytes[1] >= bytes[0] || msgs[1] >= msgs[0]) {
-			return fmt.Errorf("p=%d c=%d: the node sort sent %d splitter bytes in %d messages, two-level HSS %d in %d",
+			return fmt.Errorf("p=%d c=%d: two levels sent %d splitter bytes in %d messages, flat HSS %d in %d",
 				pc.p, pc.c, bytes[1], msgs[1], bytes[0], msgs[0])
 		}
 	}
-	fmt.Printf("\n§6.1 node-level partitioning, %s powerskew keys per rank, c ranks per node, eps = 0.05:\n\n", tablefmt.Count(float64(perRank)))
+	fmt.Printf("\n§6.1 node-level partitioning, %s powerskew keys per rank, groups of c ranks, eps = 0.05:\n\n", tablefmt.Count(float64(perRank)))
 	fmt.Print(t.String())
 	fmt.Println("\nPaper (§6.1): partitioning across nodes shrinks the splitter problem")
 	fmt.Println("from p−1 to n−1 splitters and the all-to-all from p(p−1) to n(n−1)")

@@ -10,7 +10,7 @@
 //	experiments -exp fig6.1 -scale 2    # scale simulated sizes up/down
 //
 // Experiments: fig3.1, fig4.1, sec4.2 (HSS vs the §4.2 comparison
-// sorts), table5.1, fig6.1 (with the §6.1 node sort), table6.1, fig6.2,
+// sorts), table5.1, fig6.1 (with §6.1's two levels vs flat), table6.1, fig6.2,
 // approx (§3.4 validation).
 package main
 
@@ -36,7 +36,7 @@ var experiments = []experiment{
 	{"fig4.1", "sample size vs p: sample sort vs HSS (analytic + measured)", runFig41},
 	{"sec4.2", "HSS vs sample sort, histogram sort, radix, bitonic and over-partitioning on one workload; load balance under skew", runSec42},
 	{"table5.1", "complexity table with concrete sample sizes (p=1e5, eps=5%)", runTable51},
-	{"fig6.1", "weak scaling: execution-time breakdown per phase; §6.1 node sort vs flat HSS", runFig61},
+	{"fig6.1", "weak scaling: execution-time breakdown per phase; §6.1 two-level vs flat HSS", runFig61},
 	{"table6.1", "histogramming rounds observed at the paper's processor counts", runTable61},
 	{"fig6.2", "ChaNGa sorting: HSS vs classic histogram sort on Dwarf/Lambb", runFig62},
 	{"approx", "§3.4 approximate rank oracle accuracy validation", runApprox},

@@ -1,8 +1,8 @@
 // Command hssort sorts a synthetic workload with Histogram Sort with
 // Sampling and prints the paper's metrics: phase breakdown,
 // histogramming rounds, sample sizes, communication volume, and the
-// achieved load imbalance. The paper's baselines and its §6.1 node sort
-// are experiment code: cmd/experiments -exp sec4.2, fig6.1 and fig6.2.
+// achieved load imbalance. The paper's baselines are experiment code:
+// cmd/experiments -exp sec4.2 and fig6.2.
 //
 // Examples:
 //
@@ -385,6 +385,10 @@ func (r report) print() {
 		t.AddRow("peak spill-managed resident", tablefmt.Bytes(float64(stats.PeakResidentBytes)))
 	}
 	t.AddRow("histogramming rounds", fmt.Sprintf("%d", stats.Rounds))
+	if stats.Rounds > 0 {
+		t.AddRow("sample per round", fmt.Sprint(stats.SamplePerRound))
+		t.AddRow("coverage per round (G_j)", fmt.Sprint(stats.CoveragePerRound))
+	}
 	t.AddRow("total sample (probe keys)", fmt.Sprintf("%d", stats.TotalSample))
 	t.AddRow("splitter-phase bytes", tablefmt.Bytes(float64(stats.SplitterBytes)))
 	t.AddRow("exchange-phase bytes", tablefmt.Bytes(float64(stats.ExchangeBytes)))

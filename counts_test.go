@@ -21,8 +21,8 @@ import (
 var updateCounts = flag.Bool("update", false, "rewrite testdata/counts.golden from this run")
 
 // TestCountsGolden pins the deterministic counts of real sorts on the sim
-// transport at fixed seeds: rounds, sample per round, splitter and
-// exchange bytes, messages and imbalance. They are a function of the
+// transport at fixed seeds: rounds, sample and coverage per round,
+// splitter and exchange bytes, messages and imbalance. They are a function of the
 // protocol and the message schedule alone, so any change to this file is
 // a change to one of them. Regenerate after an intended change with
 //
@@ -34,6 +34,7 @@ func TestCountsGolden(t *testing.T) {
 	record := func(shape string, st Stats, msgs int64) {
 		line(shape, "rounds", st.Rounds)
 		line(shape, "sample_per_round", ints(st.SamplePerRound))
+		line(shape, "coverage_per_round", ints(st.CoveragePerRound))
 		line(shape, "splitter_bytes", st.SplitterBytes)
 		line(shape, "exchange_bytes", st.ExchangeBytes)
 		line(shape, "messages", msgs)

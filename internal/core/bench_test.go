@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"hssort/internal/dist"
 )
 
 // BenchmarkAblationSampling compares the fixed-oversampling production
@@ -38,31 +36,6 @@ func BenchmarkAblationSampling(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Rounds), "rounds")
 			b.ReportMetric(float64(res.TotalSample), "sample_keys")
-		})
-	}
-}
-
-// BenchmarkAblationApproxHistogram compares exact local histogramming
-// against the §3.4 representative-sample shortcut inside the full sort.
-func BenchmarkAblationApproxHistogram(b *testing.B) {
-	b.ReportAllocs()
-	const p, perRank = 16, 50000
-	for _, approx := range []bool{false, true} {
-		name := "exact"
-		if approx {
-			name = "approx"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var stats Stats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				shards := dist.Spec{Kind: dist.Uniform}.Shards(perRank, p, uint64(i)+1)
-				b.StartTimer()
-				_, stats = runSort(b, shards, Options[int64]{Cmp: icmp, Epsilon: 0.05, Approx: approx, Seed: 3})
-			}
-			b.ReportMetric(stats.Imbalance, "imbalance")
-			b.ReportMetric(float64(stats.Splitter.Microseconds()), "splitter_us")
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -30,10 +29,10 @@ var ctxTransports = []struct {
 }
 
 // TestCancelMidHistogram cancels the context from inside the
-// histogramming loop (the OnRound hook fires on the root between
-// collective rounds, while the other ranks sit inside the next round's
-// broadcast) on both transports and both exchange planes, and asserts
-// that every rank unblocks with an error satisfying
+// histogramming loop — on the root's first probe broadcast, through a
+// fault transport's crash predicate that never crashes, while the other
+// ranks wait in that broadcast — on every transport and both exchange
+// planes, and asserts that every rank unblocks with an error satisfying
 // errors.Is(err, context.Canceled) — then that the same pool runs a
 // clean sort afterwards and its workers exit on Close.
 func TestCancelMidHistogram(t *testing.T) {
@@ -47,10 +46,15 @@ func TestCancelMidHistogram(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				shards := dist.Spec{Kind: dist.Gaussian}.Shards(perRank, p, 7)
-				pool := comm.NewPool(p, comm.WithTransport(tr.mk(p)), comm.WithTimeout(30*time.Second))
-
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
+				ft := comm.NewFaultTransport(tr.mk(p), comm.FaultSpec{CrashRank: 0, CrashWhen: func(_, _ int, tag comm.Tag) bool {
+					if tag == tagProbes {
+						cancel() // mid-histogramming, peers blocked in collectives
+					}
+					return false
+				}})
+				pool := comm.NewPool(p, comm.WithTransport(ft), comm.WithTimeout(30*time.Second))
 				rankErrs := make([]error, p)
 				err := pool.Run(ctx, func(c *comm.Comm) error {
 					opt := Options[int64]{
@@ -58,13 +62,6 @@ func TestCancelMidHistogram(t *testing.T) {
 						Epsilon:   0.01, // tight: guarantees several rounds
 						ChunkKeys: chunkKeys,
 						Workers:   3, // the leak assertion covers the worker pool's forks
-					}
-					if c.Rank() == 0 {
-						opt.OnRound = func(rt RoundTrace) {
-							if rt.Round == 1 {
-								cancel() // mid-histogramming, peers blocked in collectives
-							}
-						}
 					}
 					_, _, err := Sort(c, shards[c.Rank()], opt)
 					rankErrs[c.Rank()] = err
@@ -92,9 +89,7 @@ func TestCancelMidHistogram(t *testing.T) {
 				}
 
 				pool.Close()
-				if cl, ok := pool.Transport().(io.Closer); ok {
-					cl.Close() // tcp: release sockets + pump goroutines
-				}
+				ft.Close() // tcp: release sockets + pump goroutines
 				waitGoroutines(t, before)
 			})
 		}

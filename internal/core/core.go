@@ -73,8 +73,9 @@ type Options[K any] struct {
 	// at most N(1+ε)/B keys w.h.p. Default defaultEpsilon.
 	Epsilon float64
 	// Buckets is the number of output ranges B. Default: world size
-	// (one bucket per processor). The node sort and ChaNGa
-	// configurations set it to node count or virtual-processor count.
+	// (one bucket per processor). ChaNGa's configuration sets it to the
+	// virtual-processor count, and a two-level sort to each level's group
+	// count (Levels).
 	Buckets int
 	// Owner maps a bucket to the rank that receives it. Default:
 	// exchange.ContiguousOwner(Buckets, p).
@@ -133,38 +134,16 @@ type Options[K any] struct {
 	// Default: sampling.AutoRounds(Buckets, Epsilon). Ignored by the
 	// other schedules.
 	Rounds int
-	// MaxRounds caps histogramming rounds before falling back to the
-	// best candidates seen (guarantees termination on adversarial
-	// inputs such as mass duplicates). Default: 4× the §6.2 bound + 8.
-	MaxRounds int
-	// Approx enables §3.4 approximate histogramming: local ranks are
-	// answered from a per-rank representative sample instead of the
-	// full input. The effective imbalance guarantee loosens to ~2ε.
-	Approx bool
-	// OnRound, if set, is invoked on the root rank after every
-	// histogramming round with that round's protocol state — the
-	// observability hook behind Table 6.1-style analyses. It must not
-	// block; it runs inside the splitter-determination critical path.
-	OnRound func(RoundTrace)
 
 	// round0 is a rejected seed's histogram, set by FrontHalf for the
 	// strategy: the injected Splitters and, per splitter, the global
 	// count of keys strictly below it (nil without a rejected seed).
 	round0 []int64
-}
-
-// RoundTrace reports one histogramming round to Options.OnRound.
-type RoundTrace struct {
-	// Round is 1-based.
-	Round int
-	// Prob is the per-key sampling probability used.
-	Prob float64
-	// Probes is the deduplicated probe count histogrammed.
-	Probes int
-	// Finalized is the number of splitters finalized so far.
-	Finalized int
-	// Coverage is G_j: keys still inside active splitter intervals.
-	Coverage int64
+	// maxRounds caps histogramming rounds before falling back to the
+	// best candidates seen (guarantees termination on adversarial inputs
+	// such as mass duplicates): 4× the §6.2 bound + 8, unless a test sets
+	// it.
+	maxRounds int
 }
 
 // withDefaults validates opt and fills defaults for a world of p ranks:
@@ -209,12 +188,12 @@ func (o Options[K]) withDefaults(p int) (Options[K], error) {
 	if o.Rounds == 0 {
 		o.Rounds = sampling.AutoRounds(o.Buckets, o.Epsilon)
 	}
-	if o.MaxRounds == 0 {
+	if o.maxRounds == 0 {
 		bound, err := sampling.ExpectedRoundsFixed(o.Buckets, o.Epsilon, oversampleFactor)
 		if err != nil {
 			bound = 8
 		}
-		o.MaxRounds = 4*bound + 8
+		o.maxRounds = 4*bound + 8
 	}
 	return o, nil
 }
@@ -294,10 +273,10 @@ const (
 	// (for a plan) its splitters.
 	tagExchange  = tagSeed + 2
 	exchangeTags = 2
-	// TagStats is the closing stats all-reduce (+1).
-	TagStats = tagExchange + exchangeTags
+	// tagStats is the closing stats all-reduce (+1).
+	tagStats = tagExchange + exchangeTags
 	// tagEnd is one past the last tag a sort occupies.
-	tagEnd = TagStats + 2
+	tagEnd = tagStats + 2
 )
 
 // PhaseTagRange maps a named sort phase to the half-open tag interval
@@ -313,7 +292,7 @@ func PhaseTagRange(phase string) (lo, hi comm.Tag, ok bool) {
 	case "splitter":
 		return tagBase, tagExchange, true
 	case "exchange":
-		return tagExchange, TagStats, true
+		return tagExchange, tagStats, true
 	}
 	return 0, 0, false
 }

@@ -191,39 +191,6 @@ func TestSortRoundRobinOwner(t *testing.T) {
 	}
 }
 
-func TestSortApproxHistogramming(t *testing.T) {
-	// §3.4: approximate local ranks still give a correct sort; load
-	// balance loosens to ~2ε.
-	const p, perRank = 6, 4000
-	spec := dist.Spec{Kind: dist.Uniform}
-	shards := spec.Shards(perRank, p, 17)
-	in := make([][]int64, p)
-	for i := range shards {
-		in[i] = slices.Clone(shards[i])
-	}
-	outs, stats := runSort(t, in, Options[int64]{Cmp: icmp, Epsilon: 0.1, Approx: true, Seed: 5})
-	checkGloballySorted(t, shards, outs)
-	if stats.Imbalance > 1.25 {
-		t.Errorf("approx imbalance %.4f exceeds 1+2.5ε", stats.Imbalance)
-	}
-}
-
-// TestSortApproxStreaming: approximate histogramming feeds the
-// streaming back half (chunked exchange, incremental merge) the same
-// way it feeds the materializing one.
-func TestSortApproxStreaming(t *testing.T) {
-	const p, perRank = 6, 4000
-	shards := dist.Spec{Kind: dist.Gaussian}.Shards(perRank, p, 19)
-	outs, stats := runSort(t, cloneAll(shards), Options[int64]{Cmp: icmp, Epsilon: 0.1, Approx: true, ChunkKeys: 512, Seed: 5})
-	checkGloballySorted(t, shards, outs)
-	if stats.PeakInFlightBytes == 0 {
-		t.Error("streaming exchange buffered nothing")
-	}
-	if stats.Imbalance > 1.25 {
-		t.Errorf("approx imbalance %.4f exceeds 1+2.5ε", stats.Imbalance)
-	}
-}
-
 // TestSortTheoreticalHonoursRounds: the k-round schedule takes k from
 // Options.Rounds in a real sort. It finishes within k+1 rounds, and a
 // smaller k draws a denser first round: ratio (2 ln B/ε)^(1/k).
@@ -295,7 +262,7 @@ func TestSortMassDuplicatesTerminates(t *testing.T) {
 	for i := range shards {
 		in[i] = slices.Clone(shards[i])
 	}
-	outs, _ := runSort(t, in, Options[int64]{Cmp: icmp, Epsilon: 0.05, MaxRounds: 6})
+	outs, _ := runSort(t, in, Options[int64]{Cmp: icmp, Epsilon: 0.05, maxRounds: 6})
 	checkGloballySorted(t, shards, outs)
 }
 

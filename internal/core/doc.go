@@ -17,15 +17,15 @@
 //     bucket loads) and stands if it meets 1+ε; otherwise the strategy
 //     runs with that histogram as its first and the runs are re-cut.
 //   - BackHalf: exchange.ExchangeMerge (all-to-all + k-way merge) →
-//     FinishStats, which reduces the rank's own Stats in place.
+//     finishStats, which reduces the rank's own Stats in place.
 //
-// Sort and SortWith are the two halves back to back. The §6.1 node-sort
-// experiment (internal/nodesort) puts its own two-level data movement,
-// on its own tags, behind FrontHalf; the root engine's Plan calls
-// FrontHalf and stops. Options is the one options struct —
-// declared, defaulted and validated once, before any rank works or sends
-// — and one tag layout from tag 1000 (count · strategy span ·
-// round 0 · data movement · stats) serves every caller, which is what lets
+// Sort and SortWith are the two halves back to back; the root engine's
+// Plan calls FrontHalf and stops. From 16 ranks the front half runs in
+// two levels of √p-rank groups (Levels), §6.1's node-level partitioning
+// on counted messages. Options is the one options struct — declared,
+// defaulted and validated once, before any rank works or sends — and one
+// tag layout from tag 1000 (count · strategy span · round 0 · data
+// movement · stats) serves every caller, which is what lets
 // PhaseTagRange name a phase for all of them. The byte-string prefix
 // plane (Options.PrefixCode) is a branch inside the same body.
 //

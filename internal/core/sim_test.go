@@ -155,7 +155,7 @@ func TestSimulateDegenerate(t *testing.T) {
 }
 
 // TestSimulateProperty: across random scales, the protocol always
-// finalizes within MaxRounds and achieves the requested balance.
+// finalizes within the round cap and achieves the requested balance.
 func TestSimulateProperty(t *testing.T) {
 	f := func(seed uint32, bRaw uint8, sched uint8) bool {
 		buckets := int(bRaw%120) + 8
@@ -168,8 +168,8 @@ func TestSimulateProperty(t *testing.T) {
 			return false
 		}
 		// On tiny inputs the w.h.p. guarantee can miss; allow fallback
-		// but require termination (well under the default MaxRounds
-		// ceiling of 4·bound+8) and sane imbalance.
+		// but require termination (well under the default round cap
+		// of 4·bound+8) and sane imbalance.
 		return res.Rounds <= 60 && res.Imbalance <= 2.5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"hssort/internal/codes"
@@ -33,7 +34,7 @@ type Strategies[K any] struct {
 }
 
 // HSS is the paper's strategy: rounds of sampling and histogramming
-// (DetermineSplitters), configured by the Schedule…OnRound block of
+// (DetermineSplitters), configured by the Schedule and Rounds block of
 // Options.
 func HSS[K any]() Strategies[K] {
 	return Strategies[K]{Keys: DetermineSplitters[K], Codes: DetermineSplitters[codes.Code]}
@@ -60,19 +61,19 @@ func SortWith[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) (
 
 // Front is one rank's state between the skeleton's halves: its keys
 // locally sorted and cut into bucket runs by splitters every rank agrees
-// on. BackHalf moves the runs; the node sort (internal/nodesort) moves
-// them itself; a splitter plan stops here. In a two-level sort the front
-// half has already moved the keys once, and Runs are level 2's.
+// on. BackHalf moves the runs; a splitter plan stops here. In a
+// two-level sort the front half has already moved the keys once, and the
+// runs are level 2's.
 type Front[K any] struct {
-	// Opt is the Options the front half ran with, defaults applied.
-	Opt Options[K]
-	// Pool is the rank's compute pool; the data movement keeps using it
+	// opt is the Options the front half ran with, defaults applied.
+	opt Options[K]
+	// pool is the rank's compute pool; the data movement keeps using it
 	// so its counters cover the whole sort.
-	Pool *par.Pool
-	// Runs[b] is this rank's share of bucket b, or at two levels of
+	pool *par.Pool
+	// runs[b] is this rank's share of bucket b, or at two levels of
 	// bucket b of its group. The runs alias the sorted input (at two
 	// levels, the merged level-1 keys).
-	Runs [][]K
+	runs [][]K
 	// Splitters are the Buckets-1 bucket boundaries — nil on the prefix
 	// plane, where they exist only as SplitterCodes. At two levels they
 	// are this rank's group's until GatherSplitters puts level 1's at
@@ -85,15 +86,15 @@ type Front[K any] struct {
 	// every level's and group's).
 	Finalized bool
 	// Stats is the rank's own record so far: N, Buckets, Workers, the
-	// protocol counts (Rounds, SamplePerRound, TotalSample), and this
-	// rank's LocalSort, Splitter, SplitterBytes, PrefixCollisions and
-	// the partition's share of Exchange (at two levels also level 1's
-	// exchange and merge). The back half adds its own and reduces it
-	// with FinishStats.
+	// protocol counts (Rounds, SamplePerRound, TotalSample,
+	// CoveragePerRound), and this rank's LocalSort, Splitter,
+	// SplitterBytes, PrefixCollisions and the partition's share of
+	// Exchange (at two levels also level 1's exchange and merge). The
+	// back half adds its own and reduces it with finishStats.
 	Stats Stats
 
-	// ex, tag and owner are where BackHalf routes Runs: the world on
-	// tagExchange under Opt.Owner, or at two levels the row group on
+	// ex, tag and owner are where BackHalf routes runs: the world on
+	// tagExchange under opt.Owner, or at two levels the row group on
 	// tagExchange+1.
 	ex    comm.StreamEndpoint
 	tag   comm.Tag
@@ -105,7 +106,7 @@ type Front[K any] struct {
 	col     comm.Endpoint
 	l1      []K
 	l1Codes []codes.Code
-	// imbalance is the bucket imbalance of Runs once measured, 0 before.
+	// imbalance is the bucket imbalance of runs once measured, 0 before.
 	imbalance float64
 }
 
@@ -122,7 +123,7 @@ func FrontHalf[K any](c *comm.Comm, local []K, opt Options[K], s Strategies[K]) 
 		return nil, err
 	}
 	pool := par.New(opt.Workers)
-	f := &Front[K]{Opt: opt, Pool: pool, Finalized: true, ex: c, tag: tagExchange, owner: opt.Owner, first: -1}
+	f := &Front[K]{opt: opt, pool: pool, Finalized: true, ex: c, tag: tagExchange, owner: opt.Owner, first: -1}
 	f.Stats.Buckets = opt.Buckets
 	f.Stats.Workers = pool.Workers()
 
@@ -169,10 +170,10 @@ func (f *Front[K]) count(e comm.Endpoint, local []K) error {
 	return err
 }
 
-// cut is the front half after the key count, over e under f.Opt: the
+// cut is the front half after the key count, over e under f.opt: the
 // splitters and the partition. Its bytes are read off the world c.
 func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []codes.Code, s Strategies[K]) error {
-	opt := f.Opt
+	opt := f.opt
 
 	// Phase 2: splitters. The prefix plane determines them in code space
 	// and partitions by those codes directly; every other coded plane
@@ -191,18 +192,19 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 		f.Stats.Rounds = info.Rounds
 		f.Stats.SamplePerRound = info.SamplePerRound
 		f.Stats.TotalSample = info.TotalSample
+		f.Stats.CoveragePerRound = info.CoveragePerRound
 		return err
 	}
 	partition := func() {
 		f.imbalance = 0
 		if localCodes == nil {
-			f.Runs = exchange.PartitionPar(local, f.Splitters, opt.Cmp, f.Pool)
+			f.runs = exchange.PartitionPar(local, f.Splitters, opt.Cmp, f.pool)
 			return
 		}
 		if f.Splitters != nil {
 			f.SplitterCodes = codes.Extract(f.Splitters, opt.Code)
 		}
-		f.Runs = exchange.PartitionByCodePar(local, localCodes, f.SplitterCodes, f.Pool)
+		f.runs = exchange.PartitionByCodePar(local, localCodes, f.SplitterCodes, f.pool)
 	}
 	bytes0 := c.Counters().BytesSent
 	t1 := time.Now()
@@ -230,7 +232,7 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 	// work.
 	if opt.Splitters != nil {
 		t3 := time.Now()
-		imb, loads, err := f.measure(e, f.Runs)
+		imb, loads, err := f.measure(e, f.runs)
 		if err != nil {
 			return err
 		}
@@ -260,7 +262,7 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 // into g group buckets at ε₁ and sends each run to the rank of its group
 // that shares this rank's column (ranks equal mod w): g−1 messages.
 // Level 2 cuts each group's merged keys into w buckets at ε₂ over the
-// row group, with no second local sort, leaving Runs for BackHalf's row
+// row group, with no second local sort, leaving runs for BackHalf's row
 // exchange: w−1 messages. ε₁ = ε₂ = √(1+ε) − 1, so (1+ε₁)(1+ε₂) = 1+ε
 // bounds every rank's share as the flat sort's ε does. Each level seeks
 // g−1 or w−1 splitters where the flat sort seeks p−1.
@@ -275,7 +277,7 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 // Level 2's runs alias level 1's merged output, which ExchangeMerge
 // allocates fresh, so BackHalf's merge may use opt.Scratch.
 func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, raw Options[K], s Strategies[K], g, w int) error {
-	opt := f.Opt
+	opt := f.opt
 	grp := c.Rank() / w
 	f.first = grp * w
 	row, err := collective.NewGroup(c, ranks(f.first, 1, w))
@@ -289,7 +291,7 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	level := func(buckets int, seed []K, p int) (err error) {
 		o := raw
 		o.Buckets, o.Epsilon, o.Splitters = buckets, levelEpsilon(opt.Epsilon), seed
-		f.Opt, err = o.withDefaults(p)
+		f.opt, err = o.withDefaults(p)
 		return err
 	}
 
@@ -307,8 +309,8 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	}
 	l1 := *f
 	bytes0 := c.Counters().BytesSent
-	merged, xt, mt, _, err := exchange.ExchangeMerge(col, tagExchange, f.Runs, exchange.ContiguousOwner(g, g), opt.Cmp, opt.Code,
-		exchange.StreamOptions{Pool: f.Pool, Tie: opt.PrefixCode}, opt.Scratch)
+	merged, xt, mt, _, err := exchange.ExchangeMerge(col, tagExchange, f.runs, exchange.ContiguousOwner(g, g), opt.Cmp, opt.Code,
+		exchange.StreamOptions{Pool: f.pool, Tie: opt.PrefixCode}, opt.Scratch)
 	if err != nil {
 		return err
 	}
@@ -323,18 +325,10 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	if err := level(w, seed, w); err != nil {
 		return err
 	}
-	if on := f.Opt.OnRound; on != nil {
-		// The hook stays on world rank 0: group 0's root, numbering on
-		// from level 1's rounds.
-		f.Opt.OnRound = nil
-		if grp == 0 {
-			f.Opt.OnRound = func(t RoundTrace) { t.Round += l1.Stats.Rounds; on(t) }
-		}
-	}
 	if localCodes != nil {
-		localCodes = codes.ExtractPar(merged, opt.Code, f.Pool)
+		localCodes = codes.ExtractPar(merged, opt.Code, f.pool)
 	}
-	f.Finalized, f.Stats.Rounds, f.Stats.SamplePerRound, f.Stats.TotalSample = true, 0, nil, 0
+	f.Finalized, f.Stats.Rounds, f.Stats.SamplePerRound, f.Stats.TotalSample, f.Stats.CoveragePerRound = true, 0, nil, 0, nil
 	if err := f.count(row, merged); err != nil {
 		return err
 	}
@@ -343,17 +337,17 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	}
 
 	// One gather over the column to its root, which merges every
-	// group's level-2 counts into level 1's, and a broadcast: [finalized,
-	// rounds, sample per round...] of the whole sort. The splitters stay
-	// with their groups until a plan asks for them (GatherSplitters).
+	// group's level-2 counts into level 1's, and a broadcast of the whole
+	// sort's. The splitters stay with their groups until a plan asks for
+	// them (GatherSplitters).
 	bytes0, t0 := c.Counters().BytesSent, time.Now()
-	parts, err := collective.Gatherv(col, 0, tagSeed, append([]int64{boolInt(f.Finalized), int64(f.Stats.Rounds)}, f.Stats.SamplePerRound...))
+	parts, err := collective.Gatherv(col, 0, tagSeed, levelCounts(f.Finalized, f.Stats))
 	if err != nil {
 		return err
 	}
 	var counts []int64
 	if parts != nil {
-		counts = mergeCounts(l1, parts)
+		counts = mergeCounts(levelCounts(l1.Finalized, l1.Stats), parts)
 	}
 	if counts, err = collective.Bcast(col, 0, tagSeed+1, counts); err != nil {
 		return err
@@ -361,37 +355,61 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	f.Stats.Splitter += time.Since(t0)
 	f.Stats.SplitterBytes += c.Counters().BytesSent - bytes0
 
-	f.Opt, f.ex, f.tag, f.owner, f.imbalance = opt, row, tagExchange+1, f.Opt.Owner, 0
+	f.opt, f.ex, f.tag, f.owner, f.imbalance = opt, row, tagExchange+1, f.opt.Owner, 0
 	f.col, f.l1, f.l1Codes = col, l1.Splitters, l1.SplitterCodes
 	f.Stats.N = l1.Stats.N // level 2's count left the group's
+	sample, coverage := splitCounts(counts)
 	f.Finalized, f.Stats.Rounds = counts[0] == 1, int(counts[1])
-	f.Stats.SamplePerRound, f.Stats.TotalSample = nil, 0
-	for _, n := range counts[2:] {
-		f.Stats.SamplePerRound = append(f.Stats.SamplePerRound, n)
+	// (Copies: a zero-copy transport hands every rank the same slice.)
+	f.Stats.SamplePerRound, f.Stats.CoveragePerRound = append([]int64(nil), sample...), append([]int64(nil), coverage...)
+	f.Stats.TotalSample = 0
+	for _, n := range sample {
 		f.Stats.TotalSample += n
 	}
 	return nil
 }
 
-// mergeCounts merges the column's level-2 counts, one [finalized, rounds,
-// sample per round...] per group, into level 1's front l1: finalized if
-// every level and group is, level 1's rounds plus the most any group
-// ran, and level 1's samples followed by level 2's summed over groups.
-func mergeCounts[K any](l1 Front[K], parts [][]int64) []int64 {
-	out := append([]int64{boolInt(l1.Finalized), int64(l1.Stats.Rounds)}, l1.Stats.SamplePerRound...)
-	r1, rounds := len(out), int64(0)
+// levelCounts lays out one level's protocol counts for the column
+// gather: [finalized, rounds, len(sample), sample per round..., coverage
+// per round...]. The length word is there because classic histogram
+// sort reports rounds without per-round samples, and no baseline reports
+// coverage.
+func levelCounts(finalized bool, st Stats) []int64 {
+	return slices.Concat([]int64{boolInt(finalized), int64(st.Rounds), int64(len(st.SamplePerRound))}, st.SamplePerRound, st.CoveragePerRound)
+}
+
+// splitCounts returns the per-round lists of a levelCounts vector.
+func splitCounts(counts []int64) (sample, coverage []int64) {
+	k := 3 + counts[2]
+	return counts[3:k], counts[k:]
+}
+
+// mergeCounts merges the column's level-2 counts, one levelCounts vector
+// per group, into level 1's l1: finalized if every level and group is,
+// level 1's rounds plus the most any group ran, and per round level 1's
+// samples and coverage followed by level 2's summed over the groups.
+func mergeCounts(l1 []int64, parts [][]int64) []int64 {
+	fin, rounds := l1[0], int64(0)
+	var sample, coverage []int64
 	for _, pt := range parts {
-		out[0] &= pt[0]
+		fin &= pt[0]
 		rounds = max(rounds, pt[1])
-		for i, n := range pt[2:] {
-			if r1+i == len(out) {
-				out = append(out, 0)
-			}
-			out[r1+i] += n
-		}
+		s, c := splitCounts(pt)
+		sample, coverage = addAt(sample, s), addAt(coverage, c)
 	}
-	out[1] += rounds
-	return out
+	s1, c1 := splitCounts(l1)
+	return slices.Concat([]int64{fin, l1[1] + rounds, int64(len(s1) + len(sample))}, s1, sample, c1, coverage)
+}
+
+// addAt adds xs into sum index by index, growing sum to fit.
+func addAt(sum, xs []int64) []int64 {
+	for i, x := range xs {
+		if i == len(sum) {
+			sum = append(sum, 0)
+		}
+		sum[i] += x
+	}
+	return sum
 }
 
 func boolInt(b bool) int64 {
@@ -413,10 +431,10 @@ func (f *Front[K]) GatherSplitters(c *comm.Comm) error {
 	}
 	bytes0, t0 := c.Counters().BytesSent, time.Now()
 	var err error
-	if f.Opt.PrefixCode {
-		f.SplitterCodes, err = gatherSplitters(f.col, f.l1Codes, f.SplitterCodes, f.Opt.Buckets/f.col.Size())
-	} else if f.Splitters, err = gatherSplitters(f.col, f.l1, f.Splitters, f.Opt.Buckets/f.col.Size()); err == nil && f.Opt.Code != nil {
-		f.SplitterCodes = codes.Extract(f.Splitters, f.Opt.Code)
+	if f.opt.PrefixCode {
+		f.SplitterCodes, err = gatherSplitters(f.col, f.l1Codes, f.SplitterCodes, f.opt.Buckets/f.col.Size())
+	} else if f.Splitters, err = gatherSplitters(f.col, f.l1, f.Splitters, f.opt.Buckets/f.col.Size()); err == nil && f.opt.Code != nil {
+		f.SplitterCodes = codes.Extract(f.Splitters, f.opt.Code)
 	}
 	f.Stats.Splitter += time.Since(t0)
 	f.Stats.SplitterBytes += c.Counters().BytesSent - bytes0
@@ -483,10 +501,10 @@ func (f *Front[K]) BucketImbalance(c *comm.Comm) (float64, error) {
 	if f.imbalance != 0 {
 		return f.imbalance, nil
 	}
-	runs := f.Runs
+	runs := f.runs
 	if f.first >= 0 {
-		runs = make([][]K, f.Opt.Buckets)
-		copy(runs[f.first:], f.Runs)
+		runs = make([][]K, f.opt.Buckets)
+		copy(runs[f.first:], f.runs)
 	}
 	imb, _, err := f.measure(c, runs)
 	return imb, err
@@ -504,10 +522,8 @@ func (o Options[K]) inCodeSpace() Options[codes.Code] {
 		Seed:      o.Seed,
 		Schedule:  o.Schedule,
 		Rounds:    o.Rounds,
-		MaxRounds: o.MaxRounds,
-		Approx:    o.Approx,
-		OnRound:   o.OnRound,
 		round0:    o.round0,
+		maxRounds: o.maxRounds,
 	}
 	if o.round0 != nil {
 		oc.Splitters = codes.Extract(o.Splitters, o.Code)
@@ -522,11 +538,11 @@ func (o Options[K]) inCodeSpace() Options[codes.Code] {
 // tail; at two levels over the row group — then the closing stats
 // all-reduce. It returns the rank's globally sorted partition.
 func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
-	opt := f.Opt
+	opt := f.opt
 	bytes0 := c.Counters().BytesSent
 	out, exchangeTime, mergeTime, sst, err := exchange.ExchangeMerge(
-		f.ex, f.tag, f.Runs, f.owner, opt.Cmp, opt.Code,
-		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: f.Pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
+		f.ex, f.tag, f.runs, f.owner, opt.Cmp, opt.Code,
+		exchange.StreamOptions{ChunkKeys: opt.ChunkKeys, Pool: f.pool, Tie: opt.PrefixCode, Spill: opt.Spill}, opt.Scratch)
 	if err != nil {
 		return nil, f.Stats, err
 	}
@@ -535,11 +551,11 @@ func (f *Front[K]) BackHalf(c *comm.Comm) ([]K, Stats, error) {
 	st.Exchange += exchangeTime
 	st.Merge += mergeTime
 	st.ExchangeOverlap, st.PeakInFlightBytes = sst.Overlap, sst.PeakInFlight
-	pc := f.Pool.Counters()
+	pc := f.pool.Counters()
 	st.ParSpawned, st.ParTasks = pc.Spawned, pc.Tasks
 	sp := opt.Spill.TakeCounters()
 	st.SpilledBytes, st.SpillFileBytes, st.SpillReads, st.PeakResidentBytes = sp.SpilledBytes, sp.FileBytes, sp.Reads, sp.PeakResident
-	if err := FinishStats(c, TagStats, st, len(out)); err != nil {
+	if err := finishStats(c, tagStats, st, len(out)); err != nil {
 		return nil, f.Stats, err
 	}
 	return out, f.Stats, nil

@@ -24,8 +24,12 @@ type SplitterInfo struct {
 	// round; TotalSample is the sum over rounds.
 	SamplePerRound []int64
 	TotalSample    int64
+	// CoveragePerRound is G_j, the keys still inside active splitter
+	// intervals, after each round (Theorem 3.3.2's quantity); nil for a
+	// strategy without intervals.
+	CoveragePerRound []int64
 	// Finalized reports whether every splitter met its target window
-	// (false means the MaxRounds/stagnation fallback to best candidates
+	// (false means the round-cap/stagnation fallback to best candidates
 	// fired — e.g. on mass-duplicate inputs without tagging).
 	Finalized bool
 }
@@ -46,13 +50,15 @@ type roundPlan[K any] struct {
 	Prob      float64                 // per-key sampling probability
 	Intervals []histogram.Interval[K] // active splitter intervals to sample from
 	Splitters []K                     // final splitters (Done only)
+	Coverage  []int64                 // G_j after each round (Done only)
 }
 
 // planBytes estimates the wire size of a plan: two keys + two ranks per
-// interval, one key per splitter, plus the fixed header.
+// interval, one key per splitter, 8 bytes per round's coverage, plus the
+// fixed header.
 func planBytes[K any](p roundPlan[K]) int64 {
 	keySize := comm.SizeOf[K]()
-	return 16 + int64(len(p.Intervals))*(2*keySize+16) + int64(len(p.Splitters))*keySize
+	return 16 + int64(len(p.Intervals))*(2*keySize+16) + int64(len(p.Splitters))*keySize + 8*int64(len(p.Coverage))
 }
 
 // bcastPlan broadcasts a roundPlan from root along a binomial tree with
@@ -205,7 +211,7 @@ func (rc *rootController[K]) plan(round int) roundPlan[K] {
 		if !ok {
 			return roundPlan[K]{}, false
 		}
-		// Candidate ranks track sorted targets, but the MaxRounds /
+		// Candidate ranks track sorted targets, but the round-cap /
 		// stagnation fallback can pick candidates whose keys invert
 		// between adjacent targets. Sorting once here — splitter
 		// determination time — is what lets exchange.Partition skip its
@@ -218,7 +224,7 @@ func (rc *rootController[K]) plan(round int) roundPlan[K] {
 		if p, ok := finish(true); ok {
 			return p
 		}
-	case round > rc.opt.MaxRounds || rc.stagnant >= 3:
+	case round > rc.opt.maxRounds || rc.stagnant >= 3:
 		// Fall back to the closest candidates seen; if some splitter
 		// has never seen a probe, keep sampling (boosted) instead.
 		if p, ok := finish(false); ok {
@@ -303,7 +309,8 @@ func (rc *rootController[K]) seed(probes []K, ranks []int64) {
 // splitters on every rank. Defaults are applied to opt internally. When
 // FrontHalf hands over a rejected seed's round 0, the root absorbs it
 // before planning round 1 — no message is added, and Rounds counts the
-// sampling rounds only.
+// sampling rounds only. The root's coverage after each round reaches
+// every rank on the Done plan.
 func DetermineSplitters[K any](c comm.Endpoint, sortedLocal []K, n int64, opt Options[K]) ([]K, SplitterInfo, error) {
 	opt, err := opt.withDefaults(c.Size())
 	if err != nil {
@@ -316,24 +323,8 @@ func DetermineSplitters[K any](c comm.Endpoint, sortedLocal []K, n int64, opt Op
 	me := c.Rank()
 	rng := rand.New(rand.NewPCG(opt.Seed, 0xda3e39cb94b95bdb^uint64(me)))
 
-	// Approximate histogramming (§3.4): build the per-rank
-	// representative sample once; all rank queries go through it.
-	var rep sampling.Representative[K]
-	if opt.Approx {
-		rep = sampling.NewRepresentative(sortedLocal, sampling.RepresentativeSize(opt.Buckets, opt.Epsilon), rng)
-	}
-	localRanks := func(probes []K) []int64 {
-		if !opt.Approx {
-			return histogram.LocalRanks(sortedLocal, probes, opt.Cmp)
-		}
-		out := make([]int64, len(probes))
-		for i, q := range probes {
-			out[i] = rep.LocalRank(q, opt.Cmp)
-		}
-		return out
-	}
-
 	var rc *rootController[K]
+	var coverage []int64
 	if me == root {
 		rc = newRootController(n, opt)
 		if opt.round0 != nil {
@@ -345,14 +336,16 @@ func DetermineSplitters[K any](c comm.Endpoint, sortedLocal []K, n int64, opt Op
 	for round := 1; ; round++ {
 		var plan roundPlan[K]
 		if me == root {
-			plan = rc.plan(round)
+			if plan = rc.plan(round); plan.Done {
+				plan.Coverage = coverage
+			}
 		}
 		plan, err := bcastPlan(c, root, tagPlan, plan)
 		if err != nil {
 			return nil, info, err
 		}
 		if plan.Done {
-			info.Finalized = plan.Finalized
+			info.Finalized, info.CoveragePerRound = plan.Finalized, plan.Coverage
 			// The one-time validation that lets exchange.Partition skip
 			// its per-call O(B) re-check.
 			exchange.ValidateSplitters(plan.Splitters, opt.Cmp)
@@ -380,21 +373,13 @@ func DetermineSplitters[K any](c comm.Endpoint, sortedLocal []K, n int64, opt Op
 		info.SamplePerRound = append(info.SamplePerRound, int64(len(probes)))
 		info.TotalSample += int64(len(probes))
 
-		global, err := collective.Reduce(c, root, tagRanks, localRanks(probes), collective.SumInt64)
+		global, err := collective.Reduce(c, root, tagRanks, histogram.LocalRanks(sortedLocal, probes, opt.Cmp), collective.SumInt64)
 		if err != nil {
 			return nil, info, err
 		}
 		if me == root {
 			rc.absorb(probes, global)
-			if opt.OnRound != nil {
-				opt.OnRound(RoundTrace{
-					Round:     round,
-					Prob:      plan.Prob,
-					Probes:    len(probes),
-					Finalized: rc.tracker.NumFinalized(),
-					Coverage:  rc.tracker.Coverage(),
-				})
-			}
+			coverage = append(coverage, rc.tracker.Coverage())
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Stats reports one sort run; see the field comments on the paper
 // quantities each one reproduces. It is also each rank's own record while
 // the sort runs (Front.Stats): the phases add this rank's measurements to
-// it, and FinishStats reduces them in place to the values documented
+// it, and finishStats reduces them in place to the values documented
 // here, identical on every rank. The root package re-exports it as
 // hssort.Stats.
 type Stats struct {
@@ -29,6 +29,13 @@ type Stats struct {
 	Rounds         int
 	SamplePerRound []int64
 	TotalSample    int64
+	// CoveragePerRound is G_j, the keys still inside active splitter
+	// intervals, after each round (Fig 3.1, Theorem 3.3.2), as
+	// SimResult.CoveragePerRound defines it: non-increasing, and 0 after
+	// the last round when every splitter finalized. At two levels it
+	// lists level 1's, then level 2's summed over the groups. nil where
+	// SamplePerRound is empty, and for the §4.2 baselines.
+	CoveragePerRound []int64
 	// LocalSort, Splitter, Exchange, Merge are critical-path phase
 	// times (Fig 6.1's breakdown; max over ranks).
 	LocalSort, Splitter, Exchange, Merge time.Duration
@@ -113,6 +120,7 @@ type StatsSnapshot struct {
 	Rounds            int     `json:"rounds"`
 	SamplePerRound    []int64 `json:"samplePerRound,omitempty"`
 	TotalSample       int64   `json:"totalSample"`
+	CoveragePerRound  []int64 `json:"coveragePerRound,omitempty"`
 	LocalSortNs       int64   `json:"localSortNs"`
 	SplitterNs        int64   `json:"splitterNs"`
 	ExchangeNs        int64   `json:"exchangeNs"`
@@ -145,6 +153,7 @@ func (s Stats) Snapshot() StatsSnapshot {
 		Rounds:            s.Rounds,
 		SamplePerRound:    s.SamplePerRound,
 		TotalSample:       s.TotalSample,
+		CoveragePerRound:  s.CoveragePerRound,
 		LocalSortNs:       s.LocalSort.Nanoseconds(),
 		SplitterNs:        s.Splitter.Nanoseconds(),
 		ExchangeNs:        s.Exchange.Nanoseconds(),
@@ -183,7 +192,7 @@ const (
 	opMax                     // the BSP critical path / the worst rank
 )
 
-// statSlots declares the vector FinishStats all-reduces, one row per
+// statSlots declares the vector finishStats all-reduces, one row per
 // slot: the Stats field it reduces in place (a duration as its
 // nanoseconds) and how two ranks' values combine. The output-count rows
 // have no field: both carry the rank's output count, and their
@@ -214,7 +223,7 @@ var statSlots = []struct {
 	{"peak_resident", opMax, func(s *Stats) *int64 { return &s.PeakResidentBytes }},
 }
 
-// FinishStats all-reduces the rank's own Stats in place, the final
+// finishStats all-reduces the rank's own Stats in place, the final
 // collective step shared by every sort pipeline, in one vector laid out
 // by statSlots: byte counts and output totals sum across ranks; phase
 // times, overlap and peak in-flight take the global max (the BSP
@@ -223,7 +232,7 @@ var statSlots = []struct {
 // endpoint itself and summed, so a single rank's crash-recovery work is
 // visible in every rank's Stats. Every rank must call it with the same
 // tag, and every rank receives the same aggregates.
-func FinishStats(e comm.Endpoint, tag comm.Tag, st *Stats, out int) error {
+func finishStats(e comm.Endpoint, tag comm.Tag, st *Stats, out int) error {
 	if cc, ok := e.(*comm.Comm); ok {
 		ctr := cc.Counters()
 		st.Reconnects, st.Respawns = ctr.Reconnects, ctr.Respawns

@@ -9,7 +9,7 @@ import (
 )
 
 // TestFinishStatsTable reduces two synthetic ranks' own Stats through
-// the declared statSlots table and checks every Stats field FinishStats
+// the declared statSlots table and checks every Stats field finishStats
 // owns: sums sum, maxima take the worse rank, and the two output-count
 // slots yield Imbalance. A slot added without a reduce op fails here
 // before it can silently reduce as a max.
@@ -54,7 +54,7 @@ func TestFinishStatsTable(t *testing.T) {
 
 	w := comm.NewWorld(len(ranks), comm.WithTimeout(30*time.Second))
 	if err := w.Run(func(c *comm.Comm) error {
-		return FinishStats(c, 1, &ranks[c.Rank()], outs[c.Rank()])
+		return finishStats(c, 1, &ranks[c.Rank()], outs[c.Rank()])
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFinishStatsTable(t *testing.T) {
 	// No output anywhere reports a balanced (empty) sort.
 	empty := make([]Stats, 2)
 	if err := w.Run(func(c *comm.Comm) error {
-		return FinishStats(c, 1, &empty[c.Rank()], 0)
+		return finishStats(c, 1, &empty[c.Rank()], 0)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestFinishStatsTable(t *testing.T) {
 
 // engineSet are the Stats fields no statSlots row reduces: the front
 // half sets N, Buckets, Workers and the protocol counts identically on
-// every rank, FinishStats derives Imbalance from the output-count slots,
+// every rank, finishStats derives Imbalance from the output-count slots,
 // and the hssort engine reads TotalMsgs and TotalBytes off its transport.
 var engineSet = map[string]bool{
-	"N": true, "Buckets": true, "Rounds": true, "SamplePerRound": true, "TotalSample": true,
+	"N": true, "Buckets": true, "Rounds": true, "SamplePerRound": true, "TotalSample": true, "CoveragePerRound": true,
 	"Workers": true, "Imbalance": true, "TotalMsgs": true, "TotalBytes": true,
 }
 

@@ -111,8 +111,8 @@ type Scratch[K any] struct {
 }
 
 // MergeScratch returns the kernel scratch for materialized merges made
-// on this rank between exchanges (ExchangeMerge's own, nodesort's
-// combine); nil-safe (a nil Scratch allocates per call).
+// on this rank between exchanges (ExchangeMerge's own); nil-safe (a nil
+// Scratch allocates per call).
 func (sc *Scratch[K]) MergeScratch() *merge.Scratch[K] {
 	if sc == nil {
 		return nil

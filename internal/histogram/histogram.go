@@ -232,17 +232,6 @@ func (t *Tracker[K]) Done() bool {
 	return true
 }
 
-// NumFinalized returns how many splitters are finalized.
-func (t *Tracker[K]) NumFinalized() int {
-	n := 0
-	for _, f := range t.finalized {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
 // ActiveIntervals returns the splitter intervals of all unfinalized
 // splitters, deduplicated: as §3.3 observes, two splitter intervals are
 // either disjoint or identical, so consecutive duplicates collapse.

@@ -170,7 +170,7 @@ func TestTrackerFinalizesWithGoodProbes(t *testing.T) {
 	probes := []int64{249, 505, 744}
 	tr.Update(probes, exactRanks(global, probes))
 	if !tr.Done() {
-		t.Fatalf("not done: %d/%d finalized", tr.NumFinalized(), tr.NumSplitters())
+		t.Fatalf("not done: %d splitters, coverage %d", tr.NumSplitters(), tr.Coverage())
 	}
 	sp, ok := tr.Splitters()
 	if !ok {
