@@ -83,7 +83,7 @@ func TestBytePrefixSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The stagnation guard fires after three no-progress rounds; the
-	// round count must stay pinned, not run to MaxRounds.
+	// round count must stay pinned, not run to the round cap.
 	if plan.Rounds > 4 {
 		t.Errorf("saturated plan ran %d histogram rounds, want <= 4 (stagnation guard)", plan.Rounds)
 	}

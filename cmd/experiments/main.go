@@ -10,8 +10,8 @@
 //	experiments -exp fig6.1 -scale 2    # scale simulated sizes up/down
 //
 // Experiments: fig3.1, fig4.1, sec4.2 (HSS vs the §4.2 comparison
-// sorts), table5.1, fig6.1 (with §6.1's two levels vs flat), table6.1, fig6.2,
-// approx (§3.4 validation).
+// sorts), table5.1, fig6.1 (with §6.1's two levels vs flat), table6.1,
+// fig6.2, approx (§3.4 validation).
 package main
 
 import (

@@ -71,3 +71,45 @@ func TestCoveragePerRound(t *testing.T) {
 		})
 	}
 }
+
+// TestBucketsExceedKeys exercises the degenerate regime where there are
+// more buckets than keys: many targets collapse to the same rank and
+// most buckets end empty, but the sort must stay correct.
+func TestBucketsExceedKeys(t *testing.T) {
+	const p = 4
+	shards := [][]int64{{5, 1}, {9}, {3}, {7, 2}}
+	in := make([][]int64, p)
+	for i := range shards {
+		in[i] = slices.Clone(shards[i])
+	}
+	outs := make([][]int64, p)
+	w := comm.NewWorld(p, comm.WithTimeout(30*time.Second))
+	err := w.Run(func(c *comm.Comm) error {
+		out, _, err := Sort(c, in[c.Rank()], Options[int64]{
+			Cmp: icmp, Epsilon: 0.1, Buckets: 64, Seed: 3,
+		})
+		outs[c.Rank()] = out
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGloballySorted(t, shards, outs)
+}
+
+// TestTwoRanksMinimal pins the smallest nontrivial world.
+func TestTwoRanksMinimal(t *testing.T) {
+	shards := [][]int64{{2}, {1}}
+	in := [][]int64{{2}, {1}}
+	outs := make([][]int64, 2)
+	w := comm.NewWorld(2, comm.WithTimeout(30*time.Second))
+	err := w.Run(func(c *comm.Comm) error {
+		out, _, err := Sort(c, in[c.Rank()], Options[int64]{Cmp: icmp, Epsilon: 0.5, Seed: 1})
+		outs[c.Rank()] = out
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGloballySorted(t, shards, outs)
+}
