@@ -1233,6 +1233,35 @@ func TestBaselinesRunThroughEngine(t *testing.T) {
 	}
 }
 
+// TestTwoLevelHistogramSortCountsSample: at 16 ranks classic histogram
+// sort runs in two levels of 4×4, and every rank receives each round's
+// probe broadcast, so the sort reports its probes per round and a
+// TotalSample that is their sum, not 0.
+func TestTwoLevelHistogramSortCountsSample(t *testing.T) {
+	const p, n = 16, 500
+	if _, _, two := core.Levels(p, p*n, core.Options[int64]{}); !two {
+		t.Fatalf("%d ranks × %d keys sort flat", p, n)
+	}
+	eng, err := New[int64](Config{Procs: p, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	withBaseline(eng, "histogramsort")
+	_, st, err := eng.Sort(bg, dist.Spec{Kind: dist.Uniform}.Shards(n, p, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, s := range st.SamplePerRound {
+		sum += s
+	}
+	if st.TotalSample <= 0 || st.TotalSample != sum || len(st.SamplePerRound) != st.Rounds {
+		t.Errorf("%d rounds, sample per round %v, TotalSample %d: want one positive count per round summing to TotalSample",
+			st.Rounds, st.SamplePerRound, st.TotalSample)
+	}
+}
+
 // TestSortSeededReturnsPlansPlan: on every plane, an unseeded
 // SortSeeded ends with exactly the plan Plan prepares.
 func TestSortSeededReturnsPlansPlan(t *testing.T) {

@@ -1,7 +1,9 @@
 package codes
 
 import (
+	"math/bits"
 	"slices"
+	"sort"
 	"unsafe"
 
 	"hssort/internal/keycoder"
@@ -114,33 +116,14 @@ func Rank(sorted []Code, q Code) int {
 
 // Ranks answers one Rank query per probe, the code-plane form of
 // histogram.LocalRanks. probes need not be sorted, but a sorted probe
-// list — what every histogramming round broadcasts — is answered with
-// one forward sweep through both sequences when ForwardScanBetter holds
-// (probes rival the local keys: the many-ranks, small-shard regime),
-// O(n+m) sequential compares instead of m cache-hopping O(log n)
-// searches. Sortedness is checked in O(m); unsorted lists always take
-// the per-probe search.
+// list — what every histogramming round broadcasts — is answered by one
+// forward pass, each probe's search starting from the previous answer
+// (see sweep). Sortedness is checked in O(m); unsorted lists take one
+// binary search per probe.
 func Ranks(sorted []Code, probes []Code) []int64 {
 	out := make([]int64, len(probes))
-	if ForwardScanBetter(len(sorted), len(probes)) && slices.IsSorted(probes) {
-		// A merge walk: each step either passes one key or settles one
-		// probe. How many keys lie between two probes is unpredictable,
-		// so the step advances by a computed 0/1 instead of branching
-		// (measured 1.5x over the nested-loop form at 2000 keys, 1300
-		// probes).
-		i, pos := 0, 0
-		for i < len(probes) && pos < len(sorted) {
-			below := 0
-			if sorted[pos] < probes[i] {
-				below = 1
-			}
-			out[i] = int64(pos)
-			pos += below
-			i += 1 - below
-		}
-		for ; i < len(probes); i++ {
-			out[i] = int64(len(sorted))
-		}
+	if slices.IsSorted(probes) {
+		sweep(sorted, probes, out)
 		return out
 	}
 	for i, q := range probes {
@@ -151,42 +134,86 @@ func Ranks(sorted []Code, probes []Code) []int64 {
 
 // Cuts returns, for each splitter code, the index in the sorted code
 // array where its bucket boundary falls (the first code >= the
-// splitter). Splitter codes must be non-decreasing. When the splitter
-// count is large relative to the data — the over-partitioned B >> n/p
-// regime — a single forward scan through both sequences replaces the
-// B independent binary searches.
+// splitter). Splitter codes must be non-decreasing; they are located by
+// the same forward pass as a sorted Ranks list.
 func Cuts(sorted []Code, splitters []Code) []int {
 	cuts := make([]int, len(splitters))
-	if ForwardScanBetter(len(sorted), len(splitters)) {
-		pos := 0
-		for i, s := range splitters {
-			for pos < len(sorted) && sorted[pos] < s {
-				pos++
-			}
-			cuts[i] = pos
-		}
-		return cuts
-	}
-	prev := 0
-	for i, s := range splitters {
-		prev += Rank(sorted[prev:], s)
-		cuts[i] = prev
-	}
+	sweep(sorted, splitters, cuts)
 	return cuts
 }
 
-// ForwardScanBetter reports whether locating b sorted probes (splitters,
-// histogram probes, interval bounds) in n sorted keys is cheaper as one
-// O(n+b) forward scan than as b independent O(log n) binary searches.
-// Shared by Cuts, Ranks, exchange.Partition and histogram.LocalRanks so
-// every plane flips modes at the same shape.
-func ForwardScanBetter(n, b int) bool {
-	if b == 0 {
-		return false
+// sweep writes Rank(sorted, probes[i]) to out[i] for non-decreasing
+// probes. Each answer is at or after the previous one, so each search
+// starts there, shaped by the gap g = n/m it expects to the next answer:
+// below 2, one branch-free merge walk whose every step passes one key or
+// settles one probe; otherwise rankFrom.
+func sweep[T int | int64](sorted, probes []Code, out []T) {
+	n, m := len(sorted), len(probes)
+	if g := n / max(m, 1); g >= 2 {
+		pos := 0
+		for i, q := range probes {
+			pos = rankFrom(sorted, pos, g, q)
+			out[i] = T(pos)
+		}
+		return
 	}
-	logN := 1
-	for m := n; m > 1; m >>= 1 {
-		logN++
+	i, pos := 0, 0
+	for i < m && pos < n {
+		below := 0
+		if sorted[pos] < probes[i] {
+			below = 1
+		}
+		out[i] = T(pos)
+		pos += below
+		i += 1 - below
 	}
-	return b*logN > n+b
+	for ; i < m; i++ {
+		out[i] = T(n)
+	}
+}
+
+// gallopGap is the gap from which rankFrom gallops: past 128 keys a
+// bracket's binary search beats the block skip (BenchmarkRanks).
+const gallopGap = 128
+
+// rankFrom returns Rank(sorted, q) for a q whose rank is at least pos,
+// g keys on in expectation. Below gallopGap it skips whole 8-key blocks
+// while a block's last key is below q and counts q's block as a sum of
+// borrows, with no branch on the codes. A longer gap gallops: it
+// brackets the answer in strides of g, doubling, and binary-searches the
+// bracket, about log g steps where a cold search takes log n.
+func rankFrom(sorted []Code, pos, g int, q Code) int {
+	if g < gallopGap {
+		for k := 0; k < gallopGap/8 && pos+8 <= len(sorted); k++ {
+			if b := (*[8]Code)(sorted[pos:]); b[7] >= q {
+				for _, c := range b {
+					_, borrow := bits.Sub64(uint64(c), uint64(q), 0)
+					pos += int(borrow)
+				}
+				return pos
+			}
+			pos += 8
+		}
+		g = gallopGap
+	}
+	end := pos + g - 1
+	for end < len(sorted) && sorted[end] < q {
+		pos, g = end+1, 2*g
+		end = pos + g - 1
+	}
+	return pos + Rank(sorted[pos:min(end, len(sorted))], q)
+}
+
+// SearchFrom is the comparator plane's step of a sorted-probe search:
+// sort.Search(n, geq) for a geq known to be false below pos. It gallops
+// from pos in strides of step, doubling, then calls sort.Search on the
+// bracket. A caller locating m sorted probes in n keys passes each
+// previous answer as pos and step = max(1, n/m).
+func SearchFrom(n, pos, step int, geq func(int) bool) int {
+	end := pos + step - 1
+	for end < n && !geq(end) {
+		pos, step = end+1, 2*step
+		end = pos + step - 1
+	}
+	return pos + sort.Search(min(end, n)-pos, func(k int) bool { return geq(pos + k) })
 }

@@ -262,31 +262,42 @@ func TestRankMatchesSortSearch(t *testing.T) {
 	}
 }
 
-func TestCutsBothModes(t *testing.T) {
+// TestCutsGapRegimes: Cuts searches each splitter from the previous cut
+// by a unit walk, block skips or a gallop, by the gap n/B it expects;
+// every cut must be sort.Search's, at gaps from under 1 to 10^4 and on
+// both sides of the regime edges at 2 and 128.
+func TestCutsGapRegimes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	shapes := []struct{ n, b int }{
-		{10000, 3}, // binary-search regime
-		{100, 500}, // forward-scan regime (B >> n)
-		{0, 5},     // empty data
-		{1000, 0},  // no splitters
-		{256, 256}, // boundary-ish
+		{0, 5},       // empty data
+		{1000, 0},    // no splitters
+		{100, 500},   // B >> n
+		{256, 256},   // gap 1: unit walk
+		{512, 256},   // gap 2: block skips
+		{2000, 92},   // comm_bound's gap
+		{12700, 100}, // gap 127
+		{12800, 100}, // gap 128: gallop
+		{100000, 10}, // gap 10^4
+		{10000, 3},
 	}
 	for _, sh := range shapes {
-		cs := make([]Code, sh.n)
-		for i := range cs {
-			cs[i] = Code(rng.Uint64N(1 << 20))
-		}
-		slices.Sort(cs)
-		sp := make([]Code, sh.b)
-		for i := range sp {
-			sp[i] = Code(rng.Uint64N(1 << 20))
-		}
-		slices.Sort(sp)
-		got := Cuts(cs, sp)
-		for i, s := range sp {
-			want := sort.Search(len(cs), func(j int) bool { return cs[j] >= s })
-			if got[i] != want {
-				t.Fatalf("n=%d b=%d: cut[%d] = %d, want %d", sh.n, sh.b, i, got[i], want)
+		for _, span := range []uint64{1 << 20, 64} { // distinct-ish keys, then heavy duplicates
+			cs := make([]Code, sh.n)
+			for i := range cs {
+				cs[i] = Code(rng.Uint64N(span))
+			}
+			slices.Sort(cs)
+			sp := make([]Code, sh.b)
+			for i := range sp {
+				sp[i] = Code(rng.Uint64N(span + span/8))
+			}
+			slices.Sort(sp)
+			got := Cuts(cs, sp)
+			for i, s := range sp {
+				want := sort.Search(len(cs), func(j int) bool { return cs[j] >= s })
+				if got[i] != want {
+					t.Fatalf("n=%d b=%d span=%d: cut[%d] = %d, want %d", sh.n, sh.b, span, i, got[i], want)
+				}
 			}
 		}
 	}

@@ -12,10 +12,10 @@
 // so it never swaps in place) and a scratch-free in-place one (Sort) for
 // callers with no scratch to give, each with a tandem variant that drags
 // record payloads along (the decorate-sort-undecorate plane for KV
-// data), histogram ranks and partition cuts (branch-lean
-// binary searches when probes are few, one forward sweep through keys
-// and sorted probes when they rival the keys — ForwardScanBetter is the
-// shared rule), and the comparator tie-break pass for the prefix plane.
+// data), histogram ranks and partition cuts (one forward pass over
+// sorted probes, each search starting from the previous answer and
+// shaped by the expected gap: a merge walk, 8-key block skips or a
+// gallop), and the comparator tie-break pass for the prefix plane.
 //
 // # The Code invariant
 //

@@ -274,8 +274,9 @@ func (f *Front[K]) cut(e comm.Endpoint, c *comm.Comm, local []K, localCodes []co
 // gives every rank every group's protocol counts; the groups' splitters
 // follow only for a plan (GatherSplitters).
 //
-// Level 2's runs alias level 1's merged output, which ExchangeMerge
-// allocates fresh, so BackHalf's merge may use opt.Scratch.
+// Level 1's merged keys, which level 2's runs alias, live only until
+// BackHalf merges those into the fresh output, so they are held in rank
+// scratch (exchange.Scratch.MergeHeld).
 func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, raw Options[K], s Strategies[K], g, w int) error {
 	opt := f.opt
 	grp := c.Rank() / w
@@ -308,15 +309,16 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 		return err
 	}
 	l1 := *f
-	bytes0 := c.Counters().BytesSent
-	merged, xt, mt, _, err := exchange.ExchangeMerge(col, tagExchange, f.runs, exchange.ContiguousOwner(g, g), opt.Cmp, opt.Code,
-		exchange.StreamOptions{Pool: f.pool, Tie: opt.PrefixCode}, opt.Scratch)
+	bytes0, t0 := c.Counters().BytesSent, time.Now()
+	recv, err := exchange.Exchange(col, tagExchange, f.runs, exchange.ContiguousOwner(g, g))
 	if err != nil {
 		return err
 	}
-	f.Stats.Exchange += xt
-	f.Stats.Merge += mt
+	f.Stats.Exchange += time.Since(t0)
 	f.Stats.ExchangeBytes += c.Counters().BytesSent - bytes0
+	t0 = time.Now()
+	merged := opt.Scratch.MergeHeld(recv, opt.Cmp, opt.Code, opt.PrefixCode, f.pool)
+	f.Stats.Merge += time.Since(t0)
 
 	seed = nil
 	if opt.Splitters != nil && l1.Stats.Rounds == 0 {
@@ -340,7 +342,7 @@ func (f *Front[K]) twoLevels(c *comm.Comm, local []K, localCodes []codes.Code, r
 	// group's level-2 counts into level 1's, and a broadcast of the whole
 	// sort's. The splitters stay with their groups until a plan asks for
 	// them (GatherSplitters).
-	bytes0, t0 := c.Counters().BytesSent, time.Now()
+	bytes0, t0 = c.Counters().BytesSent, time.Now()
 	parts, err := collective.Gatherv(col, 0, tagSeed, levelCounts(f.Finalized, f.Stats))
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"hssort/internal/codes"
 	"hssort/internal/collective"
@@ -120,23 +119,25 @@ func sampleIntervals[K any](local []K, ivs []histogram.Interval[K], prob float64
 // intervalSpans locates every interval in the local sorted keys:
 // spans[2i] is the first index strictly above interval i's exclusive
 // lower bound and spans[2i+1] the first index at or above its exclusive
-// upper bound. On the code plane the present bounds become one
+// upper bound. The intervals ascend, so each search starts from the
+// previous answer. On the code plane the present bounds become one
 // non-decreasing lower-bound probe list (the key above Lo is Lo+1)
-// answered by codes.Ranks — a single forward sweep when the up to
-// 2(B-1) bounds rival the local keys, raw binary searches otherwise.
+// answered by codes.Ranks; the comparator plane gallops bound by bound
+// (codes.SearchFrom).
 func intervalSpans[K any](local []K, ivs []histogram.Interval[K], cmp func(K, K) int) []int {
 	spans := make([]int, 2*len(ivs))
 	cs, ok := any(local).([]codes.Code)
 	if !ok {
+		n, pos, step := len(local), 0, max(1, len(local)/max(1, len(spans)))
 		for i, iv := range ivs {
-			lo, hi := 0, len(local)
+			lo, hi := 0, n
 			if iv.HasLo {
-				lo = sort.Search(len(local), func(j int) bool { return cmp(local[j], iv.Lo) > 0 })
+				lo = codes.SearchFrom(n, pos, step, func(j int) bool { return cmp(local[j], iv.Lo) > 0 })
 			}
 			if iv.HasHi {
-				hi = lo + sort.Search(len(local)-lo, func(j int) bool { return cmp(local[lo+j], iv.Hi) >= 0 })
+				hi = codes.SearchFrom(n, lo, step, func(j int) bool { return cmp(local[j], iv.Hi) >= 0 })
 			}
-			spans[2*i], spans[2*i+1] = lo, hi
+			spans[2*i], spans[2*i+1], pos = lo, hi, max(pos, hi)
 		}
 		return spans
 	}

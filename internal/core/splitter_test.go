@@ -11,13 +11,13 @@ import (
 )
 
 // TestIntervalSpansCodePlaneMatchesComparator: the code plane locates
-// interval bounds through codes.Ranks (one sweep when the bounds are
-// dense, raw searches otherwise, Lo+1 standing in for "strictly above
-// Lo"); the comparator plane keeps its per-interval searches. Both must
-// cut the same spans — and so draw the same sample from the same random
-// stream — for absent bounds, bounds outside the local keys, duplicate
-// keys on a bound, and the top code as a lower bound (where Lo+1 would
-// wrap), on both sides of the ForwardScanBetter flip.
+// interval bounds through codes.Ranks (Lo+1 standing in for "strictly
+// above Lo"); the comparator plane gallops bound by bound. Both search
+// from the previous answer, so both must cut the same spans — and so
+// draw the same sample from the same random stream — for absent bounds,
+// bounds outside the local keys, duplicate keys on a bound, and the top
+// code as a lower bound (where Lo+1 would wrap), at gaps between bounds
+// from under 1 (400 intervals in 40 keys) to 10^3 (one in 2 000).
 func TestIntervalSpansCodePlaneMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 33))
 	const top = ^uint64(0)

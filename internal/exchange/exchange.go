@@ -3,7 +3,6 @@ package exchange
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"hssort/internal/codes"
 	"hssort/internal/collective"
@@ -35,44 +34,31 @@ func ValidateSplitters[K any](splitters []K, cmp func(K, K) int) {
 // sorted (non-decreasing) — guaranteed by the splitter-determination
 // phases and re-checked only under Debug.
 //
-// Two cut strategies cover the two shapes: B independent binary searches
-// when buckets are few relative to the data, and a single merge-style
-// forward scan — O(n+B) comparator calls instead of O(B log n) — in the
-// over-partitioned regime where B rivals or exceeds n.
+// Each cut is searched for from the previous one (codes.SearchFrom), so
+// B cuts in n keys take O(B log(n/B)) comparator calls, whether buckets
+// are few or, over-partitioned, outnumber the keys.
 func Partition[K any](sorted []K, splitters []K, cmp func(K, K) int) [][]K {
 	if Debug {
 		ValidateSplitters(splitters, cmp)
 	}
-	runs := make([][]K, len(splitters)+1)
-	prev := 0
-	if codes.ForwardScanBetter(len(sorted), len(splitters)) {
-		for i, s := range splitters {
-			cut := prev
-			for cut < len(sorted) && cmp(sorted[cut], s) < 0 {
-				cut++
-			}
-			runs[i] = sorted[prev:cut]
-			prev = cut
-		}
-	} else {
-		for i, s := range splitters {
-			// First index whose key is >= s starts bucket i+1.
-			cut := prev + sort.Search(len(sorted)-prev, func(j int) bool {
-				return cmp(sorted[prev+j], s) >= 0
-			})
-			runs[i] = sorted[prev:cut]
-			prev = cut
-		}
+	cuts := make([]int, len(splitters))
+	cutsFunc(sorted, splitters, cmp, cuts)
+	return runsAt(sorted, cuts)
+}
+
+// cutsFunc is codes.Cuts on the comparator plane, into cuts.
+func cutsFunc[K any](sorted, splitters []K, cmp func(K, K) int, cuts []int) {
+	pos, step := 0, max(1, len(sorted)/max(1, len(splitters)))
+	for i, s := range splitters {
+		pos = codes.SearchFrom(len(sorted), pos, step, func(j int) bool { return cmp(sorted[j], s) >= 0 })
+		cuts[i] = pos
 	}
-	runs[len(splitters)] = sorted[prev:]
-	return runs
 }
 
 // PartitionByCode is Partition on the code plane: the cut positions are
-// computed on the parallel sorted code array cs (raw uint64 searches or
-// one forward scan — codes.Cuts picks, with the same shape heuristic)
-// and the element slice is cut at those positions. splitterCodes must be
-// the non-decreasing codes of the splitter keys under the same
+// computed on the parallel sorted code array cs by codes.Cuts and the
+// element slice is cut at those positions. splitterCodes must be the
+// non-decreasing codes of the splitter keys under the same
 // order-preserving extractor that produced cs.
 func PartitionByCode[K any](sorted []K, cs []codes.Code, splitterCodes []codes.Code) [][]K {
 	if len(sorted) != len(cs) {
@@ -81,15 +67,7 @@ func PartitionByCode[K any](sorted []K, cs []codes.Code, splitterCodes []codes.C
 	if Debug {
 		ValidateSplitters(splitterCodes, codes.Compare)
 	}
-	cuts := codes.Cuts(cs, splitterCodes)
-	runs := make([][]K, len(splitterCodes)+1)
-	prev := 0
-	for i, cut := range cuts {
-		runs[i] = sorted[prev:cut]
-		prev = cut
-	}
-	runs[len(splitterCodes)] = sorted[prev:]
-	return runs
+	return runsAt(sorted, codes.Cuts(cs, splitterCodes))
 }
 
 // ContiguousOwner maps buckets to ranks in contiguous blocks: bucket b

@@ -78,42 +78,44 @@ func TestValidateSplittersPanics(t *testing.T) {
 	ValidateSplitters([]int64{5, 3}, icmp)
 }
 
-// TestPartitionForwardScanMode: in the over-partitioned regime (B large
-// relative to n) Partition switches to one forward scan; the cuts must
-// be identical to the binary-search regime's.
-func TestPartitionForwardScanMode(t *testing.T) {
+// TestPartitionGapRegimes: Partition gallops from each cut to the next;
+// at every ratio of keys to splitters, from B >> n to n/B = 10^4, with
+// duplicate keys and splitters, every run must hold exactly its
+// bucket's keys, and the runs concatenate to the input.
+func TestPartitionGapRegimes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 1))
-	sorted := make([]int64, 40)
-	for i := range sorted {
-		sorted[i] = rng.Int64N(100)
-	}
-	slices.Sort(sorted)
-	sp := make([]int64, 600) // forces the forward-scan heuristic
-	for i := range sp {
-		sp[i] = rng.Int64N(110)
-	}
-	slices.Sort(sp)
-	runs := Partition(sorted, sp, icmp)
-	// Reference cuts via per-splitter searches.
-	var cat []int64
-	for i, run := range runs {
-		for _, k := range run {
-			if i > 0 && k < sp[i-1] {
-				t.Fatalf("run %d holds %d below splitter %d", i, k, sp[i-1])
-			}
-			if i < len(sp) && k >= sp[i] {
-				t.Fatalf("run %d holds %d at/above splitter %d", i, k, sp[i])
-			}
+	for _, shape := range []struct{ n, b int }{{40, 600}, {300, 300}, {2000, 92}, {12800, 100}, {100000, 10}} {
+		sorted := make([]int64, shape.n)
+		for i := range sorted {
+			sorted[i] = rng.Int64N(int64(shape.n))
 		}
-		cat = append(cat, run...)
-	}
-	if !slices.Equal(cat, sorted) {
-		t.Fatal("forward-scan runs do not concatenate to the input")
+		slices.Sort(sorted)
+		sp := make([]int64, shape.b)
+		for i := range sp {
+			sp[i] = rng.Int64N(int64(shape.n + shape.n/10))
+		}
+		slices.Sort(sp)
+		runs := Partition(sorted, sp, icmp)
+		var cat []int64
+		for i, run := range runs {
+			for _, k := range run {
+				if i > 0 && k < sp[i-1] {
+					t.Fatalf("n=%d b=%d: run %d holds %d below splitter %d", shape.n, shape.b, i, k, sp[i-1])
+				}
+				if i < len(sp) && k >= sp[i] {
+					t.Fatalf("n=%d b=%d: run %d holds %d at/above splitter %d", shape.n, shape.b, i, k, sp[i])
+				}
+			}
+			cat = append(cat, run...)
+		}
+		if !slices.Equal(cat, sorted) {
+			t.Fatalf("n=%d b=%d: runs do not concatenate to the input", shape.n, shape.b)
+		}
 	}
 }
 
 // TestPartitionByCodeMatchesPartition: the code-plane cuts equal the
-// comparator cuts run for run, in both cut regimes.
+// comparator cuts run for run, from a few buckets to B >> n.
 func TestPartitionByCodeMatchesPartition(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 2))
 	for _, shape := range []struct{ n, b int }{{5000, 7}, {50, 800}, {0, 3}, {100, 0}} {

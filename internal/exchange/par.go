@@ -4,21 +4,18 @@ package exchange
 // contiguous sub-ranges, one fork-join task each, and every task chains
 // lower-bound searches through its sub-range exactly as the serial scan
 // chains through the whole sequence. A cut is the unique lower bound of
-// its splitter in the sorted input, so the strategy — serial forward
-// scan, serial chained searches, or parallel sub-range scans — cannot
+// its splitter in the sorted input, so where a search starts cannot
 // change a single offset: PartitionPar and PartitionByCodePar are
 // bit-identical to their serial forms for every worker count.
 
 import (
-	"sort"
-
 	"hssort/internal/codes"
 	"hssort/internal/par"
 )
 
-// partitionParKeys is the input length below which the parallel
-// partition hands to the serial scan: the cut work is O(B log n) at
-// most, so small inputs never repay the fork-join.
+// partitionParKeys is the input length below which the partition
+// locates its cuts serially: the cut work is O(B log(n/B)), so small
+// inputs never repay the fork-join.
 const partitionParKeys = 1 << 14
 
 // PartitionPar is Partition with the cut searches fanned over the pool
@@ -34,14 +31,8 @@ func PartitionPar[K any](sorted []K, splitters []K, cmp func(K, K) int, p *par.P
 	cuts := make([]int, len(splitters))
 	blocks := par.Blocks(len(splitters), p.Workers())
 	p.Do(len(blocks), func(i int) {
-		prev := 0
-		for j := blocks[i].Lo; j < blocks[i].Hi; j++ {
-			s := splitters[j]
-			prev += sort.Search(len(sorted)-prev, func(k int) bool {
-				return cmp(sorted[prev+k], s) >= 0
-			})
-			cuts[j] = prev
-		}
+		b := blocks[i]
+		cutsFunc(sorted, splitters[b.Lo:b.Hi], cmp, cuts[b.Lo:b.Hi])
 	})
 	return runsAt(sorted, cuts)
 }
@@ -62,11 +53,8 @@ func PartitionByCodePar[K any](sorted []K, cs []codes.Code, splitterCodes []code
 	cuts := make([]int, len(splitterCodes))
 	blocks := par.Blocks(len(splitterCodes), p.Workers())
 	p.Do(len(blocks), func(i int) {
-		prev := 0
-		for j := blocks[i].Lo; j < blocks[i].Hi; j++ {
-			prev += codes.Rank(cs[prev:], splitterCodes[j])
-			cuts[j] = prev
-		}
+		b := blocks[i]
+		copy(cuts[b.Lo:b.Hi], codes.Cuts(cs, splitterCodes[b.Lo:b.Hi]))
 	})
 	return runsAt(sorted, cuts)
 }

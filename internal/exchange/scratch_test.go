@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"testing"
@@ -107,6 +108,32 @@ func TestScratchReuseEquivalence(t *testing.T) {
 		// All ranks joined: releasing is now safe, as the engine does.
 		for _, sc := range scratches {
 			sc.Release()
+		}
+	}
+}
+
+// TestMergeHeldReusesAndReleases: MergeHeld merges as a fresh merge does,
+// reuses its array on the next call, and Release drops every byte key it
+// held, so a parked engine pins none.
+func TestMergeHeldReusesAndReleases(t *testing.T) {
+	runs := [][][]byte{{[]byte("a"), []byte("d")}, {[]byte("b"), []byte("c"), []byte("e")}}
+	want := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
+	var sc Scratch[[]byte]
+	first := sc.MergeHeld(runs, bytes.Compare, nil, false, nil)
+	if !slices.EqualFunc(first, want, bytes.Equal) {
+		t.Fatalf("held merge %q, want %q", first, want)
+	}
+	second := sc.MergeHeld(runs[1:], bytes.Compare, nil, false, nil)
+	if &second[0] != &first[0] {
+		t.Error("the second merge did not reuse the held array")
+	}
+	if nilScratch := (*Scratch[[]byte])(nil).MergeHeld(runs, bytes.Compare, nil, false, nil); !slices.EqualFunc(nilScratch, want, bytes.Equal) {
+		t.Fatalf("nil-scratch merge %q, want %q", nilScratch, want)
+	}
+	sc.Release()
+	for i, k := range first[:cap(first)] {
+		if k != nil {
+			t.Fatalf("key %d (%q) still held after Release", i, k)
 		}
 	}
 }

@@ -95,9 +95,9 @@ type chunk[K any] struct {
 
 // Scratch holds one rank's reusable exchange state across sorts: the
 // streaming exchange's stream (its incremental merge, chunk queues and
-// flow-control state) and the materializing merge's scratch. A
-// long-lived engine (hssort.Sorter) keeps one Scratch per rank and
-// passes it to every ExchangeMerge, turning the per-sort allocation
+// flow-control state), the materializing merge's scratch and MergeHeld's
+// output. A long-lived engine (hssort.Sorter) keeps one Scratch per rank
+// and passes it to every ExchangeMerge, turning the per-sort allocation
 // churn of either plane into steady-state reuse. The zero value is
 // ready; nil is accepted everywhere and means a fresh zero Scratch per
 // call.
@@ -107,6 +107,7 @@ type chunk[K any] struct {
 // exchange with the same Scratch before the first returns.
 type Scratch[K any] struct {
 	merge  merge.Scratch[K] // the materializing path's merge
+	held   []K              // MergeHeld's output
 	stream stream[K]
 }
 
@@ -118,6 +119,18 @@ func (sc *Scratch[K]) MergeScratch() *merge.Scratch[K] {
 		return nil
 	}
 	return &sc.merge
+}
+
+// MergeHeld is ExchangeMerge's materializing merge into the Scratch's
+// held array, for keys a sort needs only until it ends (a two-level
+// sort's level 1). The next MergeHeld overwrites them and Release clears
+// them; a nil Scratch merges into a fresh array.
+func (sc *Scratch[K]) MergeHeld(runs [][]K, cmp func(K, K) int, code func(K) uint64, tie bool, p *par.Pool) []K {
+	if sc == nil {
+		return merge.Runs([]K{}, runs, cmp, code, tie, p, nil)
+	}
+	sc.held = merge.Runs(sc.held[:0], runs, cmp, code, tie, p, &sc.merge)
+	return sc.held
 }
 
 // Release drops the Scratch's references to the last sort's key data so
@@ -135,6 +148,8 @@ func (sc *Scratch[K]) Release() {
 		sc.stream.lt.Reset()
 	}
 	sc.merge.Clear()
+	clear(sc.held[:cap(sc.held)])
+	sc.held = sc.held[:0]
 	for _, q := range sc.stream.chunksTo {
 		for i := range q {
 			clear(q[i].runs)

@@ -19,20 +19,20 @@ func benchSorted(n int) []int64 {
 	return out
 }
 
-// BenchmarkLocalRanks measures the per-round histogram step in its two
-// regimes: few probes against a large shard (S binary searches, §5.1.2's
-// O(S log(N/p)) term) and — the many-ranks shape, 1300 probes against
-// 2000 local keys — the forward sweep, on the comparator plane and on
-// the code plane.
+// BenchmarkLocalRanks measures the per-round histogram step at two
+// shapes: few probes against a large shard (§5.1.2's O(S log(N/p))
+// term) and comm_bound's, 92 probes against 2000 local keys, on the
+// comparator plane and on the code plane. Both locate sorted probes
+// from each previous answer.
 func BenchmarkLocalRanks(b *testing.B) {
 	for _, sh := range []struct {
 		name   string
 		n, m   int
 		onCode bool
 	}{
-		{"search/n=1Mi/m=1Ki", 1 << 20, 1 << 10, false},
-		{"sweep/n=2000/m=1300", 2000, 1300, false},
-		{"sweep/n=2000/m=1300/codes", 2000, 1300, true},
+		{"n=1Mi/m=1Ki", 1 << 20, 1 << 10, false},
+		{"n=2000/m=92", 2000, 92, false},
+		{"n=2000/m=92/codes", 2000, 92, true},
 	} {
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -3,9 +3,9 @@
 //
 //   - LocalRanks: the per-processor histogram step — the global histogram
 //     is the sum-reduction of local ranks over all processors (§2.3 step 3).
-//     Probes may arrive in any order; a sorted list that rivals the local
-//     keys in length is answered by one forward sweep, anything else by a
-//     binary search per probe (codes.ForwardScanBetter decides).
+//     Probes may arrive in any order; a sorted list is located in one
+//     forward pass, each search starting from the previous probe's
+//     answer, and an unsorted one by a binary search per probe.
 //   - Tracker: the central processor's bookkeeping of splitter bounds
 //     L_j(i), U_j(i), splitter intervals, and finalization against the
 //     target windows T_i (§3.3 step 3).

@@ -10,20 +10,15 @@ import (
 
 // LocalRanks returns, for each probe, the number of keys in the local
 // sorted input that compare strictly less than the probe — the local
-// histogram of §2.3. probes need not be sorted; the cost depends on
-// whether they are:
-//
-//   - one binary search per probe, O(M log(N/p)) as priced in §5.1.2,
-//     whenever the probes are few relative to the local keys or arrive
-//     unsorted;
-//   - one forward sweep through both sequences, O(N/p + M), when the
-//     probe list is sorted (every histogramming round broadcasts a
-//     sorted, deduplicated list) and codes.ForwardScanBetter holds — the
-//     many-ranks regime where M rivals N/p and the log factor is pure
-//     overhead. Sortedness is checked in O(M) first.
+// histogram of §2.3. probes need not be sorted, but a sorted list (every
+// histogramming round broadcasts a sorted, deduplicated one) is located
+// in one forward pass, each probe's search starting from the previous
+// answer: O(M log(N/(pM))) comparisons where a binary search per probe,
+// as §5.1.2 prices it, takes O(M log(N/p)). Sortedness is checked in
+// O(M) first; an unsorted list takes a binary search per probe.
 //
 // When a pipeline runs on the code plane, sorted and probes arrive as
-// code arrays and both forms specialize to raw uint64 comparisons
+// code arrays and the search runs on raw uint64 comparisons
 // (codes.Ranks) — no comparator call per step. The sniff is sound by
 // the codes.Code invariant: code slices exist only in natural order-
 // correspondence with their comparator.
@@ -32,20 +27,14 @@ func LocalRanks[K any](sorted []K, probes []K, cmp func(K, K) int) []int64 {
 		return codes.Ranks(cs, any(probes).([]codes.Code))
 	}
 	out := make([]int64, len(probes))
-	if codes.ForwardScanBetter(len(sorted), len(probes)) && slices.IsSortedFunc(probes, cmp) {
-		pos := 0
-		for i, q := range probes {
-			for pos < len(sorted) && cmp(sorted[pos], q) < 0 {
-				pos++
-			}
-			out[i] = int64(pos)
-		}
-		return out
-	}
+	n, pos, step := len(sorted), 0, max(1, len(sorted)/max(1, len(probes)))
+	warm := slices.IsSortedFunc(probes, cmp)
 	for i, q := range probes {
-		out[i] = int64(sort.Search(len(sorted), func(j int) bool {
-			return cmp(sorted[j], q) >= 0
-		}))
+		if !warm { // an unsorted list: one cold sort.Search per probe
+			pos, step = 0, n+1
+		}
+		pos = codes.SearchFrom(n, pos, step, func(j int) bool { return cmp(sorted[j], q) >= 0 })
+		out[i] = int64(pos)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -67,14 +68,16 @@ func exactRanks(global []int64, probes []int64) []int64 {
 	return LocalRanks(global, probes, icmp)
 }
 
-// TestRanksSweepMatchesSearch: whichever form LocalRanks picks — the
-// forward sweep or the per-probe search — the answer is the count of
-// keys strictly below each probe. Local sizes straddle the
-// codes.ForwardScanBetter flip for each probe count; probe lists are
-// sorted, sorted with duplicates, unsorted (which must fall back to the
-// search, not sweep to a wrong answer), entirely below or above the
-// local keys, and empty; both the code plane and the comparator plane
-// are held to a naive count.
+// TestRanksSweepMatchesSearch: a sorted probe list is located by one
+// forward pass that searches from each previous answer, by a unit walk,
+// block skips or a gallop as the gap to the next answer grows; an
+// unsorted one by a binary search per probe. Whichever runs, the answer
+// is sort.Search's, on the code plane and on the comparator plane. The
+// shapes span gaps n/m from under 1 to 10^4, across the regime edges at
+// 2 and 128; probe lists are sorted, sorted with duplicates, unsorted
+// (which must not take the forward pass to a wrong answer), bunched in
+// a few tight clusters far apart, entirely below or above the local
+// keys, the local keys themselves, and empty.
 func TestRanksSweepMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 1300))
 	draw := func(n int, span uint64, base uint64) []codes.Code {
@@ -88,14 +91,10 @@ func TestRanksSweepMatchesSearch(t *testing.T) {
 		t.Helper()
 		want := make([]int64, len(probes))
 		for i, q := range probes {
-			for _, k := range sorted {
-				if k < q {
-					want[i]++
-				}
-			}
+			want[i] = int64(sort.Search(len(sorted), func(j int) bool { return sorted[j] >= q }))
 		}
 		if got := LocalRanks(sorted, probes, codes.Compare); !slices.Equal(got, want) {
-			t.Errorf("%s: code plane (n=%d, m=%d) diverged from the naive count", name, len(sorted), len(probes))
+			t.Errorf("%s: code plane (n=%d, m=%d) diverged from sort.Search", name, len(sorted), len(probes))
 		}
 		// The comparator plane: same values under a type the code-plane
 		// sniff does not recognize.
@@ -107,22 +106,14 @@ func TestRanksSweepMatchesSearch(t *testing.T) {
 			return out
 		}
 		if got := LocalRanks(toU(sorted), toU(probes), cmp.Compare[uint64]); !slices.Equal(got, want) {
-			t.Errorf("%s: comparator plane (n=%d, m=%d) diverged from the naive count", name, len(sorted), len(probes))
+			t.Errorf("%s: comparator plane (n=%d, m=%d) diverged from sort.Search", name, len(sorted), len(probes))
 		}
 	}
-	swept, searched := 0, 0
-	for _, m := range []int{0, 1, 7, 100, 400} {
-		// The smallest n >= 2 at which m probes stop justifying a
-		// sweep, and its neighbours on both sides.
-		flip := 2
-		for codes.ForwardScanBetter(flip, m) {
-			flip++
-		}
-		for _, n := range []int{0, 1, max(0, flip-1), flip, flip + 1, 4 * (flip + 1)} {
-			if codes.ForwardScanBetter(n, m) {
-				swept++
-			} else {
-				searched++
+	for _, m := range []int{0, 1, 7, 100} {
+		for _, gap := range []int{0, 1, 2, 3, 8, 21, 127, 128, 129, 1000, 10000} {
+			n := gap * max(m, 1)
+			if m == 100 && gap > 1000 {
+				n = 1000 + gap*7 // a 10^4 gap over the first probes only, not 10^6 keys
 			}
 			sorted := draw(n, 1<<20, 1<<20)
 			slices.Sort(sorted)
@@ -133,18 +124,21 @@ func TestRanksSweepMatchesSearch(t *testing.T) {
 			slices.Sort(dups)
 			mixed := append(append(draw(m/3, 1<<20, 0), draw(m/3, 1<<20, 1<<20)...), draw(m-2*(m/3), 1<<20, 1<<21)...)
 			slices.Sort(mixed)
+			var clusters []codes.Code
+			for len(clusters) < m {
+				clusters = append(clusters, draw(min(m-len(clusters), 1+rng.IntN(9)), 1<<7, 1<<20+rng.Uint64N(1<<20))...)
+			}
+			slices.Sort(clusters)
 			check("sorted", sorted, inRange)
 			check("unsorted", sorted, unsorted)
 			check("reversed", sorted, reversed(inRange))
 			check("duplicates", sorted, dups)
+			check("clusters", sorted, clusters)
 			check("all below", sorted, sortedCopy(draw(m, 1<<20, 0)))
 			check("all above", sorted, sortedCopy(draw(m, 1<<20, 1<<21)))
 			check("below, inside and above", sorted, mixed)
 			check("local copy as probes", sorted, sorted)
 		}
-	}
-	if swept == 0 || searched == 0 {
-		t.Errorf("shapes covered: sweep=%d search=%d, want both", swept, searched)
 	}
 }
 

@@ -46,7 +46,6 @@ const (
 	tagProbes = core.TagStrategy + iota // probe broadcast
 	tagRanks                            // bracket and histogram reductions
 	tagSplit                            // final splitter broadcast
-	tagInfo                             // rounds broadcast
 )
 
 // splitterSearch is the root's bisection state for one splitter.
@@ -75,8 +74,9 @@ func Sort[K any](c *comm.Comm, local []K, opt core.Options[K], h Options[K]) ([]
 
 // DetermineSplitters runs the probe-refinement loop of §2.3 over
 // locally sorted keys; opt is the skeleton's (defaults applied). It
-// returns the splitters on every rank, reporting the round count and
-// total probe volume.
+// returns the splitters on every rank, reporting the rounds and the
+// probes of each. Every rank receives each round's probe broadcast, so
+// every rank counts both alike.
 func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Options[E], h Options[E]) ([]E, core.SplitterInfo, error) {
 	h = h.withDefaults()
 	info := core.SplitterInfo{Finalized: true}
@@ -112,8 +112,6 @@ func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Opt
 		}
 	}
 
-	rounds := 0
-	var totalProbes int64
 	for {
 		// Root synthesizes this round's probes: ProbesPerSplitter
 		// evenly spaced codes inside each live interval. An empty probe
@@ -129,8 +127,9 @@ func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Opt
 		if len(probes) == 0 {
 			break
 		}
-		rounds++
-		totalProbes += int64(len(probes))
+		info.Rounds++
+		info.SamplePerRound = append(info.SamplePerRound, int64(len(probes)))
+		info.TotalSample += int64(len(probes))
 		ranks, err := collective.Reduce(c, root, tagRanks,
 			histogram.LocalRanks(local, probes, opt.Cmp), collective.SumInt64)
 		if err != nil {
@@ -139,7 +138,7 @@ func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Opt
 		if me == root {
 			tracker.Update(probes, ranks)
 			narrow(searches, tracker, probes, ranks, h.Coder)
-			if rounds >= h.MaxRounds {
+			if info.Rounds >= h.MaxRounds {
 				for i := range searches {
 					searches[i].done = true
 				}
@@ -151,7 +150,7 @@ func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Opt
 	if me == root {
 		sp, ok := tracker.Splitters()
 		if !ok {
-			return nil, info, fmt.Errorf("histsort: no candidates after %d rounds", rounds)
+			return nil, info, fmt.Errorf("histsort: no candidates after %d rounds", info.Rounds)
 		}
 		slices.SortFunc(sp, opt.Cmp)
 		splitters = sp
@@ -160,14 +159,9 @@ func DetermineSplitters[E any](c comm.Endpoint, local []E, n int64, opt core.Opt
 	if err != nil {
 		return nil, info, err
 	}
-	rv, err := collective.Bcast(c, root, tagInfo, []int64{int64(rounds), totalProbes})
-	if err != nil {
-		return nil, info, err
-	}
 	// The one-time validation that lets exchange.Partition skip its
 	// per-call O(B) re-check.
 	exchange.ValidateSplitters(splitters, opt.Cmp)
-	info.Rounds, info.TotalSample = int(rv[0]), rv[1]
 	return splitters, info, nil
 }
 
