@@ -138,14 +138,14 @@ var (
 	int64Keys = &orderedType[int64]{
 		name:       "int64",
 		scan:       scanInt64,
-		appendJSON: func(dst []byte, k int64) []byte { return strconv.AppendInt(dst, k, 10) },
+		appendJSON: appendInt,
 		parse:      func(raw string) (int64, error) { return strconv.ParseInt(raw, 10, 64) },
 		code:       keycoder.Int64{}.Encode,
 	}
 	uint64Keys = &orderedType[uint64]{
 		name:       "uint64",
 		scan:       scanUint64,
-		appendJSON: func(dst []byte, k uint64) []byte { return strconv.AppendUint(dst, k, 10) },
+		appendJSON: appendUint,
 		parse:      func(raw string) (uint64, error) { return strconv.ParseUint(raw, 10, 64) },
 		code:       keycoder.Uint64{}.Encode,
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -186,4 +187,25 @@ func BenchmarkJobCodec(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzAppendUint checks the word-at-a-time formatter against strconv on
+// every bit pattern, read as a uint64 and as an int64.
+func FuzzAppendUint(f *testing.F) {
+	seeds := []uint64{0, 1, math.MaxInt64, 1 << 63, math.MaxUint64} // 1<<63 and MaxUint64 are MinInt64 and −1 as int64
+	for k, p := 1, uint64(10); k <= 19; k, p = k+1, p*10 {
+		seeds = append(seeds, p, p-1, -p, -(p - 1))
+	}
+	for _, v := range seeds {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v uint64) {
+		prefix := []byte("[7,")[:3:3] // full, so neither append can write into the other's bytes
+		if got, want := appendUint(prefix, v), strconv.AppendUint(prefix, v, 10); !bytes.Equal(got, want) {
+			t.Fatalf("appendUint(%d) = %q, want %q", v, got, want)
+		}
+		if got, want := appendInt(prefix, int64(v)), strconv.AppendInt(prefix, int64(v), 10); !bytes.Equal(got, want) {
+			t.Fatalf("appendInt(%d) = %q, want %q", int64(v), got, want)
+		}
+	})
 }

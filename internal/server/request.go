@@ -281,33 +281,6 @@ func notAKey(b []byte, i int, want string) error {
 	return fmt.Errorf("expected %s", want)
 }
 
-// scanMagnitude scans a JSON integer's digits (no sign) at b[i:].
-func scanMagnitude(b []byte, i int) (uint64, int, error) {
-	start := i
-	var v uint64
-	for ; i < len(b); i++ {
-		d := uint64(b[i]) - '0'
-		if d > 9 {
-			break
-		}
-		// 19 digits always fit; the 20th may not, a 21st never does
-		// (a leading zero is refused below, so every digit counts).
-		if i-start >= 19 && (i-start > 19 || v > math.MaxUint64/10 || v*10 > math.MaxUint64-d) {
-			return 0, i, strconv.ErrRange
-		}
-		v = v*10 + d
-	}
-	switch {
-	case i == start:
-		return 0, i, notAKey(b, i, "a number")
-	case b[start] == '0' && i-start > 1:
-		return 0, i, errors.New("leading zero")
-	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
-		return 0, i, errNotInteger
-	}
-	return v, i, nil
-}
-
 func scanInt64(b []byte, i int) (int64, int, error) {
 	neg := i < len(b) && b[i] == '-'
 	if neg {
@@ -410,9 +383,22 @@ func (a *byteArena) decode(src []byte) ([]byte, error) {
 // scan decodes the base64 JSON string at b[i:]. A string without
 // escapes decodes straight from the body; one with a backslash is
 // unquoted by encoding/json first.
+//
+// The common case takes one bytes.IndexByte for the closing quote and
+// the decode: a backslash or a control character ahead of the quote
+// fails the decode, except \r and \n, which the decoder skips. It
+// skipped none exactly when the span is whole 4-byte quanta and decoded
+// to within the two padding bytes of 3 bytes a quantum. Anything else
+// is walked byte by byte, which finds the escape or refuses the string.
 func (a *byteArena) scan(b []byte, i int) ([]byte, int, error) {
 	if i == len(b) || b[i] != '"' {
 		return nil, i, notAKey(b, i, "a base64 string")
+	}
+	if q := bytes.IndexByte(b[i+1:], '"'); q >= 0 {
+		src := b[i+1 : i+1+q]
+		if key, err := a.decode(src); err == nil && len(src)%4 == 0 && len(key) >= len(src)/4*3-2 {
+			return key, i + 2 + q, nil
+		}
 	}
 	for j := i + 1; j < len(b); j++ {
 		switch c := b[j]; {

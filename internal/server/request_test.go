@@ -51,13 +51,38 @@ func diffKeyScanner[K any](t *testing.T, data []byte, elem func([]byte, int) (K,
 
 // numberSeeds are the shared corpus of the numeric targets: the edge
 // forms where a hand scanner and encoding/json could disagree.
-var numberSeeds = []string{
+var numberSeeds = append([]string{
 	`[]`, ` [ ] `, `null`, `[1,2,3]`, "[ 1 ,\t-2 ,\n3\r]", `[-0]`, `[0]`, `[1e2]`, `[1.0]`, `[1E+2]`, `[1e-2]`,
 	`[18446744073709551615]`, `[18446744073709551616]`, `[99999999999999999999]`,
 	`[9223372036854775807]`, `[9223372036854775808]`, `[-9223372036854775808]`, `[-9223372036854775809]`,
 	`[01]`, `[-01]`, `[00]`, `[1,]`, `[,1]`, `[1 2]`, `[1`, `[`, `[-]`, `[+1]`, `[.5]`, `[1.]`, `[1e]`, `[1e+]`,
 	`[null]`, `[1,null]`, `["1"]`, `[true]`, `[[1]]`, `[{}]`, `[1]]`, `[1]x`, `[1e400]`, `[1e-400]`, `[0.1e1]`,
 	`[5e-324]`, `[1.7976931348623157e308]`, `[-0.0]`, `[0e0]`, "[1\v]", `{}`, `nul`, `nullx`, ``,
+	`[0000000012]`, `[-9223372036854775808`,
+}, wordBoundarySeeds()...)
+
+// wordBoundarySeeds are the forms where the word-at-a-time digit scan
+// changes course: runs of 1–20 digits (a full word, a partial one, the
+// byte loop past 16 digits, the 20-digit range check), each starting at
+// every offset of an 8-byte word and followed by a delimiter, a
+// fraction, an exponent, the bytes just outside '0'–'9', or the end of
+// the buffer. Each form that closes its array comes twice, the second
+// time with trailing space, so that the word loads reach past the run
+// whatever its length.
+func wordBoundarySeeds() []string {
+	var seeds []string
+	for n := 1; n <= 20; n++ {
+		for _, run := range []string{"12345678901234567890"[:n], strings.Repeat("9", n)} {
+			for pad := 0; pad < 8; pad++ {
+				form := "[" + strings.Repeat(" ", pad) + run
+				seeds = append(seeds, form)
+				for _, tail := range []string{",0]", "]", ".5]", "e1]", "/]", ":]"} {
+					seeds = append(seeds, form+tail, form+tail+"        ")
+				}
+			}
+		}
+	}
+	return seeds
 }
 
 func FuzzKeyScannerInt64(f *testing.F) {
@@ -128,6 +153,16 @@ func TestKeyScannerSeeds(t *testing.T) {
 	var arena byteArena
 	if _, _, err := scanKeys([]byte(`["YQ==",null]`), 0, 0, arena.scan); !errors.Is(err, errNullKey) {
 		t.Errorf("bytes scanner over a null element: %v, want %v", err, errNullKey)
+	}
+	// A raw control character ahead of the closing quote and of any
+	// escape is refused as such, not left to the base64 decoder (which
+	// skips newlines, four of them a whole quantum) or to encoding/json.
+	for _, in := range []string{
+		"[\"YWJj\x1fZGVmZ2hp\"]", "[\"YWJjZGVmZ2hp\nYQ==\"]", "[\"YWJj\n\n\r\nZGVm\"]", "[\"\x01\\u0059Q==\"]", "[\"YQ\r",
+	} {
+		if _, _, err := scanKeys([]byte(in), 0, 0, arena.scan); err == nil || !strings.Contains(err.Error(), "control character") {
+			t.Errorf("bytes scanner over %q: %v, want the control-character refusal", in, err)
+		}
 	}
 }
 
