@@ -35,13 +35,12 @@ type sec42Row struct {
 // engine (hssort.Sort). At p = 16 it, sample sort and histogram sort run
 // in two levels of 4×4 (core.Levels), labelled so; radix,
 // over-partitioning and bitonic exchange flat. The baselines are not
-// engine algorithms: they
-// run here straight on a world of the -transport backend, the only place
-// outside their package tests that does — sample sort and histogram sort
-// as splitter strategies of the one skeleton (core.SortWith), radix,
-// bitonic and over-partitioning, which determine no splitters, as their
-// own pipelines. Every output is checked to be a sorted permutation of
-// the input.
+// engine algorithms: they run here straight on a world of the -transport
+// backend, the only place outside their package tests that does — sample
+// sort, histogram sort, radix and over-partitioning as splitter
+// strategies of the one skeleton (core.SortWith), bitonic, which
+// determines no splitters, as its own pipeline. Every output is checked
+// to be a sorted permutation of the input.
 func runSec42(scale float64) error {
 	const p = 16 // bitonic needs a power of two and equal shards
 	perRank := max(int(100000*scale), 5000)

@@ -12,12 +12,19 @@ type rankedPart[T any] struct {
 	data []T
 }
 
-// Bcast broadcasts root's data slice to all ranks along a binomial tree
-// (ceil(log2 p) rounds, each rank sends at most log p messages). Non-root
-// callers pass nil and receive the broadcast slice; root receives its own
-// slice back. The slice is shared by reference: receivers must not modify
-// it.
+// Bcast broadcasts root's data slice to all ranks: BcastSized with each
+// hop accounted at the slice's bytes. Non-root callers pass nil.
 func Bcast[T any](e comm.Endpoint, root int, tag comm.Tag, data []T) ([]T, error) {
+	return BcastSized(e, root, tag, data, comm.SliceBytes[T])
+}
+
+// BcastSized broadcasts root's value v to all ranks along a binomial tree
+// (ceil(log2 p) rounds, each rank sends at most log p messages), each
+// message accounted at size(v) bytes. Non-root callers pass the zero value
+// and receive root's; root receives its own back. The value is shared by
+// reference: receivers must not modify it.
+func BcastSized[T any](e comm.Endpoint, root int, tag comm.Tag, v T, size func(T) int64) (T, error) {
+	comm.RegisterWire[T]() // wire transports decode by registered type
 	p := e.Size()
 	me := e.Rank()
 	rel := (me - root + p) % p
@@ -26,28 +33,28 @@ func Bcast[T any](e comm.Endpoint, root int, tag comm.Tag, data []T) ([]T, error
 	mask := 1
 	for mask < p {
 		if rel&mask != 0 {
-			src := (me - mask + p) % p
-			var err error
-			data, err = comm.RecvSlice[T](e, src, tag)
+			m, err := e.Recv((me-mask+p)%p, tag)
 			if err != nil {
-				return nil, fmt.Errorf("collective: bcast recv: %w", err)
+				return v, fmt.Errorf("collective: bcast recv: %w", err)
 			}
+			got, ok := m.Payload.(T)
+			if !ok && m.Payload != nil {
+				return v, fmt.Errorf("collective: bcast payload type %T", m.Payload)
+			}
+			v = got
 			break
 		}
 		mask <<= 1
 	}
 	// Forward to children below the received mask.
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
-			dst := (me + mask) % p
-			if err := comm.SendSlice(e, dst, tag, data); err != nil {
-				return nil, fmt.Errorf("collective: bcast send: %w", err)
+			if err := e.Send((me+mask)%p, tag, v, size(v)); err != nil {
+				return v, fmt.Errorf("collective: bcast send: %w", err)
 			}
 		}
-		mask >>= 1
 	}
-	return data, nil
+	return v, nil
 }
 
 // BcastValue broadcasts a single value from root to all ranks.
@@ -149,33 +156,6 @@ func Gatherv[T any](e comm.Endpoint, root int, tag comm.Tag, data []T) ([][]T, e
 	out := make([][]T, p)
 	for _, pt := range parts {
 		out[pt.rank] = pt.data
-	}
-	return out, nil
-}
-
-// Scatterv sends parts[i] from root to rank i (direct sends). Every rank
-// returns its own part; root's own part is returned without copying.
-// Non-root callers pass nil parts.
-func Scatterv[T any](e comm.Endpoint, root int, tag comm.Tag, parts [][]T) ([]T, error) {
-	p := e.Size()
-	me := e.Rank()
-	if me == root {
-		if len(parts) != p {
-			return nil, fmt.Errorf("collective: scatterv needs %d parts, got %d", p, len(parts))
-		}
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := comm.SendSlice(e, dst, tag, parts[dst]); err != nil {
-				return nil, fmt.Errorf("collective: scatterv send: %w", err)
-			}
-		}
-		return parts[root], nil
-	}
-	out, err := comm.RecvSlice[T](e, root, tag)
-	if err != nil {
-		return nil, fmt.Errorf("collective: scatterv recv: %w", err)
 	}
 	return out, nil
 }

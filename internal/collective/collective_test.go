@@ -158,27 +158,6 @@ func TestGathervAllSizes(t *testing.T) {
 	}
 }
 
-func TestScatterv(t *testing.T) {
-	const p = 5
-	runWorld(t, p, func(c *comm.Comm) error {
-		var parts [][]int64
-		if c.Rank() == 1 {
-			parts = make([][]int64, p)
-			for i := range parts {
-				parts[i] = []int64{int64(i * 100)}
-			}
-		}
-		mine, err := Scatterv(c, 1, 1, parts)
-		if err != nil {
-			return err
-		}
-		if len(mine) != 1 || mine[0] != int64(c.Rank()*100) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), mine)
-		}
-		return nil
-	})
-}
-
 func TestAllToAllv(t *testing.T) {
 	for _, p := range worldSizes {
 		runWorld(t, p, func(c *comm.Comm) error {

@@ -1,6 +1,6 @@
 // Package collective implements the communication collectives the paper's
 // cost analysis (§5.1) assumes: binomial-tree broadcast and reduction,
-// binomial gather, direct scatter and all-to-allv personalized exchange.
+// binomial gather and all-to-allv personalized exchange.
 // The dissemination barrier the analysis also assumes is comm.Comm.Barrier:
 // it runs on the whole world only, on a tag comm reserves.
 //

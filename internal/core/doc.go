@@ -6,10 +6,12 @@
 //
 // # The skeleton
 //
-// The paper's pipeline (§6.1.2) is the same for HSS, both sample sorts
-// and classic histogram sort; they differ only in how the splitters are
-// found (§2.2, §2.3, §4.1). The package therefore holds one body, in two
-// halves, that every splitter-based sort in the repository runs:
+// The paper's pipeline (§6.1.2) is the same for HSS, both sample sorts,
+// classic histogram sort, radix partitioning and over-partitioning; they
+// differ only in how the splitters are found (§2.2, §2.3, §4.1, §4.2).
+// The package therefore holds one body, in two halves, that every
+// splitter-based sort in the repository runs (internal/samplesort,
+// histsort, radix and overpartition hold only their strategies):
 //
 //   - FrontHalf: local sort → all-reduce of the key count N → splitters
 //     (the strategy's, or a seed's) → partition into bucket runs. A seed

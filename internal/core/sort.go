@@ -13,7 +13,8 @@ import (
 )
 
 // Strategy determines splitters: the only part of a sort that differs
-// between HSS, the sample sorts and classic histogram sort. Every rank
+// between HSS, the sample sorts, classic histogram sort, radix
+// partitioning and over-partitioning. Every rank
 // calls it with its locally sorted keys, the global key count n and the
 // skeleton's Options — defaults applied, validated once — and every rank
 // must return the same opt.Buckets-1 splitters in non-decreasing opt.Cmp

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"slices"
 
@@ -58,43 +57,6 @@ type roundPlan[K any] struct {
 func planBytes[K any](p roundPlan[K]) int64 {
 	keySize := comm.SizeOf[K]()
 	return 16 + int64(len(p.Intervals))*(2*keySize+16) + int64(len(p.Splitters))*keySize + 8*int64(len(p.Coverage))
-}
-
-// bcastPlan broadcasts a roundPlan from root along a binomial tree with
-// explicit byte accounting.
-func bcastPlan[K any](e comm.Endpoint, root int, tag comm.Tag, plan roundPlan[K]) (roundPlan[K], error) {
-	comm.RegisterWire[roundPlan[K]]() // wire transports decode by registered type
-	p := e.Size()
-	me := e.Rank()
-	rel := (me - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask != 0 {
-			src := (me - mask + p) % p
-			m, err := e.Recv(src, tag)
-			if err != nil {
-				return plan, err
-			}
-			got, ok := m.Payload.(roundPlan[K])
-			if !ok {
-				return plan, fmt.Errorf("core: plan payload type %T", m.Payload)
-			}
-			plan = got
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < p {
-			dst := (me + mask) % p
-			if err := e.Send(dst, tag, plan, planBytes(plan)); err != nil {
-				return plan, err
-			}
-		}
-		mask >>= 1
-	}
-	return plan, nil
 }
 
 // sampleIntervals draws a Bernoulli(prob) sample from the local sorted
@@ -341,7 +303,7 @@ func DetermineSplitters[K any](c comm.Endpoint, sortedLocal []K, n int64, opt Op
 				plan.Coverage = coverage
 			}
 		}
-		plan, err := bcastPlan(c, root, tagPlan, plan)
+		plan, err := collective.BcastSized(c, root, tagPlan, plan, planBytes[K])
 		if err != nil {
 			return nil, info, err
 		}

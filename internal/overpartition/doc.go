@@ -9,8 +9,10 @@
 // clear how to extend the idea of task queues for a distributed cluster".
 // Our distributed rendering makes the one scheduling decision the queue
 // would make — longest-processing-time (LPT) assignment of buckets to
-// processors — centrally after one histogram of the sampled splitters,
-// then reuses the standard exchange. Bucket placement is therefore
-// non-contiguous: each rank's output is sorted, but rank order does not
-// follow key order (as with §6.3's virtual processors).
+// processors — centrally after one histogram of the sampled splitters.
+// That is random sample sort into k·p buckets plus the LPT map, run as a
+// strategy of core's sort skeleton, whose exchange routes by the map.
+// Bucket placement is therefore non-contiguous: each rank's output is
+// sorted, but rank order does not follow key order (as with §6.3's
+// virtual processors).
 package overpartition

@@ -2,6 +2,7 @@ package overpartition
 
 import (
 	"cmp"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,30 @@ func TestOverPartitionUniform(t *testing.T) {
 		}
 		if stats.Buckets != c.ratio*c.p {
 			t.Errorf("p=%d: buckets %d, want %d", c.p, stats.Buckets, c.ratio*c.p)
+		}
+	}
+}
+
+// TestOverPartitionStatsAgree checks that every rank returns the same
+// Stats, as core.Stats promises, protocol counts included.
+func TestOverPartitionStatsAgree(t *testing.T) {
+	const p = 8
+	shards := dist.Spec{Kind: dist.Uniform}.Shards(2000, p, 3)
+	stats := make([]core.Stats, p)
+	w := comm.NewWorld(p, comm.WithTimeout(60*time.Second))
+	if err := w.Run(func(c *comm.Comm) error {
+		_, st, err := Sort(c, shards[c.Rank()], Options[int64]{Cmp: icmp})
+		stats[c.Rank()] = st
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].Rounds != 1 || stats[0].TotalSample == 0 {
+		t.Errorf("rank 0: %d rounds, sample %d; want 1 round and a sample", stats[0].Rounds, stats[0].TotalSample)
+	}
+	for r := 1; r < p; r++ {
+		if !reflect.DeepEqual(stats[r], stats[0]) {
+			t.Errorf("rank %d stats %+v, rank 0 %+v", r, stats[r], stats[0])
 		}
 	}
 }

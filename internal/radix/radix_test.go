@@ -76,6 +76,56 @@ func TestRadixUniform(t *testing.T) {
 	}
 }
 
+// TestRadixPlacement pins where each key lands to the digit→rank owner
+// map the strategy's splitters encode: digits go to ranks in contiguous
+// blocks, a block closing once it holds >= N/p keys. Bits 2 and 1 run
+// out of digits before ranks.
+func TestRadixPlacement(t *testing.T) {
+	const perRank = 500
+	for _, p := range []int{4, 16} {
+		for _, bits := range []int{12, 2, 1} {
+			for _, kind := range []dist.Kind{dist.Uniform, dist.PowerSkew, dist.Gaussian, dist.Zipfian} {
+				shards := dist.Spec{Kind: kind}.Shards(perRank, p, 5)
+				opt := baseOpt()
+				opt.Bits = bits
+				outs, _, err := trySort(clone(shards), opt)
+				if err != nil {
+					t.Fatalf("p=%d bits=%d %v: %v", p, bits, kind, err)
+				}
+				shift := 64 - bits
+				global := make([]int64, 1<<bits)
+				for _, s := range shards {
+					for _, k := range s {
+						global[opt.Coder.Encode(k)>>shift]++
+					}
+				}
+				owner := make([]int, len(global))
+				rank, acc := 0, int64(0)
+				for d := range global {
+					owner[d] = rank
+					acc += global[d]
+					if acc >= perRank && rank < p-1 {
+						rank++
+						acc = 0
+					}
+				}
+				total := 0
+				for r, o := range outs {
+					total += len(o)
+					for _, k := range o {
+						if want := owner[opt.Coder.Encode(k)>>shift]; want != r {
+							t.Fatalf("p=%d bits=%d %v: key %d on rank %d, owner map says %d", p, bits, kind, k, r, want)
+						}
+					}
+				}
+				if total != p*perRank {
+					t.Fatalf("p=%d bits=%d %v: %d keys out, %d in", p, bits, kind, total, p*perRank)
+				}
+			}
+		}
+	}
+}
+
 func TestRadixSkewBreaksBalance(t *testing.T) {
 	// §4.2: a hot digit cannot be split, so duplicates wreck balance —
 	// the weakness comparison benchmarks surface.
