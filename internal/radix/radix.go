@@ -48,11 +48,8 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	digits := func(e comm.Endpoint, sorted []K, n int64, o core.Options[K]) ([]K, core.SplitterInfo, error) {
-		return opt.splitters(e, sorted, n, o.Buckets)
-	}
 	owner := func(b int) int { return b } // explicit, so the sort stays flat (core.Levels)
-	return core.SortWith(c, local, core.Options[K]{Cmp: opt.Cmp, Owner: owner}, core.Strategies[K]{Keys: digits})
+	return core.SortWith(c, local, core.Options[K]{Cmp: opt.Cmp, Owner: owner}, core.Strategies[K]{Keys: opt.splitters})
 }
 
 // splitters all-reduces the global histogram of the top Bits digits and
@@ -61,8 +58,9 @@ func Sort[K any](c *comm.Comm, local []K, opt Options[K]) ([]K, core.Stats, erro
 // digit d+1 begins, at the key of code (d+1)<<shift. When the digits run
 // out before the buckets, the rest end at the key of the all-ones code,
 // so only a key with that code lands past the last digit's bucket.
-func (o Options[K]) splitters(e comm.Endpoint, sorted []K, n int64, buckets int) ([]K, core.SplitterInfo, error) {
+func (o Options[K]) splitters(e comm.Endpoint, sorted []K, n int64, opt core.Options[K]) ([]K, core.SplitterInfo, error) {
 	info := core.SplitterInfo{Rounds: 1, Finalized: true}
+	buckets := opt.Buckets
 	if buckets == 1 || n == 0 {
 		return []K{}, info, nil
 	}
